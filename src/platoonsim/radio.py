@@ -6,6 +6,11 @@ overlaps it on air, or the receiver itself was transmitting (half-duplex).
 Carrier sensing sees a transmission only once its signal has propagated to
 the listener, so two nodes that start within one propagation delay of each
 other are mutually blind and will overlap.
+
+Vehicles never move after they register, so who hears whom, and after what
+propagation delay, is computed once per pair at registration. Receptions at
+vehicles without a frame handler carry no protocol effect; they are settled
+together by one event at the transmission's last arrival.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable
+from itertools import islice
+from typing import Callable, Sequence
 
 from .frames import Frame
 from .kernel import Event, EventKind, Kernel, SEC
@@ -47,6 +53,10 @@ class RadioConfig:
         if self.preamble_ns < 0 or self.cca_detect_ns < 0:
             raise ValueError("preamble_ns and cca_detect_ns must be >= 0")
 
+    def prop_delay(self, dist: float) -> int:
+        """Propagation delay in ns over dist metres, rounded up."""
+        return math.ceil(dist * SEC / self.propagation_mps)
+
 
 def tx_duration(size_bytes: int, cfg: RadioConfig) -> int:
     """On-air time in ns: preamble plus payload bits at the configured rate."""
@@ -64,14 +74,15 @@ class Transmission:
     frame: Frame
     start: int
     end: int
-    origin: Position
     index: int = -1
     receivers_expected: int = 0
     receivers_done: int = 0
     receivers_collided: int = 0
     # per-receiver flags, kept only when the medium records outcomes
     outcomes: dict[int, bool] | None = None
-    _overlap_cache: list["Transmission"] | None = None
+    # vehicles where a reception of this transmission collides, while any
+    # reception is still unaccounted
+    _interfered: set[int] | None = None
 
     @property
     def collided(self) -> bool:
@@ -101,6 +112,12 @@ class Medium:
         self.positions: dict[int, Position] = {}
         self.handlers: dict[int, Callable[[int, Frame, ReceptionOutcome], None]] = {}
         self.log: list[Transmission] = []           # all transmissions, by start
+        self._starts: list[int] = []                # start of each log entry
+        # vid -> {vid in range: propagation delay ns}, in registration order;
+        # every vehicle hears itself first, with delay 0. Entries are only
+        # appended, so the receivers of a transmission are always a prefix.
+        self._hears: dict[int, dict[int, int]] = {}
+        self._sense_slack = self.prop_delay(cfg.range_m)
         self._busy_until: dict[int, int] = {}       # per-sender serialization
         self._max_dur = 0
 
@@ -108,12 +125,18 @@ class Medium:
                  handler: Callable[[int, Frame, ReceptionOutcome], None] | None = None) -> None:
         if vid in self.positions:
             raise ValueError(f"vehicle {vid} already registered")
+        hears = {vid: 0}
+        for other, other_pos in self.positions.items():
+            dist = pos.distance(other_pos)
+            if dist <= self.cfg.range_m:
+                hears[other] = self._hears[other][vid] = self.prop_delay(dist)
+        self._hears[vid] = hears
         self.positions[vid] = pos
         if handler is not None:
             self.handlers[vid] = handler
 
     def prop_delay(self, dist: float) -> int:
-        return math.ceil(dist * SEC / self.cfg.propagation_mps)
+        return self.cfg.prop_delay(dist)
 
     # -- transmission ------------------------------------------------------
 
@@ -130,90 +153,100 @@ class Medium:
                 f"vehicle {sender} is already transmitting at {now} ns; "
                 "MAC layers must serialize their own transmissions"
             )
-        origin = self.positions[sender]
         end = start + tx_duration(frame.size, self.cfg)
-        tx = Transmission(sender=sender, frame=frame, start=start, end=end, origin=origin)
+        tx = Transmission(sender=sender, frame=frame, start=start, end=end)
         tx.index = len(self.log)
         if self.record_outcomes:
             tx.outcomes = {}
         self.log.append(tx)
+        self._starts.append(start)
         self._busy_until[sender] = end
         self._max_dur = max(self._max_dur, end - start)
 
-        for vid, pos in self.positions.items():
-            if vid == sender:
-                continue
-            dist = origin.distance(pos)
-            if dist > self.cfg.range_m:
-                continue
-            tx.receivers_expected += 1
-            at = end + self.prop_delay(dist)
-            self.kernel.schedule(Event(at, vid, EventKind.FRAME_DELIVERY,
-                                       self._deliver, payload=(tx, vid)))
+        hears = self._hears[sender]
+        tx.receivers_expected = len(hears) - 1
+        unhandled: list[int] = []
+        settle_delay = 0
+        for vid, delay in islice(hears.items(), 1, None):
+            if vid in self.handlers:
+                self.kernel.schedule(Event(end + delay, vid, EventKind.FRAME_DELIVERY,
+                                           self._deliver, payload=(tx, vid)))
+            else:
+                unhandled.append(vid)
+                if delay > settle_delay:
+                    settle_delay = delay
+        if unhandled:
+            self.kernel.schedule(Event(end + settle_delay, sender, EventKind.FRAME_DELIVERY,
+                                       self._settle, payload=(tx, unhandled)))
         return tx
 
     def _deliver(self, ev: Event) -> None:
+        # one event per reception at every handler: accounted inline, unlike
+        # _account's batches, because this is the hot path in tsnctl mode
         tx, receiver = ev.payload
-        collided = self._collided_at(tx, receiver)
-        self._account(tx, receiver, collided)
-        outcome = ReceptionOutcome(receiver, tx, ev.fire_at, collided)
-        handler = self.handlers.get(receiver)
-        if handler is not None:
-            handler(receiver, tx.frame, outcome)
-
-    def _account(self, tx: Transmission, receiver: int, collided: bool) -> None:
+        collided = receiver in self._interfered(tx)
         tx.receivers_done += 1
-        if collided:
-            tx.receivers_collided += 1
+        tx.receivers_collided += collided
         if tx.outcomes is not None:
             tx.outcomes[receiver] = collided
+        if tx.receivers_done == tx.receivers_expected:
+            tx._interfered = None
+        outcome = ReceptionOutcome(receiver, tx, ev.fire_at, collided)
+        self.handlers[receiver](receiver, tx.frame, outcome)
+
+    def _settle(self, ev: Event) -> None:
+        """Account, at the last arrival, every reception that has no handler."""
+        tx, receivers = ev.payload
+        self._account(tx, receivers)
+
+    def _account(self, tx: Transmission, receivers: Sequence[int]) -> None:
+        hit = self._interfered(tx)
+        tx.receivers_done += len(receivers)
+        tx.receivers_collided += len(hit.intersection(receivers))
+        if tx.outcomes is not None:
+            for vid in receivers:
+                tx.outcomes[vid] = vid in hit
+        if tx.receivers_done == tx.receivers_expected:
+            tx._interfered = None           # settled; nothing reads it again
 
     def finalize(self) -> None:
         """Resolve outcomes for receptions whose delivery events never fired.
 
-        Called once at run end so that every logged transmission carries the
-        same flags it would have had with more simulated time. Frames are not
-        handed to protocol handlers here; only accounting is completed.
+        Called once at run end, after the kernel has run, so that every logged
+        transmission carries the same flags it would have had with more
+        simulated time. Frames are not handed to protocol handlers here; only
+        accounting is completed. An event has fired iff its time is <= now.
         """
+        now = self.kernel.now
         for tx in self.log:
             if tx.receivers_done >= tx.receivers_expected:
                 continue
-            done = set(tx.outcomes) if tx.outcomes is not None else None
-            for vid, pos in self.positions.items():
-                if vid == tx.sender:
-                    continue
-                dist = tx.origin.distance(pos)
-                if dist > self.cfg.range_m:
-                    continue
-                if done is not None and vid in done:
-                    continue
-                if done is None and tx.receivers_done >= tx.receivers_expected:
-                    break
-                self._account(tx, vid, self._collided_at(tx, vid))
+            # the receivers in range at broadcast; the table only grows by appending
+            receivers = list(islice(self._hears[tx.sender].items(), 1,
+                                    1 + tx.receivers_expected))
+            settle_at = tx.end + max((d for vid, d in receivers if vid not in self.handlers),
+                                     default=0)
+            self._account(tx, [vid for vid, d in receivers
+                               if (tx.end + d if vid in self.handlers else settle_at) > now])
 
     # -- collision predicate -------------------------------------------------
 
-    def _overlapping(self, tx: Transmission) -> list[Transmission]:
-        if tx._overlap_cache is not None:
-            return tx._overlap_cache
-        found: list[Transmission] = []
-        lo = bisect_left(self.log, tx.start - self._max_dur, key=lambda t: t.start)
-        for other in self.log[lo:]:
-            if other.start >= tx.end:
-                break
-            if other is tx:
-                continue
-            if other.start < tx.end and tx.start < other.end:
-                found.append(other)
-        tx._overlap_cache = found
-        return found
+    def _interfered(self, tx: Transmission) -> set[int]:
+        """Vehicles in range of a transmission that overlaps tx on air.
 
-    def _collided_at(self, tx: Transmission, receiver: int) -> bool:
-        rpos = self.positions[receiver]
-        for other in self._overlapping(tx):
-            if other.origin.distance(rpos) <= self.cfg.range_m:
-                return True
-        return False
+        A reception of tx collides exactly at these vehicles; the sender of an
+        overlapping transmission hears itself, which makes reception half-duplex.
+        """
+        if tx._interfered is None:
+            hit: set[int] = set()
+            lo = bisect_left(self._starts, tx.start - self._max_dur)
+            for other in self.log[lo:]:
+                if other.start >= tx.end:
+                    break
+                if other is not tx and tx.start < other.end:
+                    hit.update(self._hears[other.sender])
+            tx._interfered = hit
+        return tx._interfered
 
     # -- carrier sense -------------------------------------------------------
 
@@ -224,36 +257,29 @@ class Medium:
         cca_detect_ns, so a transmission that started moments ago is not yet
         visible; two nodes committing within that window will overlap.
         """
-        pos = self.positions[listener]
-        lo = bisect_left(self.log, at - self._max_dur - self._sense_slack(),
-                         key=lambda t: t.start)
+        hears = self._hears[listener]
+        lo = bisect_left(self._starts, at - self._max_dur - self._sense_slack)
         for tx in self.log[lo:]:
             if tx.start > at:
                 break
-            dist = tx.origin.distance(pos)
-            if dist > self.cfg.range_m:
+            delay = hears.get(tx.sender)
+            if delay is None:
                 continue
-            delay = self.prop_delay(dist)
             if tx.start + delay + self.cfg.cca_detect_ns <= at < tx.end + delay:
                 return True
         return False
 
     def idle_from(self, listener: int, at: int) -> int:
         """Earliest time > at when every currently sensed transmission has ended."""
-        pos = self.positions[listener]
+        hears = self._hears[listener]
         horizon = at
-        lo = bisect_left(self.log, at - self._max_dur - self._sense_slack(),
-                         key=lambda t: t.start)
+        lo = bisect_left(self._starts, at - self._max_dur - self._sense_slack)
         for tx in self.log[lo:]:
             if tx.start > at:
                 break
-            dist = tx.origin.distance(pos)
-            if dist > self.cfg.range_m:
+            delay = hears.get(tx.sender)
+            if delay is None:
                 continue
-            delay = self.prop_delay(dist)
             if tx.start + delay + self.cfg.cca_detect_ns <= at < tx.end + delay:
                 horizon = max(horizon, tx.end + delay)
         return horizon
-
-    def _sense_slack(self) -> int:
-        return self.prop_delay(self.cfg.range_m)

@@ -10,7 +10,7 @@ from .csma import CsmaConfig, CsmaMac
 from .frames import ANNOUNCE_SIZE, Frame, FrameKind, NodeType, PRIO_SAFETY
 from .kernel import Event, EventKind, Kernel, MS, RngStreams, SEC
 from .radio import Medium, Position, RadioConfig, tx_duration
-from .tsnctl import TsnCtl, WindowConfig
+from .tsnctl import EVAL_GUARD, TsnCtl, WindowConfig
 
 MODE_BASELINE = "baseline"
 MODE_TSNCTL = "tsnctl"
@@ -70,6 +70,13 @@ class ScenarioConfig:
                     raise ValueError(
                         f"an announce ({announce} ns on air) does not fit one "
                         f"{self.window.slot_len_ns} ns slot"
+                    )
+                max_delay = self.radio.prop_delay(self.radio.range_m)
+                if max_delay > EVAL_GUARD:
+                    raise ValueError(
+                        f"the maximum propagation delay ({max_delay} ns at "
+                        f"range_m={self.radio.range_m}) exceeds the {EVAL_GUARD} ns "
+                        "guard after which a slot's deliveries are evaluated"
                     )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platoonsim.frames import Frame, FrameKind
 from platoonsim.kernel import Kernel, MS, US
@@ -190,3 +192,65 @@ def test_online_flags_match_brute_force_on_a_braided_sequence():
     want = brute_force_outcomes(records, positions, 100.0)
     for tx, expected in zip(m.log, want):
         assert tx.outcomes == expected
+
+
+def _accounting(tx):
+    return tx.receivers_expected, tx.receivers_done, tx.receivers_collided
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_finalize_checks_receptions_still_in_flight(record):
+    # the interferer at 500 m reaches only the far receiver, whose delivery
+    # (967 ns after tx end) is still in flight when the run stops
+    k = Kernel()
+    m = Medium(k, RadioConfig(), record_outcomes=record)
+    for vid, x in enumerate((0.0, 1.0, 290.0, 500.0)):
+        m.register(vid, Position(x, 0.0))
+    tx = m.broadcast(0, _data(0))
+    k.run_until(100 * US)
+    m.broadcast(3, _data(3))
+    k.run_until(tx.end + 100)
+    m.finalize()
+    assert _accounting(tx) == (2, 2, 1)
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_finalize_ignores_vehicles_registered_after_the_broadcast(record):
+    k = Kernel()
+    m = Medium(k, _cfg(), record_outcomes=record)
+    m.register(0, Position(0.0, 0.0))
+    m.register(1, Position(10.0, 0.0))
+    tx = m.broadcast(0, _data(0))
+    k.run_until(100 * US)
+    m.register(2, Position(20.0, 0.0))      # in range, but arrived too late
+    m.finalize()
+    assert tx.receivers_done == tx.receivers_expected == 1
+    if record:
+        assert set(tx.outcomes) == {1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(xs=st.lists(st.floats(0.0, 600.0), min_size=2, max_size=6),
+       starts=st.lists(st.integers(0, 2_000 * US), min_size=1, max_size=6),
+       which=st.integers(0, 5), late=st.integers(0, 1_000))
+def test_finalize_accounting_independent_of_outcome_recording(xs, starts, which, late):
+    """Cut the run inside a delivery window; both modes must settle alike."""
+    plan = sorted((at, vid % len(xs)) for vid, at in enumerate(starts))
+
+    def play(record):
+        k = Kernel()
+        m = Medium(k, RadioConfig(), record_outcomes=record)
+        for vid, x in enumerate(xs):
+            m.register(vid, Position(x, 0.0))
+        busy = {}
+        for at, vid in plan:
+            if at < busy.get(vid, 0):
+                continue
+            k.run_until(at)
+            busy[vid] = m.broadcast(vid, _data(vid)).end
+        cut = m.log[which % len(m.log)].end + late
+        k.run_until(max(cut, k.now))
+        m.finalize()
+        return [_accounting(tx) for tx in m.log]
+
+    assert play(False) == play(True)

@@ -108,6 +108,20 @@ def test_zero_vehicles_rejected():
         ScenarioConfig(vehicle_count=0).validate()
 
 
+def test_propagation_delay_beyond_eval_guard_rejected_in_tsnctl_mode():
+    from platoonsim.radio import RadioConfig
+    from platoonsim.tsnctl import EVAL_GUARD
+
+    assert RadioConfig().prop_delay(300.0) == EVAL_GUARD
+    ScenarioConfig(radio=RadioConfig(range_m=300.0)).validate()
+    with pytest.raises(ConfigError, match="propagation delay"):
+        ScenarioConfig(radio=RadioConfig(range_m=301.0)).validate()
+    with pytest.raises(ConfigError, match="propagation delay"):
+        ScenarioConfig(radio=RadioConfig(propagation_mps=2.0e8)).validate()
+    # the baseline evaluates nothing at slot boundaries
+    ScenarioConfig(mode=MODE_BASELINE, radio=RadioConfig(range_m=301.0)).validate()
+
+
 def test_bad_radio_parameters_rejected():
     from platoonsim.radio import RadioConfig
 
