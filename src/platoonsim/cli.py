@@ -9,9 +9,10 @@ from pathlib import Path
 from .config import ConfigError, load_config
 from .metrics import (
     SWEEP_AXES,
+    ExperimentResult,
+    collect_stats,
     emit_csv,
     emit_sweep_csv,
-    run_experiment,
     sweep,
     verify_log,
     write_transmission_log,
@@ -58,11 +59,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg.validate()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = run_experiment(cfg)
-    emit_csv(result, out / "results.csv")
+    per_rep = []
     for k in range(cfg.repetitions):
         run = run_scenario(cfg, cfg.seed + k)
+        per_rep.append(collect_stats(run))
         write_transmission_log(run, out / f"transmissions_rep{k}.log")
+        del run                     # hold one run at a time
+    result = ExperimentResult.from_stats(cfg, per_rep)
+    emit_csv(result, out / "results.csv")
     print(f"{cfg.mode}: {cfg.vehicle_count} vehicles, "
           f"slot {cfg.window.slot_len_ns} ns, payload {cfg.payload_size_b} B -> "
           f"mean collision rate {result.mean_rate:.2f}% "
@@ -98,8 +102,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: cannot verify {args.log}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     if bad:
-        print(f"{len(bad)} transmission(s) disagree with the overlap oracle: "
-              f"indices {bad[:20]}{'...' if len(bad) > 20 else ''}")
+        print(f"{len(bad)} transmission(s) disagree with the overlap oracle:")
+        for m in bad[:20]:
+            print(f"  index {m.index}: sender {m.sender}, start {m.start} ns, "
+                  f"logged collided={int(m.logged)}, oracle collided={int(not m.logged)}")
+        if len(bad) > 20:
+            print(f"  ... and {len(bad) - 20} more")
         return EXIT_RUNTIME
     print("all logged collision flags match the overlap oracle")
     return EXIT_OK

@@ -1,10 +1,13 @@
-"""Collision accounting, the brute-force overlap oracle, experiment batches, CSV output."""
+"""Collision accounting, the overlap oracles, experiment batches, CSV output."""
 
 from __future__ import annotations
 
+import math
 import statistics
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .frames import KIND_BY_LABEL, FrameKind
 from .radio import Position, RadioConfig, Transmission
@@ -76,10 +79,16 @@ def collect_stats(run: RunResult) -> CollisionStats:
 
 # -- independent oracle --------------------------------------------------------
 #
-# Post-hoc checker used by tests and the `verify` command: enumerate every
-# transmission pair, test plain interval overlap, and apply the range rule per
-# receiver. Deliberately quadratic and structurally unrelated to the medium's
-# online bookkeeping.
+# Post-hoc checkers, structurally unrelated to the medium's online bookkeeping:
+# they work from (sender, start, end) triples, vehicle positions and the range
+# alone, never from the medium's neighbour table or its scan over start times.
+#
+# The brute-force checker enumerates every transmission pair and applies the
+# range rule per receiver. It is quadratic and serves tests as the reference.
+# The sweep checker, used by `verify` and `oracle_check_run`, walks interval
+# endpoints in time order, pairs each start with the transmissions on air, and
+# applies the range rule as bitmasks over vehicles: O(T log T + overlapping
+# pairs + T*N) for T transmissions among N vehicles.
 
 
 def brute_force_outcomes(records: list[tuple[int, int, int]],
@@ -126,12 +135,78 @@ def brute_force_flags(records: list[tuple[int, int, int]],
     return flags
 
 
+def _sweep_masks(records: list[tuple[int, int, int]],
+                 positions: dict[int, Position],
+                 range_m: float,
+                 spawn: dict[int, int] | None = None) -> list[tuple[int, int]]:
+    """(receivers, collided receivers) per record, as bitmasks over `positions` order.
+
+    Same rule as brute_force_outcomes; records must satisfy start <= end.
+    """
+    bit = {vid: 1 << k for k, vid in enumerate(positions)}
+    # heard_by[v]: the vehicles within range of v, v itself included, so an
+    # overlapping transmission also ruins its own sender's reception
+    heard_by = {a: sum(bit[b] for b, pos_b in positions.items()
+                       if pos_a.distance(pos_b) <= range_m)
+                for a, pos_a in positions.items()}
+    # spawned[k]: the first k vehicles to spawn; a receiver must have spawned
+    # at or before the start of a transmission
+    arrival = {vid: -math.inf if spawn is None else spawn.get(vid, 0) for vid in positions}
+    by_spawn = sorted(positions, key=arrival.__getitem__)
+    spawn_times = [arrival[vid] for vid in by_spawn]
+    spawned = [0]
+    for vid in by_spawn:
+        spawned.append(spawned[-1] | bit[vid])
+
+    # Intervals are half-open, so at equal times ends come first (rank 0). A
+    # zero-length frame [t, t) overlaps exactly the frames on air across t that
+    # started before t, and nothing that starts later: it meets the active set
+    # before the starts at t (rank 1) and never joins it.
+    events = []
+    for i, (_sender, start, end) in enumerate(records):
+        if end > start:
+            events.append((start, 2, i))
+            events.append((end, 0, i))
+        else:
+            events.append((start, 1, i))
+    events.sort()
+    interferers = [0] * len(records)    # vehicles in range of an overlapping sender
+    on_air: dict[int, int] = {}         # index -> heard_by of its sender
+    for _at, rank, i in events:
+        if rank == 0:
+            del on_air[i]
+            continue
+        mask = heard_by[records[i][0]]
+        for j, other in on_air.items():
+            interferers[i] |= other
+            interferers[j] |= mask
+        if rank == 2:
+            on_air[i] = mask
+
+    out = []
+    for i, (sender, start, _end) in enumerate(records):
+        present = spawned[bisect_right(spawn_times, start)]
+        receivers = heard_by[sender] & present & ~bit[sender]
+        out.append((receivers, receivers & interferers[i]))
+    return out
+
+
+def sweep_outcomes(records: list[tuple[int, int, int]],
+                   positions: dict[int, Position],
+                   range_m: float,
+                   spawn: dict[int, int] | None = None) -> list[dict[int, bool]]:
+    """brute_force_outcomes computed by an endpoint sweep instead of all pairs."""
+    vids = list(positions)
+    return [{vid: bool(collided >> k & 1) for k, vid in enumerate(vids) if receivers >> k & 1}
+            for receivers, collided in _sweep_masks(records, positions, range_m, spawn)]
+
+
 def oracle_check_run(run: RunResult) -> list[int]:
     """Indices of transmissions whose online flags disagree with the oracle."""
     records = [(tx.sender, tx.start, tx.end) for tx in run.medium.log]
     positions = {spec.vid: spec.position for spec in run.specs}
     spawn = {spec.vid: spec.spawn_at for spec in run.specs}
-    expected = brute_force_outcomes(records, positions, run.cfg.radio.range_m, spawn)
+    expected = sweep_outcomes(records, positions, run.cfg.radio.range_m, spawn)
     bad = []
     for i, tx in enumerate(run.medium.log):
         want = expected[i]
@@ -161,19 +236,22 @@ class ExperimentResult:
     def seeds(self) -> list[int]:
         return [self.cfg.seed + k for k in range(len(self.per_repetition))]
 
+    @classmethod
+    def from_stats(cls, cfg: ScenarioConfig,
+                   per_repetition: list[CollisionStats]) -> ExperimentResult:
+        """Rates under the config's counting rules, and their mean and spread."""
+        rates = [s.rate(cfg.count_control_frames, cfg.per_receiver_counting)
+                 for s in per_repetition]
+        std = statistics.stdev(rates) if len(rates) > 1 else 0.0
+        return cls(cfg, per_repetition, rates, statistics.fmean(rates), std)
+
 
 def run_experiment(cfg: ScenarioConfig, *, record_outcomes: bool = False) -> ExperimentResult:
     cfg.validate()
-    per_rep: list[CollisionStats] = []
-    rates: list[float] = []
-    for k in range(cfg.repetitions):
-        run = run_scenario(cfg, cfg.seed + k, record_outcomes=record_outcomes)
-        stats = collect_stats(run)
-        per_rep.append(stats)
-        rates.append(stats.rate(cfg.count_control_frames, cfg.per_receiver_counting))
-    mean = statistics.fmean(rates)
-    std = statistics.stdev(rates) if len(rates) > 1 else 0.0
-    return ExperimentResult(cfg, per_rep, rates, mean, std)
+    return ExperimentResult.from_stats(cfg, [
+        collect_stats(run_scenario(cfg, cfg.seed + k, record_outcomes=record_outcomes))
+        for k in range(cfg.repetitions)
+    ])
 
 
 CSV_HEADER = ("mode,vehicles,slot_len_ns,window_ns,payload_B,spawn_interval_ns,"
@@ -308,20 +386,17 @@ class LoadedLog:
     positions: dict[int, Position]
     spawn: dict[int, int]
     records: list[tuple[int, int, int]]         # sender, start, end
-    sizes: list[int]
-    kinds: list[FrameKind]
     collided: list[bool]
 
 
 def load_transmission_log(path: str | Path) -> LoadedLog:
-    radio = RadioConfig()
+    """Parse a transmission log; raise ValueError on any malformed or missing part."""
+    radio: RadioConfig | None = None
     positions: dict[int, Position] = {}
     spawn: dict[int, int] = {}
     records: list[tuple[int, int, int]] = []
-    sizes: list[int] = []
-    kinds: list[FrameKind] = []
     collided: list[bool] = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -340,26 +415,40 @@ def load_transmission_log(path: str | Path) -> LoadedLog:
                 positions[vid] = Position(float(parts[2]), float(parts[3]))
                 spawn[vid] = int(parts[4]) if len(parts) > 4 else 0
             continue
-        sender, start, end, size, kind, flag = line.split()
-        records.append((int(sender), int(start), int(end)))
-        sizes.append(int(size))
-        kinds.append(KIND_BY_LABEL[kind])
-        collided.append(flag == "1")
-    return LoadedLog(radio, positions, spawn, records, sizes, kinds, collided)
+        fields = line.split()
+        if len(fields) != 6 or fields[4] not in KIND_BY_LABEL or fields[5] not in ("0", "1"):
+            raise ValueError(f"line {lineno}: malformed record {line!r}")
+        sender, start, end, _size = map(int, fields[:4])
+        if end < start:
+            raise ValueError(f"line {lineno}: transmission ends before it starts")
+        records.append((sender, start, end))
+        collided.append(fields[5] == "1")
+    if radio is None:
+        raise ValueError("log has no '# radio' header")
+    unknown = sorted({sender for sender, _, _ in records} - positions.keys())
+    if unknown:
+        raise ValueError(f"no '# vehicle' line for sender(s) {unknown}")
+    return LoadedLog(radio, positions, spawn, records, collided)
 
 
-def verify_log(path: str | Path) -> list[int]:
-    """Replay a saved log through the oracle; return indices whose flag disagrees."""
+class FlagMismatch(NamedTuple):
+    index: int      # position of the record in the log
+    sender: int
+    start: int
+    logged: bool    # the oracle's flag is the opposite
+
+
+def verify_log(path: str | Path) -> list[FlagMismatch]:
+    """Replay a saved log through the oracle; return the records whose flag disagrees.
+
+    The expected flag is set iff the frame collided at one or more receivers,
+    so it is clear for a frame nobody was in range to receive.
+    """
     log = load_transmission_log(path)
-    expected = brute_force_flags(log.records, log.positions, log.radio.range_m,
-                                 log.spawn)
+    masks = _sweep_masks(log.records, log.positions, log.radio.range_m, log.spawn)
     bad = []
-    for i, want in enumerate(expected):
-        got = log.collided[i]
-        if want is None:
-            # nobody in range: flag must not claim a collision
-            if got:
-                bad.append(i)
-        elif got != want:
-            bad.append(i)
+    for i, (sender, start, _end) in enumerate(log.records):
+        _receivers, collided = masks[i]
+        if log.collided[i] != bool(collided):
+            bad.append(FlagMismatch(i, sender, start, log.collided[i]))
     return bad

@@ -1,6 +1,10 @@
 from pathlib import Path
 
+from platoonsim import cli, metrics
 from platoonsim.cli import main
+from platoonsim.config import load_config
+from platoonsim.metrics import emit_csv, run_experiment, write_transmission_log
+from platoonsim.scenario import run_scenario
 
 GOOD_CONFIG = """\
 [scenario]
@@ -99,7 +103,9 @@ def test_verify_accepts_generated_log_and_rejects_tampered(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     log = out / "transmissions_rep0.log"
+    capsys.readouterr()
     assert main(["verify", "--log", str(log)]) == 0
+    assert capsys.readouterr().out == "all logged collision flags match the overlap oracle\n"
 
     lines = log.read_text().splitlines()
     idx = next(i for i, l in enumerate(lines) if not l.startswith("#"))
@@ -108,6 +114,66 @@ def test_verify_accepts_generated_log_and_rejects_tampered(tmp_path, capsys):
     lines[idx] = " ".join(fields)
     log.write_text("\n".join(lines) + "\n")
     assert main(["verify", "--log", str(log)]) == 1
+
+
+def test_run_simulates_each_repetition_once(tmp_path, monkeypatch):
+    seeds = []
+
+    def counting_run_scenario(cfg, seed, **kwargs):
+        seeds.append(seed)
+        return run_scenario(cfg, seed, **kwargs)
+
+    monkeypatch.setattr(cli, "run_scenario", counting_run_scenario)
+    monkeypatch.setattr(metrics, "run_scenario", counting_run_scenario)
+    cfg_path = _write(tmp_path, GOOD_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--repetitions", "3",
+                 "--out", str(out)]) == 0
+    assert seeds == [7, 8, 9]
+
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    cfg = load_config(cfg_path)
+    cfg.repetitions = 3
+    emit_csv(run_experiment(cfg), ref / "results.csv")
+    for k in range(3):
+        write_transmission_log(run_scenario(cfg, cfg.seed + k), ref / f"transmissions_rep{k}.log")
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in ref.iterdir())
+    for p in ref.iterdir():
+        assert (out / p.name).read_bytes() == p.read_bytes()
+
+
+def test_verify_names_each_disagreeing_transmission(tmp_path, capsys):
+    cfg = _write(tmp_path, GOOD_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    log = out / "transmissions_rep0.log"
+    lines = log.read_text().splitlines()
+    records = [l.split() for l in lines if not l.startswith("#")]
+    assert len(records) > 20
+    flipped = [l if l.startswith("#") else l[:-1] + ("1" if l[-1] == "0" else "0")
+               for l in lines]
+    log.write_text("\n".join(flipped) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--log", str(log)]) == 1
+    shown = capsys.readouterr().out.splitlines()
+    assert shown[0] == f"{len(records)} transmission(s) disagree with the overlap oracle:"
+    sender, start, _end, _size, _kind, flag = records[0]
+    assert shown[1] == (f"  index 0: sender {sender}, start {start} ns, "
+                        f"logged collided={1 - int(flag)}, oracle collided={flag}")
+    assert len(shown) == 1 + 20 + 1
+    assert shown[-1] == f"  ... and {len(records) - 20} more"
+
+
+def test_verify_rejects_log_without_radio_header(tmp_path, capsys):
+    cfg = _write(tmp_path, GOOD_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    log = out / "transmissions_rep0.log"
+    lines = [l for l in log.read_text().splitlines() if not l.startswith("# radio")]
+    log.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--log", str(log)]) == 1
+    assert "log has no '# radio' header" in capsys.readouterr().err
 
 
 def test_verify_missing_log_exits_1(tmp_path):

@@ -1,10 +1,13 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from platoonsim.frames import Frame, FrameKind
 from platoonsim.kernel import Kernel, MS, SEC, US
 from platoonsim.metrics import (
+    FlagMismatch,
     brute_force_flags,
     brute_force_outcomes,
     classify_transmission,
@@ -15,6 +18,7 @@ from platoonsim.metrics import (
     oracle_check_run,
     run_experiment,
     sweep,
+    sweep_outcomes,
     verify_log,
     write_transmission_log,
 )
@@ -84,6 +88,45 @@ def test_brute_force_respects_spawn_times():
     absent = brute_force_outcomes(records, positions, 100.0, {0: 0, 1: 5_000_000})
     assert present == [{1: False}]
     assert absent == [{}]
+
+
+@st.composite
+def _overlap_logs(draw):
+    """A small log: vehicles on a 10 m grid, unsorted records on a coarse clock."""
+    vids = draw(st.lists(st.integers(0, 20), min_size=1, max_size=8, unique=True))
+    positions = {vid: Position(10.0 * draw(st.integers(0, 30)), 10.0 * draw(st.integers(0, 3)))
+                 for vid in vids}
+    range_m = 10.0 * draw(st.integers(0, 30))
+    spawn = draw(st.none() | st.fixed_dictionaries({vid: st.integers(0, 40) for vid in vids}))
+    records = draw(st.lists(
+        st.tuples(st.sampled_from(vids), st.integers(0, 60), st.integers(0, 12))
+        .map(lambda r: (r[0], r[1], r[1] + r[2])),
+        max_size=40))
+    return records, positions, range_m, spawn
+
+
+@settings(max_examples=300, deadline=None)
+@given(log=_overlap_logs())
+@example(log=(   # equal starts, touching endpoints, zero-length frames, out of order
+    [(1, 10, 20), (2, 20, 30), (0, 0, 10), (1, 10, 10), (2, 15, 15), (0, 20, 20),
+     (3, 10, 25), (0, 5, 5), (3, 30, 30)],
+    {0: Position(0.0, 0.0), 1: Position(50.0, 0.0), 2: Position(100.0, 0.0),
+     3: Position(150.0, 0.0)},
+    60.0, {0: 0, 1: 0, 2: 12, 3: 5}))
+def test_sweep_oracle_matches_brute_force(log):
+    records, positions, range_m, spawn = log
+    assert sweep_outcomes(records, positions, range_m, spawn) == \
+        brute_force_outcomes(records, positions, range_m, spawn)
+
+
+@pytest.mark.parametrize("mode, vehicles, slot_ms", [(MODE_BASELINE, 30, 2),
+                                                     (MODE_TSNCTL, 40, 1)])
+def test_oracle_check_run_on_collision_heavy_runs(mode, vehicles, slot_ms):
+    cfg = ScenarioConfig(vehicle_count=vehicles, mode=mode, sim_duration_ns=2 * SEC)
+    cfg.window.slot_len_ns = slot_ms * MS
+    run = run_scenario(cfg, 3, record_outcomes=True)
+    assert sum(tx.collided for tx in run.medium.log) > 200
+    assert oracle_check_run(run) == []
 
 
 def test_online_flags_agree_with_oracle_on_mixed_runs():
@@ -183,7 +226,35 @@ def test_verify_flags_tampered_log(tmp_path):
     fields[-1] = "1" if fields[-1] == "0" else "0"
     lines[idx] = " ".join(fields)
     path.write_text("\n".join(lines) + "\n")
-    assert verify_log(path) != []
+    tx = run.medium.log[0]
+    assert verify_log(path) == [FlagMismatch(0, tx.sender, tx.start, not tx.collided)]
+
+
+def _edit_first_record(field: int, value: str):
+    def edit(lines):
+        idx = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+        fields = lines[idx].split()
+        fields[field] = value
+        return lines[:idx] + [" ".join(fields)] + lines[idx + 1:]
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: [l for l in lines if not l.startswith("# radio")], "no '# radio' header"),
+    (lambda lines: [l for l in lines if not l.startswith("# vehicle 0 ")],
+     r"no '# vehicle' line for sender\(s\) \[0\]"),
+    (_edit_first_record(4, "BEACON"), "line 9: malformed record"),
+    (_edit_first_record(5, "2"), "line 9: malformed record"),
+    (_edit_first_record(1, "9999999"), "line 9: transmission ends before it starts"),
+])
+def test_load_rejects_malformed_logs(tmp_path, edit, message):
+    cfg = ScenarioConfig(vehicle_count=5, mode=MODE_BASELINE,
+                         sim_duration_ns=1 * SEC, spawn_interval_ns=100 * US)
+    path = tmp_path / "t.log"
+    write_transmission_log(run_scenario(cfg, 22), path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_transmission_log(path)
 
 
 def test_transmission_log_rerun_byte_identical(tmp_path):
