@@ -36,12 +36,6 @@ class CsmaConfig:
             raise ValueError("backoff_slot_ns must be > 0")
 
 
-@dataclass(slots=True)
-class MacQueueEntry:
-    frame: Frame
-    enqueued_at: int
-
-
 class CsmaMac:
     """Per-vehicle FIFO with the baseline access procedure."""
 
@@ -53,14 +47,14 @@ class CsmaMac:
         self.medium = medium
         self.cfg = cfg
         self.rng = rng
-        self.queue: deque[MacQueueEntry] = deque()
+        self.queue: deque[Frame] = deque()
         self.serving = False
         self.frames_submitted = 0
         self.frames_transmitted = 0
         self.deferrals = 0
 
     def submit(self, frame: Frame) -> None:
-        self.queue.append(MacQueueEntry(frame, self.kernel.now))
+        self.queue.append(frame)
         self.frames_submitted += 1
         if not self.serving:
             self.serving = True
@@ -99,8 +93,7 @@ class CsmaMac:
         self._transmit()
 
     def _transmit(self) -> None:
-        entry = self.queue[0]
-        tx = self.medium.broadcast(self.vid, entry.frame)
+        tx = self.medium.broadcast(self.vid, self.queue[0])
         self._timer(tx.end, self._on_tx_done)
 
     def _on_tx_done(self, ev: Event) -> None:

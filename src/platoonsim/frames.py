@@ -32,7 +32,6 @@ class NodeType(IntEnum):
 
 # Priority classes; index 0 is the highest (safety traffic).
 PRIO_SAFETY = 0
-PRIO_NON_SAFETY = 1
 
 # Default control frame sizes in bytes. An announce is a fixed 100 B; an
 # allocation grows 8 B per listed member on top of the same 100 B base.

@@ -50,6 +50,11 @@ class Kernel:
         self.trace_enabled = trace
         self.trace: list[tuple[int, int, int, str]] = []
 
+    @property
+    def next_seq(self) -> int:
+        """The seq the next scheduled event gets; earlier events have smaller ones."""
+        return self._seq
+
     def schedule(self, event: Event) -> Event:
         if event.fire_at < self.now:
             raise ValueError(
@@ -78,9 +83,6 @@ class Kernel:
             ev.fn(ev)
         self.now = end
         return self.now
-
-    def pending(self) -> int:
-        return sum(1 for _, _, ev in self._heap if not ev.cancelled)
 
 
 def uniform(rng: np.random.Generator, lo: int, hi: int) -> int:

@@ -402,18 +402,22 @@ def load_transmission_log(path: str | Path) -> LoadedLog:
             continue
         if line.startswith("#"):
             parts = line[1:].split()
-            if parts[:1] == ["radio"]:
-                kv = dict(p.split("=", 1) for p in parts[1:])
-                radio = RadioConfig(
-                    range_m=float(kv["range_m"]),
-                    data_rate_bps=int(kv["data_rate_bps"]),
-                    propagation_mps=float(kv["propagation_mps"]),
-                    preamble_ns=int(kv["preamble_ns"]),
-                )
-            elif parts[:1] == ["vehicle"]:
-                vid = int(parts[1])
-                positions[vid] = Position(float(parts[2]), float(parts[3]))
-                spawn[vid] = int(parts[4]) if len(parts) > 4 else 0
+            try:
+                if parts[:1] == ["radio"]:
+                    kv = dict(p.split("=", 1) for p in parts[1:])
+                    radio = RadioConfig(
+                        range_m=float(kv["range_m"]),
+                        data_rate_bps=int(kv["data_rate_bps"]),
+                        propagation_mps=float(kv["propagation_mps"]),
+                        preamble_ns=int(kv["preamble_ns"]),
+                    )
+                elif parts[:1] == ["vehicle"]:
+                    vid = int(parts[1])
+                    positions[vid] = Position(float(parts[2]), float(parts[3]))
+                    spawn[vid] = int(parts[4]) if len(parts) > 4 else 0
+            except (IndexError, KeyError, ValueError):
+                raise ValueError(
+                    f"line {lineno}: malformed {parts[0]} header {line!r}") from None
             continue
         fields = line.split()
         if len(fields) != 6 or fields[4] not in KIND_BY_LABEL or fields[5] not in ("0", "1"):

@@ -8,9 +8,12 @@ the listener, so two nodes that start within one propagation delay of each
 other are mutually blind and will overlap.
 
 Vehicles never move after they register, so who hears whom, and after what
-propagation delay, is computed once per pair at registration. Receptions at
-vehicles without a frame handler carry no protocol effect; they are settled
-together by one event at the transmission's last arrival.
+propagation delay, is computed once per pair at registration. Only control
+frames (announce, allocation) are handed to frame handlers, one event per
+reception. Data frames, and receptions at vehicles without a handler, carry
+no protocol effect at delivery; they are settled together by one event at the
+transmission's last arrival. The log is the record of who heard whom and
+when: `last_clean_arrival` answers liveness questions from it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Sequence
 
-from .frames import Frame
+from .frames import Frame, FrameKind
 from .kernel import Event, EventKind, Kernel, SEC
 
 
@@ -75,6 +78,9 @@ class Transmission:
     start: int
     end: int
     index: int = -1
+    # the kernel's next event seq at broadcast: orders the broadcast against
+    # events scheduled before or after it
+    kernel_seq: int = -1
     receivers_expected: int = 0
     receivers_done: int = 0
     receivers_collided: int = 0
@@ -101,8 +107,9 @@ class Medium:
     """Broadcast channel shared by all registered vehicles.
 
     `on_frame(receiver_id, frame, outcome)` callbacks registered per vehicle
-    get each delivery; collided frames are delivered with the flag set so the
-    caller can discard them (no partial decode).
+    get each control-frame delivery; collided frames are delivered with the
+    flag set so the caller can discard them (no partial decode). Data frames
+    are never handed to callbacks; see `last_clean_arrival`.
     """
 
     def __init__(self, kernel: Kernel, cfg: RadioConfig, record_outcomes: bool = False):
@@ -113,6 +120,8 @@ class Medium:
         self.handlers: dict[int, Callable[[int, Frame, ReceptionOutcome], None]] = {}
         self.log: list[Transmission] = []           # all transmissions, by start
         self._starts: list[int] = []                # start of each log entry
+        self._sent: dict[int, list[Transmission]] = {}   # per sender, by start
+        self._joined: dict[int, int] = {}           # vid -> log length at register
         # vid -> {vid in range: propagation delay ns}, in registration order;
         # every vehicle hears itself first, with delay 0. Entries are only
         # appended, so the receivers of a transmission are always a prefix.
@@ -132,6 +141,7 @@ class Medium:
                 hears[other] = self._hears[other][vid] = self.prop_delay(dist)
         self._hears[vid] = hears
         self.positions[vid] = pos
+        self._joined[vid] = len(self.log)
         if handler is not None:
             self.handlers[vid] = handler
 
@@ -154,21 +164,23 @@ class Medium:
                 "MAC layers must serialize their own transmissions"
             )
         end = start + tx_duration(frame.size, self.cfg)
-        tx = Transmission(sender=sender, frame=frame, start=start, end=end)
-        tx.index = len(self.log)
+        tx = Transmission(sender=sender, frame=frame, start=start, end=end,
+                          index=len(self.log), kernel_seq=self.kernel.next_seq)
         if self.record_outcomes:
             tx.outcomes = {}
         self.log.append(tx)
         self._starts.append(start)
+        self._sent.setdefault(sender, []).append(tx)
         self._busy_until[sender] = end
         self._max_dur = max(self._max_dur, end - start)
 
         hears = self._hears[sender]
         tx.receivers_expected = len(hears) - 1
+        handlers = self._handlers(frame)
         unhandled: list[int] = []
         settle_delay = 0
         for vid, delay in islice(hears.items(), 1, None):
-            if vid in self.handlers:
+            if vid in handlers:
                 self.kernel.schedule(Event(end + delay, vid, EventKind.FRAME_DELIVERY,
                                            self._deliver, payload=(tx, vid)))
             else:
@@ -180,9 +192,13 @@ class Medium:
                                        self._settle, payload=(tx, unhandled)))
         return tx
 
+    def _handlers(self, frame: Frame) -> dict[int, Callable]:
+        """The handlers a frame is delivered to: none for data frames."""
+        return {} if frame.kind is FrameKind.DATA else self.handlers
+
     def _deliver(self, ev: Event) -> None:
-        # one event per reception at every handler: accounted inline, unlike
-        # _account's batches, because this is the hot path in tsnctl mode
+        # one event per control-frame reception at a handler: accounted
+        # inline, unlike _account's batches
         tx, receiver = ev.payload
         collided = receiver in self._interfered(tx)
         tx.receivers_done += 1
@@ -195,7 +211,7 @@ class Medium:
         self.handlers[receiver](receiver, tx.frame, outcome)
 
     def _settle(self, ev: Event) -> None:
-        """Account, at the last arrival, every reception that has no handler."""
+        """Account, at the last arrival, every reception not handed to a handler."""
         tx, receivers = ev.payload
         self._account(tx, receivers)
 
@@ -224,10 +240,11 @@ class Medium:
             # the receivers in range at broadcast; the table only grows by appending
             receivers = list(islice(self._hears[tx.sender].items(), 1,
                                     1 + tx.receivers_expected))
-            settle_at = tx.end + max((d for vid, d in receivers if vid not in self.handlers),
+            handlers = self._handlers(tx.frame)
+            settle_at = tx.end + max((d for vid, d in receivers if vid not in handlers),
                                      default=0)
             self._account(tx, [vid for vid, d in receivers
-                               if (tx.end + d if vid in self.handlers else settle_at) > now])
+                               if (tx.end + d if vid in handlers else settle_at) > now])
 
     # -- collision predicate -------------------------------------------------
 
@@ -239,14 +256,49 @@ class Medium:
         """
         if tx._interfered is None:
             hit: set[int] = set()
-            lo = bisect_left(self._starts, tx.start - self._max_dur)
-            for other in self.log[lo:]:
-                if other.start >= tx.end:
-                    break
-                if other is not tx and tx.start < other.end:
-                    hit.update(self._hears[other.sender])
+            for other in self._overlapping(tx):
+                hit.update(self._hears[other.sender])
             tx._interfered = hit
         return tx._interfered
+
+    def _overlapping(self, tx: Transmission):
+        """The other transmissions that share air time with tx."""
+        log = self.log
+        for i in range(bisect_left(self._starts, tx.start - self._max_dur), len(log)):
+            other = log[i]
+            if other.start >= tx.end:
+                break
+            if other is not tx and tx.start < other.end:
+                yield other
+
+    # -- liveness ------------------------------------------------------------
+
+    def last_clean_arrival(self, listener: int, sender: int, after: int,
+                           seq: int) -> int | None:
+        """Latest arrival in (after, now] of a clean reception of sender's frames.
+
+        Read from the log, it counts what per-reception events would have
+        delivered by the reading event with kernel seq `seq`: an arrival before
+        now, or at now from a broadcast made before that event was scheduled.
+        The listener must have been registered at the broadcast; a reception
+        is clean unless an overlapping transmission's sender is in range of
+        the listener (itself included). None if there is no such reception.
+        """
+        delay = self._hears.get(sender, {}).get(listener)
+        if delay is None or listener == sender:
+            return None
+        now = self.kernel.now
+        joined = self._joined[listener]
+        hears = self._hears
+        for tx in reversed(self._sent.get(sender, ())):
+            arrival = tx.end + delay
+            if arrival <= after or tx.index < joined:
+                break
+            if arrival > now or (arrival == now and tx.kernel_seq > seq):
+                continue
+            if not any(listener in hears[o.sender] for o in self._overlapping(tx)):
+                return arrival
+        return None
 
     # -- carrier sense -------------------------------------------------------
 

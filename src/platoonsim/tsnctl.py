@@ -14,6 +14,10 @@ Data transmissions never sense: an assigned slot is exclusive by construction.
 A frame too large for any slot is transmitted anyway at its slot origin and
 overruns into the neighbour slot rather than being dropped, so undersized
 slot configurations degrade instead of silently discarding traffic.
+
+The medium hands a controller only control frames. Data frames have no
+protocol effect at the receiver; a slave learns that its master is alive by
+asking the medium's log for the master's latest clean arrival at it.
 """
 
 from __future__ import annotations
@@ -365,7 +369,6 @@ class TsnCtl:
         self.queues = PriorityQueueSet(queue_levels)
         self.epoch = -1
         self.heard: dict[int, Frame] = {}       # clean announces, current window
-        self.last_heard_from: dict[int, int] = {}
         self.schedule: SlotSchedule | None = None
         self.my_slots: tuple[int, ...] = ()
         self.master_id: int | None = None
@@ -396,7 +399,6 @@ class TsnCtl:
                           outcome: ReceptionOutcome) -> None:
         if outcome.collided:
             return
-        self.last_heard_from[frame.sender] = self.kernel.now
         if frame.kind is FrameKind.CONTROL_ANNOUNCE:
             self.heard[frame.sender] = frame
         elif frame.kind is FrameKind.CONTROL_ALLOCATION:
@@ -424,7 +426,7 @@ class TsnCtl:
         self.pending_schedule = None
 
         if self.state.status is Status.IN_PLATOON:
-            if self.state.role is Role.SLAVE and self._master_silent(w):
+            if self.state.role is Role.SLAVE and self._master_silent(ev):
                 self._step(FsmEvent.MASTER_LOST)
                 self._reset_membership()
             else:
@@ -441,11 +443,13 @@ class TsnCtl:
 
         self._timer(w + self.wcfg.window_ns, self._on_window_start)
 
-    def _master_silent(self, now: int) -> bool:
+    def _master_silent(self, ev: Event) -> bool:
+        """No clean frame of the master for the timeout, counted from creation."""
         if self.master_id is None:
             return True
-        last = self.last_heard_from.get(self.master_id, self.created_at)
-        return now - last >= self.master_timeout_windows * self.wcfg.window_ns
+        since = ev.fire_at - self.master_timeout_windows * self.wcfg.window_ns
+        return (self.created_at <= since and self.medium.last_clean_arrival(
+            self.vid, self.master_id, since, ev.seq) is None)
 
     def _reset_membership(self) -> None:
         self.schedule = None
@@ -481,7 +485,7 @@ class TsnCtl:
         candidates = {self.vid: self.created_at}
         for a in self.heard.values():
             candidates[a.sender] = a.generated_at
-        if self.master_id is not None and not self._master_silent(self.kernel.now):
+        if self.master_id is not None and not self._master_silent(ev):
             candidates.setdefault(self.master_id, self.master_ts)
         winner = elect_master(candidates)
 

@@ -239,6 +239,12 @@ def _edit_first_record(field: int, value: str):
     return edit
 
 
+def _edit_header(prefix: str, replacement: str):
+    def edit(lines):
+        return [replacement if l.startswith(prefix) else l for l in lines]
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda lines: [l for l in lines if not l.startswith("# radio")], "no '# radio' header"),
     (lambda lines: [l for l in lines if not l.startswith("# vehicle 0 ")],
@@ -246,6 +252,9 @@ def _edit_first_record(field: int, value: str):
     (_edit_first_record(4, "BEACON"), "line 9: malformed record"),
     (_edit_first_record(5, "2"), "line 9: malformed record"),
     (_edit_first_record(1, "9999999"), "line 9: transmission ends before it starts"),
+    (_edit_header("# vehicle 3 ", "# vehicle 3"), "line 6: malformed vehicle header"),
+    (_edit_header("# radio", "# radio range_m=300.0"), "line 2: malformed radio header"),
+    (_edit_header("# radio", "# radio range_m"), "line 2: malformed radio header"),
 ])
 def test_load_rejects_malformed_logs(tmp_path, edit, message):
     cfg = ScenarioConfig(vehicle_count=5, mode=MODE_BASELINE,

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platoonsim.frames import Frame, FrameKind
-from platoonsim.kernel import Kernel, MS, US
+from platoonsim.frames import Frame, FrameKind, make_announce
+from platoonsim.kernel import Event, EventKind, Kernel, MS, US
 from platoonsim.metrics import brute_force_outcomes
 from platoonsim.radio import Medium, Position, RadioConfig, tx_duration
 
@@ -54,11 +54,11 @@ def test_broadcast_delivery_time_and_clean_flag():
     sink = _Sink()
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(50.0, 0.0), handler=sink)
-    m.broadcast(0, _data(0))
+    m.broadcast(0, make_announce(0, 0))
     k.run_until(5 * MS)
     assert len(sink.got) == 1
     _, _, outcome = sink.got[0]
-    assert outcome.delivered_at == 1_066_667 + 167
+    assert outcome.delivered_at == 133_334 + 167
     assert outcome.collided is False
 
 
@@ -254,3 +254,132 @@ def test_finalize_accounting_independent_of_outcome_recording(xs, starts, which,
         return [_accounting(tx) for tx in m.log]
 
     assert play(False) == play(True)
+
+
+# -- liveness from the log ------------------------------------------------------
+#
+# Receptions of data frames raise no event at the listener; `last_clean_arrival`
+# reads them back from the log. On a coarse clock (1 us per byte, 1 us per
+# 10 m) arrivals, reads, starts and ends coincide often.
+
+_COARSE = dict(range_m=30.0, data_rate_bps=8_000_000, propagation_mps=1.0e7,
+               preamble_ns=0, cca_detect_ns=0)
+
+
+def _reader(m, got, listener, sender, after):
+    def read(ev):
+        got.append(m.last_clean_arrival(listener, sender, after, ev.seq))
+    return read
+
+
+@settings(max_examples=150, deadline=None)
+@given(cells=st.lists(st.integers(0, 5), min_size=2, max_size=8),
+       joins=st.lists(st.integers(0, 6), min_size=8, max_size=8),
+       sends=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 20), st.integers(0, 3)),
+                      max_size=14),
+       reads=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 26),
+                                st.integers(1, 12), st.booleans()),
+                      min_size=1, max_size=8))
+def test_last_clean_arrival_matches_brute_force(cells, joins, sends, reads):
+    """The latest clean arrival at or before a read equals the oracle's.
+
+    An arrival at the read's own time counts only if the read was scheduled
+    after the broadcast; reads scheduled up front see it one event too late.
+    """
+    n = len(cells)
+    cfg = _cfg(**_COARSE)
+    k = Kernel()
+    m = Medium(k, cfg)
+    positions = {vid: Position(10.0 * c, 0.0) for vid, c in enumerate(cells)}
+    join_at = {vid: joins[vid] * US for vid in range(n)}
+    # registrations first, then broadcasts, then up-front reads: at equal
+    # times events run in that order
+    for vid, at in join_at.items():
+        k.schedule(Event(at, vid, EventKind.SPAWN,
+                         lambda ev: m.register(ev.target, positions[ev.target])))
+    busy: dict[int, int] = {}
+    for vid, at, size in sorted(sends, key=lambda s: s[1]):
+        vid %= n
+        at *= US
+        if at < max(busy.get(vid, 0), join_at[vid]):
+            continue
+        busy[vid] = at + tx_duration(size, cfg)
+        k.schedule(Event(at, vid, EventKind.TIMER,
+                         lambda ev, size=size: m.broadcast(ev.target, _data(ev.target, size))))
+    got: list[int | None] = []
+    for listener, sender, at, window, late in reads:
+        fn = _reader(m, got, listener % n, sender % n, (at - window) * US)
+        if late:    # scheduled at its own time, after that time's broadcasts
+            k.schedule(Event(at * US, 0, EventKind.TIMER,
+                             lambda ev, fn=fn: k.schedule(Event(k.now, 0, EventKind.TIMER, fn))))
+        else:
+            k.schedule(Event(at * US, 0, EventKind.TIMER, fn))
+    # reads fire in (time, up front before late) order
+    order = sorted(range(len(reads)), key=lambda i: (reads[i][2], reads[i][4], i))
+    k.run_until(100 * US)
+
+    records = [(tx.sender, tx.start, tx.end) for tx in m.log]
+    flags = brute_force_outcomes(records, positions, cfg.range_m, spawn=join_at)
+    want = []
+    for i in order:
+        listener, sender, at, window, late = reads[i]
+        listener, sender, at = listener % n, sender % n, at * US
+        delay = cfg.prop_delay(positions[sender].distance(positions[listener]))
+        arrivals = [end + delay for (s, _, end), f in zip(records, flags)
+                    if s == sender and f.get(listener) is False]
+        want.append(max((a for a in arrivals
+                         if at - window * US < a and (a < at or late and a == at)),
+                        default=None))
+    assert got == want
+
+
+def _one_frame_read(arrival_offset: int, read_first: bool):
+    """Arrival of one frame at read time W + offset; the read fires at W."""
+    cfg = _cfg()
+    k = Kernel()
+    m = Medium(k, cfg)
+    m.register(0, Position(0.0, 0.0))
+    m.register(1, Position(50.0, 0.0))
+    read_at = 100 * MS
+    start = read_at + arrival_offset - tx_duration(800, cfg) - m.prop_delay(50.0)
+    got = []
+    read = Event(read_at, 1, EventKind.TIMER, _reader(m, got, 1, 0, read_at - 300 * MS))
+
+    def send(ev):
+        m.broadcast(0, _data(0))
+        if not read_first:
+            k.schedule(read)
+
+    if read_first:      # a window-start timer, armed a window earlier
+        k.schedule(read)
+    k.schedule(Event(start, 0, EventKind.TIMER, send))
+    k.run_until(200 * MS)
+    return got[0], read_at + arrival_offset
+
+
+@pytest.mark.parametrize("offset, heard", [(-1, True), (0, False), (1, False)])
+def test_window_start_read_sees_arrivals_strictly_before_it(offset, heard):
+    got, arrival = _one_frame_read(offset, read_first=True)
+    assert got == (arrival if heard else None)
+
+
+def test_read_scheduled_after_the_broadcast_sees_an_arrival_at_its_time():
+    got, arrival = _one_frame_read(0, read_first=False)
+    assert got == arrival
+
+
+def test_last_clean_arrival_skips_collided_and_stale_frames():
+    k = Kernel()
+    m = Medium(k, _cfg())
+    m.register(0, Position(0.0, 0.0))
+    m.register(1, Position(50.0, 0.0))
+    m.register(2, Position(90.0, 0.0))
+    clean = m.broadcast(0, _data(0))
+    k.run_until(10 * MS)
+    m.broadcast(0, _data(0))
+    m.broadcast(2, _data(2))            # in range of 1: ruins the second frame there
+    k.run_until(20 * MS)
+    first = clean.end + m.prop_delay(50.0)
+    assert m.last_clean_arrival(1, 0, 0, k.next_seq) == first
+    assert m.last_clean_arrival(1, 0, first, k.next_seq) is None
+    assert m.last_clean_arrival(0, 0, 0, k.next_seq) is None      # never its own

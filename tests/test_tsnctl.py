@@ -397,17 +397,23 @@ def test_master_loss_reverts_slave_to_init_and_rejoin():
     kernel.run_until(100 * MS + 2 * MS + EVAL_GUARD + 1)   # joining, election done
     ctl = ctls[5]
 
+    # a phantom master, heard through the medium once and never again
+    medium.register(99, Position(10.0, 0.0))
     alloc = make_allocation(sender=99, generated_at=0,     # earlier than spawn at 10 ms
                             allocations={99: (2, 1), 5: (3, 1)})
-    ctl.on_frame_delivery(5, alloc, ReceptionOutcome(5, None, kernel.now, False))
+    arrival = medium.broadcast(99, alloc).end + medium.prop_delay(10.0)
     kernel.run_until(120 * MS)
     assert ctl.state == FsmState(Status.IN_PLATOON, Role.SLAVE)
     assert ctl.master_id == 99
-    # the phantom master never speaks again: three windows later the slave
-    # falls back to init and restarts the joining procedure
-    kernel.run_until(600 * MS)
-    events = [t[1] for t in ctl.transitions]
-    assert FsmEvent.MASTER_LOST in events
+    # the window at 400 ms is less than three windows after the last clean
+    # frame; the one at 500 ms is not, so the slave falls back to init and
+    # restarts the joining procedure there
+    assert 400 * MS - arrival < 300 * MS <= 500 * MS - arrival
+    kernel.run_until(500 * MS - 1)
+    assert FsmEvent.MASTER_LOST not in [t[1] for t in ctl.transitions]
+    assert ctl.state == FsmState(Status.IN_PLATOON, Role.SLAVE)
+    kernel.run_until(500 * MS)
+    assert FsmEvent.MASTER_LOST in [t[1] for t in ctl.transitions]
     assert ctl.state.status is Status.JOINING   # rejoining as announcer
 
 
