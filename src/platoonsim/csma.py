@@ -61,36 +61,35 @@ class CsmaMac:
             self._sense()
 
     # Access procedure for the head-of-line frame. Each step is a kernel
-    # event so concurrent vehicles interleave through simulated time.
+    # event so concurrent vehicles interleave through simulated time. Each
+    # sense is one scan of the medium: busy iff the idle edge lies ahead.
 
     def _timer(self, at: int, fn) -> None:
         self.kernel.schedule(Event(at, self.vid, EventKind.TIMER, fn))
 
     def _sense(self) -> None:
         now = self.kernel.now
-        if self.medium.is_busy(self.vid, now):
+        idle = self.medium.idle_from(self.vid, now)
+        if idle > now:
             self.deferrals += 1
-            self._timer(self.medium.idle_from(self.vid, now), self._on_idle_edge)
+            self._timer(idle, self._on_idle_edge)
         else:
             self._transmit()
 
     def _on_idle_edge(self, ev: Event) -> None:
         now = self.kernel.now
-        if self.medium.is_busy(self.vid, now):
+        idle = self.medium.idle_from(self.vid, now)
+        if idle > now:
             # medium got busy again while waiting: keep waiting for idle
-            self._timer(self.medium.idle_from(self.vid, now), self._on_idle_edge)
+            self._timer(idle, self._on_idle_edge)
             return
         backoff = uniform(self.rng, 0, self.cfg.cw_slots - 1) * self.cfg.backoff_slot_ns
         self._timer(now + backoff, self._on_backoff_expired)
 
     def _on_backoff_expired(self, ev: Event) -> None:
-        now = self.kernel.now
-        if self.medium.is_busy(self.vid, now):
-            # busy again: wait for the new idle edge and draw a fresh backoff
-            self.deferrals += 1
-            self._timer(self.medium.idle_from(self.vid, now), self._on_idle_edge)
-            return
-        self._transmit()
+        # sensed like a fresh frame: if busy again, wait for the new idle edge
+        # and draw a fresh backoff there
+        self._sense()
 
     def _transmit(self) -> None:
         tx = self.medium.broadcast(self.vid, self.queue[0])

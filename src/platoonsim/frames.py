@@ -1,8 +1,7 @@
-"""Frame model and the fixed-layout binary wire format for control frames."""
+"""Frame model: frame kinds, priority classes and control frame sizes."""
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -58,63 +57,6 @@ class Frame:
     node_type: NodeType = NodeType.CAR
     # Allocation payload: mapping vehicle id -> (first slot index, slot count).
     allocations: dict[int, tuple[int, int]] | None = None
-
-
-# Wire layout (control frames), all integers big-endian:
-#   kind: u8 | sender: u32 | generated_at: u64 (ns) | slots_requested: u8 |
-#   node_type: u8 | [member_count: u16 | (vehicle: u32, first_slot: u16,
-#   slot_count: u16) per member] | zero padding to the declared frame size.
-_HEADER = struct.Struct(">BIQBB")
-_MEMBER = struct.Struct(">IHH")
-_COUNT = struct.Struct(">H")
-
-
-def encode_control(frame: Frame) -> bytes:
-    if frame.kind is FrameKind.DATA:
-        raise ValueError("data frames have no control wire format")
-    buf = bytearray(
-        _HEADER.pack(frame.kind, frame.sender, frame.generated_at,
-                     frame.slots_requested, frame.node_type)
-    )
-    if frame.kind is FrameKind.CONTROL_ALLOCATION:
-        members = frame.allocations or {}
-        buf += _COUNT.pack(len(members))
-        for vid in sorted(members):
-            first, count = members[vid]
-            buf += _MEMBER.pack(vid, first, count)
-    if len(buf) > frame.size:
-        raise ValueError(
-            f"control payload ({len(buf)} B) exceeds declared frame size ({frame.size} B)"
-        )
-    buf += b"\x00" * (frame.size - len(buf))
-    return bytes(buf)
-
-
-def decode_control(data: bytes) -> Frame:
-    if len(data) < _HEADER.size:
-        raise ValueError("control frame too short")
-    kind_raw, sender, generated_at, slots_requested, node_type = _HEADER.unpack_from(data)
-    kind = FrameKind(kind_raw)
-    allocations = None
-    if kind is FrameKind.CONTROL_ALLOCATION:
-        (count,) = _COUNT.unpack_from(data, _HEADER.size)
-        allocations = {}
-        off = _HEADER.size + _COUNT.size
-        for _ in range(count):
-            vid, first, slot_count = _MEMBER.unpack_from(data, off)
-            allocations[vid] = (first, slot_count)
-            off += _MEMBER.size
-    elif kind is not FrameKind.CONTROL_ANNOUNCE:
-        raise ValueError(f"not a control frame kind: {kind_raw}")
-    return Frame(
-        kind=kind,
-        sender=sender,
-        size=len(data),
-        generated_at=generated_at,
-        slots_requested=slots_requested,
-        node_type=NodeType(node_type),
-        allocations=allocations,
-    )
 
 
 def make_announce(sender: int, generated_at: int, slots_requested: int = 1,

@@ -202,23 +202,14 @@ def sweep_outcomes(records: list[tuple[int, int, int]],
 
 
 def oracle_check_run(run: RunResult) -> list[int]:
-    """Indices of transmissions whose online flags disagree with the oracle."""
-    records = [(tx.sender, tx.start, tx.end) for tx in run.medium.log]
+    """Indices of transmissions whose outcomes or collision count disagree with the oracle."""
+    medium = run.medium
+    records = [(tx.sender, tx.start, tx.end) for tx in medium.log]
     positions = {spec.vid: spec.position for spec in run.specs}
     spawn = {spec.vid: spec.spawn_at for spec in run.specs}
     expected = sweep_outcomes(records, positions, run.cfg.radio.range_m, spawn)
-    bad = []
-    for i, tx in enumerate(run.medium.log):
-        want = expected[i]
-        if tx.receivers_expected != len(want):
-            bad.append(i)
-            continue
-        if tx.receivers_collided != sum(want.values()):
-            bad.append(i)
-            continue
-        if tx.outcomes is not None and tx.outcomes != want:
-            bad.append(i)
-    return bad
+    return [i for i, (tx, want) in enumerate(zip(medium.log, expected))
+            if medium.outcomes(tx) != want or tx.receivers_collided != sum(want.values())]
 
 
 # -- experiment batches ----------------------------------------------------------
@@ -246,11 +237,10 @@ class ExperimentResult:
         return cls(cfg, per_repetition, rates, statistics.fmean(rates), std)
 
 
-def run_experiment(cfg: ScenarioConfig, *, record_outcomes: bool = False) -> ExperimentResult:
+def run_experiment(cfg: ScenarioConfig) -> ExperimentResult:
     cfg.validate()
     return ExperimentResult.from_stats(cfg, [
-        collect_stats(run_scenario(cfg, cfg.seed + k, record_outcomes=record_outcomes))
-        for k in range(cfg.repetitions)
+        collect_stats(run_scenario(cfg, cfg.seed + k)) for k in range(cfg.repetitions)
     ])
 
 

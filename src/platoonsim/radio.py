@@ -13,7 +13,8 @@ frames (announce, allocation) are handed to frame handlers, one event per
 reception. Data frames, and receptions at vehicles without a handler, carry
 no protocol effect at delivery; they are settled together by one event at the
 transmission's last arrival. The log is the record of who heard whom and
-when: `last_clean_arrival` answers liveness questions from it.
+when: `outcomes` reads each receiver's collided flag back from it, and
+`last_clean_arrival` answers liveness questions from it.
 """
 
 from __future__ import annotations
@@ -84,8 +85,6 @@ class Transmission:
     receivers_expected: int = 0
     receivers_done: int = 0
     receivers_collided: int = 0
-    # per-receiver flags, kept only when the medium records outcomes
-    outcomes: dict[int, bool] | None = None
     # vehicles where a reception of this transmission collides, while any
     # reception is still unaccounted
     _interfered: set[int] | None = None
@@ -95,29 +94,21 @@ class Transmission:
         return self.receivers_collided > 0
 
 
-@dataclass(slots=True)
-class ReceptionOutcome:
-    receiver: int
-    transmission: Transmission
-    delivered_at: int
-    collided: bool
-
-
 class Medium:
     """Broadcast channel shared by all registered vehicles.
 
-    `on_frame(receiver_id, frame, outcome)` callbacks registered per vehicle
-    get each control-frame delivery; collided frames are delivered with the
-    flag set so the caller can discard them (no partial decode). Data frames
-    are never handed to callbacks; see `last_clean_arrival`.
+    A `handler(frame, collided)` registered per vehicle gets each of its
+    control-frame receptions at the arrival time; collided frames are
+    delivered with the flag set so the handler can discard them (no partial
+    decode). Data frames are never handed to handlers; see
+    `last_clean_arrival`. Per-receiver outcomes are read back with `outcomes`.
     """
 
-    def __init__(self, kernel: Kernel, cfg: RadioConfig, record_outcomes: bool = False):
+    def __init__(self, kernel: Kernel, cfg: RadioConfig):
         self.kernel = kernel
         self.cfg = cfg
-        self.record_outcomes = record_outcomes
         self.positions: dict[int, Position] = {}
-        self.handlers: dict[int, Callable[[int, Frame, ReceptionOutcome], None]] = {}
+        self.handlers: dict[int, Callable[[Frame, bool], None]] = {}
         self.log: list[Transmission] = []           # all transmissions, by start
         self._starts: list[int] = []                # start of each log entry
         self._sent: dict[int, list[Transmission]] = {}   # per sender, by start
@@ -126,27 +117,24 @@ class Medium:
         # every vehicle hears itself first, with delay 0. Entries are only
         # appended, so the receivers of a transmission are always a prefix.
         self._hears: dict[int, dict[int, int]] = {}
-        self._sense_slack = self.prop_delay(cfg.range_m)
+        self._sense_slack = cfg.prop_delay(cfg.range_m)
         self._busy_until: dict[int, int] = {}       # per-sender serialization
         self._max_dur = 0
 
     def register(self, vid: int, pos: Position,
-                 handler: Callable[[int, Frame, ReceptionOutcome], None] | None = None) -> None:
+                 handler: Callable[[Frame, bool], None] | None = None) -> None:
         if vid in self.positions:
             raise ValueError(f"vehicle {vid} already registered")
         hears = {vid: 0}
         for other, other_pos in self.positions.items():
             dist = pos.distance(other_pos)
             if dist <= self.cfg.range_m:
-                hears[other] = self._hears[other][vid] = self.prop_delay(dist)
+                hears[other] = self._hears[other][vid] = self.cfg.prop_delay(dist)
         self._hears[vid] = hears
         self.positions[vid] = pos
         self._joined[vid] = len(self.log)
         if handler is not None:
             self.handlers[vid] = handler
-
-    def prop_delay(self, dist: float) -> int:
-        return self.cfg.prop_delay(dist)
 
     # -- transmission ------------------------------------------------------
 
@@ -166,8 +154,6 @@ class Medium:
         end = start + tx_duration(frame.size, self.cfg)
         tx = Transmission(sender=sender, frame=frame, start=start, end=end,
                           index=len(self.log), kernel_seq=self.kernel.next_seq)
-        if self.record_outcomes:
-            tx.outcomes = {}
         self.log.append(tx)
         self._starts.append(start)
         self._sent.setdefault(sender, []).append(tx)
@@ -203,12 +189,9 @@ class Medium:
         collided = receiver in self._interfered(tx)
         tx.receivers_done += 1
         tx.receivers_collided += collided
-        if tx.outcomes is not None:
-            tx.outcomes[receiver] = collided
         if tx.receivers_done == tx.receivers_expected:
             tx._interfered = None
-        outcome = ReceptionOutcome(receiver, tx, ev.fire_at, collided)
-        self.handlers[receiver](receiver, tx.frame, outcome)
+        self.handlers[receiver](tx.frame, collided)
 
     def _settle(self, ev: Event) -> None:
         """Account, at the last arrival, every reception not handed to a handler."""
@@ -219,9 +202,6 @@ class Medium:
         hit = self._interfered(tx)
         tx.receivers_done += len(receivers)
         tx.receivers_collided += len(hit.intersection(receivers))
-        if tx.outcomes is not None:
-            for vid in receivers:
-                tx.outcomes[vid] = vid in hit
         if tx.receivers_done == tx.receivers_expected:
             tx._interfered = None           # settled; nothing reads it again
 
@@ -248,18 +228,33 @@ class Medium:
 
     # -- collision predicate -------------------------------------------------
 
+    def outcomes(self, tx: Transmission) -> dict[int, bool]:
+        """Collided flag per receiver of tx, rebuilt from the log.
+
+        The receivers are the vehicles in range at broadcast. The flags are
+        final once the kernel clock reaches tx.end, when nothing more can start
+        on air inside tx; the online accounting counts the same flags.
+        """
+        hit = self._interferers(tx)
+        receivers = islice(self._hears[tx.sender], 1, 1 + tx.receivers_expected)
+        return {vid: vid in hit for vid in receivers}
+
     def _interfered(self, tx: Transmission) -> set[int]:
+        """_interferers(tx), kept on tx while any reception is unaccounted."""
+        if tx._interfered is None:
+            tx._interfered = self._interferers(tx)
+        return tx._interfered
+
+    def _interferers(self, tx: Transmission) -> set[int]:
         """Vehicles in range of a transmission that overlaps tx on air.
 
         A reception of tx collides exactly at these vehicles; the sender of an
         overlapping transmission hears itself, which makes reception half-duplex.
         """
-        if tx._interfered is None:
-            hit: set[int] = set()
-            for other in self._overlapping(tx):
-                hit.update(self._hears[other.sender])
-            tx._interfered = hit
-        return tx._interfered
+        hit: set[int] = set()
+        for other in self._overlapping(tx):
+            hit.update(self._hears[other.sender])
+        return hit
 
     def _overlapping(self, tx: Transmission):
         """The other transmissions that share air time with tx."""
@@ -303,26 +298,16 @@ class Medium:
     # -- carrier sense -------------------------------------------------------
 
     def is_busy(self, listener: int, at: int) -> bool:
-        """True iff an in-range signal is on air at the listener and detectable.
+        """True iff an in-range signal is on air at the listener and detectable."""
+        return self.idle_from(listener, at) > at
+
+    def idle_from(self, listener: int, at: int) -> int:
+        """When every transmission sensed at `at` has ended; `at` if none is.
 
         Sensed intervals are shifted by propagation delay and detection takes
         cca_detect_ns, so a transmission that started moments ago is not yet
         visible; two nodes committing within that window will overlap.
         """
-        hears = self._hears[listener]
-        lo = bisect_left(self._starts, at - self._max_dur - self._sense_slack)
-        for tx in self.log[lo:]:
-            if tx.start > at:
-                break
-            delay = hears.get(tx.sender)
-            if delay is None:
-                continue
-            if tx.start + delay + self.cfg.cca_detect_ns <= at < tx.end + delay:
-                return True
-        return False
-
-    def idle_from(self, listener: int, at: int) -> int:
-        """Earliest time > at when every currently sensed transmission has ended."""
         hears = self._hears[listener]
         horizon = at
         lo = bisect_left(self._starts, at - self._max_dur - self._sense_slack)

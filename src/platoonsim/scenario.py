@@ -145,12 +145,11 @@ class RunResult:
     controllers: dict[int, TsnCtl]
 
 
-def run_scenario(cfg: ScenarioConfig, seed: int, *, record_outcomes: bool = False,
-                 trace: bool = False) -> RunResult:
+def run_scenario(cfg: ScenarioConfig, seed: int, *, trace: bool = False) -> RunResult:
     """Execute one seeded run to sim_duration and settle all reception outcomes."""
     cfg.validate()
     kernel = Kernel(trace=trace)
-    medium = Medium(kernel, cfg.radio, record_outcomes=record_outcomes)
+    medium = Medium(kernel, cfg.radio)
     streams = RngStreams(seed)
     specs = build_vehicles(cfg, streams.stream(SPAWNER_STREAM))
 

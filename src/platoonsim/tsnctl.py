@@ -38,11 +38,14 @@ from .frames import (
     make_announce,
 )
 from .kernel import Event, EventKind, Kernel, MS, uniform
-from .radio import Medium, ReceptionOutcome, tx_duration
+from .radio import Medium, tx_duration
 
 # Processing guard after a slot boundary: lets in-flight deliveries (at most
 # one propagation delay late) land before their slot's content is evaluated.
 EVAL_GUARD = 1_000
+# A slave that hears no clean frame of its master for this many windows
+# falls back to INIT and rejoins.
+MASTER_TIMEOUT_WINDOWS = 3
 
 
 class ProtocolError(RuntimeError):
@@ -80,83 +83,82 @@ def _s(status: Status, role: Role) -> FsmState:
     return FsmState(status, role)
 
 
-# (status, role, event, outcome) -> (next state, actions). Outcomes qualify
+# (status, role, event, outcome) -> next state. Outcomes qualify
 # data-dependent events: election results, whether an allocation listed us,
 # whether it came from a better master, whether slot 1 produced/delivered an
 # allocation. The numbered formation steps of the protocol map onto edges as
 # commented. Edges marked "recovery" cover master failure and master conflict,
 # which the base protocol leaves open.
-LEGAL_EDGES: dict[tuple[Status, Role, FsmEvent, str | None], tuple[FsmState, tuple[str, ...]]] = {
+LEGAL_EDGES: dict[tuple[Status, Role, FsmEvent, str | None], FsmState] = {
     (Status.INIT, Role.SLAVE, FsmEvent.WINDOW_START, None):
-        (_s(Status.JOINING, Role.SLAVE), ("announce",)),
+        _s(Status.JOINING, Role.SLAVE),
     # joining vehicles re-announce every window until admitted (step 3 restart,
     # step 4 lone-master retry)
     (Status.JOINING, Role.SLAVE, FsmEvent.WINDOW_START, None):
-        (_s(Status.JOINING, Role.SLAVE), ("announce",)),
+        _s(Status.JOINING, Role.SLAVE),
     (Status.JOINING, Role.MASTER, FsmEvent.WINDOW_START, None):
-        (_s(Status.JOINING, Role.MASTER), ("announce",)),
+        _s(Status.JOINING, Role.MASTER),
     # election at the end of slot 0: steps 1 and 2; step 5 demotes a
     # persisting master when a newer round elects someone earlier
     (Status.JOINING, Role.SLAVE, FsmEvent.SLOT0_END, "won"):
-        (_s(Status.JOINING, Role.MASTER), ("allocate",)),
+        _s(Status.JOINING, Role.MASTER),
     (Status.JOINING, Role.SLAVE, FsmEvent.SLOT0_END, "lost"):
-        (_s(Status.JOINING, Role.SLAVE), ()),
+        _s(Status.JOINING, Role.SLAVE),
     (Status.JOINING, Role.MASTER, FsmEvent.SLOT0_END, "won"):
-        (_s(Status.JOINING, Role.MASTER), ("allocate",)),
+        _s(Status.JOINING, Role.MASTER),
     (Status.JOINING, Role.MASTER, FsmEvent.SLOT0_END, "lost"):
-        (_s(Status.JOINING, Role.SLAVE), ()),
+        _s(Status.JOINING, Role.SLAVE),
     # step 4: a master heard nobody and restarts next window
     (Status.JOINING, Role.MASTER, FsmEvent.NO_NEIGHBORS, None):
-        (_s(Status.JOINING, Role.MASTER), ("restart",)),
+        _s(Status.JOINING, Role.MASTER),
     # step 7: master dispatched its allocation and owns a platoon
     (Status.JOINING, Role.MASTER, FsmEvent.SLOT1_END, "allocated"):
-        (_s(Status.IN_PLATOON, Role.MASTER), ()),
+        _s(Status.IN_PLATOON, Role.MASTER),
     (Status.JOINING, Role.MASTER, FsmEvent.SLOT1_END, "missed"):
-        (_s(Status.JOINING, Role.MASTER), ("restart",)),
+        _s(Status.JOINING, Role.MASTER),
     # slaves: allocation handling and step 6 confirmation at the slot trigger
     (Status.JOINING, Role.SLAVE, FsmEvent.ALLOCATION_RECEIVED, "listed"):
-        (_s(Status.JOINING, Role.SLAVE), ("arm-slot",)),
+        _s(Status.JOINING, Role.SLAVE),
     (Status.JOINING, Role.SLAVE, FsmEvent.ALLOCATION_RECEIVED, "unlisted"):
-        (_s(Status.JOINING, Role.SLAVE), ()),
+        _s(Status.JOINING, Role.SLAVE),
     (Status.JOINING, Role.SLAVE, FsmEvent.ALLOCATION_RECEIVED, "ignored"):
-        (_s(Status.JOINING, Role.SLAVE), ()),
+        _s(Status.JOINING, Role.SLAVE),
     (Status.JOINING, Role.MASTER, FsmEvent.ALLOCATION_RECEIVED, "superseded"):
-        (_s(Status.JOINING, Role.SLAVE), ()),              # recovery: earlier master exists
+        _s(Status.JOINING, Role.SLAVE),  # recovery: earlier master exists
     (Status.JOINING, Role.MASTER, FsmEvent.ALLOCATION_RECEIVED, "ignored"):
-        (_s(Status.JOINING, Role.MASTER), ()),
+        _s(Status.JOINING, Role.MASTER),
     (Status.JOINING, Role.SLAVE, FsmEvent.OWN_SLOT_TRIGGER, None):
-        (_s(Status.IN_PLATOON, Role.SLAVE), ("confirm",)),
+        _s(Status.IN_PLATOON, Role.SLAVE),
     (Status.JOINING, Role.SLAVE, FsmEvent.SLOT1_END, "allocated"):
-        (_s(Status.JOINING, Role.SLAVE), ()),
+        _s(Status.JOINING, Role.SLAVE),
     (Status.JOINING, Role.SLAVE, FsmEvent.SLOT1_END, "missed"):
-        (_s(Status.JOINING, Role.SLAVE), ("restart",)),    # step 3
+        _s(Status.JOINING, Role.SLAVE),  # step 3
     # steady state
     (Status.IN_PLATOON, Role.SLAVE, FsmEvent.WINDOW_START, None):
-        (_s(Status.IN_PLATOON, Role.SLAVE), ("open-slots",)),
+        _s(Status.IN_PLATOON, Role.SLAVE),
     (Status.IN_PLATOON, Role.MASTER, FsmEvent.WINDOW_START, None):
-        (_s(Status.IN_PLATOON, Role.MASTER), ("open-slots",)),
+        _s(Status.IN_PLATOON, Role.MASTER),
     (Status.IN_PLATOON, Role.SLAVE, FsmEvent.OWN_SLOT_TRIGGER, None):
-        (_s(Status.IN_PLATOON, Role.SLAVE), ("open-slot",)),
+        _s(Status.IN_PLATOON, Role.SLAVE),
     (Status.IN_PLATOON, Role.MASTER, FsmEvent.OWN_SLOT_TRIGGER, None):
-        (_s(Status.IN_PLATOON, Role.MASTER), ("open-slot",)),
+        _s(Status.IN_PLATOON, Role.MASTER),
     (Status.IN_PLATOON, Role.SLAVE, FsmEvent.ALLOCATION_RECEIVED, "refresh"):
-        (_s(Status.IN_PLATOON, Role.SLAVE), ()),
+        _s(Status.IN_PLATOON, Role.SLAVE),
     (Status.IN_PLATOON, Role.SLAVE, FsmEvent.ALLOCATION_RECEIVED, "ignored"):
-        (_s(Status.IN_PLATOON, Role.SLAVE), ()),
+        _s(Status.IN_PLATOON, Role.SLAVE),
     (Status.IN_PLATOON, Role.MASTER, FsmEvent.ALLOCATION_RECEIVED, "ignored"):
-        (_s(Status.IN_PLATOON, Role.MASTER), ()),
+        _s(Status.IN_PLATOON, Role.MASTER),
     # recovery: silent master, or a competing platoon with an earlier master
     (Status.IN_PLATOON, Role.SLAVE, FsmEvent.MASTER_LOST, None):
-        (_s(Status.INIT, Role.SLAVE), ("rejoin",)),
+        _s(Status.INIT, Role.SLAVE),
     (Status.IN_PLATOON, Role.SLAVE, FsmEvent.ALLOCATION_RECEIVED, "superseded"):
-        (_s(Status.JOINING, Role.SLAVE), ("rejoin",)),
+        _s(Status.JOINING, Role.SLAVE),
     (Status.IN_PLATOON, Role.MASTER, FsmEvent.ALLOCATION_RECEIVED, "superseded"):
-        (_s(Status.JOINING, Role.SLAVE), ("rejoin",)),
+        _s(Status.JOINING, Role.SLAVE),
 }
 
 
-def step_fsm(state: FsmState, event: FsmEvent,
-             outcome: str | None = None) -> tuple[FsmState, tuple[str, ...]]:
+def step_fsm(state: FsmState, event: FsmEvent, outcome: str | None = None) -> FsmState:
     key = (state.status, state.role, event, outcome)
     try:
         return LEGAL_EDGES[key]
@@ -237,16 +239,6 @@ class SlotSchedule:
                 raise ValueError(f"vehicle {vid} holds a non-contiguous slot run {run}")
             wire[vid] = (run[0], len(run))
         return wire
-
-
-def schedule_from_wire(wire: dict[int, tuple[int, int]], cfg: WindowConfig,
-                       epoch: int = 0) -> SlotSchedule:
-    assignments = {
-        vid: tuple(range(first, first + count)) for vid, (first, count) in wire.items()
-    }
-    sched = SlotSchedule(cfg, assignments, epoch)
-    sched.validate()
-    return sched
 
 
 def elect_master(candidates: dict[int, int]) -> int:
@@ -352,8 +344,7 @@ class TsnCtl:
 
     def __init__(self, vid: int, kernel: Kernel, medium: Medium, wcfg: WindowConfig,
                  rng: np.random.Generator, *, node_type: NodeType = NodeType.CAR,
-                 slots_requested: int = 1, queue_levels: int = 2,
-                 master_timeout_windows: int = 3):
+                 slots_requested: int = 1):
         wcfg.validate()
         self.vid = vid
         self.kernel = kernel
@@ -362,14 +353,13 @@ class TsnCtl:
         self.rng = rng
         self.node_type = node_type
         self.slots_requested = slots_requested
-        self.master_timeout_windows = master_timeout_windows
 
         self.state = FsmState(Status.INIT, Role.SLAVE)
         self.created_at = kernel.now            # announce timestamp, stable across retries
-        self.queues = PriorityQueueSet(queue_levels)
+        self.queues = PriorityQueueSet()
         self.epoch = -1
         self.heard: dict[int, Frame] = {}       # clean announces, current window
-        self.schedule: SlotSchedule | None = None
+        self.schedule: SlotSchedule | None = None   # a master's own schedule
         self.my_slots: tuple[int, ...] = ()
         self.master_id: int | None = None
         self.master_ts: int | None = None
@@ -380,7 +370,6 @@ class TsnCtl:
         self._slot_gen = 0          # invalidates armed slot triggers on membership change
 
         self.transitions: list[tuple[FsmState, FsmEvent, str | None, FsmState]] = []
-        self.messages_enqueued = 0
         self.deferred = 0
         self.rejected_joins = 0
         self.join_retries = 0
@@ -393,11 +382,9 @@ class TsnCtl:
 
     def enqueue_app_message(self, frame: Frame, priority: int) -> None:
         self.queues.push(frame, priority)
-        self.messages_enqueued += 1
 
-    def on_frame_delivery(self, receiver: int, frame: Frame,
-                          outcome: ReceptionOutcome) -> None:
-        if outcome.collided:
+    def on_frame_delivery(self, frame: Frame, collided: bool) -> None:
+        if collided:
             return
         if frame.kind is FrameKind.CONTROL_ANNOUNCE:
             self.heard[frame.sender] = frame
@@ -406,11 +393,10 @@ class TsnCtl:
 
     # -- FSM ------------------------------------------------------------------
 
-    def _step(self, event: FsmEvent, outcome: str | None = None) -> tuple[str, ...]:
-        new_state, actions = step_fsm(self.state, event, outcome)
+    def _step(self, event: FsmEvent, outcome: str | None = None) -> None:
+        new_state = step_fsm(self.state, event, outcome)
         self.transitions.append((self.state, event, outcome, new_state))
         self.state = new_state
-        return actions
 
     # -- window machinery -------------------------------------------------------
 
@@ -447,7 +433,7 @@ class TsnCtl:
         """No clean frame of the master for the timeout, counted from creation."""
         if self.master_id is None:
             return True
-        since = ev.fire_at - self.master_timeout_windows * self.wcfg.window_ns
+        since = ev.fire_at - MASTER_TIMEOUT_WINDOWS * self.wcfg.window_ns
         return (self.created_at <= since and self.medium.last_clean_arrival(
             self.vid, self.master_id, since, ev.seq) is None)
 
@@ -620,10 +606,11 @@ class TsnCtl:
             self._step(FsmEvent.ALLOCATION_RECEIVED, "ignored")
 
     def _adopt(self, frame: Frame, confirm: bool) -> None:
-        self.schedule = schedule_from_wire(frame.allocations, self.wcfg, self.epoch)
+        # a slave reads only its own run; the master validated the schedule
+        first, count = frame.allocations[self.vid]
+        self.my_slots = tuple(range(first, first + count))
         self.master_id = frame.sender
         self.master_ts = frame.generated_at
-        self.my_slots = self.schedule.assignments[self.vid]
         self._alloc_received = True
         if confirm:
             # fresh membership: arm this window's triggers; refreshes keep the

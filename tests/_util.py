@@ -40,7 +40,7 @@ def assemble_platoon(spawn_times: dict[int, int], offsets: dict[int, int],
     Pass finalize=False when the test keeps driving the returned kernel.
     """
     kernel = Kernel()
-    medium = Medium(kernel, radio or RadioConfig(), record_outcomes=True)
+    medium = Medium(kernel, radio or RadioConfig())
     wcfg = WindowConfig(slot_len_ns=slot_ms * MS)
     ctls: dict[int, TsnCtl] = {}
 

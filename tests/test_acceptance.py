@@ -121,8 +121,7 @@ def test_criterion_4_oracle_equivalence():
             window=WindowConfig(slot_len_ns=int(rng.choice([1, 2, 5])) * MS),
         )
         cfg.radio = RadioConfig(range_m=float(rng.uniform(100.0, 300.0)))
-        run = run_scenario(cfg, seed=int(rng.integers(0, 2**32)),
-                           record_outcomes=True)
+        run = run_scenario(cfg, seed=int(rng.integers(0, 2**32)))
         disagreements += len(oracle_check_run(run))
     _verdict(4, "oracle equivalence", disagreements == 0,
              f"{disagreements} disagreements across 50 randomized scenarios "
@@ -240,7 +239,7 @@ def test_steady_state_platoon_invariants():
     # and no collided data frames at all (brute-force confirmed)
     cfg = ScenarioConfig(vehicle_count=20, mode=MODE_TSNCTL, sim_duration_ns=3 * SEC,
                          spawn_interval_ns=100 * US, seed=5)
-    run = run_scenario(cfg, 5, record_outcomes=True)
+    run = run_scenario(cfg, 5)
     assert oracle_check_run(run) == []
     ctls = run.controllers
     assert all(c.state.status is Status.IN_PLATOON for c in ctls.values())

@@ -14,7 +14,7 @@ def _data(sender, size=800, seq=0):
 
 def _setup(n=2, cw=4, backoff_us=100, gap_m=30.0):
     kernel = Kernel()
-    medium = Medium(kernel, RadioConfig(range_m=300.0), record_outcomes=True)
+    medium = Medium(kernel, RadioConfig(range_m=300.0))
     cfg = CsmaConfig(cw_slots=cw, backoff_slot_ns=backoff_us * US)
     macs = {}
     for vid in range(n):
@@ -40,7 +40,7 @@ def test_busy_medium_defers_to_idle_edge_plus_backoff():
     kernel.run_until(20 * MS)
     tx = medium.log[1]
     # sensed idle edge is the frame end plus propagation to the listener
-    t1 = medium.log[0].end + medium.prop_delay(30.0)
+    t1 = medium.log[0].end + medium.cfg.prop_delay(30.0)
     assert tx.start == t1 + k * 100 * US
 
 
@@ -50,7 +50,7 @@ def test_backoff_draw_stays_inside_contention_window():
     kernel.run_until(200 * US)
     macs[1].submit(_data(1))
     kernel.run_until(20 * MS)
-    t1 = medium.log[0].end + medium.prop_delay(30.0)
+    t1 = medium.log[0].end + medium.cfg.prop_delay(30.0)
     offset = medium.log[1].start - t1
     assert offset % (100 * US) == 0
     assert 0 <= offset // (100 * US) < 4
@@ -63,14 +63,14 @@ def test_busy_again_at_expiry_draws_fresh_backoff_without_doubling():
     macs[1].rng = ScriptedRng([3, 1])              # first draw 3, fresh draw 1
     macs[1].submit(_data(1))
     # vehicle 2 grabs the channel inside vehicle 1's backoff gap
-    first_end = medium.log[0].end + medium.prop_delay(60.0)
+    first_end = medium.log[0].end + medium.cfg.prop_delay(60.0)
     kernel.run_until(first_end + 50 * US)
     macs[2].submit(_data(2))
     kernel.run_until(30 * MS)
     tx1 = next(tx for tx in medium.log if tx.sender == 1)
     tx2 = next(tx for tx in medium.log if tx.sender == 2)
     # fresh draw of 1 slot from vehicle 2's sensed idle edge, not 2*cw anything
-    t1 = tx2.end + medium.prop_delay(30.0)
+    t1 = tx2.end + medium.cfg.prop_delay(30.0)
     assert tx1.start == t1 + 1 * 100 * US
 
 
@@ -120,7 +120,7 @@ def test_simultaneous_submits_both_transmit_and_collide():
     positions = {0: Position(0.0, 0.0), 1: Position(30.0, 0.0), 2: Position(60.0, 0.0)}
     want = brute_force_outcomes(records, positions, 300.0)
     for tx, expected in zip(medium.log, want):
-        assert tx.outcomes == expected  # in particular both collided at vehicle 2
+        assert medium.outcomes(tx) == expected  # in particular both collided at vehicle 2
         assert expected[2] is True
 
 

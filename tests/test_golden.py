@@ -3,8 +3,10 @@
 Each grid point runs one seeded scenario and compares the sha256 of its
 transmission log, the sha256 of its per-transmission reception accounting and
 a few counts against `golden_digests.json`. The grid covers both modes, 1/2/3 ms
-slots, two seeds, a 2 s run and a run cut off mid-window (frames in flight),
-with and without recorded per-receiver outcomes.
+slots, two seeds, a 2 s run and a run cut off mid-window (frames in flight).
+Each point has two keys: `rec0` hashes the online accounting alone, and `rec1`
+appends to each transmission's accounting line its per-receiver outcomes, as
+`Medium.outcomes` rebuilds them from the log.
 
 A change that alters output on purpose regenerates the fixture with
 
@@ -51,14 +53,15 @@ def digest(mode: str, slot_ms: int, seed: int, duration: int, record: bool,
     cfg = ScenarioConfig(vehicle_count=20, mode=mode, sim_duration_ns=duration,
                          seed=seed, repetitions=1,
                          window=WindowConfig(slot_len_ns=slot_ms * MS))
-    run = run_scenario(cfg, seed, record_outcomes=record)
+    run = run_scenario(cfg, seed)
     log = tmp / "transmissions.log"
     write_transmission_log(run, log)
     accounting = hashlib.sha256()
     for tx in run.medium.log:
         line = f"{tx.receivers_expected} {tx.receivers_done} {tx.receivers_collided}"
-        if tx.outcomes is not None:
-            line += " " + " ".join(f"{r}:{int(c)}" for r, c in sorted(tx.outcomes.items()))
+        if record:
+            outcomes = sorted(run.medium.outcomes(tx).items())
+            line += " " + " ".join(f"{r}:{int(c)}" for r, c in outcomes)
         accounting.update(line.encode() + b"\n")
     txs = run.medium.log
     return {

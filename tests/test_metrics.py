@@ -32,7 +32,7 @@ def _data(sender, size=800):
 
 def _two_sender_medium(second_start_us=500):
     k = Kernel()
-    m = Medium(k, RadioConfig(range_m=100.0), record_outcomes=True)
+    m = Medium(k, RadioConfig(range_m=100.0))
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(20.0, 0.0))
     m.register(2, Position(40.0, 0.0))
@@ -124,7 +124,7 @@ def test_sweep_oracle_matches_brute_force(log):
 def test_oracle_check_run_on_collision_heavy_runs(mode, vehicles, slot_ms):
     cfg = ScenarioConfig(vehicle_count=vehicles, mode=mode, sim_duration_ns=2 * SEC)
     cfg.window.slot_len_ns = slot_ms * MS
-    run = run_scenario(cfg, 3, record_outcomes=True)
+    run = run_scenario(cfg, 3)
     assert sum(tx.collided for tx in run.medium.log) > 200
     assert oracle_check_run(run) == []
 
@@ -133,7 +133,7 @@ def test_online_flags_agree_with_oracle_on_mixed_runs():
     for mode in (MODE_BASELINE, MODE_TSNCTL):
         cfg = ScenarioConfig(vehicle_count=6, mode=mode, sim_duration_ns=1 * SEC,
                              spawn_interval_ns=100 * US)
-        run = run_scenario(cfg, 11, record_outcomes=True)
+        run = run_scenario(cfg, 11)
         assert oracle_check_run(run) == []
 
 

@@ -41,31 +41,34 @@ def test_tx_duration_rejects_negative_size():
 
 
 class _Sink:
-    def __init__(self):
+    """A frame handler that records (delivery time, frame, collided)."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
         self.got = []
 
-    def __call__(self, receiver, frame, outcome):
-        self.got.append((receiver, frame, outcome))
+    def __call__(self, frame, collided):
+        self.got.append((self.kernel.now, frame, collided))
 
 
 def test_broadcast_delivery_time_and_clean_flag():
     k = Kernel()
     m = Medium(k, _cfg())
-    sink = _Sink()
+    sink = _Sink(k)
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(50.0, 0.0), handler=sink)
     m.broadcast(0, make_announce(0, 0))
     k.run_until(5 * MS)
     assert len(sink.got) == 1
-    _, _, outcome = sink.got[0]
-    assert outcome.delivered_at == 133_334 + 167
-    assert outcome.collided is False
+    delivered_at, _, collided = sink.got[0]
+    assert delivered_at == 133_334 + 167
+    assert collided is False
 
 
 def test_out_of_range_receiver_gets_nothing():
     k = Kernel()
     m = Medium(k, _cfg())
-    sink = _Sink()
+    sink = _Sink(k)
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(150.0, 0.0), handler=sink)
     tx = m.broadcast(0, _data(0))
@@ -77,7 +80,7 @@ def test_out_of_range_receiver_gets_nothing():
 def test_sender_never_receives_own_frame():
     k = Kernel()
     m = Medium(k, _cfg())
-    sink = _Sink()
+    sink = _Sink(k)
     m.register(0, Position(0.0, 0.0), handler=sink)
     m.broadcast(0, _data(0))
     k.run_until(5 * MS)
@@ -86,30 +89,30 @@ def test_sender_never_receives_own_frame():
 
 def test_overlapping_transmissions_collide_at_common_receiver():
     k = Kernel()
-    m = Medium(k, _cfg(), record_outcomes=True)
+    m = Medium(k, _cfg())
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(10.0, 0.0))
-    sink = _Sink()
+    sink = _Sink(k)
     m.register(2, Position(5.0, 0.0), handler=sink)
     tx_a = m.broadcast(0, _data(0))
     k.run_until(500 * US)           # second transmission starts mid-frame
     tx_b = m.broadcast(1, _data(1))
     k.run_until(10 * MS)
     # symmetry: both directions of the overlap are ruined at receiver 2
-    assert tx_a.outcomes[2] is True
-    assert tx_b.outcomes[2] is True
+    assert m.outcomes(tx_a)[2] is True
+    assert m.outcomes(tx_b)[2] is True
 
 
 def test_half_duplex_receiver_marks_reception_collided():
     k = Kernel()
-    m = Medium(k, _cfg(), record_outcomes=True)
+    m = Medium(k, _cfg())
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(10.0, 0.0))
     tx_a = m.broadcast(0, _data(0))
     k.run_until(500 * US)
     m.broadcast(1, _data(1, size=100))   # receiver 1 transmits during reception
     k.run_until(10 * MS)
-    assert tx_a.outcomes[1] is True
+    assert m.outcomes(tx_a)[1] is True
 
 
 def test_concurrent_transmit_by_same_sender_is_a_hard_fault():
@@ -154,14 +157,27 @@ def test_carrier_sense_blind_until_detection_latency():
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(30.0, 0.0))
     m.broadcast(0, _data(0))
-    prop = m.prop_delay(30.0)
+    prop = m.cfg.prop_delay(30.0)
     assert m.is_busy(1, prop + 3_999) is False       # still integrating
     assert m.is_busy(1, prop + 4_000) is True        # detected
 
 
+def test_busy_iff_idle_edge_lies_ahead_at_the_detection_edge():
+    k = Kernel()
+    m = Medium(k, _cfg())
+    m.register(0, Position(0.0, 0.0))
+    m.register(1, Position(30.0, 0.0))
+    tx = m.broadcast(0, _data(0))
+    prop = m.cfg.prop_delay(30.0)
+    assert m.idle_from(1, prop + 3_999) == prop + 3_999      # not yet sensed
+    assert m.idle_from(1, prop + 4_000) == tx.end + prop     # sensed until it ends
+    for at in (prop + 3_999, prop + 4_000, tx.end + prop - 1, tx.end + prop):
+        assert m.is_busy(1, at) is (m.idle_from(1, at) > at)
+
+
 def test_finalize_settles_in_flight_receptions():
     k = Kernel()
-    m = Medium(k, _cfg(), record_outcomes=True)
+    m = Medium(k, _cfg())
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(10.0, 0.0))
     m.register(2, Position(20.0, 0.0))
@@ -172,12 +188,12 @@ def test_finalize_settles_in_flight_receptions():
     assert tx_a.receivers_done == 0
     m.finalize()
     assert tx_a.receivers_done == tx_a.receivers_expected == 2
-    assert tx_a.outcomes[2] is True and tx_b.outcomes[2] is True
+    assert m.outcomes(tx_a)[2] is True and m.outcomes(tx_b)[2] is True
 
 
 def test_online_flags_match_brute_force_on_a_braided_sequence():
     k = Kernel()
-    m = Medium(k, _cfg(), record_outcomes=True)
+    m = Medium(k, _cfg())
     positions = {0: Position(0.0, 0.0), 1: Position(40.0, 0.0),
                  2: Position(80.0, 0.0), 3: Position(130.0, 0.0)}
     for vid, pos in positions.items():
@@ -191,69 +207,82 @@ def test_online_flags_match_brute_force_on_a_braided_sequence():
     records = [(tx.sender, tx.start, tx.end) for tx in m.log]
     want = brute_force_outcomes(records, positions, 100.0)
     for tx, expected in zip(m.log, want):
-        assert tx.outcomes == expected
+        assert m.outcomes(tx) == expected
 
 
 def _accounting(tx):
     return tx.receivers_expected, tx.receivers_done, tx.receivers_collided
 
 
-@pytest.mark.parametrize("record", [False, True])
-def test_finalize_checks_receptions_still_in_flight(record):
+def _frame(sender, handled):
+    """A frame handed to receiver handlers (announce) or settled in batch (data)."""
+    return make_announce(sender, 0) if handled else _data(sender)
+
+
+@pytest.mark.parametrize("handled", [False, True])
+def test_finalize_checks_receptions_still_in_flight(handled):
     # the interferer at 500 m reaches only the far receiver, whose delivery
     # (967 ns after tx end) is still in flight when the run stops
     k = Kernel()
-    m = Medium(k, RadioConfig(), record_outcomes=record)
+    m = Medium(k, RadioConfig())
+    sinks = {vid: _Sink(k) for vid in range(4)}
     for vid, x in enumerate((0.0, 1.0, 290.0, 500.0)):
-        m.register(vid, Position(x, 0.0))
-    tx = m.broadcast(0, _data(0))
+        m.register(vid, Position(x, 0.0), handler=sinks[vid] if handled else None)
+    tx = m.broadcast(0, _frame(0, handled))
     k.run_until(100 * US)
-    m.broadcast(3, _data(3))
+    m.broadcast(3, _frame(3, handled))
     k.run_until(tx.end + 100)
     m.finalize()
     assert _accounting(tx) == (2, 2, 1)
+    assert m.outcomes(tx) == {1: False, 2: True}
+    # finalize settles the books without handing frames to handlers
+    assert [len(sinks[vid].got) for vid in (1, 2)] == ([1, 0] if handled else [0, 0])
 
 
-@pytest.mark.parametrize("record", [False, True])
-def test_finalize_ignores_vehicles_registered_after_the_broadcast(record):
+@pytest.mark.parametrize("handled", [False, True])
+def test_finalize_ignores_vehicles_registered_after_the_broadcast(handled):
     k = Kernel()
-    m = Medium(k, _cfg(), record_outcomes=record)
+    m = Medium(k, _cfg())
+    sinks = {vid: _Sink(k) for vid in range(3)}
     m.register(0, Position(0.0, 0.0))
-    m.register(1, Position(10.0, 0.0))
-    tx = m.broadcast(0, _data(0))
+    m.register(1, Position(10.0, 0.0), handler=sinks[1] if handled else None)
+    tx = m.broadcast(0, _frame(0, handled))
     k.run_until(100 * US)
-    m.register(2, Position(20.0, 0.0))      # in range, but arrived too late
+    m.register(2, Position(20.0, 0.0),      # in range, but arrived too late
+               handler=sinks[2] if handled else None)
     m.finalize()
     assert tx.receivers_done == tx.receivers_expected == 1
-    if record:
-        assert set(tx.outcomes) == {1}
+    assert set(m.outcomes(tx)) == {1}
+    assert sinks[2].got == []
 
 
 @settings(max_examples=60, deadline=None)
 @given(xs=st.lists(st.floats(0.0, 600.0), min_size=2, max_size=6),
        starts=st.lists(st.integers(0, 2_000 * US), min_size=1, max_size=6),
        which=st.integers(0, 5), late=st.integers(0, 1_000))
-def test_finalize_accounting_independent_of_outcome_recording(xs, starts, which, late):
-    """Cut the run inside a delivery window; both modes must settle alike."""
+def test_finalize_settles_a_run_cut_mid_delivery_like_the_oracle(xs, starts, which, late):
+    """Cut the run inside a delivery window; finalize must settle it as the oracle."""
     plan = sorted((at, vid % len(xs)) for vid, at in enumerate(starts))
-
-    def play(record):
-        k = Kernel()
-        m = Medium(k, RadioConfig(), record_outcomes=record)
-        for vid, x in enumerate(xs):
-            m.register(vid, Position(x, 0.0))
-        busy = {}
-        for at, vid in plan:
-            if at < busy.get(vid, 0):
-                continue
-            k.run_until(at)
-            busy[vid] = m.broadcast(vid, _data(vid)).end
-        cut = m.log[which % len(m.log)].end + late
-        k.run_until(max(cut, k.now))
-        m.finalize()
-        return [_accounting(tx) for tx in m.log]
-
-    assert play(False) == play(True)
+    k = Kernel()
+    m = Medium(k, RadioConfig())
+    positions = {vid: Position(x, 0.0) for vid, x in enumerate(xs)}
+    for vid, pos in positions.items():
+        m.register(vid, pos)
+    busy = {}
+    for at, vid in plan:
+        if at < busy.get(vid, 0):
+            continue
+        k.run_until(at)
+        busy[vid] = m.broadcast(vid, _data(vid)).end
+    # at most the 1,000 ns delay across the 300 m range after some frame ends
+    cut = m.log[which % len(m.log)].end + late
+    k.run_until(max(cut, k.now))
+    m.finalize()
+    records = [(tx.sender, tx.start, tx.end) for tx in m.log]
+    want = brute_force_outcomes(records, positions, m.cfg.range_m)
+    assert [_accounting(tx) for tx in m.log] == \
+        [(len(w), len(w), sum(w.values())) for w in want]
+    assert [m.outcomes(tx) for tx in m.log] == want
 
 
 # -- liveness from the log ------------------------------------------------------
@@ -341,7 +370,7 @@ def _one_frame_read(arrival_offset: int, read_first: bool):
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(50.0, 0.0))
     read_at = 100 * MS
-    start = read_at + arrival_offset - tx_duration(800, cfg) - m.prop_delay(50.0)
+    start = read_at + arrival_offset - tx_duration(800, cfg) - cfg.prop_delay(50.0)
     got = []
     read = Event(read_at, 1, EventKind.TIMER, _reader(m, got, 1, 0, read_at - 300 * MS))
 
@@ -379,7 +408,7 @@ def test_last_clean_arrival_skips_collided_and_stale_frames():
     m.broadcast(0, _data(0))
     m.broadcast(2, _data(2))            # in range of 1: ruins the second frame there
     k.run_until(20 * MS)
-    first = clean.end + m.prop_delay(50.0)
+    first = clean.end + m.cfg.prop_delay(50.0)
     assert m.last_clean_arrival(1, 0, 0, k.next_seq) == first
     assert m.last_clean_arrival(1, 0, first, k.next_seq) is None
     assert m.last_clean_arrival(0, 0, 0, k.next_seq) is None      # never its own

@@ -80,7 +80,9 @@ def test_message_conservation_tsnctl():
                          sim_duration_ns=2 * SEC)
     run = run_scenario(cfg, 3)
     for vid, service in run.services.items():
-        assert service.generated == run.controllers[vid].messages_enqueued
+        sent = sum(tx.sender == vid and tx.frame.kind is FrameKind.DATA
+                   for tx in run.medium.log)
+        assert service.generated == sent + len(run.controllers[vid].queues)
 
 
 def test_invalid_mode_is_a_config_error():
@@ -139,7 +141,7 @@ def test_tsnctl_delivery_events_one_per_data_transmission():
     expected = {"data": 0, "handled": 0, "settle": 0}
     for tx in medium.log:
         pos = medium.positions[tx.sender]
-        delays = {vid: medium.prop_delay(pos.distance(other))
+        delays = {vid: medium.cfg.prop_delay(pos.distance(other))
                   for vid, other in medium.positions.items()
                   if vid != tx.sender and pos.distance(other) <= cfg.radio.range_m}
         assert len(delays) == tx.receivers_expected     # everyone spawned before
