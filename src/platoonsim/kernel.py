@@ -33,7 +33,6 @@ class Event:
     fn: Callable[["Event"], None]
     payload: Any = None
     seq: int = -1
-    cancelled: bool = False
 
 
 class Kernel:
@@ -65,19 +64,10 @@ class Kernel:
         heapq.heappush(self._heap, (event.fire_at, event.seq, event))
         return event
 
-    def after(self, delay: int, target: int, kind: EventKind,
-              fn: Callable[[Event], None], payload: Any = None) -> Event:
-        return self.schedule(Event(self.now + delay, target, kind, fn, payload))
-
-    def cancel(self, handle: Event) -> None:
-        handle.cancelled = True
-
     def run_until(self, end: int) -> int:
         while self._heap and self._heap[0][0] <= end:
             fire_at, _seq, ev = heapq.heappop(self._heap)
             self.now = fire_at
-            if ev.cancelled:
-                continue
             if self.trace_enabled:
                 self.trace.append((fire_at, ev.seq, ev.target, ev.kind.name))
             ev.fn(ev)

@@ -8,13 +8,13 @@ the listener, so two nodes that start within one propagation delay of each
 other are mutually blind and will overlap.
 
 Vehicles never move after they register, so who hears whom, and after what
-propagation delay, is computed once per pair at registration. Only control
-frames (announce, allocation) are handed to frame handlers, one event per
-reception. Data frames, and receptions at vehicles without a handler, carry
-no protocol effect at delivery; they are settled together by one event at the
-transmission's last arrival. The log is the record of who heard whom and
-when: `outcomes` reads each receiver's collided flag back from it, and
-`last_clean_arrival` answers liveness questions from it.
+propagation delay, is computed once per pair at registration. The log of
+transmissions is the only record of who heard whom and when. Only allocation
+frames, which act at once, are handed to frame handlers, one event per
+reception; every other reception raises no event. Protocols read announces
+(`clean_receptions`) and liveness (`last_clean_arrival`) back from the log,
+`outcomes` rebuilds each receiver's collided flag from it, and `finalize`
+counts each transmission's collided receptions once, at run end.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Sequence
+from typing import Callable
 
 from .frames import Frame, FrameKind
 from .kernel import Event, EventKind, Kernel, SEC
@@ -83,11 +83,8 @@ class Transmission:
     # events scheduled before or after it
     kernel_seq: int = -1
     receivers_expected: int = 0
-    receivers_done: int = 0
-    receivers_collided: int = 0
-    # vehicles where a reception of this transmission collides, while any
-    # reception is still unaccounted
-    _interfered: set[int] | None = None
+    # collided receptions, counted once by Medium.finalize; None until then
+    receivers_collided: int | None = None
 
     @property
     def collided(self) -> bool:
@@ -98,9 +95,9 @@ class Medium:
     """Broadcast channel shared by all registered vehicles.
 
     A `handler(frame, collided)` registered per vehicle gets each of its
-    control-frame receptions at the arrival time; collided frames are
-    delivered with the flag set so the handler can discard them (no partial
-    decode). Data frames are never handed to handlers; see
+    allocation receptions at the arrival time; collided frames are delivered
+    with the flag set so the handler can discard them (no partial decode).
+    Other frames are never handed to handlers; see `clean_receptions` and
     `last_clean_arrival`. Per-receiver outcomes are read back with `outcomes`.
     """
 
@@ -138,17 +135,13 @@ class Medium:
 
     # -- transmission ------------------------------------------------------
 
-    def broadcast(self, sender: int, frame: Frame, start: int | None = None) -> Transmission:
-        now = self.kernel.now
-        if start is None:
-            start = now
-        if start != now:
-            raise ValueError("broadcast must start at the current simulated time")
+    def broadcast(self, sender: int, frame: Frame) -> Transmission:
+        start = self.kernel.now
         if sender not in self.positions:
             raise ValueError(f"sender {sender} not registered")
-        if now < self._busy_until.get(sender, 0):
+        if start < self._busy_until.get(sender, 0):
             raise RuntimeError(
-                f"vehicle {sender} is already transmitting at {now} ns; "
+                f"vehicle {sender} is already transmitting at {start} ns; "
                 "MAC layers must serialize their own transmissions"
             )
         end = start + tx_duration(frame.size, self.cfg)
@@ -162,69 +155,28 @@ class Medium:
 
         hears = self._hears[sender]
         tx.receivers_expected = len(hears) - 1
-        handlers = self._handlers(frame)
-        unhandled: list[int] = []
-        settle_delay = 0
-        for vid, delay in islice(hears.items(), 1, None):
-            if vid in handlers:
-                self.kernel.schedule(Event(end + delay, vid, EventKind.FRAME_DELIVERY,
-                                           self._deliver, payload=(tx, vid)))
-            else:
-                unhandled.append(vid)
-                if delay > settle_delay:
-                    settle_delay = delay
-        if unhandled:
-            self.kernel.schedule(Event(end + settle_delay, sender, EventKind.FRAME_DELIVERY,
-                                       self._settle, payload=(tx, unhandled)))
+        if frame.kind is FrameKind.CONTROL_ALLOCATION:
+            # an allocation acts at once (it arms slots), so it is delivered
+            for vid, delay in islice(hears.items(), 1, None):
+                if vid in self.handlers:
+                    self.kernel.schedule(Event(end + delay, vid, EventKind.FRAME_DELIVERY,
+                                               self._deliver, payload=tx))
         return tx
 
-    def _handlers(self, frame: Frame) -> dict[int, Callable]:
-        """The handlers a frame is delivered to: none for data frames."""
-        return {} if frame.kind is FrameKind.DATA else self.handlers
-
     def _deliver(self, ev: Event) -> None:
-        # one event per control-frame reception at a handler: accounted
-        # inline, unlike _account's batches
-        tx, receiver = ev.payload
-        collided = receiver in self._interfered(tx)
-        tx.receivers_done += 1
-        tx.receivers_collided += collided
-        if tx.receivers_done == tx.receivers_expected:
-            tx._interfered = None
-        self.handlers[receiver](tx.frame, collided)
-
-    def _settle(self, ev: Event) -> None:
-        """Account, at the last arrival, every reception not handed to a handler."""
-        tx, receivers = ev.payload
-        self._account(tx, receivers)
-
-    def _account(self, tx: Transmission, receivers: Sequence[int]) -> None:
-        hit = self._interfered(tx)
-        tx.receivers_done += len(receivers)
-        tx.receivers_collided += len(hit.intersection(receivers))
-        if tx.receivers_done == tx.receivers_expected:
-            tx._interfered = None           # settled; nothing reads it again
+        tx = ev.payload
+        self.handlers[ev.target](tx.frame, not self._clean_at(tx, ev.target))
 
     def finalize(self) -> None:
-        """Resolve outcomes for receptions whose delivery events never fired.
+        """Count each transmission's collided receptions, once, at run end.
 
-        Called once at run end, after the kernel has run, so that every logged
-        transmission carries the same flags it would have had with more
-        simulated time. Frames are not handed to protocol handlers here; only
-        accounting is completed. An event has fired iff its time is <= now.
+        Called after the kernel has run. A reception's flag is final once
+        nothing more can start on air inside its transmission, so a run cut
+        with frames in flight counts them as the log reads; frames are not
+        handed to protocol handlers here.
         """
-        now = self.kernel.now
         for tx in self.log:
-            if tx.receivers_done >= tx.receivers_expected:
-                continue
-            # the receivers in range at broadcast; the table only grows by appending
-            receivers = list(islice(self._hears[tx.sender].items(), 1,
-                                    1 + tx.receivers_expected))
-            handlers = self._handlers(tx.frame)
-            settle_at = tx.end + max((d for vid, d in receivers if vid not in handlers),
-                                     default=0)
-            self._account(tx, [vid for vid, d in receivers
-                               if (tx.end + d if vid in handlers else settle_at) > now])
+            tx.receivers_collided = sum(self.outcomes(tx).values())
 
     # -- collision predicate -------------------------------------------------
 
@@ -233,17 +185,11 @@ class Medium:
 
         The receivers are the vehicles in range at broadcast. The flags are
         final once the kernel clock reaches tx.end, when nothing more can start
-        on air inside tx; the online accounting counts the same flags.
+        on air inside tx; `finalize` counts them.
         """
         hit = self._interferers(tx)
         receivers = islice(self._hears[tx.sender], 1, 1 + tx.receivers_expected)
         return {vid: vid in hit for vid in receivers}
-
-    def _interfered(self, tx: Transmission) -> set[int]:
-        """_interferers(tx), kept on tx while any reception is unaccounted."""
-        if tx._interfered is None:
-            tx._interfered = self._interferers(tx)
-        return tx._interfered
 
     def _interferers(self, tx: Transmission) -> set[int]:
         """Vehicles in range of a transmission that overlaps tx on air.
@@ -266,33 +212,55 @@ class Medium:
             if other is not tx and tx.start < other.end:
                 yield other
 
-    # -- liveness ------------------------------------------------------------
+    def _clean_at(self, tx: Transmission, listener: int) -> bool:
+        """True iff no overlapping transmission's sender is in range of listener."""
+        hears = self._hears
+        return not any(listener in hears[o.sender] for o in self._overlapping(tx))
+
+    # -- reading receptions from the log ---------------------------------------
+
+    def _heard(self, tx: Transmission, listener: int, delay: int, seq: int) -> bool:
+        """Whether tx reached listener clean by the reading event with kernel seq `seq`.
+
+        It counts what a per-reception event would have delivered by then: an
+        arrival before now, or at now from a broadcast made before the reading
+        event was scheduled. The listener must have been registered at the
+        broadcast; the reception is clean unless an overlapping transmission's
+        sender is in range of the listener (itself included).
+        """
+        arrival = tx.end + delay
+        now = self.kernel.now
+        return (tx.index >= self._joined[listener]
+                and (arrival < now or (arrival == now and tx.kernel_seq <= seq))
+                and self._clean_at(tx, listener))
+
+    def clean_receptions(self, listener: int, kind: FrameKind, since: int,
+                         seq: int) -> list[Frame]:
+        """Frames of `kind` broadcast at or after `since` that listener heard clean.
+
+        Heard as `_heard` reads it, by the reading event with kernel seq `seq`;
+        in broadcast order. A vehicle never receives its own frames.
+        """
+        hears = self._hears.get(listener, {})
+        return [tx.frame for tx in self.log[bisect_left(self._starts, since):]
+                if tx.frame.kind is kind and tx.sender != listener
+                and tx.sender in hears and self._heard(tx, listener, hears[tx.sender], seq)]
 
     def last_clean_arrival(self, listener: int, sender: int, after: int,
                            seq: int) -> int | None:
         """Latest arrival in (after, now] of a clean reception of sender's frames.
 
-        Read from the log, it counts what per-reception events would have
-        delivered by the reading event with kernel seq `seq`: an arrival before
-        now, or at now from a broadcast made before that event was scheduled.
-        The listener must have been registered at the broadcast; a reception
-        is clean unless an overlapping transmission's sender is in range of
-        the listener (itself included). None if there is no such reception.
+        Heard as `_heard` reads it, by the reading event with kernel seq `seq`.
+        None if there is no such reception.
         """
         delay = self._hears.get(sender, {}).get(listener)
         if delay is None or listener == sender:
             return None
-        now = self.kernel.now
-        joined = self._joined[listener]
-        hears = self._hears
         for tx in reversed(self._sent.get(sender, ())):
-            arrival = tx.end + delay
-            if arrival <= after or tx.index < joined:
+            if tx.end + delay <= after:
                 break
-            if arrival > now or (arrival == now and tx.kernel_seq > seq):
-                continue
-            if not any(listener in hears[o.sender] for o in self._overlapping(tx)):
-                return arrival
+            if self._heard(tx, listener, delay, seq):
+                return tx.end + delay
         return None
 
     # -- carrier sense -------------------------------------------------------

@@ -15,9 +15,11 @@ A frame too large for any slot is transmitted anyway at its slot origin and
 overruns into the neighbour slot rather than being dropped, so undersized
 slot configurations degrade instead of silently discarding traffic.
 
-The medium hands a controller only control frames. Data frames have no
-protocol effect at the receiver; a slave learns that its master is alive by
-asking the medium's log for the master's latest clean arrival at it.
+The medium hands a controller only allocation frames, which act at once.
+Everything else is read back from the medium's log when it is needed: the
+election and the master's admission read the clean announces heard since the
+window started, and a slave learns that its master is alive from the master's
+latest clean arrival at it.
 """
 
 from __future__ import annotations
@@ -216,7 +218,6 @@ class SlotSchedule:
 
     config: WindowConfig
     assignments: dict[int, tuple[int, ...]]
-    epoch: int = 0
 
     def validate(self) -> None:
         n = slot_count(self.config)
@@ -299,7 +300,7 @@ def extend_schedule(base: SlotSchedule, requests: list[tuple[int, int, NodeType]
             continue
         assignments[vid] = tuple(run)
         free = free[len(run):]
-    sched = SlotSchedule(cfg, assignments, base.epoch)
+    sched = SlotSchedule(cfg, assignments)
     sched.validate()
     return sched, rejected
 
@@ -358,7 +359,6 @@ class TsnCtl:
         self.created_at = kernel.now            # announce timestamp, stable across retries
         self.queues = PriorityQueueSet()
         self.epoch = -1
-        self.heard: dict[int, Frame] = {}       # clean announces, current window
         self.schedule: SlotSchedule | None = None   # a master's own schedule
         self.my_slots: tuple[int, ...] = ()
         self.master_id: int | None = None
@@ -384,11 +384,8 @@ class TsnCtl:
         self.queues.push(frame, priority)
 
     def on_frame_delivery(self, frame: Frame, collided: bool) -> None:
-        if collided:
-            return
-        if frame.kind is FrameKind.CONTROL_ANNOUNCE:
-            self.heard[frame.sender] = frame
-        elif frame.kind is FrameKind.CONTROL_ALLOCATION:
+        """The medium's handler: it delivers allocations only."""
+        if not collided:
             self._on_allocation(frame)
 
     # -- FSM ------------------------------------------------------------------
@@ -406,7 +403,6 @@ class TsnCtl:
     def _on_window_start(self, ev: Event) -> None:
         w = self.kernel.now
         self.epoch = w
-        self.heard = {}
         self._alloc_sent = False
         self._alloc_received = False
         self.pending_schedule = None
@@ -436,6 +432,11 @@ class TsnCtl:
         since = ev.fire_at - MASTER_TIMEOUT_WINDOWS * self.wcfg.window_ns
         return (self.created_at <= since and self.medium.last_clean_arrival(
             self.vid, self.master_id, since, ev.seq) is None)
+
+    def _announces(self, ev: Event) -> list[Frame]:
+        """The clean announces heard since this window started, as of ev."""
+        return self.medium.clean_receptions(self.vid, FrameKind.CONTROL_ANNOUNCE,
+                                            self.epoch, ev.seq)
 
     def _reset_membership(self) -> None:
         self.schedule = None
@@ -468,8 +469,9 @@ class TsnCtl:
         if self.state.status is not Status.JOINING or ev.payload != self.epoch:
             return
         w = ev.payload
+        neighbours = self._announces(ev)
         candidates = {self.vid: self.created_at}
-        for a in self.heard.values():
+        for a in neighbours:
             candidates[a.sender] = a.generated_at
         if self.master_id is not None and not self._master_silent(ev):
             candidates.setdefault(self.master_id, self.master_ts)
@@ -482,7 +484,6 @@ class TsnCtl:
             return
 
         self._step(FsmEvent.SLOT0_END, "won")
-        neighbours = [a for a in self.heard.values() if a.sender != self.vid]
         if not neighbours:
             self._step(FsmEvent.NO_NEIGHBORS)
             return
@@ -533,7 +534,6 @@ class TsnCtl:
             if self._alloc_sent:
                 self._step(FsmEvent.SLOT1_END, "allocated")
                 self.schedule = self.pending_schedule
-                self.schedule.epoch = ev.payload
                 self.my_slots = self.schedule.assignments[self.vid]
                 self.master_id = self.vid
                 self.master_ts = self.created_at
@@ -650,7 +650,7 @@ class TsnCtl:
         if (w != self.epoch or self.state.status is not Status.IN_PLATOON
                 or self.state.role is not Role.MASTER):
             return
-        announcers = [a for a in self.heard.values() if a.sender != self.vid]
+        announcers = self._announces(ev)
         if announcers:
             requests = [(a.sender, a.slots_requested, a.node_type) for a in announcers]
             sched, rejected = extend_schedule(self.schedule, requests, self.wcfg)

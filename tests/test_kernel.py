@@ -27,15 +27,6 @@ def test_equal_fire_at_processed_in_scheduling_order():
     assert order == ["a", "b", "c"]
 
 
-def test_cancelled_event_never_delivered():
-    k = Kernel()
-    fired = []
-    handle = k.schedule(_timer(5, lambda ev: fired.append(1)))
-    k.cancel(handle)
-    k.run_until(10)
-    assert fired == []
-
-
 def test_run_until_empty_queue_returns_end():
     k = Kernel()
     assert k.run_until(1 * SEC) == 1 * SEC

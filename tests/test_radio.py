@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platoonsim.frames import Frame, FrameKind, make_announce
+from platoonsim.frames import Frame, FrameKind, make_allocation
 from platoonsim.kernel import Event, EventKind, Kernel, MS, US
 from platoonsim.metrics import brute_force_outcomes
 from platoonsim.radio import Medium, Position, RadioConfig, tx_duration
@@ -57,12 +57,26 @@ def test_broadcast_delivery_time_and_clean_flag():
     sink = _Sink(k)
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(50.0, 0.0), handler=sink)
-    m.broadcast(0, make_announce(0, 0))
+    m.broadcast(0, make_allocation(0, 0, {1: (2, 1)}))     # 108 B
     k.run_until(5 * MS)
     assert len(sink.got) == 1
     delivered_at, _, collided = sink.got[0]
-    assert delivered_at == 133_334 + 167
+    assert delivered_at == 144_000 + 167
     assert collided is False
+
+
+def test_only_allocations_reach_handlers():
+    k = Kernel(trace=True)
+    m = Medium(k, _cfg())
+    sink = _Sink(k)
+    m.register(0, Position(0.0, 0.0))
+    m.register(1, Position(50.0, 0.0), handler=sink)
+    for frame in (_data(0), Frame(FrameKind.CONTROL_ANNOUNCE, 0, 100, 0),
+                  make_allocation(0, 0, {})):
+        m.broadcast(0, frame)
+        k.run_until(k.now + 5 * MS)
+    assert [frame.kind for _, frame, _ in sink.got] == [FrameKind.CONTROL_ALLOCATION]
+    assert [kind for *_, kind in k.trace] == ["FRAME_DELIVERY"]
 
 
 def test_out_of_range_receiver_gets_nothing():
@@ -94,13 +108,15 @@ def test_overlapping_transmissions_collide_at_common_receiver():
     m.register(1, Position(10.0, 0.0))
     sink = _Sink(k)
     m.register(2, Position(5.0, 0.0), handler=sink)
-    tx_a = m.broadcast(0, _data(0))
-    k.run_until(500 * US)           # second transmission starts mid-frame
+    tx_a = m.broadcast(0, make_allocation(0, 0, {2: (2, 1)}))
+    k.run_until(50 * US)            # second transmission starts mid-frame
     tx_b = m.broadcast(1, _data(1))
     k.run_until(10 * MS)
     # symmetry: both directions of the overlap are ruined at receiver 2
     assert m.outcomes(tx_a)[2] is True
     assert m.outcomes(tx_b)[2] is True
+    # and the allocation reaches its handler flagged
+    assert [collided for *_, collided in sink.got] == [True]
 
 
 def test_half_duplex_receiver_marks_reception_collided():
@@ -184,10 +200,13 @@ def test_finalize_settles_in_flight_receptions():
     tx_a = m.broadcast(0, _data(0))
     k.run_until(200 * US)
     tx_b = m.broadcast(1, _data(1))
-    # stop before any delivery event fires, then settle the books
-    assert tx_a.receivers_done == 0
+    # stop while both frames are on air: nothing is counted before finalize
+    assert tx_a.receivers_collided is None
+    with pytest.raises(TypeError):
+        tx_a.collided
     m.finalize()
-    assert tx_a.receivers_done == tx_a.receivers_expected == 2
+    # receiver 1 is transmitting (half-duplex) and 2 hears both senders
+    assert (tx_a.receivers_expected, tx_a.receivers_collided) == (2, 2)
     assert m.outcomes(tx_a)[2] is True and m.outcomes(tx_b)[2] is True
 
 
@@ -211,12 +230,12 @@ def test_online_flags_match_brute_force_on_a_braided_sequence():
 
 
 def _accounting(tx):
-    return tx.receivers_expected, tx.receivers_done, tx.receivers_collided
+    return tx.receivers_expected, tx.receivers_collided
 
 
 def _frame(sender, handled):
-    """A frame handed to receiver handlers (announce) or settled in batch (data)."""
-    return make_announce(sender, 0) if handled else _data(sender)
+    """A frame handed to receiver handlers (allocation) or read from the log (data)."""
+    return make_allocation(sender, 0, {}) if handled else _data(sender)
 
 
 @pytest.mark.parametrize("handled", [False, True])
@@ -233,10 +252,11 @@ def test_finalize_checks_receptions_still_in_flight(handled):
     m.broadcast(3, _frame(3, handled))
     k.run_until(tx.end + 100)
     m.finalize()
-    assert _accounting(tx) == (2, 2, 1)
+    assert _accounting(tx) == (2, 1)
     assert m.outcomes(tx) == {1: False, 2: True}
-    # finalize settles the books without handing frames to handlers
-    assert [len(sinks[vid].got) for vid in (1, 2)] == ([1, 0] if handled else [0, 0])
+    # finalize counts without handing frames to handlers
+    assert [[c for *_, c in sinks[vid].got] for vid in (1, 2)] == \
+        ([[False], []] if handled else [[], []])
 
 
 @pytest.mark.parametrize("handled", [False, True])
@@ -251,7 +271,7 @@ def test_finalize_ignores_vehicles_registered_after_the_broadcast(handled):
     m.register(2, Position(20.0, 0.0),      # in range, but arrived too late
                handler=sinks[2] if handled else None)
     m.finalize()
-    assert tx.receivers_done == tx.receivers_expected == 1
+    assert _accounting(tx) == (1, 0)
     assert set(m.outcomes(tx)) == {1}
     assert sinks[2].got == []
 
@@ -280,40 +300,28 @@ def test_finalize_settles_a_run_cut_mid_delivery_like_the_oracle(xs, starts, whi
     m.finalize()
     records = [(tx.sender, tx.start, tx.end) for tx in m.log]
     want = brute_force_outcomes(records, positions, m.cfg.range_m)
-    assert [_accounting(tx) for tx in m.log] == \
-        [(len(w), len(w), sum(w.values())) for w in want]
+    assert [_accounting(tx) for tx in m.log] == [(len(w), sum(w.values())) for w in want]
     assert [m.outcomes(tx) for tx in m.log] == want
 
 
-# -- liveness from the log ------------------------------------------------------
+# -- receptions read from the log ------------------------------------------------
 #
-# Receptions of data frames raise no event at the listener; `last_clean_arrival`
-# reads them back from the log. On a coarse clock (1 us per byte, 1 us per
-# 10 m) arrivals, reads, starts and ends coincide often.
+# Receptions of anything but allocations raise no event at the listener;
+# `last_clean_arrival` and `clean_receptions` read them back from the log. On a
+# coarse clock (1 us per byte, 1 us per 10 m) arrivals, reads, starts and ends
+# coincide often.
 
 _COARSE = dict(range_m=30.0, data_rate_bps=8_000_000, propagation_mps=1.0e7,
                preamble_ns=0, cca_detect_ns=0)
 
+def _coarse_run(cells, joins, sends, reads):
+    """Registrations, broadcasts and reads on the coarse clock, with the oracle.
 
-def _reader(m, got, listener, sender, after):
-    def read(ev):
-        got.append(m.last_clean_arrival(listener, sender, after, ev.seq))
-    return read
-
-
-@settings(max_examples=150, deadline=None)
-@given(cells=st.lists(st.integers(0, 5), min_size=2, max_size=8),
-       joins=st.lists(st.integers(0, 6), min_size=8, max_size=8),
-       sends=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 20), st.integers(0, 3)),
-                      max_size=14),
-       reads=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 26),
-                                st.integers(1, 12), st.booleans()),
-                      min_size=1, max_size=8))
-def test_last_clean_arrival_matches_brute_force(cells, joins, sends, reads):
-    """The latest clean arrival at or before a read equals the oracle's.
-
-    An arrival at the read's own time counts only if the read was scheduled
-    after the broadcast; reads scheduled up front see it one event too late.
+    `sends` holds (vid, at_us, size, kind) and `reads` holds (at_us, late,
+    query); each read returns query(m, seq), in the order of `reads`. A late
+    read is scheduled at its own time, after that time's broadcasts; the others
+    are scheduled up front. Returns the medium, the oracle's per-receiver
+    flags, the propagation delay between two vehicles and the reads.
     """
     n = len(cells)
     cfg = _cfg(**_COARSE)
@@ -327,43 +335,109 @@ def test_last_clean_arrival_matches_brute_force(cells, joins, sends, reads):
         k.schedule(Event(at, vid, EventKind.SPAWN,
                          lambda ev: m.register(ev.target, positions[ev.target])))
     busy: dict[int, int] = {}
-    for vid, at, size in sorted(sends, key=lambda s: s[1]):
+    for vid, at, size, kind in sorted(sends, key=lambda s: s[1]):
         vid %= n
         at *= US
         if at < max(busy.get(vid, 0), join_at[vid]):
             continue
         busy[vid] = at + tx_duration(size, cfg)
-        k.schedule(Event(at, vid, EventKind.TIMER,
-                         lambda ev, size=size: m.broadcast(ev.target, _data(ev.target, size))))
-    got: list[int | None] = []
-    for listener, sender, at, window, late in reads:
-        fn = _reader(m, got, listener % n, sender % n, (at - window) * US)
-        if late:    # scheduled at its own time, after that time's broadcasts
+        k.schedule(Event(at, vid, EventKind.TIMER, lambda ev, size=size, kind=kind:
+                         m.broadcast(ev.target, Frame(kind, ev.target, size, 0))))
+    got = {}
+    for i, (at, late, query) in enumerate(reads):
+        def fn(ev, i=i, query=query):
+            got[i] = query(m, ev.seq)
+        if late:
             k.schedule(Event(at * US, 0, EventKind.TIMER,
                              lambda ev, fn=fn: k.schedule(Event(k.now, 0, EventKind.TIMER, fn))))
         else:
             k.schedule(Event(at * US, 0, EventKind.TIMER, fn))
-    # reads fire in (time, up front before late) order
-    order = sorted(range(len(reads)), key=lambda i: (reads[i][2], reads[i][4], i))
     k.run_until(100 * US)
 
     records = [(tx.sender, tx.start, tx.end) for tx in m.log]
     flags = brute_force_outcomes(records, positions, cfg.range_m, spawn=join_at)
+
+    def delay(a, b):
+        return cfg.prop_delay(positions[a].distance(positions[b]))
+    return m, flags, delay, [got[i] for i in range(len(reads))]
+
+
+def _by_read(arrival, at, late):
+    """Whether a per-reception event at `arrival` fires before a read at `at`."""
+    return arrival < at or late and arrival == at
+
+
+_CELLS = st.lists(st.integers(0, 5), min_size=2, max_size=8)
+_JOINS = st.lists(st.integers(0, 6), min_size=8, max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cells=_CELLS, joins=_JOINS,
+       sends=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 20), st.integers(0, 3)),
+                      max_size=14),
+       reads=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 26),
+                                st.integers(1, 12), st.booleans()),
+                      min_size=1, max_size=8))
+def test_last_clean_arrival_matches_brute_force(cells, joins, sends, reads):
+    """The latest clean arrival at or before a read equals the oracle's.
+
+    An arrival at the read's own time counts only if the read was scheduled
+    after the broadcast; reads scheduled up front see it one event too late.
+    """
+    n = len(cells)
+    reads = [(listener % n, sender % n, at, window, late)
+             for listener, sender, at, window, late in reads]
+    m, flags, delay, got = _coarse_run(
+        cells, joins, [(vid, at, size, FrameKind.DATA) for vid, at, size in sends],
+        [(at, late, lambda m, seq, listener=listener, sender=sender, after=(at - window) * US:
+          m.last_clean_arrival(listener, sender, after, seq))
+         for listener, sender, at, window, late in reads])
     want = []
-    for i in order:
-        listener, sender, at, window, late = reads[i]
-        listener, sender, at = listener % n, sender % n, at * US
-        delay = cfg.prop_delay(positions[sender].distance(positions[listener]))
-        arrivals = [end + delay for (s, _, end), f in zip(records, flags)
-                    if s == sender and f.get(listener) is False]
+    for listener, sender, at, window, late in reads:
+        arrivals = [tx.end + delay(sender, listener) for tx, f in zip(m.log, flags)
+                    if tx.sender == sender and f.get(listener) is False]
         want.append(max((a for a in arrivals
-                         if at - window * US < a and (a < at or late and a == at)),
+                         if (at - window) * US < a and _by_read(a, at * US, late)),
                         default=None))
     assert got == want
 
 
+@settings(max_examples=150, deadline=None)
+@given(cells=_CELLS, joins=_JOINS,
+       sends=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 20), st.integers(0, 3),
+                                st.sampled_from((FrameKind.DATA, FrameKind.CONTROL_ANNOUNCE))),
+                      min_size=1, max_size=14),
+       reads=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 13), st.integers(0, 4),
+                                st.integers(0, 12), st.booleans()),
+                      min_size=1, max_size=8))
+def test_clean_receptions_match_brute_force(cells, joins, sends, reads):
+    """A read lists the announces since its window start that the oracle has clean.
+
+    An announce arriving just before the read counts, one arriving at the read's
+    own time only if the read was scheduled after the broadcast, and a later
+    one does not; data frames and frames the listener sent never count. Each
+    read lands 0-4 us after some frame's end, where its 0-3 us arrivals fall.
+    """
+    n = len(cells)
+    reads = [(listener % n, at, (at - window) * US, late)
+             for listener, anchor, offset, window, late in reads
+             for _, start, size, _ in [sends[anchor % len(sends)]]
+             for at in [start + size + offset]]
+    m, flags, delay, got = _coarse_run(
+        cells, joins, sends,
+        [(at, late, lambda m, seq, listener=listener, since=since:
+          m.clean_receptions(listener, FrameKind.CONTROL_ANNOUNCE, since, seq))
+         for listener, at, since, late in reads])
+    want = [[tx.frame for tx, f in zip(m.log, flags)
+             if tx.frame.kind is FrameKind.CONTROL_ANNOUNCE and tx.start >= since
+             and f.get(listener) is False
+             and _by_read(tx.end + delay(tx.sender, listener), at * US, late)]
+            for listener, at, since, late in reads]
+    assert got == want
+
+
 def _one_frame_read(arrival_offset: int, read_first: bool):
-    """Arrival of one frame at read time W + offset; the read fires at W."""
+    """One announce arriving at read time W + offset; both log reads fire at W."""
     cfg = _cfg()
     k = Kernel()
     m = Medium(k, cfg)
@@ -372,10 +446,14 @@ def _one_frame_read(arrival_offset: int, read_first: bool):
     read_at = 100 * MS
     start = read_at + arrival_offset - tx_duration(800, cfg) - cfg.prop_delay(50.0)
     got = []
-    read = Event(read_at, 1, EventKind.TIMER, _reader(m, got, 1, 0, read_at - 300 * MS))
+
+    def reads(ev):
+        got.append((m.last_clean_arrival(1, 0, read_at - 300 * MS, ev.seq),
+                    m.clean_receptions(1, FrameKind.CONTROL_ANNOUNCE, 0, ev.seq)))
+    read = Event(read_at, 1, EventKind.TIMER, reads)
 
     def send(ev):
-        m.broadcast(0, _data(0))
+        m.broadcast(0, Frame(FrameKind.CONTROL_ANNOUNCE, 0, 800, 0))
         if not read_first:
             k.schedule(read)
 
@@ -388,13 +466,15 @@ def _one_frame_read(arrival_offset: int, read_first: bool):
 
 @pytest.mark.parametrize("offset, heard", [(-1, True), (0, False), (1, False)])
 def test_window_start_read_sees_arrivals_strictly_before_it(offset, heard):
-    got, arrival = _one_frame_read(offset, read_first=True)
-    assert got == (arrival if heard else None)
+    (last, announces), arrival = _one_frame_read(offset, read_first=True)
+    assert last == (arrival if heard else None)
+    assert [a.sender for a in announces] == ([0] if heard else [])
 
 
 def test_read_scheduled_after_the_broadcast_sees_an_arrival_at_its_time():
-    got, arrival = _one_frame_read(0, read_first=False)
-    assert got == arrival
+    (last, announces), arrival = _one_frame_read(0, read_first=False)
+    assert last == arrival
+    assert [a.sender for a in announces] == [0]
 
 
 def test_last_clean_arrival_skips_collided_and_stale_frames():

@@ -133,25 +133,23 @@ def test_bad_radio_parameters_rejected():
         ScenarioConfig(radio=RadioConfig(cca_detect_ns=-1)).validate()
 
 
-def test_tsnctl_delivery_events_one_per_data_transmission():
-    """Data frames settle in one event; control frames reach each handler."""
+def test_tsnctl_delivery_events_one_per_allocation_reception():
+    """Only allocations raise delivery events: one per reception at a handler."""
     cfg = ScenarioConfig(vehicle_count=20, mode=MODE_TSNCTL, sim_duration_ns=1 * SEC)
     run = run_scenario(cfg, 3, trace=True)
     medium, end = run.medium, cfg.sim_duration_ns
-    expected = {"data": 0, "handled": 0, "settle": 0}
+    expected = 0
     for tx in medium.log:
         pos = medium.positions[tx.sender]
         delays = {vid: medium.cfg.prop_delay(pos.distance(other))
                   for vid, other in medium.positions.items()
                   if vid != tx.sender and pos.distance(other) <= cfg.radio.range_m}
         assert len(delays) == tx.receivers_expected     # everyone spawned before
-        if tx.frame.kind is FrameKind.DATA:
-            expected["data"] += bool(delays) and tx.end + max(delays.values()) <= end
-            continue
-        handled = [d for vid, d in delays.items() if vid in medium.handlers]
-        unhandled = [d for vid, d in delays.items() if vid not in medium.handlers]
-        expected["handled"] += sum(tx.end + d <= end for d in handled)
-        expected["settle"] += bool(unhandled) and tx.end + max(unhandled) <= end
-    deliveries = sum(kind == "FRAME_DELIVERY" for *_, kind in medium.kernel.trace)
-    assert expected["data"] > 0 and expected["handled"] > 0
-    assert deliveries == sum(expected.values())
+        if tx.frame.kind is FrameKind.CONTROL_ALLOCATION:
+            expected += sum(tx.end + d <= end for vid, d in delays.items()
+                            if vid in medium.handlers)
+    deliveries = [target for *_, target, kind in medium.kernel.trace
+                  if kind == "FRAME_DELIVERY"]
+    assert expected > 0
+    assert len(deliveries) == expected
+    assert set(deliveries) <= set(medium.handlers)
