@@ -89,7 +89,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     path = out / f"sweep_{args.axis}.csv"
     emit_sweep_csv(args.axis, rows, path)
     for value, mode, slot_len, result in rows:
-        print(f"{args.axis}={value} {mode} slot={slot_len}: "
+        print(f"{args.axis}={value} {mode} slot={'-' if slot_len is None else slot_len}: "
               f"mean {result.mean_rate:.2f}% std {result.std_rate:.2f}")
     print(f"wrote {path}")
     return EXIT_OK

@@ -37,9 +37,9 @@ class CollisionStats:
     receptions_collided: int = 0
     deferred_frames: int = 0
     rejected_joins: int = 0
-    undefined_rate: bool = False
 
     def rate(self, count_control: bool = True, per_receiver: bool = False) -> float:
+        """Collided share in percent; nan when nothing was counted (undefined)."""
         if per_receiver:
             num, den = self.receptions_collided, self.receptions
         elif count_control:
@@ -47,8 +47,7 @@ class CollisionStats:
         else:
             num, den = self.data_frames_collided, self.data_frames_sent
         if den == 0:
-            self.undefined_rate = True
-            return 0.0
+            return math.nan
         return 100.0 * num / den
 
 
@@ -230,11 +229,18 @@ class ExperimentResult:
     @classmethod
     def from_stats(cls, cfg: ScenarioConfig,
                    per_repetition: list[CollisionStats]) -> ExperimentResult:
-        """Rates under the config's counting rules, and their mean and spread."""
+        """Rates under the config's counting rules, and their mean and spread.
+
+        One undefined (nan) rate makes the mean and the spread undefined too.
+        """
         rates = [s.rate(cfg.count_control_frames, cfg.per_receiver_counting)
                  for s in per_repetition]
-        std = statistics.stdev(rates) if len(rates) > 1 else 0.0
-        return cls(cfg, per_repetition, rates, statistics.fmean(rates), std)
+        mean = statistics.fmean(rates)
+        if math.isnan(mean):
+            std = math.nan          # statistics.stdev raises on nan
+        else:
+            std = statistics.stdev(rates) if len(rates) > 1 else 0.0
+        return cls(cfg, per_repetition, rates, mean, std)
 
 
 def run_experiment(cfg: ScenarioConfig) -> ExperimentResult:
@@ -303,20 +309,21 @@ def _cfg_for(base: ScenarioConfig, axis: str, value: int, mode: str,
 
 def sweep(axis: str, values: list[int], base: ScenarioConfig,
           slot_lens_ns: tuple[int, ...] = DEFAULT_SLOT_SWEEP_NS
-          ) -> list[tuple[int, str, int, ExperimentResult]]:
+          ) -> list[tuple[int, str, int | None, ExperimentResult]]:
     """Run baseline plus the controller at each slot length for every axis value.
 
     Returns rows of (axis value, mode, slot_len_ns, result), ordered by
-    (value, mode, slot length) for deterministic output.
+    (value, mode, slot length) for deterministic output. Baseline rows have
+    no slot length (None): CSMA does not use slots.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
     if not values:
         raise ValueError("sweep needs at least one value")
-    out: list[tuple[int, str, int, ExperimentResult]] = []
+    out: list[tuple[int, str, int | None, ExperimentResult]] = []
     for value in values:
         cfg_b = _cfg_for(base, axis, value, MODE_BASELINE, None)
-        out.append((value, MODE_BASELINE, cfg_b.window.slot_len_ns, run_experiment(cfg_b)))
+        out.append((value, MODE_BASELINE, None, run_experiment(cfg_b)))
         tsn_slots = (None,) if axis == "slot_len" else slot_lens_ns
         for slot in tsn_slots:
             cfg_t = _cfg_for(base, axis, value, MODE_TSNCTL, slot)
@@ -328,14 +335,16 @@ SWEEP_HEADER = ("axis,value,mode,slot_len_ns,repetition,seed,frames_sent,"
                 "frames_collided,collision_rate_pct,mean_rate_pct,std_rate_pct")
 
 
-def emit_sweep_csv(axis: str, rows: list[tuple[int, str, int, ExperimentResult]],
+def emit_sweep_csv(axis: str, rows: list[tuple[int, str, int | None, ExperimentResult]],
                    path: str | Path) -> None:
+    """One line per repetition; a baseline row leaves slot_len_ns empty."""
     lines = [SWEEP_HEADER]
     for value, mode, slot_len, result in rows:
+        slot = "" if slot_len is None else slot_len
         for k, stats in enumerate(result.per_repetition):
             sent, collided = _effective_counts(result.cfg, stats)
             lines.append(
-                f"{axis},{value},{mode},{slot_len},{k},{result.cfg.seed + k},"
+                f"{axis},{value},{mode},{slot},{k},{result.cfg.seed + k},"
                 f"{sent},{collided},{result.rates[k]:.2f},"
                 f"{result.mean_rate:.2f},{result.std_rate:.2f}"
             )

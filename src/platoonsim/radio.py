@@ -8,13 +8,16 @@ the listener, so two nodes that start within one propagation delay of each
 other are mutually blind and will overlap.
 
 Vehicles never move after they register, so who hears whom, and after what
-propagation delay, is computed once per pair at registration. The log of
-transmissions is the only record of who heard whom and when. Only allocation
-frames, which act at once, are handed to frame handlers, one event per
-reception; every other reception raises no event. Protocols read announces
-(`clean_receptions`) and liveness (`last_clean_arrival`) back from the log,
-`outcomes` rebuilds each receiver's collided flag from it, and `finalize`
-counts each transmission's collided receptions once, at run end.
+propagation delay, is computed once per pair at registration, together with
+a bitmask per vehicle of the vehicles it hears. The log of transmissions is
+the only record of who heard whom and when. Each transmission's interferer
+mask is filled at broadcast, once per overlapping pair, and is final once
+the clock reaches its end, since nothing that starts later overlaps it. The
+allocation flag handed to frame handlers, the announces and liveness that
+protocols read back from the log (`clean_receptions`, `last_clean_arrival`),
+each receiver's flag (`outcomes`) and the per-transmission count
+(`finalize`) all read that one mask. Only allocation frames, which act at
+once, raise an event per reception; every other reception raises none.
 """
 
 from __future__ import annotations
@@ -78,13 +81,22 @@ class Transmission:
     frame: Frame
     start: int
     end: int
-    index: int = -1
     # the kernel's next event seq at broadcast: orders the broadcast against
     # events scheduled before or after it
     kernel_seq: int = -1
-    receivers_expected: int = 0
+    # bitmask of the vehicles in range of the sender at broadcast, the sender
+    # excluded: the receivers. A snapshot; later registrations do not join it.
+    receivers: int = 0
+    # bitmask of the vehicles in range of the sender of an overlapping
+    # transmission, that sender included (half-duplex): a reception collides
+    # exactly there. Filled at broadcast, pair by pair; final at end.
+    hit: int = 0
     # collided receptions, counted once by Medium.finalize; None until then
     receivers_collided: int | None = None
+
+    @property
+    def receivers_expected(self) -> int:
+        return self.receivers.bit_count()
 
     @property
     def collided(self) -> bool:
@@ -94,11 +106,19 @@ class Transmission:
 class Medium:
     """Broadcast channel shared by all registered vehicles.
 
+    Each vehicle gets a bit, in registration order. `broadcast` pairs a new
+    transmission with every transmission still on air and ORs each sender's
+    range mask into the other's interferer mask (`Transmission.hit`), so who
+    collides where is recorded once per overlapping pair. The mask is final
+    once the clock reaches the transmission's end, and every reader reads it
+    then or later: the allocation flag at arrival, `clean_receptions` and
+    `last_clean_arrival` (through `_heard`) for arrivals no later than now,
+    and `outcomes` and `finalize` after the run.
+
     A `handler(frame, collided)` registered per vehicle gets each of its
     allocation receptions at the arrival time; collided frames are delivered
     with the flag set so the handler can discard them (no partial decode).
-    Other frames are never handed to handlers; see `clean_receptions` and
-    `last_clean_arrival`. Per-receiver outcomes are read back with `outcomes`.
+    Other frames are never handed to handlers.
     """
 
     def __init__(self, kernel: Kernel, cfg: RadioConfig):
@@ -109,11 +129,16 @@ class Medium:
         self.log: list[Transmission] = []           # all transmissions, by start
         self._starts: list[int] = []                # start of each log entry
         self._sent: dict[int, list[Transmission]] = {}   # per sender, by start
-        self._joined: dict[int, int] = {}           # vid -> log length at register
         # vid -> {vid in range: propagation delay ns}, in registration order;
-        # every vehicle hears itself first, with delay 0. Entries are only
-        # appended, so the receivers of a transmission are always a prefix.
+        # every vehicle hears itself first, with delay 0
         self._hears: dict[int, dict[int, int]] = {}
+        self._bit: dict[int, int] = {}              # vid -> 1 << registration index
+        # vid -> mask of the vehicles it hears, itself included, and the same
+        # without itself (the receivers of its broadcasts). Ints are immutable,
+        # so a transmission shares its sender's mask until a registration
+        # replaces it.
+        self._range: dict[int, int] = {}
+        self._receivers: dict[int, int] = {}
         self._sense_slack = cfg.prop_delay(cfg.range_m)
         self._busy_until: dict[int, int] = {}       # per-sender serialization
         self._max_dur = 0
@@ -122,14 +147,21 @@ class Medium:
                  handler: Callable[[Frame, bool], None] | None = None) -> None:
         if vid in self.positions:
             raise ValueError(f"vehicle {vid} already registered")
+        bit = 1 << len(self.positions)
         hears = {vid: 0}
+        receivers = 0
         for other, other_pos in self.positions.items():
             dist = pos.distance(other_pos)
             if dist <= self.cfg.range_m:
                 hears[other] = self._hears[other][vid] = self.cfg.prop_delay(dist)
+                receivers |= self._bit[other]
+                self._range[other] |= bit
+                self._receivers[other] |= bit
         self._hears[vid] = hears
+        self._bit[vid] = bit
+        self._range[vid] = receivers | bit
+        self._receivers[vid] = receivers
         self.positions[vid] = pos
-        self._joined[vid] = len(self.log)
         if handler is not None:
             self.handlers[vid] = handler
 
@@ -146,18 +178,27 @@ class Medium:
             )
         end = start + tx_duration(frame.size, self.cfg)
         tx = Transmission(sender=sender, frame=frame, start=start, end=end,
-                          index=len(self.log), kernel_seq=self.kernel.next_seq)
-        self.log.append(tx)
+                          kernel_seq=self.kernel.next_seq,
+                          receivers=self._receivers[sender])
+        # Every logged frame started at or before `start`, so the half-open
+        # intervals overlap iff it ends after `start` and starts before `end`;
+        # a zero-length frame overlaps nothing that starts with it.
+        log, ranges = self.log, self._range
+        mask = ranges[sender]
+        for i in range(bisect_left(self._starts, start - self._max_dur), len(log)):
+            other = log[i]
+            if other.end > start and other.start < end:
+                tx.hit |= ranges[other.sender]
+                other.hit |= mask
+        log.append(tx)
         self._starts.append(start)
         self._sent.setdefault(sender, []).append(tx)
         self._busy_until[sender] = end
         self._max_dur = max(self._max_dur, end - start)
 
-        hears = self._hears[sender]
-        tx.receivers_expected = len(hears) - 1
         if frame.kind is FrameKind.CONTROL_ALLOCATION:
             # an allocation acts at once (it arms slots), so it is delivered
-            for vid, delay in islice(hears.items(), 1, None):
+            for vid, delay in islice(self._hears[sender].items(), 1, None):
                 if vid in self.handlers:
                     self.kernel.schedule(Event(end + delay, vid, EventKind.FRAME_DELIVERY,
                                                self._deliver, payload=tx))
@@ -165,7 +206,7 @@ class Medium:
 
     def _deliver(self, ev: Event) -> None:
         tx = ev.payload
-        self.handlers[ev.target](tx.frame, not self._clean_at(tx, ev.target))
+        self.handlers[ev.target](tx.frame, bool(tx.hit & self._bit[ev.target]))
 
     def finalize(self) -> None:
         """Count each transmission's collided receptions, once, at run end.
@@ -176,46 +217,16 @@ class Medium:
         handed to protocol handlers here.
         """
         for tx in self.log:
-            tx.receivers_collided = sum(self.outcomes(tx).values())
-
-    # -- collision predicate -------------------------------------------------
+            tx.receivers_collided = (tx.hit & tx.receivers).bit_count()
 
     def outcomes(self, tx: Transmission) -> dict[int, bool]:
-        """Collided flag per receiver of tx, rebuilt from the log.
+        """Collided flag per receiver of tx, in registration order.
 
         The receivers are the vehicles in range at broadcast. The flags are
-        final once the kernel clock reaches tx.end, when nothing more can start
-        on air inside tx; `finalize` counts them.
+        final once the kernel clock reaches tx.end; `finalize` counts them.
         """
-        hit = self._interferers(tx)
-        receivers = islice(self._hears[tx.sender], 1, 1 + tx.receivers_expected)
-        return {vid: vid in hit for vid in receivers}
-
-    def _interferers(self, tx: Transmission) -> set[int]:
-        """Vehicles in range of a transmission that overlaps tx on air.
-
-        A reception of tx collides exactly at these vehicles; the sender of an
-        overlapping transmission hears itself, which makes reception half-duplex.
-        """
-        hit: set[int] = set()
-        for other in self._overlapping(tx):
-            hit.update(self._hears[other.sender])
-        return hit
-
-    def _overlapping(self, tx: Transmission):
-        """The other transmissions that share air time with tx."""
-        log = self.log
-        for i in range(bisect_left(self._starts, tx.start - self._max_dur), len(log)):
-            other = log[i]
-            if other.start >= tx.end:
-                break
-            if other is not tx and tx.start < other.end:
-                yield other
-
-    def _clean_at(self, tx: Transmission, listener: int) -> bool:
-        """True iff no overlapping transmission's sender is in range of listener."""
-        hears = self._hears
-        return not any(listener in hears[o.sender] for o in self._overlapping(tx))
+        return {vid: bool(tx.hit & bit) for vid, bit in self._bit.items()
+                if tx.receivers & bit}
 
     # -- reading receptions from the log ---------------------------------------
 
@@ -224,15 +235,14 @@ class Medium:
 
         It counts what a per-reception event would have delivered by then: an
         arrival before now, or at now from a broadcast made before the reading
-        event was scheduled. The listener must have been registered at the
-        broadcast; the reception is clean unless an overlapping transmission's
-        sender is in range of the listener (itself included).
+        event was scheduled. The listener must be a receiver of tx, and the
+        reception is clean unless its bit is in tx's interferer mask.
         """
+        bit = self._bit[listener]
         arrival = tx.end + delay
         now = self.kernel.now
-        return (tx.index >= self._joined[listener]
-                and (arrival < now or (arrival == now and tx.kernel_seq <= seq))
-                and self._clean_at(tx, listener))
+        return (tx.receivers & bit != 0 and not tx.hit & bit
+                and (arrival < now or (arrival == now and tx.kernel_seq <= seq)))
 
     def clean_receptions(self, listener: int, kind: FrameKind, since: int,
                          seq: int) -> list[Frame]:
@@ -243,8 +253,8 @@ class Medium:
         """
         hears = self._hears.get(listener, {})
         return [tx.frame for tx in self.log[bisect_left(self._starts, since):]
-                if tx.frame.kind is kind and tx.sender != listener
-                and tx.sender in hears and self._heard(tx, listener, hears[tx.sender], seq)]
+                if tx.frame.kind is kind and tx.sender in hears
+                and self._heard(tx, listener, hears[tx.sender], seq)]
 
     def last_clean_arrival(self, listener: int, sender: int, after: int,
                            seq: int) -> int | None:

@@ -81,15 +81,18 @@ def test_seed_override_changes_output(tmp_path):
     assert (a / "results.csv").read_bytes() != (b / "results.csv").read_bytes()
 
 
-def test_sweep_writes_long_csv(tmp_path):
+def test_sweep_writes_long_csv(tmp_path, capsys):
     cfg = _write(tmp_path, GOOD_CONFIG)
     out = tmp_path / "out"
     assert main(["sweep", "--axis", "platoon_size", "--values", "3,4",
                  "--config", str(cfg), "--out", str(out)]) == 0
     text = (out / "sweep_platoon_size.csv").read_text()
     assert text.startswith("axis,value,mode")
-    assert "platoon_size,3,baseline" in text
-    assert "platoon_size,4,tsnctl" in text
+    assert "platoon_size,3,baseline,,0," in text
+    assert "platoon_size,4,tsnctl,2000000,0," in text
+    printed = capsys.readouterr().out
+    assert "platoon_size=3 baseline slot=-:" in printed
+    assert "platoon_size=3 tsnctl slot=2000000:" in printed
 
 
 def test_sweep_bad_values_exit_2(tmp_path):

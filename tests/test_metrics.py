@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from platoonsim.frames import Frame, FrameKind
 from platoonsim.kernel import Kernel, MS, SEC, US
 from platoonsim.metrics import (
+    CollisionStats,
+    ExperimentResult,
     FlagMismatch,
     brute_force_flags,
     brute_force_outcomes,
@@ -177,8 +180,8 @@ def test_sweep_singleton_matches_run_experiment():
     base = ScenarioConfig(vehicle_count=4, sim_duration_ns=1 * SEC,
                           repetitions=2, seed=2)
     rows = sweep("platoon_size", [4], base, slot_lens_ns=(2 * MS,))
-    assert [(v, m) for v, m, _, _ in rows] == \
-        [(4, MODE_BASELINE), (4, MODE_TSNCTL)]
+    assert [(v, m, slot) for v, m, slot, _ in rows] == \
+        [(4, MODE_BASELINE, None), (4, MODE_TSNCTL, 2 * MS)]
     direct = run_experiment(replace(base, mode=MODE_BASELINE))
     assert rows[0][3].rates == direct.rates
 
@@ -200,6 +203,9 @@ def test_sweep_csv_is_long_format(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("axis,value,mode,slot_len_ns,repetition")
     assert len(lines) == 1 + len(rows) * 2          # two repetitions per row
+    # baseline rows carry no slot length
+    assert {tuple(line.split(",")[2:4]) for line in lines[1:]} == \
+        {("baseline", ""), ("tsnctl", str(2 * MS))}
 
 
 def test_transmission_log_roundtrip_and_verify(tmp_path):
@@ -289,8 +295,14 @@ def test_rate_respects_counting_switches():
 
 
 def test_rate_zero_frames_flagged_undefined():
-    from platoonsim.metrics import CollisionStats
-
     stats = CollisionStats()
-    assert stats.rate() == 0.0
-    assert stats.undefined_rate is True
+    assert math.isnan(stats.rate())
+
+
+def test_undefined_rates_print_nan(tmp_path):
+    cfg = ScenarioConfig(repetitions=2)
+    result = ExperimentResult.from_stats(cfg, [CollisionStats(), CollisionStats()])
+    assert math.isnan(result.mean_rate) and math.isnan(result.std_rate)
+    emit_csv(result, tmp_path / "r.csv")
+    rows = (tmp_path / "r.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[9] for row in rows] == ["nan", "nan", "nan"]

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from platoonsim.frames import Frame, FrameKind, make_allocation
@@ -321,7 +321,8 @@ def _coarse_run(cells, joins, sends, reads):
     query); each read returns query(m, seq), in the order of `reads`. A late
     read is scheduled at its own time, after that time's broadcasts; the others
     are scheduled up front. Returns the medium, the oracle's per-receiver
-    flags, the propagation delay between two vehicles and the reads.
+    flags, the propagation delay between two vehicles, the reads and the
+    (receiver, frame, collided) deliveries of allocations, in delivery order.
     """
     n = len(cells)
     cfg = _cfg(**_COARSE)
@@ -331,9 +332,12 @@ def _coarse_run(cells, joins, sends, reads):
     join_at = {vid: joins[vid] * US for vid in range(n)}
     # registrations first, then broadcasts, then up-front reads: at equal
     # times events run in that order
+    delivered = []
     for vid, at in join_at.items():
-        k.schedule(Event(at, vid, EventKind.SPAWN,
-                         lambda ev: m.register(ev.target, positions[ev.target])))
+        k.schedule(Event(at, vid, EventKind.SPAWN, lambda ev: m.register(
+            ev.target, positions[ev.target],
+            handler=lambda frame, collided, vid=ev.target:
+                delivered.append((vid, frame, collided)))))
     busy: dict[int, int] = {}
     for vid, at, size, kind in sorted(sends, key=lambda s: s[1]):
         vid %= n
@@ -359,7 +363,7 @@ def _coarse_run(cells, joins, sends, reads):
 
     def delay(a, b):
         return cfg.prop_delay(positions[a].distance(positions[b]))
-    return m, flags, delay, [got[i] for i in range(len(reads))]
+    return m, flags, delay, [got[i] for i in range(len(reads))], delivered
 
 
 def _by_read(arrival, at, late):
@@ -369,6 +373,40 @@ def _by_read(arrival, at, late):
 
 _CELLS = st.lists(st.integers(0, 5), min_size=2, max_size=8)
 _JOINS = st.lists(st.integers(0, 6), min_size=8, max_size=8)
+
+_D, _A = FrameKind.DATA, FrameKind.CONTROL_ALLOCATION
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=_CELLS, joins=_JOINS,
+       sends=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 12), st.integers(0, 3),
+                                st.sampled_from((_D, _A))),
+                      min_size=1, max_size=14))
+# a zero-length frame and a frame starting with it, in both orders
+@example(cells=[0, 1, 2], joins=[0] * 8, sends=[(0, 5, 2, _D), (1, 5, 0, _D)])
+@example(cells=[0, 1, 2], joins=[0] * 8, sends=[(1, 5, 0, _D), (0, 5, 2, _D)])
+# touching endpoints
+@example(cells=[0, 1, 2], joins=[0] * 8, sends=[(0, 0, 2, _D), (1, 2, 2, _D)])
+# an overlap seen from both sides, one side an allocation
+@example(cells=[0, 1, 2], joins=[0] * 8, sends=[(0, 0, 3, _D), (1, 1, 3, _A)])
+# vehicle 1 registers inside vehicle 0's frame and transmits into it
+@example(cells=[0, 1], joins=[0, 1] + [0] * 6, sends=[(0, 0, 3, _D), (1, 2, 1, _D)])
+def test_interferer_masks_match_brute_force(cells, joins, sends):
+    """Outcomes, counts and allocation flags all read the mask filled at broadcast.
+
+    Frames of 0-3 bytes take 0-3 us, so zero-length frames, equal starts and
+    touching endpoints are common; joins at 0-6 us put registrations between
+    and inside broadcasts.
+    """
+    m, flags, _delay, _got, delivered = _coarse_run(cells, joins, sends, [])
+    m.finalize()
+    assert [m.outcomes(tx) for tx in m.log] == flags
+    assert [(tx.receivers_expected, tx.receivers_collided) for tx in m.log] == \
+        [(len(f), sum(f.values())) for f in flags]
+    index = {id(tx.frame): i for i, tx in enumerate(m.log)}
+    assert sorted((index[id(frame)], vid, c) for vid, frame, c in delivered) == \
+        [(i, vid, c) for i, (tx, f) in enumerate(zip(m.log, flags))
+         if tx.frame.kind is _A for vid, c in sorted(f.items())]
 
 
 @settings(max_examples=150, deadline=None)
@@ -387,7 +425,7 @@ def test_last_clean_arrival_matches_brute_force(cells, joins, sends, reads):
     n = len(cells)
     reads = [(listener % n, sender % n, at, window, late)
              for listener, sender, at, window, late in reads]
-    m, flags, delay, got = _coarse_run(
+    m, flags, delay, got, _ = _coarse_run(
         cells, joins, [(vid, at, size, FrameKind.DATA) for vid, at, size in sends],
         [(at, late, lambda m, seq, listener=listener, sender=sender, after=(at - window) * US:
           m.last_clean_arrival(listener, sender, after, seq))
@@ -423,7 +461,7 @@ def test_clean_receptions_match_brute_force(cells, joins, sends, reads):
              for listener, anchor, offset, window, late in reads
              for _, start, size, _ in [sends[anchor % len(sends)]]
              for at in [start + size + offset]]
-    m, flags, delay, got = _coarse_run(
+    m, flags, delay, got, _ = _coarse_run(
         cells, joins, sends,
         [(at, late, lambda m, seq, listener=listener, since=since:
           m.clean_receptions(listener, FrameKind.CONTROL_ANNOUNCE, since, seq))
