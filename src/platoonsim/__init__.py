@@ -16,12 +16,12 @@ from .tsnctl import (
     FsmEvent,
     FsmState,
     Role,
-    SlotSchedule,
     Status,
     TsnCtl,
     WindowConfig,
-    allocate,
+    admit,
     announce_offset,
+    check_schedule,
     elect_master,
     slot_count,
     slot_origin,
@@ -36,8 +36,8 @@ __all__ = [
     "Medium", "Position", "RadioConfig", "Transmission", "tx_duration",
     "MODE_BASELINE", "MODE_TSNCTL", "ScenarioConfig", "VehicleSpec",
     "build_vehicles", "run_scenario",
-    "FsmEvent", "FsmState", "Role", "SlotSchedule", "Status", "TsnCtl",
-    "WindowConfig", "allocate", "announce_offset", "elect_master",
+    "FsmEvent", "FsmState", "Role", "Status", "TsnCtl", "WindowConfig",
+    "admit", "announce_offset", "check_schedule", "elect_master",
     "slot_count", "slot_origin", "step_fsm",
     "__version__",
 ]

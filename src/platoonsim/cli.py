@@ -17,7 +17,7 @@ from .metrics import (
     verify_log,
     write_transmission_log,
 )
-from .scenario import run_scenario
+from .scenario import MODE_BASELINE, run_scenario
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -67,8 +67,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         del run                     # hold one run at a time
     result = ExperimentResult.from_stats(cfg, per_rep)
     emit_csv(result, out / "results.csv")
+    slot = "-" if cfg.mode == MODE_BASELINE else f"{cfg.window.slot_len_ns} ns"
     print(f"{cfg.mode}: {cfg.vehicle_count} vehicles, "
-          f"slot {cfg.window.slot_len_ns} ns, payload {cfg.payload_size_b} B -> "
+          f"slot {slot}, payload {cfg.payload_size_b} B -> "
           f"mean collision rate {result.mean_rate:.2f}% "
           f"(std {result.std_rate:.2f}) over {cfg.repetitions} repetitions")
     print(f"wrote {out / 'results.csv'}")

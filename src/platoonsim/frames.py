@@ -55,8 +55,8 @@ class Frame:
     seq: int = 0
     slots_requested: int = 1
     node_type: NodeType = NodeType.CAR
-    # Allocation payload: mapping vehicle id -> (first slot index, slot count).
-    allocations: dict[int, tuple[int, int]] | None = None
+    # Allocation payload: vehicle id -> its contiguous run of data slot indices.
+    allocations: dict[int, range] | None = None
 
 
 def make_announce(sender: int, generated_at: int, slots_requested: int = 1,
@@ -72,7 +72,7 @@ def make_announce(sender: int, generated_at: int, slots_requested: int = 1,
 
 
 def make_allocation(sender: int, generated_at: int,
-                    allocations: dict[int, tuple[int, int]]) -> Frame:
+                    allocations: dict[int, range]) -> Frame:
     return Frame(
         kind=FrameKind.CONTROL_ALLOCATION,
         sender=sender,

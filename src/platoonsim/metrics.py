@@ -38,17 +38,20 @@ class CollisionStats:
     deferred_frames: int = 0
     rejected_joins: int = 0
 
+    def counts(self, count_control: bool = True, per_receiver: bool = False) -> tuple[int, int]:
+        """(sent, collided) under a counting rule: receptions, all frames or data frames."""
+        if per_receiver:
+            return self.receptions, self.receptions_collided
+        if count_control:
+            return self.frames_sent, self.frames_collided
+        return self.data_frames_sent, self.data_frames_collided
+
     def rate(self, count_control: bool = True, per_receiver: bool = False) -> float:
         """Collided share in percent; nan when nothing was counted (undefined)."""
-        if per_receiver:
-            num, den = self.receptions_collided, self.receptions
-        elif count_control:
-            num, den = self.frames_collided, self.frames_sent
-        else:
-            num, den = self.data_frames_collided, self.data_frames_sent
-        if den == 0:
+        sent, collided = self.counts(count_control, per_receiver)
+        if sent == 0:
             return math.nan
-        return 100.0 * num / den
+        return 100.0 * collided / sent
 
 
 def collect_stats(run: RunResult) -> CollisionStats:
@@ -242,6 +245,12 @@ class ExperimentResult:
             std = statistics.stdev(rates) if len(rates) > 1 else 0.0
         return cls(cfg, per_repetition, rates, mean, std)
 
+    @property
+    def counts(self) -> list[tuple[int, int]]:
+        """(sent, collided) per repetition under the config's counting rules."""
+        return [s.counts(self.cfg.count_control_frames, self.cfg.per_receiver_counting)
+                for s in self.per_repetition]
+
 
 def run_experiment(cfg: ScenarioConfig) -> ExperimentResult:
     cfg.validate()
@@ -254,27 +263,19 @@ CSV_HEADER = ("mode,vehicles,slot_len_ns,window_ns,payload_B,spawn_interval_ns,"
               "seed,frames_sent,frames_collided,collision_rate_pct,deferred,rejected")
 
 
-def _effective_counts(cfg: ScenarioConfig, s: CollisionStats) -> tuple[int, int]:
-    if cfg.per_receiver_counting:
-        return s.receptions, s.receptions_collided
-    if cfg.count_control_frames:
-        return s.frames_sent, s.frames_collided
-    return s.data_frames_sent, s.data_frames_collided
-
-
 def emit_csv(result: ExperimentResult, path: str | Path) -> None:
     cfg = result.cfg
     lines = [CSV_HEADER]
     prefix = (f"{cfg.mode},{cfg.vehicle_count},{cfg.window.slot_len_ns},"
               f"{cfg.window.window_ns},{cfg.payload_size_b},{cfg.spawn_interval_ns}")
-    for k, stats in enumerate(result.per_repetition):
-        sent, collided = _effective_counts(cfg, stats)
+    counts = result.counts
+    for k, (stats, (sent, collided)) in enumerate(zip(result.per_repetition, counts)):
         lines.append(
             f"{prefix},{cfg.seed + k},{sent},{collided},"
             f"{result.rates[k]:.2f},{stats.deferred_frames},{stats.rejected_joins}"
         )
-    mean_sent = statistics.fmean(_effective_counts(cfg, s)[0] for s in result.per_repetition)
-    mean_coll = statistics.fmean(_effective_counts(cfg, s)[1] for s in result.per_repetition)
+    mean_sent = statistics.fmean(sent for sent, _ in counts)
+    mean_coll = statistics.fmean(collided for _, collided in counts)
     mean_def = statistics.fmean(s.deferred_frames for s in result.per_repetition)
     mean_rej = statistics.fmean(s.rejected_joins for s in result.per_repetition)
     lines.append(
@@ -341,8 +342,7 @@ def emit_sweep_csv(axis: str, rows: list[tuple[int, str, int | None, ExperimentR
     lines = [SWEEP_HEADER]
     for value, mode, slot_len, result in rows:
         slot = "" if slot_len is None else slot_len
-        for k, stats in enumerate(result.per_repetition):
-            sent, collided = _effective_counts(result.cfg, stats)
+        for k, (sent, collided) in enumerate(result.counts):
             lines.append(
                 f"{axis},{value},{mode},{slot},{k},{result.cfg.seed + k},"
                 f"{sent},{collided},{result.rates[k]:.2f},"

@@ -7,6 +7,9 @@ slot allocation in slot 1, and members then transmit data only inside their
 assigned slots. Election picks the vehicle whose announce carries the earliest
 creation timestamp (ties to the lowest id).
 
+The master admits members by one rule, `admit`, both at formation and at each
+refresh that hears newcomers; a member's run of data slots never moves.
+
 Control transmissions in slots 0/1 listen before talk and skip to the next
 window when the medium is already busy; that keeps the contended formation
 slots nearly collision-free, which is what the random in-slot offsets are for.
@@ -210,36 +213,24 @@ def announce_offset(rng: np.random.Generator, cfg: WindowConfig, tx_dur: int) ->
 
 
 # -- slot schedule -----------------------------------------------------------
+#
+# A schedule maps each member to its contiguous run of data slots, a range; the
+# allocation payload and a slave's own slots are the same ranges, unconverted.
 
 
-@dataclass(slots=True)
-class SlotSchedule:
-    """Per-vehicle assignment of data slots; indices 0 and 1 stay reserved."""
-
-    config: WindowConfig
-    assignments: dict[int, tuple[int, ...]]
-
-    def validate(self) -> None:
-        n = slot_count(self.config)
-        seen: set[int] = set()
-        for vid, slots in self.assignments.items():
-            for idx in slots:
-                if idx in (0, 1):
-                    raise ValueError(f"vehicle {vid} assigned reserved slot {idx}")
-                if idx >= n:
-                    raise ValueError(f"vehicle {vid} assigned slot {idx} >= {n}")
-                if idx in seen:
-                    raise ValueError(f"slot {idx} assigned twice")
-                seen.add(idx)
-
-    def to_wire(self) -> dict[int, tuple[int, int]]:
-        wire = {}
-        for vid, slots in self.assignments.items():
-            run = sorted(slots)
-            if run != list(range(run[0], run[0] + len(run))):
-                raise ValueError(f"vehicle {vid} holds a non-contiguous slot run {run}")
-            wire[vid] = (run[0], len(run))
-        return wire
+def check_schedule(assignments: dict[int, range], cfg: WindowConfig) -> None:
+    """Reject a reserved slot (0 or 1), a slot past the window, or a shared slot."""
+    n = slot_count(cfg)
+    seen: set[int] = set()
+    for vid, run in assignments.items():
+        for idx in run:
+            if idx in (0, 1):
+                raise ValueError(f"vehicle {vid} assigned reserved slot {idx}")
+            if idx >= n:
+                raise ValueError(f"vehicle {vid} assigned slot {idx} >= {n}")
+            if idx in seen:
+                raise ValueError(f"slot {idx} assigned twice")
+            seen.add(idx)
 
 
 def elect_master(candidates: dict[int, int]) -> int:
@@ -253,56 +244,34 @@ def _node_rank(node_type: NodeType) -> int:
     return 0 if node_type is NodeType.EMERGENCY else 1
 
 
-def allocate(requests: list[tuple[int, int, NodeType]],
-             cfg: WindowConfig) -> tuple[SlotSchedule, list[int]]:
-    """Build a fresh schedule: emergency vehicles first, then by id, slots from 2.
+def admit(assignments: dict[int, range], requests: list[tuple[int, int, NodeType]],
+          cfg: WindowConfig) -> tuple[dict[int, range], list[int]]:
+    """Admit requesters into the lowest free data slots, keeping existing runs.
 
-    Each requester gets min(requested, remaining) consecutive slots; a vehicle
-    that would get zero is rejected and returned in the second element.
+    Requests are served emergency vehicles first, then by id. Each newcomer gets
+    the free slots from the lowest one up, at most max(wanted, 1) of them and
+    no further than the first taken slot; a newcomer that finds no free slot is
+    rejected and returned in the second element. A requester that already holds
+    a run keeps it. Formation admits into an empty schedule, whose free slots
+    are contiguous, so the runs are packed from slot 2 in service order.
     """
-    free = slot_count(cfg) - 2
-    next_slot = 2
-    assignments: dict[int, tuple[int, ...]] = {}
+    used = {idx for run in assignments.values() for idx in run}
+    free = [idx for idx in range(2, slot_count(cfg)) if idx not in used]
+    admitted = dict(assignments)
     rejected: list[int] = []
     for vid, wanted, node_type in sorted(requests, key=lambda r: (_node_rank(r[2]), r[0])):
-        granted = min(max(wanted, 1), free)
-        if granted <= 0:
-            rejected.append(vid)
-            continue
-        assignments[vid] = tuple(range(next_slot, next_slot + granted))
-        next_slot += granted
-        free -= granted
-    sched = SlotSchedule(cfg, assignments)
-    sched.validate()
-    return sched, rejected
-
-
-def extend_schedule(base: SlotSchedule, requests: list[tuple[int, int, NodeType]],
-                    cfg: WindowConfig) -> tuple[SlotSchedule, list[int]]:
-    """Admit newcomers into the lowest free data slots, keeping existing runs."""
-    used = {idx for slots in base.assignments.values() for idx in slots}
-    free = [i for i in range(2, slot_count(cfg)) if i not in used]
-    assignments = dict(base.assignments)
-    rejected: list[int] = []
-    for vid, wanted, node_type in sorted(requests, key=lambda r: (_node_rank(r[2]), r[0])):
-        if vid in assignments:
+        if vid in admitted:
             continue
         take = free[: max(wanted, 1)]
-        # wire format needs one contiguous run per member
-        run = [take[0]] if take else []
-        for idx in take[1:]:
-            if idx == run[-1] + 1:
-                run.append(idx)
-            else:
-                break
-        if not run:
+        if not take:
             rejected.append(vid)
             continue
-        assignments[vid] = tuple(run)
-        free = free[len(run):]
-    sched = SlotSchedule(cfg, assignments)
-    sched.validate()
-    return sched, rejected
+        # free is ascending, so the run ends at the first gap
+        count = sum(idx - k == take[0] for k, idx in enumerate(take))
+        admitted[vid] = range(take[0], take[0] + count)
+        del free[:count]
+    check_schedule(admitted, cfg)
+    return admitted, rejected
 
 
 # -- priority queues ----------------------------------------------------------
@@ -359,11 +328,11 @@ class TsnCtl:
         self.created_at = kernel.now            # announce timestamp, stable across retries
         self.queues = PriorityQueueSet()
         self.epoch = -1
-        self.schedule: SlotSchedule | None = None   # a master's own schedule
-        self.my_slots: tuple[int, ...] = ()
+        self.schedule: dict[int, range] | None = None   # a master's own schedule
+        self.my_slots = range(0)
         self.master_id: int | None = None
         self.master_ts: int | None = None
-        self.pending_schedule: SlotSchedule | None = None
+        self.pending_schedule: dict[int, range] | None = None
         self._alloc_sent = False
         self._alloc_received = False
         self._confirm_pending = False
@@ -440,7 +409,7 @@ class TsnCtl:
 
     def _reset_membership(self) -> None:
         self.schedule = None
-        self.my_slots = ()
+        self.my_slots = range(0)
         self.master_id = None
         self.master_ts = None
         self._confirm_pending = False
@@ -489,21 +458,17 @@ class TsnCtl:
             return
         requests = [(a.sender, a.slots_requested, a.node_type) for a in neighbours]
         requests.append((self.vid, self.slots_requested, self.node_type))
-        sched, rejected = allocate(requests, self.wcfg)
+        sched, rejected = admit({}, requests, self.wcfg)
         self.rejected_joins += len(rejected)
         self.pending_schedule = sched
         self._schedule_alloc_tx(w, sched)
 
     # -- slot 1: allocation --------------------------------------------------------
 
-    def _alloc_window(self, w: int, members: int) -> tuple[int, int, int]:
-        dur = tx_duration(allocation_size(members), self.medium.cfg)
+    def _schedule_alloc_tx(self, w: int, sched: dict[int, range]) -> None:
+        dur = tx_duration(allocation_size(len(sched)), self.medium.cfg)
         lo = w + self.wcfg.slot_len_ns + EVAL_GUARD
         hi = w + 2 * self.wcfg.slot_len_ns - dur - EVAL_GUARD
-        return dur, lo, hi
-
-    def _schedule_alloc_tx(self, w: int, sched: SlotSchedule) -> None:
-        _dur, lo, hi = self._alloc_window(w, len(sched.assignments))
         if hi < lo:
             return  # allocation cannot fit slot 1 for this member count
         self._timer(uniform(self.rng, lo, hi), self._try_alloc, w)
@@ -512,18 +477,16 @@ class TsnCtl:
         if ev.payload != self.epoch:
             return
         sched = self.pending_schedule
-        is_forming = (self.state.status is Status.JOINING
-                      and self.state.role is Role.MASTER)
-        is_refresh = (self.state.status is Status.IN_PLATOON
-                      and self.state.role is Role.MASTER)
-        if sched is None or not (is_forming or is_refresh):
+        # a master is forming (JOINING) or refreshing (IN_PLATOON); no edge
+        # leads to INIT as a master
+        if sched is None or self.state.role is not Role.MASTER:
             return
         if self.medium.is_busy(self.vid, self.kernel.now):
             return  # contended control slot: retry next window
-        frame = make_allocation(self.vid, self.created_at, sched.to_wire())
+        frame = make_allocation(self.vid, self.created_at, sched)
         tx = self.medium.broadcast(self.vid, frame)
         self._alloc_sent = True
-        if is_refresh:
+        if self.state.status is Status.IN_PLATOON:   # a refresh
             self.schedule = sched
             self._start_burst(1, ev.payload, start=tx.end)
 
@@ -534,7 +497,7 @@ class TsnCtl:
             if self._alloc_sent:
                 self._step(FsmEvent.SLOT1_END, "allocated")
                 self.schedule = self.pending_schedule
-                self.my_slots = self.schedule.assignments[self.vid]
+                self.my_slots = self.schedule[self.vid]
                 self.master_id = self.vid
                 self.master_ts = self.created_at
                 self._arm_slots(ev.payload)
@@ -545,13 +508,6 @@ class TsnCtl:
             self._step(FsmEvent.SLOT1_END, outcome)
 
     # -- allocation reception ---------------------------------------------------------
-
-    def _key(self) -> tuple[int, int]:
-        if self.state.role is Role.MASTER:
-            return (self.created_at, self.vid)
-        if self.master_id is not None:
-            return (self.master_ts, self.master_id)
-        return (self.created_at, self.vid)
 
     def _on_allocation(self, frame: Frame) -> None:
         key = (frame.generated_at, frame.sender)
@@ -573,7 +529,7 @@ class TsnCtl:
                     self._step(FsmEvent.ALLOCATION_RECEIVED, "superseded")
                     self._reset_membership()
                     self.master_id, self.master_ts = frame.sender, frame.generated_at
-            elif key < self._key():
+            elif key < (self.master_ts, self.master_id):
                 self._step(FsmEvent.ALLOCATION_RECEIVED, "superseded")
                 self._reset_membership()
                 self.master_id, self.master_ts = frame.sender, frame.generated_at
@@ -595,7 +551,8 @@ class TsnCtl:
                 self._step(FsmEvent.ALLOCATION_RECEIVED, "ignored")
             return
 
-        if self.master_id is None or key <= self._key() or frame.sender == self.master_id:
+        if (self.master_id is None or key <= (self.master_ts, self.master_id)
+                or frame.sender == self.master_id):
             self.master_id, self.master_ts = frame.sender, frame.generated_at
             if listed:
                 self._step(FsmEvent.ALLOCATION_RECEIVED, "listed")
@@ -606,9 +563,8 @@ class TsnCtl:
             self._step(FsmEvent.ALLOCATION_RECEIVED, "ignored")
 
     def _adopt(self, frame: Frame, confirm: bool) -> None:
-        # a slave reads only its own run; the master validated the schedule
-        first, count = frame.allocations[self.vid]
-        self.my_slots = tuple(range(first, first + count))
+        # a slave reads only its own run; the master checked the schedule
+        self.my_slots = frame.allocations[self.vid]
         self.master_id = frame.sender
         self.master_ts = frame.generated_at
         self._alloc_received = True
@@ -653,7 +609,7 @@ class TsnCtl:
         announcers = self._announces(ev)
         if announcers:
             requests = [(a.sender, a.slots_requested, a.node_type) for a in announcers]
-            sched, rejected = extend_schedule(self.schedule, requests, self.wcfg)
+            sched, rejected = admit(self.schedule, requests, self.wcfg)
             self.rejected_joins += len(rejected)
             self.pending_schedule = sched
             self._schedule_alloc_tx(w, sched)

@@ -39,6 +39,20 @@ def test_run_writes_results_and_logs(tmp_path, capsys):
     assert "mean collision rate" in capsys.readouterr().out
 
 
+def test_run_prints_slot_length_only_for_tsnctl(tmp_path, capsys):
+    # the baseline uses no slots, so its summary names none
+    cfg = _write(tmp_path, GOOD_CONFIG)
+    assert main(["run", "--config", str(cfg), "--repetitions", "1",
+                 "--out", str(tmp_path / "b")]) == 0
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert summary.startswith("baseline: 4 vehicles, slot -, payload 800 B -> ")
+    cfg = _write(tmp_path, GOOD_CONFIG.replace("mode = baseline", "mode = tsnctl"))
+    assert main(["run", "--config", str(cfg), "--repetitions", "1",
+                 "--out", str(tmp_path / "t")]) == 0
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert summary.startswith("tsnctl: 4 vehicles, slot 2000000 ns, payload 800 B -> ")
+
+
 def test_run_is_byte_deterministic(tmp_path):
     cfg = _write(tmp_path, GOOD_CONFIG)
     a, b = tmp_path / "a", tmp_path / "b"

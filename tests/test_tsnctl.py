@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from _util import ConstRng, assemble_platoon
 
 from platoonsim.frames import (
@@ -18,14 +20,13 @@ from platoonsim.tsnctl import (
     PriorityQueueSet,
     ProtocolError,
     Role,
-    SlotSchedule,
     Status,
     TsnCtl,
     WindowConfig,
-    allocate,
+    admit,
     announce_offset,
+    check_schedule,
     elect_master,
-    extend_schedule,
     slot_count,
     slot_origin,
     step_fsm,
@@ -125,83 +126,143 @@ def test_elect_master_empty_rejected():
         elect_master({})
 
 
-# -- allocation -------------------------------------------------------------------
+# -- admission --------------------------------------------------------------------
+
+CAR, EMERGENCY = NodeType.CAR, NodeType.EMERGENCY
 
 
 def test_allocate_three_single_slot_requests():
-    sched, rejected = allocate([(0, 1, NodeType.CAR), (1, 1, NodeType.CAR),
-                                (2, 1, NodeType.CAR)], W2)
+    sched, rejected = admit({}, [(0, 1, CAR), (1, 1, CAR), (2, 1, CAR)], W2)
     assert rejected == []
-    assert sched.assignments == {0: (2,), 1: (3,), 2: (4,)}
+    assert sched == {0: range(2, 3), 1: range(3, 4), 2: range(4, 5)}
 
 
 def test_allocate_multi_slot_request():
-    sched, rejected = allocate([(0, 2, NodeType.CAR), (1, 1, NodeType.CAR)], W2)
+    sched, rejected = admit({}, [(0, 2, CAR), (1, 1, CAR)], W2)
     assert rejected == []
-    assert sched.assignments == {0: (2, 3), 1: (4,)}
+    assert sched == {0: range(2, 4), 1: range(4, 5)}
 
 
 def test_allocate_capacity_overflow_rejects_tail():
-    requests = [(vid, 1, NodeType.CAR) for vid in range(60)]
-    sched, rejected = allocate(requests, W2)
-    assert len(sched.assignments) == 48
-    assert len(rejected) == 12
+    requests = [(vid, 1, CAR) for vid in range(60)]
+    sched, rejected = admit({}, requests, W2)
+    assert len(sched) == 48
     assert rejected == list(range(48, 60))
 
 
 def test_allocate_emergency_vehicles_first():
-    sched, _ = allocate([(0, 1, NodeType.CAR), (7, 1, NodeType.EMERGENCY)], W2)
-    assert sched.assignments[7] == (2,)
-    assert sched.assignments[0] == (3,)
+    sched, _ = admit({}, [(0, 1, CAR), (7, 1, EMERGENCY)], W2)
+    assert sched[7] == range(2, 3)
+    assert sched[0] == range(3, 4)
 
 
 def test_extend_schedule_assigns_lowest_free_slot():
-    base, _ = allocate([(0, 1, NodeType.CAR), (1, 1, NodeType.CAR),
-                        (2, 1, NodeType.CAR)], W2)
-    sched, rejected = extend_schedule(base, [(9, 1, NodeType.CAR)], W2)
+    base, _ = admit({}, [(0, 1, CAR), (1, 1, CAR), (2, 1, CAR)], W2)
+    sched, rejected = admit(base, [(9, 1, CAR)], W2)
     assert rejected == []
-    assert sched.assignments[9] == (5,)
-    assert sched.assignments[0] == (2,)    # existing members untouched
+    assert sched[9] == range(5, 6)
+    assert sched[0] == range(2, 3)    # existing members untouched
 
 
 def test_extend_schedule_full_rejects_newcomer():
-    base, _ = allocate([(vid, 1, NodeType.CAR) for vid in range(48)], W2)
-    sched, rejected = extend_schedule(base, [(99, 1, NodeType.CAR)], W2)
+    base, _ = admit({}, [(vid, 1, CAR) for vid in range(48)], W2)
+    sched, rejected = admit(base, [(99, 1, CAR)], W2)
     assert rejected == [99]
-    assert 99 not in sched.assignments
+    assert 99 not in sched
 
 
 def test_extend_schedule_two_newcomers_one_call():
-    base, _ = allocate([(0, 1, NodeType.CAR)], W2)
-    sched, rejected = extend_schedule(base, [(5, 1, NodeType.CAR),
-                                             (6, 1, NodeType.CAR)], W2)
+    base, _ = admit({}, [(0, 1, CAR)], W2)
+    sched, rejected = admit(base, [(5, 1, CAR), (6, 1, CAR)], W2)
     assert rejected == []
-    assert sched.assignments[5] == (3,)
-    assert sched.assignments[6] == (4,)
+    assert sched[5] == range(3, 4)
+    assert sched[6] == range(4, 5)
+
+
+def _packed(requests, cfg):
+    """Formation as a fresh schedule packs it: consecutive runs from slot 2."""
+    free = slot_count(cfg) - 2
+    next_slot = 2
+    sched, rejected = {}, []
+    for vid, wanted, node_type in sorted(
+            requests, key=lambda r: (r[2] is not NodeType.EMERGENCY, r[0])):
+        granted = min(max(wanted, 1), free)
+        if granted <= 0:
+            rejected.append(vid)
+            continue
+        sched[vid] = range(next_slot, next_slot + granted)
+        next_slot += granted
+        free -= granted
+    return sched, rejected
+
+
+@st.composite
+def _admissions(draw):
+    """A window, a schedule with gaps between its runs, and announces to admit."""
+    cfg = WindowConfig(window_ns=draw(st.integers(3, 14)) * MS, slot_len_ns=1 * MS)
+    base, idx, vid = {}, 2, 10
+    for owned, length in draw(st.lists(st.tuples(st.booleans(), st.integers(1, 3)))):
+        length = min(length, slot_count(cfg) - idx)
+        if length <= 0:
+            break
+        if owned:
+            base[vid] = range(idx, idx + length)
+            vid += 1
+        idx += length
+    requests = draw(st.lists(
+        st.tuples(st.integers(0, 16), st.integers(0, 4), st.sampled_from(NodeType)),
+        unique_by=lambda r: r[0], max_size=12))
+    return cfg, base, requests
+
+
+@given(_admissions())
+@settings(max_examples=300, deadline=None)
+def test_admit_keeps_runs_and_serves_lowest_free_slot(case):
+    cfg, base, requests = case
+    sched, rejected = admit(base, requests, cfg)
+    check_schedule(sched, cfg)
+    assert {vid: sched[vid] for vid in base} == base
+    taken = {idx for run in base.values() for idx in run}
+    served = sorted((r for r in requests if r[0] not in base),
+                    key=lambda r: (r[2] is not NodeType.EMERGENCY, r[0]))
+    for vid, wanted, _node_type in served:
+        free = [idx for idx in range(2, slot_count(cfg)) if idx not in taken]
+        if vid in rejected:
+            assert vid not in sched and not free
+            continue
+        run = sched[vid]
+        assert run.step == 1 and run.start == free[0]
+        assert 1 <= len(run) <= max(wanted, 1)
+        # the run stops at the request or at the first taken slot
+        assert len(run) == max(wanted, 1) or run.stop not in free
+        taken |= set(run)
+    assert rejected == [vid for vid, _w, _t in served if vid not in sched]
+    assert admit({}, requests, cfg) == _packed(requests, cfg)
 
 
 # -- schedule invariants -------------------------------------------------------------
 
 
 def test_schedule_rejects_reserved_indices():
-    with pytest.raises(ValueError):
-        SlotSchedule(W2, {0: (1,)}).validate()
+    with pytest.raises(ValueError, match="reserved slot 1"):
+        check_schedule({0: range(1, 2)}, W2)
 
 
 def test_schedule_rejects_shared_slot():
-    with pytest.raises(ValueError):
-        SlotSchedule(W2, {0: (2,), 1: (2,)}).validate()
+    with pytest.raises(ValueError, match="slot 2 assigned twice"):
+        check_schedule({0: range(2, 3), 1: range(2, 4)}, W2)
 
 
 def test_schedule_rejects_out_of_range_index():
-    with pytest.raises(ValueError):
-        SlotSchedule(W2, {0: (50,)}).validate()
+    with pytest.raises(ValueError, match="slot 50 >= 50"):
+        check_schedule({0: range(49, 51)}, W2)
 
 
 def test_schedule_wire_roundtrip():
-    sched, _ = allocate([(0, 2, NodeType.CAR), (3, 1, NodeType.CAR)], W2)
-    assert sched.assignments == {0: (2, 3), 3: (4,)}
-    assert sched.to_wire() == {0: (2, 2), 3: (4, 1)}
+    # the master's runs are the allocation payload as they are
+    sched, _ = admit({}, [(0, 2, CAR), (3, 1, CAR)], W2)
+    assert sched == {0: range(2, 4), 3: range(4, 5)}
+    assert make_allocation(0, 0, sched).allocations == sched
 
 
 # -- FSM table -------------------------------------------------------------------------
@@ -277,8 +338,8 @@ def test_two_vehicles_form_a_platoon():
                                        {0: 0, 1: 300 * US})
     assert ctls[0].state == FsmState(Status.IN_PLATOON, Role.MASTER)
     assert ctls[1].state == FsmState(Status.IN_PLATOON, Role.SLAVE)
-    assert ctls[0].my_slots == (2,)
-    assert ctls[1].my_slots == (3,)
+    assert ctls[0].my_slots == range(2, 3)
+    assert ctls[1].my_slots == range(3, 4)
     assert ctls[1].master_id == 0
 
 
@@ -349,14 +410,15 @@ def test_newcomer_admitted_with_lowest_free_slot_same_window():
         {0: 0, 1: 300 * US, 2: 600 * US},
         run_ms=450)
     assert ctls[2].state == FsmState(Status.IN_PLATOON, Role.SLAVE)
-    assert ctls[2].my_slots == (4,)
+    assert ctls[2].my_slots == range(4, 5)
     announce = next(tx for tx in medium.log if tx.sender == 2
                     and tx.frame.kind is FrameKind.CONTROL_ANNOUNCE)
     refresh = next(tx for tx in medium.log
                    if tx.frame.kind is FrameKind.CONTROL_ALLOCATION
                    and tx.start > announce.start)
     assert announce.start // (100 * MS) == refresh.start // (100 * MS)
-    assert refresh.frame.allocations == {0: (2, 1), 1: (3, 1), 2: (4, 1)}
+    assert refresh.frame.allocations == {0: range(2, 3), 1: range(3, 4), 2: range(4, 5)}
+    assert ctls[0].schedule == refresh.frame.allocations
 
 
 def test_full_schedule_rejects_newcomer_and_counts_it():
@@ -394,7 +456,7 @@ def test_master_loss_reverts_slave_to_init_and_rejoin():
     # a phantom master, heard through the medium once and never again
     medium.register(99, Position(10.0, 0.0))
     alloc = make_allocation(sender=99, generated_at=0,     # earlier than spawn at 10 ms
-                            allocations={99: (2, 1), 5: (3, 1)})
+                            allocations={99: range(2, 3), 5: range(3, 4)})
     arrival = medium.broadcast(99, alloc).end + medium.cfg.prop_delay(10.0)
     kernel.run_until(120 * MS)
     assert ctl.state == FsmState(Status.IN_PLATOON, Role.SLAVE)
@@ -417,10 +479,10 @@ def test_collided_control_frames_are_ignored():
     ctl = TsnCtl(5, kernel, medium, W2, ConstRng(0))
     medium.register(5, Position(0.0, 0.0), handler=ctl.on_frame_delivery)
     kernel.run_until(100 * MS + 1 * MS)
-    alloc = make_allocation(sender=99, generated_at=0, allocations={5: (2, 1)})
+    alloc = make_allocation(sender=99, generated_at=0, allocations={5: range(2, 3)})
     ctl.on_frame_delivery(alloc, True)
     assert ctl.master_id != 99
-    assert ctl.my_slots == ()
+    assert ctl.my_slots == range(0)
 
 
 def test_earlier_timestamp_allocation_supersedes_master():
@@ -429,7 +491,7 @@ def test_earlier_timestamp_allocation_supersedes_master():
     master = ctls[0]
     assert master.state == FsmState(Status.IN_PLATOON, Role.MASTER)
     alloc = make_allocation(sender=42, generated_at=0,    # earlier than spawn 10ms
-                            allocations={42: (2, 1)})
+                            allocations={42: range(2, 3)})
     master.on_frame_delivery(alloc, False)
     assert master.state == FsmState(Status.JOINING, Role.SLAVE)
     assert master.master_id == 42
