@@ -2,7 +2,7 @@
 
 from .csma import CsmaConfig, CsmaMac
 from .frames import Frame, FrameKind, NodeType
-from .kernel import Event, EventKind, Kernel, RngStreams, MS, SEC, US, uniform
+from .kernel import EventKind, Kernel, RngStreams, MS, SEC, US, uniform
 from .radio import Medium, Position, RadioConfig, Transmission, tx_duration
 from .scenario import (
     MODE_BASELINE,
@@ -24,7 +24,6 @@ from .tsnctl import (
     check_schedule,
     elect_master,
     slot_count,
-    slot_origin,
     step_fsm,
 )
 
@@ -32,12 +31,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CsmaConfig", "CsmaMac", "Frame", "FrameKind", "NodeType",
-    "Event", "EventKind", "Kernel", "RngStreams", "MS", "SEC", "US", "uniform",
+    "EventKind", "Kernel", "RngStreams", "MS", "SEC", "US", "uniform",
     "Medium", "Position", "RadioConfig", "Transmission", "tx_duration",
     "MODE_BASELINE", "MODE_TSNCTL", "ScenarioConfig", "VehicleSpec",
     "build_vehicles", "run_scenario",
     "FsmEvent", "FsmState", "Role", "Status", "TsnCtl", "WindowConfig",
     "admit", "announce_offset", "check_schedule", "elect_master",
-    "slot_count", "slot_origin", "step_fsm",
+    "slot_count", "step_fsm",
     "__version__",
 ]

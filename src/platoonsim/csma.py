@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import Frame
-from .kernel import Event, EventKind, Kernel, US, uniform
+from .kernel import EventKind, Kernel, US, uniform
 from .radio import Medium
 
 
@@ -65,9 +65,9 @@ class CsmaMac:
     # sense is one scan of the medium: busy iff the idle edge lies ahead.
 
     def _timer(self, at: int, fn) -> None:
-        self.kernel.schedule(Event(at, self.vid, EventKind.TIMER, fn))
+        self.kernel.at(at, self.vid, EventKind.TIMER, fn)
 
-    def _sense(self) -> None:
+    def _sense(self, _payload=None) -> None:
         now = self.kernel.now
         idle = self.medium.idle_from(self.vid, now)
         if idle > now:
@@ -76,7 +76,7 @@ class CsmaMac:
         else:
             self._transmit()
 
-    def _on_idle_edge(self, ev: Event) -> None:
+    def _on_idle_edge(self, _payload) -> None:
         now = self.kernel.now
         idle = self.medium.idle_from(self.vid, now)
         if idle > now:
@@ -84,18 +84,15 @@ class CsmaMac:
             self._timer(idle, self._on_idle_edge)
             return
         backoff = uniform(self.rng, 0, self.cfg.cw_slots - 1) * self.cfg.backoff_slot_ns
-        self._timer(now + backoff, self._on_backoff_expired)
-
-    def _on_backoff_expired(self, ev: Event) -> None:
-        # sensed like a fresh frame: if busy again, wait for the new idle edge
-        # and draw a fresh backoff there
-        self._sense()
+        # at expiry the frame is sensed like a fresh one: if busy again, wait
+        # for the new idle edge and draw a fresh backoff there
+        self._timer(now + backoff, self._sense)
 
     def _transmit(self) -> None:
         tx = self.medium.broadcast(self.vid, self.queue[0])
         self._timer(tx.end, self._on_tx_done)
 
-    def _on_tx_done(self, ev: Event) -> None:
+    def _on_tx_done(self, _payload) -> None:
         self.queue.popleft()
         self.frames_transmitted += 1
         if self.queue:

@@ -1,9 +1,12 @@
-"""Deterministic discrete-event core: integer-ns clock, ordered queue, seeded streams."""
+"""Deterministic discrete-event core: integer-ns clock, ordered queue, seeded streams.
+
+An event is the plain heap tuple (fire_at, seq, fn, payload, target, kind);
+dispatching it sets the clock and `Kernel.seq` and calls fn(payload).
+"""
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from enum import Enum, auto
 from typing import Any, Callable
 
@@ -23,18 +26,6 @@ class EventKind(Enum):
     APP_TICK = auto()
 
 
-@dataclass(slots=True)
-class Event:
-    """A scheduled occurrence. `seq` is assigned by the kernel and breaks ties."""
-
-    fire_at: int
-    target: int
-    kind: EventKind
-    fn: Callable[["Event"], None]
-    payload: Any = None
-    seq: int = -1
-
-
 class Kernel:
     """Single-threaded event loop over a (fire_at, seq) min-heap.
 
@@ -44,7 +35,8 @@ class Kernel:
 
     def __init__(self, trace: bool = False):
         self.now: int = 0
-        self._heap: list[tuple[int, int, Event]] = []
+        self.seq: int = -1          # seq of the event being dispatched
+        self._heap: list[tuple[int, int, Callable[[Any], None], Any, int, EventKind]] = []
         self._seq = 0
         self.trace_enabled = trace
         self.trace: list[tuple[int, int, int, str]] = []
@@ -54,25 +46,30 @@ class Kernel:
         """The seq the next scheduled event gets; earlier events have smaller ones."""
         return self._seq
 
-    def schedule(self, event: Event) -> Event:
-        if event.fire_at < self.now:
-            raise ValueError(
-                f"cannot schedule event at {event.fire_at} ns before now={self.now} ns"
-            )
-        event.seq = self._seq
-        self._seq += 1
-        heapq.heappush(self._heap, (event.fire_at, event.seq, event))
-        return event
+    def at(self, fire_at: int, target: int, kind: EventKind,
+           fn: Callable[[Any], None], payload: Any = None) -> int:
+        """Schedule fn(payload) at fire_at on behalf of target; returns its seq."""
+        if fire_at < self.now:
+            raise ValueError(f"cannot schedule event at {fire_at} ns before now={self.now} ns")
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (fire_at, seq, fn, payload, target, kind))
+        return seq
 
     def run_until(self, end: int) -> int:
-        while self._heap and self._heap[0][0] <= end:
-            fire_at, _seq, ev = heapq.heappop(self._heap)
+        if end < self.now:
+            raise ValueError(f"cannot run until {end} ns before now={self.now} ns")
+        heap, pop = self._heap, heapq.heappop
+        trace = self.trace if self.trace_enabled else None
+        while heap and heap[0][0] <= end:
+            fire_at, seq, fn, payload, target, kind = pop(heap)
             self.now = fire_at
-            if self.trace_enabled:
-                self.trace.append((fire_at, ev.seq, ev.target, ev.kind.name))
-            ev.fn(ev)
+            self.seq = seq
+            if trace is not None:
+                trace.append((fire_at, seq, target, kind.name))
+            fn(payload)
         self.now = end
-        return self.now
+        return end
 
 
 def uniform(rng: np.random.Generator, lo: int, hi: int) -> int:

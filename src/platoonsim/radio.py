@@ -29,7 +29,7 @@ from itertools import islice
 from typing import Callable
 
 from .frames import Frame, FrameKind
-from .kernel import Event, EventKind, Kernel, SEC
+from .kernel import EventKind, Kernel, SEC
 
 
 @dataclass(slots=True, frozen=True)
@@ -200,13 +200,13 @@ class Medium:
             # an allocation acts at once (it arms slots), so it is delivered
             for vid, delay in islice(self._hears[sender].items(), 1, None):
                 if vid in self.handlers:
-                    self.kernel.schedule(Event(end + delay, vid, EventKind.FRAME_DELIVERY,
-                                               self._deliver, payload=tx))
+                    self.kernel.at(end + delay, vid, EventKind.FRAME_DELIVERY,
+                                   self._deliver, (tx, vid))
         return tx
 
-    def _deliver(self, ev: Event) -> None:
-        tx = ev.payload
-        self.handlers[ev.target](tx.frame, bool(tx.hit & self._bit[ev.target]))
+    def _deliver(self, payload: tuple[Transmission, int]) -> None:
+        tx, vid = payload
+        self.handlers[vid](tx.frame, bool(tx.hit & self._bit[vid]))
 
     def finalize(self) -> None:
         """Count each transmission's collided receptions, once, at run end.
@@ -230,17 +230,16 @@ class Medium:
 
     # -- reading receptions from the log ---------------------------------------
 
-    def _heard(self, tx: Transmission, listener: int, delay: int, seq: int) -> bool:
-        """Whether tx reached listener clean by the reading event with kernel seq `seq`.
+    @staticmethod
+    def _heard(tx: Transmission, bit: int, arrival: int, now: int, seq: int) -> bool:
+        """Whether tx reached the listener with `bit` clean at `arrival`, as of now.
 
-        It counts what a per-reception event would have delivered by then: an
-        arrival before now, or at now from a broadcast made before the reading
-        event was scheduled. The listener must be a receiver of tx, and the
-        reception is clean unless its bit is in tx's interferer mask.
+        It counts what a per-reception event would have delivered by the reading
+        event with kernel seq `seq`: an arrival before now, or at now from a
+        broadcast made before the reading event was scheduled. The listener
+        must be a receiver of tx, and the reception is clean unless its bit is
+        in tx's interferer mask.
         """
-        bit = self._bit[listener]
-        arrival = tx.end + delay
-        now = self.kernel.now
         return (tx.receivers & bit != 0 and not tx.hit & bit
                 and (arrival < now or (arrival == now and tx.kernel_seq <= seq)))
 
@@ -252,9 +251,10 @@ class Medium:
         in broadcast order. A vehicle never receives its own frames.
         """
         hears = self._hears.get(listener, {})
+        bit, now, heard = self._bit.get(listener, 0), self.kernel.now, self._heard
         return [tx.frame for tx in self.log[bisect_left(self._starts, since):]
                 if tx.frame.kind is kind and tx.sender in hears
-                and self._heard(tx, listener, hears[tx.sender], seq)]
+                and heard(tx, bit, tx.end + hears[tx.sender], now, seq)]
 
     def last_clean_arrival(self, listener: int, sender: int, after: int,
                            seq: int) -> int | None:
@@ -266,11 +266,13 @@ class Medium:
         delay = self._hears.get(sender, {}).get(listener)
         if delay is None or listener == sender:
             return None
+        bit, now = self._bit[listener], self.kernel.now
         for tx in reversed(self._sent.get(sender, ())):
-            if tx.end + delay <= after:
+            arrival = tx.end + delay
+            if arrival <= after:
                 break
-            if self._heard(tx, listener, delay, seq):
-                return tx.end + delay
+            if self._heard(tx, bit, arrival, now, seq):
+                return arrival
         return None
 
     # -- carrier sense -------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 
 from .csma import CsmaConfig, CsmaMac
 from .frames import ANNOUNCE_SIZE, Frame, FrameKind, NodeType, PRIO_SAFETY
-from .kernel import Event, EventKind, Kernel, MS, RngStreams, SEC
+from .kernel import EventKind, Kernel, MS, RngStreams, SEC
 from .radio import Medium, Position, RadioConfig, tx_duration
 from .tsnctl import EVAL_GUARD, TsnCtl, WindowConfig
 
@@ -112,10 +112,9 @@ class ItsService:
         self.generated = 0
 
     def start(self) -> None:
-        self.kernel.schedule(Event(self.spec.spawn_at, self.spec.vid,
-                                   EventKind.APP_TICK, self._tick))
+        self.kernel.at(self.spec.spawn_at, self.spec.vid, EventKind.APP_TICK, self._tick)
 
-    def _tick(self, ev: Event) -> None:
+    def _tick(self, _payload) -> None:
         now = self.kernel.now
         if now >= self.cfg.sim_duration_ns:
             return
@@ -130,8 +129,8 @@ class ItsService:
         self.seq += 1
         self.generated += 1
         self.submit(frame)
-        self.kernel.schedule(Event(now + self.cfg.message_interval_ns, self.spec.vid,
-                                   EventKind.APP_TICK, self._tick))
+        self.kernel.at(now + self.cfg.message_interval_ns, self.spec.vid,
+                       EventKind.APP_TICK, self._tick)
 
 
 @dataclass(slots=True)
@@ -157,8 +156,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int, *, trace: bool = False) -> RunR
     macs: dict[int, CsmaMac] = {}
     controllers: dict[int, TsnCtl] = {}
 
-    def spawn(ev: Event) -> None:
-        spec: VehicleSpec = ev.payload
+    def spawn(spec: VehicleSpec) -> None:
         rng = streams.stream(VEHICLE_STREAM_BASE + spec.vid)
         if cfg.mode == MODE_BASELINE:
             mac = CsmaMac(spec.vid, kernel, medium, cfg.csma, rng)
@@ -176,7 +174,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int, *, trace: bool = False) -> RunR
         service.start()
 
     for spec in specs:
-        kernel.schedule(Event(spec.spawn_at, spec.vid, EventKind.SPAWN, spawn, spec))
+        kernel.at(spec.spawn_at, spec.vid, EventKind.SPAWN, spawn, spec)
 
     kernel.run_until(cfg.sim_duration_ns)
     medium.finalize()

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum, auto
+from enum import IntEnum, auto
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .frames import (
     make_allocation,
     make_announce,
 )
-from .kernel import Event, EventKind, Kernel, MS, uniform
+from .kernel import EventKind, Kernel, MS, uniform
 from .radio import Medium, tx_duration
 
 # Processing guard after a slot boundary: lets in-flight deliveries (at most
@@ -57,13 +57,15 @@ class ProtocolError(RuntimeError):
     """An FSM event fired in a state where it is not legal."""
 
 
-class Status(Enum):
+# IntEnum for a C-level hash in the LEGAL_EDGES lookup. Members of different
+# classes compare equal as ints, so compare members with `is`.
+class Status(IntEnum):
     INIT = auto()
     JOINING = auto()
     IN_PLATOON = auto()
 
 
-class Role(Enum):
+class Role(IntEnum):
     SLAVE = auto()
     MASTER = auto()
 
@@ -74,7 +76,7 @@ class FsmState:
     role: Role
 
 
-class FsmEvent(Enum):
+class FsmEvent(IntEnum):
     WINDOW_START = auto()
     SLOT0_END = auto()
     SLOT1_END = auto()
@@ -195,12 +197,6 @@ class WindowConfig:
 def slot_count(cfg: WindowConfig) -> int:
     """Number of whole slots per window; a non-dividing tail goes unused."""
     return cfg.window_ns // cfg.slot_len_ns
-
-
-def slot_origin(epoch: int, index: int, cfg: WindowConfig) -> int:
-    if not 0 <= index < slot_count(cfg):
-        raise ValueError(f"slot index {index} out of range [0, {slot_count(cfg)})")
-    return epoch + index * cfg.slot_len_ns
 
 
 def announce_offset(rng: np.random.Generator, cfg: WindowConfig, tx_dur: int) -> int:
@@ -345,7 +341,7 @@ class TsnCtl:
         self.announce_skips = 0
 
         first = (kernel.now // wcfg.window_ns + 1) * wcfg.window_ns
-        kernel.schedule(Event(first, vid, EventKind.TIMER, self._on_window_start))
+        kernel.at(first, vid, EventKind.TIMER, self._on_window_start)
 
     # -- public surface ------------------------------------------------------
 
@@ -367,9 +363,9 @@ class TsnCtl:
     # -- window machinery -------------------------------------------------------
 
     def _timer(self, at: int, fn, payload=None) -> None:
-        self.kernel.schedule(Event(at, self.vid, EventKind.TIMER, fn, payload))
+        self.kernel.at(at, self.vid, EventKind.TIMER, fn, payload)
 
-    def _on_window_start(self, ev: Event) -> None:
+    def _on_window_start(self, _payload) -> None:
         w = self.kernel.now
         self.epoch = w
         self._alloc_sent = False
@@ -377,7 +373,7 @@ class TsnCtl:
         self.pending_schedule = None
 
         if self.state.status is Status.IN_PLATOON:
-            if self.state.role is Role.SLAVE and self._master_silent(ev):
+            if self.state.role is Role.SLAVE and self._master_silent():
                 self._step(FsmEvent.MASTER_LOST)
                 self._reset_membership()
             else:
@@ -394,18 +390,18 @@ class TsnCtl:
 
         self._timer(w + self.wcfg.window_ns, self._on_window_start)
 
-    def _master_silent(self, ev: Event) -> bool:
+    def _master_silent(self) -> bool:
         """No clean frame of the master for the timeout, counted from creation."""
         if self.master_id is None:
             return True
-        since = ev.fire_at - MASTER_TIMEOUT_WINDOWS * self.wcfg.window_ns
+        since = self.kernel.now - MASTER_TIMEOUT_WINDOWS * self.wcfg.window_ns
         return (self.created_at <= since and self.medium.last_clean_arrival(
-            self.vid, self.master_id, since, ev.seq) is None)
+            self.vid, self.master_id, since, self.kernel.seq) is None)
 
-    def _announces(self, ev: Event) -> list[Frame]:
-        """The clean announces heard since this window started, as of ev."""
+    def _announces(self) -> list[Frame]:
+        """The clean announces heard since this window started, as of this event."""
         return self.medium.clean_receptions(self.vid, FrameKind.CONTROL_ANNOUNCE,
-                                            self.epoch, ev.seq)
+                                            self.epoch, self.kernel.seq)
 
     def _reset_membership(self) -> None:
         self.schedule = None
@@ -422,8 +418,8 @@ class TsnCtl:
         off = announce_offset(self.rng, self.wcfg, dur)
         self._timer(w + off, self._try_announce, w)
 
-    def _try_announce(self, ev: Event) -> None:
-        if self.state.status is not Status.JOINING or ev.payload != self.epoch:
+    def _try_announce(self, w: int) -> None:
+        if self.state.status is not Status.JOINING or w != self.epoch:
             return
         if self.medium.is_busy(self.vid, self.kernel.now):
             self.announce_skips += 1
@@ -434,15 +430,14 @@ class TsnCtl:
 
     # -- end of slot 0: election -------------------------------------------------
 
-    def _on_slot0_end(self, ev: Event) -> None:
-        if self.state.status is not Status.JOINING or ev.payload != self.epoch:
+    def _on_slot0_end(self, w: int) -> None:
+        if self.state.status is not Status.JOINING or w != self.epoch:
             return
-        w = ev.payload
-        neighbours = self._announces(ev)
+        neighbours = self._announces()
         candidates = {self.vid: self.created_at}
         for a in neighbours:
             candidates[a.sender] = a.generated_at
-        if self.master_id is not None and not self._master_silent(ev):
+        if self.master_id is not None and not self._master_silent():
             candidates.setdefault(self.master_id, self.master_ts)
         winner = elect_master(candidates)
 
@@ -473,8 +468,8 @@ class TsnCtl:
             return  # allocation cannot fit slot 1 for this member count
         self._timer(uniform(self.rng, lo, hi), self._try_alloc, w)
 
-    def _try_alloc(self, ev: Event) -> None:
-        if ev.payload != self.epoch:
+    def _try_alloc(self, w: int) -> None:
+        if w != self.epoch:
             return
         sched = self.pending_schedule
         # a master is forming (JOINING) or refreshing (IN_PLATOON); no edge
@@ -488,10 +483,10 @@ class TsnCtl:
         self._alloc_sent = True
         if self.state.status is Status.IN_PLATOON:   # a refresh
             self.schedule = sched
-            self._start_burst(1, ev.payload, start=tx.end)
+            self._start_burst(1, w, start=tx.end)
 
-    def _on_slot1_end(self, ev: Event) -> None:
-        if self.state.status is not Status.JOINING or ev.payload != self.epoch:
+    def _on_slot1_end(self, w: int) -> None:
+        if self.state.status is not Status.JOINING or w != self.epoch:
             return
         if self.state.role is Role.MASTER:
             if self._alloc_sent:
@@ -500,7 +495,7 @@ class TsnCtl:
                 self.my_slots = self.schedule[self.vid]
                 self.master_id = self.vid
                 self.master_ts = self.created_at
-                self._arm_slots(ev.payload)
+                self._arm_slots(w)
             else:
                 self._step(FsmEvent.SLOT1_END, "missed")
         else:
@@ -578,18 +573,18 @@ class TsnCtl:
     # -- data slots --------------------------------------------------------------------
 
     def _arm_slots(self, w: int) -> None:
-        now = self.kernel.now
+        now, slot_len = self.kernel.now, self.wcfg.slot_len_ns
         for idx in self.my_slots:
-            at = slot_origin(w, idx, self.wcfg)
+            at = w + idx * slot_len
             if at >= now:
                 self._timer(at, self._on_slot_open, (w, idx, self._slot_gen))
-        slot1 = w + self.wcfg.slot_len_ns + EVAL_GUARD
+        slot1 = w + slot_len + EVAL_GUARD
         if (self.state.status is Status.IN_PLATOON
                 and self.state.role is Role.MASTER and slot1 >= now):
             self._timer(slot1, self._on_master_slot1, w)
 
-    def _on_slot_open(self, ev: Event) -> None:
-        w, idx, gen = ev.payload
+    def _on_slot_open(self, payload: tuple[int, int, int]) -> None:
+        w, idx, gen = payload
         if w != self.epoch or gen != self._slot_gen or idx not in self.my_slots:
             return
         if self.state.status is Status.JOINING and self._confirm_pending:
@@ -601,12 +596,11 @@ class TsnCtl:
             return
         self._start_burst(idx, w, start=self.kernel.now)
 
-    def _on_master_slot1(self, ev: Event) -> None:
-        w = ev.payload
+    def _on_master_slot1(self, w: int) -> None:
         if (w != self.epoch or self.state.status is not Status.IN_PLATOON
                 or self.state.role is not Role.MASTER):
             return
-        announcers = self._announces(ev)
+        announcers = self._announces()
         if announcers:
             requests = [(a.sender, a.slots_requested, a.node_type) for a in announcers]
             sched, rejected = admit(self.schedule, requests, self.wcfg)
@@ -623,16 +617,13 @@ class TsnCtl:
     # is shared control airtime; owned data slots are exclusive and do not.
 
     def _start_burst(self, idx: int, w: int, start: int) -> None:
-        origin = slot_origin(w, idx, self.wcfg)
+        origin = w + idx * self.wcfg.slot_len_ns
         end = origin + self.wcfg.slot_len_ns
         ctx = (w, idx, origin, end, self._slot_gen)
         if start <= self.kernel.now:
             self._burst(ctx)
         else:
-            self._timer(start, self._burst_step, ctx)
-
-    def _burst_step(self, ev: Event) -> None:
-        self._burst(ev.payload)
+            self._timer(start, self._burst, ctx)
 
     def _burst(self, ctx) -> None:
         w, idx, origin, end, gen = ctx
@@ -652,4 +643,4 @@ class TsnCtl:
             self.deferred += len(self.queues)
             return
         self.medium.broadcast(self.vid, self.queues.pop())
-        self._timer(now + dur, self._burst_step, ctx)
+        self._timer(now + dur, self._burst, ctx)

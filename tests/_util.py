@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from platoonsim.kernel import Event, EventKind, Kernel, MS
+from platoonsim.kernel import EventKind, Kernel, MS
 from platoonsim.radio import Medium, Position, RadioConfig
 from platoonsim.tsnctl import TsnCtl, WindowConfig
 
@@ -44,15 +44,14 @@ def assemble_platoon(spawn_times: dict[int, int], offsets: dict[int, int],
     wcfg = WindowConfig(slot_len_ns=slot_ms * MS)
     ctls: dict[int, TsnCtl] = {}
 
-    def spawn(ev: Event) -> None:
-        vid = ev.payload
+    def spawn(vid: int) -> None:
         ctl = TsnCtl(vid, kernel, medium, wcfg, ConstRng(offsets[vid]))
         ctls[vid] = ctl
         pos = (positions or {}).get(vid, Position(float(vid), 0.0))
         medium.register(vid, pos, handler=ctl.on_frame_delivery)
 
     for vid, at in spawn_times.items():
-        kernel.schedule(Event(at, vid, EventKind.SPAWN, spawn, vid))
+        kernel.at(at, vid, EventKind.SPAWN, spawn, vid)
     kernel.run_until(run_ms * MS)
     if finalize:
         medium.finalize()

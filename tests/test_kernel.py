@@ -2,18 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platoonsim.kernel import MS, SEC, US, Event, EventKind, Kernel, RngStreams, uniform
+from platoonsim.kernel import MS, SEC, US, EventKind, Kernel, RngStreams, uniform
 
 
-def _timer(at, fn, target=0):
-    return Event(at, target, EventKind.TIMER, fn)
+def _timer(k, at, fn, target=0):
+    return k.at(at, target, EventKind.TIMER, fn)
 
 
 def test_event_at_now_fires_before_later_event():
     k = Kernel()
     order = []
-    k.schedule(_timer(1, lambda ev: order.append("later")))
-    k.schedule(_timer(0, lambda ev: order.append("now")))
+    _timer(k, 1, lambda _: order.append("later"))
+    _timer(k, 0, lambda _: order.append("now"))
     k.run_until(10)
     assert order == ["now", "later"]
 
@@ -22,7 +22,7 @@ def test_equal_fire_at_processed_in_scheduling_order():
     k = Kernel()
     order = []
     for tag in ("a", "b", "c"):
-        k.schedule(_timer(5, lambda ev, t=tag: order.append(t)))
+        _timer(k, 5, lambda _, t=tag: order.append(t))
     k.run_until(5)
     assert order == ["a", "b", "c"]
 
@@ -36,7 +36,7 @@ def test_run_until_empty_queue_returns_end():
 def test_run_until_processes_event_at_half_second():
     k = Kernel()
     seen = []
-    k.schedule(_timer(SEC // 2, lambda ev: seen.append(k.now)))
+    _timer(k, SEC // 2, lambda _: seen.append(k.now))
     k.run_until(1 * SEC)
     assert seen == [SEC // 2]
 
@@ -44,7 +44,7 @@ def test_run_until_processes_event_at_half_second():
 def test_event_beyond_end_stays_queued():
     k = Kernel()
     seen = []
-    k.schedule(_timer(3 * SEC // 2, lambda ev: seen.append(k.now)))
+    _timer(k, 3 * SEC // 2, lambda _: seen.append(k.now))
     k.run_until(1 * SEC)
     assert seen == []
     k.run_until(2 * SEC)
@@ -55,7 +55,40 @@ def test_scheduling_in_the_past_is_rejected():
     k = Kernel()
     k.run_until(100)
     with pytest.raises(ValueError):
-        k.schedule(_timer(99, lambda ev: None))
+        _timer(k, 99, lambda _: None)
+
+
+def test_run_until_before_now_is_rejected():
+    # rewinding the clock would accept events that fire after later ones
+    k = Kernel()
+    fired = []
+    _timer(k, 10, lambda _: fired.append(10))
+    k.run_until(20)
+    with pytest.raises(ValueError):
+        k.run_until(5)
+    assert k.now == 20
+    with pytest.raises(ValueError):
+        _timer(k, 6, lambda _: fired.append(6))
+    k.run_until(30)
+    assert fired == [10]
+
+
+def test_dispatch_hands_payload_time_and_seq_and_traces_each_event():
+    k = Kernel(trace=True)
+    seen = []
+
+    def record(payload):
+        seen.append((payload, k.now, k.seq))
+
+    a = k.at(7, 3, EventKind.TIMER, record, "a")
+    b = k.at(5, 4, EventKind.SPAWN, record, ("b", 1))
+    c = k.at(7, 5, EventKind.APP_TICK, record, "c")
+    d = k.at(5, 6, EventKind.FRAME_DELIVERY, record)
+    assert [a, b, c, d] == [0, 1, 2, 3]
+    k.run_until(10)
+    assert seen == [(("b", 1), 5, b), (None, 5, d), ("a", 7, a), ("c", 7, c)]
+    assert k.trace == [(5, b, 4, "SPAWN"), (5, d, 6, "FRAME_DELIVERY"),
+                       (7, a, 3, "TIMER"), (7, c, 5, "APP_TICK")]
 
 
 def test_uniform_degenerate_interval():
@@ -106,7 +139,7 @@ def test_distinct_streams_are_independent_of_each_other():
 def test_processed_log_is_totally_ordered(delays):
     k = Kernel(trace=True)
     for d in delays:
-        k.schedule(_timer(d, lambda ev: None))
+        _timer(k, d, lambda _: None)
     k.run_until(2000)
     keys = [(t, seq) for t, seq, _, _ in k.trace]
     assert keys == sorted(keys)
@@ -118,11 +151,11 @@ def test_replay_gives_identical_trace():
         k = Kernel(trace=True)
         rng = RngStreams(11).stream(3)
 
-        def chain(ev):
+        def chain(_):
             if k.now < 10 * MS:
-                k.schedule(_timer(k.now + uniform(rng, 1, 100 * US), chain))
+                _timer(k, k.now + uniform(rng, 1, 100 * US), chain)
 
-        k.schedule(_timer(0, chain))
+        _timer(k, 0, chain)
         k.run_until(10 * MS)
         return k.trace
 

@@ -3,7 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from platoonsim.frames import Frame, FrameKind, make_allocation
-from platoonsim.kernel import Event, EventKind, Kernel, MS, US
+from platoonsim.kernel import EventKind, Kernel, MS, US
 from platoonsim.metrics import brute_force_outcomes
 from platoonsim.radio import Medium, Position, RadioConfig, tx_duration
 
@@ -334,10 +334,10 @@ def _coarse_run(cells, joins, sends, reads):
     # times events run in that order
     delivered = []
     for vid, at in join_at.items():
-        k.schedule(Event(at, vid, EventKind.SPAWN, lambda ev: m.register(
-            ev.target, positions[ev.target],
-            handler=lambda frame, collided, vid=ev.target:
-                delivered.append((vid, frame, collided)))))
+        k.at(at, vid, EventKind.SPAWN, lambda vid: m.register(
+            vid, positions[vid],
+            handler=lambda frame, collided, vid=vid:
+                delivered.append((vid, frame, collided))), vid)
     busy: dict[int, int] = {}
     for vid, at, size, kind in sorted(sends, key=lambda s: s[1]):
         vid %= n
@@ -345,17 +345,17 @@ def _coarse_run(cells, joins, sends, reads):
         if at < max(busy.get(vid, 0), join_at[vid]):
             continue
         busy[vid] = at + tx_duration(size, cfg)
-        k.schedule(Event(at, vid, EventKind.TIMER, lambda ev, size=size, kind=kind:
-                         m.broadcast(ev.target, Frame(kind, ev.target, size, 0))))
+        k.at(at, vid, EventKind.TIMER, lambda vid, size=size, kind=kind:
+             m.broadcast(vid, Frame(kind, vid, size, 0)), vid)
     got = {}
     for i, (at, late, query) in enumerate(reads):
-        def fn(ev, i=i, query=query):
-            got[i] = query(m, ev.seq)
+        def fn(_, i=i, query=query):
+            got[i] = query(m, k.seq)
         if late:
-            k.schedule(Event(at * US, 0, EventKind.TIMER,
-                             lambda ev, fn=fn: k.schedule(Event(k.now, 0, EventKind.TIMER, fn))))
+            k.at(at * US, 0, EventKind.TIMER,
+                 lambda _, fn=fn: k.at(k.now, 0, EventKind.TIMER, fn))
         else:
-            k.schedule(Event(at * US, 0, EventKind.TIMER, fn))
+            k.at(at * US, 0, EventKind.TIMER, fn)
     k.run_until(100 * US)
 
     records = [(tx.sender, tx.start, tx.end) for tx in m.log]
@@ -485,19 +485,21 @@ def _one_frame_read(arrival_offset: int, read_first: bool):
     start = read_at + arrival_offset - tx_duration(800, cfg) - cfg.prop_delay(50.0)
     got = []
 
-    def reads(ev):
-        got.append((m.last_clean_arrival(1, 0, read_at - 300 * MS, ev.seq),
-                    m.clean_receptions(1, FrameKind.CONTROL_ANNOUNCE, 0, ev.seq)))
-    read = Event(read_at, 1, EventKind.TIMER, reads)
+    def reads(_):
+        got.append((m.last_clean_arrival(1, 0, read_at - 300 * MS, k.seq),
+                    m.clean_receptions(1, FrameKind.CONTROL_ANNOUNCE, 0, k.seq)))
 
-    def send(ev):
+    def read():
+        k.at(read_at, 1, EventKind.TIMER, reads)
+
+    def send(_):
         m.broadcast(0, Frame(FrameKind.CONTROL_ANNOUNCE, 0, 800, 0))
         if not read_first:
-            k.schedule(read)
+            read()
 
     if read_first:      # a window-start timer, armed a window earlier
-        k.schedule(read)
-    k.schedule(Event(start, 0, EventKind.TIMER, send))
+        read()
+    k.at(start, 0, EventKind.TIMER, send)
     k.run_until(200 * MS)
     return got[0], read_at + arrival_offset
 

@@ -10,7 +10,7 @@ from platoonsim.frames import (
     NodeType,
     make_allocation,
 )
-from platoonsim.kernel import Event, EventKind, Kernel, MS, US, RngStreams
+from platoonsim.kernel import EventKind, Kernel, MS, US, RngStreams
 from platoonsim.radio import Medium, Position, RadioConfig, tx_duration
 from platoonsim.tsnctl import (
     EVAL_GUARD,
@@ -28,7 +28,6 @@ from platoonsim.tsnctl import (
     check_schedule,
     elect_master,
     slot_count,
-    slot_origin,
     step_fsm,
 )
 
@@ -54,17 +53,6 @@ def test_slot_count_floor_for_non_divisor():
 def test_window_equal_to_slot_rejected():
     with pytest.raises(ValueError):
         WindowConfig(window_ns=2 * MS, slot_len_ns=2 * MS).validate()
-
-
-def test_slot_origin_values():
-    assert slot_origin(0, 0, W2) == 0
-    assert slot_origin(100 * MS, 2, W2) == 104 * MS
-    assert slot_origin(0, 49, W2) == 98 * MS
-
-
-def test_slot_origin_out_of_range():
-    with pytest.raises(ValueError):
-        slot_origin(0, 50, W2)
 
 
 # -- announce offsets -----------------------------------------------------------
@@ -343,6 +331,23 @@ def test_two_vehicles_form_a_platoon():
     assert ctls[1].master_id == 0
 
 
+def test_data_frames_start_at_their_slot_origin():
+    # slots 2, 3 and 4 of the window at 300 ms open at 304, 306 and 308 ms; the
+    # master's first frame goes out in slot 1, after the evaluation guard
+    kernel, medium, ctls = assemble_platoon({0: 0, 1: 1 * MS, 2: 2 * MS},
+                                            {0: 0, 1: 300 * US, 2: 600 * US},
+                                            run_ms=250, finalize=False)
+    assert [ctls[v].my_slots for v in ctls] == [range(2, 3), range(3, 4), range(4, 5)]
+    for vid in ctls:
+        ctls[vid].enqueue_app_message(_data(vid, seq=0), 0)
+    ctls[0].enqueue_app_message(_data(0, seq=1), 0)
+    kernel.run_until(400 * MS)
+    starts = [(tx.sender, tx.frame.seq, tx.start) for tx in medium.log
+              if tx.frame.kind is FrameKind.DATA]
+    assert starts == [(0, 0, 302 * MS + EVAL_GUARD), (0, 1, 304 * MS),
+                      (1, 0, 306 * MS), (2, 0, 308 * MS)]
+
+
 def test_announce_lands_in_slot_zero_at_requested_offset():
     _, medium, _ = assemble_platoon({0: 0, 1: 1 * MS}, {0: 0, 1: 300 * US})
     announces = [tx for tx in medium.log if tx.frame.kind is FrameKind.CONTROL_ANNOUNCE]
@@ -444,12 +449,12 @@ def test_master_loss_reverts_slave_to_init_and_rejoin():
     medium = Medium(kernel, RadioConfig())
     ctls = {}
 
-    def spawn(ev):
+    def spawn(_):
         ctl = TsnCtl(5, kernel, medium, W2, ConstRng(0))
         medium.register(5, Position(0.0, 0.0), handler=ctl.on_frame_delivery)
         ctls[5] = ctl
 
-    kernel.schedule(Event(10 * MS, 5, EventKind.SPAWN, spawn))
+    kernel.at(10 * MS, 5, EventKind.SPAWN, spawn)
     kernel.run_until(100 * MS + 2 * MS + EVAL_GUARD + 1)   # joining, election done
     ctl = ctls[5]
 
