@@ -243,17 +243,21 @@ class Medium:
         return (tx.receivers & bit != 0 and not tx.hit & bit
                 and (arrival < now or (arrival == now and tx.kernel_seq <= seq)))
 
-    def clean_receptions(self, listener: int, kind: FrameKind, since: int,
-                         seq: int) -> list[Frame]:
-        """Frames of `kind` broadcast at or after `since` that listener heard clean.
+    def transmissions(self, kind: FrameKind, since: int) -> list[Transmission]:
+        """The logged transmissions of `kind` that started at or after `since`."""
+        return [tx for tx in self.log[bisect_left(self._starts, since):]
+                if tx.frame.kind is kind]
 
-        Heard as `_heard` reads it, by the reading event with kernel seq `seq`;
-        in broadcast order. A vehicle never receives its own frames.
+    def clean_receptions(self, listener: int, txs: list[Transmission],
+                         seq: int) -> list[Frame]:
+        """The frames of `txs` that listener heard clean, in the order of `txs`.
+
+        Heard as `_heard` reads it, by the reading event with kernel seq `seq`.
+        A vehicle never receives its own frames.
         """
         hears = self._hears.get(listener, {})
         bit, now, heard = self._bit.get(listener, 0), self.kernel.now, self._heard
-        return [tx.frame for tx in self.log[bisect_left(self._starts, since):]
-                if tx.frame.kind is kind and tx.sender in hears
+        return [tx.frame for tx in txs if tx.sender in hears
                 and heard(tx, bit, tx.end + hears[tx.sender], now, seq)]
 
     def last_clean_arrival(self, listener: int, sender: int, after: int,

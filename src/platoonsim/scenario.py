@@ -10,7 +10,7 @@ from .csma import CsmaConfig, CsmaMac
 from .frames import ANNOUNCE_SIZE, Frame, FrameKind, NodeType, PRIO_SAFETY
 from .kernel import EventKind, Kernel, MS, RngStreams, SEC
 from .radio import Medium, Position, RadioConfig, tx_duration
-from .tsnctl import EVAL_GUARD, TsnCtl, WindowConfig
+from .tsnctl import EVAL_GUARD, TsnCtl, WindowClock, WindowConfig
 
 MODE_BASELINE = "baseline"
 MODE_TSNCTL = "tsnctl"
@@ -59,6 +59,8 @@ class ScenarioConfig:
                 raise ValueError(f"unknown mode {self.mode!r}")
             if self.repetitions < 1:
                 raise ValueError("repetitions must be >= 1")
+            if self.seed < 0:
+                raise ValueError(f"seed must be >= 0, got {self.seed}")
             if self.area_length_m < 0:
                 raise ValueError("area_length_m must be >= 0")
             self.csma.validate()
@@ -164,8 +166,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int, *, trace: bool = False) -> RunR
             medium.register(spec.vid, spec.position)
             submit = mac.submit
         else:
-            ctl = TsnCtl(spec.vid, kernel, medium, cfg.window, rng,
-                         node_type=spec.node_type)
+            ctl = TsnCtl(spec.vid, clock, rng, node_type=spec.node_type)
             controllers[spec.vid] = ctl
             medium.register(spec.vid, spec.position, handler=ctl.on_frame_delivery)
             submit = lambda frame, _c=ctl: _c.enqueue_app_message(frame, frame.priority)
@@ -175,6 +176,8 @@ def run_scenario(cfg: ScenarioConfig, seed: int, *, trace: bool = False) -> RunR
 
     for spec in specs:
         kernel.at(spec.spawn_at, spec.vid, EventKind.SPAWN, spawn, spec)
+    # made after the spawns, so one spawned on a boundary joins before the clock's event
+    clock = WindowClock(kernel, medium, cfg.window) if cfg.mode == MODE_TSNCTL else None
 
     kernel.run_until(cfg.sim_duration_ns)
     medium.finalize()

@@ -5,7 +5,9 @@ Slots 0 and 1 are reserved for control traffic: joining vehicles broadcast an
 announce at a random offset inside slot 0, the elected master answers with a
 slot allocation in slot 1, and members then transmit data only inside their
 assigned slots. Election picks the vehicle whose announce carries the earliest
-creation timestamp (ties to the lowest id).
+creation timestamp (ties to the lowest id). All windows lie on one grid: one
+`WindowClock` per run calls every controller at each window start, end of
+slot 0 and end of slot 1, one kernel event per boundary.
 
 The master admits members by one rule, `admit`, both at formation and at each
 refresh that hears newcomers; a member's run of data slots never moves.
@@ -43,7 +45,7 @@ from .frames import (
     make_announce,
 )
 from .kernel import EventKind, Kernel, MS, uniform
-from .radio import Medium, tx_duration
+from .radio import Medium, Transmission, tx_duration
 
 # Processing guard after a slot boundary: lets in-flight deliveries (at most
 # one propagation delay late) land before their slot's content is evaluated.
@@ -305,17 +307,57 @@ class PriorityQueueSet:
 # -- controller ----------------------------------------------------------------
 
 
-class TsnCtl:
-    """One vehicle's controller instance, driven entirely by kernel events."""
+class WindowClock:
+    """Calls its members at each window start, end of slot 0 plus the guard and
+    end of slot 1, one kernel event each, in the order in which per-member
+    timers armed a window ahead would fire: a member acts from the first window
+    start after its creation, and one created on a boundary before the clock's
+    event there goes to the head of the order, any other to the tail."""
 
-    def __init__(self, vid: int, kernel: Kernel, medium: Medium, wcfg: WindowConfig,
-                 rng: np.random.Generator, *, node_type: NodeType = NodeType.CAR,
-                 slots_requested: int = 1):
+    TARGET = -1     # the kernel target of the clock's events; vehicle ids are >= 0
+
+    def __init__(self, kernel: Kernel, medium: Medium, wcfg: WindowConfig):
         wcfg.validate()
-        self.vid = vid
         self.kernel = kernel
         self.medium = medium
         self.wcfg = wcfg
+        self.members: list[TsnCtl] = []
+        self._early: list[TsnCtl] = []      # joined at the pending window start
+        self._next = (kernel.now // wcfg.window_ns + 1) * wcfg.window_ns
+        kernel.at(self._next, self.TARGET, EventKind.TIMER, self._on_window_start, self._next)
+
+    def join(self, ctl: TsnCtl) -> None:
+        (self._early if self.kernel.now == self._next else self.members).append(ctl)
+
+    def _on_window_start(self, w: int) -> None:
+        for ctl in self.members:
+            ctl._on_window_start(w)
+        self.members[:0], self._early = self._early, []
+        self._next = w + self.wcfg.window_ns
+        at, slot = self.kernel.at, self.wcfg.slot_len_ns
+        at(w + slot + EVAL_GUARD, self.TARGET, EventKind.TIMER, self._on_slot0_end, w)
+        at(w + 2 * slot, self.TARGET, EventKind.TIMER, self._on_slot1_end, w)
+        at(self._next, self.TARGET, EventKind.TIMER, self._on_window_start, self._next)
+
+    def _on_slot0_end(self, w: int) -> None:
+        announces = self.medium.transmissions(FrameKind.CONTROL_ANNOUNCE, w)
+        for ctl in self.members:
+            ctl._on_slot0_end(w, announces)
+
+    def _on_slot1_end(self, w: int) -> None:
+        for ctl in self.members:
+            ctl._on_slot1_end(w)
+
+
+class TsnCtl:
+    """One vehicle's controller instance, driven by its clock and kernel events."""
+
+    def __init__(self, vid: int, clock: WindowClock, rng: np.random.Generator, *,
+                 node_type: NodeType = NodeType.CAR, slots_requested: int = 1):
+        self.vid = vid
+        self.kernel = kernel = clock.kernel
+        self.medium = clock.medium
+        self.wcfg = clock.wcfg
         self.rng = rng
         self.node_type = node_type
         self.slots_requested = slots_requested
@@ -332,6 +374,7 @@ class TsnCtl:
         self._alloc_sent = False
         self._alloc_received = False
         self._confirm_pending = False
+        self._in_round = False      # joined this window's formation round at its start
         self._slot_gen = 0          # invalidates armed slot triggers on membership change
 
         self.transitions: list[tuple[FsmState, FsmEvent, str | None, FsmState]] = []
@@ -339,9 +382,7 @@ class TsnCtl:
         self.rejected_joins = 0
         self.join_retries = 0
         self.announce_skips = 0
-
-        first = (kernel.now // wcfg.window_ns + 1) * wcfg.window_ns
-        kernel.at(first, vid, EventKind.TIMER, self._on_window_start)
+        clock.join(self)
 
     # -- public surface ------------------------------------------------------
 
@@ -365,8 +406,7 @@ class TsnCtl:
     def _timer(self, at: int, fn, payload=None) -> None:
         self.kernel.at(at, self.vid, EventKind.TIMER, fn, payload)
 
-    def _on_window_start(self, _payload) -> None:
-        w = self.kernel.now
+    def _on_window_start(self, w: int) -> None:
         self.epoch = w
         self._alloc_sent = False
         self._alloc_received = False
@@ -380,15 +420,12 @@ class TsnCtl:
                 self._step(FsmEvent.WINDOW_START)
                 self._arm_slots(w)
 
-        if self.state.status in (Status.INIT, Status.JOINING):
+        self._in_round = self.state.status in (Status.INIT, Status.JOINING)
+        if self._in_round:
             if self.state.status is Status.JOINING:
                 self.join_retries += 1
             self._step(FsmEvent.WINDOW_START)
             self._schedule_announce(w)
-            self._timer(w + self.wcfg.slot_len_ns + EVAL_GUARD, self._on_slot0_end, w)
-            self._timer(w + 2 * self.wcfg.slot_len_ns, self._on_slot1_end, w)
-
-        self._timer(w + self.wcfg.window_ns, self._on_window_start)
 
     def _master_silent(self) -> bool:
         """No clean frame of the master for the timeout, counted from creation."""
@@ -397,11 +434,6 @@ class TsnCtl:
         since = self.kernel.now - MASTER_TIMEOUT_WINDOWS * self.wcfg.window_ns
         return (self.created_at <= since and self.medium.last_clean_arrival(
             self.vid, self.master_id, since, self.kernel.seq) is None)
-
-    def _announces(self) -> list[Frame]:
-        """The clean announces heard since this window started, as of this event."""
-        return self.medium.clean_receptions(self.vid, FrameKind.CONTROL_ANNOUNCE,
-                                            self.epoch, self.kernel.seq)
 
     def _reset_membership(self) -> None:
         self.schedule = None
@@ -416,10 +448,10 @@ class TsnCtl:
     def _schedule_announce(self, w: int) -> None:
         dur = tx_duration(ANNOUNCE_SIZE, self.medium.cfg)
         off = announce_offset(self.rng, self.wcfg, dur)
-        self._timer(w + off, self._try_announce, w)
+        self._timer(w + off, self._try_announce)
 
-    def _try_announce(self, w: int) -> None:
-        if self.state.status is not Status.JOINING or w != self.epoch:
+    def _try_announce(self, _payload) -> None:
+        if self.state.status is not Status.JOINING:
             return
         if self.medium.is_busy(self.vid, self.kernel.now):
             self.announce_skips += 1
@@ -428,12 +460,20 @@ class TsnCtl:
                               self.slots_requested, self.node_type)
         self.medium.broadcast(self.vid, frame)
 
-    # -- end of slot 0: election -------------------------------------------------
+    # -- end of slot 0: election, or a platoon master's admission ------------------
 
-    def _on_slot0_end(self, w: int) -> None:
-        if self.state.status is not Status.JOINING or w != self.epoch:
+    def _on_slot0_end(self, w: int, announces: list[Transmission]) -> None:
+        leads = self.state.status is Status.IN_PLATOON and self.state.role is Role.MASTER
+        if not (self._in_round or leads):
             return
-        neighbours = self._announces()
+        neighbours = self.medium.clean_receptions(self.vid, announces, self.kernel.seq)
+        if leads:
+            if neighbours:
+                requests = [(a.sender, a.slots_requested, a.node_type) for a in neighbours]
+                self._schedule_alloc_tx(w, self.schedule, requests)
+            else:
+                self._start_burst(1, w, start=self.kernel.now)
+            return
         candidates = {self.vid: self.created_at}
         for a in neighbours:
             candidates[a.sender] = a.generated_at
@@ -453,14 +493,16 @@ class TsnCtl:
             return
         requests = [(a.sender, a.slots_requested, a.node_type) for a in neighbours]
         requests.append((self.vid, self.slots_requested, self.node_type))
-        sched, rejected = admit({}, requests, self.wcfg)
-        self.rejected_joins += len(rejected)
-        self.pending_schedule = sched
-        self._schedule_alloc_tx(w, sched)
+        self._schedule_alloc_tx(w, {}, requests)
 
     # -- slot 1: allocation --------------------------------------------------------
 
-    def _schedule_alloc_tx(self, w: int, sched: dict[int, range]) -> None:
+    def _schedule_alloc_tx(self, w: int, base: dict[int, range],
+                           requests: list[tuple[int, int, NodeType]]) -> None:
+        """Admit the requesters into base and time its allocation inside slot 1."""
+        sched, rejected = admit(base, requests, self.wcfg)
+        self.rejected_joins += len(rejected)
+        self.pending_schedule = sched
         dur = tx_duration(allocation_size(len(sched)), self.medium.cfg)
         lo = w + self.wcfg.slot_len_ns + EVAL_GUARD
         hi = w + 2 * self.wcfg.slot_len_ns - dur - EVAL_GUARD
@@ -469,8 +511,6 @@ class TsnCtl:
         self._timer(uniform(self.rng, lo, hi), self._try_alloc, w)
 
     def _try_alloc(self, w: int) -> None:
-        if w != self.epoch:
-            return
         sched = self.pending_schedule
         # a master is forming (JOINING) or refreshing (IN_PLATOON); no edge
         # leads to INIT as a master
@@ -486,7 +526,7 @@ class TsnCtl:
             self._start_burst(1, w, start=tx.end)
 
     def _on_slot1_end(self, w: int) -> None:
-        if self.state.status is not Status.JOINING or w != self.epoch:
+        if not self._in_round:
             return
         if self.state.role is Role.MASTER:
             if self._alloc_sent:
@@ -578,10 +618,6 @@ class TsnCtl:
             at = w + idx * slot_len
             if at >= now:
                 self._timer(at, self._on_slot_open, (w, idx, self._slot_gen))
-        slot1 = w + slot_len + EVAL_GUARD
-        if (self.state.status is Status.IN_PLATOON
-                and self.state.role is Role.MASTER and slot1 >= now):
-            self._timer(slot1, self._on_master_slot1, w)
 
     def _on_slot_open(self, payload: tuple[int, int, int]) -> None:
         w, idx, gen = payload
@@ -595,20 +631,6 @@ class TsnCtl:
         else:
             return
         self._start_burst(idx, w, start=self.kernel.now)
-
-    def _on_master_slot1(self, w: int) -> None:
-        if (w != self.epoch or self.state.status is not Status.IN_PLATOON
-                or self.state.role is not Role.MASTER):
-            return
-        announcers = self._announces()
-        if announcers:
-            requests = [(a.sender, a.slots_requested, a.node_type) for a in announcers]
-            sched, rejected = admit(self.schedule, requests, self.wcfg)
-            self.rejected_joins += len(rejected)
-            self.pending_schedule = sched
-            self._schedule_alloc_tx(w, sched)
-        else:
-            self._start_burst(1, w, start=self.kernel.now)
 
     # The burst walks the priority queues and transmits back-to-back until the
     # next frame would cross the slot boundary. A frame that cannot fit any

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from platoonsim.kernel import EventKind, Kernel, MS
 from platoonsim.radio import Medium, Position, RadioConfig
-from platoonsim.tsnctl import TsnCtl, WindowConfig
+from platoonsim.tsnctl import TsnCtl, WindowClock, WindowConfig
 
 
 class ConstRng:
@@ -41,11 +41,11 @@ def assemble_platoon(spawn_times: dict[int, int], offsets: dict[int, int],
     """
     kernel = Kernel()
     medium = Medium(kernel, radio or RadioConfig())
-    wcfg = WindowConfig(slot_len_ns=slot_ms * MS)
+    clock = WindowClock(kernel, medium, WindowConfig(slot_len_ns=slot_ms * MS))
     ctls: dict[int, TsnCtl] = {}
 
     def spawn(vid: int) -> None:
-        ctl = TsnCtl(vid, kernel, medium, wcfg, ConstRng(offsets[vid]))
+        ctl = TsnCtl(vid, clock, ConstRng(offsets[vid]))
         ctls[vid] = ctl
         pos = (positions or {}).get(vid, Position(float(vid), 0.0))
         medium.register(vid, pos, handler=ctl.on_frame_delivery)

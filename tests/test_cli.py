@@ -83,6 +83,15 @@ def test_degenerate_window_exits_2(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 2
 
 
+def test_negative_seed_exits_2_naming_the_key(tmp_path, capsys):
+    cfg = _write(tmp_path, GOOD_CONFIG)
+    assert main(["run", "--config", str(cfg), "--seed", "-1"]) == 2
+    assert "config error: seed must be >= 0" in capsys.readouterr().err
+    cfg = _write(tmp_path, GOOD_CONFIG.replace("seed = 7", "seed = -1"))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "config error: seed must be >= 0" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
 

@@ -3,7 +3,12 @@
 Each grid point runs one seeded scenario, once, and compares the sha256 of its
 transmission log, the sha256 of its per-transmission reception accounting and
 a few counts against `golden_digests.json`. The grid covers both modes, 1/2/3 ms
-slots, two seeds, a 2 s run and a run cut off mid-window (frames in flight).
+slots, two seeds, a 2 s run and a run cut off mid-window (frames in flight),
+plus two tsnctl points whose vehicles spawn every 50 ms, so every other one is
+created on a window boundary, where it joins the window clock ahead of that
+boundary's event. On the second, a 1 km road holds several platoons, whose
+members' data slots coincide, so the order in which the clock calls its
+members shows in the order of same-instant transmissions.
 Each point has two keys: `rec0` hashes the accounting line alone (the
 receiver count twice, which keeps the fixture's layout, then the collided
 count), and `rec1` appends to each line its per-receiver outcomes, as
@@ -37,14 +42,18 @@ FIXTURE = Path(__file__).with_name("golden_digests.json")
 DURATIONS = (2_000_000_000, 1_910_543_210)
 
 
-def _grid() -> list[tuple[str, str, int, int, int]]:
+def _grid() -> list[tuple[str, str, int, int, int, dict]]:
     points = []
     for mode, slots in ((MODE_TSNCTL, (1, 2, 3)), (MODE_BASELINE, (2,))):
         for slot_ms in slots:
             for seed in (1, 2):
                 for duration in DURATIONS:
                     points.append((f"{mode}-{slot_ms}ms-seed{seed}-{duration}ns",
-                                   mode, slot_ms, seed, duration))
+                                   mode, slot_ms, seed, duration, {}))
+    spawn50 = {"spawn_interval_ns": 50 * MS}
+    for suffix, extra in (("", spawn50), ("-area1000m", {**spawn50, "area_length_m": 1000.0})):
+        points.append((f"{MODE_TSNCTL}-2ms-seed1-{DURATIONS[0]}ns-spawn50ms{suffix}",
+                       MODE_TSNCTL, 2, 1, DURATIONS[0], extra))
     return points
 
 
@@ -52,11 +61,15 @@ def _keys() -> list[str]:
     return [f"{point[0]}-rec{record}" for point in _grid() for record in (0, 1)]
 
 
-def digests(mode: str, slot_ms: int, seed: int, duration: int, tmp: Path) -> list[dict]:
-    """The rec0 and rec1 digests of one grid point, from a single run."""
+def digests(mode: str, slot_ms: int, seed: int, duration: int, extra: dict,
+            tmp: Path) -> list[dict]:
+    """The rec0 and rec1 digests of one grid point, from a single run.
+
+    `extra` holds the point's ScenarioConfig fields beyond the common ones.
+    """
     cfg = ScenarioConfig(vehicle_count=20, mode=mode, sim_duration_ns=duration,
                          seed=seed, repetitions=1,
-                         window=WindowConfig(slot_len_ns=slot_ms * MS))
+                         window=WindowConfig(slot_len_ns=slot_ms * MS), **extra)
     run = run_scenario(cfg, seed)
     log = tmp / "transmissions.log"
     write_transmission_log(run, log)

@@ -464,7 +464,8 @@ def test_clean_receptions_match_brute_force(cells, joins, sends, reads):
     m, flags, delay, got, _ = _coarse_run(
         cells, joins, sends,
         [(at, late, lambda m, seq, listener=listener, since=since:
-          m.clean_receptions(listener, FrameKind.CONTROL_ANNOUNCE, since, seq))
+          m.clean_receptions(listener, m.transmissions(FrameKind.CONTROL_ANNOUNCE, since),
+                             seq))
          for listener, at, since, late in reads])
     want = [[tx.frame for tx, f in zip(m.log, flags)
              if tx.frame.kind is FrameKind.CONTROL_ANNOUNCE and tx.start >= since
@@ -487,7 +488,8 @@ def _one_frame_read(arrival_offset: int, read_first: bool):
 
     def reads(_):
         got.append((m.last_clean_arrival(1, 0, read_at - 300 * MS, k.seq),
-                    m.clean_receptions(1, FrameKind.CONTROL_ANNOUNCE, 0, k.seq)))
+                    m.clean_receptions(1, m.transmissions(FrameKind.CONTROL_ANNOUNCE, 0),
+                                       k.seq)))
 
     def read():
         k.at(read_at, 1, EventKind.TIMER, reads)

@@ -10,8 +10,9 @@ from platoonsim.frames import (
     NodeType,
     make_allocation,
 )
-from platoonsim.kernel import EventKind, Kernel, MS, US, RngStreams
+from platoonsim.kernel import EventKind, Kernel, MS, SEC, US, RngStreams
 from platoonsim.radio import Medium, Position, RadioConfig, tx_duration
+from platoonsim.scenario import ScenarioConfig, run_scenario
 from platoonsim.tsnctl import (
     EVAL_GUARD,
     FsmEvent,
@@ -22,6 +23,7 @@ from platoonsim.tsnctl import (
     Role,
     Status,
     TsnCtl,
+    WindowClock,
     WindowConfig,
     admit,
     announce_offset,
@@ -429,12 +431,13 @@ def test_newcomer_admitted_with_lowest_free_slot_same_window():
 def test_full_schedule_rejects_newcomer_and_counts_it():
     kernel = Kernel()
     medium = Medium(kernel, RadioConfig())
-    wcfg = WindowConfig(window_ns=8 * MS, slot_len_ns=2 * MS)   # one data slot pair
-    ctl = TsnCtl(0, kernel, medium, wcfg, ConstRng(0))
+    clock = WindowClock(kernel, medium,
+                        WindowConfig(window_ns=8 * MS, slot_len_ns=2 * MS))   # one data slot pair
+    ctl = TsnCtl(0, clock, ConstRng(0))
     medium.register(0, Position(0.0, 0.0), handler=ctl.on_frame_delivery)
-    other = TsnCtl(1, kernel, medium, wcfg, ConstRng(300_000))
+    other = TsnCtl(1, clock, ConstRng(300_000))
     medium.register(1, Position(10.0, 0.0), handler=other.on_frame_delivery)
-    late = TsnCtl(2, kernel, medium, wcfg, ConstRng(600_000))
+    late = TsnCtl(2, clock, ConstRng(600_000))
     medium.register(2, Position(20.0, 0.0), handler=late.on_frame_delivery)
     kernel.run_until(200 * MS)
     # 4 slots: 2 control + 2 data, so the third vehicle can never fit
@@ -447,10 +450,11 @@ def test_full_schedule_rejects_newcomer_and_counts_it():
 def test_master_loss_reverts_slave_to_init_and_rejoin():
     kernel = Kernel()
     medium = Medium(kernel, RadioConfig())
+    clock = WindowClock(kernel, medium, W2)
     ctls = {}
 
     def spawn(_):
-        ctl = TsnCtl(5, kernel, medium, W2, ConstRng(0))
+        ctl = TsnCtl(5, clock, ConstRng(0))
         medium.register(5, Position(0.0, 0.0), handler=ctl.on_frame_delivery)
         ctls[5] = ctl
 
@@ -481,7 +485,7 @@ def test_master_loss_reverts_slave_to_init_and_rejoin():
 def test_collided_control_frames_are_ignored():
     kernel = Kernel()
     medium = Medium(kernel, RadioConfig())
-    ctl = TsnCtl(5, kernel, medium, W2, ConstRng(0))
+    ctl = TsnCtl(5, WindowClock(kernel, medium, W2), ConstRng(0))
     medium.register(5, Position(0.0, 0.0), handler=ctl.on_frame_delivery)
     kernel.run_until(100 * MS + 1 * MS)
     alloc = make_allocation(sender=99, generated_at=0, allocations={5: range(2, 3)})
@@ -500,3 +504,72 @@ def test_earlier_timestamp_allocation_supersedes_master():
     master.on_frame_delivery(alloc, False)
     assert master.state == FsmState(Status.JOINING, Role.SLAVE)
     assert master.master_id == 42
+
+
+# -- window clock ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("vehicles", [5, 20])
+def test_clock_raises_one_timer_per_window_boundary(vehicles):
+    cfg = ScenarioConfig(vehicle_count=vehicles, sim_duration_ns=1 * SEC, repetitions=1)
+    run = run_scenario(cfg, 1, trace=True)
+    ticks = [(at, kind) for at, _seq, target, kind in run.medium.kernel.trace
+             if target == WindowClock.TARGET]
+    window, slot, end = cfg.window.window_ns, cfg.window.slot_len_ns, cfg.sim_duration_ns
+    boundaries = sorted(b for w in range(window, end + 1, window)
+                        for b in (w, w + slot + EVAL_GUARD, w + 2 * slot) if b <= end)
+    assert len(boundaries) == 10 + 9 + 9
+    assert ticks == [(b, "TIMER") for b in boundaries]
+    assert len(run.controllers) == vehicles
+
+
+@pytest.mark.parametrize("spawn_first", [True, False], ids=["spawn-first", "clock-first"])
+def test_controller_created_on_a_boundary_first_acts_a_window_later(spawn_first):
+    """Created at t = window, whether before or after the clock's event there.
+
+    One created before that event goes to the head of the clock's call order,
+    where its own window timer, armed a window ahead, used to fire.
+    """
+    kernel = Kernel()
+    medium = Medium(kernel, RadioConfig())
+    window = W2.window_ns
+    ctls = []
+
+    def spawn(vid):
+        ctls.append(TsnCtl(vid, clock, ConstRng(vid * 300 * US)))
+        medium.register(vid, Position(float(vid), 0.0), handler=ctls[-1].on_frame_delivery)
+
+    kernel.at(0, 0, EventKind.SPAWN, spawn, 0)
+    if spawn_first:
+        kernel.at(window, 1, EventKind.SPAWN, spawn, 1)
+    clock = WindowClock(kernel, medium, W2)
+    if not spawn_first:
+        kernel.at(window, 1, EventKind.SPAWN, spawn, 1)
+    kernel.run_until(2 * window - 1)
+    first, late = ctls
+    assert late.created_at == window
+    assert first.epoch == window
+    assert late.epoch == -1 and late.transitions == []
+    kernel.run_until(2 * window)
+    assert late.epoch == 2 * window
+    assert late.transitions[0][1] is FsmEvent.WINDOW_START
+    assert clock.members == ([late, first] if spawn_first else [first, late])
+
+
+def test_vehicles_superseded_in_slot_one_take_no_slot1_end_that_window():
+    """Only the vehicles that announced at the window start close its slot 1."""
+    kernel, medium, ctls = assemble_platoon({0: 10 * MS, 1: 11 * MS}, {0: 0, 1: 300 * US},
+                                            run_ms=302, finalize=False)
+    assert [c.state.status for c in ctls.values()] == [Status.IN_PLATOON] * 2
+    kernel.run_until(302 * MS + 500 * US)               # inside slot 1 of the window at 300 ms
+    medium.register(99, Position(10.0, 0.0))
+    medium.broadcast(99, make_allocation(sender=99, generated_at=0,   # earlier than both
+                                         allocations={99: range(2, 3), 1: range(3, 4)}))
+    kernel.run_until(399 * MS)
+    for ctl in ctls.values():
+        events = [t[1] for t in ctl.transitions]
+        superseded = max(i for i, t in enumerate(ctl.transitions) if t[2] == "superseded")
+        assert FsmEvent.SLOT1_END not in events[superseded:]
+        assert ctl.master_id == 99
+    assert ctls[0].state == FsmState(Status.JOINING, Role.SLAVE)     # unlisted
+    assert ctls[1].state == FsmState(Status.IN_PLATOON, Role.SLAVE)  # listed, slot 3
