@@ -12,10 +12,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from .frames import Frame
-from .kernel import EventKind, Kernel, US, uniform
+from .kernel import EventKind, Kernel, Pcg64, US, uniform
 from .radio import Medium
 
 
@@ -40,7 +38,7 @@ class CsmaMac:
     """Per-vehicle FIFO with the baseline access procedure."""
 
     def __init__(self, vid: int, kernel: Kernel, medium: Medium,
-                 cfg: CsmaConfig, rng: np.random.Generator):
+                 cfg: CsmaConfig, rng: Pcg64):
         cfg.validate()
         self.vid = vid
         self.kernel = kernel

@@ -2,6 +2,10 @@
 
 An event is the plain heap tuple (fire_at, seq, fn, payload, target, kind);
 dispatching it sets the clock and `Kernel.seq` and calls fn(payload).
+
+The seeded streams are the package's own PCG64, bit-identical to numpy's
+`Generator(PCG64(SeedSequence(seed, spawn_key=(entity,))))`, so the output
+depends on no third-party release.
 """
 
 from __future__ import annotations
@@ -9,8 +13,6 @@ from __future__ import annotations
 import heapq
 from enum import Enum, auto
 from typing import Any, Callable
-
-import numpy as np
 
 # Time units, expressed in integer nanoseconds.  All simulated time in this
 # package is integer ns; slot/window arithmetic must never touch floats.
@@ -72,13 +74,95 @@ class Kernel:
         return end
 
 
-def uniform(rng: np.random.Generator, lo: int, hi: int) -> int:
-    """Uniform integer draw in [lo, hi], both ends inclusive."""
-    if lo > hi:
-        raise ValueError(f"uniform: lo={lo} > hi={hi}")
-    if lo == hi:
-        return lo
-    return int(rng.integers(lo, hi, endpoint=True))
+def uniform(rng: Pcg64, lo: int, hi: int) -> int:
+    """Uniform integer draw in [lo, hi], both ends inclusive; ValueError if lo > hi."""
+    return rng.integers(lo, hi, endpoint=True)
+
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(n: int) -> list[int]:
+    """numpy's split of a non-negative int into little-endian uint32 words."""
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    return [n >> shift & _M32 for shift in range(0, n.bit_length() or 1, 32)]
+
+
+def _seed_words(entropy: int, key: int) -> list[int]:
+    """SeedSequence(entropy, spawn_key=(key,)).generate_state(4, uint64)."""
+    run = _words(entropy)
+    # a spawn key follows the run entropy padded to the pool size (4 words)
+    words = run + [0] * (4 - len(run)) + _words(key)
+    h = 0x43B0D7E5
+
+    def hashmix(v: int, mult: int = 0x931E8875) -> int:
+        nonlocal h
+        v = (v ^ h) * (h := h * mult & _M32) & _M32
+        return v ^ v >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    h = 0x8B51F9DD
+    out = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class Pcg64:
+    """PCG64 (XSL-RR 128/64) with numpy's seeding and draw methods.
+
+    `integers` is Lemire's method as numpy's `Generator` runs it: ranges up
+    to 2**32 - 1 use 32-bit halves, keeping the spare high half of a 64-bit
+    output for the next such draw; wider ranges use whole 64-bit outputs.
+    """
+
+    def __init__(self, seed: int, key: int):
+        s0, s1, i0, i1 = _seed_words(seed, key)
+        self._inc = (i0 << 64 | i1) << 1 & _M128 | 1
+        self._state = ((self._inc + (s0 << 64 | s1)) * _PCG_MULT + self._inc) & _M128
+        self._spare: int | None = None
+
+    def next64(self) -> int:
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        x, r = (s >> 64) ^ (s & _M64), s >> 122
+        return (x >> r | x << (64 - r)) & _M64
+
+    def _next32(self) -> int:
+        if (v := self._spare) is not None:
+            self._spare = None
+            return v
+        v = self.next64()
+        self._spare = v >> 32
+        return v & _M32
+
+    def integers(self, low: int, high: int, endpoint: bool = False) -> int:
+        span = high - low - (not endpoint)
+        if not 0 <= span <= _M64:
+            raise ValueError(f"integers: empty or too wide range [{low}, {high}]")
+        if span == 0:
+            return low
+        draw, bits = (self._next32, 32) if span <= _M32 else (self.next64, 64)
+        mask, excl = (1 << bits) - 1, span + 1
+        m = draw() * excl
+        if m & mask < excl:
+            threshold = (1 << bits) % excl
+            while m & mask < threshold:
+                m = draw() * excl
+        return low + (m >> bits)
+
+    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        return low + (high - low) * ((self.next64() >> 11) * 2.0 ** -53)
 
 
 class RngStreams:
@@ -91,6 +175,5 @@ class RngStreams:
     def __init__(self, seed: int):
         self.seed = seed
 
-    def stream(self, entity_id: int) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(entity_id,))
-        return np.random.Generator(np.random.PCG64(ss))
+    def stream(self, entity_id: int) -> Pcg64:
+        return Pcg64(self.seed, entity_id)

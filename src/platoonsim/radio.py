@@ -55,8 +55,10 @@ class RadioConfig:
     def validate(self) -> None:
         if self.data_rate_bps <= 0:
             raise ValueError("data_rate_bps must be > 0")
-        if self.range_m < 0 or self.propagation_mps <= 0:
-            raise ValueError("range_m must be >= 0 and propagation_mps > 0")
+        if not 0 <= self.range_m < math.inf:
+            raise ValueError(f"range_m must be finite and >= 0, got {self.range_m}")
+        if not 0 < self.propagation_mps < math.inf:
+            raise ValueError(f"propagation_mps must be finite and > 0, got {self.propagation_mps}")
         if self.preamble_ns < 0 or self.cca_detect_ns < 0:
             raise ValueError("preamble_ns and cca_detect_ns must be >= 0")
 

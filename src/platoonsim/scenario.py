@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .csma import CsmaConfig, CsmaMac
 from .frames import ANNOUNCE_SIZE, Frame, FrameKind, NodeType, PRIO_SAFETY
-from .kernel import EventKind, Kernel, MS, RngStreams, SEC
+from .kernel import EventKind, Kernel, MS, Pcg64, RngStreams, SEC
 from .radio import Medium, Position, RadioConfig, tx_duration
 from .tsnctl import EVAL_GUARD, TsnCtl, WindowClock, WindowConfig
 
@@ -61,8 +60,8 @@ class ScenarioConfig:
                 raise ValueError("repetitions must be >= 1")
             if self.seed < 0:
                 raise ValueError(f"seed must be >= 0, got {self.seed}")
-            if self.area_length_m < 0:
-                raise ValueError("area_length_m must be >= 0")
+            if not 0 <= self.area_length_m < math.inf:
+                raise ValueError(f"area_length_m must be finite and >= 0, got {self.area_length_m}")
             self.csma.validate()
             self.radio.validate()
             self.window.validate()
@@ -92,11 +91,11 @@ class VehicleSpec:
     node_type: NodeType = NodeType.CAR
 
 
-def build_vehicles(cfg: ScenarioConfig, rng: np.random.Generator) -> list[VehicleSpec]:
+def build_vehicles(cfg: ScenarioConfig, rng: Pcg64) -> list[VehicleSpec]:
     """The i-th vehicle spawns at i*spawn_interval at a uniform x in the area."""
     specs = []
     for i in range(cfg.vehicle_count):
-        x = float(rng.uniform(0.0, cfg.area_length_m))
+        x = rng.uniform(0.0, cfg.area_length_m)
         specs.append(VehicleSpec(i, Position(x, 0.0), i * cfg.spawn_interval_ns))
     return specs
 

@@ -33,8 +33,6 @@ from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum, auto
 
-import numpy as np
-
 from .frames import (
     ANNOUNCE_SIZE,
     Frame,
@@ -44,7 +42,7 @@ from .frames import (
     make_allocation,
     make_announce,
 )
-from .kernel import EventKind, Kernel, MS, uniform
+from .kernel import EventKind, Kernel, MS, Pcg64, uniform
 from .radio import Medium, Transmission, tx_duration
 
 # Processing guard after a slot boundary: lets in-flight deliveries (at most
@@ -201,7 +199,7 @@ def slot_count(cfg: WindowConfig) -> int:
     return cfg.window_ns // cfg.slot_len_ns
 
 
-def announce_offset(rng: np.random.Generator, cfg: WindowConfig, tx_dur: int) -> int:
+def announce_offset(rng: Pcg64, cfg: WindowConfig, tx_dur: int) -> int:
     """Random start offset inside slot 0 such that the frame fits the slot."""
     if tx_dur > cfg.slot_len_ns:
         raise ValueError(
@@ -352,7 +350,7 @@ class WindowClock:
 class TsnCtl:
     """One vehicle's controller instance, driven by its clock and kernel events."""
 
-    def __init__(self, vid: int, clock: WindowClock, rng: np.random.Generator, *,
+    def __init__(self, vid: int, clock: WindowClock, rng: Pcg64, *,
                  node_type: NodeType = NodeType.CAR, slots_requested: int = 1):
         self.vid = vid
         self.kernel = kernel = clock.kernel

@@ -8,7 +8,7 @@ from platoonsim.tsnctl import TsnCtl, WindowClock, WindowConfig
 
 
 class ConstRng:
-    """Stands in for a numpy Generator; every draw returns a clamped constant."""
+    """Stands in for a `kernel.Pcg64` stream; every draw returns a clamped constant."""
 
     def __init__(self, value: int):
         self.value = value

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from platoonsim import cli, metrics
 from platoonsim.cli import main
@@ -90,6 +95,18 @@ def test_negative_seed_exits_2_naming_the_key(tmp_path, capsys):
     cfg = _write(tmp_path, GOOD_CONFIG.replace("seed = 7", "seed = -1"))
     assert main(["run", "--config", str(cfg)]) == 2
     assert "config error: seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["baseline", "tsnctl"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("section, key", [("scenario", "area_length_m"),
+                                          ("radio", "range_m"),
+                                          ("radio", "propagation_mps")])
+def test_non_finite_float_exits_2_naming_the_key(tmp_path, capsys, section, key, value, mode):
+    text = GOOD_CONFIG.replace("mode = baseline", f"mode = {mode}") + "\n[radio]\n"
+    cfg = _write(tmp_path, text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {key} must be finite" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -234,3 +251,27 @@ per_receiver_counting = true
     assert parsed.csma.cw_slots == 16
     assert parsed.count_control_frames is False
     assert parsed.per_receiver_counting is True
+
+
+_REPO = Path(__file__).resolve().parents[1]
+_BLOCKED_NUMPY_RUN = """
+import sys
+import platoonsim.cli
+assert "numpy" not in sys.modules, "importing platoonsim.cli loaded numpy"
+sys.modules["numpy"] = None  # from here on, any import of numpy raises ImportError
+sys.exit(platoonsim.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("config", ["platoon.cfg", "baseline.cfg"])
+def test_run_needs_no_numpy(tmp_path, config):
+    args = ["run", "--config", str(_REPO / "configs" / config), "--repetitions", "1"]
+    assert main(args + ["--out", str(tmp_path / "here")]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(_REPO / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _BLOCKED_NUMPY_RUN, *args,
+                           "--out", str(tmp_path / "bare")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    for name in ("results.csv", "transmissions_rep0.log"):
+        assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()

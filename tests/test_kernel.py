@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platoonsim.kernel import MS, SEC, US, EventKind, Kernel, RngStreams, uniform
+from platoonsim.kernel import MS, SEC, US, EventKind, Kernel, Pcg64, RngStreams, uniform
 
 
 def _timer(k, at, fn, target=0):
@@ -132,6 +134,77 @@ def test_distinct_streams_are_independent_of_each_other():
     _ = [uniform(streams.stream(2), 0, 10**9) for _ in range(50)]
     again = [uniform(streams.stream(1), 0, 10**9) for _ in range(5)]
     assert first == again
+
+
+# The first draws of numpy's Generator(PCG64(SeedSequence(seed, spawn_key=(key,)))):
+# four integers(0, 15, endpoint=True) then one integers(0, 2**40,
+# endpoint=True), and from a fresh stream two uniform(0.0, 100.0). They pin
+# the stream where numpy is not installed.
+_KNOWN_DRAWS = [
+    (1, 0, [0, 11, 13, 2], 709315327445, [69.90345474368357, 17.433552137309583]),
+    (1, 1000, [5, 6, 2, 11], 989911898312, [37.514529477726335, 74.69446873634105]),
+    (7, 1099, [3, 6, 7, 12], 918248158617, [39.95715755113619, 75.12561198012612]),
+    (2**64 + 5, 2**33, [4, 3, 12, 7], 1095685099787, [22.71931248914901, 46.55536251959877]),
+]
+
+
+@pytest.mark.parametrize("seed, key, small, wide, reals", _KNOWN_DRAWS)
+def test_stream_reproduces_known_draws(seed, key, small, wide, reals):
+    rng = RngStreams(seed).stream(key)
+    assert [rng.integers(0, 15, endpoint=True) for _ in small] == small
+    assert rng.integers(0, 2**40, endpoint=True) == wide
+    rng = RngStreams(seed).stream(key)
+    assert [rng.uniform(0.0, 100.0) for _ in reals] == reals
+
+
+@pytest.mark.parametrize("seed, key", [(-1, 0), (1, -1), (-(2**64), 1000)])
+def test_negative_seed_or_key_is_rejected(seed, key):
+    with pytest.raises(ValueError, match="non-negative"):
+        Pcg64(seed, key)
+
+
+@pytest.fixture(scope="module")
+def numpy_random():
+    return pytest.importorskip("numpy").random
+
+
+def _numpy_stream(numpy_random, seed, key):
+    ss = numpy_random.SeedSequence(entropy=seed, spawn_key=(key,))
+    return numpy_random.Generator(numpy_random.PCG64(ss))
+
+
+def _draws(rng, plan):
+    """(low, span, then_uniform) steps; spans above 2**32 - 1 take 64-bit draws."""
+    out = []
+    for low, span, then_uniform in plan:
+        out.append(int(rng.integers(low, low + span, endpoint=True)))
+        if then_uniform:
+            out.append(float(rng.uniform(-1.0, 250.0)))
+    return out
+
+
+_SPANS = [0, 1, 2**32 - 2, 2**32 - 1, 2**32, 2**62 + 12345]
+# each span follows each span, and every third integer draw is followed by a
+# uniform one, so the spare half-word is carried across every kind of draw
+_PLAN = [(-i, span, i % 3 == 2)
+         for i, span in enumerate(s for pair in itertools.product(_SPANS, repeat=2) for s in pair)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("key", [0, 1000, 1099, 2**33])
+def test_stream_matches_numpy(numpy_random, seed, key):
+    expected = _draws(_numpy_stream(numpy_random, seed, key), _PLAN)
+    assert _draws(Pcg64(seed, key), _PLAN) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**130), key=st.integers(0, 2**70),
+       plan=st.lists(st.tuples(st.integers(-(2**62), 0),
+                               st.one_of(st.integers(0, 2**32), st.integers(0, 2**63 - 1)),
+                               st.booleans()), min_size=1, max_size=30))
+def test_stream_matches_numpy_on_random_seeds_keys_and_ranges(numpy_random, seed, key, plan):
+    expected = _draws(_numpy_stream(numpy_random, seed, key), plan)
+    assert _draws(RngStreams(seed).stream(key), plan) == expected
 
 
 @settings(max_examples=50, deadline=None)
