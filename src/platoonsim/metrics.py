@@ -22,7 +22,7 @@ def classify_transmission(tx: Transmission) -> bool | None:
     """
     if tx.receivers_expected == 0:
         return None
-    return tx.receivers_collided > 0
+    return tx.collided
 
 
 @dataclass(slots=True)
@@ -193,25 +193,21 @@ def _sweep_masks(records: list[tuple[int, int, int]],
     return out
 
 
-def sweep_outcomes(records: list[tuple[int, int, int]],
-                   positions: dict[int, Position],
-                   range_m: float,
-                   spawn: dict[int, int] | None = None) -> list[dict[int, bool]]:
-    """brute_force_outcomes computed by an endpoint sweep instead of all pairs."""
-    vids = list(positions)
-    return [{vid: bool(collided >> k & 1) for k, vid in enumerate(vids) if receivers >> k & 1}
-            for receivers, collided in _sweep_masks(records, positions, range_m, spawn)]
-
-
 def oracle_check_run(run: RunResult) -> list[int]:
-    """Indices of transmissions whose outcomes or collision count disagree with the oracle."""
+    """Indices of transmissions whose receivers or collided receivers disagree with the oracle.
+
+    The medium numbers vehicle bits in registration order, so the oracle's
+    positions are put in that order, with vehicles never registered last.
+    """
     medium = run.medium
+    rank = {vid: k for k, vid in enumerate(medium.positions)}
+    specs = sorted(run.specs, key=lambda spec: rank.get(spec.vid, len(rank)))
     records = [(tx.sender, tx.start, tx.end) for tx in medium.log]
-    positions = {spec.vid: spec.position for spec in run.specs}
-    spawn = {spec.vid: spec.spawn_at for spec in run.specs}
-    expected = sweep_outcomes(records, positions, run.cfg.radio.range_m, spawn)
+    positions = {spec.vid: spec.position for spec in specs}
+    spawn = {spec.vid: spec.spawn_at for spec in specs}
+    expected = _sweep_masks(records, positions, run.cfg.radio.range_m, spawn)
     return [i for i, (tx, want) in enumerate(zip(medium.log, expected))
-            if medium.outcomes(tx) != want or tx.receivers_collided != sum(want.values())]
+            if (tx.receivers, tx.hit & tx.receivers) != want]
 
 
 # -- experiment batches ----------------------------------------------------------
@@ -224,10 +220,6 @@ class ExperimentResult:
     rates: list[float]
     mean_rate: float
     std_rate: float
-
-    @property
-    def seeds(self) -> list[int]:
-        return [self.cfg.seed + k for k in range(len(self.per_repetition))]
 
     @classmethod
     def from_stats(cls, cfg: ScenarioConfig,

@@ -15,9 +15,10 @@ mask is filled at broadcast, once per overlapping pair, and is final once
 the clock reaches its end, since nothing that starts later overlaps it. The
 allocation flag handed to frame handlers, the announces and liveness that
 protocols read back from the log (`clean_receptions`, `last_clean_arrival`),
-each receiver's flag (`outcomes`) and the per-transmission count
-(`finalize`) all read that one mask. Only allocation frames, which act at
-once, raise an event per reception; every other reception raises none.
+each receiver's flag (`outcomes`) and the collided count and flag of a
+transmission all read that one mask, against the receivers mask. Only
+allocation frames, which act at once, raise an event per reception; every
+other reception raises none.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ class RadioConfig:
             raise ValueError(f"range_m must be finite and >= 0, got {self.range_m}")
         if not 0 < self.propagation_mps < math.inf:
             raise ValueError(f"propagation_mps must be finite and > 0, got {self.propagation_mps}")
+        if not math.isfinite(self.range_m * SEC / self.propagation_mps):
+            raise ValueError(f"range_m={self.range_m} at propagation_mps={self.propagation_mps} "
+                             "gives a non-finite propagation delay")
         if self.preamble_ns < 0 or self.cca_detect_ns < 0:
             raise ValueError("preamble_ns and cca_detect_ns must be >= 0")
 
@@ -93,16 +97,18 @@ class Transmission:
     # transmission, that sender included (half-duplex): a reception collides
     # exactly there. Filled at broadcast, pair by pair; final at end.
     hit: int = 0
-    # collided receptions, counted once by Medium.finalize; None until then
-    receivers_collided: int | None = None
 
     @property
     def receivers_expected(self) -> int:
         return self.receivers.bit_count()
 
     @property
+    def receivers_collided(self) -> int:
+        return (self.hit & self.receivers).bit_count()
+
+    @property
     def collided(self) -> bool:
-        return self.receivers_collided > 0
+        return self.hit & self.receivers != 0
 
 
 class Medium:
@@ -115,7 +121,7 @@ class Medium:
     once the clock reaches the transmission's end, and every reader reads it
     then or later: the allocation flag at arrival, `clean_receptions` and
     `last_clean_arrival` (through `_heard`) for arrivals no later than now,
-    and `outcomes` and `finalize` after the run.
+    and `outcomes` and the transmission's own count and flag after the run.
 
     A `handler(frame, collided)` registered per vehicle gets each of its
     allocation receptions at the arrival time; collided frames are delivered
@@ -135,12 +141,9 @@ class Medium:
         # every vehicle hears itself first, with delay 0
         self._hears: dict[int, dict[int, int]] = {}
         self._bit: dict[int, int] = {}              # vid -> 1 << registration index
-        # vid -> mask of the vehicles it hears, itself included, and the same
-        # without itself (the receivers of its broadcasts). Ints are immutable,
-        # so a transmission shares its sender's mask until a registration
-        # replaces it.
+        # vid -> mask of the vehicles it hears, itself included; without its
+        # own bit, the receivers of its broadcasts
         self._range: dict[int, int] = {}
-        self._receivers: dict[int, int] = {}
         self._sense_slack = cfg.prop_delay(cfg.range_m)
         self._busy_until: dict[int, int] = {}       # per-sender serialization
         self._max_dur = 0
@@ -158,11 +161,9 @@ class Medium:
                 hears[other] = self._hears[other][vid] = self.cfg.prop_delay(dist)
                 receivers |= self._bit[other]
                 self._range[other] |= bit
-                self._receivers[other] |= bit
         self._hears[vid] = hears
         self._bit[vid] = bit
         self._range[vid] = receivers | bit
-        self._receivers[vid] = receivers
         self.positions[vid] = pos
         if handler is not None:
             self.handlers[vid] = handler
@@ -179,14 +180,14 @@ class Medium:
                 "MAC layers must serialize their own transmissions"
             )
         end = start + tx_duration(frame.size, self.cfg)
+        log, ranges = self.log, self._range
+        mask = ranges[sender]
         tx = Transmission(sender=sender, frame=frame, start=start, end=end,
                           kernel_seq=self.kernel.next_seq,
-                          receivers=self._receivers[sender])
+                          receivers=mask ^ self._bit[sender])
         # Every logged frame started at or before `start`, so the half-open
         # intervals overlap iff it ends after `start` and starts before `end`;
         # a zero-length frame overlaps nothing that starts with it.
-        log, ranges = self.log, self._range
-        mask = ranges[sender]
         for i in range(bisect_left(self._starts, start - self._max_dur), len(log)):
             other = log[i]
             if other.end > start and other.start < end:
@@ -210,22 +211,11 @@ class Medium:
         tx, vid = payload
         self.handlers[vid](tx.frame, bool(tx.hit & self._bit[vid]))
 
-    def finalize(self) -> None:
-        """Count each transmission's collided receptions, once, at run end.
-
-        Called after the kernel has run. A reception's flag is final once
-        nothing more can start on air inside its transmission, so a run cut
-        with frames in flight counts them as the log reads; frames are not
-        handed to protocol handlers here.
-        """
-        for tx in self.log:
-            tx.receivers_collided = (tx.hit & tx.receivers).bit_count()
-
     def outcomes(self, tx: Transmission) -> dict[int, bool]:
         """Collided flag per receiver of tx, in registration order.
 
         The receivers are the vehicles in range at broadcast. The flags are
-        final once the kernel clock reaches tx.end; `finalize` counts them.
+        final once the kernel clock reaches tx.end.
         """
         return {vid: bool(tx.hit & bit) for vid, bit in self._bit.items()
                 if tx.receivers & bit}
@@ -283,12 +273,10 @@ class Medium:
 
     # -- carrier sense -------------------------------------------------------
 
-    def is_busy(self, listener: int, at: int) -> bool:
-        """True iff an in-range signal is on air at the listener and detectable."""
-        return self.idle_from(listener, at) > at
-
     def idle_from(self, listener: int, at: int) -> int:
         """When every transmission sensed at `at` has ended; `at` if none is.
+
+        The channel is busy at the listener iff this lies after `at`.
 
         Sensed intervals are shifted by propagation delay and detection takes
         cca_detect_ns, so a transmission that started moments ago is not yet

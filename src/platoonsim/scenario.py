@@ -146,7 +146,7 @@ class RunResult:
 
 
 def run_scenario(cfg: ScenarioConfig, seed: int, *, trace: bool = False) -> RunResult:
-    """Execute one seeded run to sim_duration and settle all reception outcomes."""
+    """Execute one seeded run to sim_duration."""
     cfg.validate()
     kernel = Kernel(trace=trace)
     medium = Medium(kernel, cfg.radio)
@@ -168,7 +168,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int, *, trace: bool = False) -> RunR
             ctl = TsnCtl(spec.vid, clock, rng, node_type=spec.node_type)
             controllers[spec.vid] = ctl
             medium.register(spec.vid, spec.position, handler=ctl.on_frame_delivery)
-            submit = lambda frame, _c=ctl: _c.enqueue_app_message(frame, frame.priority)
+            submit = ctl.enqueue_app_message
         service = ItsService(spec, kernel, cfg, submit)
         services[spec.vid] = service
         service.start()
@@ -179,5 +179,4 @@ def run_scenario(cfg: ScenarioConfig, seed: int, *, trace: bool = False) -> RunR
     clock = WindowClock(kernel, medium, cfg.window) if cfg.mode == MODE_TSNCTL else None
 
     kernel.run_until(cfg.sim_duration_ns)
-    medium.finalize()
     return RunResult(cfg, seed, medium, specs, services, macs, controllers)

@@ -281,10 +281,10 @@ class PriorityQueueSet:
             raise ValueError("need at least one priority level")
         self.queues: list[deque[Frame]] = [deque() for _ in range(levels)]
 
-    def push(self, frame: Frame, priority: int) -> None:
-        if not 0 <= priority < len(self.queues):
-            raise ValueError(f"unknown priority class {priority}")
-        self.queues[priority].append(frame)
+    def push(self, frame: Frame) -> None:
+        if not 0 <= frame.priority < len(self.queues):
+            raise ValueError(f"unknown priority class {frame.priority}")
+        self.queues[frame.priority].append(frame)
 
     def peek(self) -> Frame | None:
         for q in self.queues:
@@ -384,8 +384,8 @@ class TsnCtl:
 
     # -- public surface ------------------------------------------------------
 
-    def enqueue_app_message(self, frame: Frame, priority: int) -> None:
-        self.queues.push(frame, priority)
+    def enqueue_app_message(self, frame: Frame) -> None:
+        self.queues.push(frame)
 
     def on_frame_delivery(self, frame: Frame, collided: bool) -> None:
         """The medium's handler: it delivers allocations only."""
@@ -451,7 +451,7 @@ class TsnCtl:
     def _try_announce(self, _payload) -> None:
         if self.state.status is not Status.JOINING:
             return
-        if self.medium.is_busy(self.vid, self.kernel.now):
+        if self.medium.idle_from(self.vid, self.kernel.now) > self.kernel.now:
             self.announce_skips += 1
             return
         frame = make_announce(self.vid, self.created_at,
@@ -514,7 +514,7 @@ class TsnCtl:
         # leads to INIT as a master
         if sched is None or self.state.role is not Role.MASTER:
             return
-        if self.medium.is_busy(self.vid, self.kernel.now):
+        if self.medium.idle_from(self.vid, self.kernel.now) > self.kernel.now:
             return  # contended control slot: retry next window
         frame = make_allocation(self.vid, self.created_at, sched)
         tx = self.medium.broadcast(self.vid, frame)
@@ -659,7 +659,7 @@ class TsnCtl:
         if not (fits or overrun):
             self.deferred += len(self.queues)
             return
-        if idx == 1 and self.medium.is_busy(self.vid, now):
+        if idx == 1 and self.medium.idle_from(self.vid, now) > now:
             self.deferred += len(self.queues)
             return
         self.medium.broadcast(self.vid, self.queues.pop())

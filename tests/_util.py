@@ -33,12 +33,9 @@ class ScriptedRng:
 def assemble_platoon(spawn_times: dict[int, int], offsets: dict[int, int],
                      *, slot_ms: int = 2, run_ms: int = 600,
                      positions: dict[int, Position] | None = None,
-                     radio: RadioConfig | None = None, finalize: bool = True,
+                     radio: RadioConfig | None = None,
                      ) -> tuple[Kernel, Medium, dict[int, TsnCtl]]:
-    """Build controllers with fixed spawn times and constant announce offsets.
-
-    Pass finalize=False when the test keeps driving the returned kernel.
-    """
+    """Build controllers with fixed spawn times and constant announce offsets."""
     kernel = Kernel()
     medium = Medium(kernel, radio or RadioConfig())
     clock = WindowClock(kernel, medium, WindowConfig(slot_len_ns=slot_ms * MS))
@@ -53,6 +50,4 @@ def assemble_platoon(spawn_times: dict[int, int], offsets: dict[int, int],
     for vid, at in spawn_times.items():
         kernel.at(at, vid, EventKind.SPAWN, spawn, vid)
     kernel.run_until(run_ms * MS)
-    if finalize:
-        medium.finalize()
     return kernel, medium, ctls

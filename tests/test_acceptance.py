@@ -199,7 +199,7 @@ def test_criterion_7_priority_discipline():
         for seq in range(int(rng.integers(1, 12))):
             prio = int(rng.integers(0, 3))
             frame = Frame(FrameKind.DATA, 0, 100, 0, priority=prio, seq=seq)
-            queues.push(frame, prio)
+            queues.push(frame)
             backlog.append(frame)
         budget = int(rng.integers(1, len(backlog) + 1))
         emitted = []
@@ -217,12 +217,12 @@ def test_criterion_7_priority_discipline():
 
     # directed end-to-end check: a mixed burst leaves the radio in priority order
     kernel, medium, ctls = assemble_platoon({0: 0, 1: 1 * MS}, {0: 0, 1: 300 * US},
-                                            slot_ms=3, run_ms=250, finalize=False)
+                                            slot_ms=3, run_ms=250)
     slave = ctls[1]
     low = Frame(FrameKind.DATA, 1, 800, 0, priority=1, seq=0)
     high = Frame(FrameKind.DATA, 1, 800, 0, priority=0, seq=1)
-    slave.enqueue_app_message(low, 1)
-    slave.enqueue_app_message(high, 0)
+    slave.enqueue_app_message(low)
+    slave.enqueue_app_message(high)
     kernel.run_until(450 * MS)
     order = [tx.frame.priority for tx in medium.log
              if tx.sender == 1 and tx.frame.kind is FrameKind.DATA]

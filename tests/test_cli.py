@@ -97,16 +97,27 @@ def test_negative_seed_exits_2_naming_the_key(tmp_path, capsys):
     assert "config error: seed must be >= 0" in capsys.readouterr().err
 
 
+# nan and inf in each key, and finite radio values whose propagation delay
+# across the range overflows
+NON_FINITE = [(section, key, value)
+              for section, key in [("scenario", "area_length_m"), ("radio", "range_m"),
+                                   ("radio", "propagation_mps")]
+              for value in ("nan", "inf")] + [("radio", "range_m", "1e300"),
+                                              ("radio", "propagation_mps", "1e-300")]
+
+
 @pytest.mark.parametrize("mode", ["baseline", "tsnctl"])
-@pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("section, key", [("scenario", "area_length_m"),
-                                          ("radio", "range_m"),
-                                          ("radio", "propagation_mps")])
+@pytest.mark.parametrize("section, key, value", NON_FINITE)
 def test_non_finite_float_exits_2_naming_the_key(tmp_path, capsys, section, key, value, mode):
     text = GOOD_CONFIG.replace("mode = baseline", f"mode = {mode}") + "\n[radio]\n"
     cfg = _write(tmp_path, text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert f"config error: {key} must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if value in ("nan", "inf"):
+        assert f"config error: {key} must be finite" in err
+    else:       # both keys are named
+        assert "config error: range_m=" in err
+        assert "at propagation_mps=" in err and "gives a non-finite propagation delay" in err
 
 
 def test_missing_config_file_exits_2(tmp_path):

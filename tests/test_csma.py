@@ -112,7 +112,6 @@ def test_simultaneous_submits_both_transmit_and_collide():
     macs[0].submit(_data(0))
     macs[1].submit(_data(1))       # same instant, idle medium
     kernel.run_until(20 * MS)
-    medium.finalize()
     assert len(medium.log) == 2
     assert medium.log[0].start == medium.log[1].start == 0
     # confirmed against the independent pairwise-overlap oracle

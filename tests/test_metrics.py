@@ -11,6 +11,7 @@ from platoonsim.metrics import (
     CollisionStats,
     ExperimentResult,
     FlagMismatch,
+    _sweep_masks,
     brute_force_flags,
     brute_force_outcomes,
     classify_transmission,
@@ -21,7 +22,6 @@ from platoonsim.metrics import (
     oracle_check_run,
     run_experiment,
     sweep,
-    sweep_outcomes,
     verify_log,
     write_transmission_log,
 )
@@ -43,7 +43,6 @@ def _two_sender_medium(second_start_us=500):
     k.run_until(second_start_us * US)
     m.broadcast(1, _data(1))
     k.run_until(20 * MS)
-    m.finalize()
     return m
 
 
@@ -68,7 +67,6 @@ def test_classify_excludes_transmissions_nobody_could_receive():
     m.register(1, Position(500.0, 0.0))
     tx = m.broadcast(0, _data(0))
     k.run_until(5 * MS)
-    m.finalize()
     assert classify_transmission(tx) is None
 
 
@@ -118,8 +116,10 @@ def _overlap_logs(draw):
     60.0, {0: 0, 1: 0, 2: 12, 3: 5}))
 def test_sweep_oracle_matches_brute_force(log):
     records, positions, range_m, spawn = log
-    assert sweep_outcomes(records, positions, range_m, spawn) == \
-        brute_force_outcomes(records, positions, range_m, spawn)
+    vids = list(positions)
+    outcomes = [{vid: bool(collided >> k & 1) for k, vid in enumerate(vids) if receivers >> k & 1}
+                for receivers, collided in _sweep_masks(records, positions, range_m, spawn)]
+    assert outcomes == brute_force_outcomes(records, positions, range_m, spawn)
 
 
 @pytest.mark.parametrize("mode, vehicles, slot_ms", [(MODE_BASELINE, 30, 2),
@@ -138,6 +138,48 @@ def test_online_flags_agree_with_oracle_on_mixed_runs():
                              spawn_interval_ns=100 * US)
         run = run_scenario(cfg, 11)
         assert oracle_check_run(run) == []
+
+
+@st.composite
+def _small_runs(draw):
+    """A small valid scenario of either mode, a seed, and where to cut it."""
+    cfg = ScenarioConfig(
+        vehicle_count=draw(st.integers(1, 8)),
+        mode=draw(st.sampled_from((MODE_BASELINE, MODE_TSNCTL))),
+        spawn_interval_ns=draw(st.integers(1, 2_000)) * US,
+        area_length_m=draw(st.floats(0.0, 600.0)),
+        message_interval_ns=draw(st.integers(2, 100)) * MS,
+        payload_size_b=draw(st.integers(1, 800)),
+        sim_duration_ns=draw(st.integers(1, 300)) * MS,
+    )
+    cfg.radio.range_m = draw(st.floats(0.0, 300.0))      # within the tsnctl guard
+    cfg.window.slot_len_ns = draw(st.integers(2, 30)) * 100 * US
+    return cfg, draw(st.integers(0, 2**32)), draw(st.integers(0, 10**6)), draw(st.integers(0, 10**6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small=_small_runs())
+def test_oracle_check_run_agrees_on_small_random_runs(small):
+    """Whole runs, and the same runs cut while one of their frames is on air."""
+    cfg, seed, which, into = small
+    full = run_scenario(cfg, seed)
+    assert oracle_check_run(full) == []
+    if full.medium.log:
+        tx = full.medium.log[which % len(full.medium.log)]
+        cfg.sim_duration_ns = tx.start + 1 + into % (tx.end - tx.start - 1)
+        cut = run_scenario(cfg, seed)
+        assert any(t.end > cfg.sim_duration_ns for t in cut.medium.log)
+        assert oracle_check_run(cut) == []
+
+
+@pytest.mark.parametrize("mode", [MODE_BASELINE, MODE_TSNCTL])
+def test_oracle_check_run_reports_a_tampered_transmission(mode):
+    run = run_scenario(ScenarioConfig(vehicle_count=6, mode=mode, sim_duration_ns=SEC), 1)
+    # the oracle's bits follow registration order, whatever the order of the specs
+    assert oracle_check_run(replace(run, specs=run.specs[::-1])) == []
+    i, tx = next((i, tx) for i, tx in enumerate(run.medium.log) if tx.receivers)
+    tx.hit ^= tx.receivers & -tx.receivers          # flip one receiver's bit
+    assert oracle_check_run(run) == [i]
 
 
 def test_run_experiment_is_deterministic():

@@ -144,7 +144,7 @@ def test_is_busy_idle_medium():
     k = Kernel()
     m = Medium(k, _cfg())
     m.register(0, Position(0.0, 0.0))
-    assert m.is_busy(0, 0) is False
+    assert m.idle_from(0, 0) == 0
 
 
 def test_is_busy_spanning_transmission():
@@ -152,9 +152,9 @@ def test_is_busy_spanning_transmission():
     m = Medium(k, _cfg())
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(50.0, 0.0))
-    m.broadcast(0, _data(0))
+    tx = m.broadcast(0, _data(0))
     k.run_until(500 * US)
-    assert m.is_busy(1, k.now) is True
+    assert m.idle_from(1, k.now) == tx.end + m.cfg.prop_delay(50.0) > k.now
 
 
 def test_is_busy_hidden_terminal_out_of_range():
@@ -164,7 +164,7 @@ def test_is_busy_hidden_terminal_out_of_range():
     m.register(1, Position(250.0, 0.0))    # beyond 100 m range of vehicle 0
     m.broadcast(0, _data(0))
     k.run_until(500 * US)
-    assert m.is_busy(1, k.now) is False
+    assert m.idle_from(1, k.now) == k.now
 
 
 def test_carrier_sense_blind_until_detection_latency():
@@ -174,8 +174,8 @@ def test_carrier_sense_blind_until_detection_latency():
     m.register(1, Position(30.0, 0.0))
     m.broadcast(0, _data(0))
     prop = m.cfg.prop_delay(30.0)
-    assert m.is_busy(1, prop + 3_999) is False       # still integrating
-    assert m.is_busy(1, prop + 4_000) is True        # detected
+    assert m.idle_from(1, prop + 3_999) == prop + 3_999      # still integrating
+    assert m.idle_from(1, prop + 4_000) > prop + 4_000       # detected
 
 
 def test_busy_iff_idle_edge_lies_ahead_at_the_detection_edge():
@@ -187,8 +187,8 @@ def test_busy_iff_idle_edge_lies_ahead_at_the_detection_edge():
     prop = m.cfg.prop_delay(30.0)
     assert m.idle_from(1, prop + 3_999) == prop + 3_999      # not yet sensed
     assert m.idle_from(1, prop + 4_000) == tx.end + prop     # sensed until it ends
-    for at in (prop + 3_999, prop + 4_000, tx.end + prop - 1, tx.end + prop):
-        assert m.is_busy(1, at) is (m.idle_from(1, at) > at)
+    assert m.idle_from(1, tx.end + prop - 1) == tx.end + prop
+    assert m.idle_from(1, tx.end + prop) == tx.end + prop     # idle from the end on
 
 
 def test_finalize_settles_in_flight_receptions():
@@ -200,13 +200,10 @@ def test_finalize_settles_in_flight_receptions():
     tx_a = m.broadcast(0, _data(0))
     k.run_until(200 * US)
     tx_b = m.broadcast(1, _data(1))
-    # stop while both frames are on air: nothing is counted before finalize
-    assert tx_a.receivers_collided is None
-    with pytest.raises(TypeError):
-        tx_a.collided
-    m.finalize()
+    # stop while both frames are on air: the masks already hold the overlap;
     # receiver 1 is transmitting (half-duplex) and 2 hears both senders
     assert (tx_a.receivers_expected, tx_a.receivers_collided) == (2, 2)
+    assert tx_a.collided and tx_b.collided
     assert m.outcomes(tx_a)[2] is True and m.outcomes(tx_b)[2] is True
 
 
@@ -222,7 +219,6 @@ def test_online_flags_match_brute_force_on_a_braided_sequence():
         k.run_until(at)
         m.broadcast(sender, _data(sender))
     k.run_until(20 * MS)
-    m.finalize()
     records = [(tx.sender, tx.start, tx.end) for tx in m.log]
     want = brute_force_outcomes(records, positions, 100.0)
     for tx, expected in zip(m.log, want):
@@ -251,10 +247,9 @@ def test_finalize_checks_receptions_still_in_flight(handled):
     k.run_until(100 * US)
     m.broadcast(3, _frame(3, handled))
     k.run_until(tx.end + 100)
-    m.finalize()
     assert _accounting(tx) == (2, 1)
     assert m.outcomes(tx) == {1: False, 2: True}
-    # finalize counts without handing frames to handlers
+    # the count reads the masks; no frame is handed to a handler for it
     assert [[c for *_, c in sinks[vid].got] for vid in (1, 2)] == \
         ([[False], []] if handled else [[], []])
 
@@ -270,7 +265,6 @@ def test_finalize_ignores_vehicles_registered_after_the_broadcast(handled):
     k.run_until(100 * US)
     m.register(2, Position(20.0, 0.0),      # in range, but arrived too late
                handler=sinks[2] if handled else None)
-    m.finalize()
     assert _accounting(tx) == (1, 0)
     assert set(m.outcomes(tx)) == {1}
     assert sinks[2].got == []
@@ -281,7 +275,7 @@ def test_finalize_ignores_vehicles_registered_after_the_broadcast(handled):
        starts=st.lists(st.integers(0, 2_000 * US), min_size=1, max_size=6),
        which=st.integers(0, 5), late=st.integers(0, 1_000))
 def test_finalize_settles_a_run_cut_mid_delivery_like_the_oracle(xs, starts, which, late):
-    """Cut the run inside a delivery window; finalize must settle it as the oracle."""
+    """Cut the run inside a delivery window; the masks must settle it as the oracle."""
     plan = sorted((at, vid % len(xs)) for vid, at in enumerate(starts))
     k = Kernel()
     m = Medium(k, RadioConfig())
@@ -297,7 +291,6 @@ def test_finalize_settles_a_run_cut_mid_delivery_like_the_oracle(xs, starts, whi
     # at most the 1,000 ns delay across the 300 m range after some frame ends
     cut = m.log[which % len(m.log)].end + late
     k.run_until(max(cut, k.now))
-    m.finalize()
     records = [(tx.sender, tx.start, tx.end) for tx in m.log]
     want = brute_force_outcomes(records, positions, m.cfg.range_m)
     assert [_accounting(tx) for tx in m.log] == [(len(w), sum(w.values())) for w in want]
@@ -399,7 +392,6 @@ def test_interferer_masks_match_brute_force(cells, joins, sends):
     and inside broadcasts.
     """
     m, flags, _delay, _got, delivered = _coarse_run(cells, joins, sends, [])
-    m.finalize()
     assert [m.outcomes(tx) for tx in m.log] == flags
     assert [(tx.receivers_expected, tx.receivers_collided) for tx in m.log] == \
         [(len(f), sum(f.values())) for f in flags]

@@ -293,8 +293,8 @@ def test_priority_queues_fifo_within_class():
     q = PriorityQueueSet(2)
     f1 = Frame(FrameKind.DATA, 0, 100, 0, priority=0, seq=1)
     f2 = Frame(FrameKind.DATA, 0, 100, 0, priority=0, seq=2)
-    q.push(f1, 0)
-    q.push(f2, 0)
+    q.push(f1)
+    q.push(f2)
     assert q.pop() is f1
     assert q.pop() is f2
 
@@ -303,8 +303,8 @@ def test_priority_queues_strict_order():
     q = PriorityQueueSet(2)
     low = Frame(FrameKind.DATA, 0, 100, 0, priority=1)
     high = Frame(FrameKind.DATA, 0, 100, 0, priority=0)
-    q.push(low, 1)
-    q.push(high, 0)
+    q.push(low)
+    q.push(high)
     assert q.pop() is high
     assert q.pop() is low
 
@@ -312,7 +312,7 @@ def test_priority_queues_strict_order():
 def test_priority_queue_unknown_class_is_a_hard_fault():
     q = PriorityQueueSet(2)
     with pytest.raises(ValueError):
-        q.push(Frame(FrameKind.DATA, 0, 100, 0), 2)
+        q.push(Frame(FrameKind.DATA, 0, 100, 0, priority=2))
 
 
 # -- controller integration ------------------------------------------------------------------
@@ -338,11 +338,11 @@ def test_data_frames_start_at_their_slot_origin():
     # master's first frame goes out in slot 1, after the evaluation guard
     kernel, medium, ctls = assemble_platoon({0: 0, 1: 1 * MS, 2: 2 * MS},
                                             {0: 0, 1: 300 * US, 2: 600 * US},
-                                            run_ms=250, finalize=False)
+                                            run_ms=250)
     assert [ctls[v].my_slots for v in ctls] == [range(2, 3), range(3, 4), range(4, 5)]
     for vid in ctls:
-        ctls[vid].enqueue_app_message(_data(vid, seq=0), 0)
-    ctls[0].enqueue_app_message(_data(0, seq=1), 0)
+        ctls[vid].enqueue_app_message(_data(vid, seq=0))
+    ctls[0].enqueue_app_message(_data(0, seq=1))
     kernel.run_until(400 * MS)
     starts = [(tx.sender, tx.frame.seq, tx.start) for tx in medium.log
               if tx.frame.kind is FrameKind.DATA]
@@ -381,10 +381,10 @@ def test_lone_vehicle_keeps_restarting():
 
 def test_burst_sends_one_800B_frame_in_2ms_slot_and_defers_second():
     kernel, medium, ctls = assemble_platoon({0: 0, 1: 1 * MS}, {0: 0, 1: 300 * US},
-                                            run_ms=250, finalize=False)
+                                            run_ms=250)
     slave = ctls[1]
-    slave.enqueue_app_message(_data(1, seq=0), 0)
-    slave.enqueue_app_message(_data(1, seq=1), 0)
+    slave.enqueue_app_message(_data(1, seq=0))
+    slave.enqueue_app_message(_data(1, seq=1))
     kernel.run_until(510 * MS)
     sent = [tx for tx in medium.log if tx.sender == 1
             and tx.frame.kind is FrameKind.DATA]
@@ -400,9 +400,9 @@ def test_burst_sends_one_800B_frame_in_2ms_slot_and_defers_second():
 
 def test_oversized_frame_overruns_from_slot_origin():
     kernel, medium, ctls = assemble_platoon({0: 0, 1: 1 * MS}, {0: 0, 1: 300 * US},
-                                            slot_ms=1, run_ms=250, finalize=False)
+                                            slot_ms=1, run_ms=250)
     slave = ctls[1]
-    slave.enqueue_app_message(_data(1), 0)          # 1.067 ms > 1 ms slot
+    slave.enqueue_app_message(_data(1))          # 1.067 ms > 1 ms slot
     kernel.run_until(400 * MS)
     tx = next(tx for tx in medium.log if tx.sender == 1
               and tx.frame.kind is FrameKind.DATA)
@@ -559,7 +559,7 @@ def test_controller_created_on_a_boundary_first_acts_a_window_later(spawn_first)
 def test_vehicles_superseded_in_slot_one_take_no_slot1_end_that_window():
     """Only the vehicles that announced at the window start close its slot 1."""
     kernel, medium, ctls = assemble_platoon({0: 10 * MS, 1: 11 * MS}, {0: 0, 1: 300 * US},
-                                            run_ms=302, finalize=False)
+                                            run_ms=302)
     assert [c.state.status for c in ctls.values()] == [Status.IN_PLATOON] * 2
     kernel.run_until(302 * MS + 500 * US)               # inside slot 1 of the window at 300 ms
     medium.register(99, Position(10.0, 0.0))
