@@ -1,7 +1,7 @@
 """Deterministic discrete-event core: integer-ns clock, ordered queue, seeded streams.
 
 An event is the plain heap tuple (fire_at, seq, fn, payload, target, kind);
-dispatching it sets the clock and `Kernel.seq` and calls fn(payload).
+dispatching it sets the clock and calls fn(payload).
 
 The seeded streams are the package's own PCG64, bit-identical to numpy's
 `Generator(PCG64(SeedSequence(seed, spawn_key=(entity,))))`, so the output
@@ -37,26 +37,19 @@ class Kernel:
 
     def __init__(self, trace: bool = False):
         self.now: int = 0
-        self.seq: int = -1          # seq of the event being dispatched
         self._heap: list[tuple[int, int, Callable[[Any], None], Any, int, EventKind]] = []
         self._seq = 0
         self.trace_enabled = trace
         self.trace: list[tuple[int, int, int, str]] = []
 
-    @property
-    def next_seq(self) -> int:
-        """The seq the next scheduled event gets; earlier events have smaller ones."""
-        return self._seq
-
     def at(self, fire_at: int, target: int, kind: EventKind,
-           fn: Callable[[Any], None], payload: Any = None) -> int:
-        """Schedule fn(payload) at fire_at on behalf of target; returns its seq."""
+           fn: Callable[[Any], None], payload: Any = None) -> None:
+        """Schedule fn(payload) at fire_at on behalf of target."""
         if fire_at < self.now:
             raise ValueError(f"cannot schedule event at {fire_at} ns before now={self.now} ns")
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self._heap, (fire_at, seq, fn, payload, target, kind))
-        return seq
 
     def run_until(self, end: int) -> int:
         if end < self.now:
@@ -66,7 +59,6 @@ class Kernel:
         while heap and heap[0][0] <= end:
             fire_at, seq, fn, payload, target, kind = pop(heap)
             self.now = fire_at
-            self.seq = seq
             if trace is not None:
                 trace.append((fire_at, seq, target, kind.name))
             fn(payload)

@@ -29,8 +29,6 @@ def classify_transmission(tx: Transmission) -> bool | None:
 class CollisionStats:
     frames_sent: int = 0
     frames_collided: int = 0
-    control_frames_sent: int = 0
-    control_frames_collided: int = 0
     data_frames_sent: int = 0
     data_frames_collided: int = 0
     receptions: int = 0
@@ -60,13 +58,9 @@ def collect_stats(run: RunResult) -> CollisionStats:
         flag = classify_transmission(tx)
         if flag is None:
             continue
-        control = tx.frame.kind is not FrameKind.DATA
         s.frames_sent += 1
         s.frames_collided += flag
-        if control:
-            s.control_frames_sent += 1
-            s.control_frames_collided += flag
-        else:
+        if tx.frame.kind is FrameKind.DATA:
             s.data_frames_sent += 1
             s.data_frames_collided += flag
         s.receptions += tx.receivers_expected
@@ -411,9 +405,12 @@ def load_transmission_log(path: str | Path) -> LoadedLog:
                     f"line {lineno}: malformed {parts[0]} header {line!r}") from None
             continue
         fields = line.split()
-        if len(fields) != 6 or fields[4] not in KIND_BY_LABEL or fields[5] not in ("0", "1"):
-            raise ValueError(f"line {lineno}: malformed record {line!r}")
-        sender, start, end, _size = map(int, fields[:4])
+        try:
+            if len(fields) != 6 or fields[4] not in KIND_BY_LABEL or fields[5] not in ("0", "1"):
+                raise ValueError
+            sender, start, end, _size = map(int, fields[:4])
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed record {line!r}") from None
         if end < start:
             raise ValueError(f"line {lineno}: transmission ends before it starts")
         records.append((sender, start, end))

@@ -16,9 +16,11 @@ the clock reaches its end, since nothing that starts later overlaps it. The
 allocation flag handed to frame handlers, the announces and liveness that
 protocols read back from the log (`clean_receptions`, `last_clean_arrival`),
 each receiver's flag (`outcomes`) and the collided count and flag of a
-transmission all read that one mask, against the receivers mask. Only
-allocation frames, which act at once, raise an event per reception; every
-other reception raises none.
+transmission all read that one mask, against the receivers mask. A read of
+the log at time t counts the clean receptions that arrived before t; the
+order in which events were scheduled plays no part. Only allocation frames,
+which act at once, raise an event per reception; every other reception
+raises none.
 """
 
 from __future__ import annotations
@@ -87,9 +89,6 @@ class Transmission:
     frame: Frame
     start: int
     end: int
-    # the kernel's next event seq at broadcast: orders the broadcast against
-    # events scheduled before or after it
-    kernel_seq: int = -1
     # bitmask of the vehicles in range of the sender at broadcast, the sender
     # excluded: the receivers. A snapshot; later registrations do not join it.
     receivers: int = 0
@@ -120,7 +119,7 @@ class Medium:
     collides where is recorded once per overlapping pair. The mask is final
     once the clock reaches the transmission's end, and every reader reads it
     then or later: the allocation flag at arrival, `clean_receptions` and
-    `last_clean_arrival` (through `_heard`) for arrivals no later than now,
+    `last_clean_arrival` (through `_heard`) for arrivals before now,
     and `outcomes` and the transmission's own count and flag after the run.
 
     A `handler(frame, collided)` registered per vehicle gets each of its
@@ -145,7 +144,6 @@ class Medium:
         # own bit, the receivers of its broadcasts
         self._range: dict[int, int] = {}
         self._sense_slack = cfg.prop_delay(cfg.range_m)
-        self._busy_until: dict[int, int] = {}       # per-sender serialization
         self._max_dur = 0
 
     def register(self, vid: int, pos: Position,
@@ -174,7 +172,8 @@ class Medium:
         start = self.kernel.now
         if sender not in self.positions:
             raise ValueError(f"sender {sender} not registered")
-        if start < self._busy_until.get(sender, 0):
+        sent = self._sent.setdefault(sender, [])
+        if sent and start < sent[-1].end:
             raise RuntimeError(
                 f"vehicle {sender} is already transmitting at {start} ns; "
                 "MAC layers must serialize their own transmissions"
@@ -183,7 +182,6 @@ class Medium:
         log, ranges = self.log, self._range
         mask = ranges[sender]
         tx = Transmission(sender=sender, frame=frame, start=start, end=end,
-                          kernel_seq=self.kernel.next_seq,
                           receivers=mask ^ self._bit[sender])
         # Every logged frame started at or before `start`, so the half-open
         # intervals overlap iff it ends after `start` and starts before `end`;
@@ -195,8 +193,7 @@ class Medium:
                 other.hit |= mask
         log.append(tx)
         self._starts.append(start)
-        self._sent.setdefault(sender, []).append(tx)
-        self._busy_until[sender] = end
+        sent.append(tx)
         self._max_dur = max(self._max_dur, end - start)
 
         if frame.kind is FrameKind.CONTROL_ALLOCATION:
@@ -223,40 +220,32 @@ class Medium:
     # -- reading receptions from the log ---------------------------------------
 
     @staticmethod
-    def _heard(tx: Transmission, bit: int, arrival: int, now: int, seq: int) -> bool:
-        """Whether tx reached the listener with `bit` clean at `arrival`, as of now.
+    def _heard(tx: Transmission, bit: int, arrival: int, now: int) -> bool:
+        """Whether tx reached the listener with `bit` clean at `arrival`, before now.
 
-        It counts what a per-reception event would have delivered by the reading
-        event with kernel seq `seq`: an arrival before now, or at now from a
-        broadcast made before the reading event was scheduled. The listener
-        must be a receiver of tx, and the reception is clean unless its bit is
-        in tx's interferer mask.
+        The listener must be a receiver of tx, the reception is clean unless its
+        bit is in tx's interferer mask, and an arrival at now is not yet heard.
         """
-        return (tx.receivers & bit != 0 and not tx.hit & bit
-                and (arrival < now or (arrival == now and tx.kernel_seq <= seq)))
+        return tx.receivers & bit != 0 and not tx.hit & bit and arrival < now
 
     def transmissions(self, kind: FrameKind, since: int) -> list[Transmission]:
         """The logged transmissions of `kind` that started at or after `since`."""
         return [tx for tx in self.log[bisect_left(self._starts, since):]
                 if tx.frame.kind is kind]
 
-    def clean_receptions(self, listener: int, txs: list[Transmission],
-                         seq: int) -> list[Frame]:
-        """The frames of `txs` that listener heard clean, in the order of `txs`.
+    def clean_receptions(self, listener: int, txs: list[Transmission]) -> list[Frame]:
+        """The frames of `txs` that listener heard clean before now, in the order of `txs`.
 
-        Heard as `_heard` reads it, by the reading event with kernel seq `seq`.
         A vehicle never receives its own frames.
         """
         hears = self._hears.get(listener, {})
         bit, now, heard = self._bit.get(listener, 0), self.kernel.now, self._heard
         return [tx.frame for tx in txs if tx.sender in hears
-                and heard(tx, bit, tx.end + hears[tx.sender], now, seq)]
+                and heard(tx, bit, tx.end + hears[tx.sender], now)]
 
-    def last_clean_arrival(self, listener: int, sender: int, after: int,
-                           seq: int) -> int | None:
-        """Latest arrival in (after, now] of a clean reception of sender's frames.
+    def last_clean_arrival(self, listener: int, sender: int, after: int) -> int | None:
+        """Latest arrival in (after, now) of a clean reception of sender's frames.
 
-        Heard as `_heard` reads it, by the reading event with kernel seq `seq`.
         None if there is no such reception.
         """
         delay = self._hears.get(sender, {}).get(listener)
@@ -267,7 +256,7 @@ class Medium:
             arrival = tx.end + delay
             if arrival <= after:
                 break
-            if self._heard(tx, bit, arrival, now, seq):
+            if self._heard(tx, bit, arrival, now):
                 return arrival
         return None
 

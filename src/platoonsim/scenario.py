@@ -72,6 +72,12 @@ class ScenarioConfig:
                         f"an announce ({announce} ns on air) does not fit one "
                         f"{self.window.slot_len_ns} ns slot"
                     )
+                beacon = tx_duration(self.payload_size_b, self.radio)
+                if beacon > self.window.window_ns:
+                    raise ValueError(
+                        f"a payload_size_b={self.payload_size_b} beacon ({beacon} ns on air) "
+                        f"outlasts the window_ns={self.window.window_ns} window"
+                    )
                 max_delay = self.radio.prop_delay(self.radio.range_m)
                 if max_delay > EVAL_GUARD:
                     raise ValueError(

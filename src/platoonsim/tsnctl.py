@@ -431,7 +431,7 @@ class TsnCtl:
             return True
         since = self.kernel.now - MASTER_TIMEOUT_WINDOWS * self.wcfg.window_ns
         return (self.created_at <= since and self.medium.last_clean_arrival(
-            self.vid, self.master_id, since, self.kernel.seq) is None)
+            self.vid, self.master_id, since) is None)
 
     def _reset_membership(self) -> None:
         self.schedule = None
@@ -464,7 +464,7 @@ class TsnCtl:
         leads = self.state.status is Status.IN_PLATOON and self.state.role is Role.MASTER
         if not (self._in_round or leads):
             return
-        neighbours = self.medium.clean_receptions(self.vid, announces, self.kernel.seq)
+        neighbours = self.medium.clean_receptions(self.vid, announces)
         if leads:
             if neighbours:
                 requests = [(a.sender, a.slots_requested, a.node_type) for a in neighbours]

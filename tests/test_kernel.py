@@ -8,7 +8,7 @@ from platoonsim.kernel import MS, SEC, US, EventKind, Kernel, Pcg64, RngStreams,
 
 
 def _timer(k, at, fn, target=0):
-    return k.at(at, target, EventKind.TIMER, fn)
+    k.at(at, target, EventKind.TIMER, fn)
 
 
 def test_event_at_now_fires_before_later_event():
@@ -80,17 +80,17 @@ def test_dispatch_hands_payload_time_and_seq_and_traces_each_event():
     seen = []
 
     def record(payload):
-        seen.append((payload, k.now, k.seq))
+        seen.append((payload, k.now))
 
-    a = k.at(7, 3, EventKind.TIMER, record, "a")
-    b = k.at(5, 4, EventKind.SPAWN, record, ("b", 1))
-    c = k.at(7, 5, EventKind.APP_TICK, record, "c")
-    d = k.at(5, 6, EventKind.FRAME_DELIVERY, record)
-    assert [a, b, c, d] == [0, 1, 2, 3]
+    k.at(7, 3, EventKind.TIMER, record, "a")
+    k.at(5, 4, EventKind.SPAWN, record, ("b", 1))
+    k.at(7, 5, EventKind.APP_TICK, record, "c")
+    k.at(5, 6, EventKind.FRAME_DELIVERY, record)
     k.run_until(10)
-    assert seen == [(("b", 1), 5, b), (None, 5, d), ("a", 7, a), ("c", 7, c)]
-    assert k.trace == [(5, b, 4, "SPAWN"), (5, d, 6, "FRAME_DELIVERY"),
-                       (7, a, 3, "TIMER"), (7, c, 5, "APP_TICK")]
+    assert seen == [(("b", 1), 5), (None, 5), ("a", 7), ("c", 7)]
+    # seqs number the events in scheduling order and break the ties at 5 and 7
+    assert k.trace == [(5, 1, 4, "SPAWN"), (5, 3, 6, "FRAME_DELIVERY"),
+                       (7, 0, 3, "TIMER"), (7, 2, 5, "APP_TICK")]
 
 
 def test_uniform_degenerate_interval():

@@ -299,6 +299,7 @@ def _edit_header(prefix: str, replacement: str):
      r"no '# vehicle' line for sender\(s\) \[0\]"),
     (_edit_first_record(4, "BEACON"), "line 9: malformed record"),
     (_edit_first_record(5, "2"), "line 9: malformed record"),
+    (_edit_first_record(0, "6x"), "line 9: malformed record"),
     (_edit_first_record(1, "9999999"), "line 9: transmission ends before it starts"),
     (_edit_header("# vehicle 3 ", "# vehicle 3"), "line 6: malformed vehicle header"),
     (_edit_header("# radio", "# radio range_m=300.0"), "line 2: malformed radio header"),
@@ -326,10 +327,9 @@ def test_rate_respects_counting_switches():
     cfg = ScenarioConfig(vehicle_count=4, mode=MODE_TSNCTL, sim_duration_ns=1 * SEC)
     run = run_scenario(cfg, 13)
     stats = collect_stats(run)
-    assert stats.control_frames_sent > 0
+    assert stats.frames_sent > stats.data_frames_sent       # control frames were sent
     incl = stats.rate(count_control=True)
     excl = stats.rate(count_control=False)
-    assert stats.data_frames_sent + stats.control_frames_sent == stats.frames_sent
     if stats.frames_collided == stats.data_frames_collided:
         assert excl >= incl                          # denominator shrinks
     per_rx = stats.rate(per_receiver=True)

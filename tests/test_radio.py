@@ -310,12 +310,11 @@ _COARSE = dict(range_m=30.0, data_rate_bps=8_000_000, propagation_mps=1.0e7,
 def _coarse_run(cells, joins, sends, reads):
     """Registrations, broadcasts and reads on the coarse clock, with the oracle.
 
-    `sends` holds (vid, at_us, size, kind) and `reads` holds (at_us, late,
-    query); each read returns query(m, seq), in the order of `reads`. A late
-    read is scheduled at its own time, after that time's broadcasts; the others
-    are scheduled up front. Returns the medium, the oracle's per-receiver
-    flags, the propagation delay between two vehicles, the reads and the
-    (receiver, frame, collided) deliveries of allocations, in delivery order.
+    `sends` holds (vid, at_us, size, kind) and `reads` holds (at_us, query);
+    each read returns query(m), in the order of `reads`. Returns the medium,
+    the oracle's per-receiver flags, the propagation delay between two
+    vehicles, the reads and the (receiver, frame, collided) deliveries of
+    allocations, in delivery order.
     """
     n = len(cells)
     cfg = _cfg(**_COARSE)
@@ -323,8 +322,8 @@ def _coarse_run(cells, joins, sends, reads):
     m = Medium(k, cfg)
     positions = {vid: Position(10.0 * c, 0.0) for vid, c in enumerate(cells)}
     join_at = {vid: joins[vid] * US for vid in range(n)}
-    # registrations first, then broadcasts, then up-front reads: at equal
-    # times events run in that order
+    # registrations first, then broadcasts, then reads: at equal times events
+    # run in that order
     delivered = []
     for vid, at in join_at.items():
         k.at(at, vid, EventKind.SPAWN, lambda vid: m.register(
@@ -341,14 +340,10 @@ def _coarse_run(cells, joins, sends, reads):
         k.at(at, vid, EventKind.TIMER, lambda vid, size=size, kind=kind:
              m.broadcast(vid, Frame(kind, vid, size, 0)), vid)
     got = {}
-    for i, (at, late, query) in enumerate(reads):
+    for i, (at, query) in enumerate(reads):
         def fn(_, i=i, query=query):
-            got[i] = query(m, k.seq)
-        if late:
-            k.at(at * US, 0, EventKind.TIMER,
-                 lambda _, fn=fn: k.at(k.now, 0, EventKind.TIMER, fn))
-        else:
-            k.at(at * US, 0, EventKind.TIMER, fn)
+            got[i] = query(m)
+        k.at(at * US, 0, EventKind.TIMER, fn)
     k.run_until(100 * US)
 
     records = [(tx.sender, tx.start, tx.end) for tx in m.log]
@@ -359,9 +354,9 @@ def _coarse_run(cells, joins, sends, reads):
     return m, flags, delay, [got[i] for i in range(len(reads))], delivered
 
 
-def _by_read(arrival, at, late):
-    """Whether a per-reception event at `arrival` fires before a read at `at`."""
-    return arrival < at or late and arrival == at
+def _by_read(arrival, at):
+    """Whether a read at `at` hears a reception that arrives at `arrival`."""
+    return arrival < at
 
 
 _CELLS = st.lists(st.integers(0, 5), min_size=2, max_size=8)
@@ -406,28 +401,27 @@ def test_interferer_masks_match_brute_force(cells, joins, sends):
        sends=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 20), st.integers(0, 3)),
                       max_size=14),
        reads=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 26),
-                                st.integers(1, 12), st.booleans()),
+                                st.integers(1, 12)),
                       min_size=1, max_size=8))
 def test_last_clean_arrival_matches_brute_force(cells, joins, sends, reads):
-    """The latest clean arrival at or before a read equals the oracle's.
+    """The latest clean arrival before a read equals the oracle's.
 
-    An arrival at the read's own time counts only if the read was scheduled
-    after the broadcast; reads scheduled up front see it one event too late.
+    An arrival at the read's own time does not count.
     """
     n = len(cells)
-    reads = [(listener % n, sender % n, at, window, late)
-             for listener, sender, at, window, late in reads]
+    reads = [(listener % n, sender % n, at, window)
+             for listener, sender, at, window in reads]
     m, flags, delay, got, _ = _coarse_run(
         cells, joins, [(vid, at, size, FrameKind.DATA) for vid, at, size in sends],
-        [(at, late, lambda m, seq, listener=listener, sender=sender, after=(at - window) * US:
-          m.last_clean_arrival(listener, sender, after, seq))
-         for listener, sender, at, window, late in reads])
+        [(at, lambda m, listener=listener, sender=sender, after=(at - window) * US:
+          m.last_clean_arrival(listener, sender, after))
+         for listener, sender, at, window in reads])
     want = []
-    for listener, sender, at, window, late in reads:
+    for listener, sender, at, window in reads:
         arrivals = [tx.end + delay(sender, listener) for tx, f in zip(m.log, flags)
                     if tx.sender == sender and f.get(listener) is False]
         want.append(max((a for a in arrivals
-                         if (at - window) * US < a and _by_read(a, at * US, late)),
+                         if (at - window) * US < a and _by_read(a, at * US)),
                         default=None))
     assert got == want
 
@@ -438,32 +432,31 @@ def test_last_clean_arrival_matches_brute_force(cells, joins, sends, reads):
                                 st.sampled_from((FrameKind.DATA, FrameKind.CONTROL_ANNOUNCE))),
                       min_size=1, max_size=14),
        reads=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 13), st.integers(0, 4),
-                                st.integers(0, 12), st.booleans()),
+                                st.integers(0, 12)),
                       min_size=1, max_size=8))
 def test_clean_receptions_match_brute_force(cells, joins, sends, reads):
     """A read lists the announces since its window start that the oracle has clean.
 
-    An announce arriving just before the read counts, one arriving at the read's
-    own time only if the read was scheduled after the broadcast, and a later
-    one does not; data frames and frames the listener sent never count. Each
-    read lands 0-4 us after some frame's end, where its 0-3 us arrivals fall.
+    An announce arriving just before the read counts, and one arriving at the
+    read's own time or later does not; data frames and frames the listener sent
+    never count. Each read lands 0-4 us after some frame's end, where its 0-3 us
+    arrivals fall.
     """
     n = len(cells)
-    reads = [(listener % n, at, (at - window) * US, late)
-             for listener, anchor, offset, window, late in reads
+    reads = [(listener % n, at, (at - window) * US)
+             for listener, anchor, offset, window in reads
              for _, start, size, _ in [sends[anchor % len(sends)]]
              for at in [start + size + offset]]
     m, flags, delay, got, _ = _coarse_run(
         cells, joins, sends,
-        [(at, late, lambda m, seq, listener=listener, since=since:
-          m.clean_receptions(listener, m.transmissions(FrameKind.CONTROL_ANNOUNCE, since),
-                             seq))
-         for listener, at, since, late in reads])
+        [(at, lambda m, listener=listener, since=since:
+          m.clean_receptions(listener, m.transmissions(FrameKind.CONTROL_ANNOUNCE, since)))
+         for listener, at, since in reads])
     want = [[tx.frame for tx, f in zip(m.log, flags)
              if tx.frame.kind is FrameKind.CONTROL_ANNOUNCE and tx.start >= since
              and f.get(listener) is False
-             and _by_read(tx.end + delay(tx.sender, listener), at * US, late)]
-            for listener, at, since, late in reads]
+             and _by_read(tx.end + delay(tx.sender, listener), at * US)]
+            for listener, at, since in reads]
     assert got == want
 
 
@@ -479,9 +472,8 @@ def _one_frame_read(arrival_offset: int, read_first: bool):
     got = []
 
     def reads(_):
-        got.append((m.last_clean_arrival(1, 0, read_at - 300 * MS, k.seq),
-                    m.clean_receptions(1, m.transmissions(FrameKind.CONTROL_ANNOUNCE, 0),
-                                       k.seq)))
+        got.append((m.last_clean_arrival(1, 0, read_at - 300 * MS),
+                    m.clean_receptions(1, m.transmissions(FrameKind.CONTROL_ANNOUNCE, 0))))
 
     def read():
         k.at(read_at, 1, EventKind.TIMER, reads)
@@ -505,10 +497,10 @@ def test_window_start_read_sees_arrivals_strictly_before_it(offset, heard):
     assert [a.sender for a in announces] == ([0] if heard else [])
 
 
-def test_read_scheduled_after_the_broadcast_sees_an_arrival_at_its_time():
-    (last, announces), arrival = _one_frame_read(0, read_first=False)
-    assert last == arrival
-    assert [a.sender for a in announces] == [0]
+def test_read_scheduled_after_the_broadcast_ignores_an_arrival_at_its_time():
+    (last, announces), _arrival = _one_frame_read(0, read_first=False)
+    assert last is None
+    assert announces == []
 
 
 def test_last_clean_arrival_skips_collided_and_stale_frames():
@@ -523,6 +515,6 @@ def test_last_clean_arrival_skips_collided_and_stale_frames():
     m.broadcast(2, _data(2))            # in range of 1: ruins the second frame there
     k.run_until(20 * MS)
     first = clean.end + m.cfg.prop_delay(50.0)
-    assert m.last_clean_arrival(1, 0, 0, k.next_seq) == first
-    assert m.last_clean_arrival(1, 0, first, k.next_seq) is None
-    assert m.last_clean_arrival(0, 0, 0, k.next_seq) is None      # never its own
+    assert m.last_clean_arrival(1, 0, 0) == first
+    assert m.last_clean_arrival(1, 0, first) is None
+    assert m.last_clean_arrival(0, 0, 0) is None      # never its own

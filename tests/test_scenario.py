@@ -124,6 +124,16 @@ def test_propagation_delay_beyond_eval_guard_rejected_in_tsnctl_mode():
     ScenarioConfig(mode=MODE_BASELINE, radio=RadioConfig(range_m=301.0)).validate()
 
 
+def test_beacon_longer_than_the_window_rejected_in_tsnctl_mode():
+    # 800 B take 1,066,667 ns: the frame would run into the sender's next slot
+    cfg = ScenarioConfig(window=WindowConfig(window_ns=450 * US, slot_len_ns=150 * US))
+    with pytest.raises(ConfigError, match="payload_size_b=800.*window_ns=450000"):
+        cfg.validate()
+    ScenarioConfig(payload_size_b=300, window=cfg.window).validate()
+    # the baseline has no windows
+    ScenarioConfig(mode=MODE_BASELINE, window=cfg.window).validate()
+
+
 def test_bad_radio_parameters_rejected():
     from platoonsim.radio import RadioConfig
 
