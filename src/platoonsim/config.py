@@ -1,8 +1,14 @@
-"""Flat key=value experiment configuration files (INI sections per module)."""
+"""Flat key=value experiment configuration files (INI sections per module).
+
+The keys are the fields of the config dataclasses: `ScenarioConfig`'s plain
+fields under [scenario] (or the section their metadata names), and each
+nested config's fields under the section of that field's name.
+"""
 
 from __future__ import annotations
 
 import configparser
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 
@@ -19,40 +25,20 @@ def _to_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-# section -> key -> (target attribute path, parser)
-_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
-    "scenario": {
-        "vehicle_count": ("vehicle_count", int),
-        "spawn_interval_ns": ("spawn_interval_ns", int),
-        "area_length_m": ("area_length_m", float),
-        "message_interval_ns": ("message_interval_ns", int),
-        "payload_size_b": ("payload_size_b", int),
-        "max_payload_b": ("max_payload_b", int),
-        "mode": ("mode", str),
-        "sim_duration_ns": ("sim_duration_ns", int),
-        "seed": ("seed", int),
-        "repetitions": ("repetitions", int),
-    },
-    "window": {
-        "window_ns": ("window.window_ns", int),
-        "slot_len_ns": ("window.slot_len_ns", int),
-    },
-    "radio": {
-        "range_m": ("radio.range_m", float),
-        "data_rate_bps": ("radio.data_rate_bps", int),
-        "propagation_mps": ("radio.propagation_mps", float),
-        "preamble_ns": ("radio.preamble_ns", int),
-        "cca_detect_ns": ("radio.cca_detect_ns", int),
-    },
-    "csma": {
-        "cw_slots": ("csma.cw_slots", int),
-        "backoff_slot_ns": ("csma.backoff_slot_ns", int),
-    },
-    "metrics": {
-        "count_control_frames": ("count_control_frames", _to_bool),
-        "per_receiver_counting": ("per_receiver_counting", _to_bool),
-    },
-}
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _to_bool}
+
+
+def _key_table(cfg) -> dict[str, dict[str, tuple[object, object]]]:
+    """section -> key -> (config object that holds the key, parser)."""
+    table: dict[str, dict[str, tuple[object, object]]] = {}
+    for f in fields(cfg):
+        sub = getattr(cfg, f.name)
+        if is_dataclass(sub):
+            table[f.name] = {g.name: (sub, _PARSERS[g.type]) for g in fields(sub)}
+        else:
+            section = table.setdefault(f.metadata.get("section", "scenario"), {})
+            section[f.name] = (cfg, _PARSERS[f.type])
+    return table
 
 
 def load_config(path: str | Path):
@@ -70,24 +56,20 @@ def load_config(path: str | Path):
         raise ConfigError(f"malformed config file: {exc}") from None
 
     cfg = ScenarioConfig()
+    table = _key_table(cfg)
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in table:
             raise ConfigError(f"unknown config section [{section}]")
-        schema = _SCHEMA[section]
+        keys = table[section]
         for key, raw in parser.items(section):
-            if key not in schema:
+            if key not in keys:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            attr_path, parse = schema[key]
+            obj, parse = keys[key]
             try:
-                value = parse(raw)
+                setattr(obj, key, parse(raw))
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for [{section}] {key} = {raw!r}: {exc}"
                 ) from None
-            obj = cfg
-            *heads, leaf = attr_path.split(".")
-            for head in heads:
-                obj = getattr(obj, head)
-            setattr(obj, leaf, value)
     cfg.validate()
     return cfg

@@ -60,11 +60,11 @@ class Frame:
 
 
 def make_announce(sender: int, generated_at: int, slots_requested: int = 1,
-                  node_type: NodeType = NodeType.CAR, size: int = ANNOUNCE_SIZE) -> Frame:
+                  node_type: NodeType = NodeType.CAR) -> Frame:
     return Frame(
         kind=FrameKind.CONTROL_ANNOUNCE,
         sender=sender,
-        size=size,
+        size=ANNOUNCE_SIZE,
         generated_at=generated_at,
         slots_requested=slots_requested,
         node_type=node_type,

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import statistics
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -277,19 +278,15 @@ DEFAULT_SLOT_SWEEP_NS = (1_000_000, 2_000_000, 3_000_000)
 
 def _cfg_for(base: ScenarioConfig, axis: str, value: int, mode: str,
              slot_len_ns: int | None) -> ScenarioConfig:
-    cfg = replace(base, mode=mode)
-    cfg.window = replace(base.window)
-    cfg.radio = replace(base.radio)
-    cfg.csma = replace(base.csma)
+    cfg = copy.deepcopy(base)
+    cfg.mode = mode
     if axis == "platoon_size":
         cfg.vehicle_count = value
     elif axis == "packet_size":
         cfg.payload_size_b = value
-    elif axis == "slot_len":
-        cfg.window.slot_len_ns = value
     else:
-        raise ValueError(f"unknown sweep axis {axis!r}")
-    if slot_len_ns is not None and axis != "slot_len":
+        slot_len_ns = value
+    if slot_len_ns is not None:
         cfg.window.slot_len_ns = slot_len_ns
     return cfg
 
@@ -301,16 +298,19 @@ def sweep(axis: str, values: list[int], base: ScenarioConfig,
 
     Returns rows of (axis value, mode, slot_len_ns, result), ordered by
     (value, mode, slot length) for deterministic output. Baseline rows have
-    no slot length (None): CSMA does not use slots.
+    no slot length (None): CSMA does not use slots, so a slot_len sweep runs
+    its baseline once and repeats that result in every baseline row.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
     if not values:
         raise ValueError("sweep needs at least one value")
     out: list[tuple[int, str, int | None, ExperimentResult]] = []
+    baseline = None
     for value in values:
-        cfg_b = _cfg_for(base, axis, value, MODE_BASELINE, None)
-        out.append((value, MODE_BASELINE, None, run_experiment(cfg_b)))
+        if baseline is None or axis != "slot_len":
+            baseline = run_experiment(_cfg_for(base, axis, value, MODE_BASELINE, None))
+        out.append((value, MODE_BASELINE, None, baseline))
         tsn_slots = (None,) if axis == "slot_len" else slot_lens_ns
         for slot in tsn_slots:
             cfg_t = _cfg_for(base, axis, value, MODE_TSNCTL, slot)

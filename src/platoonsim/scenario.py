@@ -6,10 +6,10 @@ import math
 from dataclasses import dataclass, field
 
 from .csma import CsmaConfig, CsmaMac
-from .frames import ANNOUNCE_SIZE, Frame, FrameKind, NodeType, PRIO_SAFETY
+from .frames import ANNOUNCE_SIZE, Frame, FrameKind, NodeType, PRIO_SAFETY, allocation_size
 from .kernel import EventKind, Kernel, MS, Pcg64, RngStreams, SEC
 from .radio import Medium, Position, RadioConfig, tx_duration
-from .tsnctl import EVAL_GUARD, TsnCtl, WindowClock, WindowConfig
+from .tsnctl import TsnCtl, WindowClock, WindowConfig
 
 MODE_BASELINE = "baseline"
 MODE_TSNCTL = "tsnctl"
@@ -34,8 +34,8 @@ class ScenarioConfig:
     window: WindowConfig = field(default_factory=WindowConfig)
     radio: RadioConfig = field(default_factory=RadioConfig)
     csma: CsmaConfig = field(default_factory=CsmaConfig)
-    count_control_frames: bool = True
-    per_receiver_counting: bool = False
+    count_control_frames: bool = field(default=True, metadata={"section": "metrics"})
+    per_receiver_counting: bool = field(default=False, metadata={"section": "metrics"})
 
     def validate(self) -> None:
         from .config import ConfigError
@@ -78,12 +78,14 @@ class ScenarioConfig:
                         f"a payload_size_b={self.payload_size_b} beacon ({beacon} ns on air) "
                         f"outlasts the window_ns={self.window.window_ns} window"
                     )
-                max_delay = self.radio.prop_delay(self.radio.range_m)
-                if max_delay > EVAL_GUARD:
+                # slot 1 must hold the smallest allocation between two guards
+                guard = self.radio.prop_delay(self.radio.range_m)
+                alloc = tx_duration(allocation_size(2), self.radio)
+                if 2 * guard + alloc > self.window.slot_len_ns:
                     raise ValueError(
-                        f"the maximum propagation delay ({max_delay} ns at "
-                        f"range_m={self.radio.range_m}) exceeds the {EVAL_GUARD} ns "
-                        "guard after which a slot's deliveries are evaluated"
+                        f"slot_len_ns={self.window.slot_len_ns} cannot hold a two-member "
+                        f"allocation ({alloc} ns on air) between two {guard} ns guards, "
+                        f"the propagation delay over range_m={self.radio.range_m}"
                     )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None

@@ -45,9 +45,6 @@ from .frames import (
 from .kernel import EventKind, Kernel, MS, Pcg64, uniform
 from .radio import Medium, Transmission, tx_duration
 
-# Processing guard after a slot boundary: lets in-flight deliveries (at most
-# one propagation delay late) land before their slot's content is evaluated.
-EVAL_GUARD = 1_000
 # A slave that hears no clean frame of its master for this many windows
 # falls back to INIT and rejoins.
 MASTER_TIMEOUT_WINDOWS = 3
@@ -310,7 +307,10 @@ class WindowClock:
     end of slot 1, one kernel event each, in the order in which per-member
     timers armed a window ahead would fire: a member acts from the first window
     start after its creation, and one created on a boundary before the clock's
-    event there goes to the head of the order, any other to the tail."""
+    event there goes to the head of the order, any other to the tail.
+
+    The guard is the propagation delay over the radio range: every frame sent
+    in a slot has arrived everywhere by its end plus the guard."""
 
     TARGET = -1     # the kernel target of the clock's events; vehicle ids are >= 0
 
@@ -319,6 +319,7 @@ class WindowClock:
         self.kernel = kernel
         self.medium = medium
         self.wcfg = wcfg
+        self.guard = medium.cfg.prop_delay(medium.cfg.range_m)
         self.members: list[TsnCtl] = []
         self._early: list[TsnCtl] = []      # joined at the pending window start
         self._next = (kernel.now // wcfg.window_ns + 1) * wcfg.window_ns
@@ -333,7 +334,7 @@ class WindowClock:
         self.members[:0], self._early = self._early, []
         self._next = w + self.wcfg.window_ns
         at, slot = self.kernel.at, self.wcfg.slot_len_ns
-        at(w + slot + EVAL_GUARD, self.TARGET, EventKind.TIMER, self._on_slot0_end, w)
+        at(w + slot + self.guard, self.TARGET, EventKind.TIMER, self._on_slot0_end, w)
         at(w + 2 * slot, self.TARGET, EventKind.TIMER, self._on_slot1_end, w)
         at(self._next, self.TARGET, EventKind.TIMER, self._on_window_start, self._next)
 
@@ -356,6 +357,7 @@ class TsnCtl:
         self.kernel = kernel = clock.kernel
         self.medium = clock.medium
         self.wcfg = clock.wcfg
+        self.guard = clock.guard
         self.rng = rng
         self.node_type = node_type
         self.slots_requested = slots_requested
@@ -502,8 +504,8 @@ class TsnCtl:
         self.rejected_joins += len(rejected)
         self.pending_schedule = sched
         dur = tx_duration(allocation_size(len(sched)), self.medium.cfg)
-        lo = w + self.wcfg.slot_len_ns + EVAL_GUARD
-        hi = w + 2 * self.wcfg.slot_len_ns - dur - EVAL_GUARD
+        lo = w + self.wcfg.slot_len_ns + self.guard
+        hi = w + 2 * self.wcfg.slot_len_ns - dur - self.guard
         if hi < lo:
             return  # allocation cannot fit slot 1 for this member count
         self._timer(uniform(self.rng, lo, hi), self._try_alloc, w)
@@ -544,7 +546,7 @@ class TsnCtl:
 
     def _on_allocation(self, frame: Frame) -> None:
         key = (frame.generated_at, frame.sender)
-        listed = frame.allocations is not None and self.vid in frame.allocations
+        listed = self.vid in frame.allocations
         st = self.state.status
 
         if st is Status.INIT:
@@ -553,8 +555,6 @@ class TsnCtl:
 
         if st is Status.IN_PLATOON:
             if frame.sender == self.master_id:
-                if self.state.role is Role.MASTER:
-                    return  # our own refresh echo cannot occur; ignore defensively
                 if listed:
                     self._step(FsmEvent.ALLOCATION_RECEIVED, "refresh")
                     self._adopt(frame, confirm=False)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -8,8 +9,12 @@ import pytest
 from platoonsim import cli, metrics
 from platoonsim.cli import main
 from platoonsim.config import load_config
-from platoonsim.metrics import emit_csv, run_experiment, write_transmission_log
-from platoonsim.scenario import run_scenario
+from platoonsim.csma import CsmaConfig
+from platoonsim.kernel import MS, SEC
+from platoonsim.metrics import emit_csv, emit_sweep_csv, run_experiment, write_transmission_log
+from platoonsim.radio import RadioConfig
+from platoonsim.scenario import ScenarioConfig, run_scenario
+from platoonsim.tsnctl import WindowConfig
 
 GOOD_CONFIG = """\
 [scenario]
@@ -234,11 +239,26 @@ def test_verify_missing_log_exits_1(tmp_path):
     assert main(["verify", "--log", str(tmp_path / "none.log")]) == 1
 
 
-def test_all_module_sections_parse(tmp_path):
-    cfg = _write(tmp_path, GOOD_CONFIG + """
+ALL_KEYS_CONFIG = """\
+[scenario]
+vehicle_count = 4
+spawn_interval_ns = 2000000
+area_length_m = 150.0
+message_interval_ns = 50000000
+payload_size_b = 700
+max_payload_b = 900
+mode = baseline
+sim_duration_ns = 1000000000
+seed = 7
+repetitions = 2
+
+[window]
+window_ns = 60000000
+slot_len_ns = 3000000
+
 [radio]
 range_m = 250.0
-data_rate_bps = 6000000
+data_rate_bps = 12000000
 propagation_mps = 299792458
 preamble_ns = 40000
 cca_detect_ns = 8000
@@ -250,18 +270,71 @@ backoff_slot_ns = 13000
 [metrics]
 count_control_frames = false
 per_receiver_counting = true
-""")
+"""
+
+
+def test_all_module_sections_parse(tmp_path):
+    cfg = _write(tmp_path, ALL_KEYS_CONFIG)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
 
-    from platoonsim.config import load_config
-
     parsed = load_config(cfg)
-    assert parsed.radio.range_m == 250.0
-    assert parsed.radio.preamble_ns == 40000
-    assert parsed.csma.cw_slots == 16
-    assert parsed.count_control_frames is False
-    assert parsed.per_receiver_counting is True
+    assert parsed == ScenarioConfig(
+        vehicle_count=4, spawn_interval_ns=2 * MS, area_length_m=150.0,
+        message_interval_ns=50 * MS, payload_size_b=700, max_payload_b=900,
+        mode="baseline", sim_duration_ns=SEC, seed=7, repetitions=2,
+        window=WindowConfig(window_ns=60 * MS, slot_len_ns=3 * MS),
+        radio=RadioConfig(range_m=250.0, data_rate_bps=12_000_000,
+                          propagation_mps=299_792_458.0, preamble_ns=40_000,
+                          cca_detect_ns=8_000),
+        csma=CsmaConfig(cw_slots=16, backoff_slot_ns=13_000),
+        count_control_frames=False, per_receiver_counting=True,
+    )
+    # each of the 21 keys landed off its default, parsed to the default's type
+    default = ScenarioConfig()
+    landed = 0
+    for obj, ref in [(parsed, default)] + [(getattr(parsed, n), getattr(default, n))
+                                           for n in ("window", "radio", "csma")]:
+        for f in fields(ref):
+            value, dflt = getattr(obj, f.name), getattr(ref, f.name)
+            if not is_dataclass(dflt):
+                assert value != dflt and type(value) is type(dflt), f.name
+                landed += 1
+    assert landed == 21
+
+
+@pytest.mark.parametrize("line", ["count_control_frames = false", "slot_len_ns = 1000000"])
+def test_key_of_another_section_under_scenario_exits_2(tmp_path, capsys, line):
+    cfg = _write(tmp_path, GOOD_CONFIG.replace("seed = 7", f"seed = 7\n{line}"))
+    assert main(["run", "--config", str(cfg)]) == 2
+    key = line.split()[0]
+    assert f"config error: unknown key {key!r} in section [scenario]" in capsys.readouterr().err
+
+
+def test_slot_len_sweep_runs_its_baseline_once(tmp_path, monkeypatch):
+    runs = []
+
+    def counting_run_experiment(cfg):
+        runs.append((cfg.mode, cfg.window.slot_len_ns))
+        return run_experiment(cfg)
+
+    monkeypatch.setattr(metrics, "run_experiment", counting_run_experiment)
+    # eight vehicles, so that the baseline rows hold collisions
+    cfg_path = _write(tmp_path, GOOD_CONFIG.replace("vehicle_count = 4", "vehicle_count = 8"))
+    values = (1 * MS, 2 * MS, 3 * MS)
+    assert main(["sweep", "--axis", "slot_len", "--values", ",".join(map(str, values)),
+                 "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert runs == [("baseline", 1 * MS)] + [("tsnctl", v) for v in values]
+
+    # the same CSV as one baseline experiment per value
+    rows = []
+    for v in values:
+        for mode in ("baseline", "tsnctl"):
+            cfg = load_config(cfg_path)
+            cfg.mode, cfg.window.slot_len_ns = mode, v
+            rows.append((v, mode, v if mode == "tsnctl" else None, run_experiment(cfg)))
+    emit_sweep_csv("slot_len", rows, tmp_path / "ref.csv")
+    assert (tmp_path / "sweep_slot_len.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 _REPO = Path(__file__).resolve().parents[1]

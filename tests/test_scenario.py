@@ -2,7 +2,7 @@ import pytest
 
 from platoonsim.config import ConfigError
 from platoonsim.frames import FrameKind
-from platoonsim.kernel import MS, SEC, US, RngStreams
+from platoonsim.kernel import MS, SEC, US, Kernel, RngStreams
 from platoonsim.scenario import (
     MODE_BASELINE,
     MODE_TSNCTL,
@@ -10,7 +10,7 @@ from platoonsim.scenario import (
     build_vehicles,
     run_scenario,
 )
-from platoonsim.tsnctl import WindowConfig
+from platoonsim.tsnctl import WindowClock, WindowConfig
 
 
 def test_spawn_times_follow_interval():
@@ -110,24 +110,28 @@ def test_zero_vehicles_rejected():
         ScenarioConfig(vehicle_count=0).validate()
 
 
-def test_propagation_delay_beyond_eval_guard_rejected_in_tsnctl_mode():
-    from platoonsim.radio import RadioConfig
-    from platoonsim.tsnctl import EVAL_GUARD
+def test_slot_guard_is_derived_from_the_radio_range():
+    from platoonsim.radio import Medium, RadioConfig
 
-    assert RadioConfig().prop_delay(300.0) == EVAL_GUARD
-    ScenarioConfig(radio=RadioConfig(range_m=300.0)).validate()
-    with pytest.raises(ConfigError, match="propagation delay"):
-        ScenarioConfig(radio=RadioConfig(range_m=301.0)).validate()
-    with pytest.raises(ConfigError, match="propagation delay"):
-        ScenarioConfig(radio=RadioConfig(propagation_mps=2.0e8)).validate()
-    # the baseline evaluates nothing at slot boundaries
-    ScenarioConfig(mode=MODE_BASELINE, radio=RadioConfig(range_m=301.0)).validate()
+    for range_m, guard in ((300.0, 1_000), (1_000.0, 3_334)):
+        radio, kernel = RadioConfig(range_m=range_m), Kernel()
+        clock = WindowClock(kernel, Medium(kernel, radio), WindowConfig())
+        assert clock.guard == radio.prop_delay(range_m) == guard
+    ScenarioConfig(area_length_m=1_000.0, radio=RadioConfig(range_m=1_000.0)).validate()
+    # slot 1 must hold a two-member allocation (154,667 ns on air) between two
+    # guards; 300 km of range make a 1 ms guard
+    for slot, radio in ((150 * US, RadioConfig()), (2 * MS, RadioConfig(range_m=300_000.0))):
+        cfg = ScenarioConfig(window=WindowConfig(slot_len_ns=slot), radio=radio)
+        with pytest.raises(ConfigError, match=f"slot_len_ns={slot} .*range_m={radio.range_m}"):
+            cfg.validate()
+        # the baseline evaluates nothing at slot boundaries
+        ScenarioConfig(mode=MODE_BASELINE, window=cfg.window, radio=radio).validate()
 
 
 def test_beacon_longer_than_the_window_rejected_in_tsnctl_mode():
     # 800 B take 1,066,667 ns: the frame would run into the sender's next slot
-    cfg = ScenarioConfig(window=WindowConfig(window_ns=450 * US, slot_len_ns=150 * US))
-    with pytest.raises(ConfigError, match="payload_size_b=800.*window_ns=450000"):
+    cfg = ScenarioConfig(window=WindowConfig(window_ns=480 * US, slot_len_ns=160 * US))
+    with pytest.raises(ConfigError, match="payload_size_b=800.*window_ns=480000"):
         cfg.validate()
     ScenarioConfig(payload_size_b=300, window=cfg.window).validate()
     # the baseline has no windows

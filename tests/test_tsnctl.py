@@ -14,7 +14,6 @@ from platoonsim.kernel import EventKind, Kernel, MS, SEC, US, RngStreams
 from platoonsim.radio import Medium, Position, RadioConfig, tx_duration
 from platoonsim.scenario import ScenarioConfig, run_scenario
 from platoonsim.tsnctl import (
-    EVAL_GUARD,
     FsmEvent,
     FsmState,
     LEGAL_EDGES,
@@ -346,7 +345,7 @@ def test_data_frames_start_at_their_slot_origin():
     kernel.run_until(400 * MS)
     starts = [(tx.sender, tx.frame.seq, tx.start) for tx in medium.log
               if tx.frame.kind is FrameKind.DATA]
-    assert starts == [(0, 0, 302 * MS + EVAL_GUARD), (0, 1, 304 * MS),
+    assert starts == [(0, 0, 302 * MS + ctls[0].guard), (0, 1, 304 * MS),
                       (1, 0, 306 * MS), (2, 0, 308 * MS)]
 
 
@@ -459,7 +458,7 @@ def test_master_loss_reverts_slave_to_init_and_rejoin():
         ctls[5] = ctl
 
     kernel.at(10 * MS, 5, EventKind.SPAWN, spawn)
-    kernel.run_until(100 * MS + 2 * MS + EVAL_GUARD + 1)   # joining, election done
+    kernel.run_until(100 * MS + 2 * MS + clock.guard + 1)   # joining, election done
     ctl = ctls[5]
 
     # a phantom master, heard through the medium once and never again
@@ -516,8 +515,10 @@ def test_clock_raises_one_timer_per_window_boundary(vehicles):
     ticks = [(at, kind) for at, _seq, target, kind in run.medium.kernel.trace
              if target == WindowClock.TARGET]
     window, slot, end = cfg.window.window_ns, cfg.window.slot_len_ns, cfg.sim_duration_ns
+    guard = run.controllers[0].guard
+    assert guard == 1_000
     boundaries = sorted(b for w in range(window, end + 1, window)
-                        for b in (w, w + slot + EVAL_GUARD, w + 2 * slot) if b <= end)
+                        for b in (w, w + slot + guard, w + 2 * slot) if b <= end)
     assert len(boundaries) == 10 + 9 + 9
     assert ticks == [(b, "TIMER") for b in boundaries]
     assert len(run.controllers) == vehicles
