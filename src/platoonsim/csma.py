@@ -35,10 +35,14 @@ class CsmaConfig:
 
 
 class CsmaMac:
-    """Per-vehicle FIFO with the baseline access procedure."""
+    """Per-vehicle FIFO with the baseline access procedure.
+
+    With a message source (`scenario.ItsService`), the MAC raises one event
+    per message at its due time and submits it there.
+    """
 
     def __init__(self, vid: int, kernel: Kernel, medium: Medium,
-                 cfg: CsmaConfig, rng: Pcg64):
+                 cfg: CsmaConfig, rng: Pcg64, *, source=None):
         cfg.validate()
         self.vid = vid
         self.kernel = kernel
@@ -50,6 +54,15 @@ class CsmaMac:
         self.frames_submitted = 0
         self.frames_transmitted = 0
         self.deferrals = 0
+        self.source = source
+        if source is not None and source.next_due is not None:
+            kernel.at(source.next_due, vid, EventKind.APP_TICK, self._on_message)
+
+    def _on_message(self, _payload) -> None:
+        source = self.source
+        self.submit(source.take())
+        if source.next_due is not None:
+            self.kernel.at(source.next_due, self.vid, EventKind.APP_TICK, self._on_message)
 
     def submit(self, frame: Frame) -> None:
         self.queue.append(frame)

@@ -72,6 +72,11 @@ class RadioConfig:
         """Propagation delay in ns over dist metres, rounded up."""
         return math.ceil(dist * SEC / self.propagation_mps)
 
+    @property
+    def max_delay(self) -> int:
+        """The longest propagation delay between two vehicles in range."""
+        return self.prop_delay(self.range_m)
+
 
 def tx_duration(size_bytes: int, cfg: RadioConfig) -> int:
     """On-air time in ns: preamble plus payload bits at the configured rate."""
@@ -140,10 +145,12 @@ class Medium:
         # every vehicle hears itself first, with delay 0
         self._hears: dict[int, dict[int, int]] = {}
         self._bit: dict[int, int] = {}              # vid -> 1 << registration index
-        # vid -> mask of the vehicles it hears, itself included; without its
-        # own bit, the receivers of its broadcasts
+        # vid -> mask of the vehicles it hears, itself included (`_range`), and
+        # without its own bit, the receivers of its broadcasts (`_receivers`);
+        # every transmission of a sender between two registrations shares one int
         self._range: dict[int, int] = {}
-        self._sense_slack = cfg.prop_delay(cfg.range_m)
+        self._receivers: dict[int, int] = {}
+        self._sense_slack = cfg.max_delay
         self._max_dur = 0
 
     def register(self, vid: int, pos: Position,
@@ -159,9 +166,11 @@ class Medium:
                 hears[other] = self._hears[other][vid] = self.cfg.prop_delay(dist)
                 receivers |= self._bit[other]
                 self._range[other] |= bit
+                self._receivers[other] |= bit
         self._hears[vid] = hears
         self._bit[vid] = bit
         self._range[vid] = receivers | bit
+        self._receivers[vid] = receivers
         self.positions[vid] = pos
         if handler is not None:
             self.handlers[vid] = handler
@@ -182,7 +191,7 @@ class Medium:
         log, ranges = self.log, self._range
         mask = ranges[sender]
         tx = Transmission(sender=sender, frame=frame, start=start, end=end,
-                          receivers=mask ^ self._bit[sender])
+                          receivers=self._receivers[sender])
         # Every logged frame started at or before `start`, so the half-open
         # intervals overlap iff it ends after `start` and starts before `end`;
         # a zero-length frame overlaps nothing that starts with it.

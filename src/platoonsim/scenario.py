@@ -79,7 +79,7 @@ class ScenarioConfig:
                         f"outlasts the window_ns={self.window.window_ns} window"
                     )
                 # slot 1 must hold the smallest allocation between two guards
-                guard = self.radio.prop_delay(self.radio.range_m)
+                guard = self.radio.max_delay
                 alloc = tx_duration(allocation_size(2), self.radio)
                 if 2 * guard + alloc > self.window.slot_len_ns:
                     raise ValueError(
@@ -109,37 +109,32 @@ def build_vehicles(cfg: ScenarioConfig, rng: Pcg64) -> list[VehicleSpec]:
 
 
 class ItsService:
-    """Mock awareness service: one fixed-size message every interval from spawn."""
+    """Mock awareness service: one fixed-size message every interval from spawn.
 
-    def __init__(self, spec: VehicleSpec, kernel: Kernel, cfg: ScenarioConfig,
-                 submit) -> None:
-        self.spec = spec
-        self.kernel = kernel
+    Generation is by time alone and raises no event: the k-th message is due
+    at spawn_at + k * interval if that lies before the run end, and its MAC
+    takes it (`take`) once the clock has reached `next_due`, so a message
+    generated at t is queued at t. `generated` is the closed-form count of
+    the run.
+    """
+
+    def __init__(self, spec: VehicleSpec, cfg: ScenarioConfig) -> None:
+        self.vid = spec.vid
         self.cfg = cfg
-        self.submit = submit
-        self.seq = 0
-        self.generated = 0
+        self.end = cfg.sim_duration_ns
+        self.generated = max(0, -((spec.spawn_at - self.end) // cfg.message_interval_ns))
+        self.seq = 0        # messages taken
+        # due time of the next message; None once all are taken
+        self.next_due: int | None = spec.spawn_at if self.generated else None
 
-    def start(self) -> None:
-        self.kernel.at(self.spec.spawn_at, self.spec.vid, EventKind.APP_TICK, self._tick)
-
-    def _tick(self, _payload) -> None:
-        now = self.kernel.now
-        if now >= self.cfg.sim_duration_ns:
-            return
-        frame = Frame(
-            kind=FrameKind.DATA,
-            sender=self.spec.vid,
-            size=self.cfg.payload_size_b,
-            generated_at=now,
-            priority=PRIO_SAFETY,
-            seq=self.seq,
-        )
+    def take(self) -> Frame:
+        """The next message, generated at its due time."""
+        frame = Frame(kind=FrameKind.DATA, sender=self.vid, size=self.cfg.payload_size_b,
+                      generated_at=self.next_due, priority=PRIO_SAFETY, seq=self.seq)
         self.seq += 1
-        self.generated += 1
-        self.submit(frame)
-        self.kernel.at(now + self.cfg.message_interval_ns, self.spec.vid,
-                       EventKind.APP_TICK, self._tick)
+        self.next_due = (self.next_due + self.cfg.message_interval_ns
+                         if self.seq < self.generated else None)
+        return frame
 
 
 @dataclass(slots=True)
@@ -167,19 +162,14 @@ def run_scenario(cfg: ScenarioConfig, seed: int, *, trace: bool = False) -> RunR
 
     def spawn(spec: VehicleSpec) -> None:
         rng = streams.stream(VEHICLE_STREAM_BASE + spec.vid)
+        service = services[spec.vid] = ItsService(spec, cfg)
         if cfg.mode == MODE_BASELINE:
-            mac = CsmaMac(spec.vid, kernel, medium, cfg.csma, rng)
-            macs[spec.vid] = mac
+            macs[spec.vid] = CsmaMac(spec.vid, kernel, medium, cfg.csma, rng, source=service)
             medium.register(spec.vid, spec.position)
-            submit = mac.submit
         else:
-            ctl = TsnCtl(spec.vid, clock, rng, node_type=spec.node_type)
+            ctl = TsnCtl(spec.vid, clock, rng, node_type=spec.node_type, source=service)
             controllers[spec.vid] = ctl
             medium.register(spec.vid, spec.position, handler=ctl.on_frame_delivery)
-            submit = ctl.enqueue_app_message
-        service = ItsService(spec, kernel, cfg, submit)
-        services[spec.vid] = service
-        service.start()
 
     for spec in specs:
         kernel.at(spec.spawn_at, spec.vid, EventKind.SPAWN, spawn, spec)
@@ -187,4 +177,6 @@ def run_scenario(cfg: ScenarioConfig, seed: int, *, trace: bool = False) -> RunR
     clock = WindowClock(kernel, medium, cfg.window) if cfg.mode == MODE_TSNCTL else None
 
     kernel.run_until(cfg.sim_duration_ns)
+    for ctl in controllers.values():
+        ctl.pull(cfg.sim_duration_ns)      # what fell due since its last burst
     return RunResult(cfg, seed, medium, specs, services, macs, controllers)

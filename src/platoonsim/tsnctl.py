@@ -20,6 +20,11 @@ A frame too large for any slot is transmitted anyway at its slot origin and
 overruns into the neighbour slot rather than being dropped, so undersized
 slot configurations degrade instead of silently discarding traffic.
 
+A controller takes the application messages due by now from its source each
+time a burst reads its queues, so a message generated at t is queued at t; a
+data-slot burst settles each step when the previous frame starts and raises an
+event only for a step that transmits.
+
 The medium hands a controller only allocation frames, which act at once.
 Everything else is read back from the medium's log when it is needed: the
 election and the master's admission read the clean announces heard since the
@@ -29,6 +34,7 @@ latest clean arrival at it.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum, auto
@@ -319,7 +325,7 @@ class WindowClock:
         self.kernel = kernel
         self.medium = medium
         self.wcfg = wcfg
-        self.guard = medium.cfg.prop_delay(medium.cfg.range_m)
+        self.guard = medium.cfg.max_delay
         self.members: list[TsnCtl] = []
         self._early: list[TsnCtl] = []      # joined at the pending window start
         self._next = (kernel.now // wcfg.window_ns + 1) * wcfg.window_ns
@@ -352,7 +358,8 @@ class TsnCtl:
     """One vehicle's controller instance, driven by its clock and kernel events."""
 
     def __init__(self, vid: int, clock: WindowClock, rng: Pcg64, *,
-                 node_type: NodeType = NodeType.CAR, slots_requested: int = 1):
+                 node_type: NodeType = NodeType.CAR, slots_requested: int = 1,
+                 source=None):
         self.vid = vid
         self.kernel = kernel = clock.kernel
         self.medium = clock.medium
@@ -365,6 +372,9 @@ class TsnCtl:
         self.state = FsmState(Status.INIT, Role.SLAVE)
         self.created_at = kernel.now            # announce timestamp, stable across retries
         self.queues = PriorityQueueSet()
+        # the application's message source (`scenario.ItsService`), read by `pull`
+        self.source = source
+        self.run_end = source.end if source is not None else math.inf
         self.epoch = -1
         self.schedule: dict[int, range] | None = None   # a master's own schedule
         self.my_slots = range(0)
@@ -388,6 +398,12 @@ class TsnCtl:
 
     def enqueue_app_message(self, frame: Frame) -> None:
         self.queues.push(frame)
+
+    def pull(self, now: int) -> None:
+        """Queue the source's messages due by now: one generated at t is queued at t."""
+        source = self.source
+        while source is not None and source.next_due is not None and source.next_due <= now:
+            self.enqueue_app_message(source.take())
 
     def on_frame_delivery(self, frame: Frame, collided: bool) -> None:
         """The medium's handler: it delivers allocations only."""
@@ -645,22 +661,47 @@ class TsnCtl:
         else:
             self._timer(start, self._burst, ctx)
 
+    def _head_fits(self, now: int, idx: int, origin: int, end: int) -> bool:
+        """Whether the head of the queues, as they stand at now, may start at now.
+
+        When a frame is queued but may not, the queued frames count as deferred.
+        """
+        self.pull(now)
+        frame = self.queues.peek()
+        if frame is None:
+            return False
+        dur = tx_duration(frame.size, self.medium.cfg)
+        overrun = idx != 1 and dur > self.wcfg.slot_len_ns and now == origin
+        if now + dur <= end or overrun:
+            return True
+        self.deferred += len(self.queues)
+        return False
+
     def _burst(self, ctx) -> None:
         w, idx, origin, end, gen = ctx
         if w != self.epoch or gen != self._slot_gen:
             return
-        frame = self.queues.peek()
-        if frame is None:
-            return
         now = self.kernel.now
-        dur = tx_duration(frame.size, self.medium.cfg)
-        fits = now + dur <= end
-        overrun = idx != 1 and dur > self.wcfg.slot_len_ns and now == origin
-        if not (fits or overrun):
-            self.deferred += len(self.queues)
+        if not self._head_fits(now, idx, origin, end):
             return
         if idx == 1 and self.medium.idle_from(self.vid, now) > now:
             self.deferred += len(self.queues)
             return
-        self.medium.broadcast(self.vid, self.queues.pop())
-        self._timer(now + dur, self._burst, ctx)
+        tx = self.medium.broadcast(self.vid, self.queues.pop())
+        if self._step_needs_event(tx.end, w, idx, origin, end):
+            self._timer(tx.end, self._burst, ctx)
+
+    def _step_needs_event(self, at: int, w: int, idx: int, origin: int, end: int) -> bool:
+        """Whether the burst's next step, at `at` when its frame ends, needs an event.
+
+        The master senses slot 1, and an allocation can supersede it there;
+        a frame that reaches the sender's own next slot lets that slot's burst
+        act first. Nothing else changes a data-slot burst before the next
+        window start, so its step is settled now and needs an event only to
+        transmit. A step at or after the next window start, or after the run
+        end, would not act.
+        """
+        if idx == 1 or (at >= end and idx + 1 in self.my_slots):
+            return True
+        return (at < w + self.wcfg.window_ns and at <= self.run_end
+                and self._head_fits(at, idx, origin, end))

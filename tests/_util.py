@@ -31,14 +31,15 @@ class ScriptedRng:
 
 
 def assemble_platoon(spawn_times: dict[int, int], offsets: dict[int, int],
-                     *, slot_ms: int = 2, run_ms: int = 600,
+                     *, slot_ms: int = 2, window_ms: int = 100, run_ms: int = 600,
                      positions: dict[int, Position] | None = None,
                      radio: RadioConfig | None = None,
                      ) -> tuple[Kernel, Medium, dict[int, TsnCtl]]:
     """Build controllers with fixed spawn times and constant announce offsets."""
     kernel = Kernel()
     medium = Medium(kernel, radio or RadioConfig())
-    clock = WindowClock(kernel, medium, WindowConfig(slot_len_ns=slot_ms * MS))
+    clock = WindowClock(kernel, medium,
+                        WindowConfig(window_ns=window_ms * MS, slot_len_ns=slot_ms * MS))
     ctls: dict[int, TsnCtl] = {}
 
     def spawn(vid: int) -> None:

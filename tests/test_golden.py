@@ -8,7 +8,12 @@ plus two tsnctl points whose vehicles spawn every 50 ms, so every other one is
 created on a window boundary, where it joins the window clock ahead of that
 boundary's event. On the second, a 1 km road holds several platoons, whose
 members' data slots coincide, so the order in which the clock calls its
-members shows in the order of same-instant transmissions.
+members shows in the order of same-instant transmissions. A last tsnctl point,
+at both durations, has 1 ms slots, 100 B frames (seven fit a slot) and a
+message every 20 ms: each burst sends the messages that fell due since the
+last one, among them those due at the instant the burst starts, so the log
+pins when a due message joins the queue. (With 800 B frames every burst is
+one overrunning frame, whatever the queue holds.)
 Each point has two keys: `rec0` hashes the accounting line alone (the
 receiver count twice, which keeps the fixture's layout, then the collided
 count), and `rec1` appends to each line its per-receiver outcomes, as
@@ -54,6 +59,10 @@ def _grid() -> list[tuple[str, str, int, int, int, dict]]:
     for suffix, extra in (("", spawn50), ("-area1000m", {**spawn50, "area_length_m": 1000.0})):
         points.append((f"{MODE_TSNCTL}-2ms-seed1-{DURATIONS[0]}ns-spawn50ms{suffix}",
                        MODE_TSNCTL, 2, 1, DURATIONS[0], extra))
+    for duration in DURATIONS:
+        points.append((f"{MODE_TSNCTL}-1ms-seed1-{duration}ns-msg20ms",
+                       MODE_TSNCTL, 1, 1, duration,
+                       {"message_interval_ns": 20 * MS, "payload_size_b": 100}))
     return points
 
 

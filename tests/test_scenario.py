@@ -3,14 +3,17 @@ import pytest
 from platoonsim.config import ConfigError
 from platoonsim.frames import FrameKind
 from platoonsim.kernel import MS, SEC, US, Kernel, RngStreams
+from platoonsim.radio import Position
 from platoonsim.scenario import (
     MODE_BASELINE,
     MODE_TSNCTL,
+    ItsService,
     ScenarioConfig,
+    VehicleSpec,
     build_vehicles,
     run_scenario,
 )
-from platoonsim.tsnctl import WindowClock, WindowConfig
+from platoonsim.tsnctl import Status, WindowClock, WindowConfig
 
 
 def test_spawn_times_follow_interval():
@@ -83,6 +86,32 @@ def test_message_conservation_tsnctl():
         sent = sum(tx.sender == vid and tx.frame.kind is FrameKind.DATA
                    for tx in run.medium.log)
         assert service.generated == sent + len(run.controllers[vid].queues)
+
+
+def test_unadmitted_vehicle_generates_the_closed_form_count_tsnctl():
+    # alone on a 1 km road, the vehicle never joins a platoon, never owns a
+    # slot and never sends: every message it generated is queued at the end
+    duration = 1_910_543_210
+    cfg = ScenarioConfig(vehicle_count=1, area_length_m=1_000.0, mode=MODE_TSNCTL,
+                         sim_duration_ns=duration)
+    run = run_scenario(cfg, 1)
+    ctl, service = run.controllers[0], run.services[0]
+    assert ctl.state.status is not Status.IN_PLATOON
+    assert not [tx for tx in run.medium.log if tx.frame.kind is FrameKind.DATA]
+    assert service.generated == len(range(0, duration, cfg.message_interval_ns)) == 20
+    assert len(ctl.queues) == service.generated
+    assert [f.generated_at for f in ctl.queues.queues[0]] == list(range(0, duration, 100 * MS))
+
+
+def test_service_counts_the_messages_due_before_the_run_end():
+    cfg = ScenarioConfig(sim_duration_ns=1_910_543_210)
+    for spawn_at, count in ((30 * MS, 19), (1_810_543_210, 1), (1_810_543_211, 1),
+                            (1_910_543_210, 0)):
+        service = ItsService(VehicleSpec(0, Position(0.0, 0.0), spawn_at), cfg)
+        assert service.generated == count
+        due = [service.take().generated_at for _ in range(count)]
+        assert due == list(range(spawn_at, cfg.sim_duration_ns, cfg.message_interval_ns))
+        assert service.next_due is None
 
 
 def test_invalid_mode_is_a_config_error():

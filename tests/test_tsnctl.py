@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -408,6 +410,81 @@ def test_oversized_frame_overruns_from_slot_origin():
     origin = (tx.start // (100 * MS)) * 100 * MS + slave.my_slots[0] * 1 * MS
     assert tx.start == origin
     assert tx.end > origin + 1 * MS                 # spills into the neighbour slot
+
+
+@pytest.mark.parametrize("size", [750, 800], ids=["ends-at-window-start", "overruns-it"])
+def test_burst_ending_at_or_after_the_next_window_start_counts_no_deferral(size):
+    # a 4 ms window of 1 ms slots: the master owns slot 2, the slave slot 3,
+    # the last; a 750 B frame is on air for exactly 1 ms
+    kernel, medium, ctls = assemble_platoon({0: 0, 1: 1 * MS}, {0: 0, 1: 300 * US},
+                                            slot_ms=1, window_ms=4, run_ms=8)
+    master, slave = ctls[0], ctls[1]
+    assert (master.my_slots, slave.my_slots) == (range(2, 3), range(3, 4))
+    # the slave hears its master's frames clean: they end as its own start
+    for seq in range(6):
+        master.enqueue_app_message(_data(0, size=750, seq=seq))
+        slave.enqueue_app_message(_data(1, size=size, seq=seq))
+    kernel.run_until(30 * MS)
+    sent = [tx for tx in medium.log if tx.sender == 1 and tx.frame.kind is FrameKind.DATA]
+    assert [tx.start for tx in sent] == [w + 3 * MS for w in range(8 * MS, 28 * MS, 4 * MS)]
+    assert all(tx.end >= (tx.start // (4 * MS) + 1) * 4 * MS for tx in sent)
+    assert len(slave.queues) == 1 and slave.deferred == 0
+    # the master's frame ends at slot 3's origin, inside the window: the rest
+    # of its queue is deferred there, once a window
+    assert master.deferred > 0
+
+
+def test_burst_reaching_the_senders_next_slot_lets_that_slot_send_first():
+    # members hold two adjacent 1 ms slots, and a 750 B frame is on air for
+    # exactly 1 ms: the slave's frame in slot 4 ends as its slot 5 opens, that
+    # slot sends the next frame, and only then does the slot-4 burst count
+    # what is left; the slot-5 burst counts it again when its frame ends
+    kernel = Kernel()
+    medium = Medium(kernel, RadioConfig())
+    clock = WindowClock(kernel, medium, WindowConfig(slot_len_ns=1 * MS))
+    ctls = [TsnCtl(vid, clock, ConstRng(vid * 300 * US), slots_requested=2) for vid in (0, 1)]
+    for ctl in ctls:
+        medium.register(ctl.vid, Position(float(ctl.vid), 0.0), handler=ctl.on_frame_delivery)
+    kernel.run_until(250 * MS)
+    slave = ctls[1]
+    assert slave.my_slots == range(4, 6) and slave.deferred == 0
+    for seq in range(6):
+        slave.enqueue_app_message(_data(1, size=750, seq=seq))
+    kernel.run_until(399 * MS)
+    sent = [tx.start for tx in medium.log if tx.sender == 1 and tx.frame.kind is FrameKind.DATA]
+    assert sent == [304 * MS, 305 * MS]
+    assert slave.deferred == 2 * len(slave.queues) == 8
+
+
+def test_burst_cut_by_the_run_end_counts_no_deferral():
+    # two messages a window, one 800 B frame per 2 ms slot: a slave's burst
+    # sends one frame and defers the rest of its queue when that frame ends
+    cfg = ScenarioConfig(vehicle_count=2, message_interval_ns=50 * MS,
+                         sim_duration_ns=1 * SEC, repetitions=1)
+    full = run_scenario(cfg, 1)
+    tx = [tx for tx in full.medium.log if tx.sender == 1 and tx.frame.kind is FrameKind.DATA][-2]
+    deferred = {}
+    for end in (tx.start, tx.end - 1, tx.end):
+        cut = run_scenario(replace(cfg, sim_duration_ns=end), 1)
+        assert cut.medium.log[-1].start == tx.start
+        deferred[end] = cut.controllers[1].deferred
+    assert deferred[tx.start] == deferred[tx.end - 1] < deferred[tx.end]
+
+
+def test_message_due_at_a_slot_origin_goes_out_in_that_slot():
+    # vehicle 1 spawns at 6 ms, so its messages fall due 6 ms into each window,
+    # at the origin of its slot 3; its first burst sends the three messages
+    # queued while it joined (200 B frames, seven fit a slot), and from then on
+    # its queue is empty when the slot opens
+    cfg = ScenarioConfig(vehicle_count=2, spawn_interval_ns=6 * MS, payload_size_b=200,
+                         sim_duration_ns=1 * SEC, repetitions=1)
+    run = run_scenario(cfg, 1)
+    assert run.controllers[1].my_slots == range(3, 4)
+    sent = [tx for tx in run.medium.log if tx.sender == 1 and tx.frame.kind is FrameKind.DATA]
+    assert [tx.frame.generated_at for tx in sent[:3]] == [6 * MS, 106 * MS, 206 * MS]
+    assert sent[0].start == 206 * MS and len(sent) == 3 + 7
+    assert all(tx.start == tx.frame.generated_at for tx in sent[3:])
+    assert run.controllers[1].deferred == 0
 
 
 def test_newcomer_admitted_with_lowest_free_slot_same_window():
