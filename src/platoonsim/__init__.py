@@ -1,7 +1,7 @@
 """Slot-scheduled V2V intra-platoon communication simulator with a CSMA/CA baseline."""
 
 from .csma import CsmaConfig, CsmaMac
-from .frames import Frame, FrameKind, NodeType
+from .frames import Frame, FrameKind
 from .kernel import EventKind, Kernel, RngStreams, MS, SEC, US, uniform
 from .radio import Medium, Position, RadioConfig, Transmission, tx_duration
 from .scenario import (
@@ -30,7 +30,7 @@ from .tsnctl import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CsmaConfig", "CsmaMac", "Frame", "FrameKind", "NodeType",
+    "CsmaConfig", "CsmaMac", "Frame", "FrameKind",
     "EventKind", "Kernel", "RngStreams", "MS", "SEC", "US", "uniform",
     "Medium", "Position", "RadioConfig", "Transmission", "tx_duration",
     "MODE_BASELINE", "MODE_TSNCTL", "ScenarioConfig", "VehicleSpec",

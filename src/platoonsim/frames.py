@@ -24,11 +24,6 @@ _KIND_LABELS = {
 KIND_BY_LABEL = {v: k for k, v in _KIND_LABELS.items()}
 
 
-class NodeType(IntEnum):
-    CAR = 0
-    EMERGENCY = 1
-
-
 # Priority classes; index 0 is the highest (safety traffic).
 PRIO_SAFETY = 0
 
@@ -53,26 +48,21 @@ class Frame:
     generated_at: int
     priority: int = PRIO_SAFETY
     seq: int = 0
-    slots_requested: int = 1
-    node_type: NodeType = NodeType.CAR
-    # Allocation payload: vehicle id -> its contiguous run of data slot indices.
-    allocations: dict[int, range] | None = None
+    # Allocation payload: vehicle id -> its data slot index.
+    allocations: dict[int, int] | None = None
 
 
-def make_announce(sender: int, generated_at: int, slots_requested: int = 1,
-                  node_type: NodeType = NodeType.CAR) -> Frame:
+def make_announce(sender: int, generated_at: int) -> Frame:
     return Frame(
         kind=FrameKind.CONTROL_ANNOUNCE,
         sender=sender,
         size=ANNOUNCE_SIZE,
         generated_at=generated_at,
-        slots_requested=slots_requested,
-        node_type=node_type,
     )
 
 
 def make_allocation(sender: int, generated_at: int,
-                    allocations: dict[int, range]) -> Frame:
+                    allocations: dict[int, int]) -> Frame:
     return Frame(
         kind=FrameKind.CONTROL_ALLOCATION,
         sender=sender,

@@ -387,8 +387,10 @@ def load_transmission_log(path: str | Path) -> LoadedLog:
             continue
         if line.startswith("#"):
             parts = line[1:].split()
+            duplicate = False
             try:
                 if parts[:1] == ["radio"]:
+                    duplicate = radio is not None
                     kv = dict(p.split("=", 1) for p in parts[1:])
                     radio = RadioConfig(
                         range_m=float(kv["range_m"]),
@@ -398,11 +400,14 @@ def load_transmission_log(path: str | Path) -> LoadedLog:
                     )
                 elif parts[:1] == ["vehicle"]:
                     vid = int(parts[1])
+                    duplicate = vid in positions
                     positions[vid] = Position(float(parts[2]), float(parts[3]))
                     spawn[vid] = int(parts[4]) if len(parts) > 4 else 0
             except (IndexError, KeyError, ValueError):
                 raise ValueError(
                     f"line {lineno}: malformed {parts[0]} header {line!r}") from None
+            if duplicate:
+                raise ValueError(f"line {lineno}: duplicate {parts[0]} header {line!r}")
             continue
         fields = line.split()
         try:

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 from .csma import CsmaConfig, CsmaMac
-from .frames import ANNOUNCE_SIZE, Frame, FrameKind, NodeType, PRIO_SAFETY, allocation_size
+from .frames import ANNOUNCE_SIZE, Frame, FrameKind, PRIO_SAFETY, allocation_size
 from .kernel import EventKind, Kernel, MS, Pcg64, RngStreams, SEC
 from .radio import Medium, Position, RadioConfig, tx_duration
 from .tsnctl import TsnCtl, WindowClock, WindowConfig
@@ -96,7 +96,6 @@ class VehicleSpec:
     vid: int
     position: Position
     spawn_at: int
-    node_type: NodeType = NodeType.CAR
 
 
 def build_vehicles(cfg: ScenarioConfig, rng: Pcg64) -> list[VehicleSpec]:
@@ -167,7 +166,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int, *, trace: bool = False) -> RunR
             macs[spec.vid] = CsmaMac(spec.vid, kernel, medium, cfg.csma, rng, source=service)
             medium.register(spec.vid, spec.position)
         else:
-            ctl = TsnCtl(spec.vid, clock, rng, node_type=spec.node_type, source=service)
+            ctl = TsnCtl(spec.vid, clock, rng, source=service)
             controllers[spec.vid] = ctl
             medium.register(spec.vid, spec.position, handler=ctl.on_frame_delivery)
 

@@ -10,7 +10,7 @@ creation timestamp (ties to the lowest id). All windows lie on one grid: one
 slot 0 and end of slot 1, one kernel event per boundary.
 
 The master admits members by one rule, `admit`, both at formation and at each
-refresh that hears newcomers; a member's run of data slots never moves.
+refresh that hears newcomers; a member holds one data slot, which never moves.
 
 Control transmissions in slots 0/1 listen before talk and skip to the next
 window when the medium is already busy; that keeps the contended formation
@@ -43,7 +43,6 @@ from .frames import (
     ANNOUNCE_SIZE,
     Frame,
     FrameKind,
-    NodeType,
     allocation_size,
     make_allocation,
     make_announce,
@@ -213,23 +212,22 @@ def announce_offset(rng: Pcg64, cfg: WindowConfig, tx_dur: int) -> int:
 
 # -- slot schedule -----------------------------------------------------------
 #
-# A schedule maps each member to its contiguous run of data slots, a range; the
-# allocation payload and a slave's own slots are the same ranges, unconverted.
+# A schedule maps each member to its one data slot index; the allocation
+# payload and a slave's own slot are the same indices, unconverted.
 
 
-def check_schedule(assignments: dict[int, range], cfg: WindowConfig) -> None:
+def check_schedule(assignments: dict[int, int], cfg: WindowConfig) -> None:
     """Reject a reserved slot (0 or 1), a slot past the window, or a shared slot."""
     n = slot_count(cfg)
     seen: set[int] = set()
-    for vid, run in assignments.items():
-        for idx in run:
-            if idx in (0, 1):
-                raise ValueError(f"vehicle {vid} assigned reserved slot {idx}")
-            if idx >= n:
-                raise ValueError(f"vehicle {vid} assigned slot {idx} >= {n}")
-            if idx in seen:
-                raise ValueError(f"slot {idx} assigned twice")
-            seen.add(idx)
+    for vid, idx in assignments.items():
+        if idx in (0, 1):
+            raise ValueError(f"vehicle {vid} assigned reserved slot {idx}")
+        if idx >= n:
+            raise ValueError(f"vehicle {vid} assigned slot {idx} >= {n}")
+        if idx in seen:
+            raise ValueError(f"slot {idx} assigned twice")
+        seen.add(idx)
 
 
 def elect_master(candidates: dict[int, int]) -> int:
@@ -239,36 +237,25 @@ def elect_master(candidates: dict[int, int]) -> int:
     return min(candidates, key=lambda vid: (candidates[vid], vid))
 
 
-def _node_rank(node_type: NodeType) -> int:
-    return 0 if node_type is NodeType.EMERGENCY else 1
+def admit(assignments: dict[int, int], requesters: list[int],
+          cfg: WindowConfig) -> tuple[dict[int, int], list[int]]:
+    """Give each newcomer, in id order, the lowest free data slot.
 
-
-def admit(assignments: dict[int, range], requests: list[tuple[int, int, NodeType]],
-          cfg: WindowConfig) -> tuple[dict[int, range], list[int]]:
-    """Admit requesters into the lowest free data slots, keeping existing runs.
-
-    Requests are served emergency vehicles first, then by id. Each newcomer gets
-    the free slots from the lowest one up, at most max(wanted, 1) of them and
-    no further than the first taken slot; a newcomer that finds no free slot is
-    rejected and returned in the second element. A requester that already holds
-    a run keeps it. Formation admits into an empty schedule, whose free slots
-    are contiguous, so the runs are packed from slot 2 in service order.
+    A requester that already holds a slot keeps it. A newcomer that finds no
+    free slot is rejected and returned in the second element.
     """
-    used = {idx for run in assignments.values() for idx in run}
-    free = [idx for idx in range(2, slot_count(cfg)) if idx not in used]
+    used = set(assignments.values())
+    free = (idx for idx in range(2, slot_count(cfg)) if idx not in used)
     admitted = dict(assignments)
     rejected: list[int] = []
-    for vid, wanted, node_type in sorted(requests, key=lambda r: (_node_rank(r[2]), r[0])):
+    for vid in sorted(requesters):
         if vid in admitted:
             continue
-        take = free[: max(wanted, 1)]
-        if not take:
+        idx = next(free, None)
+        if idx is None:
             rejected.append(vid)
-            continue
-        # free is ascending, so the run ends at the first gap
-        count = sum(idx - k == take[0] for k, idx in enumerate(take))
-        admitted[vid] = range(take[0], take[0] + count)
-        del free[:count]
+        else:
+            admitted[vid] = idx
     check_schedule(admitted, cfg)
     return admitted, rejected
 
@@ -357,17 +344,13 @@ class WindowClock:
 class TsnCtl:
     """One vehicle's controller instance, driven by its clock and kernel events."""
 
-    def __init__(self, vid: int, clock: WindowClock, rng: Pcg64, *,
-                 node_type: NodeType = NodeType.CAR, slots_requested: int = 1,
-                 source=None):
+    def __init__(self, vid: int, clock: WindowClock, rng: Pcg64, *, source=None):
         self.vid = vid
         self.kernel = kernel = clock.kernel
         self.medium = clock.medium
         self.wcfg = clock.wcfg
         self.guard = clock.guard
         self.rng = rng
-        self.node_type = node_type
-        self.slots_requested = slots_requested
 
         self.state = FsmState(Status.INIT, Role.SLAVE)
         self.created_at = kernel.now            # announce timestamp, stable across retries
@@ -376,11 +359,11 @@ class TsnCtl:
         self.source = source
         self.run_end = source.end if source is not None else math.inf
         self.epoch = -1
-        self.schedule: dict[int, range] | None = None   # a master's own schedule
-        self.my_slots = range(0)
+        self.schedule: dict[int, int] | None = None   # a master's own schedule
+        self.my_slot: int | None = None
         self.master_id: int | None = None
         self.master_ts: int | None = None
-        self.pending_schedule: dict[int, range] | None = None
+        self.pending_schedule: dict[int, int] | None = None
         self._alloc_sent = False
         self._alloc_received = False
         self._confirm_pending = False
@@ -434,7 +417,7 @@ class TsnCtl:
                 self._reset_membership()
             else:
                 self._step(FsmEvent.WINDOW_START)
-                self._arm_slots(w)
+                self._arm_slot(w)
 
         self._in_round = self.state.status in (Status.INIT, Status.JOINING)
         if self._in_round:
@@ -453,7 +436,7 @@ class TsnCtl:
 
     def _reset_membership(self) -> None:
         self.schedule = None
-        self.my_slots = range(0)
+        self.my_slot = None
         self.master_id = None
         self.master_ts = None
         self._confirm_pending = False
@@ -472,9 +455,7 @@ class TsnCtl:
         if self.medium.idle_from(self.vid, self.kernel.now) > self.kernel.now:
             self.announce_skips += 1
             return
-        frame = make_announce(self.vid, self.created_at,
-                              self.slots_requested, self.node_type)
-        self.medium.broadcast(self.vid, frame)
+        self.medium.broadcast(self.vid, make_announce(self.vid, self.created_at))
 
     # -- end of slot 0: election, or a platoon master's admission ------------------
 
@@ -485,8 +466,7 @@ class TsnCtl:
         neighbours = self.medium.clean_receptions(self.vid, announces)
         if leads:
             if neighbours:
-                requests = [(a.sender, a.slots_requested, a.node_type) for a in neighbours]
-                self._schedule_alloc_tx(w, self.schedule, requests)
+                self._schedule_alloc_tx(w, self.schedule, [a.sender for a in neighbours])
             else:
                 self._start_burst(1, w, start=self.kernel.now)
             return
@@ -507,16 +487,13 @@ class TsnCtl:
         if not neighbours:
             self._step(FsmEvent.NO_NEIGHBORS)
             return
-        requests = [(a.sender, a.slots_requested, a.node_type) for a in neighbours]
-        requests.append((self.vid, self.slots_requested, self.node_type))
-        self._schedule_alloc_tx(w, {}, requests)
+        self._schedule_alloc_tx(w, {}, [self.vid] + [a.sender for a in neighbours])
 
     # -- slot 1: allocation --------------------------------------------------------
 
-    def _schedule_alloc_tx(self, w: int, base: dict[int, range],
-                           requests: list[tuple[int, int, NodeType]]) -> None:
+    def _schedule_alloc_tx(self, w: int, base: dict[int, int], requesters: list[int]) -> None:
         """Admit the requesters into base and time its allocation inside slot 1."""
-        sched, rejected = admit(base, requests, self.wcfg)
+        sched, rejected = admit(base, requesters, self.wcfg)
         self.rejected_joins += len(rejected)
         self.pending_schedule = sched
         dur = tx_duration(allocation_size(len(sched)), self.medium.cfg)
@@ -548,10 +525,10 @@ class TsnCtl:
             if self._alloc_sent:
                 self._step(FsmEvent.SLOT1_END, "allocated")
                 self.schedule = self.pending_schedule
-                self.my_slots = self.schedule[self.vid]
+                self.my_slot = self.schedule[self.vid]
                 self.master_id = self.vid
                 self.master_ts = self.created_at
-                self._arm_slots(w)
+                self._arm_slot(w)
             else:
                 self._step(FsmEvent.SLOT1_END, "missed")
         else:
@@ -612,30 +589,28 @@ class TsnCtl:
             self._step(FsmEvent.ALLOCATION_RECEIVED, "ignored")
 
     def _adopt(self, frame: Frame, confirm: bool) -> None:
-        # a slave reads only its own run; the master checked the schedule
-        self.my_slots = frame.allocations[self.vid]
+        # a slave reads only its own slot; the master checked the schedule
+        self.my_slot = frame.allocations[self.vid]
         self.master_id = frame.sender
         self.master_ts = frame.generated_at
         self._alloc_received = True
         if confirm:
             # fresh membership: arm this window's triggers; refreshes keep the
-            # triggers armed at window start (our own slots never move)
+            # trigger armed at window start (our own slot never moves)
             self._confirm_pending = True
             self._slot_gen += 1
-            self._arm_slots(self.epoch)
+            self._arm_slot(self.epoch)
 
     # -- data slots --------------------------------------------------------------------
 
-    def _arm_slots(self, w: int) -> None:
-        now, slot_len = self.kernel.now, self.wcfg.slot_len_ns
-        for idx in self.my_slots:
-            at = w + idx * slot_len
-            if at >= now:
-                self._timer(at, self._on_slot_open, (w, idx, self._slot_gen))
+    def _arm_slot(self, w: int) -> None:
+        at = w + self.my_slot * self.wcfg.slot_len_ns
+        if at >= self.kernel.now:
+            self._timer(at, self._on_slot_open, (w, self.my_slot, self._slot_gen))
 
     def _on_slot_open(self, payload: tuple[int, int, int]) -> None:
         w, idx, gen = payload
-        if w != self.epoch or gen != self._slot_gen or idx not in self.my_slots:
+        if w != self.epoch or gen != self._slot_gen or idx != self.my_slot:
             return
         if self.state.status is Status.JOINING and self._confirm_pending:
             self._confirm_pending = False
@@ -648,7 +623,7 @@ class TsnCtl:
 
     # The burst walks the priority queues and transmits back-to-back until the
     # next frame would cross the slot boundary. A frame that cannot fit any
-    # slot transmits once per owned slot, from the slot origin, and overruns.
+    # slot transmits once per window, from the member's slot origin, and overruns.
     # Slot-1 bursts (master only) carrier-sense each frame because that slot
     # is shared control airtime; owned data slots are exclusive and do not.
 
@@ -694,14 +669,12 @@ class TsnCtl:
     def _step_needs_event(self, at: int, w: int, idx: int, origin: int, end: int) -> bool:
         """Whether the burst's next step, at `at` when its frame ends, needs an event.
 
-        The master senses slot 1, and an allocation can supersede it there;
-        a frame that reaches the sender's own next slot lets that slot's burst
-        act first. Nothing else changes a data-slot burst before the next
-        window start, so its step is settled now and needs an event only to
-        transmit. A step at or after the next window start, or after the run
-        end, would not act.
+        The master senses slot 1, and an allocation can supersede it there.
+        Nothing changes a data-slot burst before the next window start, so
+        its step is settled now and needs an event only to transmit. A step at
+        or after the next window start, or after the run end, would not act.
         """
-        if idx == 1 or (at >= end and idx + 1 in self.my_slots):
+        if idx == 1:
             return True
         return (at < w + self.wcfg.window_ns and at <= self.run_end
                 and self._head_fits(at, idx, origin, end))

@@ -144,11 +144,9 @@ def _explore_formation(n: int) -> list[str]:
             if masters != [spawn_perm[0]] or len(slaves) != n - 1:
                 problems.append(f"{tag}: masters={masters} in_platoon={len(slaves) + len(masters)}")
                 continue
-            taken: set[int] = set()
-            for ctl in ctls.values():
-                if set(ctl.my_slots) & taken or {0, 1} & set(ctl.my_slots):
-                    problems.append(f"{tag}: slot clash {ctl.my_slots}")
-                taken |= set(ctl.my_slots)
+            slots = [ctl.my_slot for ctl in ctls.values()]
+            if len(set(slots)) != n or {0, 1, None} & set(slots):
+                problems.append(f"{tag}: slot clash {slots}")
             for ctl in ctls.values():
                 for before, event, outcome, after in ctl.transitions:
                     if (before.status, before.role, event, outcome) not in LEGAL_EDGES:
@@ -245,11 +243,9 @@ def test_steady_state_platoon_invariants():
     assert all(c.state.status is Status.IN_PLATOON for c in ctls.values())
     masters = [v for v, c in ctls.items() if c.state.role is Role.MASTER]
     assert len(masters) == 1
-    taken: set[int] = set()
-    for c in ctls.values():
-        assert not (set(c.my_slots) & taken)
-        assert not ({0, 1} & set(c.my_slots))
-        taken |= set(c.my_slots)
+    slots = [c.my_slot for c in ctls.values()]
+    assert len(set(slots)) == len(slots)
+    assert not ({0, 1, None} & set(slots))
 
     window = cfg.window.window_ns
     slot = cfg.window.slot_len_ns
@@ -263,7 +259,7 @@ def test_steady_state_platoon_invariants():
     for tx in data:
         assert tx.receivers_collided == 0
         idx = (tx.start % window) // slot
-        allowed = set(ctls[tx.sender].my_slots)
+        allowed = {ctls[tx.sender].my_slot}
         if tx.sender == masters[0]:
             allowed.add(1)
         assert idx in allowed, f"frame from {tx.sender} outside its slots: {idx}"

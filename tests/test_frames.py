@@ -11,7 +11,7 @@ from platoonsim.frames import (
 def test_control_frame_sizes():
     assert make_announce(sender=7, generated_at=0).size == ANNOUNCE_SIZE
     frame = make_allocation(sender=3, generated_at=42,
-                            allocations={3: range(2, 3), 5: range(3, 5), 9: range(5, 6)})
+                            allocations={3: 2, 5: 3, 9: 4})
     assert frame.size == allocation_size(3) == ALLOCATION_BASE_SIZE + 24
 
 

@@ -293,6 +293,13 @@ def _edit_header(prefix: str, replacement: str):
     return edit
 
 
+def _insert_before_records(header: str):
+    def edit(lines):
+        idx = lines.index("# sender start_ns end_ns size_B kind collided")
+        return lines[:idx] + [header] + lines[idx:]
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda lines: [l for l in lines if not l.startswith("# radio")], "no '# radio' header"),
     (lambda lines: [l for l in lines if not l.startswith("# vehicle 0 ")],
@@ -304,6 +311,10 @@ def _edit_header(prefix: str, replacement: str):
     (_edit_header("# vehicle 3 ", "# vehicle 3"), "line 6: malformed vehicle header"),
     (_edit_header("# radio", "# radio range_m=300.0"), "line 2: malformed radio header"),
     (_edit_header("# radio", "# radio range_m"), "line 2: malformed radio header"),
+    (_insert_before_records("# vehicle 0 5000.0 0.0 0"), "line 8: duplicate vehicle header"),
+    (_insert_before_records("# radio range_m=10.0 data_rate_bps=6000000 "
+                            "propagation_mps=300000000.0 preamble_ns=0"),
+     "line 8: duplicate radio header"),
 ])
 def test_load_rejects_malformed_logs(tmp_path, edit, message):
     cfg = ScenarioConfig(vehicle_count=5, mode=MODE_BASELINE,

@@ -9,7 +9,6 @@ from platoonsim.frames import (
     ANNOUNCE_SIZE,
     Frame,
     FrameKind,
-    NodeType,
     make_allocation,
 )
 from platoonsim.kernel import EventKind, Kernel, MS, SEC, US, RngStreams
@@ -119,116 +118,66 @@ def test_elect_master_empty_rejected():
 
 # -- admission --------------------------------------------------------------------
 
-CAR, EMERGENCY = NodeType.CAR, NodeType.EMERGENCY
-
 
 def test_allocate_three_single_slot_requests():
-    sched, rejected = admit({}, [(0, 1, CAR), (1, 1, CAR), (2, 1, CAR)], W2)
+    sched, rejected = admit({}, [0, 1, 2], W2)
     assert rejected == []
-    assert sched == {0: range(2, 3), 1: range(3, 4), 2: range(4, 5)}
-
-
-def test_allocate_multi_slot_request():
-    sched, rejected = admit({}, [(0, 2, CAR), (1, 1, CAR)], W2)
-    assert rejected == []
-    assert sched == {0: range(2, 4), 1: range(4, 5)}
+    assert sched == {0: 2, 1: 3, 2: 4}
 
 
 def test_allocate_capacity_overflow_rejects_tail():
-    requests = [(vid, 1, CAR) for vid in range(60)]
-    sched, rejected = admit({}, requests, W2)
+    sched, rejected = admit({}, list(range(60)), W2)
     assert len(sched) == 48
     assert rejected == list(range(48, 60))
 
 
-def test_allocate_emergency_vehicles_first():
-    sched, _ = admit({}, [(0, 1, CAR), (7, 1, EMERGENCY)], W2)
-    assert sched[7] == range(2, 3)
-    assert sched[0] == range(3, 4)
-
-
 def test_extend_schedule_assigns_lowest_free_slot():
-    base, _ = admit({}, [(0, 1, CAR), (1, 1, CAR), (2, 1, CAR)], W2)
-    sched, rejected = admit(base, [(9, 1, CAR)], W2)
+    base, _ = admit({}, [0, 1, 2], W2)
+    sched, rejected = admit(base, [9], W2)
     assert rejected == []
-    assert sched[9] == range(5, 6)
-    assert sched[0] == range(2, 3)    # existing members untouched
+    assert sched[9] == 5
+    assert sched[0] == 2    # existing members untouched
 
 
 def test_extend_schedule_full_rejects_newcomer():
-    base, _ = admit({}, [(vid, 1, CAR) for vid in range(48)], W2)
-    sched, rejected = admit(base, [(99, 1, CAR)], W2)
+    base, _ = admit({}, list(range(48)), W2)
+    sched, rejected = admit(base, [99], W2)
     assert rejected == [99]
     assert 99 not in sched
 
 
 def test_extend_schedule_two_newcomers_one_call():
-    base, _ = admit({}, [(0, 1, CAR)], W2)
-    sched, rejected = admit(base, [(5, 1, CAR), (6, 1, CAR)], W2)
+    base, _ = admit({}, [0], W2)
+    sched, rejected = admit(base, [5, 6], W2)
     assert rejected == []
-    assert sched[5] == range(3, 4)
-    assert sched[6] == range(4, 5)
-
-
-def _packed(requests, cfg):
-    """Formation as a fresh schedule packs it: consecutive runs from slot 2."""
-    free = slot_count(cfg) - 2
-    next_slot = 2
-    sched, rejected = {}, []
-    for vid, wanted, node_type in sorted(
-            requests, key=lambda r: (r[2] is not NodeType.EMERGENCY, r[0])):
-        granted = min(max(wanted, 1), free)
-        if granted <= 0:
-            rejected.append(vid)
-            continue
-        sched[vid] = range(next_slot, next_slot + granted)
-        next_slot += granted
-        free -= granted
-    return sched, rejected
+    assert sched[5] == 3
+    assert sched[6] == 4
 
 
 @st.composite
 def _admissions(draw):
-    """A window, a schedule with gaps between its runs, and announces to admit."""
+    """A window, a schedule with gaps between its slots, and announces to admit."""
     cfg = WindowConfig(window_ns=draw(st.integers(3, 14)) * MS, slot_len_ns=1 * MS)
-    base, idx, vid = {}, 2, 10
-    for owned, length in draw(st.lists(st.tuples(st.booleans(), st.integers(1, 3)))):
-        length = min(length, slot_count(cfg) - idx)
-        if length <= 0:
-            break
-        if owned:
-            base[vid] = range(idx, idx + length)
-            vid += 1
-        idx += length
-    requests = draw(st.lists(
-        st.tuples(st.integers(0, 16), st.integers(0, 4), st.sampled_from(NodeType)),
-        unique_by=lambda r: r[0], max_size=12))
-    return cfg, base, requests
+    data_slots = range(2, slot_count(cfg))
+    held = draw(st.lists(st.sampled_from(data_slots), unique=True))
+    base = {10 + k: idx for k, idx in enumerate(held)}
+    requesters = draw(st.lists(st.integers(0, 16) | st.sampled_from(sorted(base) or [0]),
+                               unique=True, max_size=12))
+    return cfg, base, requesters
 
 
 @given(_admissions())
 @settings(max_examples=300, deadline=None)
-def test_admit_keeps_runs_and_serves_lowest_free_slot(case):
-    cfg, base, requests = case
-    sched, rejected = admit(base, requests, cfg)
+def test_admit_keeps_slots_and_serves_lowest_free_slot(case):
+    cfg, base, requesters = case
+    sched, rejected = admit(base, requesters, cfg)
     check_schedule(sched, cfg)
     assert {vid: sched[vid] for vid in base} == base
-    taken = {idx for run in base.values() for idx in run}
-    served = sorted((r for r in requests if r[0] not in base),
-                    key=lambda r: (r[2] is not NodeType.EMERGENCY, r[0]))
-    for vid, wanted, _node_type in served:
-        free = [idx for idx in range(2, slot_count(cfg)) if idx not in taken]
-        if vid in rejected:
-            assert vid not in sched and not free
-            continue
-        run = sched[vid]
-        assert run.step == 1 and run.start == free[0]
-        assert 1 <= len(run) <= max(wanted, 1)
-        # the run stops at the request or at the first taken slot
-        assert len(run) == max(wanted, 1) or run.stop not in free
-        taken |= set(run)
-    assert rejected == [vid for vid, _w, _t in served if vid not in sched]
-    assert admit({}, requests, cfg) == _packed(requests, cfg)
+    newcomers = sorted(vid for vid in requesters if vid not in base)
+    free = [idx for idx in range(2, slot_count(cfg)) if idx not in base.values()]
+    assert {vid: sched[vid] for vid in newcomers if vid in sched} == dict(zip(newcomers, free))
+    assert rejected == newcomers[len(free):]
+    assert len(sched) == len(base) + len(newcomers) - len(rejected)
 
 
 # -- schedule invariants -------------------------------------------------------------
@@ -236,23 +185,23 @@ def test_admit_keeps_runs_and_serves_lowest_free_slot(case):
 
 def test_schedule_rejects_reserved_indices():
     with pytest.raises(ValueError, match="reserved slot 1"):
-        check_schedule({0: range(1, 2)}, W2)
+        check_schedule({0: 1}, W2)
 
 
 def test_schedule_rejects_shared_slot():
     with pytest.raises(ValueError, match="slot 2 assigned twice"):
-        check_schedule({0: range(2, 3), 1: range(2, 4)}, W2)
+        check_schedule({0: 2, 1: 2}, W2)
 
 
 def test_schedule_rejects_out_of_range_index():
     with pytest.raises(ValueError, match="slot 50 >= 50"):
-        check_schedule({0: range(49, 51)}, W2)
+        check_schedule({0: 50}, W2)
 
 
 def test_schedule_wire_roundtrip():
-    # the master's runs are the allocation payload as they are
-    sched, _ = admit({}, [(0, 2, CAR), (3, 1, CAR)], W2)
-    assert sched == {0: range(2, 4), 3: range(4, 5)}
+    # the master's slots are the allocation payload as they are
+    sched, _ = admit({}, [0, 3], W2)
+    assert sched == {0: 2, 3: 3}
     assert make_allocation(0, 0, sched).allocations == sched
 
 
@@ -329,8 +278,8 @@ def test_two_vehicles_form_a_platoon():
                                        {0: 0, 1: 300 * US})
     assert ctls[0].state == FsmState(Status.IN_PLATOON, Role.MASTER)
     assert ctls[1].state == FsmState(Status.IN_PLATOON, Role.SLAVE)
-    assert ctls[0].my_slots == range(2, 3)
-    assert ctls[1].my_slots == range(3, 4)
+    assert ctls[0].my_slot == 2
+    assert ctls[1].my_slot == 3
     assert ctls[1].master_id == 0
 
 
@@ -340,7 +289,7 @@ def test_data_frames_start_at_their_slot_origin():
     kernel, medium, ctls = assemble_platoon({0: 0, 1: 1 * MS, 2: 2 * MS},
                                             {0: 0, 1: 300 * US, 2: 600 * US},
                                             run_ms=250)
-    assert [ctls[v].my_slots for v in ctls] == [range(2, 3), range(3, 4), range(4, 5)]
+    assert [ctls[v].my_slot for v in ctls] == [2, 3, 4]
     for vid in ctls:
         ctls[vid].enqueue_app_message(_data(vid, seq=0))
     ctls[0].enqueue_app_message(_data(0, seq=1))
@@ -407,7 +356,7 @@ def test_oversized_frame_overruns_from_slot_origin():
     kernel.run_until(400 * MS)
     tx = next(tx for tx in medium.log if tx.sender == 1
               and tx.frame.kind is FrameKind.DATA)
-    origin = (tx.start // (100 * MS)) * 100 * MS + slave.my_slots[0] * 1 * MS
+    origin = (tx.start // (100 * MS)) * 100 * MS + slave.my_slot * 1 * MS
     assert tx.start == origin
     assert tx.end > origin + 1 * MS                 # spills into the neighbour slot
 
@@ -419,7 +368,7 @@ def test_burst_ending_at_or_after_the_next_window_start_counts_no_deferral(size)
     kernel, medium, ctls = assemble_platoon({0: 0, 1: 1 * MS}, {0: 0, 1: 300 * US},
                                             slot_ms=1, window_ms=4, run_ms=8)
     master, slave = ctls[0], ctls[1]
-    assert (master.my_slots, slave.my_slots) == (range(2, 3), range(3, 4))
+    assert (master.my_slot, slave.my_slot) == (2, 3)
     # the slave hears its master's frames clean: they end as its own start
     for seq in range(6):
         master.enqueue_app_message(_data(0, size=750, seq=seq))
@@ -432,28 +381,6 @@ def test_burst_ending_at_or_after_the_next_window_start_counts_no_deferral(size)
     # the master's frame ends at slot 3's origin, inside the window: the rest
     # of its queue is deferred there, once a window
     assert master.deferred > 0
-
-
-def test_burst_reaching_the_senders_next_slot_lets_that_slot_send_first():
-    # members hold two adjacent 1 ms slots, and a 750 B frame is on air for
-    # exactly 1 ms: the slave's frame in slot 4 ends as its slot 5 opens, that
-    # slot sends the next frame, and only then does the slot-4 burst count
-    # what is left; the slot-5 burst counts it again when its frame ends
-    kernel = Kernel()
-    medium = Medium(kernel, RadioConfig())
-    clock = WindowClock(kernel, medium, WindowConfig(slot_len_ns=1 * MS))
-    ctls = [TsnCtl(vid, clock, ConstRng(vid * 300 * US), slots_requested=2) for vid in (0, 1)]
-    for ctl in ctls:
-        medium.register(ctl.vid, Position(float(ctl.vid), 0.0), handler=ctl.on_frame_delivery)
-    kernel.run_until(250 * MS)
-    slave = ctls[1]
-    assert slave.my_slots == range(4, 6) and slave.deferred == 0
-    for seq in range(6):
-        slave.enqueue_app_message(_data(1, size=750, seq=seq))
-    kernel.run_until(399 * MS)
-    sent = [tx.start for tx in medium.log if tx.sender == 1 and tx.frame.kind is FrameKind.DATA]
-    assert sent == [304 * MS, 305 * MS]
-    assert slave.deferred == 2 * len(slave.queues) == 8
 
 
 def test_burst_cut_by_the_run_end_counts_no_deferral():
@@ -479,7 +406,7 @@ def test_message_due_at_a_slot_origin_goes_out_in_that_slot():
     cfg = ScenarioConfig(vehicle_count=2, spawn_interval_ns=6 * MS, payload_size_b=200,
                          sim_duration_ns=1 * SEC, repetitions=1)
     run = run_scenario(cfg, 1)
-    assert run.controllers[1].my_slots == range(3, 4)
+    assert run.controllers[1].my_slot == 3
     sent = [tx for tx in run.medium.log if tx.sender == 1 and tx.frame.kind is FrameKind.DATA]
     assert [tx.frame.generated_at for tx in sent[:3]] == [6 * MS, 106 * MS, 206 * MS]
     assert sent[0].start == 206 * MS and len(sent) == 3 + 7
@@ -493,14 +420,14 @@ def test_newcomer_admitted_with_lowest_free_slot_same_window():
         {0: 0, 1: 300 * US, 2: 600 * US},
         run_ms=450)
     assert ctls[2].state == FsmState(Status.IN_PLATOON, Role.SLAVE)
-    assert ctls[2].my_slots == range(4, 5)
+    assert ctls[2].my_slot == 4
     announce = next(tx for tx in medium.log if tx.sender == 2
                     and tx.frame.kind is FrameKind.CONTROL_ANNOUNCE)
     refresh = next(tx for tx in medium.log
                    if tx.frame.kind is FrameKind.CONTROL_ALLOCATION
                    and tx.start > announce.start)
     assert announce.start // (100 * MS) == refresh.start // (100 * MS)
-    assert refresh.frame.allocations == {0: range(2, 3), 1: range(3, 4), 2: range(4, 5)}
+    assert refresh.frame.allocations == {0: 2, 1: 3, 2: 4}
     assert ctls[0].schedule == refresh.frame.allocations
 
 
@@ -541,7 +468,7 @@ def test_master_loss_reverts_slave_to_init_and_rejoin():
     # a phantom master, heard through the medium once and never again
     medium.register(99, Position(10.0, 0.0))
     alloc = make_allocation(sender=99, generated_at=0,     # earlier than spawn at 10 ms
-                            allocations={99: range(2, 3), 5: range(3, 4)})
+                            allocations={99: 2, 5: 3})
     arrival = medium.broadcast(99, alloc).end + medium.cfg.prop_delay(10.0)
     kernel.run_until(120 * MS)
     assert ctl.state == FsmState(Status.IN_PLATOON, Role.SLAVE)
@@ -564,10 +491,10 @@ def test_collided_control_frames_are_ignored():
     ctl = TsnCtl(5, WindowClock(kernel, medium, W2), ConstRng(0))
     medium.register(5, Position(0.0, 0.0), handler=ctl.on_frame_delivery)
     kernel.run_until(100 * MS + 1 * MS)
-    alloc = make_allocation(sender=99, generated_at=0, allocations={5: range(2, 3)})
+    alloc = make_allocation(sender=99, generated_at=0, allocations={5: 2})
     ctl.on_frame_delivery(alloc, True)
     assert ctl.master_id != 99
-    assert ctl.my_slots == range(0)
+    assert ctl.my_slot is None
 
 
 def test_earlier_timestamp_allocation_supersedes_master():
@@ -576,7 +503,7 @@ def test_earlier_timestamp_allocation_supersedes_master():
     master = ctls[0]
     assert master.state == FsmState(Status.IN_PLATOON, Role.MASTER)
     alloc = make_allocation(sender=42, generated_at=0,    # earlier than spawn 10ms
-                            allocations={42: range(2, 3)})
+                            allocations={42: 2})
     master.on_frame_delivery(alloc, False)
     assert master.state == FsmState(Status.JOINING, Role.SLAVE)
     assert master.master_id == 42
@@ -642,7 +569,7 @@ def test_vehicles_superseded_in_slot_one_take_no_slot1_end_that_window():
     kernel.run_until(302 * MS + 500 * US)               # inside slot 1 of the window at 300 ms
     medium.register(99, Position(10.0, 0.0))
     medium.broadcast(99, make_allocation(sender=99, generated_at=0,   # earlier than both
-                                         allocations={99: range(2, 3), 1: range(3, 4)}))
+                                         allocations={99: 2, 1: 3}))
     kernel.run_until(399 * MS)
     for ctl in ctls.values():
         events = [t[1] for t in ctl.transitions]
