@@ -49,8 +49,7 @@ class CsmaMac:
         self.medium = medium
         self.cfg = cfg
         self.rng = rng
-        self.queue: deque[Frame] = deque()
-        self.serving = False
+        self.queue: deque[Frame] = deque()   # head is in service while non-empty
         self.frames_submitted = 0
         self.frames_transmitted = 0
         self.deferrals = 0
@@ -67,8 +66,7 @@ class CsmaMac:
     def submit(self, frame: Frame) -> None:
         self.queue.append(frame)
         self.frames_submitted += 1
-        if not self.serving:
-            self.serving = True
+        if len(self.queue) == 1:
             self._sense()
 
     # Access procedure for the head-of-line frame. Each step is a kernel
@@ -108,5 +106,3 @@ class CsmaMac:
         self.frames_transmitted += 1
         if self.queue:
             self._sense()
-        else:
-            self.serving = False

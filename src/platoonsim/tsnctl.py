@@ -30,6 +30,11 @@ Everything else is read back from the medium's log when it is needed: the
 election and the master's admission read the clean announces heard since the
 window started, and a slave learns that its master is alive from the master's
 latest clean arrival at it.
+
+A controller keeps no flag for what its other state already says. A master's
+allocation went out iff it holds a schedule: it takes the schedule when the
+frame goes out, and a superseded master drops it. A slave was admitted iff it
+holds a slot. The end of slot 1 reads its outcome from these two.
 """
 
 from __future__ import annotations
@@ -342,7 +347,11 @@ class WindowClock:
 
 
 class TsnCtl:
-    """One vehicle's controller instance, driven by its clock and kernel events."""
+    """One vehicle's controller instance, driven by its clock and kernel events.
+
+    It stores no derived fact: a master's allocation went out iff it holds a
+    `schedule`, and a slave was admitted iff it holds `my_slot`.
+    """
 
     def __init__(self, vid: int, clock: WindowClock, rng: Pcg64, *, source=None):
         self.vid = vid
@@ -363,10 +372,6 @@ class TsnCtl:
         self.my_slot: int | None = None
         self.master_id: int | None = None
         self.master_ts: int | None = None
-        self.pending_schedule: dict[int, int] | None = None
-        self._alloc_sent = False
-        self._alloc_received = False
-        self._confirm_pending = False
         self._in_round = False      # joined this window's formation round at its start
         self._slot_gen = 0          # invalidates armed slot triggers on membership change
 
@@ -379,19 +384,11 @@ class TsnCtl:
 
     # -- public surface ------------------------------------------------------
 
-    def enqueue_app_message(self, frame: Frame) -> None:
-        self.queues.push(frame)
-
     def pull(self, now: int) -> None:
         """Queue the source's messages due by now: one generated at t is queued at t."""
         source = self.source
         while source is not None and source.next_due is not None and source.next_due <= now:
-            self.enqueue_app_message(source.take())
-
-    def on_frame_delivery(self, frame: Frame, collided: bool) -> None:
-        """The medium's handler: it delivers allocations only."""
-        if not collided:
-            self._on_allocation(frame)
+            self.queues.push(source.take())
 
     # -- FSM ------------------------------------------------------------------
 
@@ -407,9 +404,6 @@ class TsnCtl:
 
     def _on_window_start(self, w: int) -> None:
         self.epoch = w
-        self._alloc_sent = False
-        self._alloc_received = False
-        self.pending_schedule = None
 
         if self.state.status is Status.IN_PLATOON:
             if self.state.role is Role.SLAVE and self._master_silent():
@@ -439,7 +433,6 @@ class TsnCtl:
         self.my_slot = None
         self.master_id = None
         self.master_ts = None
-        self._confirm_pending = False
         self._slot_gen += 1
 
     # -- slot 0: announce -------------------------------------------------------
@@ -495,131 +488,92 @@ class TsnCtl:
         """Admit the requesters into base and time its allocation inside slot 1."""
         sched, rejected = admit(base, requesters, self.wcfg)
         self.rejected_joins += len(rejected)
-        self.pending_schedule = sched
         dur = tx_duration(allocation_size(len(sched)), self.medium.cfg)
         lo = w + self.wcfg.slot_len_ns + self.guard
         hi = w + 2 * self.wcfg.slot_len_ns - dur - self.guard
         if hi < lo:
             return  # allocation cannot fit slot 1 for this member count
-        self._timer(uniform(self.rng, lo, hi), self._try_alloc, w)
+        self._timer(uniform(self.rng, lo, hi), self._try_alloc, (w, sched))
 
-    def _try_alloc(self, w: int) -> None:
-        sched = self.pending_schedule
+    def _try_alloc(self, payload: tuple[int, dict[int, int]]) -> None:
+        w, sched = payload
         # a master is forming (JOINING) or refreshing (IN_PLATOON); no edge
-        # leads to INIT as a master
-        if sched is None or self.state.role is not Role.MASTER:
+        # leads to INIT as a master, and one superseded since is a slave
+        if self.state.role is not Role.MASTER:
             return
         if self.medium.idle_from(self.vid, self.kernel.now) > self.kernel.now:
             return  # contended control slot: retry next window
-        frame = make_allocation(self.vid, self.created_at, sched)
-        tx = self.medium.broadcast(self.vid, frame)
-        self._alloc_sent = True
+        tx = self.medium.broadcast(self.vid, make_allocation(self.vid, self.created_at, sched))
+        self.schedule = sched
         if self.state.status is Status.IN_PLATOON:   # a refresh
-            self.schedule = sched
             self._start_burst(1, w, start=tx.end)
 
     def _on_slot1_end(self, w: int) -> None:
         if not self._in_round:
             return
-        if self.state.role is Role.MASTER:
-            if self._alloc_sent:
-                self._step(FsmEvent.SLOT1_END, "allocated")
-                self.schedule = self.pending_schedule
-                self.my_slot = self.schedule[self.vid]
-                self.master_id = self.vid
-                self.master_ts = self.created_at
-                self._arm_slot(w)
-            else:
-                self._step(FsmEvent.SLOT1_END, "missed")
-        else:
-            outcome = "allocated" if self._alloc_received else "missed"
-            self._step(FsmEvent.SLOT1_END, outcome)
+        master = self.state.role is Role.MASTER
+        held = self.schedule if master else self.my_slot
+        self._step(FsmEvent.SLOT1_END, "missed" if held is None else "allocated")
+        if master and held is not None:
+            self.my_slot = held[self.vid]
+            self.master_id, self.master_ts = self.vid, self.created_at
+            self._arm_slot(w)
 
     # -- allocation reception ---------------------------------------------------------
 
-    def _on_allocation(self, frame: Frame) -> None:
+    def on_frame_delivery(self, frame: Frame, collided: bool) -> None:
+        """The medium's handler: it delivers allocations only, and drops collided ones.
+
+        It decides the outcome, steps the FSM once, then applies the effects."""
+        if collided:
+            return
         key = (frame.generated_at, frame.sender)
         listed = self.vid in frame.allocations
-        st = self.state.status
-
-        if st is Status.INIT:
+        st = self.state
+        if st.status is Status.INIT:     # no edge leaves INIT on a frame: note the master
             self.master_id, self.master_ts = frame.sender, frame.generated_at
             return
-
-        if st is Status.IN_PLATOON:
+        if st.status is Status.IN_PLATOON:
             if frame.sender == self.master_id:
-                if listed:
-                    self._step(FsmEvent.ALLOCATION_RECEIVED, "refresh")
-                    self._adopt(frame, confirm=False)
-                else:
-                    self._step(FsmEvent.ALLOCATION_RECEIVED, "superseded")
-                    self._reset_membership()
-                    self.master_id, self.master_ts = frame.sender, frame.generated_at
-            elif key < (self.master_ts, self.master_id):
-                self._step(FsmEvent.ALLOCATION_RECEIVED, "superseded")
-                self._reset_membership()
-                self.master_id, self.master_ts = frame.sender, frame.generated_at
-                if listed:
-                    self._adopt(frame, confirm=True)
+                outcome = "refresh" if listed else "superseded"
             else:
-                self._step(FsmEvent.ALLOCATION_RECEIVED, "ignored")
-            return
-
-        # joining
-        if self.state.role is Role.MASTER:
-            if key < (self.created_at, self.vid):
-                self._step(FsmEvent.ALLOCATION_RECEIVED, "superseded")
-                self.pending_schedule = None
-                self.master_id, self.master_ts = frame.sender, frame.generated_at
-                if listed:
-                    self._adopt(frame, confirm=True)
-            else:
-                self._step(FsmEvent.ALLOCATION_RECEIVED, "ignored")
-            return
-
-        if (self.master_id is None or key <= (self.master_ts, self.master_id)
+                outcome = "superseded" if key < (self.master_ts, self.master_id) else "ignored"
+        elif st.role is Role.MASTER:
+            outcome = "superseded" if key < (self.created_at, self.vid) else "ignored"
+        elif (self.master_id is None or key <= (self.master_ts, self.master_id)
                 or frame.sender == self.master_id):
-            self.master_id, self.master_ts = frame.sender, frame.generated_at
-            if listed:
-                self._step(FsmEvent.ALLOCATION_RECEIVED, "listed")
-                self._adopt(frame, confirm=True)
-            else:
-                self._step(FsmEvent.ALLOCATION_RECEIVED, "unlisted")
+            outcome = "listed" if listed else "unlisted"
         else:
-            self._step(FsmEvent.ALLOCATION_RECEIVED, "ignored")
+            outcome = "ignored"
+        self._step(FsmEvent.ALLOCATION_RECEIVED, outcome)
 
-    def _adopt(self, frame: Frame, confirm: bool) -> None:
-        # a slave reads only its own slot; the master checked the schedule
-        self.my_slot = frame.allocations[self.vid]
-        self.master_id = frame.sender
-        self.master_ts = frame.generated_at
-        self._alloc_received = True
-        if confirm:
-            # fresh membership: arm this window's triggers; refreshes keep the
-            # trigger armed at window start (our own slot never moves)
-            self._confirm_pending = True
-            self._slot_gen += 1
-            self._arm_slot(self.epoch)
+        if outcome == "ignored":
+            return
+        if outcome == "superseded":
+            self._reset_membership()
+        self.master_id, self.master_ts = frame.sender, frame.generated_at
+        if listed:
+            # a slave reads only its own slot; the master checked the schedule
+            self.my_slot = frame.allocations[self.vid]
+            if outcome != "refresh":
+                # fresh membership: arm this window's trigger; a refresh keeps
+                # the one armed at window start (our own slot never moves)
+                self._slot_gen += 1
+                self._arm_slot(self.epoch)
 
     # -- data slots --------------------------------------------------------------------
 
     def _arm_slot(self, w: int) -> None:
         at = w + self.my_slot * self.wcfg.slot_len_ns
         if at >= self.kernel.now:
-            self._timer(at, self._on_slot_open, (w, self.my_slot, self._slot_gen))
+            self._timer(at, self._on_slot_open, self._slot_gen)
 
-    def _on_slot_open(self, payload: tuple[int, int, int]) -> None:
-        w, idx, gen = payload
-        if w != self.epoch or gen != self._slot_gen or idx != self.my_slot:
+    def _on_slot_open(self, gen: int) -> None:
+        """A live trigger confirms a joining slave (step 6), then opens our burst."""
+        if gen != self._slot_gen:
             return
-        if self.state.status is Status.JOINING and self._confirm_pending:
-            self._confirm_pending = False
-            self._step(FsmEvent.OWN_SLOT_TRIGGER)
-        elif self.state.status is Status.IN_PLATOON:
-            self._step(FsmEvent.OWN_SLOT_TRIGGER)
-        else:
-            return
-        self._start_burst(idx, w, start=self.kernel.now)
+        self._step(FsmEvent.OWN_SLOT_TRIGGER)
+        self._start_burst(self.my_slot, self.epoch, start=self.kernel.now)
 
     # The burst walks the priority queues and transmits back-to-back until the
     # next frame would cross the slot boundary. A frame that cannot fit any
@@ -654,7 +608,7 @@ class TsnCtl:
 
     def _burst(self, ctx) -> None:
         w, idx, origin, end, gen = ctx
-        if w != self.epoch or gen != self._slot_gen:
+        if gen != self._slot_gen:
             return
         now = self.kernel.now
         if not self._head_fits(now, idx, origin, end):

@@ -219,8 +219,8 @@ def test_criterion_7_priority_discipline():
     slave = ctls[1]
     low = Frame(FrameKind.DATA, 1, 800, 0, priority=1, seq=0)
     high = Frame(FrameKind.DATA, 1, 800, 0, priority=0, seq=1)
-    slave.enqueue_app_message(low)
-    slave.enqueue_app_message(high)
+    slave.queues.push(low)
+    slave.queues.push(high)
     kernel.run_until(450 * MS)
     order = [tx.frame.priority for tx in medium.log
              if tx.sender == 1 and tx.frame.kind is FrameKind.DATA]

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from _util import ConstRng, assemble_platoon
+from _util import ConstRng, ScriptedRng, assemble_platoon
 
 from platoonsim.frames import (
     ANNOUNCE_SIZE,
@@ -230,6 +230,20 @@ def test_illegal_event_is_a_hard_fault():
         step_fsm(FsmState(Status.IN_PLATOON, Role.MASTER), FsmEvent.MASTER_LOST)
 
 
+def test_slot_trigger_reaching_a_controller_in_init_is_a_hard_fault():
+    # a live trigger always meets a state with an OWN_SLOT_TRIGGER edge; the
+    # FSM table, not the controller, rejects one that does not
+    kernel = Kernel()
+    medium = Medium(kernel, RadioConfig())
+    ctl = TsnCtl(0, WindowClock(kernel, medium, W2), ConstRng(0))
+    assert ctl.state == FsmState(Status.INIT, Role.SLAVE)
+    ctl._on_slot_open(ctl._slot_gen - 1)         # a stale trigger does nothing
+    assert ctl.transitions == []
+    with pytest.raises(ProtocolError):
+        ctl._on_slot_open(ctl._slot_gen)
+    assert ctl.transitions == [] and ctl.state.status is Status.INIT
+
+
 def test_edge_table_states_are_consistent():
     for (status, role, _event, _outcome), nxt in LEGAL_EDGES.items():
         assert isinstance(nxt, FsmState)
@@ -291,8 +305,8 @@ def test_data_frames_start_at_their_slot_origin():
                                             run_ms=250)
     assert [ctls[v].my_slot for v in ctls] == [2, 3, 4]
     for vid in ctls:
-        ctls[vid].enqueue_app_message(_data(vid, seq=0))
-    ctls[0].enqueue_app_message(_data(0, seq=1))
+        ctls[vid].queues.push(_data(vid, seq=0))
+    ctls[0].queues.push(_data(0, seq=1))
     kernel.run_until(400 * MS)
     starts = [(tx.sender, tx.frame.seq, tx.start) for tx in medium.log
               if tx.frame.kind is FrameKind.DATA]
@@ -333,8 +347,8 @@ def test_burst_sends_one_800B_frame_in_2ms_slot_and_defers_second():
     kernel, medium, ctls = assemble_platoon({0: 0, 1: 1 * MS}, {0: 0, 1: 300 * US},
                                             run_ms=250)
     slave = ctls[1]
-    slave.enqueue_app_message(_data(1, seq=0))
-    slave.enqueue_app_message(_data(1, seq=1))
+    slave.queues.push(_data(1, seq=0))
+    slave.queues.push(_data(1, seq=1))
     kernel.run_until(510 * MS)
     sent = [tx for tx in medium.log if tx.sender == 1
             and tx.frame.kind is FrameKind.DATA]
@@ -352,7 +366,7 @@ def test_oversized_frame_overruns_from_slot_origin():
     kernel, medium, ctls = assemble_platoon({0: 0, 1: 1 * MS}, {0: 0, 1: 300 * US},
                                             slot_ms=1, run_ms=250)
     slave = ctls[1]
-    slave.enqueue_app_message(_data(1))          # 1.067 ms > 1 ms slot
+    slave.queues.push(_data(1))          # 1.067 ms > 1 ms slot
     kernel.run_until(400 * MS)
     tx = next(tx for tx in medium.log if tx.sender == 1
               and tx.frame.kind is FrameKind.DATA)
@@ -371,8 +385,8 @@ def test_burst_ending_at_or_after_the_next_window_start_counts_no_deferral(size)
     assert (master.my_slot, slave.my_slot) == (2, 3)
     # the slave hears its master's frames clean: they end as its own start
     for seq in range(6):
-        master.enqueue_app_message(_data(0, size=750, seq=seq))
-        slave.enqueue_app_message(_data(1, size=size, seq=seq))
+        master.queues.push(_data(0, size=750, seq=seq))
+        slave.queues.push(_data(1, size=size, seq=seq))
     kernel.run_until(30 * MS)
     sent = [tx for tx in medium.log if tx.sender == 1 and tx.frame.kind is FrameKind.DATA]
     assert [tx.start for tx in sent] == [w + 3 * MS for w in range(8 * MS, 28 * MS, 4 * MS)]
@@ -507,6 +521,40 @@ def test_earlier_timestamp_allocation_supersedes_master():
     master.on_frame_delivery(alloc, False)
     assert master.state == FsmState(Status.JOINING, Role.SLAVE)
     assert master.master_id == 42
+
+
+def test_forming_master_superseded_in_slot_one_drops_its_schedule():
+    """Two masters form in one slot 1, and the later one hears the earlier one.
+
+    On a line, 0 and 2 announce together at the window start and collide at 1
+    and 3; 2 is out of 0's range. So 1 never hears 0, wins its own election
+    with 3, and sends its allocation first; 0 wins with 1 and 3 and answers
+    later in slot 1, which supersedes 1. A master holds a schedule iff its
+    allocation went out, so 1 must drop the one it sent.
+    """
+    kernel = Kernel()
+    medium = Medium(kernel, RadioConfig())
+    clock = WindowClock(kernel, medium, W2)
+    x = {0: 0.0, 1: 250.0, 2: 500.0, 3: 260.0}
+    draws = {0: [0, 102_900 * US], 1: [300 * US, 102_100 * US], 2: [0], 3: [600 * US]}
+    ctls = {}
+    for vid in x:
+        ctls[vid] = TsnCtl(vid, clock, ScriptedRng(draws[vid]))
+        medium.register(vid, Position(x[vid], 0.0), handler=ctls[vid].on_frame_delivery)
+    kernel.run_until(100 * MS + 2 * W2.slot_len_ns - 1)   # just before slot 1 ends
+    allocs = [(tx.sender, tx.start, tx.frame.allocations) for tx in medium.log
+              if tx.frame.kind is FrameKind.CONTROL_ALLOCATION]
+    assert allocs == [(1, 102_100 * US, {1: 2, 3: 3}), (0, 102_900 * US, {0: 2, 1: 3, 3: 4})]
+    early, late = ctls[0], ctls[1]
+    assert late.transitions[-1][1:] == (FsmEvent.ALLOCATION_RECEIVED, "superseded",
+                                        FsmState(Status.JOINING, Role.SLAVE))
+    assert late.schedule is None
+    assert (late.master_id, late.my_slot) == (0, 3)
+    kernel.run_until(110 * MS)
+    assert early.state == FsmState(Status.IN_PLATOON, Role.MASTER)
+    assert early.schedule == {0: 2, 1: 3, 3: 4}
+    assert late.state == FsmState(Status.IN_PLATOON, Role.SLAVE) and late.schedule is None
+    assert ctls[3].my_slot == 4 and ctls[2].master_id == 1
 
 
 # -- window clock ------------------------------------------------------------------
