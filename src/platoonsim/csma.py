@@ -5,6 +5,12 @@ a frame at the head of the queue transmits immediately on an idle medium;
 on a busy medium the node waits for the sensed idle edge, defers a uniform
 number of backoff slots, re-senses, and transmits. The window never grows
 and every frame is transmitted exactly once.
+
+A MAC raises an event only where it has something to decide: at a message's
+due time, at a sensed idle edge, at the expiry of a non-zero backoff, and at
+the end of its own transmission only when a frame will wait behind it. A
+zero backoff drawn while no other event shares the instant transmits at
+once, since the re-sense would read the same log at the same instant.
 """
 
 from __future__ import annotations
@@ -39,6 +45,15 @@ class CsmaMac:
 
     With a message source (`scenario.ItsService`), the MAC raises one event
     per message at its due time and submits it there.
+
+    `queue` holds the frames not yet on air; its head is in the access
+    procedure. A frame leaves it when it goes on air. The end of that
+    transmission is an event only if another frame is already queued, the
+    source's next message falls due by the end, or the MAC has no source
+    (its frames may come at any time); while that event is pending, a
+    submitted frame waits for it. `frames_transmitted` counts the frames whose
+    transmission ended by the run end: at that event, or else at broadcast
+    when the frame ends by the source's run end.
     """
 
     def __init__(self, vid: int, kernel: Kernel, medium: Medium,
@@ -49,7 +64,8 @@ class CsmaMac:
         self.medium = medium
         self.cfg = cfg
         self.rng = rng
-        self.queue: deque[Frame] = deque()   # head is in service while non-empty
+        self.queue: deque[Frame] = deque()
+        self._tx_done_pending = False
         self.frames_submitted = 0
         self.frames_transmitted = 0
         self.deferrals = 0
@@ -66,12 +82,12 @@ class CsmaMac:
     def submit(self, frame: Frame) -> None:
         self.queue.append(frame)
         self.frames_submitted += 1
-        if len(self.queue) == 1:
+        if len(self.queue) == 1 and not self._tx_done_pending:
             self._sense()
 
-    # Access procedure for the head-of-line frame. Each step is a kernel
-    # event so concurrent vehicles interleave through simulated time. Each
-    # sense is one scan of the medium: busy iff the idle edge lies ahead.
+    # Access procedure for the head-of-line frame. Each step that waits is a
+    # kernel event so concurrent vehicles interleave through simulated time.
+    # Each sense is one scan of the medium: busy iff the idle edge lies ahead.
 
     def _timer(self, at: int, fn) -> None:
         self.kernel.at(at, self.vid, EventKind.TIMER, fn)
@@ -93,16 +109,27 @@ class CsmaMac:
             self._timer(idle, self._on_idle_edge)
             return
         backoff = uniform(self.rng, 0, self.cfg.cw_slots - 1) * self.cfg.backoff_slot_ns
+        if not backoff and self.kernel.quiet_at(now):
+            # nothing else acts at this instant, so a re-sense would find it idle
+            self._transmit()
+            return
         # at expiry the frame is sensed like a fresh one: if busy again, wait
         # for the new idle edge and draw a fresh backoff there
         self._timer(now + backoff, self._sense)
 
     def _transmit(self) -> None:
-        tx = self.medium.broadcast(self.vid, self.queue[0])
-        self._timer(tx.end, self._on_tx_done)
+        tx = self.medium.broadcast(self.vid, self.queue.popleft())
+        source = self.source
+        if (self.queue or source is None
+                or source.next_due is not None and source.next_due <= tx.end):
+            # armed at broadcast, so the end keeps its place among same-instant events
+            self._tx_done_pending = True
+            self._timer(tx.end, self._on_tx_done)
+        elif tx.end <= source.end:
+            self.frames_transmitted += 1
 
     def _on_tx_done(self, _payload) -> None:
-        self.queue.popleft()
+        self._tx_done_pending = False
         self.frames_transmitted += 1
         if self.queue:
             self._sense()

@@ -51,6 +51,11 @@ class Kernel:
         self._seq = seq + 1
         heapq.heappush(self._heap, (fire_at, seq, fn, payload, target, kind))
 
+    def quiet_at(self, t: int) -> bool:
+        """Whether no pending event fires at or before t."""
+        heap = self._heap
+        return not heap or heap[0][0] > t
+
     def run_until(self, end: int) -> int:
         if end < self.now:
             raise ValueError(f"cannot run until {end} ns before now={self.now} ns")

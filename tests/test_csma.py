@@ -3,17 +3,19 @@ from _util import ScriptedRng
 
 from platoonsim.csma import CsmaConfig, CsmaMac
 from platoonsim.frames import Frame, FrameKind
-from platoonsim.kernel import Kernel, MS, US, RngStreams
+from platoonsim.kernel import EventKind, Kernel, MS, SEC, US, RngStreams
 from platoonsim.metrics import brute_force_outcomes
-from platoonsim.radio import Medium, Position, RadioConfig
+from platoonsim.radio import Medium, Position, RadioConfig, tx_duration
+from platoonsim.scenario import (MODE_BASELINE, ItsService, ScenarioConfig, VehicleSpec,
+                                 run_scenario)
 
 
 def _data(sender, size=800, seq=0):
     return Frame(kind=FrameKind.DATA, sender=sender, size=size, generated_at=0, seq=seq)
 
 
-def _setup(n=2, cw=4, backoff_us=100, gap_m=30.0):
-    kernel = Kernel()
+def _setup(n=2, cw=4, backoff_us=100, gap_m=30.0, trace=False):
+    kernel = Kernel(trace=trace)
     medium = Medium(kernel, RadioConfig(range_m=300.0))
     cfg = CsmaConfig(cw_slots=cw, backoff_slot_ns=backoff_us * US)
     macs = {}
@@ -121,6 +123,72 @@ def test_simultaneous_submits_both_transmit_and_collide():
     for tx, expected in zip(medium.log, want):
         assert medium.outcomes(tx) == expected  # in particular both collided at vehicle 2
         assert expected[2] is True
+
+
+def _sourced_mac(interval_ns, duration_ns):
+    """One vehicle whose MAC takes 800 B messages from an awareness service."""
+    kernel = Kernel()
+    medium = Medium(kernel, RadioConfig())
+    medium.register(0, Position(0.0, 0.0))
+    cfg = ScenarioConfig(message_interval_ns=interval_ns, sim_duration_ns=duration_ns)
+    source = ItsService(VehicleSpec(0, Position(0.0, 0.0), 0), cfg)
+    # a sense that found its own frame busy would back off by a whole slot
+    mac = CsmaMac(0, kernel, medium, CsmaConfig(), ScriptedRng([1] * 4), source=source)
+    return kernel, medium, mac
+
+
+@pytest.mark.parametrize("early_ns", [400 * US, 0], ids=["before-end", "at-end"])
+def test_message_due_while_on_air_goes_out_once_at_the_end(early_ns):
+    airtime = tx_duration(800, RadioConfig())
+    interval = airtime - early_ns
+    end = 2 * interval
+    kernel, medium, mac = _sourced_mac(interval, end)
+    kernel.run_until(end)
+    first, second = medium.log
+    assert (first.frame.seq, first.start) == (0, 0)
+    # it waited for the end without sensing its own frame busy
+    assert (second.frame.seq, second.start) == (1, first.end)
+    assert mac.deferrals == 0
+    assert mac.frames_submitted == 2 and not mac.queue
+    # a frame counts once it has ended by the run end
+    assert mac.frames_transmitted == sum(tx.end <= end for tx in medium.log)
+
+
+def test_zero_backoff_on_a_quiet_instant_transmits_at_the_idle_edge():
+    kernel, medium, macs = _setup(trace=True)
+    macs[0].submit(_data(0))
+    kernel.run_until(200 * US)
+    macs[1].rng = ScriptedRng([0])
+    macs[1].submit(_data(1))
+    kernel.run_until(20 * MS)
+    t1 = medium.log[0].end + medium.cfg.prop_delay(30.0)
+    assert medium.log[1].start == t1
+    # the idle edge is vehicle 1's only event there: no zero-delay re-sense
+    assert [kind for at, _seq, target, kind in kernel.trace
+            if target == 1 and at == t1] == ["TIMER"]
+
+
+def test_zero_backoff_lets_a_same_instant_event_act_first():
+    kernel, medium, macs = _setup()
+    macs[0].submit(_data(0))
+    kernel.run_until(200 * US)
+    macs[1].rng = ScriptedRng([0])
+    macs[1].submit(_data(1))                     # its idle edge is armed first
+    t1 = medium.log[0].end + medium.cfg.prop_delay(30.0)
+    kernel.at(t1, 0, EventKind.APP_TICK, lambda _: macs[0].submit(_data(0, seq=1)))
+    kernel.run_until(20 * MS)
+    assert [(tx.sender, tx.start) for tx in medium.log] == [(0, 0), (0, t1), (1, t1)]
+
+
+def test_default_baseline_raises_no_event_at_its_own_frame_ends():
+    cfg = ScenarioConfig(vehicle_count=20, mode=MODE_BASELINE, sim_duration_ns=2 * SEC)
+    run = run_scenario(cfg, 1, trace=True)
+    ends = {(tx.sender, tx.end) for tx in run.medium.log}
+    timers = [(target, at) for at, _seq, target, kind in run.medium.kernel.trace
+              if kind == "TIMER"]
+    assert ends and timers
+    assert sum(timer in ends for timer in timers) == 0
+    assert all(mac.frames_transmitted == mac.frames_submitted for mac in run.macs.values())
 
 
 def test_config_validation():

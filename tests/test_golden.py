@@ -14,6 +14,11 @@ message every 20 ms: each burst sends the messages that fell due since the
 last one, among them those due at the instant the burst starts, so the log
 pins when a due message joins the queue. (With 800 B frames every burst is
 one overrunning frame, whatever the queue holds.)
+Two baseline points, at both durations, put all 20 vehicles at one spot with
+a message every 2 ms, shorter than an 800 B frame's airtime: every MAC keeps
+a backlog, many frames wait behind their sender's frame on air, and backoff
+expiries, idle edges and frame ends of different vehicles fall on one
+instant, so the log pins the order of same-instant events in the CSMA MAC.
 Each point has two keys: `rec0` hashes the accounting line alone (the
 receiver count twice, which keeps the fixture's layout, then the collided
 count), and `rec1` appends to each line its per-receiver outcomes, as
@@ -63,6 +68,10 @@ def _grid() -> list[tuple[str, str, int, int, int, dict]]:
         points.append((f"{MODE_TSNCTL}-1ms-seed1-{duration}ns-msg20ms",
                        MODE_TSNCTL, 1, 1, duration,
                        {"message_interval_ns": 20 * MS, "payload_size_b": 100}))
+    for duration in DURATIONS:
+        points.append((f"{MODE_BASELINE}-2ms-seed1-{duration}ns-area0m-msg2ms",
+                       MODE_BASELINE, 2, 1, duration,
+                       {"area_length_m": 0.0, "message_interval_ns": 2 * MS}))
     return points
 
 

@@ -93,6 +93,18 @@ def test_dispatch_hands_payload_time_and_seq_and_traces_each_event():
                        (7, 0, 3, "TIMER"), (7, 2, 5, "APP_TICK")]
 
 
+def test_quiet_at_reads_the_head_of_the_queue():
+    k = Kernel()
+    assert k.quiet_at(0)
+    _timer(k, 9, lambda _: None)
+    _timer(k, 5, lambda _: None)
+    assert k.quiet_at(4)
+    assert not k.quiet_at(5)
+    assert not k.quiet_at(6)
+    k.run_until(5)
+    assert k.quiet_at(8) and not k.quiet_at(9)
+
+
 def test_uniform_degenerate_interval():
     rng = RngStreams(7).stream(1)
     assert uniform(rng, 5 * US, 5 * US) == 5 * US
