@@ -29,7 +29,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable
+from typing import Callable, Iterator
 
 from .frames import Frame, FrameKind
 from .kernel import EventKind, Kernel, SEC
@@ -152,6 +152,17 @@ class Medium:
         self._receivers: dict[int, int] = {}
         self._sense_slack = cfg.max_delay
         self._max_dur = 0
+        self._airtime: dict[int, int] = {}          # frame size -> tx_duration
+
+    def airtime(self, size: int) -> int:
+        """`tx_duration` of a frame of `size` bytes, computed once per size.
+
+        The medium's RadioConfig must not change after the medium is built.
+        """
+        dur = self._airtime.get(size)
+        if dur is None:
+            dur = self._airtime[size] = tx_duration(size, self.cfg)
+        return dur
 
     def register(self, vid: int, pos: Position,
                  handler: Callable[[Frame, bool], None] | None = None) -> None:
@@ -171,6 +182,7 @@ class Medium:
         self._bit[vid] = bit
         self._range[vid] = receivers | bit
         self._receivers[vid] = receivers
+        self._sent[vid] = []
         self.positions[vid] = pos
         if handler is not None:
             self.handlers[vid] = handler
@@ -179,15 +191,15 @@ class Medium:
 
     def broadcast(self, sender: int, frame: Frame) -> Transmission:
         start = self.kernel.now
-        if sender not in self.positions:
+        sent = self._sent.get(sender)
+        if sent is None:
             raise ValueError(f"sender {sender} not registered")
-        sent = self._sent.setdefault(sender, [])
         if sent and start < sent[-1].end:
             raise RuntimeError(
                 f"vehicle {sender} is already transmitting at {start} ns; "
                 "MAC layers must serialize their own transmissions"
             )
-        end = start + tx_duration(frame.size, self.cfg)
+        end = start + self.airtime(frame.size)
         log, ranges = self.log, self._range
         mask = ranges[sender]
         tx = Transmission(sender=sender, frame=frame, start=start, end=end,
@@ -242,15 +254,17 @@ class Medium:
         return [tx for tx in self.log[bisect_left(self._starts, since):]
                 if tx.frame.kind is kind]
 
-    def clean_receptions(self, listener: int, txs: list[Transmission]) -> list[Frame]:
+    def clean_receptions(self, listener: int, txs: list[Transmission]) -> Iterator[Frame]:
         """The frames of `txs` that listener heard clean before now, in the order of `txs`.
 
-        A vehicle never receives its own frames.
+        Lazy: each transmission is read when the generator reaches it, so a
+        reader that stops at the first frame reads no further. "Now" is the
+        clock at the call. A vehicle never receives its own frames.
         """
         hears = self._hears.get(listener, {})
         bit, now, heard = self._bit.get(listener, 0), self.kernel.now, self._heard
-        return [tx.frame for tx in txs if tx.sender in hears
-                and heard(tx, bit, tx.end + hears[tx.sender], now)]
+        return (tx.frame for tx in txs if tx.sender in hears
+                and heard(tx, bit, tx.end + hears[tx.sender], now))
 
     def last_clean_arrival(self, listener: int, sender: int, after: int) -> int | None:
         """Latest arrival in (after, now) of a clean reception of sender's frames.
@@ -261,7 +275,7 @@ class Medium:
         if delay is None or listener == sender:
             return None
         bit, now = self._bit[listener], self.kernel.now
-        for tx in reversed(self._sent.get(sender, ())):
+        for tx in reversed(self._sent[sender]):
             arrival = tx.end + delay
             if arrival <= after:
                 break

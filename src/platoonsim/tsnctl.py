@@ -29,7 +29,12 @@ The medium hands a controller only allocation frames, which act at once.
 Everything else is read back from the medium's log when it is needed: the
 election and the master's admission read the clean announces heard since the
 window started, and a slave learns that its master is alive from the master's
-latest clean arrival at it.
+latest clean arrival at it. The clock orders the window's announces by
+election key once; a vehicle announces at most once per window, so a
+listener's first clean one is its best heard candidate, and a listener that
+loses reads no further. The election weighs at most that announce, the
+listener itself and its master, and reads the master's liveness only when the
+master could win.
 
 A controller keeps no flag for what its other state already says. A master's
 allocation went out iff it holds a schedule: it takes the schedule when the
@@ -53,7 +58,7 @@ from .frames import (
     make_announce,
 )
 from .kernel import EventKind, Kernel, MS, Pcg64, uniform
-from .radio import Medium, Transmission, tx_duration
+from .radio import Medium, Transmission
 
 # A slave that hears no clean frame of its master for this many windows
 # falls back to INIT and rejoins.
@@ -235,11 +240,16 @@ def check_schedule(assignments: dict[int, int], cfg: WindowConfig) -> None:
         seen.add(idx)
 
 
+def election_key(ts: int, vid: int) -> tuple[int, int]:
+    """The election order: the earlier announce timestamp wins, ties to lowest id."""
+    return ts, vid
+
+
 def elect_master(candidates: dict[int, int]) -> int:
     """Pick the vehicle with the earliest announce timestamp; ties to lowest id."""
     if not candidates:
         raise ValueError("election requires at least one candidate")
-    return min(candidates, key=lambda vid: (candidates[vid], vid))
+    return min(candidates, key=lambda vid: election_key(candidates[vid], vid))
 
 
 def admit(assignments: dict[int, int], requesters: list[int],
@@ -294,7 +304,7 @@ class PriorityQueueSet:
         raise IndexError("pop from empty queue set")
 
     def __len__(self) -> int:
-        return sum(len(q) for q in self.queues)
+        return sum(map(len, self.queues))
 
 
 # -- controller ----------------------------------------------------------------
@@ -338,6 +348,7 @@ class WindowClock:
 
     def _on_slot0_end(self, w: int) -> None:
         announces = self.medium.transmissions(FrameKind.CONTROL_ANNOUNCE, w)
+        announces.sort(key=lambda tx: election_key(tx.frame.generated_at, tx.sender))
         for ctl in self.members:
             ctl._on_slot0_end(w, announces)
 
@@ -393,8 +404,11 @@ class TsnCtl:
     # -- FSM ------------------------------------------------------------------
 
     def _step(self, event: FsmEvent, outcome: str | None = None) -> None:
-        new_state = step_fsm(self.state, event, outcome)
-        self.transitions.append((self.state, event, outcome, new_state))
+        state = self.state
+        new_state = LEGAL_EDGES.get((state.status, state.role, event, outcome))
+        if new_state is None:
+            step_fsm(state, event, outcome)     # raises the ProtocolError
+        self.transitions.append((state, event, outcome, new_state))
         self.state = new_state
 
     # -- window machinery -------------------------------------------------------
@@ -438,7 +452,7 @@ class TsnCtl:
     # -- slot 0: announce -------------------------------------------------------
 
     def _schedule_announce(self, w: int) -> None:
-        dur = tx_duration(ANNOUNCE_SIZE, self.medium.cfg)
+        dur = self.medium.airtime(ANNOUNCE_SIZE)
         off = announce_offset(self.rng, self.wcfg, dur)
         self._timer(w + off, self._try_announce)
 
@@ -453,22 +467,29 @@ class TsnCtl:
     # -- end of slot 0: election, or a platoon master's admission ------------------
 
     def _on_slot0_end(self, w: int, announces: list[Transmission]) -> None:
+        """Elect, or admit as a platoon master; `announces` are in election order."""
         leads = self.state.status is Status.IN_PLATOON and self.state.role is Role.MASTER
         if not (self._in_round or leads):
             return
-        neighbours = self.medium.clean_receptions(self.vid, announces)
+        heard = self.medium.clean_receptions(self.vid, announces)
+        best = next(heard, None)
         if leads:
-            if neighbours:
-                self._schedule_alloc_tx(w, self.schedule, [a.sender for a in neighbours])
+            if best is not None:
+                self._schedule_alloc_tx(w, self.schedule, [best.sender] + [a.sender for a in heard])
             else:
-                self._start_burst(1, w, start=self.kernel.now)
+                self._start_slot1_burst(w, start=self.kernel.now)
             return
         candidates = {self.vid: self.created_at}
-        for a in neighbours:
-            candidates[a.sender] = a.generated_at
-        if self.master_id is not None and not self._master_silent():
-            candidates.setdefault(self.master_id, self.master_ts)
+        if best is not None:
+            candidates[best.sender] = best.generated_at
+        master = self.master_id
+        unheard = master is not None and master not in candidates
+        if unheard:
+            candidates[master] = self.master_ts     # its created_at, as its announces carry
         winner = elect_master(candidates)
+        if unheard and winner == master and self._master_silent():
+            del candidates[master]      # liveness is read only where it decides
+            winner = elect_master(candidates)
 
         if winner != self.vid:
             self._step(FsmEvent.SLOT0_END, "lost")
@@ -477,10 +498,10 @@ class TsnCtl:
             return
 
         self._step(FsmEvent.SLOT0_END, "won")
-        if not neighbours:
+        if best is None:
             self._step(FsmEvent.NO_NEIGHBORS)
             return
-        self._schedule_alloc_tx(w, {}, [self.vid] + [a.sender for a in neighbours])
+        self._schedule_alloc_tx(w, {}, [self.vid, best.sender] + [a.sender for a in heard])
 
     # -- slot 1: allocation --------------------------------------------------------
 
@@ -488,7 +509,7 @@ class TsnCtl:
         """Admit the requesters into base and time its allocation inside slot 1."""
         sched, rejected = admit(base, requesters, self.wcfg)
         self.rejected_joins += len(rejected)
-        dur = tx_duration(allocation_size(len(sched)), self.medium.cfg)
+        dur = self.medium.airtime(allocation_size(len(sched)))
         lo = w + self.wcfg.slot_len_ns + self.guard
         hi = w + 2 * self.wcfg.slot_len_ns - dur - self.guard
         if hi < lo:
@@ -506,7 +527,7 @@ class TsnCtl:
         tx = self.medium.broadcast(self.vid, make_allocation(self.vid, self.created_at, sched))
         self.schedule = sched
         if self.state.status is Status.IN_PLATOON:   # a refresh
-            self._start_burst(1, w, start=tx.end)
+            self._start_slot1_burst(w, start=tx.end)
 
     def _on_slot1_end(self, w: int) -> None:
         if not self._in_round:
@@ -566,14 +587,15 @@ class TsnCtl:
     def _arm_slot(self, w: int) -> None:
         at = w + self.my_slot * self.wcfg.slot_len_ns
         if at >= self.kernel.now:
-            self._timer(at, self._on_slot_open, self._slot_gen)
+            self.kernel.at(at, self.vid, EventKind.TIMER, self._on_slot_open, self._slot_gen)
 
     def _on_slot_open(self, gen: int) -> None:
         """A live trigger confirms a joining slave (step 6), then opens our burst."""
         if gen != self._slot_gen:
             return
         self._step(FsmEvent.OWN_SLOT_TRIGGER)
-        self._start_burst(self.my_slot, self.epoch, start=self.kernel.now)
+        w, idx, slot = self.epoch, self.my_slot, self.wcfg.slot_len_ns
+        self._burst((w, idx, w + idx * slot, w + (idx + 1) * slot, gen))
 
     # The burst walks the priority queues and transmits back-to-back until the
     # next frame would cross the slot boundary. A frame that cannot fit any
@@ -581,10 +603,9 @@ class TsnCtl:
     # Slot-1 bursts (master only) carrier-sense each frame because that slot
     # is shared control airtime; owned data slots are exclusive and do not.
 
-    def _start_burst(self, idx: int, w: int, start: int) -> None:
-        origin = w + idx * self.wcfg.slot_len_ns
-        end = origin + self.wcfg.slot_len_ns
-        ctx = (w, idx, origin, end, self._slot_gen)
+    def _start_slot1_burst(self, w: int, start: int) -> None:
+        origin = w + self.wcfg.slot_len_ns
+        ctx = (w, 1, origin, origin + self.wcfg.slot_len_ns, self._slot_gen)
         if start <= self.kernel.now:
             self._burst(ctx)
         else:
@@ -599,7 +620,7 @@ class TsnCtl:
         frame = self.queues.peek()
         if frame is None:
             return False
-        dur = tx_duration(frame.size, self.medium.cfg)
+        dur = self.medium.airtime(frame.size)
         overrun = idx != 1 and dur > self.wcfg.slot_len_ns and now == origin
         if now + dur <= end or overrun:
             return True
@@ -607,6 +628,7 @@ class TsnCtl:
         return False
 
     def _burst(self, ctx) -> None:
+        """The burst's step at now: send the head of the queues if it may start."""
         w, idx, origin, end, gen = ctx
         if gen != self._slot_gen:
             return
@@ -616,19 +638,24 @@ class TsnCtl:
         if idx == 1 and self.medium.idle_from(self.vid, now) > now:
             self.deferred += len(self.queues)
             return
-        tx = self.medium.broadcast(self.vid, self.queues.pop())
-        if self._step_needs_event(tx.end, w, idx, origin, end):
-            self._timer(tx.end, self._burst, ctx)
+        self._send(ctx)
 
-    def _step_needs_event(self, at: int, w: int, idx: int, origin: int, end: int) -> bool:
-        """Whether the burst's next step, at `at` when its frame ends, needs an event.
+    def _send(self, ctx) -> None:
+        """Send the head of the queues, which may start now, and arm the next step.
 
-        The master senses slot 1, and an allocation can supersede it there.
-        Nothing changes a data-slot burst before the next window start, so
-        its step is settled now and needs an event only to transmit. A step at
-        or after the next window start, or after the run end, would not act.
+        The master senses slot 1, and an allocation can supersede it there, so
+        each slot-1 step is an event that checks afresh. Nothing changes a
+        data-slot burst before the next window start, so its next step is
+        settled now, when the frame starts, and raises an event only to send
+        a frame it has already found fitting. A step at or after the next
+        window start, or after the run end, would not act.
         """
+        w, idx, origin, end, gen = ctx
+        if gen != self._slot_gen:
+            return
+        at = self.medium.broadcast(self.vid, self.queues.pop()).end
         if idx == 1:
-            return True
-        return (at < w + self.wcfg.window_ns and at <= self.run_end
-                and self._head_fits(at, idx, origin, end))
+            self.kernel.at(at, self.vid, EventKind.TIMER, self._burst, ctx)
+        elif (at < w + self.wcfg.window_ns and at <= self.run_end
+                and self._head_fits(at, idx, origin, end)):
+            self.kernel.at(at, self.vid, EventKind.TIMER, self._send, ctx)

@@ -19,6 +19,11 @@ a message every 2 ms, shorter than an 800 B frame's airtime: every MAC keeps
 a backlog, many frames wait behind their sender's frame on air, and backoff
 expiries, idle edges and frame ends of different vehicles fall on one
 instant, so the log pins the order of same-instant events in the CSMA MAC.
+A last tsnctl point, at both durations, puts 60 vehicles on a 400 m road with
+150 m of range and 1 ms slots. Hidden terminals make listeners hear different
+subsets of a window's announces: the earliest announce of a window often
+collided at a listener, or a master the listener did not hear this window
+wins, so the log pins which candidates the election weighs.
 Each point has two keys: `rec0` hashes the accounting line alone (the
 receiver count twice, which keeps the fixture's layout, then the collided
 count), and `rec1` appends to each line its per-receiver outcomes, as
@@ -42,6 +47,7 @@ import pytest
 
 from platoonsim.kernel import MS
 from platoonsim.metrics import write_transmission_log
+from platoonsim.radio import RadioConfig
 from platoonsim.scenario import MODE_BASELINE, MODE_TSNCTL, ScenarioConfig, run_scenario
 from platoonsim.tsnctl import WindowConfig
 
@@ -72,6 +78,11 @@ def _grid() -> list[tuple[str, str, int, int, int, dict]]:
         points.append((f"{MODE_BASELINE}-2ms-seed1-{duration}ns-area0m-msg2ms",
                        MODE_BASELINE, 2, 1, duration,
                        {"area_length_m": 0.0, "message_interval_ns": 2 * MS}))
+    for duration in DURATIONS:
+        points.append((f"{MODE_TSNCTL}-1ms-seed1-{duration}ns-n60-area400m-range150m",
+                       MODE_TSNCTL, 1, 1, duration,
+                       {"vehicle_count": 60, "area_length_m": 400.0,
+                        "radio": RadioConfig(range_m=150.0)}))
     return points
 
 
@@ -83,11 +94,12 @@ def digests(mode: str, slot_ms: int, seed: int, duration: int, extra: dict,
             tmp: Path) -> list[dict]:
     """The rec0 and rec1 digests of one grid point, from a single run.
 
-    `extra` holds the point's ScenarioConfig fields beyond the common ones.
+    `extra` holds the point's ScenarioConfig fields beyond the common ones,
+    and may override the 20 vehicles.
     """
-    cfg = ScenarioConfig(vehicle_count=20, mode=mode, sim_duration_ns=duration,
-                         seed=seed, repetitions=1,
-                         window=WindowConfig(slot_len_ns=slot_ms * MS), **extra)
+    cfg = ScenarioConfig(**{"vehicle_count": 20, **extra}, mode=mode,
+                         sim_duration_ns=duration, seed=seed, repetitions=1,
+                         window=WindowConfig(slot_len_ns=slot_ms * MS))
     run = run_scenario(cfg, seed)
     log = tmp / "transmissions.log"
     write_transmission_log(run, log)

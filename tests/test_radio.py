@@ -450,7 +450,7 @@ def test_clean_receptions_match_brute_force(cells, joins, sends, reads):
     m, flags, delay, got, _ = _coarse_run(
         cells, joins, sends,
         [(at, lambda m, listener=listener, since=since:
-          m.clean_receptions(listener, m.transmissions(FrameKind.CONTROL_ANNOUNCE, since)))
+          list(m.clean_receptions(listener, m.transmissions(FrameKind.CONTROL_ANNOUNCE, since))))
          for listener, at, since in reads])
     want = [[tx.frame for tx, f in zip(m.log, flags)
              if tx.frame.kind is FrameKind.CONTROL_ANNOUNCE and tx.start >= since
@@ -473,7 +473,7 @@ def _one_frame_read(arrival_offset: int, read_first: bool):
 
     def reads(_):
         got.append((m.last_clean_arrival(1, 0, read_at - 300 * MS),
-                    m.clean_receptions(1, m.transmissions(FrameKind.CONTROL_ANNOUNCE, 0))))
+                    list(m.clean_receptions(1, m.transmissions(FrameKind.CONTROL_ANNOUNCE, 0)))))
 
     def read():
         k.at(read_at, 1, EventKind.TIMER, reads)

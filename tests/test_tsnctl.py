@@ -116,6 +116,132 @@ def test_elect_master_empty_rejected():
         elect_master({})
 
 
+@st.composite
+def _formation_rounds(draw):
+    """Vehicles on a 600 m line (hidden terminals at 300 m range), spawn times, a seed."""
+    n = draw(st.integers(2, 10))
+    xs = draw(st.lists(st.integers(0, 600), min_size=n, max_size=n))
+    spawns = draw(st.lists(st.integers(0, 250), min_size=n, max_size=n))
+    return xs, spawns, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_formation_rounds())
+def test_round_winner_is_elect_master_over_all_clean_announces_and_a_live_master(case):
+    """At each end of slot 0, a vehicle in a formation round follows the winner of
+    `elect_master` over itself, every announce it heard clean in the window and its
+    master if that master is still live; the controller weighs at most three."""
+    xs, spawns, seed = case
+    kernel = Kernel()
+    medium = Medium(kernel, RadioConfig())
+    clock = WindowClock(kernel, medium, WindowConfig(window_ns=20 * MS, slot_len_ns=1 * MS))
+    streams = RngStreams(seed)
+    rounds = []
+
+    def spawn(vid):
+        ctl = TsnCtl(vid, clock, streams.stream(vid))
+        medium.register(vid, Position(float(xs[vid]), 0.0), handler=ctl.on_frame_delivery)
+        elect = ctl._on_slot0_end
+
+        def checked(w, announces):
+            if not ctl._in_round:
+                return elect(w, announces)
+            candidates = {vid: ctl.created_at}
+            for frame in list(medium.clean_receptions(vid, announces)):
+                candidates[frame.sender] = frame.generated_at
+            if ctl.master_id is not None and not ctl._master_silent():
+                candidates.setdefault(ctl.master_id, ctl.master_ts)
+            want = elect_master(candidates)
+            steps = len(ctl.transitions)
+            elect(w, announces)
+            _, event, outcome, _ = ctl.transitions[steps]
+            assert event is FsmEvent.SLOT0_END
+            got = vid if outcome == "won" else ctl.master_id
+            assert got == want
+            if outcome == "lost":
+                assert ctl.master_ts == candidates[want]
+            rounds.append(w)
+
+        ctl._on_slot0_end = checked
+
+    for vid, at in enumerate(spawns):
+        kernel.at(at * MS, vid, EventKind.SPAWN, spawn, vid)
+    kernel.run_until(300 * MS)
+    assert rounds
+
+
+def test_listener_whose_earliest_announce_collided_follows_the_next_one():
+    """The window's earliest announce collided at the listener: the second one wins there.
+
+    On a line, 0 and 2 announce together and collide at 3 (and at 1); 2 is out
+    of 0's range, so neither senses the other. 3 hears 1's later announce clean.
+    """
+    x = {0: 0.0, 1: 260.0, 2: 500.0, 3: 250.0}
+    kernel, medium, ctls = assemble_platoon(
+        {vid: vid * MS for vid in x}, {0: 0, 1: 300 * US, 2: 0, 3: 600 * US},
+        run_ms=100, positions={vid: Position(x[vid], 0.0) for vid in x})
+    listener = ctls[3]
+    kernel.run_until(100 * MS + W2.slot_len_ns + listener.guard)   # the end of slot 0
+    announces = medium.transmissions(FrameKind.CONTROL_ANNOUNCE, 100 * MS)
+    earliest = min(announces, key=lambda tx: (tx.frame.generated_at, tx.sender))
+    assert earliest.sender == 0 and medium.outcomes(earliest)[3] is True
+    assert [f.sender for f in medium.clean_receptions(3, announces)] == [1]
+    assert listener.transitions[-1][1:3] == (FsmEvent.SLOT0_END, "lost")
+    assert (listener.master_id, listener.master_ts) == (1, 1 * MS)
+
+
+def _follower_of_an_unheard_master():
+    """Vehicle 5 learns master 99 from one allocation that does not list it.
+
+    5 spawns at 10 ms, forms alone in the window at 100 ms, and 99's
+    allocation supersedes it in that window's slot 1; 99 never sends again.
+    6 spawns at 150 ms, later than 5, and announces in every window from
+    200 ms on, where 5 hears it clean.
+    """
+    kernel = Kernel()
+    medium = Medium(kernel, RadioConfig())
+    clock = WindowClock(kernel, medium, W2)
+    ctls = {}
+
+    def spawn(vid):
+        ctls[vid] = TsnCtl(vid, clock, ConstRng((vid - 5) * 300 * US))
+        medium.register(vid, Position(10.0 * (vid - 5), 0.0), handler=ctls[vid].on_frame_delivery)
+
+    kernel.at(10 * MS, 5, EventKind.SPAWN, spawn, 5)
+    kernel.at(150 * MS, 6, EventKind.SPAWN, spawn, 6)
+    kernel.run_until(100 * MS + 2 * MS + clock.guard + 1)
+    medium.register(99, Position(20.0, 0.0))
+    medium.broadcast(99, make_allocation(sender=99, generated_at=0, allocations={99: 2}))
+    kernel.run_until(110 * MS)
+    assert ctls[5].state == FsmState(Status.JOINING, Role.SLAVE)
+    assert (ctls[5].master_id, ctls[5].master_ts) == (99, 0)
+    return kernel, medium, ctls[5]
+
+
+def _round_outcomes(ctl):
+    return [t[2] for t in ctl.transitions if t[1] is FsmEvent.SLOT0_END]
+
+
+def test_live_unheard_master_wins_the_round():
+    kernel, medium, ctl = _follower_of_an_unheard_master()
+    kernel.run_until(200 * MS + W2.slot_len_ns + ctl.guard)        # the end of slot 0
+    announces = medium.transmissions(FrameKind.CONTROL_ANNOUNCE, 200 * MS)
+    assert [f.sender for f in medium.clean_receptions(5, announces)] == [6]
+    assert elect_master({5: ctl.created_at, 6: 150 * MS}) == 5     # 5 would win without 99
+    assert _round_outcomes(ctl) == ["won", "lost"]
+    assert (ctl.master_id, ctl.master_ts) == (99, 0)
+
+
+def test_silent_master_does_not_win_the_round():
+    kernel, medium, ctl = _follower_of_an_unheard_master()
+    # 99's frame arrived at about 102 ms: live in the rounds at 200, 300 and
+    # 400 ms, silent from the one at 500 ms, where 5 wins over 6
+    kernel.run_until(500 * MS + W2.slot_len_ns + ctl.guard)
+    assert _round_outcomes(ctl) == ["won", "lost", "lost", "lost", "won"]
+    assert ctl._master_silent()
+    assert ctl.state == FsmState(Status.JOINING, Role.MASTER)
+
+
 # -- admission --------------------------------------------------------------------
 
 
