@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .frames import Frame
-from .kernel import EventKind, Kernel, Pcg64, US, uniform
+from .kernel import EventKind, Kernel, Pcg64, US
 from .radio import Medium
 
 
@@ -62,8 +62,8 @@ class CsmaMac:
         self.vid = vid
         self.kernel = kernel
         self.medium = medium
-        self.cfg = cfg
         self.rng = rng
+        self._cw_max, self._slot_ns = cfg.cw_slots - 1, cfg.backoff_slot_ns  # backoff draw
         self.queue: deque[Frame] = deque()
         self._tx_done_pending = False
         self.frames_submitted = 0
@@ -108,7 +108,7 @@ class CsmaMac:
             # medium got busy again while waiting: keep waiting for idle
             self._timer(idle, self._on_idle_edge)
             return
-        backoff = uniform(self.rng, 0, self.cfg.cw_slots - 1) * self.cfg.backoff_slot_ns
+        backoff = self.rng.integers(0, self._cw_max, endpoint=True) * self._slot_ns
         if not backoff and self.kernel.quiet_at(now):
             # nothing else acts at this instant, so a re-sense would find it idle
             self._transmit()

@@ -11,19 +11,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .frames import KIND_BY_LABEL, FrameKind
-from .radio import Position, RadioConfig, Transmission
+from .radio import Position, RadioConfig
 from .scenario import MODE_BASELINE, MODE_TSNCTL, RunResult, ScenarioConfig, run_scenario
-
-
-def classify_transmission(tx: Transmission) -> bool | None:
-    """Sender-side convention: collided iff it collided at >= 1 in-range receiver.
-
-    Returns None for a transmission nobody was in range to receive; such
-    frames are excluded from the sent-frame denominator entirely.
-    """
-    if tx.receivers_expected == 0:
-        return None
-    return tx.collided
 
 
 @dataclass(slots=True)
@@ -54,24 +43,31 @@ class CollisionStats:
 
 
 def collect_stats(run: RunResult) -> CollisionStats:
-    s = CollisionStats()
+    """Collision counts of a run, read off each transmission's two masks.
+
+    A frame counts once, collided iff it collided at one or more receivers; a
+    frame that nobody was in range to receive is left out of every count.
+    """
+    sent = collided = data_sent = data_collided = receptions = receptions_collided = 0
+    data = FrameKind.DATA
     for tx in run.medium.log:
-        flag = classify_transmission(tx)
-        if flag is None:
+        receivers = tx.receivers
+        if not receivers:
             continue
-        s.frames_sent += 1
-        s.frames_collided += flag
-        if tx.frame.kind is FrameKind.DATA:
-            s.data_frames_sent += 1
-            s.data_frames_collided += flag
-        s.receptions += tx.receivers_expected
-        s.receptions_collided += tx.receivers_collided
-    for mac in run.macs.values():
-        s.deferred_frames += mac.deferrals
-    for ctl in run.controllers.values():
-        s.deferred_frames += ctl.deferred
-        s.rejected_joins += ctl.rejected_joins
-    return s
+        hit = tx.hit & receivers
+        sent += 1
+        receptions += receivers.bit_count()
+        if hit:
+            collided += 1
+            receptions_collided += hit.bit_count()
+        if tx.frame.kind is data:
+            data_sent += 1
+            data_collided += hit != 0
+    deferred = (sum(mac.deferrals for mac in run.macs.values())
+                + sum(ctl.deferred for ctl in run.controllers.values()))
+    rejected = sum(ctl.rejected_joins for ctl in run.controllers.values())
+    return CollisionStats(sent, collided, data_sent, data_collided, receptions,
+                          receptions_collided, deferred, rejected)
 
 
 # -- independent oracle --------------------------------------------------------
@@ -398,11 +394,15 @@ def load_transmission_log(path: str | Path) -> LoadedLog:
                         propagation_mps=float(kv["propagation_mps"]),
                         preamble_ns=int(kv["preamble_ns"]),
                     )
+                    radio.validate()
                 elif parts[:1] == ["vehicle"]:
                     vid = int(parts[1])
                     duplicate = vid in positions
-                    positions[vid] = Position(float(parts[2]), float(parts[3]))
+                    x, y = float(parts[2]), float(parts[3])
                     spawn[vid] = int(parts[4]) if len(parts) > 4 else 0
+                    if not (math.isfinite(x) and math.isfinite(y)) or spawn[vid] < 0:
+                        raise ValueError
+                    positions[vid] = Position(x, y)
             except (IndexError, KeyError, ValueError):
                 raise ValueError(
                     f"line {lineno}: malformed {parts[0]} header {line!r}") from None

@@ -151,13 +151,15 @@ class Medium:
         self._range: dict[int, int] = {}
         self._receivers: dict[int, int] = {}
         self._sense_slack = cfg.max_delay
+        self._cca_detect = cfg.cca_detect_ns
         self._max_dur = 0
         self._airtime: dict[int, int] = {}          # frame size -> tx_duration
 
     def airtime(self, size: int) -> int:
         """`tx_duration` of a frame of `size` bytes, computed once per size.
 
-        The medium's RadioConfig must not change after the medium is built.
+        The medium's RadioConfig must not change after the medium is built:
+        airtimes, the sensing slack and cca_detect_ns are read from it once.
         """
         dur = self._airtime.get(size)
         if dur is None:
@@ -199,23 +201,24 @@ class Medium:
                 f"vehicle {sender} is already transmitting at {start} ns; "
                 "MAC layers must serialize their own transmissions"
             )
-        end = start + self.airtime(frame.size)
+        dur = self._airtime.get(frame.size) or self.airtime(frame.size)
+        end = start + dur
         log, ranges = self.log, self._range
-        mask = ranges[sender]
-        tx = Transmission(sender=sender, frame=frame, start=start, end=end,
-                          receivers=self._receivers[sender])
+        mask, hit = ranges[sender], 0
         # Every logged frame started at or before `start`, so the half-open
         # intervals overlap iff it ends after `start` and starts before `end`;
         # a zero-length frame overlaps nothing that starts with it.
         for i in range(bisect_left(self._starts, start - self._max_dur), len(log)):
             other = log[i]
             if other.end > start and other.start < end:
-                tx.hit |= ranges[other.sender]
+                hit |= ranges[other.sender]
                 other.hit |= mask
+        tx = Transmission(sender, frame, start, end, self._receivers[sender], hit)
         log.append(tx)
         self._starts.append(start)
         sent.append(tx)
-        self._max_dur = max(self._max_dur, end - start)
+        if dur > self._max_dur:
+            self._max_dur = dur
 
         if frame.kind is FrameKind.CONTROL_ALLOCATION:
             # an allocation acts at once (it arms slots), so it is delivered
@@ -290,19 +293,24 @@ class Medium:
 
         The channel is busy at the listener iff this lies after `at`.
 
-        Sensed intervals are shifted by propagation delay and detection takes
-        cca_detect_ns, so a transmission that started moments ago is not yet
-        visible; two nodes committing within that window will overlap.
+        The listener senses the frames of every vehicle it hears, its own
+        included, over [start + delay + cca_detect_ns, end + delay), so two
+        nodes committing within one detection latency will overlap. Only the
+        log entries that started within the longest airtime and delay before
+        `at` are read.
         """
-        hears = self._hears[listener]
+        hears, log, detect = self._hears[listener], self.log, self._cca_detect
         horizon = at
-        lo = bisect_left(self._starts, at - self._max_dur - self._sense_slack)
-        for tx in self.log[lo:]:
-            if tx.start > at:
+        for i in range(bisect_left(self._starts, at - self._max_dur - self._sense_slack),
+                       len(log)):
+            tx = log[i]
+            start = tx.start
+            if start > at:
                 break
             delay = hears.get(tx.sender)
-            if delay is None:
-                continue
-            if tx.start + delay + self.cfg.cca_detect_ns <= at < tx.end + delay:
-                horizon = max(horizon, tx.end + delay)
+            # an edge at or before the horizon (never before `at`) moves nothing
+            if delay is not None and start + delay + detect <= at:
+                edge = tx.end + delay
+                if edge > horizon:
+                    horizon = edge
         return horizon

@@ -119,20 +119,20 @@ class ItsService:
 
     def __init__(self, spec: VehicleSpec, cfg: ScenarioConfig) -> None:
         self.vid = spec.vid
-        self.cfg = cfg
+        self.size = cfg.payload_size_b
+        self.interval = cfg.message_interval_ns
         self.end = cfg.sim_duration_ns
-        self.generated = max(0, -((spec.spawn_at - self.end) // cfg.message_interval_ns))
+        self.generated = max(0, -((spec.spawn_at - self.end) // self.interval))
         self.seq = 0        # messages taken
         # due time of the next message; None once all are taken
         self.next_due: int | None = spec.spawn_at if self.generated else None
 
     def take(self) -> Frame:
         """The next message, generated at its due time."""
-        frame = Frame(kind=FrameKind.DATA, sender=self.vid, size=self.cfg.payload_size_b,
-                      generated_at=self.next_due, priority=PRIO_SAFETY, seq=self.seq)
-        self.seq += 1
-        self.next_due = (self.next_due + self.cfg.message_interval_ns
-                         if self.seq < self.generated else None)
+        due, seq = self.next_due, self.seq
+        frame = Frame(FrameKind.DATA, self.vid, self.size, due, PRIO_SAFETY, seq)
+        self.seq = seq = seq + 1
+        self.next_due = due + self.interval if seq < self.generated else None
         return frame
 
 

@@ -14,7 +14,6 @@ from platoonsim.metrics import (
     _sweep_masks,
     brute_force_flags,
     brute_force_outcomes,
-    classify_transmission,
     collect_stats,
     emit_csv,
     emit_sweep_csv,
@@ -26,7 +25,7 @@ from platoonsim.metrics import (
     write_transmission_log,
 )
 from platoonsim.radio import Medium, Position, RadioConfig
-from platoonsim.scenario import MODE_BASELINE, MODE_TSNCTL, ScenarioConfig, run_scenario
+from platoonsim.scenario import MODE_BASELINE, MODE_TSNCTL, RunResult, ScenarioConfig, run_scenario
 
 
 def _data(sender, size=800):
@@ -46,28 +45,78 @@ def _two_sender_medium(second_start_us=500):
     return m
 
 
-def test_classify_clean_transmission():
+def _stats(m):
+    """collect_stats over a bare medium, with no MAC or controller."""
+    return collect_stats(RunResult(ScenarioConfig(), 0, m, [], {}, {}, {}))
+
+
+def test_clean_transmission_counts_as_sent_not_collided():
     m = _two_sender_medium(second_start_us=2000)   # no overlap
-    assert classify_transmission(m.log[0]) is False
+    tx = m.log[0]
+    assert tx.receivers and tx.collided is False
+    s = _stats(m)
+    assert (s.frames_sent, s.frames_collided) == (2, 0)
 
 
-def test_classify_counts_once_even_with_many_collided_receivers():
+def test_collided_transmission_counts_once_even_with_many_collided_receivers():
     m = _two_sender_medium()
     tx = m.log[0]
     assert tx.receivers_collided == 2
-    assert classify_transmission(tx) is True
-    stats_like = [classify_transmission(t) for t in m.log]
-    assert stats_like == [True, True]
+    assert tx.collided is True
+    assert [t.collided for t in m.log] == [True, True]
+    s = _stats(m)
+    assert (s.frames_sent, s.frames_collided) == (2, 2)
+    assert (s.receptions, s.receptions_collided) == (4, 4)
 
 
-def test_classify_excludes_transmissions_nobody_could_receive():
+def test_stats_exclude_transmissions_nobody_could_receive():
     k = Kernel()
     m = Medium(k, RadioConfig(range_m=10.0))
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(500.0, 0.0))
     tx = m.broadcast(0, _data(0))
     k.run_until(5 * MS)
-    assert classify_transmission(tx) is None
+    assert tx.receivers == 0 and tx.receivers_expected == 0
+    assert _stats(m) == CollisionStats()
+
+
+def _recount(run):
+    """CollisionStats recounted from each transmission's receivers and hit masks."""
+    txs = [tx for tx in run.medium.log if tx.receivers != 0]
+    data = [tx for tx in txs if tx.frame.kind is FrameKind.DATA]
+    return CollisionStats(
+        frames_sent=len(txs),
+        frames_collided=sum(1 for tx in txs if tx.hit & tx.receivers),
+        data_frames_sent=len(data),
+        data_frames_collided=sum(1 for tx in data if tx.hit & tx.receivers),
+        receptions=sum(bin(tx.receivers).count("1") for tx in txs),
+        receptions_collided=sum(bin(tx.hit & tx.receivers).count("1") for tx in txs),
+        deferred_frames=(sum(mac.deferrals for mac in run.macs.values())
+                         + sum(ctl.deferred for ctl in run.controllers.values())),
+        rejected_joins=sum(ctl.rejected_joins for ctl in run.controllers.values()),
+    )
+
+
+@pytest.mark.parametrize("name, cfg", [
+    ("baseline", ScenarioConfig(vehicle_count=20, mode=MODE_BASELINE, sim_duration_ns=1 * SEC)),
+    ("tsnctl", ScenarioConfig(vehicle_count=20, mode=MODE_TSNCTL, sim_duration_ns=1 * SEC,
+                              window=replace(ScenarioConfig().window, slot_len_ns=1 * MS))),
+    ("unheard", ScenarioConfig(vehicle_count=4, mode=MODE_BASELINE, area_length_m=1_000.0,
+                               sim_duration_ns=1 * SEC, radio=RadioConfig(range_m=20.0))),
+])
+def test_collect_stats_equals_a_recount_from_the_masks(name, cfg):
+    run = run_scenario(cfg, 5)
+    log = run.medium.log
+    if name == "tsnctl":
+        assert {FrameKind.CONTROL_ANNOUNCE, FrameKind.CONTROL_ALLOCATION} <= {
+            tx.frame.kind for tx in log}
+        assert any(tx.collided for tx in log if tx.frame.kind is not FrameKind.DATA)
+    if name == "unheard":
+        assert any(tx.receivers == 0 for tx in log)
+    stats = collect_stats(run)
+    assert stats == _recount(run)
+    assert stats.frames_collided > 0 or name == "unheard"
+    assert all(type(getattr(stats, f)) is int for f in stats.__slots__)
 
 
 def test_brute_force_hidden_terminal_case():
@@ -300,6 +349,12 @@ def _insert_before_records(header: str):
     return edit
 
 
+def _radio_header(**fields):
+    kv = {"range_m": "300.0", "data_rate_bps": "6000000",
+          "propagation_mps": "300000000.0", "preamble_ns": "0", **fields}
+    return "# radio " + " ".join(f"{key}={value}" for key, value in kv.items())
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda lines: [l for l in lines if not l.startswith("# radio")], "no '# radio' header"),
     (lambda lines: [l for l in lines if not l.startswith("# vehicle 0 ")],
@@ -311,6 +366,22 @@ def _insert_before_records(header: str):
     (_edit_header("# vehicle 3 ", "# vehicle 3"), "line 6: malformed vehicle header"),
     (_edit_header("# radio", "# radio range_m=300.0"), "line 2: malformed radio header"),
     (_edit_header("# radio", "# radio range_m"), "line 2: malformed radio header"),
+    pytest.param(_edit_header("# radio", _radio_header(range_m="inf")),
+                 "line 2: malformed radio header", id="radio-range-inf"),
+    pytest.param(_edit_header("# radio", _radio_header(range_m="nan")),
+                 "line 2: malformed radio header", id="radio-range-nan"),
+    pytest.param(_edit_header("# radio", _radio_header(range_m="-5.0")),
+                 "line 2: malformed radio header", id="radio-range-negative"),
+    pytest.param(_edit_header("# radio", _radio_header(data_rate_bps="0")),
+                 "line 2: malformed radio header", id="radio-rate-zero"),
+    pytest.param(_edit_header("# radio", _radio_header(preamble_ns="-1")),
+                 "line 2: malformed radio header", id="radio-preamble-negative"),
+    pytest.param(_edit_header("# vehicle 3 ", "# vehicle 3 nan 0.0 300000"),
+                 "line 6: malformed vehicle header", id="vehicle-x-nan"),
+    pytest.param(_edit_header("# vehicle 3 ", "# vehicle 3 10.0 inf 300000"),
+                 "line 6: malformed vehicle header", id="vehicle-y-inf"),
+    pytest.param(_edit_header("# vehicle 3 ", "# vehicle 3 10.0 0.0 -1"),
+                 "line 6: malformed vehicle header", id="vehicle-spawn-negative"),
     (_insert_before_records("# vehicle 0 5000.0 0.0 0"), "line 8: duplicate vehicle header"),
     (_insert_before_records("# radio range_m=10.0 data_rate_bps=6000000 "
                             "propagation_mps=300000000.0 preamble_ns=0"),

@@ -460,6 +460,84 @@ def test_clean_receptions_match_brute_force(cells, joins, sends, reads):
     assert got == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(cells=_CELLS, joins=_JOINS,
+       sends=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 20), st.integers(0, 3)),
+                      min_size=1, max_size=14),
+       cca_detect_ns=st.sampled_from((0, 4 * US)),
+       reads=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 13), st.booleans(),
+                                st.integers(-1, 1)),
+                      min_size=1, max_size=10))
+# a zero-length frame and a frame starting with it, read at the shared edge
+@example(cells=[0, 1, 2], joins=[0] * 8, sends=[(0, 5, 0), (1, 5, 2)],
+         cca_detect_ns=0, reads=[(2, 0, True, 0), (2, 1, True, 0), (0, 0, False, 0)])
+# a read 1 ns before, at and after the detection edge and the end
+@example(cells=[0, 1], joins=[0] * 8, sends=[(0, 2, 3)], cca_detect_ns=4 * US,
+         reads=[(1, 0, True, -1), (1, 0, True, 0), (1, 0, True, 1),
+                (1, 0, False, -1), (1, 0, False, 0), (1, 0, False, 1)])
+def test_idle_from_matches_brute_force(cells, joins, sends, cca_detect_ns, reads):
+    """The sensed idle edge is the latest end of a frame sensed at the read; the read if none.
+
+    A listener senses the frames of every sender it hears, itself included
+    with no delay, from start + delay + cca_detect_ns until end + delay. Each
+    read lands 1 ns before, at or 1 ns after one of those edges of some
+    frame, and is taken both at that time in the run and after the run.
+    """
+    n = len(cells)
+    cfg = _cfg(**dict(_COARSE, cca_detect_ns=cca_detect_ns))
+    k = Kernel()
+    m = Medium(k, cfg)
+    positions = {vid: Position(10.0 * c, 0.0) for vid, c in enumerate(cells)}
+    join_at = {vid: joins[vid] * US for vid in range(n)}
+    for vid, at in join_at.items():
+        k.at(at, vid, EventKind.SPAWN, lambda vid: m.register(vid, positions[vid]), vid)
+    frames, busy = [], {}
+    for vid, at, size in sorted(sends, key=lambda s: s[1]):
+        vid %= n
+        at *= US
+        if at < max(busy.get(vid, 0), join_at[vid]):
+            continue
+        busy[vid] = at + tx_duration(size, cfg)
+        frames.append((vid, at, busy[vid]))
+        k.at(at, vid, EventKind.TIMER, lambda vid, size=size:
+             m.broadcast(vid, Frame(FrameKind.DATA, vid, size, 0)), vid)
+
+    def delay(a, b):
+        return cfg.prop_delay(positions[a].distance(positions[b]))
+
+    def hears(listener, sender):
+        return positions[sender].distance(positions[listener]) <= cfg.range_m
+
+    def brute_force(listener, at):
+        return max((end + delay(sender, listener) for sender, start, end in frames
+                    if hears(listener, sender)
+                    and start + delay(sender, listener) + cca_detect_ns
+                    <= at < end + delay(sender, listener)),
+                   default=at)
+
+    points = []
+    for listener, anchor, at_start, offset in reads:
+        listener %= n
+        if frames:
+            sender, start, end = frames[anchor % len(frames)]
+            d = delay(sender, listener)
+            edge = start + d + cca_detect_ns if at_start else end + d
+        else:
+            edge = anchor * US
+        points.append((listener, max(edge + offset, join_at[listener])))
+    live = {}
+    for i, (listener, at) in enumerate(points):
+        def read(_, i=i, listener=listener):
+            live[i] = m.idle_from(listener, k.now)
+        k.at(at, listener, EventKind.TIMER, read)
+    k.run_until(100 * US)
+
+    assert [(tx.sender, tx.start, tx.end) for tx in m.log] == frames
+    want = [brute_force(listener, at) for listener, at in points]
+    assert [live[i] for i in range(len(points))] == want
+    assert [m.idle_from(listener, at) for listener, at in points] == want
+
+
 def _one_frame_read(arrival_offset: int, read_first: bool):
     """One announce arriving at read time W + offset; both log reads fire at W."""
     cfg = _cfg()

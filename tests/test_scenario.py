@@ -1,7 +1,7 @@
 import pytest
 
 from platoonsim.config import ConfigError
-from platoonsim.frames import FrameKind
+from platoonsim.frames import PRIO_SAFETY, Frame, FrameKind
 from platoonsim.kernel import MS, SEC, US, Kernel, RngStreams
 from platoonsim.radio import Position
 from platoonsim.scenario import (
@@ -112,6 +112,22 @@ def test_service_counts_the_messages_due_before_the_run_end():
         due = [service.take().generated_at for _ in range(count)]
         assert due == list(range(spawn_at, cfg.sim_duration_ns, cfg.message_interval_ns))
         assert service.next_due is None
+
+
+def test_service_hands_out_safety_data_frames_in_sequence():
+    # the golden logs record neither seq nor priority, so each field is pinned here
+    cfg = ScenarioConfig(payload_size_b=321, message_interval_ns=7 * MS,
+                         sim_duration_ns=40 * MS)
+    spawn_at = 3 * MS
+    service = ItsService(VehicleSpec(4, Position(0.0, 0.0), spawn_at), cfg)
+    assert service.generated == 6
+    for k in range(service.generated):
+        assert service.next_due == spawn_at + k * cfg.message_interval_ns
+        frame = service.take()
+        assert frame == Frame(kind=FrameKind.DATA, sender=4, size=321,
+                              generated_at=spawn_at + k * cfg.message_interval_ns,
+                              priority=PRIO_SAFETY, seq=k)
+    assert service.next_due is None
 
 
 def test_invalid_mode_is_a_config_error():
