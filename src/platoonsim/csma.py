@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .frames import Frame
-from .kernel import EventKind, Kernel, Pcg64, US
+from .kernel import APP_TICK, Kernel, Pcg64, TIMER, US
 from .radio import Medium
 
 
@@ -71,13 +71,13 @@ class CsmaMac:
         self.deferrals = 0
         self.source = source
         if source is not None and source.next_due is not None:
-            kernel.at(source.next_due, vid, EventKind.APP_TICK, self._on_message)
+            kernel.at(source.next_due, vid, APP_TICK, self._on_message)
 
     def _on_message(self, _payload) -> None:
         source = self.source
         self.submit(source.take())
         if source.next_due is not None:
-            self.kernel.at(source.next_due, self.vid, EventKind.APP_TICK, self._on_message)
+            self.kernel.at(source.next_due, self.vid, APP_TICK, self._on_message)
 
     def submit(self, frame: Frame) -> None:
         self.queue.append(frame)
@@ -90,7 +90,7 @@ class CsmaMac:
     # Each sense is one scan of the medium: busy iff the idle edge lies ahead.
 
     def _timer(self, at: int, fn) -> None:
-        self.kernel.at(at, self.vid, EventKind.TIMER, fn)
+        self.kernel.at(at, self.vid, TIMER, fn)
 
     def _sense(self, _payload=None) -> None:
         now = self.kernel.now

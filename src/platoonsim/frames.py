@@ -13,15 +13,19 @@ class FrameKind(IntEnum):
 
     @property
     def label(self) -> str:
-        return _KIND_LABELS[self]
+        return KIND_LABELS[self]
 
 
-_KIND_LABELS = {
-    FrameKind.CONTROL_ANNOUNCE: "control-announce",
-    FrameKind.CONTROL_ALLOCATION: "control-allocation",
-    FrameKind.DATA: "data",
+# The members, bound once for the per-frame paths (see `kernel.EventKind`).
+CONTROL_ANNOUNCE, CONTROL_ALLOCATION, DATA = FrameKind
+
+# The label of each kind in the transmission log.
+KIND_LABELS = {
+    CONTROL_ANNOUNCE: "control-announce",
+    CONTROL_ALLOCATION: "control-allocation",
+    DATA: "data",
 }
-KIND_BY_LABEL = {v: k for k, v in _KIND_LABELS.items()}
+KIND_BY_LABEL = {v: k for k, v in KIND_LABELS.items()}
 
 
 # Priority classes; index 0 is the highest (safety traffic).
@@ -54,7 +58,7 @@ class Frame:
 
 def make_announce(sender: int, generated_at: int) -> Frame:
     return Frame(
-        kind=FrameKind.CONTROL_ANNOUNCE,
+        kind=CONTROL_ANNOUNCE,
         sender=sender,
         size=ANNOUNCE_SIZE,
         generated_at=generated_at,
@@ -64,7 +68,7 @@ def make_announce(sender: int, generated_at: int) -> Frame:
 def make_allocation(sender: int, generated_at: int,
                     allocations: dict[int, int]) -> Frame:
     return Frame(
-        kind=FrameKind.CONTROL_ALLOCATION,
+        kind=CONTROL_ALLOCATION,
         sender=sender,
         size=allocation_size(len(allocations)),
         generated_at=generated_at,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .frames import KIND_BY_LABEL, FrameKind
+from .frames import DATA, KIND_BY_LABEL, KIND_LABELS
 from .radio import Position, RadioConfig
 from .scenario import MODE_BASELINE, MODE_TSNCTL, RunResult, ScenarioConfig, run_scenario
 
@@ -49,7 +49,6 @@ def collect_stats(run: RunResult) -> CollisionStats:
     frame that nobody was in range to receive is left out of every count.
     """
     sent = collided = data_sent = data_collided = receptions = receptions_collided = 0
-    data = FrameKind.DATA
     for tx in run.medium.log:
         receivers = tx.receivers
         if not receivers:
@@ -60,7 +59,7 @@ def collect_stats(run: RunResult) -> CollisionStats:
         if hit:
             collided += 1
             receptions_collided += hit.bit_count()
-        if tx.frame.kind is data:
+        if tx.frame.kind is DATA:
             data_sent += 1
             data_collided += hit != 0
     deferred = (sum(mac.deferrals for mac in run.macs.values())
@@ -353,11 +352,11 @@ def write_transmission_log(run: RunResult, path: str | Path) -> None:
         lines.append(f"# vehicle {spec.vid} {spec.position.x!r} {spec.position.y!r} "
                      f"{spec.spawn_at}")
     lines.append("# sender start_ns end_ns size_B kind collided")
+    # the collided flag is `Transmission.collided`, read off the two masks
     for tx in run.medium.log:
-        lines.append(
-            f"{tx.sender} {tx.start} {tx.end} {tx.frame.size} "
-            f"{tx.frame.kind.label} {int(tx.collided)}"
-        )
+        frame = tx.frame
+        lines.append(f"{tx.sender} {tx.start} {tx.end} {frame.size} "
+                     f"{KIND_LABELS[frame.kind]} {int(tx.hit & tx.receivers != 0)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator
 
-from .frames import Frame, FrameKind
-from .kernel import EventKind, Kernel, SEC
+from .frames import CONTROL_ALLOCATION, Frame, FrameKind
+from .kernel import FRAME_DELIVERY, Kernel, SEC
 
 
 @dataclass(slots=True, frozen=True)
@@ -124,8 +124,11 @@ class Medium:
     collides where is recorded once per overlapping pair. The mask is final
     once the clock reaches the transmission's end, and every reader reads it
     then or later: the allocation flag at arrival, `clean_receptions` and
-    `last_clean_arrival` (through `_heard`) for arrivals before now,
-    and `outcomes` and the transmission's own count and flag after the run.
+    `last_clean_arrival` for arrivals before now, and `outcomes` and the
+    transmission's own count and flag after the run. A listener heard a
+    transmission clean iff its bit is in the receivers mask and not in the
+    interferer mask, and the frame arrived before now: an arrival at now is
+    not yet heard.
 
     A `handler(frame, collided)` registered per vehicle gets each of its
     allocation receptions at the arrival time; collided frames are delivered
@@ -153,7 +156,9 @@ class Medium:
         self._sense_slack = cfg.max_delay
         self._cca_detect = cfg.cca_detect_ns
         self._max_dur = 0
-        self._airtime: dict[int, int] = {}          # frame size -> tx_duration
+        # frame size -> tx_duration, filled by `airtime`; a hot path may read
+        # it first and call `airtime` on a miss
+        self.airtimes: dict[int, int] = {}
 
     def airtime(self, size: int) -> int:
         """`tx_duration` of a frame of `size` bytes, computed once per size.
@@ -161,9 +166,9 @@ class Medium:
         The medium's RadioConfig must not change after the medium is built:
         airtimes, the sensing slack and cca_detect_ns are read from it once.
         """
-        dur = self._airtime.get(size)
+        dur = self.airtimes.get(size)
         if dur is None:
-            dur = self._airtime[size] = tx_duration(size, self.cfg)
+            dur = self.airtimes[size] = tx_duration(size, self.cfg)
         return dur
 
     def register(self, vid: int, pos: Position,
@@ -201,7 +206,7 @@ class Medium:
                 f"vehicle {sender} is already transmitting at {start} ns; "
                 "MAC layers must serialize their own transmissions"
             )
-        dur = self._airtime.get(frame.size) or self.airtime(frame.size)
+        dur = self.airtimes.get(frame.size) or self.airtime(frame.size)
         end = start + dur
         log, ranges = self.log, self._range
         mask, hit = ranges[sender], 0
@@ -220,11 +225,11 @@ class Medium:
         if dur > self._max_dur:
             self._max_dur = dur
 
-        if frame.kind is FrameKind.CONTROL_ALLOCATION:
+        if frame.kind is CONTROL_ALLOCATION:
             # an allocation acts at once (it arms slots), so it is delivered
             for vid, delay in islice(self._hears[sender].items(), 1, None):
                 if vid in self.handlers:
-                    self.kernel.at(end + delay, vid, EventKind.FRAME_DELIVERY,
+                    self.kernel.at(end + delay, vid, FRAME_DELIVERY,
                                    self._deliver, (tx, vid))
         return tx
 
@@ -243,15 +248,6 @@ class Medium:
 
     # -- reading receptions from the log ---------------------------------------
 
-    @staticmethod
-    def _heard(tx: Transmission, bit: int, arrival: int, now: int) -> bool:
-        """Whether tx reached the listener with `bit` clean at `arrival`, before now.
-
-        The listener must be a receiver of tx, the reception is clean unless its
-        bit is in tx's interferer mask, and an arrival at now is not yet heard.
-        """
-        return tx.receivers & bit != 0 and not tx.hit & bit and arrival < now
-
     def transmissions(self, kind: FrameKind, since: int) -> list[Transmission]:
         """The logged transmissions of `kind` that started at or after `since`."""
         return [tx for tx in self.log[bisect_left(self._starts, since):]
@@ -265,9 +261,9 @@ class Medium:
         clock at the call. A vehicle never receives its own frames.
         """
         hears = self._hears.get(listener, {})
-        bit, now, heard = self._bit.get(listener, 0), self.kernel.now, self._heard
-        return (tx.frame for tx in txs if tx.sender in hears
-                and heard(tx, bit, tx.end + hears[tx.sender], now))
+        bit, now = self._bit.get(listener, 0), self.kernel.now
+        return (tx.frame for tx in txs if tx.sender in hears and tx.receivers & bit
+                and not tx.hit & bit and tx.end + hears[tx.sender] < now)
 
     def last_clean_arrival(self, listener: int, sender: int, after: int) -> int | None:
         """Latest arrival in (after, now) of a clean reception of sender's frames.
@@ -282,7 +278,7 @@ class Medium:
             arrival = tx.end + delay
             if arrival <= after:
                 break
-            if self._heard(tx, bit, arrival, now):
+            if tx.receivers & bit and not tx.hit & bit and arrival < now:
                 return arrival
         return None
 

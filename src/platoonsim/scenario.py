@@ -6,8 +6,8 @@ import math
 from dataclasses import dataclass, field
 
 from .csma import CsmaConfig, CsmaMac
-from .frames import ANNOUNCE_SIZE, Frame, FrameKind, PRIO_SAFETY, allocation_size
-from .kernel import EventKind, Kernel, MS, Pcg64, RngStreams, SEC
+from .frames import ANNOUNCE_SIZE, DATA, Frame, PRIO_SAFETY, allocation_size
+from .kernel import Kernel, MS, Pcg64, RngStreams, SEC, SPAWN
 from .radio import Medium, Position, RadioConfig, tx_duration
 from .tsnctl import TsnCtl, WindowClock, WindowConfig
 
@@ -130,7 +130,7 @@ class ItsService:
     def take(self) -> Frame:
         """The next message, generated at its due time."""
         due, seq = self.next_due, self.seq
-        frame = Frame(FrameKind.DATA, self.vid, self.size, due, PRIO_SAFETY, seq)
+        frame = Frame(DATA, self.vid, self.size, due, PRIO_SAFETY, seq)
         self.seq = seq = seq + 1
         self.next_due = due + self.interval if seq < self.generated else None
         return frame
@@ -171,7 +171,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int, *, trace: bool = False) -> RunR
             medium.register(spec.vid, spec.position, handler=ctl.on_frame_delivery)
 
     for spec in specs:
-        kernel.at(spec.spawn_at, spec.vid, EventKind.SPAWN, spawn, spec)
+        kernel.at(spec.spawn_at, spec.vid, SPAWN, spawn, spec)
     # made after the spawns, so one spawned on a boundary joins before the clock's event
     clock = WindowClock(kernel, medium, cfg.window) if cfg.mode == MODE_TSNCTL else None
 

@@ -6,8 +6,11 @@ announce at a random offset inside slot 0, the elected master answers with a
 slot allocation in slot 1, and members then transmit data only inside their
 assigned slots. Election picks the vehicle whose announce carries the earliest
 creation timestamp (ties to the lowest id). All windows lie on one grid: one
-`WindowClock` per run calls every controller at each window start, end of
-slot 0 and end of slot 1, one kernel event per boundary.
+`WindowClock` per run raises one kernel event at each window start, end of
+slot 0 and end of slot 1. It calls every controller at the window start, and
+at the slot ends only the controllers that act there, as their window start
+returned: the vehicles in the window's formation round, and at the end of
+slot 0 the platoon masters too.
 
 The master admits members by one rule, `admit`, both at formation and at each
 refresh that hears newcomers; a member holds one data slot, which never moves.
@@ -21,9 +24,10 @@ overruns into the neighbour slot rather than being dropped, so undersized
 slot configurations degrade instead of silently discarding traffic.
 
 A controller takes the application messages due by now from its source each
-time a burst reads its queues, so a message generated at t is queued at t; a
-data-slot burst settles each step when the previous frame starts and raises an
-event only for a step that transmits.
+time a burst reads its queues, so a message generated at t is queued at t. A
+data-slot burst sends its first frame from the slot trigger once it fits,
+settles each further step when the previous frame starts, and raises an
+event only for a step that transmits; only a slot-1 burst senses the medium.
 
 The medium hands a controller only allocation frames, which act at once.
 Everything else is read back from the medium's log when it is needed: the
@@ -51,13 +55,13 @@ from enum import IntEnum, auto
 
 from .frames import (
     ANNOUNCE_SIZE,
+    CONTROL_ANNOUNCE,
     Frame,
-    FrameKind,
     allocation_size,
     make_allocation,
     make_announce,
 )
-from .kernel import EventKind, Kernel, MS, Pcg64, uniform
+from .kernel import Kernel, MS, Pcg64, TIMER
 from .radio import Medium, Transmission
 
 # A slave that hears no clean frame of its master for this many windows
@@ -98,6 +102,13 @@ class FsmEvent(IntEnum):
     MASTER_LOST = auto()
 
 
+# The members, bound once for the per-event paths (see `kernel.EventKind`).
+INIT, JOINING, IN_PLATOON = Status
+SLAVE, MASTER = Role
+(WINDOW_START, SLOT0_END, SLOT1_END, ALLOCATION_RECEIVED, OWN_SLOT_TRIGGER,
+ NO_NEIGHBORS, MASTER_LOST) = FsmEvent
+
+
 def _s(status: Status, role: Role) -> FsmState:
     return FsmState(status, role)
 
@@ -109,71 +120,44 @@ def _s(status: Status, role: Role) -> FsmState:
 # commented. Edges marked "recovery" cover master failure and master conflict,
 # which the base protocol leaves open.
 LEGAL_EDGES: dict[tuple[Status, Role, FsmEvent, str | None], FsmState] = {
-    (Status.INIT, Role.SLAVE, FsmEvent.WINDOW_START, None):
-        _s(Status.JOINING, Role.SLAVE),
+    (INIT, SLAVE, WINDOW_START, None): _s(JOINING, SLAVE),
     # joining vehicles re-announce every window until admitted (step 3 restart,
     # step 4 lone-master retry)
-    (Status.JOINING, Role.SLAVE, FsmEvent.WINDOW_START, None):
-        _s(Status.JOINING, Role.SLAVE),
-    (Status.JOINING, Role.MASTER, FsmEvent.WINDOW_START, None):
-        _s(Status.JOINING, Role.MASTER),
+    (JOINING, SLAVE, WINDOW_START, None): _s(JOINING, SLAVE),
+    (JOINING, MASTER, WINDOW_START, None): _s(JOINING, MASTER),
     # election at the end of slot 0: steps 1 and 2; step 5 demotes a
     # persisting master when a newer round elects someone earlier
-    (Status.JOINING, Role.SLAVE, FsmEvent.SLOT0_END, "won"):
-        _s(Status.JOINING, Role.MASTER),
-    (Status.JOINING, Role.SLAVE, FsmEvent.SLOT0_END, "lost"):
-        _s(Status.JOINING, Role.SLAVE),
-    (Status.JOINING, Role.MASTER, FsmEvent.SLOT0_END, "won"):
-        _s(Status.JOINING, Role.MASTER),
-    (Status.JOINING, Role.MASTER, FsmEvent.SLOT0_END, "lost"):
-        _s(Status.JOINING, Role.SLAVE),
+    (JOINING, SLAVE, SLOT0_END, "won"): _s(JOINING, MASTER),
+    (JOINING, SLAVE, SLOT0_END, "lost"): _s(JOINING, SLAVE),
+    (JOINING, MASTER, SLOT0_END, "won"): _s(JOINING, MASTER),
+    (JOINING, MASTER, SLOT0_END, "lost"): _s(JOINING, SLAVE),
     # step 4: a master heard nobody and restarts next window
-    (Status.JOINING, Role.MASTER, FsmEvent.NO_NEIGHBORS, None):
-        _s(Status.JOINING, Role.MASTER),
+    (JOINING, MASTER, NO_NEIGHBORS, None): _s(JOINING, MASTER),
     # step 7: master dispatched its allocation and owns a platoon
-    (Status.JOINING, Role.MASTER, FsmEvent.SLOT1_END, "allocated"):
-        _s(Status.IN_PLATOON, Role.MASTER),
-    (Status.JOINING, Role.MASTER, FsmEvent.SLOT1_END, "missed"):
-        _s(Status.JOINING, Role.MASTER),
+    (JOINING, MASTER, SLOT1_END, "allocated"): _s(IN_PLATOON, MASTER),
+    (JOINING, MASTER, SLOT1_END, "missed"): _s(JOINING, MASTER),
     # slaves: allocation handling and step 6 confirmation at the slot trigger
-    (Status.JOINING, Role.SLAVE, FsmEvent.ALLOCATION_RECEIVED, "listed"):
-        _s(Status.JOINING, Role.SLAVE),
-    (Status.JOINING, Role.SLAVE, FsmEvent.ALLOCATION_RECEIVED, "unlisted"):
-        _s(Status.JOINING, Role.SLAVE),
-    (Status.JOINING, Role.SLAVE, FsmEvent.ALLOCATION_RECEIVED, "ignored"):
-        _s(Status.JOINING, Role.SLAVE),
-    (Status.JOINING, Role.MASTER, FsmEvent.ALLOCATION_RECEIVED, "superseded"):
-        _s(Status.JOINING, Role.SLAVE),  # recovery: earlier master exists
-    (Status.JOINING, Role.MASTER, FsmEvent.ALLOCATION_RECEIVED, "ignored"):
-        _s(Status.JOINING, Role.MASTER),
-    (Status.JOINING, Role.SLAVE, FsmEvent.OWN_SLOT_TRIGGER, None):
-        _s(Status.IN_PLATOON, Role.SLAVE),
-    (Status.JOINING, Role.SLAVE, FsmEvent.SLOT1_END, "allocated"):
-        _s(Status.JOINING, Role.SLAVE),
-    (Status.JOINING, Role.SLAVE, FsmEvent.SLOT1_END, "missed"):
-        _s(Status.JOINING, Role.SLAVE),  # step 3
+    (JOINING, SLAVE, ALLOCATION_RECEIVED, "listed"): _s(JOINING, SLAVE),
+    (JOINING, SLAVE, ALLOCATION_RECEIVED, "unlisted"): _s(JOINING, SLAVE),
+    (JOINING, SLAVE, ALLOCATION_RECEIVED, "ignored"): _s(JOINING, SLAVE),
+    (JOINING, MASTER, ALLOCATION_RECEIVED, "superseded"):
+        _s(JOINING, SLAVE),  # recovery: earlier master exists
+    (JOINING, MASTER, ALLOCATION_RECEIVED, "ignored"): _s(JOINING, MASTER),
+    (JOINING, SLAVE, OWN_SLOT_TRIGGER, None): _s(IN_PLATOON, SLAVE),
+    (JOINING, SLAVE, SLOT1_END, "allocated"): _s(JOINING, SLAVE),
+    (JOINING, SLAVE, SLOT1_END, "missed"): _s(JOINING, SLAVE),  # step 3
     # steady state
-    (Status.IN_PLATOON, Role.SLAVE, FsmEvent.WINDOW_START, None):
-        _s(Status.IN_PLATOON, Role.SLAVE),
-    (Status.IN_PLATOON, Role.MASTER, FsmEvent.WINDOW_START, None):
-        _s(Status.IN_PLATOON, Role.MASTER),
-    (Status.IN_PLATOON, Role.SLAVE, FsmEvent.OWN_SLOT_TRIGGER, None):
-        _s(Status.IN_PLATOON, Role.SLAVE),
-    (Status.IN_PLATOON, Role.MASTER, FsmEvent.OWN_SLOT_TRIGGER, None):
-        _s(Status.IN_PLATOON, Role.MASTER),
-    (Status.IN_PLATOON, Role.SLAVE, FsmEvent.ALLOCATION_RECEIVED, "refresh"):
-        _s(Status.IN_PLATOON, Role.SLAVE),
-    (Status.IN_PLATOON, Role.SLAVE, FsmEvent.ALLOCATION_RECEIVED, "ignored"):
-        _s(Status.IN_PLATOON, Role.SLAVE),
-    (Status.IN_PLATOON, Role.MASTER, FsmEvent.ALLOCATION_RECEIVED, "ignored"):
-        _s(Status.IN_PLATOON, Role.MASTER),
+    (IN_PLATOON, SLAVE, WINDOW_START, None): _s(IN_PLATOON, SLAVE),
+    (IN_PLATOON, MASTER, WINDOW_START, None): _s(IN_PLATOON, MASTER),
+    (IN_PLATOON, SLAVE, OWN_SLOT_TRIGGER, None): _s(IN_PLATOON, SLAVE),
+    (IN_PLATOON, MASTER, OWN_SLOT_TRIGGER, None): _s(IN_PLATOON, MASTER),
+    (IN_PLATOON, SLAVE, ALLOCATION_RECEIVED, "refresh"): _s(IN_PLATOON, SLAVE),
+    (IN_PLATOON, SLAVE, ALLOCATION_RECEIVED, "ignored"): _s(IN_PLATOON, SLAVE),
+    (IN_PLATOON, MASTER, ALLOCATION_RECEIVED, "ignored"): _s(IN_PLATOON, MASTER),
     # recovery: silent master, or a competing platoon with an earlier master
-    (Status.IN_PLATOON, Role.SLAVE, FsmEvent.MASTER_LOST, None):
-        _s(Status.INIT, Role.SLAVE),
-    (Status.IN_PLATOON, Role.SLAVE, FsmEvent.ALLOCATION_RECEIVED, "superseded"):
-        _s(Status.JOINING, Role.SLAVE),
-    (Status.IN_PLATOON, Role.MASTER, FsmEvent.ALLOCATION_RECEIVED, "superseded"):
-        _s(Status.JOINING, Role.SLAVE),
+    (IN_PLATOON, SLAVE, MASTER_LOST, None): _s(INIT, SLAVE),
+    (IN_PLATOON, SLAVE, ALLOCATION_RECEIVED, "superseded"): _s(JOINING, SLAVE),
+    (IN_PLATOON, MASTER, ALLOCATION_RECEIVED, "superseded"): _s(JOINING, SLAVE),
 }
 
 
@@ -217,7 +201,7 @@ def announce_offset(rng: Pcg64, cfg: WindowConfig, tx_dur: int) -> int:
         raise ValueError(
             f"announce duration {tx_dur} ns exceeds slot length {cfg.slot_len_ns} ns"
         )
-    return uniform(rng, 0, cfg.slot_len_ns - tx_dur)
+    return rng.integers(0, cfg.slot_len_ns - tx_dur, endpoint=True)
 
 
 # -- slot schedule -----------------------------------------------------------
@@ -317,6 +301,14 @@ class WindowClock:
     start after its creation, and one created on a boundary before the clock's
     event there goes to the head of the order, any other to the tail.
 
+    At the window start it calls every member; at the two slot ends it calls,
+    in the same order, only the members that act there, as their window start
+    said: the end of slot 0 goes to the members in the formation round and to
+    the platoon masters, the end of slot 1 to the members in the round alone.
+    That is exact, since a member joins the round only at a window start, a
+    master leads only from the end of a slot 1, and a member created after the
+    window start takes its first one a window later.
+
     The guard is the propagation delay over the radio range: every frame sent
     in a slot has arrived everywhere by its end plus the guard."""
 
@@ -331,29 +323,31 @@ class WindowClock:
         self.members: list[TsnCtl] = []
         self._early: list[TsnCtl] = []      # joined at the pending window start
         self._next = (kernel.now // wcfg.window_ns + 1) * wcfg.window_ns
-        kernel.at(self._next, self.TARGET, EventKind.TIMER, self._on_window_start, self._next)
+        kernel.at(self._next, self.TARGET, TIMER, self._on_window_start, self._next)
 
     def join(self, ctl: TsnCtl) -> None:
         (self._early if self.kernel.now == self._next else self.members).append(ctl)
 
     def _on_window_start(self, w: int) -> None:
-        for ctl in self.members:
-            ctl._on_window_start(w)
+        acting = [ctl for ctl in self.members if ctl._on_window_start(w)]
+        in_round = [ctl for ctl in acting if ctl._in_round]
         self.members[:0], self._early = self._early, []
         self._next = w + self.wcfg.window_ns
         at, slot = self.kernel.at, self.wcfg.slot_len_ns
-        at(w + slot + self.guard, self.TARGET, EventKind.TIMER, self._on_slot0_end, w)
-        at(w + 2 * slot, self.TARGET, EventKind.TIMER, self._on_slot1_end, w)
-        at(self._next, self.TARGET, EventKind.TIMER, self._on_window_start, self._next)
+        at(w + slot + self.guard, self.TARGET, TIMER, self._on_slot0_end, (w, acting))
+        at(w + 2 * slot, self.TARGET, TIMER, self._on_slot1_end, (w, in_round))
+        at(self._next, self.TARGET, TIMER, self._on_window_start, self._next)
 
-    def _on_slot0_end(self, w: int) -> None:
-        announces = self.medium.transmissions(FrameKind.CONTROL_ANNOUNCE, w)
+    def _on_slot0_end(self, payload: tuple[int, list[TsnCtl]]) -> None:
+        w, acting = payload
+        announces = self.medium.transmissions(CONTROL_ANNOUNCE, w)
         announces.sort(key=lambda tx: election_key(tx.frame.generated_at, tx.sender))
-        for ctl in self.members:
+        for ctl in acting:
             ctl._on_slot0_end(w, announces)
 
-    def _on_slot1_end(self, w: int) -> None:
-        for ctl in self.members:
+    def _on_slot1_end(self, payload: tuple[int, list[TsnCtl]]) -> None:
+        w, in_round = payload
+        for ctl in in_round:
             ctl._on_slot1_end(w)
 
 
@@ -372,7 +366,7 @@ class TsnCtl:
         self.guard = clock.guard
         self.rng = rng
 
-        self.state = FsmState(Status.INIT, Role.SLAVE)
+        self.state = FsmState(INIT, SLAVE)
         self.created_at = kernel.now            # announce timestamp, stable across retries
         self.queues = PriorityQueueSet()
         # the application's message source (`scenario.ItsService`), read by `pull`
@@ -414,25 +408,30 @@ class TsnCtl:
     # -- window machinery -------------------------------------------------------
 
     def _timer(self, at: int, fn, payload=None) -> None:
-        self.kernel.at(at, self.vid, EventKind.TIMER, fn, payload)
+        self.kernel.at(at, self.vid, TIMER, fn, payload)
 
-    def _on_window_start(self, w: int) -> None:
+    def _on_window_start(self, w: int) -> bool:
+        """Start window w; return whether we act at its end of slot 0.
+
+        We do if we join its formation round (`_in_round`, set only here) or
+        lead a platoon; only a member of the round acts at its end of slot 1.
+        """
         self.epoch = w
-
-        if self.state.status is Status.IN_PLATOON:
-            if self.state.role is Role.SLAVE and self._master_silent():
-                self._step(FsmEvent.MASTER_LOST)
-                self._reset_membership()
-            else:
-                self._step(FsmEvent.WINDOW_START)
+        state = self.state
+        if state.status is IN_PLATOON:
+            if state.role is MASTER or not self._master_silent():
+                self._step(WINDOW_START)
                 self._arm_slot(w)
-
-        self._in_round = self.state.status in (Status.INIT, Status.JOINING)
-        if self._in_round:
-            if self.state.status is Status.JOINING:
-                self.join_retries += 1
-            self._step(FsmEvent.WINDOW_START)
-            self._schedule_announce(w)
+                self._in_round = False
+                return state.role is MASTER
+            self._step(MASTER_LOST)
+            self._reset_membership()
+        elif state.status is JOINING:
+            self.join_retries += 1
+        self._in_round = True
+        self._step(WINDOW_START)
+        self._schedule_announce(w)
+        return True
 
     def _master_silent(self) -> bool:
         """No clean frame of the master for the timeout, counted from creation."""
@@ -457,7 +456,7 @@ class TsnCtl:
         self._timer(w + off, self._try_announce)
 
     def _try_announce(self, _payload) -> None:
-        if self.state.status is not Status.JOINING:
+        if self.state.status is not JOINING:
             return
         if self.medium.idle_from(self.vid, self.kernel.now) > self.kernel.now:
             self.announce_skips += 1
@@ -468,7 +467,7 @@ class TsnCtl:
 
     def _on_slot0_end(self, w: int, announces: list[Transmission]) -> None:
         """Elect, or admit as a platoon master; `announces` are in election order."""
-        leads = self.state.status is Status.IN_PLATOON and self.state.role is Role.MASTER
+        leads = self.state.status is IN_PLATOON and self.state.role is MASTER
         if not (self._in_round or leads):
             return
         heard = self.medium.clean_receptions(self.vid, announces)
@@ -492,14 +491,14 @@ class TsnCtl:
             winner = elect_master(candidates)
 
         if winner != self.vid:
-            self._step(FsmEvent.SLOT0_END, "lost")
+            self._step(SLOT0_END, "lost")
             self.master_id = winner
             self.master_ts = candidates[winner]
             return
 
-        self._step(FsmEvent.SLOT0_END, "won")
+        self._step(SLOT0_END, "won")
         if best is None:
-            self._step(FsmEvent.NO_NEIGHBORS)
+            self._step(NO_NEIGHBORS)
             return
         self._schedule_alloc_tx(w, {}, [self.vid, best.sender] + [a.sender for a in heard])
 
@@ -514,27 +513,26 @@ class TsnCtl:
         hi = w + 2 * self.wcfg.slot_len_ns - dur - self.guard
         if hi < lo:
             return  # allocation cannot fit slot 1 for this member count
-        self._timer(uniform(self.rng, lo, hi), self._try_alloc, (w, sched))
+        self._timer(self.rng.integers(lo, hi, endpoint=True), self._try_alloc, (w, sched))
 
     def _try_alloc(self, payload: tuple[int, dict[int, int]]) -> None:
         w, sched = payload
         # a master is forming (JOINING) or refreshing (IN_PLATOON); no edge
         # leads to INIT as a master, and one superseded since is a slave
-        if self.state.role is not Role.MASTER:
+        if self.state.role is not MASTER:
             return
         if self.medium.idle_from(self.vid, self.kernel.now) > self.kernel.now:
             return  # contended control slot: retry next window
         tx = self.medium.broadcast(self.vid, make_allocation(self.vid, self.created_at, sched))
         self.schedule = sched
-        if self.state.status is Status.IN_PLATOON:   # a refresh
+        if self.state.status is IN_PLATOON:   # a refresh
             self._start_slot1_burst(w, start=tx.end)
 
     def _on_slot1_end(self, w: int) -> None:
-        if not self._in_round:
-            return
-        master = self.state.role is Role.MASTER
+        """Close the formation round we joined at window start."""
+        master = self.state.role is MASTER
         held = self.schedule if master else self.my_slot
-        self._step(FsmEvent.SLOT1_END, "missed" if held is None else "allocated")
+        self._step(SLOT1_END, "missed" if held is None else "allocated")
         if master and held is not None:
             self.my_slot = held[self.vid]
             self.master_id, self.master_ts = self.vid, self.created_at
@@ -551,22 +549,22 @@ class TsnCtl:
         key = (frame.generated_at, frame.sender)
         listed = self.vid in frame.allocations
         st = self.state
-        if st.status is Status.INIT:     # no edge leaves INIT on a frame: note the master
+        if st.status is INIT:   # no edge leaves INIT on a frame: note the master
             self.master_id, self.master_ts = frame.sender, frame.generated_at
             return
-        if st.status is Status.IN_PLATOON:
+        if st.status is IN_PLATOON:
             if frame.sender == self.master_id:
                 outcome = "refresh" if listed else "superseded"
             else:
                 outcome = "superseded" if key < (self.master_ts, self.master_id) else "ignored"
-        elif st.role is Role.MASTER:
+        elif st.role is MASTER:
             outcome = "superseded" if key < (self.created_at, self.vid) else "ignored"
         elif (self.master_id is None or key <= (self.master_ts, self.master_id)
                 or frame.sender == self.master_id):
             outcome = "listed" if listed else "unlisted"
         else:
             outcome = "ignored"
-        self._step(FsmEvent.ALLOCATION_RECEIVED, outcome)
+        self._step(ALLOCATION_RECEIVED, outcome)
 
         if outcome == "ignored":
             return
@@ -587,15 +585,20 @@ class TsnCtl:
     def _arm_slot(self, w: int) -> None:
         at = w + self.my_slot * self.wcfg.slot_len_ns
         if at >= self.kernel.now:
-            self.kernel.at(at, self.vid, EventKind.TIMER, self._on_slot_open, self._slot_gen)
+            self.kernel.at(at, self.vid, TIMER, self._on_slot_open, self._slot_gen)
 
     def _on_slot_open(self, gen: int) -> None:
-        """A live trigger confirms a joining slave (step 6), then opens our burst."""
+        """A live trigger confirms a joining slave (step 6), then opens our burst.
+
+        Our data slot is exclusive, so its first frame goes out once it fits.
+        """
         if gen != self._slot_gen:
             return
-        self._step(FsmEvent.OWN_SLOT_TRIGGER)
+        self._step(OWN_SLOT_TRIGGER)
         w, idx, slot = self.epoch, self.my_slot, self.wcfg.slot_len_ns
-        self._burst((w, idx, w + idx * slot, w + (idx + 1) * slot, gen))
+        origin = w + idx * slot
+        if self._head_fits(self.kernel.now, idx, origin, origin + slot):
+            self._send((w, idx, origin, origin + slot, gen))
 
     # The burst walks the priority queues and transmits back-to-back until the
     # next frame would cross the slot boundary. A frame that cannot fit any
@@ -617,25 +620,27 @@ class TsnCtl:
         When a frame is queued but may not, the queued frames count as deferred.
         """
         self.pull(now)
-        frame = self.queues.peek()
-        if frame is None:
-            return False
-        dur = self.medium.airtime(frame.size)
-        overrun = idx != 1 and dur > self.wcfg.slot_len_ns and now == origin
-        if now + dur <= end or overrun:
-            return True
-        self.deferred += len(self.queues)
+        queues = self.queues.queues
+        for queue in queues:
+            if queue:
+                size = queue[0].size
+                dur = self.medium.airtimes.get(size) or self.medium.airtime(size)
+                overrun = idx != 1 and dur > self.wcfg.slot_len_ns and now == origin
+                if now + dur <= end or overrun:
+                    return True
+                self.deferred += sum(map(len, queues))
+                return False
         return False
 
     def _burst(self, ctx) -> None:
-        """The burst's step at now: send the head of the queues if it may start."""
+        """A slot-1 step at now: send the head of the queues if it fits and the medium is idle."""
         w, idx, origin, end, gen = ctx
         if gen != self._slot_gen:
             return
         now = self.kernel.now
         if not self._head_fits(now, idx, origin, end):
             return
-        if idx == 1 and self.medium.idle_from(self.vid, now) > now:
+        if self.medium.idle_from(self.vid, now) > now:
             self.deferred += len(self.queues)
             return
         self._send(ctx)
@@ -655,7 +660,7 @@ class TsnCtl:
             return
         at = self.medium.broadcast(self.vid, self.queues.pop()).end
         if idx == 1:
-            self.kernel.at(at, self.vid, EventKind.TIMER, self._burst, ctx)
+            self.kernel.at(at, self.vid, TIMER, self._burst, ctx)
         elif (at < w + self.wcfg.window_ns and at <= self.run_end
                 and self._head_fits(at, idx, origin, end)):
-            self.kernel.at(at, self.vid, EventKind.TIMER, self._send, ctx)
+            self.kernel.at(at, self.vid, TIMER, self._send, ctx)

@@ -24,10 +24,14 @@ A last tsnctl point, at both durations, puts 60 vehicles on a 400 m road with
 subsets of a window's announces: the earliest announce of a window often
 collided at a listener, or a master the listener did not hear this window
 wins, so the log pins which candidates the election weighs.
-Each point has two keys: `rec0` hashes the accounting line alone (the
+Each point has three keys: `rec0` hashes the accounting line alone (the
 receiver count twice, which keeps the fixture's layout, then the collided
-count), and `rec1` appends to each line its per-receiver outcomes, as
-`Medium.outcomes` rebuilds them from the log.
+count), `rec1` appends to each line its per-receiver outcomes, as
+`Medium.outcomes` rebuilds them from the log, and `counters` hashes what the
+log does not show: each controller's FSM record (`transitions`), its
+`deferred`, `rejected_joins`, `join_retries` and `announce_skips`, its queue
+length and messages taken at the run end, and each CSMA MAC's `deferrals`,
+`frames_submitted` and `frames_transmitted`.
 
 A change that alters output on purpose regenerates the fixture with
 
@@ -86,13 +90,40 @@ def _grid() -> list[tuple[str, str, int, int, int, dict]]:
     return points
 
 
+RECORDS = ("rec0", "rec1", "counters")
+
+
 def _keys() -> list[str]:
-    return [f"{point[0]}-rec{record}" for point in _grid() for record in (0, 1)]
+    return [f"{point[0]}-{record}" for point in _grid() for record in RECORDS]
+
+
+def _state(state) -> str:
+    return f"{state.status.name}/{state.role.name}"
+
+
+def counter_digest(run) -> dict:
+    """The sha256 of every controller's and MAC's counters, in vehicle id order."""
+    h = hashlib.sha256()
+    for vid, ctl in sorted(run.controllers.items()):
+        h.update(f"ctl {vid} {ctl.deferred} {ctl.rejected_joins} {ctl.join_retries} "
+                 f"{ctl.announce_skips} {len(ctl.queues)} {ctl.source.seq}\n".encode())
+        for before, event, outcome, after in ctl.transitions:
+            h.update(f"{_state(before)} {event.name} {outcome} {_state(after)}\n".encode())
+    for vid, mac in sorted(run.macs.items()):
+        h.update(f"mac {vid} {mac.deferrals} {mac.frames_submitted} "
+                 f"{mac.frames_transmitted}\n".encode())
+    ctls, macs = run.controllers.values(), run.macs.values()
+    return {
+        "counters_sha256": h.hexdigest(),
+        "fsm_steps": sum(len(ctl.transitions) for ctl in ctls),
+        "deferred": sum(ctl.deferred for ctl in ctls),
+        "deferrals": sum(mac.deferrals for mac in macs),
+    }
 
 
 def digests(mode: str, slot_ms: int, seed: int, duration: int, extra: dict,
             tmp: Path) -> list[dict]:
-    """The rec0 and rec1 digests of one grid point, from a single run.
+    """The rec0, rec1 and counters digests of one grid point, from a single run.
 
     `extra` holds the point's ScenarioConfig fields beyond the common ones,
     and may override the 20 vehicles.
@@ -119,16 +150,16 @@ def digests(mode: str, slot_ms: int, seed: int, duration: int, extra: dict,
         "receptions_done": sum(tx.receivers_expected for tx in txs),
         "receptions_collided": sum(tx.receivers_collided for tx in txs),
     }
-    return [{"log_sha256": log_sha256, "accounting_sha256": h.hexdigest(), **counts}
-            for h in accounting]
+    return [*({"log_sha256": log_sha256, "accounting_sha256": h.hexdigest(), **counts}
+              for h in accounting), counter_digest(run)]
 
 
 def table(tmp: Path) -> dict[str, dict]:
     """Every grid point's digests, keyed as in the fixture."""
     out = {}
     for key, *point in _grid():
-        for record, digest in enumerate(digests(*point, tmp)):
-            out[f"{key}-rec{record}"] = digest
+        for record, digest in zip(RECORDS, digests(*point, tmp)):
+            out[f"{key}-{record}"] = digest
     return out
 
 

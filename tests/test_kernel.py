@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platoonsim.kernel import MS, SEC, US, EventKind, Kernel, Pcg64, RngStreams, uniform
+from platoonsim.kernel import MS, SEC, US, EventKind, Kernel, Pcg64, RngStreams
 
 
 def _timer(k, at, fn, target=0):
@@ -107,13 +107,13 @@ def test_quiet_at_reads_the_head_of_the_queue():
 
 def test_uniform_degenerate_interval():
     rng = RngStreams(7).stream(1)
-    assert uniform(rng, 5 * US, 5 * US) == 5 * US
+    assert rng.integers(5 * US, 5 * US, endpoint=True) == 5 * US
 
 
 def test_uniform_rejects_inverted_bounds():
     rng = RngStreams(7).stream(1)
     with pytest.raises(ValueError):
-        uniform(rng, 10, 9)
+        rng.integers(10, 9, endpoint=True)
 
 
 def test_uniform_mean_matches_midpoint():
@@ -121,30 +121,30 @@ def test_uniform_mean_matches_midpoint():
     # sample mean must land within 1% of it
     rng = RngStreams(123).stream(42)
     n = 100_000
-    total = sum(uniform(rng, 0, 1 * MS) for _ in range(n))
+    total = sum(rng.integers(0, 1 * MS, endpoint=True) for _ in range(n))
     mean = total / n
     assert abs(mean - 500_000) < 5_000
 
 
 def test_uniform_bounds_inclusive():
     rng = RngStreams(5).stream(0)
-    draws = {uniform(rng, 0, 3) for _ in range(200)}
+    draws = {rng.integers(0, 3, endpoint=True) for _ in range(200)}
     assert draws == {0, 1, 2, 3}
 
 
 def test_same_seed_same_stream_identical_draws():
     a = RngStreams(99).stream(4)
     b = RngStreams(99).stream(4)
-    assert [uniform(a, 0, 10**9) for _ in range(20)] == \
-           [uniform(b, 0, 10**9) for _ in range(20)]
+    assert [a.integers(0, 10**9, endpoint=True) for _ in range(20)] == \
+           [b.integers(0, 10**9, endpoint=True) for _ in range(20)]
 
 
 def test_distinct_streams_are_independent_of_each_other():
     streams = RngStreams(99)
-    first = [uniform(streams.stream(1), 0, 10**9) for _ in range(5)]
+    first = [streams.stream(1).integers(0, 10**9, endpoint=True) for _ in range(5)]
     # drawing from stream 2 must not perturb stream 1's sequence
-    _ = [uniform(streams.stream(2), 0, 10**9) for _ in range(50)]
-    again = [uniform(streams.stream(1), 0, 10**9) for _ in range(5)]
+    _ = [streams.stream(2).integers(0, 10**9, endpoint=True) for _ in range(50)]
+    again = [streams.stream(1).integers(0, 10**9, endpoint=True) for _ in range(5)]
     assert first == again
 
 
@@ -238,7 +238,7 @@ def test_replay_gives_identical_trace():
 
         def chain(_):
             if k.now < 10 * MS:
-                _timer(k, k.now + uniform(rng, 1, 100 * US), chain)
+                _timer(k, k.now + rng.integers(1, 100 * US, endpoint=True), chain)
 
         _timer(k, 0, chain)
         k.run_until(10 * MS)

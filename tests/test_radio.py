@@ -140,14 +140,14 @@ def test_concurrent_transmit_by_same_sender_is_a_hard_fault():
         m.broadcast(0, _data(0))
 
 
-def test_is_busy_idle_medium():
+def test_idle_from_idle_medium():
     k = Kernel()
     m = Medium(k, _cfg())
     m.register(0, Position(0.0, 0.0))
     assert m.idle_from(0, 0) == 0
 
 
-def test_is_busy_spanning_transmission():
+def test_idle_from_spanning_transmission():
     k = Kernel()
     m = Medium(k, _cfg())
     m.register(0, Position(0.0, 0.0))
@@ -157,7 +157,7 @@ def test_is_busy_spanning_transmission():
     assert m.idle_from(1, k.now) == tx.end + m.cfg.prop_delay(50.0) > k.now
 
 
-def test_is_busy_hidden_terminal_out_of_range():
+def test_idle_from_hidden_terminal_out_of_range():
     k = Kernel()
     m = Medium(k, _cfg())
     m.register(0, Position(0.0, 0.0))
@@ -191,7 +191,7 @@ def test_busy_iff_idle_edge_lies_ahead_at_the_detection_edge():
     assert m.idle_from(1, tx.end + prop) == tx.end + prop     # idle from the end on
 
 
-def test_finalize_settles_in_flight_receptions():
+def test_masks_hold_the_overlap_of_frames_still_on_air():
     k = Kernel()
     m = Medium(k, _cfg())
     m.register(0, Position(0.0, 0.0))
@@ -235,7 +235,7 @@ def _frame(sender, handled):
 
 
 @pytest.mark.parametrize("handled", [False, True])
-def test_finalize_checks_receptions_still_in_flight(handled):
+def test_masks_count_receptions_still_in_flight(handled):
     # the interferer at 500 m reaches only the far receiver, whose delivery
     # (967 ns after tx end) is still in flight when the run stops
     k = Kernel()
@@ -255,7 +255,7 @@ def test_finalize_checks_receptions_still_in_flight(handled):
 
 
 @pytest.mark.parametrize("handled", [False, True])
-def test_finalize_ignores_vehicles_registered_after_the_broadcast(handled):
+def test_receivers_mask_ignores_vehicles_registered_after_the_broadcast(handled):
     k = Kernel()
     m = Medium(k, _cfg())
     sinks = {vid: _Sink(k) for vid in range(3)}
@@ -274,7 +274,7 @@ def test_finalize_ignores_vehicles_registered_after_the_broadcast(handled):
 @given(xs=st.lists(st.floats(0.0, 600.0), min_size=2, max_size=6),
        starts=st.lists(st.integers(0, 2_000 * US), min_size=1, max_size=6),
        which=st.integers(0, 5), late=st.integers(0, 1_000))
-def test_finalize_settles_a_run_cut_mid_delivery_like_the_oracle(xs, starts, which, late):
+def test_masks_settle_a_run_cut_mid_delivery_like_the_oracle(xs, starts, which, late):
     """Cut the run inside a delivery window; the masks must settle it as the oracle."""
     plan = sorted((at, vid % len(xs)) for vid, at in enumerate(starts))
     k = Kernel()
