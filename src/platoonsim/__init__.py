@@ -22,7 +22,6 @@ from .tsnctl import (
     admit,
     announce_offset,
     check_schedule,
-    elect_master,
     slot_count,
     step_fsm,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "MODE_BASELINE", "MODE_TSNCTL", "ScenarioConfig", "VehicleSpec",
     "build_vehicles", "run_scenario",
     "FsmEvent", "FsmState", "Role", "Status", "TsnCtl", "WindowConfig",
-    "admit", "announce_offset", "check_schedule", "elect_master",
-    "slot_count", "step_fsm",
+    "admit", "announce_offset", "check_schedule", "slot_count", "step_fsm",
     "__version__",
 ]

@@ -64,7 +64,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         run = run_scenario(cfg, cfg.seed + k)
         per_rep.append(collect_stats(run))
         write_transmission_log(run, out / f"transmissions_rep{k}.log")
-        del run                     # hold one run at a time
+        # A run's object graph is cyclic (kernel heap -> pending bound method
+        # -> MAC or controller -> kernel; Medium.handlers -> controller ->
+        # medium), so dropping it frees nothing at once: it leaves the run to
+        # the collector's next pass, which `Kernel.run_until` holds off while
+        # it dispatches.
+        del run
     result = ExperimentResult.from_stats(cfg, per_rep)
     emit_csv(result, out / "results.csv")
     slot = "-" if cfg.mode == MODE_BASELINE else f"{cfg.window.slot_len_ns} ns"

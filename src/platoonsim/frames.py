@@ -11,10 +11,6 @@ class FrameKind(IntEnum):
     CONTROL_ALLOCATION = 2
     DATA = 3
 
-    @property
-    def label(self) -> str:
-        return KIND_LABELS[self]
-
 
 # The members, bound once for the per-frame paths (see `kernel.EventKind`).
 CONTROL_ANNOUNCE, CONTROL_ALLOCATION, DATA = FrameKind

@@ -10,6 +10,7 @@ depends on no third-party release.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from enum import Enum, auto
 from typing import Any, Callable
@@ -41,6 +42,12 @@ class Kernel:
 
     Events with equal fire_at run in scheduling order. Not thread-safe by
     design; parallelism belongs at the whole-run level (one kernel per run).
+
+    `run_until` pauses the cyclic garbage collector while it dispatches, and
+    restores the state it found, also when a handler raises. That rests on
+    one invariant: handlers make no cyclic garbage. What a handler drops is
+    freed by reference counting, so a collector pass inside the loop frees
+    nothing and only re-walks the growing set of live objects.
     """
 
     def __init__(self, trace: bool = False):
@@ -69,12 +76,19 @@ class Kernel:
             raise ValueError(f"cannot run until {end} ns before now={self.now} ns")
         heap, pop = self._heap, heapq.heappop
         trace = self.trace if self.trace_enabled else None
-        while heap and heap[0][0] <= end:
-            fire_at, seq, fn, payload, target, kind = pop(heap)
-            self.now = fire_at
-            if trace is not None:
-                trace.append((fire_at, seq, target, kind.name))
-            fn(payload)
+        paused = gc.isenabled()
+        if paused:
+            gc.disable()
+        try:
+            while heap and heap[0][0] <= end:
+                fire_at, seq, fn, payload, target, kind = pop(heap)
+                self.now = fire_at
+                if trace is not None:
+                    trace.append((fire_at, seq, target, kind.name))
+                fn(payload)
+        finally:
+            if paused:
+                gc.enable()
         self.now = end
         return end
 

@@ -161,6 +161,12 @@ LEGAL_EDGES: dict[tuple[Status, Role, FsmEvent, str | None], FsmState] = {
 }
 
 
+# The FSM record of each edge, (state, event, outcome, next state), built once:
+# every step along an edge appends the same tuple to `TsnCtl.transitions`.
+_RECORDS = {(status, role, event, outcome): (FsmState(status, role), event, outcome, nxt)
+            for (status, role, event, outcome), nxt in LEGAL_EDGES.items()}
+
+
 def step_fsm(state: FsmState, event: FsmEvent, outcome: str | None = None) -> FsmState:
     key = (state.status, state.role, event, outcome)
     try:
@@ -227,13 +233,6 @@ def check_schedule(assignments: dict[int, int], cfg: WindowConfig) -> None:
 def election_key(ts: int, vid: int) -> tuple[int, int]:
     """The election order: the earlier announce timestamp wins, ties to lowest id."""
     return ts, vid
-
-
-def elect_master(candidates: dict[int, int]) -> int:
-    """Pick the vehicle with the earliest announce timestamp; ties to lowest id."""
-    if not candidates:
-        raise ValueError("election requires at least one candidate")
-    return min(candidates, key=lambda vid: election_key(candidates[vid], vid))
 
 
 def admit(assignments: dict[int, int], requesters: list[int],
@@ -356,6 +355,16 @@ class TsnCtl:
 
     It stores no derived fact: a master's allocation went out iff it holds a
     `schedule`, and a slave was admitted iff it holds `my_slot`.
+
+    `transitions` holds one record per FSM step, and every step along one
+    edge appends the same tuple, built once at import from `LEGAL_EDGES`.
+
+    Liveness has a deadline: a clean arrival of the master's frame at `a`
+    keeps the master live while now < a + MASTER_TIMEOUT_WINDOWS windows.
+    The controller remembers the latest arrival it read and whose it was,
+    and reads the log again only once that deadline has passed; the
+    arrival still lies inside the interval such a read would scan, so
+    the answer is the same.
     """
 
     def __init__(self, vid: int, clock: WindowClock, rng: Pcg64, *, source=None):
@@ -379,6 +388,9 @@ class TsnCtl:
         self.master_ts: int | None = None
         self._in_round = False      # joined this window's formation round at its start
         self._slot_gen = 0          # invalidates armed slot triggers on membership change
+        # the latest clean arrival `_master_silent` read, and whose frame it was
+        self._heard_from: int | None = None
+        self._heard_at = 0
 
         self.transitions: list[tuple[FsmState, FsmEvent, str | None, FsmState]] = []
         self.deferred = 0
@@ -399,11 +411,11 @@ class TsnCtl:
 
     def _step(self, event: FsmEvent, outcome: str | None = None) -> None:
         state = self.state
-        new_state = LEGAL_EDGES.get((state.status, state.role, event, outcome))
-        if new_state is None:
+        record = _RECORDS.get((state.status, state.role, event, outcome))
+        if record is None:
             step_fsm(state, event, outcome)     # raises the ProtocolError
-        self.transitions.append((state, event, outcome, new_state))
-        self.state = new_state
+        self.transitions.append(record)
+        self.state = record[3]
 
     # -- window machinery -------------------------------------------------------
 
@@ -434,12 +446,20 @@ class TsnCtl:
         return True
 
     def _master_silent(self) -> bool:
-        """No clean frame of the master for the timeout, counted from creation."""
-        if self.master_id is None:
+        """No clean frame of the master for the timeout, counted from creation.
+
+        The log is read only past the deadline of the arrival last read."""
+        master = self.master_id
+        if master is None:
             return True
         since = self.kernel.now - MASTER_TIMEOUT_WINDOWS * self.wcfg.window_ns
-        return (self.created_at <= since and self.medium.last_clean_arrival(
-            self.vid, self.master_id, since) is None)
+        if self.created_at > since or (master == self._heard_from and self._heard_at > since):
+            return False
+        arrival = self.medium.last_clean_arrival(self.vid, master, since)
+        if arrival is None:
+            return True
+        self._heard_from, self._heard_at = master, arrival
+        return False
 
     def _reset_membership(self) -> None:
         self.schedule = None
@@ -478,22 +498,20 @@ class TsnCtl:
             else:
                 self._start_slot1_burst(w, start=self.kernel.now)
             return
-        candidates = {self.vid: self.created_at}
+        key = election_key(self.created_at, self.vid)
         if best is not None:
-            candidates[best.sender] = best.generated_at
+            key = min(key, election_key(best.generated_at, best.sender))
+        # the master weighs its created_at, as its frames carry, so only an
+        # unheard one can beat the rest; its liveness is read only then
         master = self.master_id
-        unheard = master is not None and master not in candidates
-        if unheard:
-            candidates[master] = self.master_ts     # its created_at, as its announces carry
-        winner = elect_master(candidates)
-        if unheard and winner == master and self._master_silent():
-            del candidates[master]      # liveness is read only where it decides
-            winner = elect_master(candidates)
+        if (master is not None and election_key(self.master_ts, master) < key
+                and not self._master_silent()):
+            key = election_key(self.master_ts, master)
+        ts, winner = key
 
         if winner != self.vid:
             self._step(SLOT0_END, "lost")
-            self.master_id = winner
-            self.master_ts = candidates[winner]
+            self.master_id, self.master_ts = winner, ts
             return
 
         self._step(SLOT0_END, "won")

@@ -1,10 +1,19 @@
-"""Shared test helpers: scripted randomness and hand-assembled platoon scenarios."""
+"""Shared test helpers: scripted randomness, hand-assembled platoon scenarios and
+a reference election."""
 
 from __future__ import annotations
 
 from platoonsim.kernel import EventKind, Kernel, MS
 from platoonsim.radio import Medium, Position, RadioConfig
-from platoonsim.tsnctl import TsnCtl, WindowClock, WindowConfig
+from platoonsim.tsnctl import TsnCtl, WindowClock, WindowConfig, election_key
+
+
+def elect_master(candidates: dict[int, int]) -> int:
+    """The reference election over vid -> announce timestamp: the earliest
+    timestamp wins, ties to the lowest id."""
+    if not candidates:
+        raise ValueError("election requires at least one candidate")
+    return min(candidates, key=lambda vid: election_key(candidates[vid], vid))
 
 
 class ConstRng:

@@ -1,6 +1,8 @@
 from platoonsim.frames import (
     ALLOCATION_BASE_SIZE,
     ANNOUNCE_SIZE,
+    KIND_BY_LABEL,
+    KIND_LABELS,
     FrameKind,
     allocation_size,
     make_allocation,
@@ -15,7 +17,10 @@ def test_control_frame_sizes():
     assert frame.size == allocation_size(3) == ALLOCATION_BASE_SIZE + 24
 
 
-def test_kind_labels():
-    assert FrameKind.DATA.label == "data"
-    assert FrameKind.CONTROL_ANNOUNCE.label == "control-announce"
-    assert FrameKind.CONTROL_ALLOCATION.label == "control-allocation"
+def test_kind_labels_round_trip():
+    assert KIND_LABELS == {
+        FrameKind.DATA: "data",
+        FrameKind.CONTROL_ANNOUNCE: "control-announce",
+        FrameKind.CONTROL_ALLOCATION: "control-allocation",
+    }
+    assert {KIND_BY_LABEL[label]: label for label in KIND_LABELS.values()} == KIND_LABELS

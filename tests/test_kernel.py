@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -105,18 +106,45 @@ def test_quiet_at_reads_the_head_of_the_queue():
     assert k.quiet_at(8) and not k.quiet_at(9)
 
 
-def test_uniform_degenerate_interval():
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+def test_run_until_pauses_the_collector_and_restores_its_state(enabled, raises):
+    """The loop dispatches with the collector off and leaves it as it found it."""
+    k = Kernel()
+    seen = []
+
+    def handler(_):
+        seen.append(gc.isenabled())
+        if raises:
+            raise RuntimeError("handler failed")
+
+    _timer(k, 3, handler)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if raises:
+            with pytest.raises(RuntimeError, match="handler failed"):
+                k.run_until(5)
+        else:
+            k.run_until(5)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
+
+def test_integers_endpoint_degenerate_interval():
     rng = RngStreams(7).stream(1)
     assert rng.integers(5 * US, 5 * US, endpoint=True) == 5 * US
 
 
-def test_uniform_rejects_inverted_bounds():
+def test_integers_endpoint_rejects_inverted_bounds():
     rng = RngStreams(7).stream(1)
     with pytest.raises(ValueError):
         rng.integers(10, 9, endpoint=True)
 
 
-def test_uniform_mean_matches_midpoint():
+def test_integers_endpoint_mean_matches_midpoint():
     # independent oracle: the mean of U[0, 1 ms] is 0.5 ms; with 1e5 draws the
     # sample mean must land within 1% of it
     rng = RngStreams(123).stream(42)
@@ -126,7 +154,7 @@ def test_uniform_mean_matches_midpoint():
     assert abs(mean - 500_000) < 5_000
 
 
-def test_uniform_bounds_inclusive():
+def test_integers_endpoint_bounds_inclusive():
     rng = RngStreams(5).stream(0)
     draws = {rng.integers(0, 3, endpoint=True) for _ in range(200)}
     assert draws == {0, 1, 2, 3}

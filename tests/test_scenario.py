@@ -1,9 +1,11 @@
+import gc
+
 import pytest
 
 from platoonsim.config import ConfigError
 from platoonsim.frames import PRIO_SAFETY, Frame, FrameKind
 from platoonsim.kernel import MS, SEC, US, Kernel, RngStreams
-from platoonsim.radio import Position
+from platoonsim.radio import Position, RadioConfig
 from platoonsim.scenario import (
     MODE_BASELINE,
     MODE_TSNCTL,
@@ -212,3 +214,26 @@ def test_tsnctl_delivery_events_one_per_allocation_reception():
     assert expected > 0
     assert len(deliveries) == expected
     assert set(deliveries) <= set(medium.handlers)
+
+
+@pytest.mark.parametrize("cfg", [
+    # the contested 60-vehicle golden point: hidden terminals, 1 ms slots
+    ScenarioConfig(vehicle_count=60, area_length_m=400.0, radio=RadioConfig(range_m=150.0),
+                   sim_duration_ns=1_910_543_210, window=WindowConfig(slot_len_ns=1 * MS)),
+    # a backlogged baseline: every MAC keeps a queue, frames wait on air
+    ScenarioConfig(mode=MODE_BASELINE, area_length_m=0.0, message_interval_ns=2 * MS,
+                   sim_duration_ns=1_910_543_210),
+], ids=["tsnctl-contested", "baseline-backlogged"])
+def test_a_run_makes_no_cyclic_garbage(cfg):
+    """What `Kernel.run_until`'s collector pause rests on: with the collector
+    off all run long, a collection while the run is held finds nothing."""
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        run = run_scenario(cfg, 1)
+        assert gc.collect() == 0
+        assert run.medium.log
+    finally:
+        if was:
+            gc.enable()

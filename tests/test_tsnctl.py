@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from _util import ConstRng, ScriptedRng, assemble_platoon
+from _util import ConstRng, ScriptedRng, assemble_platoon, elect_master
 
 from platoonsim.frames import (
     ANNOUNCE_SIZE,
@@ -18,6 +18,7 @@ from platoonsim.tsnctl import (
     FsmEvent,
     FsmState,
     LEGAL_EDGES,
+    MASTER_TIMEOUT_WINDOWS,
     PriorityQueueSet,
     ProtocolError,
     Role,
@@ -28,7 +29,6 @@ from platoonsim.tsnctl import (
     admit,
     announce_offset,
     check_schedule,
-    elect_master,
     slot_count,
     step_fsm,
 )
@@ -241,6 +241,36 @@ def test_silent_master_does_not_win_the_round():
     assert ctl._master_silent()
     assert ctl.state == FsmState(Status.JOINING, Role.MASTER)
 
+
+
+def test_remembered_master_arrival_answers_as_a_fresh_log_read(monkeypatch):
+    """Every liveness read, and one more at every window start of every
+    controller, agrees with a fresh `last_clean_arrival` read. The run, 40
+    vehicles in 1 ms slots, has masters that fall silent and MASTER_LOST steps."""
+    silent, start = TsnCtl._master_silent, TsnCtl._on_window_start
+    answers = []
+
+    def checked(ctl):
+        got = silent(ctl)
+        since = ctl.kernel.now - MASTER_TIMEOUT_WINDOWS * ctl.wcfg.window_ns
+        fresh = ctl.master_id is None or (ctl.created_at <= since and ctl.medium.last_clean_arrival(
+            ctl.vid, ctl.master_id, since) is None)
+        assert got == fresh
+        answers.append(got)
+        return got
+
+    def read_first(ctl, w):
+        ctl._master_silent()
+        return start(ctl, w)
+
+    monkeypatch.setattr(TsnCtl, "_master_silent", checked)
+    monkeypatch.setattr(TsnCtl, "_on_window_start", read_first)
+    cfg = ScenarioConfig(vehicle_count=40, sim_duration_ns=2 * SEC, repetitions=1,
+                         window=WindowConfig(slot_len_ns=1 * MS))
+    run = run_scenario(cfg, 1)
+    events = [t[1] for ctl in run.controllers.values() for t in ctl.transitions]
+    assert FsmEvent.MASTER_LOST in events
+    assert True in answers and False in answers
 
 # -- admission --------------------------------------------------------------------
 

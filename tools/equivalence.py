@@ -1,0 +1,236 @@
+"""Equivalence sweep: random scenarios run on two source trees, every output compared.
+
+    python tools/equivalence.py --base <src dir> --head <src dir> \\
+        --mode tsnctl|baseline --configs N --seed S
+
+Each `<src dir>` holds a `platoonsim` package (a checkout's `src/`). The
+script draws N scenario configs from `--seed` over the ranges of the sweeps
+that `BENCH_21.json` records: 2-40 vehicles, 50 us-50 ms spawn intervals,
+0-1,000 m roads, 150/300 m range, 0/4,000 ns detection latency, 0/40 us
+preambles, 1/2/16 contention slots of 13/800 us, 1-800 B payloads,
+0.3-100 ms message intervals, 20/50/100 ms windows, 1-3 ms slots, and runs
+cut at any ns from 50 ms to 1.5 s. Each side runs every config in its own
+subprocess, and the two run side by side.
+
+Per run it compares the sha256 of the transmission log, each record's
+receivers and hit masks, the collision counts, every controller's
+`transitions`, `deferred`, `rejected_joins`, `join_retries`,
+`announce_skips`, queue length and `source.seq`, and every MAC's
+`deferrals`, `frames_submitted` and `frames_transmitted`. It also runs
+`oracle_check_run` on both sides, which must find nothing.
+
+It prints a JSON summary on stdout. The exit status is 0 when every run
+matches and both oracles are clean; otherwise it is 1, and stderr names the
+first config and field that differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+MS = 1_000_000
+MODES = ("tsnctl", "baseline")
+
+
+def draw_configs(mode: str, count: int, seed: int) -> list[dict]:
+    """`count` scenario configs, as plain field dicts, drawn from `seed`."""
+    rng = random.Random(seed)
+    configs = []
+    for _ in range(count):
+        configs.append({
+            "seed": rng.randrange(2**32),
+            "scenario": {
+                "mode": mode,
+                "vehicle_count": rng.randint(2, 40),
+                "spawn_interval_ns": rng.randint(50_000, 50 * MS),
+                "area_length_m": rng.choice((0.0, rng.uniform(0.0, 1000.0))),
+                "payload_size_b": rng.randint(1, 800),
+                "message_interval_ns": rng.randint(300_000, 100 * MS),
+                "sim_duration_ns": rng.randint(50 * MS, 1500 * MS),
+                "repetitions": 1,
+            },
+            "radio": {
+                "range_m": rng.choice((150.0, 300.0)),
+                "cca_detect_ns": rng.choice((0, 4_000)),
+                "preamble_ns": rng.choice((0, 40_000)),
+            },
+            "csma": {
+                "cw_slots": rng.choice((1, 2, 16)),
+                "backoff_slot_ns": rng.choice((13_000, 800_000)),
+            },
+            "window": {
+                "window_ns": rng.choice((20, 50, 100)) * MS,
+                "slot_len_ns": rng.randint(1 * MS, 3 * MS),
+            },
+        })
+    return configs
+
+
+# -- one side: runs in a subprocess with its src dir first on sys.path ----------
+
+
+def _sha(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
+def _state(state) -> str:
+    return f"{state.status.name}/{state.role.name}"
+
+
+def digest(config: dict, scratch: Path) -> dict:
+    """Every compared field of one run, in a fixed order."""
+    from platoonsim.csma import CsmaConfig
+    from platoonsim.metrics import collect_stats, oracle_check_run, write_transmission_log
+    from platoonsim.radio import RadioConfig
+    from platoonsim.scenario import ScenarioConfig, run_scenario
+    from platoonsim.tsnctl import WindowConfig
+
+    cfg = ScenarioConfig(**config["scenario"], seed=config["seed"],
+                         radio=RadioConfig(**config["radio"]),
+                         csma=CsmaConfig(**config["csma"]),
+                         window=WindowConfig(**config["window"]))
+    try:
+        run = run_scenario(cfg, config["seed"])
+    except Exception as exc:        # both sides must fail alike
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    log = scratch / "transmissions.log"
+    write_transmission_log(run, log)
+    txs = run.medium.log
+    fields = {
+        "log_sha256": hashlib.sha256(log.read_bytes()).hexdigest(),
+        "transmissions": len(txs),
+        "masks": _sha(f"{tx.receivers} {tx.hit}" for tx in txs),
+        "collision_stats": repr(collect_stats(run)),
+        "oracle": oracle_check_run(run),
+    }
+    for vid, ctl in sorted(run.controllers.items()):
+        fields[f"controller {vid} transitions"] = _sha(
+            f"{_state(before)} {event.name} {outcome} {_state(after)}"
+            for before, event, outcome, after in ctl.transitions)
+        for name in ("deferred", "rejected_joins", "join_retries", "announce_skips"):
+            fields[f"controller {vid} {name}"] = getattr(ctl, name)
+        fields[f"controller {vid} queue length"] = len(ctl.queues)
+        fields[f"controller {vid} source.seq"] = ctl.source.seq
+    for vid, mac in sorted(run.macs.items()):
+        for name in ("deferrals", "frames_submitted", "frames_transmitted"):
+            fields[f"mac {vid} {name}"] = getattr(mac, name)
+    return fields
+
+
+def worker(src: Path, configs_path: Path, out_path: Path) -> None:
+    """Run every config against the package under src; one JSON line per run."""
+    sys.path.insert(0, str(src))
+    import platoonsim
+
+    where = Path(platoonsim.__file__).resolve()
+    if src.resolve() not in where.parents:
+        sys.exit(f"imported platoonsim from {where}, not from {src}")
+    configs = json.loads(configs_path.read_text(encoding="utf-8"))
+    with tempfile.TemporaryDirectory() as scratch, out_path.open("w", encoding="utf-8") as out:
+        for config in configs:
+            out.write(json.dumps(digest(config, Path(scratch))) + "\n")
+
+
+# -- the driver ------------------------------------------------------------------
+
+
+def first_difference(base: dict, head: dict) -> str | None:
+    """The first field, in the order the runs report them, whose values differ."""
+    for field in [*base, *(f for f in head if f not in base)]:
+        if base.get(field) != head.get(field):
+            return field
+    return None
+
+
+def sweep(base_src: Path, head_src: Path, mode: str, count: int, seed: int) -> tuple[dict, str | None]:
+    """Run both sides; return the summary and the line naming the first fault."""
+    configs = draw_configs(mode, count, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        configs_path = tmp / "configs.json"
+        configs_path.write_text(json.dumps(configs), encoding="utf-8")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        started = time.perf_counter()
+        procs = {side: subprocess.Popen([sys.executable, __file__, "--worker", str(src),
+                                         str(configs_path), str(tmp / f"{side}.jsonl")], env=env)
+                 for side, src in (("base", base_src), ("head", head_src))}
+        codes = {side: proc.wait() for side, proc in procs.items()}
+        seconds = round(time.perf_counter() - started, 1)
+        for side, code in codes.items():
+            if code != 0:
+                fault = f"the {side} side exited {code}"
+                return {"mode": mode, "configs": count, "seed": seed, "error": fault}, fault
+        results = {side: [json.loads(line) for line in
+                          (tmp / f"{side}.jsonl").read_text(encoding="utf-8").splitlines()]
+                   for side in procs}
+
+    differences, oracle_faults, first = 0, {"base": 0, "head": 0}, None
+    for k, (b, h) in enumerate(zip(results["base"], results["head"])):
+        faulty = [side for side, fields in (("base", b), ("head", h)) if fields.get("oracle")]
+        for side in faulty:
+            oracle_faults[side] += 1
+        field = first_difference(b, h)
+        differences += field is not None
+        if first is None and (field is not None or faulty):
+            first = (k, field or "oracle")
+    summary = {
+        "mode": mode,
+        "configs": count,
+        "seed": seed,
+        "base": str(base_src),
+        "head": str(head_src),
+        "differences": differences,
+        "oracle_faults": oracle_faults,
+        "errors": {side: sum("error" in r for r in results[side]) for side in results},
+        "transmissions": {side: sum(r.get("transmissions", 0) for r in results[side])
+                          for side in results},
+        "seconds": seconds,
+        "first_difference": None if first is None else {
+            "config": first[0], "field": first[1], "scenario": configs[first[0]]},
+    }
+    fault = None
+    if first is not None:
+        k, field = first
+        fault = (f"config {k} (run seed {configs[k]['seed']}) first fault at {field!r}: "
+                 f"base {results['base'][k].get(field)!r}, head {results['head'][k].get(field)!r}")
+    return summary, fault
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--worker"]:
+        src, configs_path, out_path = map(Path, argv[1:4])
+        worker(src, configs_path, out_path)
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, type=Path, help="src dir of the base side")
+    parser.add_argument("--head", required=True, type=Path, help="src dir of the head side")
+    parser.add_argument("--mode", required=True, choices=MODES)
+    parser.add_argument("--configs", type=int, default=100, help="configs to draw")
+    parser.add_argument("--seed", type=int, default=1, help="seed of the config draw")
+    args = parser.parse_args(argv)
+    for src in (args.base, args.head):
+        if not (src / "platoonsim" / "__init__.py").is_file():
+            parser.error(f"{src} holds no platoonsim package")
+    summary, fault = sweep(args.base, args.head, args.mode, args.configs, args.seed)
+    print(json.dumps(summary, indent=1))
+    if fault is not None:
+        print(fault, file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
