@@ -89,15 +89,12 @@ class CsmaMac:
     # kernel event so concurrent vehicles interleave through simulated time.
     # Each sense is one scan of the medium: busy iff the idle edge lies ahead.
 
-    def _timer(self, at: int, fn) -> None:
-        self.kernel.at(at, self.vid, TIMER, fn)
-
     def _sense(self, _payload=None) -> None:
         now = self.kernel.now
         idle = self.medium.idle_from(self.vid, now)
         if idle > now:
             self.deferrals += 1
-            self._timer(idle, self._on_idle_edge)
+            self.kernel.at(idle, self.vid, TIMER, self._on_idle_edge)
         else:
             self._transmit()
 
@@ -106,7 +103,7 @@ class CsmaMac:
         idle = self.medium.idle_from(self.vid, now)
         if idle > now:
             # medium got busy again while waiting: keep waiting for idle
-            self._timer(idle, self._on_idle_edge)
+            self.kernel.at(idle, self.vid, TIMER, self._on_idle_edge)
             return
         backoff = self.rng.integers(0, self._cw_max, endpoint=True) * self._slot_ns
         if not backoff and self.kernel.quiet_at(now):
@@ -115,7 +112,7 @@ class CsmaMac:
             return
         # at expiry the frame is sensed like a fresh one: if busy again, wait
         # for the new idle edge and draw a fresh backoff there
-        self._timer(now + backoff, self._sense)
+        self.kernel.at(now + backoff, self.vid, TIMER, self._sense)
 
     def _transmit(self) -> None:
         tx = self.medium.broadcast(self.vid, self.queue.popleft())
@@ -124,7 +121,7 @@ class CsmaMac:
                 or source.next_due is not None and source.next_due <= tx.end):
             # armed at broadcast, so the end keeps its place among same-instant events
             self._tx_done_pending = True
-            self._timer(tx.end, self._on_tx_done)
+            self.kernel.at(tx.end, self.vid, TIMER, self._on_tx_done)
         elif tx.end <= source.end:
             self.frames_transmitted += 1
 

@@ -166,14 +166,30 @@ class Pcg64:
             raise ValueError(f"integers: empty or too wide range [{low}, {high}]")
         if span == 0:
             return low
-        draw, bits = (self._next32, 32) if span <= _M32 else (self.next64, 64)
-        mask, excl = (1 << bits) - 1, span + 1
-        m = draw() * excl
-        if m & mask < excl:
-            threshold = (1 << bits) % excl
-            while m & mask < threshold:
-                m = draw() * excl
-        return low + (m >> bits)
+        excl = span + 1
+        if span <= _M32:
+            # the first draw is `_next32` inlined: a backoff draw on the CSMA
+            # path then makes no call, as the rejection loop seldom runs
+            if (v := self._spare) is not None:
+                self._spare = None
+            else:
+                s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+                x, r = (s >> 64) ^ (s & _M64), s >> 122
+                v = (x >> r | x << (64 - r)) & _M64
+                self._spare = v >> 32
+                v &= _M32
+            m = v * excl
+            if m & _M32 < excl:
+                threshold = (1 << 32) % excl
+                while m & _M32 < threshold:
+                    m = self._next32() * excl
+            return low + (m >> 32)
+        m = self.next64() * excl
+        if m & _M64 < excl:
+            threshold = (1 << 64) % excl
+            while m & _M64 < threshold:
+                m = self.next64() * excl
+        return low + (m >> 64)
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         return low + (high - low) * ((self.next64() >> 11) * 2.0 ** -53)

@@ -73,7 +73,8 @@ def collect_stats(run: RunResult) -> CollisionStats:
 #
 # Post-hoc checkers, structurally unrelated to the medium's online bookkeeping:
 # they work from (sender, start, end) triples, vehicle positions and the range
-# alone, never from the medium's neighbour table or its scan over start times.
+# alone, never from the medium's neighbour table or its scan back from the
+# tail of the log.
 #
 # The brute-force checker enumerates every transmission pair and applies the
 # range rule per receiver. It is quadratic and serves tests as the reference.

@@ -10,23 +10,26 @@ other are mutually blind and will overlap.
 Vehicles never move after they register, so who hears whom, and after what
 propagation delay, is computed once per pair at registration, together with
 a bitmask per vehicle of the vehicles it hears. The log of transmissions is
-the only record of who heard whom and when. Each transmission's interferer
-mask is filled at broadcast, once per overlapping pair, and is final once
-the clock reaches its end, since nothing that starts later overlaps it. The
-allocation flag handed to frame handlers, the announces and liveness that
-protocols read back from the log (`clean_receptions`, `last_clean_arrival`),
-each receiver's flag (`outcomes`) and the collided count and flag of a
-transmission all read that one mask, against the receivers mask. A read of
-the log at time t counts the clean receptions that arrived before t; the
-order in which events were scheduled plays no part. Only allocation frames,
-which act at once, raise an event per reception; every other reception
-raises none.
+the only record of who heard whom and when. It is sorted by start, and no
+frame lasts longer than the longest airtime logged so far, so the reads that
+look for frames still on air (pairing at broadcast, carrier sense) scan it
+backwards from its end and stop at the first frame that started too early
+to matter; the medium keeps no index over start times. Each transmission's
+interferer mask is filled at broadcast, once per overlapping pair, and is
+final once the clock reaches its end, since nothing that starts later
+overlaps it. The allocation flag handed to frame handlers, the announces and
+liveness that protocols read back from the log (`clean_receptions`,
+`last_clean_arrival`), each receiver's flag (`outcomes`) and the collided
+count and flag of a transmission all read that one mask, against the
+receivers mask. A read of the log at time t counts the clean receptions that
+arrived before t; the order in which events were scheduled plays no part.
+Only allocation frames, which act at once, raise an event per reception;
+every other reception raises none.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator
@@ -119,13 +122,15 @@ class Medium:
     """Broadcast channel shared by all registered vehicles.
 
     Each vehicle gets a bit, in registration order. `broadcast` pairs a new
-    transmission with every transmission still on air and ORs each sender's
-    range mask into the other's interferer mask (`Transmission.hit`), so who
-    collides where is recorded once per overlapping pair. The mask is final
-    once the clock reaches the transmission's end, and every reader reads it
-    then or later: the allocation flag at arrival, `clean_receptions` and
-    `last_clean_arrival` for arrivals before now, and `outcomes` and the
-    transmission's own count and flag after the run. A listener heard a
+    transmission with every transmission still on air, read from the tail of
+    the log back to the first one that started more than the longest airtime
+    ago, and ORs each sender's range mask into the other's interferer mask
+    (`Transmission.hit`), so who collides where is recorded once per
+    overlapping pair. The mask is final once the clock reaches the
+    transmission's end, and every reader reads it then or later: the
+    allocation flag at arrival, `clean_receptions` and `last_clean_arrival`
+    for arrivals before now, and `outcomes` and the transmission's own count
+    and flag after the run. A listener heard a
     transmission clean iff its bit is in the receivers mask and not in the
     interferer mask, and the frame arrived before now: an arrival at now is
     not yet heard.
@@ -142,7 +147,6 @@ class Medium:
         self.positions: dict[int, Position] = {}
         self.handlers: dict[int, Callable[[Frame, bool], None]] = {}
         self.log: list[Transmission] = []           # all transmissions, by start
-        self._starts: list[int] = []                # start of each log entry
         self._sent: dict[int, list[Transmission]] = {}   # per sender, by start
         # vid -> {vid in range: propagation delay ns}, in registration order;
         # every vehicle hears itself first, with delay 0
@@ -178,10 +182,13 @@ class Medium:
         bit = 1 << len(self.positions)
         hears = {vid: 0}
         receivers = 0
+        # RadioConfig.prop_delay and Position.distance, with the config read once
+        x, y, range_m, speed = pos.x, pos.y, self.cfg.range_m, self.cfg.propagation_mps
+        hypot, ceil = math.hypot, math.ceil
         for other, other_pos in self.positions.items():
-            dist = pos.distance(other_pos)
-            if dist <= self.cfg.range_m:
-                hears[other] = self._hears[other][vid] = self.cfg.prop_delay(dist)
+            dist = hypot(x - other_pos.x, y - other_pos.y)
+            if dist <= range_m:
+                hears[other] = self._hears[other][vid] = ceil(dist * SEC / speed)
                 receivers |= self._bit[other]
                 self._range[other] |= bit
                 self._receivers[other] |= bit
@@ -212,15 +219,18 @@ class Medium:
         mask, hit = ranges[sender], 0
         # Every logged frame started at or before `start`, so the half-open
         # intervals overlap iff it ends after `start` and starts before `end`;
-        # a zero-length frame overlaps nothing that starts with it.
-        for i in range(bisect_left(self._starts, start - self._max_dur), len(log)):
-            other = log[i]
+        # a zero-length frame overlaps nothing that starts with it. A frame
+        # that started more than the longest airtime ago has ended, and so
+        # has every frame logged before it: the scan stops there.
+        floor = start - self._max_dur
+        for other in reversed(log):
+            if other.start < floor:
+                break
             if other.end > start and other.start < end:
                 hit |= ranges[other.sender]
                 other.hit |= mask
         tx = Transmission(sender, frame, start, end, self._receivers[sender], hit)
         log.append(tx)
-        self._starts.append(start)
         sent.append(tx)
         if dur > self._max_dur:
             self._max_dur = dur
@@ -249,9 +259,15 @@ class Medium:
     # -- reading receptions from the log ---------------------------------------
 
     def transmissions(self, kind: FrameKind, since: int) -> list[Transmission]:
-        """The logged transmissions of `kind` that started at or after `since`."""
-        return [tx for tx in self.log[bisect_left(self._starts, since):]
-                if tx.frame.kind is kind]
+        """The logged transmissions of `kind` that started at or after `since`, by start."""
+        txs = []
+        for tx in reversed(self.log):
+            if tx.start < since:
+                break
+            if tx.frame.kind is kind:
+                txs.append(tx)
+        txs.reverse()
+        return txs
 
     def clean_receptions(self, listener: int, txs: list[Transmission]) -> Iterator[Frame]:
         """The frames of `txs` that listener heard clean before now, in the order of `txs`.
@@ -291,20 +307,23 @@ class Medium:
 
         The listener senses the frames of every vehicle it hears, its own
         included, over [start + delay + cca_detect_ns, end + delay), so two
-        nodes committing within one detection latency will overlap. Only the
-        log entries that started within the longest airtime and delay before
-        `at` are read.
+        nodes committing within one detection latency will overlap. The log
+        is read backwards from its end and the scan stops at the first entry
+        that started more than the longest airtime and delay before `at`:
+        everything logged before it ended, at every listener, by `at`. During
+        a run, when `at` is now, that reads only the frames that may still be
+        on air; a read at a past `at` also passes over the later entries.
         """
-        hears, log, detect = self._hears[listener], self.log, self._cca_detect
+        hears, detect = self._hears[listener], self._cca_detect
+        floor = at - self._max_dur - self._sense_slack
         horizon = at
-        for i in range(bisect_left(self._starts, at - self._max_dur - self._sense_slack),
-                       len(log)):
-            tx = log[i]
+        for tx in reversed(self.log):
             start = tx.start
-            if start > at:
+            if start < floor:
                 break
             delay = hears.get(tx.sender)
-            # an edge at or before the horizon (never before `at`) moves nothing
+            # sensed iff detected by `at` (so started by `at`) and not yet
+            # ended there; an edge at or before the horizon moves nothing
             if delay is not None and start + delay + detect <= at:
                 edge = tx.end + delay
                 if edge > horizon:

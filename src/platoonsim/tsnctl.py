@@ -274,12 +274,6 @@ class PriorityQueueSet:
             raise ValueError(f"unknown priority class {frame.priority}")
         self.queues[frame.priority].append(frame)
 
-    def peek(self) -> Frame | None:
-        for q in self.queues:
-            if q:
-                return q[0]
-        return None
-
     def pop(self) -> Frame:
         for q in self.queues:
             if q:

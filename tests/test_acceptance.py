@@ -202,13 +202,13 @@ def test_criterion_7_priority_discipline():
         budget = int(rng.integers(1, len(backlog) + 1))
         emitted = []
         for _ in range(budget):
-            head = queues.peek()
-            if head is None:
+            if not queues:
                 break
             queued_best = min(f.priority for f in backlog if f not in emitted)
+            head = queues.pop()
             if head.priority > queued_best:
                 violations += 1
-            emitted.append(queues.pop())
+            emitted.append(head)
         for a, b in zip(emitted, emitted[1:]):
             if a.priority == b.priority and a.seq > b.seq:
                 violations += 1

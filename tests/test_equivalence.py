@@ -1,7 +1,9 @@
 """The equivalence sweep finds no difference between a tree and itself, and
-names the first field where a changed copy differs."""
+names the first field where a changed copy differs; with `--expect-diff` it
+reports what moved and fails only on an oracle fault or an error."""
 
 import importlib.util
+import json
 import shutil
 from pathlib import Path
 
@@ -21,16 +23,52 @@ def test_a_tree_matches_itself():
     assert summary["transmissions"]["head"] > 0
 
 
-def test_a_changed_copy_is_named_at_its_first_differing_field(tmp_path):
+def _changed_copy(tmp_path, module, old, new):
+    """A copy of the package under tmp_path with `old` replaced by `new` in `module`."""
     shutil.copytree(SRC / "platoonsim", tmp_path / "platoonsim",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    frames = tmp_path / "platoonsim" / "frames.py"
-    text = frames.read_text(encoding="utf-8")
-    assert "ANNOUNCE_SIZE = 100\n" in text
-    frames.write_text(text.replace("ANNOUNCE_SIZE = 100\n", "ANNOUNCE_SIZE = 101\n"),
-                      encoding="utf-8")
+    path = tmp_path / "platoonsim" / module
+    text = path.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    return tmp_path
+
+
+def test_a_changed_copy_is_named_at_its_first_differing_field(tmp_path):
+    _changed_copy(tmp_path, "frames.py", "ANNOUNCE_SIZE = 100\n", "ANNOUNCE_SIZE = 101\n")
     summary, fault = equivalence.sweep(tmp_path, SRC, "tsnctl", 2, 1)
     assert summary["differences"] == 2
     assert summary["first_difference"]["config"] == 0
     assert summary["first_difference"]["field"] == "log_sha256"
     assert fault.startswith("config 0 ") and "'log_sha256'" in fault
+
+
+def test_expect_diff_reports_what_moved_and_exits_0(tmp_path, capsys):
+    base = _changed_copy(tmp_path, "frames.py", "ANNOUNCE_SIZE = 100\n", "ANNOUNCE_SIZE = 101\n")
+    code = equivalence.main(["--base", str(base), "--head", str(SRC), "--mode", "tsnctl",
+                             "--configs", "2", "--seed", "1", "--expect-diff"])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert summary["expect_diff"] is True
+    assert summary["differences"] == 2
+    assert summary["oracle_faults"] == {"base": 0, "head": 0}
+    assert summary["errors"] == {"base": 0, "head": 0}
+    for side in ("base", "head"):
+        assert 0 < summary["collided"][side] <= summary["transmissions"][side]
+    assert isinstance(summary["collided_share_change"], float)
+    # without the flag the same trees fail at their first difference
+    assert equivalence.main(["--base", str(base), "--head", str(SRC), "--mode", "tsnctl",
+                             "--configs", "2", "--seed", "1"]) == 1
+
+
+def test_expect_diff_still_fails_on_an_oracle_fault(tmp_path, capsys):
+    # every sender counts itself among the receivers of its frames
+    head = _changed_copy(tmp_path, "radio.py", "end, self._receivers[sender], hit)",
+                         "end, self._range[sender], hit)")
+    code = equivalence.main(["--base", str(SRC), "--head", str(head), "--mode", "baseline",
+                             "--configs", "2", "--seed", "1", "--expect-diff"])
+    out = capsys.readouterr()
+    summary = json.loads(out.out)
+    assert code == 1
+    assert summary["oracle_faults"]["base"] == 0 < summary["oracle_faults"]["head"]
+    assert "first fault at 'oracle'" in out.err

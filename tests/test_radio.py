@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from platoonsim.frames import Frame, FrameKind, make_allocation
 from platoonsim.kernel import EventKind, Kernel, MS, US
-from platoonsim.metrics import brute_force_outcomes
+from platoonsim.metrics import _sweep_masks, brute_force_outcomes
 from platoonsim.radio import Medium, Position, RadioConfig, tx_duration
 
 
@@ -596,3 +596,114 @@ def test_last_clean_arrival_skips_collided_and_stale_frames():
     assert m.last_clean_arrival(1, 0, 0) == first
     assert m.last_clean_arrival(1, 0, first) is None
     assert m.last_clean_arrival(0, 0, 0) is None      # never its own
+
+
+# -- the tail scan ---------------------------------------------------------------
+#
+# Pairing at broadcast and carrier sense read the log backwards from its end and
+# stop at the first frame that started more than the longest airtime (plus, for
+# sensing, the longest delay) before their time; `transmissions` walks back to
+# `since`. These directed cases put that stop where it is easiest to get wrong.
+
+
+def _brute_idle_from(m, listener, at):
+    """The sensed idle edge of `listener` at `at`, from every logged frame."""
+    cfg, here = m.cfg, m.positions[listener]
+    edges = [tx.end + d for tx in m.log
+             if here.distance(m.positions[tx.sender]) <= cfg.range_m
+             for d in [cfg.prop_delay(here.distance(m.positions[tx.sender]))]
+             if tx.start + d + cfg.cca_detect_ns <= at < tx.end + d]
+    return max(edges, default=at)
+
+
+def test_tail_scan_sees_a_long_frame_logged_before_short_ones():
+    """The longest airtime grows mid-run: pairing and sensing still reach back to it.
+
+    Short frames first, then one long frame from vehicle 2, then short frames
+    that start while it is on air, so the scan from the tail crosses frames
+    shorter than the one it must reach. Vehicle 3 hears only vehicle 2.
+    """
+    k = Kernel()
+    m = Medium(k, _cfg())
+    positions = {0: Position(0.0, 0.0), 1: Position(30.0, 0.0),
+                 2: Position(60.0, 0.0), 3: Position(150.0, 0.0)}
+    for vid, pos in positions.items():
+        m.register(vid, pos)
+    plan = [(0, 0, 10), (1, 20, 10), (3, 40, 10), (2, 100, 800), (0, 300, 10),
+            (1, 320, 10), (3, 340, 10), (0, 1_100, 10), (1, 1_170, 10)]
+    reads = sorted({at * US + dt for _, at, _ in plan for dt in (0, 1, 5_000, 50_000)}
+                   | {1_160 * US, 1_166 * US, 1_167 * US, 1_200 * US})
+    live = {}
+    for sender, at, size in plan:
+        k.at(at * US, sender, EventKind.TIMER,
+             lambda _, sender=sender, size=size: m.broadcast(sender, _data(sender, size)))
+    for at in reads:
+        k.at(at, 0, EventKind.TIMER,
+             lambda _: live.update({(vid, k.now): m.idle_from(vid, k.now) for vid in positions}))
+    k.run_until(5 * MS)
+
+    long_tx, late_tx = m.log[3], m.log[7]
+    # a bound taken from the short frames' airtime would stop before the long frame
+    assert late_tx.start - long_tx.start > tx_duration(10, m.cfg) + m.cfg.max_delay
+    assert late_tx.start == 1_100 * US < long_tx.end
+    assert late_tx.hit & m._bit[2] and long_tx.hit & m._bit[0]
+    assert not m.log[8].hit & m._bit[2]     # starts after the long frame ended
+    records = [(tx.sender, tx.start, tx.end) for tx in m.log]
+    assert [(tx.receivers, tx.receivers & tx.hit) for tx in m.log] == \
+        _sweep_masks(records, positions, m.cfg.range_m)
+    want = {(vid, at): _brute_idle_from(m, vid, at) for vid in positions for at in reads}
+    assert live == want
+    assert any(edge > at for (vid, at), edge in want.items() if at > 1_100 * US)
+    assert {(vid, at): m.idle_from(vid, at) for vid, at in want} == want
+
+
+def test_transmissions_walks_back_to_since():
+    """`since` at a start shared with a zero-length frame, past the last start, and 0."""
+    k = Kernel()
+    m = Medium(k, _cfg())
+    for vid in range(5):
+        m.register(vid, Position(10.0 * vid, 0.0))
+    ann = FrameKind.CONTROL_ANNOUNCE
+    plan = [(0, 5, ann, 100), (1, 5, FrameKind.DATA, 10), (2, 10, ann, 0),
+            (3, 10, ann, 100), (4, 10, FrameKind.DATA, 10), (1, 20, ann, 100)]
+    for sender, at, kind, size in plan:
+        k.run_until(at * US)
+        m.broadcast(sender, Frame(kind, sender, size, 0))
+    k.run_until(MS)
+    log = m.log
+    assert log[2].start == log[2].end == 10 * US
+    assert m.transmissions(ann, 10 * US) == [log[2], log[3], log[5]]
+    assert m.transmissions(FrameKind.DATA, 10 * US) == [log[4]]
+    assert m.transmissions(ann, 10 * US + 1) == [log[5]]
+    assert m.transmissions(ann, 20 * US + 1) == []
+    assert m.transmissions(FrameKind.DATA, 20 * US + 1) == []
+    assert m.transmissions(ann, 0) == [log[0], log[2], log[3], log[5]]
+    assert m.transmissions(FrameKind.DATA, 0) == [log[1], log[4]]
+
+
+def test_idle_from_at_a_past_time_passes_over_later_frames():
+    """A read after the run at a past `at` equals the read taken then, with later frames logged."""
+    k = Kernel()
+    m = Medium(k, _cfg())
+    m.register(0, Position(0.0, 0.0))
+    m.register(1, Position(30.0, 0.0))
+    m.register(2, Position(90.0, 0.0))
+    prop = m.cfg.prop_delay(30.0)
+    first = m.broadcast(0, _data(0))
+    reads = [prop + 3_999, prop + 4_000, 500 * US, first.end + prop - 1,
+             first.end + prop, 2 * MS, 5 * MS + 100 * US]
+    live = {}
+    for at in reads:
+        k.at(at, 1, EventKind.TIMER, lambda _: live.update({k.now: m.idle_from(1, k.now)}))
+    for sender, at in [(2, 3 * MS), (0, 5 * MS), (2, 5 * MS + 50 * US), (1, 8 * MS)]:
+        k.at(at, sender, EventKind.TIMER, lambda _, sender=sender: m.broadcast(sender, _data(sender)))
+    k.run_until(20 * MS)
+
+    assert len(m.log) == 5 and m.log[-1].start == 8 * MS
+    assert live[prop + 3_999] == prop + 3_999
+    assert live[prop + 4_000] == live[500 * US] == first.end + prop
+    assert live[first.end + prop] == first.end + prop
+    assert live[2 * MS] == 2 * MS
+    assert live[5 * MS + 100 * US] == max(m.log[2].end + prop, m.log[3].end + m.cfg.prop_delay(60.0))
+    assert {at: m.idle_from(1, at) for at in reads} == live
+    assert live == {at: _brute_idle_from(m, 1, at) for at in reads}

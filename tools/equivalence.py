@@ -1,7 +1,7 @@
 """Equivalence sweep: random scenarios run on two source trees, every output compared.
 
     python tools/equivalence.py --base <src dir> --head <src dir> \\
-        --mode tsnctl|baseline --configs N --seed S
+        --mode tsnctl|baseline --configs N --seed S [--expect-diff]
 
 Each `<src dir>` holds a `platoonsim` package (a checkout's `src/`). The
 script draws N scenario configs from `--seed` over the ranges of the sweeps
@@ -19,9 +19,16 @@ receivers and hit masks, the collision counts, every controller's
 `deferrals`, `frames_submitted` and `frames_transmitted`. It also runs
 `oracle_check_run` on both sides, which must find nothing.
 
-It prints a JSON summary on stdout. The exit status is 0 when every run
-matches and both oracles are clean; otherwise it is 1, and stderr names the
-first config and field that differ.
+It prints a JSON summary on stdout: how many configs differ, the first
+field that differs, and the transmission and collided totals of each side
+with the mean change in collided share (head minus base, over the configs
+where both sides sent a frame). The exit status is 0 when every run matches
+and both oracles are clean; otherwise it is 1, and stderr names the first
+config and field that differ.
+
+`--expect-diff` is for a change that alters output on purpose: the summary
+then says what moved, and the exit status is 0 unless an oracle finds a
+fault or a side errors (its process fails or a run raises).
 """
 
 from __future__ import annotations
@@ -111,6 +118,7 @@ def digest(config: dict, scratch: Path) -> dict:
     fields = {
         "log_sha256": hashlib.sha256(log.read_bytes()).hexdigest(),
         "transmissions": len(txs),
+        "collided": sum(tx.collided for tx in txs),
         "masks": _sha(f"{tx.receivers} {tx.hit}" for tx in txs),
         "collision_stats": repr(collect_stats(run)),
         "oracle": oracle_check_run(run),
@@ -154,8 +162,25 @@ def first_difference(base: dict, head: dict) -> str | None:
     return None
 
 
-def sweep(base_src: Path, head_src: Path, mode: str, count: int, seed: int) -> tuple[dict, str | None]:
-    """Run both sides; return the summary and the line naming the first fault."""
+def collided_share_change(base: list[dict], head: list[dict]) -> float | None:
+    """Mean of head's minus base's collided share per config; None if no config counts.
+
+    A config counts when both sides ran it and sent at least one frame.
+    """
+    changes = [h["collided"] / h["transmissions"] - b["collided"] / b["transmissions"]
+               for b, h in zip(base, head)
+               if b.get("transmissions") and h.get("transmissions")]
+    return round(sum(changes) / len(changes), 6) if changes else None
+
+
+def sweep(base_src: Path, head_src: Path, mode: str, count: int, seed: int,
+          expect_diff: bool = False) -> tuple[dict, str | None]:
+    """Run both sides; return the summary and the line naming the first fault.
+
+    Without `expect_diff` a fault is a difference, an oracle fault or a side
+    whose process fails; with it, an oracle fault, a side whose process fails
+    or a run that raises.
+    """
     configs = draw_configs(mode, count, seed)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -176,7 +201,7 @@ def sweep(base_src: Path, head_src: Path, mode: str, count: int, seed: int) -> t
                           (tmp / f"{side}.jsonl").read_text(encoding="utf-8").splitlines()]
                    for side in procs}
 
-    differences, oracle_faults, first = 0, {"base": 0, "head": 0}, None
+    differences, oracle_faults, first, first_fault = 0, {"base": 0, "head": 0}, None, None
     for k, (b, h) in enumerate(zip(results["base"], results["head"])):
         faulty = [side for side, fields in (("base", b), ("head", h)) if fields.get("oracle")]
         for side in faulty:
@@ -185,6 +210,8 @@ def sweep(base_src: Path, head_src: Path, mode: str, count: int, seed: int) -> t
         differences += field is not None
         if first is None and (field is not None or faulty):
             first = (k, field or "oracle")
+        if first_fault is None and (faulty or "error" in b or "error" in h):
+            first_fault = (k, "oracle" if faulty else "error")
     summary = {
         "mode": mode,
         "configs": count,
@@ -196,13 +223,17 @@ def sweep(base_src: Path, head_src: Path, mode: str, count: int, seed: int) -> t
         "errors": {side: sum("error" in r for r in results[side]) for side in results},
         "transmissions": {side: sum(r.get("transmissions", 0) for r in results[side])
                           for side in results},
+        "collided": {side: sum(r.get("collided", 0) for r in results[side])
+                     for side in results},
+        "collided_share_change": collided_share_change(results["base"], results["head"]),
+        "expect_diff": expect_diff,
         "seconds": seconds,
         "first_difference": None if first is None else {
             "config": first[0], "field": first[1], "scenario": configs[first[0]]},
     }
-    fault = None
-    if first is not None:
-        k, field = first
+    fault, at = None, first_fault if expect_diff else first
+    if at is not None:
+        k, field = at
         fault = (f"config {k} (run seed {configs[k]['seed']}) first fault at {field!r}: "
                  f"base {results['base'][k].get(field)!r}, head {results['head'][k].get(field)!r}")
     return summary, fault
@@ -220,11 +251,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--mode", required=True, choices=MODES)
     parser.add_argument("--configs", type=int, default=100, help="configs to draw")
     parser.add_argument("--seed", type=int, default=1, help="seed of the config draw")
+    parser.add_argument("--expect-diff", action="store_true",
+                        help="report what changed; fail only on an oracle fault or an error")
     args = parser.parse_args(argv)
     for src in (args.base, args.head):
         if not (src / "platoonsim" / "__init__.py").is_file():
             parser.error(f"{src} holds no platoonsim package")
-    summary, fault = sweep(args.base, args.head, args.mode, args.configs, args.seed)
+    summary, fault = sweep(args.base, args.head, args.mode, args.configs, args.seed,
+                           args.expect_diff)
     print(json.dumps(summary, indent=1))
     if fault is not None:
         print(fault, file=sys.stderr)
