@@ -49,7 +49,6 @@ def test_expect_diff_reports_what_moved_and_exits_0(tmp_path, capsys):
                              "--configs", "2", "--seed", "1", "--expect-diff"])
     summary = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert summary["expect_diff"] is True
     assert summary["differences"] == 2
     assert summary["oracle_faults"] == {"base": 0, "head": 0}
     assert summary["errors"] == {"base": 0, "head": 0}

@@ -226,7 +226,6 @@ def sweep(base_src: Path, head_src: Path, mode: str, count: int, seed: int,
         "collided": {side: sum(r.get("collided", 0) for r in results[side])
                      for side in results},
         "collided_share_change": collided_share_change(results["base"], results["head"]),
-        "expect_diff": expect_diff,
         "seconds": seconds,
         "first_difference": None if first is None else {
             "config": first[0], "field": first[1], "scenario": configs[first[0]]},
