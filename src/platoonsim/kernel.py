@@ -152,14 +152,6 @@ class Pcg64:
         x, r = (s >> 64) ^ (s & _M64), s >> 122
         return (x >> r | x << (64 - r)) & _M64
 
-    def _next32(self) -> int:
-        if (v := self._spare) is not None:
-            self._spare = None
-            return v
-        v = self.next64()
-        self._spare = v >> 32
-        return v & _M32
-
     def integers(self, low: int, high: int, endpoint: bool = False) -> int:
         span = high - low - (not endpoint)
         if not 0 <= span <= _M64:
@@ -168,22 +160,22 @@ class Pcg64:
             return low
         excl = span + 1
         if span <= _M32:
-            # the first draw is `_next32` inlined: a backoff draw on the CSMA
-            # path then makes no call, as the rejection loop seldom runs
-            if (v := self._spare) is not None:
-                self._spare = None
-            else:
-                s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
-                x, r = (s >> 64) ^ (s & _M64), s >> 122
-                v = (x >> r | x << (64 - r)) & _M64
-                self._spare = v >> 32
-                v &= _M32
-            m = v * excl
-            if m & _M32 < excl:
-                threshold = (1 << 32) % excl
-                while m & _M32 < threshold:
-                    m = self._next32() * excl
-            return low + (m >> 32)
+            # the 32-bit draw is written out here, PCG step and spare half
+            # included, so a backoff draw on the CSMA path makes no call
+            while True:
+                if (v := self._spare) is not None:
+                    self._spare = None
+                else:
+                    s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+                    x, r = (s >> 64) ^ (s & _M64), s >> 122
+                    v = (x >> r | x << (64 - r)) & _M64
+                    self._spare = v >> 32
+                    v &= _M32
+                m = v * excl
+                # numpy's threshold, 2**32 % excl, is below excl: it is
+                # computed only for the rare leftover below excl
+                if m & _M32 >= excl or m & _M32 >= (1 << 32) % excl:
+                    return low + (m >> 32)
         m = self.next64() * excl
         if m & _M64 < excl:
             threshold = (1 << 64) % excl

@@ -182,13 +182,12 @@ class Medium:
         bit = 1 << len(self.positions)
         hears = {vid: 0}
         receivers = 0
-        # RadioConfig.prop_delay and Position.distance, with the config read once
-        x, y, range_m, speed = pos.x, pos.y, self.cfg.range_m, self.cfg.propagation_mps
-        hypot, ceil = math.hypot, math.ceil
+        cfg = self.cfg
+        range_m = cfg.range_m
         for other, other_pos in self.positions.items():
-            dist = hypot(x - other_pos.x, y - other_pos.y)
+            dist = pos.distance(other_pos)
             if dist <= range_m:
-                hears[other] = self._hears[other][vid] = ceil(dist * SEC / speed)
+                hears[other] = self._hears[other][vid] = cfg.prop_delay(dist)
                 receivers |= self._bit[other]
                 self._range[other] |= bit
                 self._receivers[other] |= bit

@@ -1,6 +1,7 @@
 """The equivalence sweep finds no difference between a tree and itself, and
 names the first field where a changed copy differs; with `--expect-diff` it
-reports what moved and fails only on an oracle fault or an error."""
+reports what moved and fails only on an oracle fault or an error that the
+sides do not share."""
 
 import importlib.util
 import json
@@ -71,3 +72,20 @@ def test_expect_diff_still_fails_on_an_oracle_fault(tmp_path, capsys):
     assert code == 1
     assert summary["oracle_faults"]["base"] == 0 < summary["oracle_faults"]["head"]
     assert "first fault at 'oracle'" in out.err
+
+
+def test_expect_diff_matches_an_error_both_sides_raise(tmp_path, capsys):
+    # every run raises, as for a config that neither tree accepts
+    both = _changed_copy(tmp_path, "scenario.py", "    cfg.validate()\n    kernel = Kernel(",
+                         "    raise ValueError('refused')\n    kernel = Kernel(")
+    code = equivalence.main(["--base", str(both), "--head", str(both), "--mode", "baseline",
+                             "--configs", "2", "--seed", "1", "--expect-diff"])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert summary["differences"] == 0
+    assert summary["errors"] == {"base": 2, "head": 2}
+    # an error that only one side raises is a fault
+    code = equivalence.main(["--base", str(SRC), "--head", str(both), "--mode", "baseline",
+                             "--configs", "2", "--seed", "1", "--expect-diff"])
+    assert code == 1
+    assert "first fault at 'error'" in capsys.readouterr().err

@@ -28,7 +28,10 @@ config and field that differ.
 
 `--expect-diff` is for a change that alters output on purpose: the summary
 then says what moved, and the exit status is 0 unless an oracle finds a
-fault or a side errors (its process fails or a run raises).
+fault or a side errors (its process fails, or a run raises where the other
+side's run does not raise the same error). A config that raises the same
+error on both sides is a match in both modes: it is outside what either
+tree accepts, not a fault of the change.
 """
 
 from __future__ import annotations
@@ -179,7 +182,7 @@ def sweep(base_src: Path, head_src: Path, mode: str, count: int, seed: int,
 
     Without `expect_diff` a fault is a difference, an oracle fault or a side
     whose process fails; with it, an oracle fault, a side whose process fails
-    or a run that raises.
+    or a run that raises where the other side does not raise the same error.
     """
     configs = draw_configs(mode, count, seed)
     with tempfile.TemporaryDirectory() as tmp:
@@ -210,7 +213,8 @@ def sweep(base_src: Path, head_src: Path, mode: str, count: int, seed: int,
         differences += field is not None
         if first is None and (field is not None or faulty):
             first = (k, field or "oracle")
-        if first_fault is None and (faulty or "error" in b or "error" in h):
+        raised = ("error" in b or "error" in h) and b.get("error") != h.get("error")
+        if first_fault is None and (faulty or raised):
             first_fault = (k, "oracle" if faulty else "error")
     summary = {
         "mode": mode,
