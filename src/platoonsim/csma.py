@@ -43,21 +43,20 @@ class CsmaConfig:
 class CsmaMac:
     """Per-vehicle FIFO with the baseline access procedure.
 
-    With a message source (`scenario.ItsService`), the MAC raises one event
-    per message at its due time and submits it there.
+    The MAC reads its messages from a source (`scenario.ItsService`): it
+    raises one event per message at its due time and queues it there.
 
     `queue` holds the frames not yet on air; its head is in the access
     procedure. A frame leaves it when it goes on air. The end of that
-    transmission is an event only if another frame is already queued, the
-    source's next message falls due by the end, or the MAC has no source
-    (its frames may come at any time); while that event is pending, a
-    submitted frame waits for it. `frames_transmitted` counts the frames whose
+    transmission is an event only if another frame is already queued or the
+    source's next message falls due by the end; while that event is pending,
+    a queued frame waits for it. `frames_transmitted` counts the frames whose
     transmission ended by the run end: at that event, or else at broadcast
     when the frame ends by the source's run end.
     """
 
     def __init__(self, vid: int, kernel: Kernel, medium: Medium,
-                 cfg: CsmaConfig, rng: Pcg64, *, source=None):
+                 cfg: CsmaConfig, rng: Pcg64, *, source):
         cfg.validate()
         self.vid = vid
         self.kernel = kernel
@@ -70,20 +69,17 @@ class CsmaMac:
         self.frames_transmitted = 0
         self.deferrals = 0
         self.source = source
-        if source is not None and source.next_due is not None:
+        if source.next_due is not None:
             kernel.at(source.next_due, vid, APP_TICK, self._on_message)
 
     def _on_message(self, _payload) -> None:
-        source = self.source
-        self.submit(source.take())
+        source, queue = self.source, self.queue
+        queue.append(source.take())
+        self.frames_submitted += 1
+        if len(queue) == 1 and not self._tx_done_pending:
+            self._sense()
         if source.next_due is not None:
             self.kernel.at(source.next_due, self.vid, APP_TICK, self._on_message)
-
-    def submit(self, frame: Frame) -> None:
-        self.queue.append(frame)
-        self.frames_submitted += 1
-        if len(self.queue) == 1 and not self._tx_done_pending:
-            self._sense()
 
     # Access procedure for the head-of-line frame. Each step that waits is a
     # kernel event so concurrent vehicles interleave through simulated time.
@@ -117,8 +113,7 @@ class CsmaMac:
     def _transmit(self) -> None:
         tx = self.medium.broadcast(self.vid, self.queue.popleft())
         source = self.source
-        if (self.queue or source is None
-                or source.next_due is not None and source.next_due <= tx.end):
+        if self.queue or source.next_due is not None and source.next_due <= tx.end:
             # armed at broadcast, so the end keeps its place among same-instant events
             self._tx_done_pending = True
             self.kernel.at(tx.end, self.vid, TIMER, self._on_tx_done)

@@ -131,7 +131,7 @@ def brute_force_flags(records: list[tuple[int, int, int]],
 def _sweep_masks(records: list[tuple[int, int, int]],
                  positions: dict[int, Position],
                  range_m: float,
-                 spawn: dict[int, int] | None = None) -> list[tuple[int, int]]:
+                 spawn: dict[int, int]) -> list[tuple[int, int]]:
     """(receivers, collided receivers) per record, as bitmasks over `positions` order.
 
     Same rule as brute_force_outcomes; records must satisfy start <= end.
@@ -144,7 +144,7 @@ def _sweep_masks(records: list[tuple[int, int, int]],
                 for a, pos_a in positions.items()}
     # spawned[k]: the first k vehicles to spawn; a receiver must have spawned
     # at or before the start of a transmission
-    arrival = {vid: -math.inf if spawn is None else spawn.get(vid, 0) for vid in positions}
+    arrival = {vid: spawn.get(vid, 0) for vid in positions}
     by_spawn = sorted(positions, key=arrival.__getitem__)
     spawn_times = [arrival[vid] for vid in by_spawn]
     spawned = [0]

@@ -48,7 +48,6 @@ holds a slot. The end of slot 1 reads its outcome from these two.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum, auto
@@ -361,7 +360,7 @@ class TsnCtl:
     the answer is the same.
     """
 
-    def __init__(self, vid: int, clock: WindowClock, rng: Pcg64, *, source=None):
+    def __init__(self, vid: int, clock: WindowClock, rng: Pcg64, *, source):
         self.vid = vid
         self.kernel = kernel = clock.kernel
         self.medium = clock.medium
@@ -372,9 +371,10 @@ class TsnCtl:
         self.state = FsmState(INIT, SLAVE)
         self.created_at = kernel.now            # announce timestamp, stable across retries
         self.queues = PriorityQueueSet()
-        # the application's message source (`scenario.ItsService`), read by `pull`
+        # the application's message source, a `scenario.ItsService` in a run,
+        # read by `pull`; no burst step acts after its run end
         self.source = source
-        self.run_end = source.end if source is not None else math.inf
+        self.run_end = source.end
         self.epoch = -1
         self.schedule: dict[int, int] | None = None   # a master's own schedule
         self.my_slot: int | None = None
@@ -398,7 +398,7 @@ class TsnCtl:
     def pull(self, now: int) -> None:
         """Queue the source's messages due by now: one generated at t is queued at t."""
         source = self.source
-        while source is not None and source.next_due is not None and source.next_due <= now:
+        while source.next_due is not None and source.next_due <= now:
             self.queues.push(source.take())
 
     # -- FSM ------------------------------------------------------------------
@@ -482,8 +482,6 @@ class TsnCtl:
     def _on_slot0_end(self, w: int, announces: list[Transmission]) -> None:
         """Elect, or admit as a platoon master; `announces` are in election order."""
         leads = self.state.status is IN_PLATOON and self.state.role is MASTER
-        if not (self._in_round or leads):
-            return
         heard = self.medium.clean_receptions(self.vid, announces)
         best = next(heard, None)
         if leads:

@@ -1,8 +1,15 @@
-"""Shared test helpers: scripted randomness, hand-assembled platoon scenarios and
-a reference election."""
+"""Shared test helpers: scripted randomness, a scripted message source,
+hand-assembled platoon scenarios and a reference election.
+
+Every MAC and controller reads its messages from a source, as in a run. A
+test that does not build a `scenario.ItsService` scripts the messages it
+needs, down to none, in a `ScriptedSource`."""
 
 from __future__ import annotations
 
+from collections import deque
+
+from platoonsim.frames import Frame
 from platoonsim.kernel import EventKind, Kernel, MS
 from platoonsim.radio import Medium, Position, RadioConfig
 from platoonsim.tsnctl import TsnCtl, WindowClock, WindowConfig, election_key
@@ -39,12 +46,42 @@ class ScriptedRng:
         return min(max(v, lo), top)
 
 
+class ScriptedSource:
+    """Stands in for a `scenario.ItsService`: it hands out scripted frames at scripted due times.
+
+    `script` lists (due time, frame) pairs in due order. `end` is the run end,
+    as an `ItsService` holds it: a MAC counts a frame transmitted at broadcast
+    only if it ends by then, and a controller takes no burst step after it.
+    """
+
+    def __init__(self, script=(), *, end: int):
+        self._script = deque(script)
+        dues = [due for due, _ in self._script]
+        if dues != sorted(dues):
+            raise ValueError("the script must be in due order")
+        self.end = end
+        self.seq = 0        # messages taken
+        # due time of the next message; None once all are taken
+        self.next_due: int | None = dues[0] if dues else None
+
+    def take(self) -> Frame:
+        """The next scripted frame; its due time has been reached."""
+        _, frame = self._script.popleft()
+        self.seq += 1
+        self.next_due = self._script[0][0] if self._script else None
+        return frame
+
+
 def assemble_platoon(spawn_times: dict[int, int], offsets: dict[int, int],
                      *, slot_ms: int = 2, window_ms: int = 100, run_ms: int = 600,
                      positions: dict[int, Position] | None = None,
                      radio: RadioConfig | None = None,
+                     sources: dict | None = None,
                      ) -> tuple[Kernel, Medium, dict[int, TsnCtl]]:
-    """Build controllers with fixed spawn times and constant announce offsets."""
+    """Build controllers with fixed spawn times and constant announce offsets.
+
+    Each reads its messages from `sources[vid]`, by default a source with no messages.
+    """
     kernel = Kernel()
     medium = Medium(kernel, radio or RadioConfig())
     clock = WindowClock(kernel, medium,
@@ -52,7 +89,8 @@ def assemble_platoon(spawn_times: dict[int, int], offsets: dict[int, int],
     ctls: dict[int, TsnCtl] = {}
 
     def spawn(vid: int) -> None:
-        ctl = TsnCtl(vid, clock, ConstRng(offsets[vid]))
+        source = (sources or {}).get(vid) or ScriptedSource(end=run_ms * MS)
+        ctl = TsnCtl(vid, clock, ConstRng(offsets[vid]), source=source)
         ctls[vid] = ctl
         pos = (positions or {}).get(vid, Position(float(vid), 0.0))
         medium.register(vid, pos, handler=ctl.on_frame_delivery)

@@ -8,7 +8,7 @@ seeded repetitions per scenario.
 import itertools
 
 import numpy as np
-from _util import assemble_platoon
+from _util import ScriptedSource, assemble_platoon
 
 from platoonsim.frames import Frame, FrameKind
 from platoonsim.kernel import MS, SEC, US
@@ -214,13 +214,11 @@ def test_criterion_7_priority_discipline():
                 violations += 1
 
     # directed end-to-end check: a mixed burst leaves the radio in priority order
-    kernel, medium, ctls = assemble_platoon({0: 0, 1: 1 * MS}, {0: 0, 1: 300 * US},
-                                            slot_ms=3, run_ms=250)
-    slave = ctls[1]
     low = Frame(FrameKind.DATA, 1, 800, 0, priority=1, seq=0)
     high = Frame(FrameKind.DATA, 1, 800, 0, priority=0, seq=1)
-    slave.queues.push(low)
-    slave.queues.push(high)
+    source = ScriptedSource([(250 * MS, low), (250 * MS, high)], end=450 * MS)
+    kernel, medium, ctls = assemble_platoon({0: 0, 1: 1 * MS}, {0: 0, 1: 300 * US},
+                                            slot_ms=3, run_ms=250, sources={1: source})
     kernel.run_until(450 * MS)
     order = [tx.frame.priority for tx in medium.log
              if tx.sender == 1 and tx.frame.kind is FrameKind.DATA]

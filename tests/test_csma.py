@@ -1,5 +1,5 @@
 import pytest
-from _util import ScriptedRng
+from _util import ScriptedRng, ScriptedSource
 
 from platoonsim.csma import CsmaConfig, CsmaMac
 from platoonsim.frames import Frame, FrameKind
@@ -14,31 +14,36 @@ def _data(sender, size=800, seq=0):
     return Frame(kind=FrameKind.DATA, sender=sender, size=size, generated_at=0, seq=seq)
 
 
-def _setup(n=2, cw=4, backoff_us=100, gap_m=30.0, trace=False):
+RADIO = RadioConfig(range_m=300.0)
+AIRTIME = tx_duration(800, RADIO)       # of `_data` frames
+
+
+def _setup(dues, n=2, cw=4, backoff_us=100, gap_m=30.0, trace=False):
+    """n vehicles on a line; vehicle v's MAC takes 800 B frames due at `dues[v]`.
+
+    The run ends at 200 ms, the longest any test here runs."""
     kernel = Kernel(trace=trace)
-    medium = Medium(kernel, RadioConfig(range_m=300.0))
+    medium = Medium(kernel, RADIO)
     cfg = CsmaConfig(cw_slots=cw, backoff_slot_ns=backoff_us * US)
     macs = {}
     for vid in range(n):
         medium.register(vid, Position(vid * gap_m, 0.0))
-        macs[vid] = CsmaMac(vid, kernel, medium, cfg, RngStreams(77).stream(vid))
+        script = [(at, _data(vid, seq=seq)) for seq, at in enumerate(dues.get(vid, ()))]
+        macs[vid] = CsmaMac(vid, kernel, medium, cfg, RngStreams(77).stream(vid),
+                            source=ScriptedSource(script, end=200 * MS))
     return kernel, medium, macs
 
 
-def test_idle_medium_transmits_at_submit_time():
-    kernel, medium, macs = _setup()
+def test_idle_medium_transmits_at_due_time():
+    kernel, medium, _ = _setup({0: [3 * MS]})
     kernel.run_until(3 * MS)
-    macs[0].submit(_data(0))
     assert medium.log[-1].start == 3 * MS
 
 
 def test_busy_medium_defers_to_idle_edge_plus_backoff():
-    kernel, medium, macs = _setup()
-    macs[0].submit(_data(0))                     # occupies [0, 1_066_667)
-    kernel.run_until(200 * US)
+    kernel, medium, macs = _setup({0: [0], 1: [200 * US]})  # 0 occupies [0, 1_066_667)
     k = 3
     macs[1].rng = ScriptedRng([k])
-    macs[1].submit(_data(1))
     kernel.run_until(20 * MS)
     tx = medium.log[1]
     # sensed idle edge is the frame end plus propagation to the listener
@@ -47,10 +52,7 @@ def test_busy_medium_defers_to_idle_edge_plus_backoff():
 
 
 def test_backoff_draw_stays_inside_contention_window():
-    kernel, medium, macs = _setup(cw=4, backoff_us=100)
-    macs[0].submit(_data(0))
-    kernel.run_until(200 * US)
-    macs[1].submit(_data(1))
+    kernel, medium, _ = _setup({0: [0], 1: [200 * US]}, cw=4, backoff_us=100)
     kernel.run_until(20 * MS)
     t1 = medium.log[0].end + medium.cfg.prop_delay(30.0)
     offset = medium.log[1].start - t1
@@ -59,16 +61,14 @@ def test_backoff_draw_stays_inside_contention_window():
 
 
 def test_busy_again_at_expiry_draws_fresh_backoff_without_doubling():
-    kernel, medium, macs = _setup(n=3, cw=4, backoff_us=100)
-    macs[0].submit(_data(0))                       # busy until ~1.07 ms
-    kernel.run_until(200 * US)
+    # vehicle 0 is busy until ~1.07 ms; vehicle 2 grabs the channel inside
+    # vehicle 1's backoff gap
+    first_end = AIRTIME + RADIO.prop_delay(60.0)
+    kernel, medium, macs = _setup({0: [0], 1: [200 * US], 2: [first_end + 50 * US]},
+                                  n=3, cw=4, backoff_us=100)
     macs[1].rng = ScriptedRng([3, 1])              # first draw 3, fresh draw 1
-    macs[1].submit(_data(1))
-    # vehicle 2 grabs the channel inside vehicle 1's backoff gap
-    first_end = medium.log[0].end + medium.cfg.prop_delay(60.0)
-    kernel.run_until(first_end + 50 * US)
-    macs[2].submit(_data(2))
     kernel.run_until(30 * MS)
+    assert medium.log[0].end + medium.cfg.prop_delay(60.0) == first_end
     tx1 = next(tx for tx in medium.log if tx.sender == 1)
     tx2 = next(tx for tx in medium.log if tx.sender == 2)
     # fresh draw of 1 slot from vehicle 2's sensed idle edge, not 2*cw anything
@@ -77,19 +77,14 @@ def test_busy_again_at_expiry_draws_fresh_backoff_without_doubling():
 
 
 def test_fifo_order_preserved():
-    kernel, medium, macs = _setup()
-    for seq in range(3):
-        macs[0].submit(_data(0, seq=seq))
+    kernel, medium, _ = _setup({0: [0] * 3})
     kernel.run_until(50 * MS)
     sent = [tx.frame.seq for tx in medium.log if tx.sender == 0]
     assert sent == [0, 1, 2]
 
 
-def test_every_submitted_frame_transmitted_exactly_once():
-    kernel, medium, macs = _setup(n=4)
-    for vid, mac in macs.items():
-        for seq in range(5):
-            mac.submit(_data(vid, seq=seq))
+def test_every_message_transmitted_exactly_once():
+    kernel, medium, macs = _setup({vid: [0] * 5 for vid in range(4)}, n=4)
     kernel.run_until(200 * MS)
     for vid, mac in macs.items():
         assert mac.frames_submitted == mac.frames_transmitted == 5
@@ -98,10 +93,7 @@ def test_every_submitted_frame_transmitted_exactly_once():
 
 
 def test_own_transmissions_never_overlap():
-    kernel, medium, macs = _setup(n=3)
-    for vid, mac in macs.items():
-        for seq in range(6):
-            mac.submit(_data(vid, seq=seq))
+    kernel, medium, macs = _setup({vid: [0] * 6 for vid in range(3)}, n=3)
     kernel.run_until(200 * MS)
     for vid in macs:
         own = sorted((tx.start, tx.end) for tx in medium.log if tx.sender == vid)
@@ -109,10 +101,8 @@ def test_own_transmissions_never_overlap():
             assert e1 <= s2
 
 
-def test_simultaneous_submits_both_transmit_and_collide():
-    kernel, medium, macs = _setup(n=3)
-    macs[0].submit(_data(0))
-    macs[1].submit(_data(1))       # same instant, idle medium
+def test_simultaneous_messages_both_transmit_and_collide():
+    kernel, medium, _ = _setup({0: [0], 1: [0]}, n=3)     # same instant, idle medium
     kernel.run_until(20 * MS)
     assert len(medium.log) == 2
     assert medium.log[0].start == medium.log[1].start == 0
@@ -155,11 +145,8 @@ def test_message_due_while_on_air_goes_out_once_at_the_end(early_ns):
 
 
 def test_zero_backoff_on_a_quiet_instant_transmits_at_the_idle_edge():
-    kernel, medium, macs = _setup(trace=True)
-    macs[0].submit(_data(0))
-    kernel.run_until(200 * US)
+    kernel, medium, macs = _setup({0: [0], 1: [200 * US]}, trace=True)
     macs[1].rng = ScriptedRng([0])
-    macs[1].submit(_data(1))
     kernel.run_until(20 * MS)
     t1 = medium.log[0].end + medium.cfg.prop_delay(30.0)
     assert medium.log[1].start == t1
@@ -169,13 +156,14 @@ def test_zero_backoff_on_a_quiet_instant_transmits_at_the_idle_edge():
 
 
 def test_zero_backoff_lets_a_same_instant_event_act_first():
-    kernel, medium, macs = _setup()
-    macs[0].submit(_data(0))
-    kernel.run_until(200 * US)
+    kernel, medium, macs = _setup({0: [0], 1: [200 * US]})
     macs[1].rng = ScriptedRng([0])
-    macs[1].submit(_data(1))                     # its idle edge is armed first
+    kernel.run_until(200 * US)                   # 1's idle edge is armed
     t1 = medium.log[0].end + medium.cfg.prop_delay(30.0)
-    kernel.at(t1, 0, EventKind.APP_TICK, lambda _: macs[0].submit(_data(0, seq=1)))
+    # a MAC arms a message event when it takes the one before, which would put
+    # 0's at t1 ahead of 1's idle edge; so 0's second frame goes on air from an
+    # event armed after it
+    kernel.at(t1, 0, EventKind.APP_TICK, lambda _: medium.broadcast(0, _data(0, seq=1)))
     kernel.run_until(20 * MS)
     assert [(tx.sender, tx.start) for tx in medium.log] == [(0, 0), (0, t1), (1, t1)]
 

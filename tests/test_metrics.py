@@ -166,8 +166,11 @@ def _overlap_logs(draw):
 def test_sweep_oracle_matches_brute_force(log):
     records, positions, range_m, spawn = log
     vids = list(positions)
+    # the sweep takes a spawn map; an empty one has every vehicle present from
+    # 0, before every start, as the reference has without one
+    masks = _sweep_masks(records, positions, range_m, {} if spawn is None else spawn)
     outcomes = [{vid: bool(collided >> k & 1) for k, vid in enumerate(vids) if receivers >> k & 1}
-                for receivers, collided in _sweep_masks(records, positions, range_m, spawn)]
+                for receivers, collided in masks]
     assert outcomes == brute_force_outcomes(records, positions, range_m, spawn)
 
 

@@ -650,7 +650,7 @@ def test_tail_scan_sees_a_long_frame_logged_before_short_ones():
     assert not m.log[8].hit & m._bit[2]     # starts after the long frame ended
     records = [(tx.sender, tx.start, tx.end) for tx in m.log]
     assert [(tx.receivers, tx.receivers & tx.hit) for tx in m.log] == \
-        _sweep_masks(records, positions, m.cfg.range_m)
+        _sweep_masks(records, positions, m.cfg.range_m, {})      # all present from 0
     want = {(vid, at): _brute_idle_from(m, vid, at) for vid in positions for at in reads}
     assert live == want
     assert any(edge > at for (vid, at), edge in want.items() if at > 1_100 * US)

@@ -1,11 +1,13 @@
 import gc
 
 import pytest
+from _util import ScriptedSource, assemble_platoon
 
 from platoonsim.config import ConfigError
+from platoonsim.csma import CsmaConfig, CsmaMac
 from platoonsim.frames import PRIO_SAFETY, Frame, FrameKind
 from platoonsim.kernel import MS, SEC, US, Kernel, RngStreams
-from platoonsim.radio import Position, RadioConfig
+from platoonsim.radio import Medium, Position, RadioConfig
 from platoonsim.scenario import (
     MODE_BASELINE,
     MODE_TSNCTL,
@@ -130,6 +132,60 @@ def test_service_hands_out_safety_data_frames_in_sequence():
                               generated_at=spawn_at + k * cfg.message_interval_ns,
                               priority=PRIO_SAFETY, seq=k)
     assert service.next_due is None
+
+
+def _scripted_copy(spec, cfg):
+    """A scripted source holding exactly the due times and frames of `ItsService(spec, cfg)`."""
+    service = ItsService(spec, cfg)
+    script = []
+    while service.next_due is not None:
+        script.append((service.next_due, service.take()))
+    return ScriptedSource(script, end=service.end)
+
+
+def test_scripted_source_drives_csma_as_the_service_does():
+    # a message falls due about every two airtimes: some go out at their due
+    # time, some defer to the other vehicle, some queue behind their own
+    # frame; the run ends while a frame that is counted at broadcast is on air
+    cfg = ScenarioConfig(message_interval_ns=2 * MS, sim_duration_ns=30_500 * US)
+    specs = [VehicleSpec(0, Position(0.0, 0.0), 0), VehicleSpec(1, Position(30.0, 0.0), 300 * US)]
+
+    def run(make_source):
+        kernel = Kernel()
+        medium = Medium(kernel, cfg.radio)
+        macs = []
+        for spec in specs:
+            medium.register(spec.vid, spec.position)
+            macs.append(CsmaMac(spec.vid, kernel, medium, CsmaConfig(),
+                                RngStreams(3).stream(spec.vid), source=make_source(spec)))
+        kernel.run_until(cfg.sim_duration_ns)
+        return ([(tx.start, tx.end, tx.sender, tx.frame) for tx in medium.log],
+                [(m.frames_submitted, m.frames_transmitted, m.deferrals, m.source.seq)
+                 for m in macs])
+
+    log, counters = run(lambda spec: ItsService(spec, cfg))
+    assert run(lambda spec: _scripted_copy(spec, cfg)) == (log, counters)
+    assert all(deferrals for _, _, deferrals, _ in counters)
+    assert any(taken > ended for taken, ended, _, _ in counters)     # cut by the run end
+
+
+def test_scripted_source_drives_a_platoon_as_the_service_does():
+    # the platoon forms in the window at 100 ms; vehicle 1 spawns at 6 ms, so
+    # its messages fall due at the origin of its slot 3
+    cfg = ScenarioConfig(payload_size_b=200, sim_duration_ns=600 * MS)
+    spawns = {0: 0, 1: 6 * MS}
+
+    def run(make_source):
+        sources = {vid: make_source(VehicleSpec(vid, Position(float(vid), 0.0), at))
+                   for vid, at in spawns.items()}
+        _, medium, ctls = assemble_platoon(spawns, {0: 0, 1: 300 * US}, run_ms=600,
+                                           sources=sources)
+        return ([(tx.start, tx.end, tx.sender, tx.frame) for tx in medium.log],
+                [(c.transitions, c.deferred, c.source.seq, len(c.queues)) for c in ctls.values()])
+
+    log, counters = run(lambda spec: ItsService(spec, cfg))
+    assert run(lambda spec: _scripted_copy(spec, cfg)) == (log, counters)
+    assert sum(tx[3].kind is FrameKind.DATA for tx in log) > 10
 
 
 def test_invalid_mode_is_a_config_error():

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from _util import ConstRng, ScriptedRng, assemble_platoon, elect_master
+from _util import ConstRng, ScriptedRng, ScriptedSource, assemble_platoon, elect_master
 
 from platoonsim.frames import (
     ANNOUNCE_SIZE,
@@ -139,7 +139,7 @@ def test_round_winner_is_elect_master_over_all_clean_announces_and_a_live_master
     rounds = []
 
     def spawn(vid):
-        ctl = TsnCtl(vid, clock, streams.stream(vid))
+        ctl = TsnCtl(vid, clock, streams.stream(vid), source=ScriptedSource(end=300 * MS))
         medium.register(vid, Position(float(xs[vid]), 0.0), handler=ctl.on_frame_delivery)
         elect = ctl._on_slot0_end
 
@@ -204,7 +204,8 @@ def _follower_of_an_unheard_master():
     ctls = {}
 
     def spawn(vid):
-        ctls[vid] = TsnCtl(vid, clock, ConstRng((vid - 5) * 300 * US))
+        ctls[vid] = TsnCtl(vid, clock, ConstRng((vid - 5) * 300 * US),
+                           source=ScriptedSource(end=SEC))
         medium.register(vid, Position(10.0 * (vid - 5), 0.0), handler=ctls[vid].on_frame_delivery)
 
     kernel.at(10 * MS, 5, EventKind.SPAWN, spawn, 5)
@@ -391,7 +392,7 @@ def test_slot_trigger_reaching_a_controller_in_init_is_a_hard_fault():
     # FSM table, not the controller, rejects one that does not
     kernel = Kernel()
     medium = Medium(kernel, RadioConfig())
-    ctl = TsnCtl(0, WindowClock(kernel, medium, W2), ConstRng(0))
+    ctl = TsnCtl(0, WindowClock(kernel, medium, W2), ConstRng(0), source=ScriptedSource(end=0))
     assert ctl.state == FsmState(Status.INIT, Role.SLAVE)
     ctl._on_slot_open(ctl._slot_gen - 1)         # a stale trigger does nothing
     assert ctl.transitions == []
@@ -443,6 +444,11 @@ def _data(sender, size=800, priority=0, seq=0):
                  priority=priority, seq=seq)
 
 
+def _due_at(at, frames, end):
+    """A source whose frames all fall due at `at`."""
+    return ScriptedSource([(at, frame) for frame in frames], end=end)
+
+
 def test_two_vehicles_form_a_platoon():
     _, medium, ctls = assemble_platoon({0: 0, 1: 1 * MS},
                                        {0: 0, 1: 300 * US})
@@ -456,13 +462,11 @@ def test_two_vehicles_form_a_platoon():
 def test_data_frames_start_at_their_slot_origin():
     # slots 2, 3 and 4 of the window at 300 ms open at 304, 306 and 308 ms; the
     # master's first frame goes out in slot 1, after the evaluation guard
-    kernel, medium, ctls = assemble_platoon({0: 0, 1: 1 * MS, 2: 2 * MS},
-                                            {0: 0, 1: 300 * US, 2: 600 * US},
-                                            run_ms=250)
+    frames = {0: [_data(0, seq=0), _data(0, seq=1)], 1: [_data(1)], 2: [_data(2)]}
+    kernel, medium, ctls = assemble_platoon(
+        {0: 0, 1: 1 * MS, 2: 2 * MS}, {0: 0, 1: 300 * US, 2: 600 * US}, run_ms=250,
+        sources={vid: _due_at(250 * MS, frames[vid], 400 * MS) for vid in frames})
     assert [ctls[v].my_slot for v in ctls] == [2, 3, 4]
-    for vid in ctls:
-        ctls[vid].queues.push(_data(vid, seq=0))
-    ctls[0].queues.push(_data(0, seq=1))
     kernel.run_until(400 * MS)
     starts = [(tx.sender, tx.frame.seq, tx.start) for tx in medium.log
               if tx.frame.kind is FrameKind.DATA]
@@ -500,11 +504,11 @@ def test_lone_vehicle_keeps_restarting():
 
 
 def test_burst_sends_one_800B_frame_in_2ms_slot_and_defers_second():
+    frames = [_data(1, seq=0), _data(1, seq=1)]
     kernel, medium, ctls = assemble_platoon({0: 0, 1: 1 * MS}, {0: 0, 1: 300 * US},
-                                            run_ms=250)
+                                            run_ms=250,
+                                            sources={1: _due_at(250 * MS, frames, 510 * MS)})
     slave = ctls[1]
-    slave.queues.push(_data(1, seq=0))
-    slave.queues.push(_data(1, seq=1))
     kernel.run_until(510 * MS)
     sent = [tx for tx in medium.log if tx.sender == 1
             and tx.frame.kind is FrameKind.DATA]
@@ -519,10 +523,10 @@ def test_burst_sends_one_800B_frame_in_2ms_slot_and_defers_second():
 
 
 def test_oversized_frame_overruns_from_slot_origin():
-    kernel, medium, ctls = assemble_platoon({0: 0, 1: 1 * MS}, {0: 0, 1: 300 * US},
-                                            slot_ms=1, run_ms=250)
+    kernel, medium, ctls = assemble_platoon(
+        {0: 0, 1: 1 * MS}, {0: 0, 1: 300 * US}, slot_ms=1, run_ms=250,
+        sources={1: _due_at(250 * MS, [_data(1)], 400 * MS)})   # 1.067 ms > 1 ms slot
     slave = ctls[1]
-    slave.queues.push(_data(1))          # 1.067 ms > 1 ms slot
     kernel.run_until(400 * MS)
     tx = next(tx for tx in medium.log if tx.sender == 1
               and tx.frame.kind is FrameKind.DATA)
@@ -535,14 +539,14 @@ def test_oversized_frame_overruns_from_slot_origin():
 def test_burst_ending_at_or_after_the_next_window_start_counts_no_deferral(size):
     # a 4 ms window of 1 ms slots: the master owns slot 2, the slave slot 3,
     # the last; a 750 B frame is on air for exactly 1 ms
-    kernel, medium, ctls = assemble_platoon({0: 0, 1: 1 * MS}, {0: 0, 1: 300 * US},
-                                            slot_ms=1, window_ms=4, run_ms=8)
+    # the slave hears its master's frames clean: they end as its own start
+    frames = {0: [_data(0, size=750, seq=seq) for seq in range(6)],
+              1: [_data(1, size=size, seq=seq) for seq in range(6)]}
+    kernel, medium, ctls = assemble_platoon(
+        {0: 0, 1: 1 * MS}, {0: 0, 1: 300 * US}, slot_ms=1, window_ms=4, run_ms=8,
+        sources={vid: _due_at(8 * MS, frames[vid], 30 * MS) for vid in frames})
     master, slave = ctls[0], ctls[1]
     assert (master.my_slot, slave.my_slot) == (2, 3)
-    # the slave hears its master's frames clean: they end as its own start
-    for seq in range(6):
-        master.queues.push(_data(0, size=750, seq=seq))
-        slave.queues.push(_data(1, size=size, seq=seq))
     kernel.run_until(30 * MS)
     sent = [tx for tx in medium.log if tx.sender == 1 and tx.frame.kind is FrameKind.DATA]
     assert [tx.start for tx in sent] == [w + 3 * MS for w in range(8 * MS, 28 * MS, 4 * MS)]
@@ -606,11 +610,11 @@ def test_full_schedule_rejects_newcomer_and_counts_it():
     medium = Medium(kernel, RadioConfig())
     clock = WindowClock(kernel, medium,
                         WindowConfig(window_ns=8 * MS, slot_len_ns=2 * MS))   # one data slot pair
-    ctl = TsnCtl(0, clock, ConstRng(0))
+    ctl = TsnCtl(0, clock, ConstRng(0), source=ScriptedSource(end=200 * MS))
     medium.register(0, Position(0.0, 0.0), handler=ctl.on_frame_delivery)
-    other = TsnCtl(1, clock, ConstRng(300_000))
+    other = TsnCtl(1, clock, ConstRng(300_000), source=ScriptedSource(end=200 * MS))
     medium.register(1, Position(10.0, 0.0), handler=other.on_frame_delivery)
-    late = TsnCtl(2, clock, ConstRng(600_000))
+    late = TsnCtl(2, clock, ConstRng(600_000), source=ScriptedSource(end=200 * MS))
     medium.register(2, Position(20.0, 0.0), handler=late.on_frame_delivery)
     kernel.run_until(200 * MS)
     # 4 slots: 2 control + 2 data, so the third vehicle can never fit
@@ -627,7 +631,7 @@ def test_master_loss_reverts_slave_to_init_and_rejoin():
     ctls = {}
 
     def spawn(_):
-        ctl = TsnCtl(5, clock, ConstRng(0))
+        ctl = TsnCtl(5, clock, ConstRng(0), source=ScriptedSource(end=500 * MS))
         medium.register(5, Position(0.0, 0.0), handler=ctl.on_frame_delivery)
         ctls[5] = ctl
 
@@ -658,7 +662,8 @@ def test_master_loss_reverts_slave_to_init_and_rejoin():
 def test_collided_control_frames_are_ignored():
     kernel = Kernel()
     medium = Medium(kernel, RadioConfig())
-    ctl = TsnCtl(5, WindowClock(kernel, medium, W2), ConstRng(0))
+    ctl = TsnCtl(5, WindowClock(kernel, medium, W2), ConstRng(0),
+                 source=ScriptedSource(end=101 * MS))
     medium.register(5, Position(0.0, 0.0), handler=ctl.on_frame_delivery)
     kernel.run_until(100 * MS + 1 * MS)
     alloc = make_allocation(sender=99, generated_at=0, allocations={5: 2})
@@ -695,7 +700,8 @@ def test_forming_master_superseded_in_slot_one_drops_its_schedule():
     draws = {0: [0, 102_900 * US], 1: [300 * US, 102_100 * US], 2: [0], 3: [600 * US]}
     ctls = {}
     for vid in x:
-        ctls[vid] = TsnCtl(vid, clock, ScriptedRng(draws[vid]))
+        ctls[vid] = TsnCtl(vid, clock, ScriptedRng(draws[vid]),
+                           source=ScriptedSource(end=110 * MS))
         medium.register(vid, Position(x[vid], 0.0), handler=ctls[vid].on_frame_delivery)
     kernel.run_until(100 * MS + 2 * W2.slot_len_ns - 1)   # just before slot 1 ends
     allocs = [(tx.sender, tx.start, tx.frame.allocations) for tx in medium.log
@@ -745,7 +751,8 @@ def test_controller_created_on_a_boundary_first_acts_a_window_later(spawn_first)
     ctls = []
 
     def spawn(vid):
-        ctls.append(TsnCtl(vid, clock, ConstRng(vid * 300 * US)))
+        ctls.append(TsnCtl(vid, clock, ConstRng(vid * 300 * US),
+                           source=ScriptedSource(end=2 * window)))
         medium.register(vid, Position(float(vid), 0.0), handler=ctls[-1].on_frame_delivery)
 
     kernel.at(0, 0, EventKind.SPAWN, spawn, 0)
