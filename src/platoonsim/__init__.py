@@ -3,7 +3,7 @@
 from .csma import CsmaConfig, CsmaMac
 from .frames import Frame, FrameKind
 from .kernel import EventKind, Kernel, RngStreams, MS, SEC, US
-from .radio import Medium, Position, RadioConfig, Transmission, tx_duration
+from .radio import Medium, Position, RadioConfig, tx_duration
 from .scenario import (
     MODE_BASELINE,
     MODE_TSNCTL,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CsmaConfig", "CsmaMac", "Frame", "FrameKind",
     "EventKind", "Kernel", "RngStreams", "MS", "SEC", "US",
-    "Medium", "Position", "RadioConfig", "Transmission", "tx_duration",
+    "Medium", "Position", "RadioConfig", "tx_duration",
     "MODE_BASELINE", "MODE_TSNCTL", "ScenarioConfig", "VehicleSpec",
     "build_vehicles", "run_scenario",
     "FsmEvent", "FsmState", "Role", "Status", "TsnCtl", "WindowConfig",

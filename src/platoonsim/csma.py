@@ -6,15 +6,20 @@ on a busy medium the node waits for the sensed idle edge, defers a uniform
 number of backoff slots, re-senses, and transmits. The window never grows
 and every frame is transmitted exactly once.
 
-A MAC raises an event only where it has something to decide: at a message's
-due time, at a sensed idle edge, at the expiry of a non-zero backoff, and at
-the end of its own transmission only when a frame will wait behind it. A
-zero backoff drawn while no other event shares the instant transmits at
-once, since the re-sense would read the same log at the same instant.
+Each message arrives by its own event at its due time. The arrivals come
+from the run's `MessageClock`, which keeps them in one stream under the keys
+that scheduling them one by one would have given them, and puts only the
+earliest in the kernel's heap. Beyond that a MAC raises an event only where
+it has something to decide: at a sensed idle edge, at the expiry of a
+non-zero backoff, and at the end of its own transmission only when a frame
+will wait behind it. A zero backoff drawn while no other event shares the
+instant transmits at once, since the re-sense would read the same log at the
+same instant.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 
@@ -40,11 +45,57 @@ class CsmaConfig:
             raise ValueError("backoff_slot_ns must be > 0")
 
 
+class MessageClock:
+    """The run's stream of message arrivals, one `APP_TICK` event each.
+
+    A MAC arms its next message here (`arm`) where it would otherwise have
+    scheduled the event itself. The clock takes the kernel's next seq at that
+    moment and files the arrival in (due, seq) order, so each one fires with
+    the key the kernel would have given it: the dispatch order is the same.
+    Only the earliest arrivals are kernel events. The kernel holds at least
+    the earliest pending arrival and never one later than an arrival the
+    clock still holds, and when the last arrival it holds fires, the clock
+    hands it the next one before the MAC acts. A re-arm is due one message
+    interval on, which no pending arrival passes, so it lands at the tail;
+    a MAC's first arrival can land anywhere.
+    """
+
+    def __init__(self, kernel: Kernel, medium: Medium):
+        self.kernel = kernel
+        self.medium = medium
+        self._stream: deque[tuple[int, int, CsmaMac]] = deque()   # not yet kernel events
+        self._queued = 0            # arrivals that are kernel events
+        self._last_due = 0          # due time of the latest of them
+
+    def arm(self, mac: CsmaMac, due: int) -> None:
+        """File mac's next message arrival at due."""
+        seq = self.kernel.reserve()
+        if not self._queued or due < self._last_due:
+            # before the latest arrival in the kernel (its seq is the newest,
+            # so at an equal due it sorts after): a kernel event too
+            self.kernel.at_reserved(due, seq, mac.vid, APP_TICK, self._on_arrival, mac)
+            if not self._queued:
+                self._last_due = due
+            self._queued += 1
+        elif not self._stream or due >= self._stream[-1][0]:
+            self._stream.append((due, seq, mac))
+        else:
+            insort(self._stream, (due, seq, mac))
+
+    def _on_arrival(self, mac: CsmaMac) -> None:
+        self._queued -= 1
+        if not self._queued and self._stream:
+            due, seq, nxt = self._stream.popleft()
+            self.kernel.at_reserved(due, seq, nxt.vid, APP_TICK, self._on_arrival, nxt)
+            self._queued, self._last_due = 1, due
+        mac._on_message()
+
+
 class CsmaMac:
     """Per-vehicle FIFO with the baseline access procedure.
 
-    The MAC reads its messages from a source (`scenario.ItsService`): it
-    raises one event per message at its due time and queues it there.
+    The MAC reads its messages from a source (`scenario.ItsService`) and
+    queues each at its due time, when the run's `MessageClock` calls it.
 
     `queue` holds the frames not yet on air; its head is in the access
     procedure. A frame leaves it when it goes on air. The end of that
@@ -55,12 +106,12 @@ class CsmaMac:
     when the frame ends by the source's run end.
     """
 
-    def __init__(self, vid: int, kernel: Kernel, medium: Medium,
-                 cfg: CsmaConfig, rng: Pcg64, *, source):
+    def __init__(self, vid: int, clock: MessageClock, cfg: CsmaConfig, rng: Pcg64, *, source):
         cfg.validate()
         self.vid = vid
-        self.kernel = kernel
-        self.medium = medium
+        self.clock = clock
+        self.kernel = clock.kernel
+        self.medium = clock.medium
         self.rng = rng
         self._cw_max, self._slot_ns = cfg.cw_slots - 1, cfg.backoff_slot_ns  # backoff draw
         self.queue: deque[Frame] = deque()
@@ -70,16 +121,16 @@ class CsmaMac:
         self.deferrals = 0
         self.source = source
         if source.next_due is not None:
-            kernel.at(source.next_due, vid, APP_TICK, self._on_message)
+            clock.arm(self, source.next_due)
 
-    def _on_message(self, _payload) -> None:
+    def _on_message(self) -> None:
         source, queue = self.source, self.queue
         queue.append(source.take())
         self.frames_submitted += 1
         if len(queue) == 1 and not self._tx_done_pending:
             self._sense()
         if source.next_due is not None:
-            self.kernel.at(source.next_due, self.vid, APP_TICK, self._on_message)
+            self.clock.arm(self, source.next_due)
 
     # Access procedure for the head-of-line frame. Each step that waits is a
     # kernel event so concurrent vehicles interleave through simulated time.
@@ -111,13 +162,13 @@ class CsmaMac:
         self.kernel.at(now + backoff, self.vid, TIMER, self._sense)
 
     def _transmit(self) -> None:
-        tx = self.medium.broadcast(self.vid, self.queue.popleft())
+        end = self.medium.broadcast(self.queue.popleft()).end
         source = self.source
-        if self.queue or source.next_due is not None and source.next_due <= tx.end:
+        if self.queue or source.next_due is not None and source.next_due <= end:
             # armed at broadcast, so the end keeps its place among same-instant events
             self._tx_done_pending = True
-            self.kernel.at(tx.end, self.vid, TIMER, self._on_tx_done)
-        elif tx.end <= source.end:
+            self.kernel.at(end, self.vid, TIMER, self._on_tx_done)
+        elif end <= source.end:
             self.frames_transmitted += 1
 
     def _on_tx_done(self, _payload) -> None:

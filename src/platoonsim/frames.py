@@ -40,7 +40,11 @@ def allocation_size(member_count: int) -> int:
 
 @dataclass(slots=True)
 class Frame:
-    """One transmitted message; `size` drives on-air duration."""
+    """One message; `size` drives on-air duration.
+
+    `Medium.broadcast` fills the last four fields, once: a frame on air is
+    its own record in the medium's log.
+    """
 
     kind: FrameKind
     sender: int
@@ -50,6 +54,28 @@ class Frame:
     seq: int = 0
     # Allocation payload: vehicle id -> its data slot index.
     allocations: dict[int, int] | None = None
+    # on air over [start, end); None until broadcast
+    start: int | None = None
+    end: int | None = None
+    # bitmask of the vehicles in range of the sender at broadcast, the sender
+    # excluded: the receivers. A snapshot; later registrations do not join it.
+    receivers: int = 0
+    # bitmask of the vehicles in range of the sender of an overlapping
+    # frame, that sender included (half-duplex): a reception collides
+    # exactly there. Filled at broadcast, pair by pair; final at end.
+    hit: int = 0
+
+    @property
+    def receivers_expected(self) -> int:
+        return self.receivers.bit_count()
+
+    @property
+    def receivers_collided(self) -> int:
+        return (self.hit & self.receivers).bit_count()
+
+    @property
+    def collided(self) -> bool:
+        return self.hit & self.receivers != 0
 
 
 def make_announce(sender: int, generated_at: int) -> Frame:

@@ -1,7 +1,11 @@
 """Deterministic discrete-event core: integer-ns clock, ordered queue, seeded streams.
 
 An event is the plain heap tuple (fire_at, seq, fn, payload, target, kind);
-dispatching it sets the clock and calls fn(payload).
+dispatching it sets the clock and calls fn(payload). `at` gives each event
+the next seq. `reserve` hands that seq out now, for an event that
+`at_reserved` puts in the heap later under it: a source of events that keeps
+its pending ones out of the heap (the CSMA baseline's message clock) gives
+each the key, and the dispatch order, that `at` would have given it.
 
 The seeded streams are the package's own PCG64, bit-identical to numpy's
 `Generator(PCG64(SeedSequence(seed, spawn_key=(entity,))))`, so the output
@@ -66,6 +70,23 @@ class Kernel:
         self._seq = seq + 1
         heapq.heappush(self._heap, (fire_at, seq, fn, payload, target, kind))
 
+    def reserve(self) -> int:
+        """Hand out the seq that `at` would give an event scheduled now."""
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
+
+    def at_reserved(self, fire_at: int, seq: int, target: int, kind: EventKind,
+                    fn: Callable[[Any], None], payload: Any = None) -> None:
+        """Schedule fn(payload) at fire_at under a seq from `reserve`.
+
+        The event takes the place among same-instant events that `at` would
+        have given it when the seq was handed out.
+        """
+        if fire_at < self.now:
+            raise ValueError(f"cannot schedule event at {fire_at} ns before now={self.now} ns")
+        heapq.heappush(self._heap, (fire_at, seq, fn, payload, target, kind))
+
     def quiet_at(self, t: int) -> bool:
         """Whether no pending event fires at or before t."""
         heap = self._heap
@@ -104,32 +125,56 @@ def _words(n: int) -> list[int]:
     return [n >> shift & _M32 for shift in range(0, n.bit_length() or 1, 32)]
 
 
-def _seed_words(entropy: int, key: int) -> list[int]:
-    """SeedSequence(entropy, spawn_key=(key,)).generate_state(4, uint64)."""
-    run = _words(entropy)
-    # a spawn key follows the run entropy padded to the pool size (4 words)
-    words = run + [0] * (4 - len(run)) + _words(key)
-    h = 0x43B0D7E5
+def _hashmix(v: int, h: int, mult: int) -> tuple[int, int]:
+    """SeedSequence's hashmix of v under the running hash constant h: (value, next h)."""
+    v = (v ^ h) * (h := h * mult & _M32) & _M32
+    return v ^ v >> 16, h
 
-    def hashmix(v: int, mult: int = 0x931E8875) -> int:
-        nonlocal h
-        v = (v ^ h) * (h := h * mult & _M32) & _M32
-        return v ^ v >> 16
 
-    def mix(x: int, y: int) -> int:
-        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return r ^ r >> 16
+def _mix(x: int, y: int) -> int:
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return r ^ r >> 16
 
-    pool = [hashmix(w) for w in words[:4]]
+
+def _mix_words(pool: list[int], h: int, words: list[int]) -> int:
+    """Mix each of words into every pool word, in place; return the hash constant after."""
+    for w in words:
+        for dst in range(4):
+            v, h = _hashmix(w, h, 0x931E8875)
+            pool[dst] = _mix(pool[dst], v)
+    return h
+
+
+def _entropy_pool(entropy: int) -> tuple[list[int], int]:
+    """The part of SeedSequence(entropy, spawn_key=(key,)) that no key changes.
+
+    The pool after the run entropy, padded to the pool size (4 words), is
+    mixed in, and the running hash constant there; `_seed_words` mixes a
+    key's words into a copy.
+    """
+    words = _words(entropy)
+    words += [0] * (4 - len(words))
+    h, pool = 0x43B0D7E5, []
+    for w in words[:4]:
+        v, h = _hashmix(w, h, 0x931E8875)
+        pool.append(v)
     for src in range(4):
         for dst in range(4):
             if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    h = 0x8B51F9DD
-    out = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+                v, h = _hashmix(pool[src], h, 0x931E8875)
+                pool[dst] = _mix(pool[dst], v)
+    return pool, _mix_words(pool, h, words[4:])
+
+
+def _seed_words(entropy_pool: tuple[list[int], int], key: int) -> list[int]:
+    """SeedSequence(entropy, spawn_key=(key,)).generate_state(4, uint64), from
+    `_entropy_pool(entropy)`: the key's words follow the run entropy."""
+    pool = entropy_pool[0][:]
+    _mix_words(pool, entropy_pool[1], _words(key))
+    h, out = 0x8B51F9DD, []
+    for i in range(8):
+        v, h = _hashmix(pool[i % 4], h, 0x58F38DED)
+        out.append(v)
     return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
 
 
@@ -139,10 +184,11 @@ class Pcg64:
     `integers` is Lemire's method as numpy's `Generator` runs it: ranges up
     to 2**32 - 1 use 32-bit halves, keeping the spare high half of a 64-bit
     output for the next such draw; wider ranges use whole 64-bit outputs.
+    It starts from the four state words that `_seed_words` derives.
     """
 
-    def __init__(self, seed: int, key: int):
-        s0, s1, i0, i1 = _seed_words(seed, key)
+    def __init__(self, seed_words: list[int]):
+        s0, s1, i0, i1 = seed_words
         self._inc = (i0 << 64 | i1) << 1 & _M128 | 1
         self._state = ((self._inc + (s0 << 64 | s1)) * _PCG_MULT + self._inc) & _M128
         self._spare: int | None = None
@@ -196,6 +242,7 @@ class RngStreams:
 
     def __init__(self, seed: int):
         self.seed = seed
+        self._pool = _entropy_pool(seed)     # mixed once per run
 
     def stream(self, entity_id: int) -> Pcg64:
-        return Pcg64(self.seed, entity_id)
+        return Pcg64(_seed_words(self._pool, entity_id))

@@ -59,7 +59,7 @@ def collect_stats(run: RunResult) -> CollisionStats:
         if hit:
             collided += 1
             receptions_collided += hit.bit_count()
-        if tx.frame.kind is DATA:
+        if tx.kind is DATA:
             data_sent += 1
             data_collided += hit != 0
     deferred = (sum(mac.deferrals for mac in run.macs.values())
@@ -353,11 +353,10 @@ def write_transmission_log(run: RunResult, path: str | Path) -> None:
         lines.append(f"# vehicle {spec.vid} {spec.position.x!r} {spec.position.y!r} "
                      f"{spec.spawn_at}")
     lines.append("# sender start_ns end_ns size_B kind collided")
-    # the collided flag is `Transmission.collided`, read off the two masks
+    # the collided flag is `Frame.collided`, read off the two masks
     for tx in run.medium.log:
-        frame = tx.frame
-        lines.append(f"{tx.sender} {tx.start} {tx.end} {frame.size} "
-                     f"{KIND_LABELS[frame.kind]} {int(tx.hit & tx.receivers != 0)}")
+        lines.append(f"{tx.sender} {tx.start} {tx.end} {tx.size} "
+                     f"{KIND_LABELS[tx.kind]} {int(tx.hit & tx.receivers != 0)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

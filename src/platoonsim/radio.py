@@ -9,19 +9,21 @@ other are mutually blind and will overlap.
 
 Vehicles never move after they register, so who hears whom, and after what
 propagation delay, is computed once per pair at registration, together with
-a bitmask per vehicle of the vehicles it hears. The log of transmissions is
-the only record of who heard whom and when. It is sorted by start, and no
-frame lasts longer than the longest airtime logged so far, so the reads that
-look for frames still on air (pairing at broadcast, carrier sense) scan it
-backwards from its end and stop at the first frame that started too early
-to matter; the medium keeps no index over start times. Each transmission's
-interferer mask is filled at broadcast, once per overlapping pair, and is
-final once the clock reaches its end, since nothing that starts later
-overlaps it. The allocation flag handed to frame handlers, the announces and
+a bitmask per vehicle of the vehicles it hears. The log holds the broadcast
+frames themselves: `broadcast` stamps each frame once with its start, end,
+receivers mask and interferer mask, so a frame on air is its own record. The
+log is the only record of who heard whom and when. It is sorted by start,
+and no frame lasts longer than the longest airtime logged so far, so the
+reads that look for frames still on air (pairing at broadcast, carrier
+sense) scan it backwards from its end and stop at the first frame that
+started too early to matter; the medium keeps no index over start times.
+Each frame's interferer mask is filled at broadcast, once per overlapping
+pair, and is final once the clock reaches its end, since nothing that starts
+later overlaps it. The allocation flag handed to frame handlers, the announces and
 liveness that protocols read back from the log (`clean_receptions`,
 `last_clean_arrival`), each receiver's flag (`outcomes`) and the collided
-count and flag of a transmission all read that one mask, against the
-receivers mask. A read of the log at time t counts the clean receptions that
+count and flag of a frame all read that one mask, against the receivers
+mask. A read of the log at time t counts the clean receptions that
 arrived before t; the order in which events were scheduled plays no part.
 Only allocation frames, which act at once, raise an event per reception;
 every other reception raises none.
@@ -91,49 +93,22 @@ def tx_duration(size_bytes: int, cfg: RadioConfig) -> int:
     return cfg.preamble_ns + -(-bits * SEC // cfg.data_rate_bps)
 
 
-@dataclass(slots=True)
-class Transmission:
-    sender: int
-    frame: Frame
-    start: int
-    end: int
-    # bitmask of the vehicles in range of the sender at broadcast, the sender
-    # excluded: the receivers. A snapshot; later registrations do not join it.
-    receivers: int = 0
-    # bitmask of the vehicles in range of the sender of an overlapping
-    # transmission, that sender included (half-duplex): a reception collides
-    # exactly there. Filled at broadcast, pair by pair; final at end.
-    hit: int = 0
-
-    @property
-    def receivers_expected(self) -> int:
-        return self.receivers.bit_count()
-
-    @property
-    def receivers_collided(self) -> int:
-        return (self.hit & self.receivers).bit_count()
-
-    @property
-    def collided(self) -> bool:
-        return self.hit & self.receivers != 0
-
-
 class Medium:
     """Broadcast channel shared by all registered vehicles.
 
-    Each vehicle gets a bit, in registration order. `broadcast` pairs a new
-    transmission with every transmission still on air, read from the tail of
-    the log back to the first one that started more than the longest airtime
-    ago, and ORs each sender's range mask into the other's interferer mask
-    (`Transmission.hit`), so who collides where is recorded once per
-    overlapping pair. The mask is final once the clock reaches the
-    transmission's end, and every reader reads it then or later: the
-    allocation flag at arrival, `clean_receptions` and `last_clean_arrival`
-    for arrivals before now, and `outcomes` and the transmission's own count
-    and flag after the run. A listener heard a
-    transmission clean iff its bit is in the receivers mask and not in the
-    interferer mask, and the frame arrived before now: an arrival at now is
-    not yet heard.
+    Each vehicle gets a bit, in registration order. `broadcast` stamps a
+    frame with its time on air and its two masks and logs the frame itself.
+    It pairs the new frame with every frame still on air, read from the tail
+    of the log back to the first one that started more than the longest
+    airtime ago, and ORs each sender's range mask into the other's
+    interferer mask (`Frame.hit`), so who collides where is recorded once
+    per overlapping pair. The mask is final once the clock reaches the
+    frame's end, and every reader reads it then or later: the allocation
+    flag at arrival, `clean_receptions` and `last_clean_arrival` for
+    arrivals before now, and `outcomes` and the frame's own count and flag
+    after the run. A listener heard a frame clean iff its bit is in the
+    receivers mask and not in the interferer mask, and the frame arrived
+    before now: an arrival at now is not yet heard.
 
     A `handler(frame, collided)` registered per vehicle gets each of its
     allocation receptions at the arrival time; collided frames are delivered
@@ -146,8 +121,8 @@ class Medium:
         self.cfg = cfg
         self.positions: dict[int, Position] = {}
         self.handlers: dict[int, Callable[[Frame, bool], None]] = {}
-        self.log: list[Transmission] = []           # all transmissions, by start
-        self._sent: dict[int, list[Transmission]] = {}   # per sender, by start
+        self.log: list[Frame] = []                  # every broadcast frame, by start
+        self._sent: dict[int, list[Frame]] = {}     # per sender, by start
         # vid -> {vid in range: propagation delay ns}, in registration order;
         # every vehicle hears itself first, with delay 0
         self._hears: dict[int, dict[int, int]] = {}
@@ -202,11 +177,14 @@ class Medium:
 
     # -- transmission ------------------------------------------------------
 
-    def broadcast(self, sender: int, frame: Frame) -> Transmission:
-        start = self.kernel.now
+    def broadcast(self, frame: Frame) -> Frame:
+        """Put frame on air from its sender now; log it and return it."""
+        sender, start = frame.sender, self.kernel.now
         sent = self._sent.get(sender)
         if sent is None:
             raise ValueError(f"sender {sender} not registered")
+        if frame.end is not None:
+            raise ValueError(f"frame already broadcast at {frame.start} ns")
         if sent and start < sent[-1].end:
             raise RuntimeError(
                 f"vehicle {sender} is already transmitting at {start} ns; "
@@ -228,9 +206,10 @@ class Medium:
             if other.end > start and other.start < end:
                 hit |= ranges[other.sender]
                 other.hit |= mask
-        tx = Transmission(sender, frame, start, end, self._receivers[sender], hit)
-        log.append(tx)
-        sent.append(tx)
+        frame.start, frame.end = start, end
+        frame.receivers, frame.hit = self._receivers[sender], hit
+        log.append(frame)
+        sent.append(frame)
         if dur > self._max_dur:
             self._max_dur = dur
 
@@ -239,46 +218,46 @@ class Medium:
             for vid, delay in islice(self._hears[sender].items(), 1, None):
                 if vid in self.handlers:
                     self.kernel.at(end + delay, vid, FRAME_DELIVERY,
-                                   self._deliver, (tx, vid))
-        return tx
+                                   self._deliver, (frame, vid))
+        return frame
 
-    def _deliver(self, payload: tuple[Transmission, int]) -> None:
-        tx, vid = payload
-        self.handlers[vid](tx.frame, bool(tx.hit & self._bit[vid]))
+    def _deliver(self, payload: tuple[Frame, int]) -> None:
+        frame, vid = payload
+        self.handlers[vid](frame, bool(frame.hit & self._bit[vid]))
 
-    def outcomes(self, tx: Transmission) -> dict[int, bool]:
-        """Collided flag per receiver of tx, in registration order.
+    def outcomes(self, frame: Frame) -> dict[int, bool]:
+        """Collided flag per receiver of a broadcast frame, in registration order.
 
         The receivers are the vehicles in range at broadcast. The flags are
-        final once the kernel clock reaches tx.end.
+        final once the kernel clock reaches frame.end.
         """
-        return {vid: bool(tx.hit & bit) for vid, bit in self._bit.items()
-                if tx.receivers & bit}
+        return {vid: bool(frame.hit & bit) for vid, bit in self._bit.items()
+                if frame.receivers & bit}
 
     # -- reading receptions from the log ---------------------------------------
 
-    def transmissions(self, kind: FrameKind, since: int) -> list[Transmission]:
-        """The logged transmissions of `kind` that started at or after `since`, by start."""
-        txs = []
-        for tx in reversed(self.log):
-            if tx.start < since:
+    def transmissions(self, kind: FrameKind, since: int) -> list[Frame]:
+        """The logged frames of `kind` that started at or after `since`, by start."""
+        frames = []
+        for frame in reversed(self.log):
+            if frame.start < since:
                 break
-            if tx.frame.kind is kind:
-                txs.append(tx)
-        txs.reverse()
-        return txs
+            if frame.kind is kind:
+                frames.append(frame)
+        frames.reverse()
+        return frames
 
-    def clean_receptions(self, listener: int, txs: list[Transmission]) -> Iterator[Frame]:
-        """The frames of `txs` that listener heard clean before now, in the order of `txs`.
+    def clean_receptions(self, listener: int, frames: list[Frame]) -> Iterator[Frame]:
+        """The logged `frames` that listener heard clean before now, in their order.
 
-        Lazy: each transmission is read when the generator reaches it, so a
-        reader that stops at the first frame reads no further. "Now" is the
-        clock at the call. A vehicle never receives its own frames.
+        Lazy: each frame is read when the generator reaches it, so a reader
+        that stops at the first frame reads no further. "Now" is the clock at
+        the call. A vehicle never receives its own frames.
         """
         hears = self._hears.get(listener, {})
         bit, now = self._bit.get(listener, 0), self.kernel.now
-        return (tx.frame for tx in txs if tx.sender in hears and tx.receivers & bit
-                and not tx.hit & bit and tx.end + hears[tx.sender] < now)
+        return (f for f in frames if f.sender in hears and f.receivers & bit
+                and not f.hit & bit and f.end + hears[f.sender] < now)
 
     def last_clean_arrival(self, listener: int, sender: int, after: int) -> int | None:
         """Latest arrival in (after, now) of a clean reception of sender's frames.

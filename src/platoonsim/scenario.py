@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .csma import CsmaConfig, CsmaMac
+from .csma import CsmaConfig, CsmaMac, MessageClock
 from .frames import ANNOUNCE_SIZE, DATA, Frame, PRIO_SAFETY, allocation_size
 from .kernel import Kernel, MS, Pcg64, RngStreams, SEC, SPAWN
 from .radio import Medium, Position, RadioConfig, tx_duration
@@ -163,7 +163,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int, *, trace: bool = False) -> RunR
         rng = streams.stream(VEHICLE_STREAM_BASE + spec.vid)
         service = services[spec.vid] = ItsService(spec, cfg)
         if cfg.mode == MODE_BASELINE:
-            macs[spec.vid] = CsmaMac(spec.vid, kernel, medium, cfg.csma, rng, source=service)
+            macs[spec.vid] = CsmaMac(spec.vid, clock, cfg.csma, rng, source=service)
             medium.register(spec.vid, spec.position)
         else:
             ctl = TsnCtl(spec.vid, clock, rng, source=service)
@@ -172,8 +172,10 @@ def run_scenario(cfg: ScenarioConfig, seed: int, *, trace: bool = False) -> RunR
 
     for spec in specs:
         kernel.at(spec.spawn_at, spec.vid, SPAWN, spawn, spec)
-    # made after the spawns, so one spawned on a boundary joins before the clock's event
-    clock = WindowClock(kernel, medium, cfg.window) if cfg.mode == MODE_TSNCTL else None
+    # made after the spawns, so one spawned on a window boundary joins before
+    # the window clock's event there
+    clock = (WindowClock(kernel, medium, cfg.window) if cfg.mode == MODE_TSNCTL
+             else MessageClock(kernel, medium))
 
     kernel.run_until(cfg.sim_duration_ns)
     for ctl in controllers.values():

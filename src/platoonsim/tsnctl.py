@@ -61,7 +61,7 @@ from .frames import (
     make_announce,
 )
 from .kernel import Kernel, MS, Pcg64, TIMER
-from .radio import Medium, Transmission
+from .radio import Medium
 
 # A slave that hears no clean frame of its master for this many windows
 # falls back to INIT and rejoins.
@@ -333,7 +333,7 @@ class WindowClock:
     def _on_slot0_end(self, payload: tuple[int, list[TsnCtl]]) -> None:
         w, acting = payload
         announces = self.medium.transmissions(CONTROL_ANNOUNCE, w)
-        announces.sort(key=lambda tx: election_key(tx.frame.generated_at, tx.sender))
+        announces.sort(key=lambda f: election_key(f.generated_at, f.sender))
         for ctl in acting:
             ctl._on_slot0_end(w, announces)
 
@@ -475,11 +475,11 @@ class TsnCtl:
         if self.medium.idle_from(self.vid, self.kernel.now) > self.kernel.now:
             self.announce_skips += 1
             return
-        self.medium.broadcast(self.vid, make_announce(self.vid, self.created_at))
+        self.medium.broadcast(make_announce(self.vid, self.created_at))
 
     # -- end of slot 0: election, or a platoon master's admission ------------------
 
-    def _on_slot0_end(self, w: int, announces: list[Transmission]) -> None:
+    def _on_slot0_end(self, w: int, announces: list[Frame]) -> None:
         """Elect, or admit as a platoon master; `announces` are in election order."""
         leads = self.state.status is IN_PLATOON and self.state.role is MASTER
         heard = self.medium.clean_receptions(self.vid, announces)
@@ -533,7 +533,7 @@ class TsnCtl:
             return
         if self.medium.idle_from(self.vid, self.kernel.now) > self.kernel.now:
             return  # contended control slot: retry next window
-        tx = self.medium.broadcast(self.vid, make_allocation(self.vid, self.created_at, sched))
+        tx = self.medium.broadcast(make_allocation(self.vid, self.created_at, sched))
         self.schedule = sched
         if self.state.status is IN_PLATOON:   # a refresh
             self._start_slot1_burst(w, start=tx.end)
@@ -668,7 +668,7 @@ class TsnCtl:
         w, idx, origin, end, gen = ctx
         if gen != self._slot_gen:
             return
-        at = self.medium.broadcast(self.vid, self.queues.pop()).end
+        at = self.medium.broadcast(self.queues.pop()).end
         if idx == 1:
             self.kernel.at(at, self.vid, TIMER, self._burst, ctx)
         elif (at < w + self.wcfg.window_ns and at <= self.run_end

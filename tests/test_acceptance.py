@@ -220,8 +220,8 @@ def test_criterion_7_priority_discipline():
     kernel, medium, ctls = assemble_platoon({0: 0, 1: 1 * MS}, {0: 0, 1: 300 * US},
                                             slot_ms=3, run_ms=250, sources={1: source})
     kernel.run_until(450 * MS)
-    order = [tx.frame.priority for tx in medium.log
-             if tx.sender == 1 and tx.frame.kind is FrameKind.DATA]
+    order = [tx.priority for tx in medium.log
+             if tx.sender == 1 and tx.kind is FrameKind.DATA]
     if order[:2] != [0, 1]:
         violations += 1
     _verdict(7, "priority discipline", violations == 0,
@@ -252,7 +252,7 @@ def test_steady_state_platoon_invariants():
         ins = [i for i, t in enumerate(c.transitions)
                if t[3].status is Status.IN_PLATOON]
         assert ins, f"vehicle {vid} never joined"
-    data = [tx for tx in run.medium.log if tx.frame.kind is FrameKind.DATA]
+    data = [tx for tx in run.medium.log if tx.kind is FrameKind.DATA]
     assert data
     for tx in data:
         assert tx.receivers_collided == 0

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from _util import ScriptedRng, ScriptedSource
 
-from platoonsim.csma import CsmaConfig, CsmaMac
+from platoonsim.csma import CsmaConfig, CsmaMac, MessageClock
 from platoonsim.frames import Frame, FrameKind
 from platoonsim.kernel import EventKind, Kernel, MS, SEC, US, RngStreams
 from platoonsim.metrics import brute_force_outcomes
@@ -24,12 +26,13 @@ def _setup(dues, n=2, cw=4, backoff_us=100, gap_m=30.0, trace=False):
     The run ends at 200 ms, the longest any test here runs."""
     kernel = Kernel(trace=trace)
     medium = Medium(kernel, RADIO)
+    clock = MessageClock(kernel, medium)
     cfg = CsmaConfig(cw_slots=cw, backoff_slot_ns=backoff_us * US)
     macs = {}
     for vid in range(n):
         medium.register(vid, Position(vid * gap_m, 0.0))
         script = [(at, _data(vid, seq=seq)) for seq, at in enumerate(dues.get(vid, ()))]
-        macs[vid] = CsmaMac(vid, kernel, medium, cfg, RngStreams(77).stream(vid),
+        macs[vid] = CsmaMac(vid, clock, cfg, RngStreams(77).stream(vid),
                             source=ScriptedSource(script, end=200 * MS))
     return kernel, medium, macs
 
@@ -79,7 +82,7 @@ def test_busy_again_at_expiry_draws_fresh_backoff_without_doubling():
 def test_fifo_order_preserved():
     kernel, medium, _ = _setup({0: [0] * 3})
     kernel.run_until(50 * MS)
-    sent = [tx.frame.seq for tx in medium.log if tx.sender == 0]
+    sent = [tx.seq for tx in medium.log if tx.sender == 0]
     assert sent == [0, 1, 2]
 
 
@@ -123,7 +126,8 @@ def _sourced_mac(interval_ns, duration_ns):
     cfg = ScenarioConfig(message_interval_ns=interval_ns, sim_duration_ns=duration_ns)
     source = ItsService(VehicleSpec(0, Position(0.0, 0.0), 0), cfg)
     # a sense that found its own frame busy would back off by a whole slot
-    mac = CsmaMac(0, kernel, medium, CsmaConfig(), ScriptedRng([1] * 4), source=source)
+    mac = CsmaMac(0, MessageClock(kernel, medium), CsmaConfig(), ScriptedRng([1] * 4),
+                  source=source)
     return kernel, medium, mac
 
 
@@ -135,9 +139,9 @@ def test_message_due_while_on_air_goes_out_once_at_the_end(early_ns):
     kernel, medium, mac = _sourced_mac(interval, end)
     kernel.run_until(end)
     first, second = medium.log
-    assert (first.frame.seq, first.start) == (0, 0)
+    assert (first.seq, first.start) == (0, 0)
     # it waited for the end without sensing its own frame busy
-    assert (second.frame.seq, second.start) == (1, first.end)
+    assert (second.seq, second.start) == (1, first.end)
     assert mac.deferrals == 0
     assert mac.frames_submitted == 2 and not mac.queue
     # a frame counts once it has ended by the run end
@@ -163,7 +167,7 @@ def test_zero_backoff_lets_a_same_instant_event_act_first():
     # a MAC arms a message event when it takes the one before, which would put
     # 0's at t1 ahead of 1's idle edge; so 0's second frame goes on air from an
     # event armed after it
-    kernel.at(t1, 0, EventKind.APP_TICK, lambda _: medium.broadcast(0, _data(0, seq=1)))
+    kernel.at(t1, 0, EventKind.APP_TICK, lambda _: medium.broadcast(_data(0, seq=1)))
     kernel.run_until(20 * MS)
     assert [(tx.sender, tx.start) for tx in medium.log] == [(0, 0), (0, t1), (1, t1)]
 
@@ -184,3 +188,109 @@ def test_config_validation():
         CsmaConfig(cw_slots=0).validate()
     with pytest.raises(ValueError):
         CsmaConfig(backoff_slot_ns=0).validate()
+
+
+# -- the message clock ---------------------------------------------------------
+
+
+class _EventPerArrival:
+    """The reference for `MessageClock`: every arrival is its own `Kernel.at` event."""
+
+    def __init__(self, kernel, medium):
+        self.kernel, self.medium = kernel, medium
+
+    def arm(self, mac, due):
+        self.kernel.at(due, mac.vid, EventKind.APP_TICK, lambda _: mac._on_message())
+
+
+def _spawned_macs(make_clock, spawns, scripts, end=30 * MS):
+    """MACs spawned by kernel events, vehicle v at `spawns[v]`, with 800 B frames
+    due at `scripts[v]`; returns the kernel trace and the log."""
+    kernel = Kernel(trace=True)
+    medium = Medium(kernel, RADIO)
+    clock = make_clock(kernel, medium)
+    cfg = CsmaConfig(cw_slots=4, backoff_slot_ns=100 * US)
+
+    def spawn(vid):
+        medium.register(vid, Position(vid * 30.0, 0.0))
+        script = [(at, _data(vid, seq=seq)) for seq, at in enumerate(scripts[vid])]
+        CsmaMac(vid, clock, cfg, RngStreams(5).stream(vid), source=ScriptedSource(script, end=end))
+
+    for vid, at in spawns.items():
+        kernel.at(at, vid, EventKind.SPAWN, spawn, vid)
+    kernel.run_until(end)
+    return kernel.trace, [(tx.sender, tx.seq, tx.start, tx.end, tx.hit) for tx in medium.log]
+
+
+def _ticks(trace):
+    return [(at, target) for at, _seq, target, kind in trace if kind == "APP_TICK"]
+
+
+def test_a_later_spawn_lands_before_the_tail_of_the_stream():
+    # at 2 ms vehicles 0 and 1 have armed arrivals at 2.5 ms (in the heap) and
+    # 4 ms (the tail); vehicle 2 spawns then with its first message due at
+    # 3 ms, between the two, and a second one due at the 4 ms of vehicle 1
+    spawns = {0: 0, 1: 0, 2: 2 * MS}
+    scripts = {0: [0, 2500 * US], 1: [1 * MS, 4 * MS], 2: [3 * MS, 4 * MS]}
+    trace, log = _spawned_macs(MessageClock, spawns, scripts)
+    assert _ticks(trace) == [(0, 0), (1 * MS, 1), (2500 * US, 0), (3 * MS, 2),
+                             (4 * MS, 1), (4 * MS, 2)]
+    assert (trace, log) == _spawned_macs(_EventPerArrival, spawns, scripts)
+
+
+def test_arrivals_due_together_fire_in_the_order_they_were_armed():
+    spawns = {1: 0, 0: 1 * MS, 2: 1 * MS}
+    scripts = {0: [5 * MS], 1: [5 * MS], 2: [5 * MS]}
+    trace, log = _spawned_macs(MessageClock, spawns, scripts)
+    assert _ticks(trace) == [(5 * MS, 1), (5 * MS, 0), (5 * MS, 2)]
+    assert (trace, log) == _spawned_macs(_EventPerArrival, spawns, scripts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.lists(st.integers(0, 12), max_size=6)),
+                min_size=1, max_size=4))
+def test_message_clock_gives_each_arrival_the_key_of_its_own_event(vehicles):
+    """Spawns and dues on a 500 us grid, so arrivals meet each other, spawns,
+    idle edges, backoff expiries and frame ends (an airtime is about 2 grid
+    steps) at one instant; the trace and the log equal the reference's."""
+    spawns = {vid: at * 500 * US for vid, (at, _) in enumerate(vehicles)}
+    scripts = {vid: sorted(spawns[vid] + d * 500 * US for d in dues)
+               for vid, (_, dues) in enumerate(vehicles)}
+    assert _spawned_macs(MessageClock, spawns, scripts) == \
+        _spawned_macs(_EventPerArrival, spawns, scripts)
+
+
+def test_quiet_at_sees_the_earliest_arrival():
+    kernel, medium, _ = _setup({0: [5 * MS], 1: [3 * MS]}, n=2)
+    # vehicle 1's arrival, armed second, is the earliest
+    assert kernel.quiet_at(3 * MS - 1) and not kernel.quiet_at(3 * MS)
+    kernel.run_until(3 * MS)
+    # it handed vehicle 0's arrival to the kernel when it fired
+    assert kernel.quiet_at(5 * MS - 1) and not kernel.quiet_at(5 * MS)
+    kernel.run_until(5 * MS)
+    assert [tx.start for tx in medium.log] == [3 * MS, 5 * MS]
+
+
+def test_a_backlogged_pair_keeps_its_kernel_trace():
+    # two vehicles at one spot; a message every 500 us into 750 B frames that
+    # take 1 ms on air, so message arrivals, frame ends and idle edges meet
+    # at every whole millisecond. The trace was taken with every arrival
+    # scheduled as its own kernel event.
+    cfg = ScenarioConfig(vehicle_count=2, mode=MODE_BASELINE, area_length_m=0.0,
+                         spawn_interval_ns=250 * US, message_interval_ns=500 * US,
+                         payload_size_b=750, max_payload_b=750, sim_duration_ns=5 * MS)
+    run = run_scenario(cfg, 1, trace=True)
+    assert run.medium.kernel.trace == [
+        (0, 0, 0, 'SPAWN'), (0, 2, 0, 'APP_TICK'), (250000, 1, 1, 'SPAWN'),
+        (250000, 5, 1, 'APP_TICK'), (500000, 4, 0, 'APP_TICK'), (750000, 7, 1, 'APP_TICK'),
+        (1000000, 3, 0, 'TIMER'), (1000000, 6, 1, 'TIMER'), (1000000, 8, 0, 'APP_TICK'),
+        (1000000, 11, 1, 'TIMER'), (1250000, 9, 1, 'APP_TICK'), (1500000, 12, 0, 'APP_TICK'),
+        (1750000, 14, 1, 'APP_TICK'), (2000000, 10, 0, 'TIMER'), (2000000, 13, 1, 'TIMER'),
+        (2000000, 15, 0, 'APP_TICK'), (2250000, 16, 1, 'APP_TICK'),
+        (2500000, 19, 0, 'APP_TICK'), (2750000, 20, 1, 'APP_TICK'), (3000000, 17, 0, 'TIMER'),
+        (3000000, 18, 1, 'TIMER'), (3000000, 21, 0, 'APP_TICK'), (3250000, 22, 1, 'APP_TICK'),
+        (3500000, 25, 0, 'APP_TICK'), (3750000, 26, 1, 'APP_TICK'), (4000000, 23, 0, 'TIMER'),
+        (4000000, 24, 1, 'TIMER'), (4000000, 27, 0, 'APP_TICK'), (4250000, 28, 1, 'APP_TICK'),
+        (4500000, 31, 0, 'APP_TICK'), (4750000, 32, 1, 'APP_TICK'), (5000000, 29, 0, 'TIMER'),
+        (5000000, 30, 1, 'TIMER'),
+    ]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platoonsim.kernel import MS, SEC, US, EventKind, Kernel, Pcg64, RngStreams
+from platoonsim.kernel import MS, SEC, US, EventKind, Kernel, RngStreams
 
 
 def _timer(k, at, fn, target=0):
@@ -59,6 +59,18 @@ def test_scheduling_in_the_past_is_rejected():
     k.run_until(100)
     with pytest.raises(ValueError):
         _timer(k, 99, lambda _: None)
+
+
+def test_a_reserved_seq_keeps_the_place_it_was_handed_out_at():
+    k = Kernel(trace=True)
+    _timer(k, 5, lambda _: None, target=1)
+    seq = k.reserve()
+    _timer(k, 5, lambda _: None, target=3)
+    k.at_reserved(5, seq, 2, EventKind.APP_TICK, lambda _: None)
+    k.run_until(5)
+    assert k.trace == [(5, 0, 1, "TIMER"), (5, 1, 2, "APP_TICK"), (5, 2, 3, "TIMER")]
+    with pytest.raises(ValueError):
+        k.at_reserved(4, k.reserve(), 2, EventKind.APP_TICK, lambda _: None)
 
 
 def test_run_until_before_now_is_rejected():
@@ -200,7 +212,7 @@ def test_stream_reproduces_known_draws(seed, key, small, wide, reals):
 @pytest.mark.parametrize("seed, key", [(-1, 0), (1, -1), (-(2**64), 1000)])
 def test_negative_seed_or_key_is_rejected(seed, key):
     with pytest.raises(ValueError, match="non-negative"):
-        Pcg64(seed, key)
+        RngStreams(seed).stream(key)
 
 
 @pytest.fixture(scope="module")
@@ -230,11 +242,19 @@ _PLAN = [(-i, span, i % 3 == 2)
          for i, span in enumerate(s for pair in itertools.product(_SPANS, repeat=2) for s in pair)]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5])
-@pytest.mark.parametrize("key", [0, 1000, 1099, 2**33])
+# a seed over 128 bits mixes entropy words past the pool's four once per
+# run, before any key's words; a key over 32 bits mixes two words per stream
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**160 + 2**96 + 3])
+@pytest.mark.parametrize("key", [0, 1000, 1099, 2**33, 2**64 + 2**40 + 9])
 def test_stream_matches_numpy(numpy_random, seed, key):
     expected = _draws(_numpy_stream(numpy_random, seed, key), _PLAN)
-    assert _draws(Pcg64(seed, key), _PLAN) == expected
+    assert _draws(RngStreams(seed).stream(key), _PLAN) == expected
+
+
+def test_a_stream_leaves_the_run_entropy_to_the_next():
+    streams = RngStreams(2**160 + 3)
+    first = [streams.stream(key).next64() for key in (5, 2**40, 5)]
+    assert first[0] == first[2] == RngStreams(2**160 + 3).stream(5).next64() != first[1]
 
 
 @settings(max_examples=150, deadline=None)

@@ -38,9 +38,9 @@ def _two_sender_medium(second_start_us=500):
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(20.0, 0.0))
     m.register(2, Position(40.0, 0.0))
-    m.broadcast(0, _data(0))
+    m.broadcast(_data(0))
     k.run_until(second_start_us * US)
-    m.broadcast(1, _data(1))
+    m.broadcast(_data(1))
     k.run_until(20 * MS)
     return m
 
@@ -74,7 +74,7 @@ def test_stats_exclude_transmissions_nobody_could_receive():
     m = Medium(k, RadioConfig(range_m=10.0))
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(500.0, 0.0))
-    tx = m.broadcast(0, _data(0))
+    tx = m.broadcast(_data(0))
     k.run_until(5 * MS)
     assert tx.receivers == 0 and tx.receivers_expected == 0
     assert _stats(m) == CollisionStats()
@@ -83,7 +83,7 @@ def test_stats_exclude_transmissions_nobody_could_receive():
 def _recount(run):
     """CollisionStats recounted from each transmission's receivers and hit masks."""
     txs = [tx for tx in run.medium.log if tx.receivers != 0]
-    data = [tx for tx in txs if tx.frame.kind is FrameKind.DATA]
+    data = [tx for tx in txs if tx.kind is FrameKind.DATA]
     return CollisionStats(
         frames_sent=len(txs),
         frames_collided=sum(1 for tx in txs if tx.hit & tx.receivers),
@@ -109,8 +109,8 @@ def test_collect_stats_equals_a_recount_from_the_masks(name, cfg):
     log = run.medium.log
     if name == "tsnctl":
         assert {FrameKind.CONTROL_ANNOUNCE, FrameKind.CONTROL_ALLOCATION} <= {
-            tx.frame.kind for tx in log}
-        assert any(tx.collided for tx in log if tx.frame.kind is not FrameKind.DATA)
+            tx.kind for tx in log}
+        assert any(tx.collided for tx in log if tx.kind is not FrameKind.DATA)
     if name == "unheard":
         assert any(tx.receivers == 0 for tx in log)
     stats = collect_stats(run)

@@ -57,7 +57,7 @@ def test_broadcast_delivery_time_and_clean_flag():
     sink = _Sink(k)
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(50.0, 0.0), handler=sink)
-    m.broadcast(0, make_allocation(0, 0, {1: (2, 1)}))     # 108 B
+    m.broadcast(make_allocation(0, 0, {1: (2, 1)}))     # 108 B
     k.run_until(5 * MS)
     assert len(sink.got) == 1
     delivered_at, _, collided = sink.got[0]
@@ -73,7 +73,7 @@ def test_only_allocations_reach_handlers():
     m.register(1, Position(50.0, 0.0), handler=sink)
     for frame in (_data(0), Frame(FrameKind.CONTROL_ANNOUNCE, 0, 100, 0),
                   make_allocation(0, 0, {})):
-        m.broadcast(0, frame)
+        m.broadcast(frame)
         k.run_until(k.now + 5 * MS)
     assert [frame.kind for _, frame, _ in sink.got] == [FrameKind.CONTROL_ALLOCATION]
     assert [kind for *_, kind in k.trace] == ["FRAME_DELIVERY"]
@@ -85,7 +85,7 @@ def test_out_of_range_receiver_gets_nothing():
     sink = _Sink(k)
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(150.0, 0.0), handler=sink)
-    tx = m.broadcast(0, _data(0))
+    tx = m.broadcast(_data(0))
     k.run_until(5 * MS)
     assert sink.got == []
     assert tx.receivers_expected == 0
@@ -96,7 +96,7 @@ def test_sender_never_receives_own_frame():
     m = Medium(k, _cfg())
     sink = _Sink(k)
     m.register(0, Position(0.0, 0.0), handler=sink)
-    m.broadcast(0, _data(0))
+    m.broadcast(_data(0))
     k.run_until(5 * MS)
     assert sink.got == []
 
@@ -108,9 +108,9 @@ def test_overlapping_transmissions_collide_at_common_receiver():
     m.register(1, Position(10.0, 0.0))
     sink = _Sink(k)
     m.register(2, Position(5.0, 0.0), handler=sink)
-    tx_a = m.broadcast(0, make_allocation(0, 0, {2: (2, 1)}))
+    tx_a = m.broadcast(make_allocation(0, 0, {2: (2, 1)}))
     k.run_until(50 * US)            # second transmission starts mid-frame
-    tx_b = m.broadcast(1, _data(1))
+    tx_b = m.broadcast(_data(1))
     k.run_until(10 * MS)
     # symmetry: both directions of the overlap are ruined at receiver 2
     assert m.outcomes(tx_a)[2] is True
@@ -124,9 +124,9 @@ def test_half_duplex_receiver_marks_reception_collided():
     m = Medium(k, _cfg())
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(10.0, 0.0))
-    tx_a = m.broadcast(0, _data(0))
+    tx_a = m.broadcast(_data(0))
     k.run_until(500 * US)
-    m.broadcast(1, _data(1, size=100))   # receiver 1 transmits during reception
+    m.broadcast(_data(1, size=100))   # receiver 1 transmits during reception
     k.run_until(10 * MS)
     assert m.outcomes(tx_a)[1] is True
 
@@ -135,9 +135,24 @@ def test_concurrent_transmit_by_same_sender_is_a_hard_fault():
     k = Kernel()
     m = Medium(k, _cfg())
     m.register(0, Position(0.0, 0.0))
-    m.broadcast(0, _data(0))
+    m.broadcast(_data(0))
     with pytest.raises(RuntimeError):
-        m.broadcast(0, _data(0))
+        m.broadcast(_data(0))
+
+
+def test_a_frame_is_broadcast_once():
+    k = Kernel()
+    m = Medium(k, _cfg())
+    m.register(0, Position(0.0, 0.0))
+    m.register(1, Position(10.0, 0.0))
+    frame = _data(0)
+    assert m.broadcast(frame) is frame and m.log == [frame]
+    stamped = (frame.start, frame.end, frame.receivers, frame.hit)
+    assert stamped == (0, tx_duration(800, m.cfg), 0b10, 0)
+    k.run_until(5 * MS)                 # the sender is idle again
+    with pytest.raises(ValueError, match="already broadcast at 0 ns"):
+        m.broadcast(frame)
+    assert m.log == [frame] and (frame.start, frame.end, frame.receivers, frame.hit) == stamped
 
 
 def test_idle_from_idle_medium():
@@ -152,7 +167,7 @@ def test_idle_from_spanning_transmission():
     m = Medium(k, _cfg())
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(50.0, 0.0))
-    tx = m.broadcast(0, _data(0))
+    tx = m.broadcast(_data(0))
     k.run_until(500 * US)
     assert m.idle_from(1, k.now) == tx.end + m.cfg.prop_delay(50.0) > k.now
 
@@ -162,7 +177,7 @@ def test_idle_from_hidden_terminal_out_of_range():
     m = Medium(k, _cfg())
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(250.0, 0.0))    # beyond 100 m range of vehicle 0
-    m.broadcast(0, _data(0))
+    m.broadcast(_data(0))
     k.run_until(500 * US)
     assert m.idle_from(1, k.now) == k.now
 
@@ -172,7 +187,7 @@ def test_carrier_sense_blind_until_detection_latency():
     m = Medium(k, _cfg())
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(30.0, 0.0))
-    m.broadcast(0, _data(0))
+    m.broadcast(_data(0))
     prop = m.cfg.prop_delay(30.0)
     assert m.idle_from(1, prop + 3_999) == prop + 3_999      # still integrating
     assert m.idle_from(1, prop + 4_000) > prop + 4_000       # detected
@@ -183,7 +198,7 @@ def test_busy_iff_idle_edge_lies_ahead_at_the_detection_edge():
     m = Medium(k, _cfg())
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(30.0, 0.0))
-    tx = m.broadcast(0, _data(0))
+    tx = m.broadcast(_data(0))
     prop = m.cfg.prop_delay(30.0)
     assert m.idle_from(1, prop + 3_999) == prop + 3_999      # not yet sensed
     assert m.idle_from(1, prop + 4_000) == tx.end + prop     # sensed until it ends
@@ -197,9 +212,9 @@ def test_masks_hold_the_overlap_of_frames_still_on_air():
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(10.0, 0.0))
     m.register(2, Position(20.0, 0.0))
-    tx_a = m.broadcast(0, _data(0))
+    tx_a = m.broadcast(_data(0))
     k.run_until(200 * US)
-    tx_b = m.broadcast(1, _data(1))
+    tx_b = m.broadcast(_data(1))
     # stop while both frames are on air: the masks already hold the overlap;
     # receiver 1 is transmitting (half-duplex) and 2 hears both senders
     assert (tx_a.receivers_expected, tx_a.receivers_collided) == (2, 2)
@@ -217,7 +232,7 @@ def test_online_flags_match_brute_force_on_a_braided_sequence():
     plan = [(0, 0), (1, 400 * US), (2, 1_500 * US), (3, 1_600 * US), (0, 3_000 * US)]
     for sender, at in plan:
         k.run_until(at)
-        m.broadcast(sender, _data(sender))
+        m.broadcast(_data(sender))
     k.run_until(20 * MS)
     records = [(tx.sender, tx.start, tx.end) for tx in m.log]
     want = brute_force_outcomes(records, positions, 100.0)
@@ -243,9 +258,9 @@ def test_masks_count_receptions_still_in_flight(handled):
     sinks = {vid: _Sink(k) for vid in range(4)}
     for vid, x in enumerate((0.0, 1.0, 290.0, 500.0)):
         m.register(vid, Position(x, 0.0), handler=sinks[vid] if handled else None)
-    tx = m.broadcast(0, _frame(0, handled))
+    tx = m.broadcast(_frame(0, handled))
     k.run_until(100 * US)
-    m.broadcast(3, _frame(3, handled))
+    m.broadcast(_frame(3, handled))
     k.run_until(tx.end + 100)
     assert _accounting(tx) == (2, 1)
     assert m.outcomes(tx) == {1: False, 2: True}
@@ -261,7 +276,7 @@ def test_receivers_mask_ignores_vehicles_registered_after_the_broadcast(handled)
     sinks = {vid: _Sink(k) for vid in range(3)}
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(10.0, 0.0), handler=sinks[1] if handled else None)
-    tx = m.broadcast(0, _frame(0, handled))
+    tx = m.broadcast(_frame(0, handled))
     k.run_until(100 * US)
     m.register(2, Position(20.0, 0.0),      # in range, but arrived too late
                handler=sinks[2] if handled else None)
@@ -287,7 +302,7 @@ def test_masks_settle_a_run_cut_mid_delivery_like_the_oracle(xs, starts, which, 
         if at < busy.get(vid, 0):
             continue
         k.run_until(at)
-        busy[vid] = m.broadcast(vid, _data(vid)).end
+        busy[vid] = m.broadcast(_data(vid)).end
     # at most the 1,000 ns delay across the 300 m range after some frame ends
     cut = m.log[which % len(m.log)].end + late
     k.run_until(max(cut, k.now))
@@ -338,7 +353,7 @@ def _coarse_run(cells, joins, sends, reads):
             continue
         busy[vid] = at + tx_duration(size, cfg)
         k.at(at, vid, EventKind.TIMER, lambda vid, size=size, kind=kind:
-             m.broadcast(vid, Frame(kind, vid, size, 0)), vid)
+             m.broadcast(Frame(kind, vid, size, 0)), vid)
     got = {}
     for i, (at, query) in enumerate(reads):
         def fn(_, i=i, query=query):
@@ -390,10 +405,10 @@ def test_interferer_masks_match_brute_force(cells, joins, sends):
     assert [m.outcomes(tx) for tx in m.log] == flags
     assert [(tx.receivers_expected, tx.receivers_collided) for tx in m.log] == \
         [(len(f), sum(f.values())) for f in flags]
-    index = {id(tx.frame): i for i, tx in enumerate(m.log)}
+    index = {id(tx): i for i, tx in enumerate(m.log)}
     assert sorted((index[id(frame)], vid, c) for vid, frame, c in delivered) == \
         [(i, vid, c) for i, (tx, f) in enumerate(zip(m.log, flags))
-         if tx.frame.kind is _A for vid, c in sorted(f.items())]
+         if tx.kind is _A for vid, c in sorted(f.items())]
 
 
 @settings(max_examples=150, deadline=None)
@@ -452,8 +467,8 @@ def test_clean_receptions_match_brute_force(cells, joins, sends, reads):
         [(at, lambda m, listener=listener, since=since:
           list(m.clean_receptions(listener, m.transmissions(FrameKind.CONTROL_ANNOUNCE, since))))
          for listener, at, since in reads])
-    want = [[tx.frame for tx, f in zip(m.log, flags)
-             if tx.frame.kind is FrameKind.CONTROL_ANNOUNCE and tx.start >= since
+    want = [[tx for tx, f in zip(m.log, flags)
+             if tx.kind is FrameKind.CONTROL_ANNOUNCE and tx.start >= since
              and f.get(listener) is False
              and _by_read(tx.end + delay(tx.sender, listener), at * US)]
             for listener, at, since in reads]
@@ -500,7 +515,7 @@ def test_idle_from_matches_brute_force(cells, joins, sends, cca_detect_ns, reads
         busy[vid] = at + tx_duration(size, cfg)
         frames.append((vid, at, busy[vid]))
         k.at(at, vid, EventKind.TIMER, lambda vid, size=size:
-             m.broadcast(vid, Frame(FrameKind.DATA, vid, size, 0)), vid)
+             m.broadcast(Frame(FrameKind.DATA, vid, size, 0)), vid)
 
     def delay(a, b):
         return cfg.prop_delay(positions[a].distance(positions[b]))
@@ -557,7 +572,7 @@ def _one_frame_read(arrival_offset: int, read_first: bool):
         k.at(read_at, 1, EventKind.TIMER, reads)
 
     def send(_):
-        m.broadcast(0, Frame(FrameKind.CONTROL_ANNOUNCE, 0, 800, 0))
+        m.broadcast(Frame(FrameKind.CONTROL_ANNOUNCE, 0, 800, 0))
         if not read_first:
             read()
 
@@ -587,10 +602,10 @@ def test_last_clean_arrival_skips_collided_and_stale_frames():
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(50.0, 0.0))
     m.register(2, Position(90.0, 0.0))
-    clean = m.broadcast(0, _data(0))
+    clean = m.broadcast(_data(0))
     k.run_until(10 * MS)
-    m.broadcast(0, _data(0))
-    m.broadcast(2, _data(2))            # in range of 1: ruins the second frame there
+    m.broadcast(_data(0))
+    m.broadcast(_data(2))            # in range of 1: ruins the second frame there
     k.run_until(20 * MS)
     first = clean.end + m.cfg.prop_delay(50.0)
     assert m.last_clean_arrival(1, 0, 0) == first
@@ -636,7 +651,7 @@ def test_tail_scan_sees_a_long_frame_logged_before_short_ones():
     live = {}
     for sender, at, size in plan:
         k.at(at * US, sender, EventKind.TIMER,
-             lambda _, sender=sender, size=size: m.broadcast(sender, _data(sender, size)))
+             lambda _, sender=sender, size=size: m.broadcast(_data(sender, size)))
     for at in reads:
         k.at(at, 0, EventKind.TIMER,
              lambda _: live.update({(vid, k.now): m.idle_from(vid, k.now) for vid in positions}))
@@ -668,7 +683,7 @@ def test_transmissions_walks_back_to_since():
             (3, 10, ann, 100), (4, 10, FrameKind.DATA, 10), (1, 20, ann, 100)]
     for sender, at, kind, size in plan:
         k.run_until(at * US)
-        m.broadcast(sender, Frame(kind, sender, size, 0))
+        m.broadcast(Frame(kind, sender, size, 0))
     k.run_until(MS)
     log = m.log
     assert log[2].start == log[2].end == 10 * US
@@ -689,14 +704,14 @@ def test_idle_from_at_a_past_time_passes_over_later_frames():
     m.register(1, Position(30.0, 0.0))
     m.register(2, Position(90.0, 0.0))
     prop = m.cfg.prop_delay(30.0)
-    first = m.broadcast(0, _data(0))
+    first = m.broadcast(_data(0))
     reads = [prop + 3_999, prop + 4_000, 500 * US, first.end + prop - 1,
              first.end + prop, 2 * MS, 5 * MS + 100 * US]
     live = {}
     for at in reads:
         k.at(at, 1, EventKind.TIMER, lambda _: live.update({k.now: m.idle_from(1, k.now)}))
     for sender, at in [(2, 3 * MS), (0, 5 * MS), (2, 5 * MS + 50 * US), (1, 8 * MS)]:
-        k.at(at, sender, EventKind.TIMER, lambda _, sender=sender: m.broadcast(sender, _data(sender)))
+        k.at(at, sender, EventKind.TIMER, lambda _, sender=sender: m.broadcast(_data(sender)))
     k.run_until(20 * MS)
 
     assert len(m.log) == 5 and m.log[-1].start == 8 * MS

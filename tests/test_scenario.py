@@ -4,7 +4,7 @@ import pytest
 from _util import ScriptedSource, assemble_platoon
 
 from platoonsim.config import ConfigError
-from platoonsim.csma import CsmaConfig, CsmaMac
+from platoonsim.csma import CsmaConfig, CsmaMac, MessageClock
 from platoonsim.frames import PRIO_SAFETY, Frame, FrameKind
 from platoonsim.kernel import MS, SEC, US, Kernel, RngStreams
 from platoonsim.radio import Medium, Position, RadioConfig
@@ -61,7 +61,7 @@ def test_service_phase_follows_spawn_offset():
     cfg = ScenarioConfig(vehicle_count=3, spawn_interval_ns=2 * MS,
                          mode=MODE_BASELINE, sim_duration_ns=250 * MS)
     run = run_scenario(cfg, 1)
-    ticks = sorted(tx.frame.generated_at for tx in run.medium.log
+    ticks = sorted(tx.generated_at for tx in run.medium.log
                    if tx.sender == 2)
     assert ticks[:3] == [4 * MS, 104 * MS, 204 * MS]
 
@@ -70,8 +70,8 @@ def test_payload_size_flows_through_to_the_air():
     cfg = ScenarioConfig(vehicle_count=2, payload_size_b=650,
                          mode=MODE_BASELINE, sim_duration_ns=300 * MS)
     run = run_scenario(cfg, 1)
-    data = [tx for tx in run.medium.log if tx.frame.kind is FrameKind.DATA]
-    assert data and all(tx.frame.size == 650 for tx in data)
+    data = [tx for tx in run.medium.log if tx.kind is FrameKind.DATA]
+    assert data and all(tx.size == 650 for tx in data)
 
 
 def test_message_conservation_baseline():
@@ -87,7 +87,7 @@ def test_message_conservation_tsnctl():
                          sim_duration_ns=2 * SEC)
     run = run_scenario(cfg, 3)
     for vid, service in run.services.items():
-        sent = sum(tx.sender == vid and tx.frame.kind is FrameKind.DATA
+        sent = sum(tx.sender == vid and tx.kind is FrameKind.DATA
                    for tx in run.medium.log)
         assert service.generated == sent + len(run.controllers[vid].queues)
 
@@ -101,7 +101,7 @@ def test_unadmitted_vehicle_generates_the_closed_form_count_tsnctl():
     run = run_scenario(cfg, 1)
     ctl, service = run.controllers[0], run.services[0]
     assert ctl.state.status is not Status.IN_PLATOON
-    assert not [tx for tx in run.medium.log if tx.frame.kind is FrameKind.DATA]
+    assert not [tx for tx in run.medium.log if tx.kind is FrameKind.DATA]
     assert service.generated == len(range(0, duration, cfg.message_interval_ns)) == 20
     assert len(ctl.queues) == service.generated
     assert [f.generated_at for f in ctl.queues.queues[0]] == list(range(0, duration, 100 * MS))
@@ -153,13 +153,14 @@ def test_scripted_source_drives_csma_as_the_service_does():
     def run(make_source):
         kernel = Kernel()
         medium = Medium(kernel, cfg.radio)
+        clock = MessageClock(kernel, medium)
         macs = []
         for spec in specs:
             medium.register(spec.vid, spec.position)
-            macs.append(CsmaMac(spec.vid, kernel, medium, CsmaConfig(),
+            macs.append(CsmaMac(spec.vid, clock, CsmaConfig(),
                                 RngStreams(3).stream(spec.vid), source=make_source(spec)))
         kernel.run_until(cfg.sim_duration_ns)
-        return ([(tx.start, tx.end, tx.sender, tx.frame) for tx in medium.log],
+        return (medium.log,
                 [(m.frames_submitted, m.frames_transmitted, m.deferrals, m.source.seq)
                  for m in macs])
 
@@ -180,12 +181,12 @@ def test_scripted_source_drives_a_platoon_as_the_service_does():
                    for vid, at in spawns.items()}
         _, medium, ctls = assemble_platoon(spawns, {0: 0, 1: 300 * US}, run_ms=600,
                                            sources=sources)
-        return ([(tx.start, tx.end, tx.sender, tx.frame) for tx in medium.log],
+        return (medium.log,
                 [(c.transitions, c.deferred, c.source.seq, len(c.queues)) for c in ctls.values()])
 
     log, counters = run(lambda spec: ItsService(spec, cfg))
     assert run(lambda spec: _scripted_copy(spec, cfg)) == (log, counters)
-    assert sum(tx[3].kind is FrameKind.DATA for tx in log) > 10
+    assert sum(tx.kind is FrameKind.DATA for tx in log) > 10
 
 
 def test_invalid_mode_is_a_config_error():
@@ -262,7 +263,7 @@ def test_tsnctl_delivery_events_one_per_allocation_reception():
                   for vid, other in medium.positions.items()
                   if vid != tx.sender and pos.distance(other) <= cfg.radio.range_m}
         assert len(delays) == tx.receivers_expected     # everyone spawned before
-        if tx.frame.kind is FrameKind.CONTROL_ALLOCATION:
+        if tx.kind is FrameKind.CONTROL_ALLOCATION:
             expected += sum(tx.end + d <= end for vid, d in delays.items()
                             if vid in medium.handlers)
     deliveries = [target for *_, target, kind in medium.kernel.trace

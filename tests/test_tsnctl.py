@@ -183,7 +183,7 @@ def test_listener_whose_earliest_announce_collided_follows_the_next_one():
     listener = ctls[3]
     kernel.run_until(100 * MS + W2.slot_len_ns + listener.guard)   # the end of slot 0
     announces = medium.transmissions(FrameKind.CONTROL_ANNOUNCE, 100 * MS)
-    earliest = min(announces, key=lambda tx: (tx.frame.generated_at, tx.sender))
+    earliest = min(announces, key=lambda tx: (tx.generated_at, tx.sender))
     assert earliest.sender == 0 and medium.outcomes(earliest)[3] is True
     assert [f.sender for f in medium.clean_receptions(3, announces)] == [1]
     assert listener.transitions[-1][1:3] == (FsmEvent.SLOT0_END, "lost")
@@ -212,7 +212,7 @@ def _follower_of_an_unheard_master():
     kernel.at(150 * MS, 6, EventKind.SPAWN, spawn, 6)
     kernel.run_until(100 * MS + 2 * MS + clock.guard + 1)
     medium.register(99, Position(20.0, 0.0))
-    medium.broadcast(99, make_allocation(sender=99, generated_at=0, allocations={99: 2}))
+    medium.broadcast(make_allocation(sender=99, generated_at=0, allocations={99: 2}))
     kernel.run_until(110 * MS)
     assert ctls[5].state == FsmState(Status.JOINING, Role.SLAVE)
     assert (ctls[5].master_id, ctls[5].master_ts) == (99, 0)
@@ -468,15 +468,15 @@ def test_data_frames_start_at_their_slot_origin():
         sources={vid: _due_at(250 * MS, frames[vid], 400 * MS) for vid in frames})
     assert [ctls[v].my_slot for v in ctls] == [2, 3, 4]
     kernel.run_until(400 * MS)
-    starts = [(tx.sender, tx.frame.seq, tx.start) for tx in medium.log
-              if tx.frame.kind is FrameKind.DATA]
+    starts = [(tx.sender, tx.seq, tx.start) for tx in medium.log
+              if tx.kind is FrameKind.DATA]
     assert starts == [(0, 0, 302 * MS + ctls[0].guard), (0, 1, 304 * MS),
                       (1, 0, 306 * MS), (2, 0, 308 * MS)]
 
 
 def test_announce_lands_in_slot_zero_at_requested_offset():
     _, medium, _ = assemble_platoon({0: 0, 1: 1 * MS}, {0: 0, 1: 300 * US})
-    announces = [tx for tx in medium.log if tx.frame.kind is FrameKind.CONTROL_ANNOUNCE]
+    announces = [tx for tx in medium.log if tx.kind is FrameKind.CONTROL_ANNOUNCE]
     assert announces[0].start == 100 * MS          # vehicle 0, offset 0
     assert announces[1].start == 100 * MS + 300 * US
     slot_end = 100 * MS + 2 * MS
@@ -486,7 +486,7 @@ def test_announce_lands_in_slot_zero_at_requested_offset():
 def test_allocation_sent_in_slot_one():
     _, medium, _ = assemble_platoon({0: 0, 1: 1 * MS}, {0: 0, 1: 300 * US})
     alloc = next(tx for tx in medium.log
-                 if tx.frame.kind is FrameKind.CONTROL_ALLOCATION)
+                 if tx.kind is FrameKind.CONTROL_ALLOCATION)
     assert 100 * MS + 2 * MS <= alloc.start
     assert alloc.end <= 100 * MS + 4 * MS
 
@@ -497,10 +497,10 @@ def test_lone_vehicle_keeps_restarting():
     assert ctl.state == FsmState(Status.JOINING, Role.MASTER)
     restarts = [t for t in ctl.transitions if t[1] is FsmEvent.NO_NEIGHBORS]
     assert len(restarts) >= 3
-    announces = [tx for tx in medium.log if tx.frame.kind is FrameKind.CONTROL_ANNOUNCE]
+    announces = [tx for tx in medium.log if tx.kind is FrameKind.CONTROL_ANNOUNCE]
     assert len(announces) >= 4
     # retries reuse the original creation timestamp
-    assert {tx.frame.generated_at for tx in announces} == {ctl.created_at}
+    assert {tx.generated_at for tx in announces} == {ctl.created_at}
 
 
 def test_burst_sends_one_800B_frame_in_2ms_slot_and_defers_second():
@@ -511,8 +511,8 @@ def test_burst_sends_one_800B_frame_in_2ms_slot_and_defers_second():
     slave = ctls[1]
     kernel.run_until(510 * MS)
     sent = [tx for tx in medium.log if tx.sender == 1
-            and tx.frame.kind is FrameKind.DATA]
-    assert [tx.frame.seq for tx in sent] == [0, 1]
+            and tx.kind is FrameKind.DATA]
+    assert [tx.seq for tx in sent] == [0, 1]
     first, second = sent
     window_of = lambda tx: tx.start // (100 * MS)
     assert window_of(second) == window_of(first) + 1   # deferred to next window
@@ -529,7 +529,7 @@ def test_oversized_frame_overruns_from_slot_origin():
     slave = ctls[1]
     kernel.run_until(400 * MS)
     tx = next(tx for tx in medium.log if tx.sender == 1
-              and tx.frame.kind is FrameKind.DATA)
+              and tx.kind is FrameKind.DATA)
     origin = (tx.start // (100 * MS)) * 100 * MS + slave.my_slot * 1 * MS
     assert tx.start == origin
     assert tx.end > origin + 1 * MS                 # spills into the neighbour slot
@@ -548,7 +548,7 @@ def test_burst_ending_at_or_after_the_next_window_start_counts_no_deferral(size)
     master, slave = ctls[0], ctls[1]
     assert (master.my_slot, slave.my_slot) == (2, 3)
     kernel.run_until(30 * MS)
-    sent = [tx for tx in medium.log if tx.sender == 1 and tx.frame.kind is FrameKind.DATA]
+    sent = [tx for tx in medium.log if tx.sender == 1 and tx.kind is FrameKind.DATA]
     assert [tx.start for tx in sent] == [w + 3 * MS for w in range(8 * MS, 28 * MS, 4 * MS)]
     assert all(tx.end >= (tx.start // (4 * MS) + 1) * 4 * MS for tx in sent)
     assert len(slave.queues) == 1 and slave.deferred == 0
@@ -563,7 +563,7 @@ def test_burst_cut_by_the_run_end_counts_no_deferral():
     cfg = ScenarioConfig(vehicle_count=2, message_interval_ns=50 * MS,
                          sim_duration_ns=1 * SEC, repetitions=1)
     full = run_scenario(cfg, 1)
-    tx = [tx for tx in full.medium.log if tx.sender == 1 and tx.frame.kind is FrameKind.DATA][-2]
+    tx = [tx for tx in full.medium.log if tx.sender == 1 and tx.kind is FrameKind.DATA][-2]
     deferred = {}
     for end in (tx.start, tx.end - 1, tx.end):
         cut = run_scenario(replace(cfg, sim_duration_ns=end), 1)
@@ -581,10 +581,10 @@ def test_message_due_at_a_slot_origin_goes_out_in_that_slot():
                          sim_duration_ns=1 * SEC, repetitions=1)
     run = run_scenario(cfg, 1)
     assert run.controllers[1].my_slot == 3
-    sent = [tx for tx in run.medium.log if tx.sender == 1 and tx.frame.kind is FrameKind.DATA]
-    assert [tx.frame.generated_at for tx in sent[:3]] == [6 * MS, 106 * MS, 206 * MS]
+    sent = [tx for tx in run.medium.log if tx.sender == 1 and tx.kind is FrameKind.DATA]
+    assert [tx.generated_at for tx in sent[:3]] == [6 * MS, 106 * MS, 206 * MS]
     assert sent[0].start == 206 * MS and len(sent) == 3 + 7
-    assert all(tx.start == tx.frame.generated_at for tx in sent[3:])
+    assert all(tx.start == tx.generated_at for tx in sent[3:])
     assert run.controllers[1].deferred == 0
 
 
@@ -596,13 +596,13 @@ def test_newcomer_admitted_with_lowest_free_slot_same_window():
     assert ctls[2].state == FsmState(Status.IN_PLATOON, Role.SLAVE)
     assert ctls[2].my_slot == 4
     announce = next(tx for tx in medium.log if tx.sender == 2
-                    and tx.frame.kind is FrameKind.CONTROL_ANNOUNCE)
+                    and tx.kind is FrameKind.CONTROL_ANNOUNCE)
     refresh = next(tx for tx in medium.log
-                   if tx.frame.kind is FrameKind.CONTROL_ALLOCATION
+                   if tx.kind is FrameKind.CONTROL_ALLOCATION
                    and tx.start > announce.start)
     assert announce.start // (100 * MS) == refresh.start // (100 * MS)
-    assert refresh.frame.allocations == {0: 2, 1: 3, 2: 4}
-    assert ctls[0].schedule == refresh.frame.allocations
+    assert refresh.allocations == {0: 2, 1: 3, 2: 4}
+    assert ctls[0].schedule == refresh.allocations
 
 
 def test_full_schedule_rejects_newcomer_and_counts_it():
@@ -643,7 +643,7 @@ def test_master_loss_reverts_slave_to_init_and_rejoin():
     medium.register(99, Position(10.0, 0.0))
     alloc = make_allocation(sender=99, generated_at=0,     # earlier than spawn at 10 ms
                             allocations={99: 2, 5: 3})
-    arrival = medium.broadcast(99, alloc).end + medium.cfg.prop_delay(10.0)
+    arrival = medium.broadcast(alloc).end + medium.cfg.prop_delay(10.0)
     kernel.run_until(120 * MS)
     assert ctl.state == FsmState(Status.IN_PLATOON, Role.SLAVE)
     assert ctl.master_id == 99
@@ -704,8 +704,8 @@ def test_forming_master_superseded_in_slot_one_drops_its_schedule():
                            source=ScriptedSource(end=110 * MS))
         medium.register(vid, Position(x[vid], 0.0), handler=ctls[vid].on_frame_delivery)
     kernel.run_until(100 * MS + 2 * W2.slot_len_ns - 1)   # just before slot 1 ends
-    allocs = [(tx.sender, tx.start, tx.frame.allocations) for tx in medium.log
-              if tx.frame.kind is FrameKind.CONTROL_ALLOCATION]
+    allocs = [(tx.sender, tx.start, tx.allocations) for tx in medium.log
+              if tx.kind is FrameKind.CONTROL_ALLOCATION]
     assert allocs == [(1, 102_100 * US, {1: 2, 3: 3}), (0, 102_900 * US, {0: 2, 1: 3, 3: 4})]
     early, late = ctls[0], ctls[1]
     assert late.transitions[-1][1:] == (FsmEvent.ALLOCATION_RECEIVED, "superseded",
@@ -779,7 +779,7 @@ def test_vehicles_superseded_in_slot_one_take_no_slot1_end_that_window():
     assert [c.state.status for c in ctls.values()] == [Status.IN_PLATOON] * 2
     kernel.run_until(302 * MS + 500 * US)               # inside slot 1 of the window at 300 ms
     medium.register(99, Position(10.0, 0.0))
-    medium.broadcast(99, make_allocation(sender=99, generated_at=0,   # earlier than both
+    medium.broadcast(make_allocation(sender=99, generated_at=0,   # earlier than both
                                          allocations={99: 2, 1: 3}))
     kernel.run_until(399 * MS)
     for ctl in ctls.values():
