@@ -101,9 +101,9 @@ class CsmaMac:
     procedure. A frame leaves it when it goes on air. The end of that
     transmission is an event only if another frame is already queued or the
     source's next message falls due by the end; while that event is pending,
-    a queued frame waits for it. `frames_transmitted` counts the frames whose
-    transmission ended by the run end: at that event, or else at broadcast
-    when the frame ends by the source's run end.
+    a queued frame waits for it. The MAC counts neither messages nor frames:
+    the messages it took are the source's `seq`, and the frames it sent are
+    its frames in the medium's log, those that ended by the run end among them.
     """
 
     def __init__(self, vid: int, clock: MessageClock, cfg: CsmaConfig, rng: Pcg64, *, source):
@@ -116,8 +116,6 @@ class CsmaMac:
         self._cw_max, self._slot_ns = cfg.cw_slots - 1, cfg.backoff_slot_ns  # backoff draw
         self.queue: deque[Frame] = deque()
         self._tx_done_pending = False
-        self.frames_submitted = 0
-        self.frames_transmitted = 0
         self.deferrals = 0
         self.source = source
         if source.next_due is not None:
@@ -126,7 +124,6 @@ class CsmaMac:
     def _on_message(self) -> None:
         source, queue = self.source, self.queue
         queue.append(source.take())
-        self.frames_submitted += 1
         if len(queue) == 1 and not self._tx_done_pending:
             self._sense()
         if source.next_due is not None:
@@ -168,11 +165,8 @@ class CsmaMac:
             # armed at broadcast, so the end keeps its place among same-instant events
             self._tx_done_pending = True
             self.kernel.at(end, self.vid, TIMER, self._on_tx_done)
-        elif end <= source.end:
-            self.frames_transmitted += 1
 
     def _on_tx_done(self, _payload) -> None:
         self._tx_done_pending = False
-        self.frames_transmitted += 1
         if self.queue:
             self._sense()

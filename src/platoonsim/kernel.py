@@ -241,7 +241,6 @@ class RngStreams:
     """
 
     def __init__(self, seed: int):
-        self.seed = seed
         self._pool = _entropy_pool(seed)     # mixed once per run
 
     def stream(self, entity_id: int) -> Pcg64:

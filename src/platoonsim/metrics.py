@@ -353,10 +353,9 @@ def write_transmission_log(run: RunResult, path: str | Path) -> None:
         lines.append(f"# vehicle {spec.vid} {spec.position.x!r} {spec.position.y!r} "
                      f"{spec.spawn_at}")
     lines.append("# sender start_ns end_ns size_B kind collided")
-    # the collided flag is `Frame.collided`, read off the two masks
     for tx in run.medium.log:
         lines.append(f"{tx.sender} {tx.start} {tx.end} {tx.size} "
-                     f"{KIND_LABELS[tx.kind]} {int(tx.hit & tx.receivers != 0)}")
+                     f"{KIND_LABELS[tx.kind]} {int(tx.collided)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

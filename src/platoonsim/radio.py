@@ -9,7 +9,7 @@ other are mutually blind and will overlap.
 
 Vehicles never move after they register, so who hears whom, and after what
 propagation delay, is computed once per pair at registration, together with
-a bitmask per vehicle of the vehicles it hears. The log holds the broadcast
+a bitmask per vehicle of the other vehicles it hears. The log holds the broadcast
 frames themselves: `broadcast` stamps each frame once with its start, end,
 receivers mask and interferer mask, so a frame on air is its own record. The
 log is the only record of who heard whom and when. It is sorted by start,
@@ -87,28 +87,29 @@ def tx_duration(size_bytes: int, cfg: RadioConfig) -> int:
     """On-air time in ns: preamble plus payload bits at the configured rate."""
     if size_bytes < 0:
         raise ValueError("negative frame size")
-    if size_bytes == 0:
-        return cfg.preamble_ns
-    bits = size_bytes * 8
-    return cfg.preamble_ns + -(-bits * SEC // cfg.data_rate_bps)
+    return cfg.preamble_ns + -(-size_bytes * 8 * SEC // cfg.data_rate_bps)
 
 
 class Medium:
     """Broadcast channel shared by all registered vehicles.
 
-    Each vehicle gets a bit, in registration order. `broadcast` stamps a
-    frame with its time on air and its two masks and logs the frame itself.
-    It pairs the new frame with every frame still on air, read from the tail
-    of the log back to the first one that started more than the longest
-    airtime ago, and ORs each sender's range mask into the other's
-    interferer mask (`Frame.hit`), so who collides where is recorded once
-    per overlapping pair. The mask is final once the clock reaches the
+    Each vehicle gets a bit, in registration order, and one mask of the
+    other vehicles it hears: the receivers mask of its broadcasts. Its range
+    mask, the same with its own bit, is ORed together where it is read.
+    `broadcast` stamps a frame with its time on air and its two masks and
+    logs the frame itself. It pairs the new frame with every frame still on
+    air, read from the tail of the log back to the first one that started
+    more than the longest airtime ago, and ORs each sender's range mask into
+    the other's interferer mask (`Frame.hit`), so who collides where is
+    recorded once per overlapping pair. The mask is final once the clock reaches the
     frame's end, and every reader reads it then or later: the allocation
     flag at arrival, `clean_receptions` and `last_clean_arrival` for
     arrivals before now, and `outcomes` and the frame's own count and flag
     after the run. A listener heard a frame clean iff its bit is in the
     receivers mask and not in the interferer mask, and the frame arrived
-    before now: an arrival at now is not yet heard.
+    before now: an arrival at now is not yet heard. The log is also the only
+    count of a sender's frames: a CSMA MAC's frames sent are its frames
+    there, and those that ended by the run end are its frames transmitted.
 
     A `handler(frame, collided)` registered per vehicle gets each of its
     allocation receptions at the arrival time; collided frames are delivered
@@ -127,10 +128,9 @@ class Medium:
         # every vehicle hears itself first, with delay 0
         self._hears: dict[int, dict[int, int]] = {}
         self._bit: dict[int, int] = {}              # vid -> 1 << registration index
-        # vid -> mask of the vehicles it hears, itself included (`_range`), and
-        # without its own bit, the receivers of its broadcasts (`_receivers`);
-        # every transmission of a sender between two registrations shares one int
-        self._range: dict[int, int] = {}
+        # vid -> mask of the other vehicles it hears, the receivers of its
+        # broadcasts; every frame a sender broadcasts between two
+        # registrations shares one int
         self._receivers: dict[int, int] = {}
         self._sense_slack = cfg.max_delay
         self._cca_detect = cfg.cca_detect_ns
@@ -164,11 +164,9 @@ class Medium:
             if dist <= range_m:
                 hears[other] = self._hears[other][vid] = cfg.prop_delay(dist)
                 receivers |= self._bit[other]
-                self._range[other] |= bit
                 self._receivers[other] |= bit
         self._hears[vid] = hears
         self._bit[vid] = bit
-        self._range[vid] = receivers | bit
         self._receivers[vid] = receivers
         self._sent[vid] = []
         self.positions[vid] = pos
@@ -192,8 +190,9 @@ class Medium:
             )
         dur = self.airtimes.get(frame.size) or self.airtime(frame.size)
         end = start + dur
-        log, ranges = self.log, self._range
-        mask, hit = ranges[sender], 0
+        log, receivers, bits = self.log, self._receivers, self._bit
+        # the sender's range mask: a sender hears itself (half-duplex)
+        mask, hit = receivers[sender] | bits[sender], 0
         # Every logged frame started at or before `start`, so the half-open
         # intervals overlap iff it ends after `start` and starts before `end`;
         # a zero-length frame overlaps nothing that starts with it. A frame
@@ -204,10 +203,10 @@ class Medium:
             if other.start < floor:
                 break
             if other.end > start and other.start < end:
-                hit |= ranges[other.sender]
+                hit |= receivers[other.sender] | bits[other.sender]
                 other.hit |= mask
         frame.start, frame.end = start, end
-        frame.receivers, frame.hit = self._receivers[sender], hit
+        frame.receivers, frame.hit = receivers[sender], hit
         log.append(frame)
         sent.append(frame)
         if dur > self._max_dur:

@@ -351,6 +351,8 @@ class TsnCtl:
 
     `transitions` holds one record per FSM step, and every step along one
     edge appends the same tuple, built once at import from `LEGAL_EDGES`.
+    A join retry is a window start taken while JOINING, so the retries are
+    the `(JOINING, *, WINDOW_START)` records there and no counter repeats them.
 
     Liveness has a deadline: a clean arrival of the master's frame at `a`
     keeps the master live while now < a + MASTER_TIMEOUT_WINDOWS windows.
@@ -372,9 +374,8 @@ class TsnCtl:
         self.created_at = kernel.now            # announce timestamp, stable across retries
         self.queues = PriorityQueueSet()
         # the application's message source, a `scenario.ItsService` in a run,
-        # read by `pull`; no burst step acts after its run end
+        # read by `pull`; no burst step acts after its run end (`source.end`)
         self.source = source
-        self.run_end = source.end
         self.epoch = -1
         self.schedule: dict[int, int] | None = None   # a master's own schedule
         self.my_slot: int | None = None
@@ -389,7 +390,6 @@ class TsnCtl:
         self.transitions: list[tuple[FsmState, FsmEvent, str | None, FsmState]] = []
         self.deferred = 0
         self.rejected_joins = 0
-        self.join_retries = 0
         self.announce_skips = 0
         clock.join(self)
 
@@ -432,8 +432,6 @@ class TsnCtl:
                 return state.role is MASTER
             self._step(MASTER_LOST)
             self._reset_membership()
-        elif state.status is JOINING:
-            self.join_retries += 1
         self._in_round = True
         self._step(WINDOW_START)
         self._schedule_announce(w)
@@ -470,8 +468,8 @@ class TsnCtl:
         self._timer(w + off, self._try_announce)
 
     def _try_announce(self, _payload) -> None:
-        if self.state.status is not JOINING:
-            return
+        # armed in slot 0 of a window whose start put us in JOINING; every
+        # edge out of JOINING fires in slot 1 or later
         if self.medium.idle_from(self.vid, self.kernel.now) > self.kernel.now:
             self.announce_skips += 1
             return
@@ -671,6 +669,6 @@ class TsnCtl:
         at = self.medium.broadcast(self.queues.pop()).end
         if idx == 1:
             self.kernel.at(at, self.vid, TIMER, self._burst, ctx)
-        elif (at < w + self.wcfg.window_ns and at <= self.run_end
+        elif (at < w + self.wcfg.window_ns and at <= self.source.end
                 and self._head_fits(at, idx, origin, end)):
             self.kernel.at(at, self.vid, TIMER, self._send, ctx)

@@ -1,5 +1,6 @@
 """Shared test helpers: scripted randomness, a scripted message source,
-hand-assembled platoon scenarios and a reference election.
+hand-assembled platoon scenarios, a reference election and the counts a run
+keeps no counter for.
 
 Every MAC and controller reads its messages from a source, as in a run. A
 test that does not build a `scenario.ItsService` scripts the messages it
@@ -9,10 +10,12 @@ from __future__ import annotations
 
 from collections import deque
 
+from platoonsim.csma import CsmaMac
 from platoonsim.frames import Frame
 from platoonsim.kernel import EventKind, Kernel, MS
 from platoonsim.radio import Medium, Position, RadioConfig
-from platoonsim.tsnctl import TsnCtl, WindowClock, WindowConfig, election_key
+from platoonsim.tsnctl import (JOINING, WINDOW_START, TsnCtl, WindowClock, WindowConfig,
+                               election_key)
 
 
 def elect_master(candidates: dict[int, int]) -> int:
@@ -50,8 +53,8 @@ class ScriptedSource:
     """Stands in for a `scenario.ItsService`: it hands out scripted frames at scripted due times.
 
     `script` lists (due time, frame) pairs in due order. `end` is the run end,
-    as an `ItsService` holds it: a MAC counts a frame transmitted at broadcast
-    only if it ends by then, and a controller takes no burst step after it.
+    as an `ItsService` holds it: a controller takes no burst step after it,
+    and a MAC's frames that end by then count as transmitted.
     """
 
     def __init__(self, script=(), *, end: int):
@@ -99,3 +102,15 @@ def assemble_platoon(spawn_times: dict[int, int], offsets: dict[int, int],
         kernel.at(at, vid, EventKind.SPAWN, spawn, vid)
     kernel.run_until(run_ms * MS)
     return kernel, medium, ctls
+
+
+def frames_transmitted(mac: CsmaMac) -> int:
+    """A CSMA MAC's frames that ended by its run end, read from the medium's log."""
+    vid, end = mac.vid, mac.source.end
+    return sum(tx.sender == vid and tx.end <= end for tx in mac.medium.log)
+
+
+def join_retries(ctl: TsnCtl) -> int:
+    """A controller's window starts taken while JOINING, read from its FSM record."""
+    return sum(before.status is JOINING and event is WINDOW_START
+               for before, event, _, _ in ctl.transitions)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from _util import ScriptedRng, ScriptedSource
+from _util import ScriptedRng, ScriptedSource, frames_transmitted
 
 from platoonsim.csma import CsmaConfig, CsmaMac, MessageClock
 from platoonsim.frames import Frame, FrameKind
@@ -90,7 +90,7 @@ def test_every_message_transmitted_exactly_once():
     kernel, medium, macs = _setup({vid: [0] * 5 for vid in range(4)}, n=4)
     kernel.run_until(200 * MS)
     for vid, mac in macs.items():
-        assert mac.frames_submitted == mac.frames_transmitted == 5
+        assert mac.source.seq == frames_transmitted(mac) == 5
         own = [tx for tx in medium.log if tx.sender == vid]
         assert len(own) == 5
 
@@ -143,9 +143,11 @@ def test_message_due_while_on_air_goes_out_once_at_the_end(early_ns):
     # it waited for the end without sensing its own frame busy
     assert (second.seq, second.start) == (1, first.end)
     assert mac.deferrals == 0
-    assert mac.frames_submitted == 2 and not mac.queue
-    # a frame counts once it has ended by the run end
-    assert mac.frames_transmitted == sum(tx.end <= end for tx in medium.log)
+    assert mac.source.seq == 2 and not mac.queue
+    # a frame counts once it has ended by the run end: the second ends at it
+    # only when its message fell due at the first frame's end
+    assert second.end - end == 2 * early_ns
+    assert frames_transmitted(mac) == (2 if early_ns == 0 else 1)
 
 
 def test_zero_backoff_on_a_quiet_instant_transmits_at_the_idle_edge():
@@ -180,7 +182,7 @@ def test_default_baseline_raises_no_event_at_its_own_frame_ends():
               if kind == "TIMER"]
     assert ends and timers
     assert sum(timer in ends for timer in timers) == 0
-    assert all(mac.frames_transmitted == mac.frames_submitted for mac in run.macs.values())
+    assert all(frames_transmitted(mac) == mac.source.seq for mac in run.macs.values())
 
 
 def test_config_validation():

@@ -63,8 +63,8 @@ def test_expect_diff_reports_what_moved_and_exits_0(tmp_path, capsys):
 
 def test_expect_diff_still_fails_on_an_oracle_fault(tmp_path, capsys):
     # every sender counts itself among the receivers of its frames
-    head = _changed_copy(tmp_path, "radio.py", "frame.hit = self._receivers[sender], hit\n",
-                         "frame.hit = self._range[sender], hit\n")
+    head = _changed_copy(tmp_path, "radio.py", "frame.hit = receivers[sender], hit\n",
+                         "frame.hit = mask, hit\n")
     code = equivalence.main(["--base", str(SRC), "--head", str(head), "--mode", "baseline",
                              "--configs", "2", "--seed", "1", "--expect-diff"])
     out = capsys.readouterr()

@@ -29,9 +29,13 @@ receiver count twice, which keeps the fixture's layout, then the collided
 count), `rec1` appends to each line its per-receiver outcomes, as
 `Medium.outcomes` rebuilds them from the log, and `counters` hashes what the
 log does not show: each controller's FSM record (`transitions`), its
-`deferred`, `rejected_joins`, `join_retries` and `announce_skips`, its queue
+`deferred`, `rejected_joins`, join retries and `announce_skips`, its queue
 length and messages taken at the run end, and each CSMA MAC's `deferrals`,
-`frames_submitted` and `frames_transmitted`.
+messages taken and frames transmitted. The run keeps no counter for three of
+these, and the digest computes them as the fixture was made: join retries are
+the controller's `(JOINING, *, WINDOW_START)` records in `transitions`, a
+MAC's messages taken are its source's `seq`, and its frames transmitted are
+its frames in the log that ended by the run end.
 
 A change that alters output on purpose regenerates the fixture with
 
@@ -48,6 +52,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from _util import frames_transmitted, join_retries
 
 from platoonsim.kernel import MS
 from platoonsim.metrics import write_transmission_log
@@ -105,13 +110,13 @@ def counter_digest(run) -> dict:
     """The sha256 of every controller's and MAC's counters, in vehicle id order."""
     h = hashlib.sha256()
     for vid, ctl in sorted(run.controllers.items()):
-        h.update(f"ctl {vid} {ctl.deferred} {ctl.rejected_joins} {ctl.join_retries} "
+        h.update(f"ctl {vid} {ctl.deferred} {ctl.rejected_joins} {join_retries(ctl)} "
                  f"{ctl.announce_skips} {len(ctl.queues)} {ctl.source.seq}\n".encode())
         for before, event, outcome, after in ctl.transitions:
             h.update(f"{_state(before)} {event.name} {outcome} {_state(after)}\n".encode())
     for vid, mac in sorted(run.macs.items()):
-        h.update(f"mac {vid} {mac.deferrals} {mac.frames_submitted} "
-                 f"{mac.frames_transmitted}\n".encode())
+        h.update(f"mac {vid} {mac.deferrals} {mac.source.seq} "
+                 f"{frames_transmitted(mac)}\n".encode())
     ctls, macs = run.controllers.values(), run.macs.values()
     return {
         "counters_sha256": h.hexdigest(),

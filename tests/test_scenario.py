@@ -1,7 +1,7 @@
 import gc
 
 import pytest
-from _util import ScriptedSource, assemble_platoon
+from _util import ScriptedSource, assemble_platoon, frames_transmitted
 
 from platoonsim.config import ConfigError
 from platoonsim.csma import CsmaConfig, CsmaMac, MessageClock
@@ -74,22 +74,40 @@ def test_payload_size_flows_through_to_the_air():
     assert data and all(tx.size == 650 for tx in data)
 
 
-def test_message_conservation_baseline():
-    cfg = ScenarioConfig(vehicle_count=4, mode=MODE_BASELINE,
-                         sim_duration_ns=2 * SEC)
-    run = run_scenario(cfg, 3)
-    for vid, service in run.services.items():
-        assert service.generated == run.macs[vid].frames_submitted
+# Besides a small default run, the golden grid's backlogged points, cut
+# 10.54 ms into a window: the baseline with 20 vehicles at one spot and a
+# message every 2 ms, and the slot controller with 1 ms slots, 100 B frames
+# and a message every 20 ms.
+CUT = 1_910_543_210
 
 
-def test_message_conservation_tsnctl():
-    cfg = ScenarioConfig(vehicle_count=4, mode=MODE_TSNCTL,
-                         sim_duration_ns=2 * SEC)
-    run = run_scenario(cfg, 3)
+def _logged_data(run, vid):
+    return sum(tx.sender == vid and tx.kind is FrameKind.DATA for tx in run.medium.log)
+
+
+@pytest.mark.parametrize("seed, fields", [
+    (3, {"vehicle_count": 4, "sim_duration_ns": 2 * SEC}),
+    (1, {"area_length_m": 0.0, "message_interval_ns": 2 * MS, "sim_duration_ns": CUT}),
+], ids=["n4", "area0m-msg2ms"])
+def test_message_conservation_baseline(seed, fields):
+    run = run_scenario(ScenarioConfig(mode=MODE_BASELINE, **fields), seed)
     for vid, service in run.services.items():
-        sent = sum(tx.sender == vid and tx.kind is FrameKind.DATA
-                   for tx in run.medium.log)
-        assert service.generated == sent + len(run.controllers[vid].queues)
+        mac = run.macs[vid]
+        assert mac.source is service
+        assert service.generated == service.seq == len(mac.queue) + _logged_data(run, vid)
+
+
+@pytest.mark.parametrize("seed, fields", [
+    (3, {"vehicle_count": 4, "sim_duration_ns": 2 * SEC}),
+    (1, {"message_interval_ns": 20 * MS, "payload_size_b": 100, "sim_duration_ns": CUT,
+         "window": WindowConfig(slot_len_ns=1 * MS)}),
+], ids=["n4", "msg20ms"])
+def test_message_conservation_tsnctl(seed, fields):
+    run = run_scenario(ScenarioConfig(mode=MODE_TSNCTL, **fields), seed)
+    for vid, service in run.services.items():
+        ctl = run.controllers[vid]
+        assert ctl.source is service
+        assert service.generated == service.seq == len(ctl.queues) + _logged_data(run, vid)
 
 
 def test_unadmitted_vehicle_generates_the_closed_form_count_tsnctl():
@@ -146,7 +164,7 @@ def _scripted_copy(spec, cfg):
 def test_scripted_source_drives_csma_as_the_service_does():
     # a message falls due about every two airtimes: some go out at their due
     # time, some defer to the other vehicle, some queue behind their own
-    # frame; the run ends while a frame that is counted at broadcast is on air
+    # frame; the run ends while a frame is on air, which counts as not transmitted
     cfg = ScenarioConfig(message_interval_ns=2 * MS, sim_duration_ns=30_500 * US)
     specs = [VehicleSpec(0, Position(0.0, 0.0), 0), VehicleSpec(1, Position(30.0, 0.0), 300 * US)]
 
@@ -161,13 +179,12 @@ def test_scripted_source_drives_csma_as_the_service_does():
                                 RngStreams(3).stream(spec.vid), source=make_source(spec)))
         kernel.run_until(cfg.sim_duration_ns)
         return (medium.log,
-                [(m.frames_submitted, m.frames_transmitted, m.deferrals, m.source.seq)
-                 for m in macs])
+                [(m.source.seq, frames_transmitted(m), m.deferrals) for m in macs])
 
     log, counters = run(lambda spec: ItsService(spec, cfg))
     assert run(lambda spec: _scripted_copy(spec, cfg)) == (log, counters)
-    assert all(deferrals for _, _, deferrals, _ in counters)
-    assert any(taken > ended for taken, ended, _, _ in counters)     # cut by the run end
+    assert all(deferrals for _, _, deferrals in counters)
+    assert any(taken > ended for taken, ended, _ in counters)     # cut by the run end
 
 
 def test_scripted_source_drives_a_platoon_as_the_service_does():

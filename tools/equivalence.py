@@ -17,7 +17,13 @@ receivers and hit masks, the collision counts, every controller's
 `transitions`, `deferred`, `rejected_joins`, `join_retries`,
 `announce_skips`, queue length and `source.seq`, and every MAC's
 `deferrals`, `frames_submitted` and `frames_transmitted`. It also runs
-`oracle_check_run` on both sides, which must find nothing.
+`oracle_check_run` on both sides, which must find nothing. Three of these
+fields are computed from the run's records, as `tests/test_golden.py`
+computes them, so both sides give them alike whether or not a tree keeps a
+counter: `join_retries` counts the controller's `(JOINING, *, WINDOW_START)`
+records in `transitions`, `frames_submitted` is the MAC's `source.seq`, and
+`frames_transmitted` counts the MAC's frames in the log that ended by the
+run end.
 
 It prints a JSON summary on stdout: how many configs differ, the first
 field that differs, and the transmission and collided totals of each side
@@ -45,6 +51,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 MS = 1_000_000
@@ -130,13 +137,19 @@ def digest(config: dict, scratch: Path) -> dict:
         fields[f"controller {vid} transitions"] = _sha(
             f"{_state(before)} {event.name} {outcome} {_state(after)}"
             for before, event, outcome, after in ctl.transitions)
-        for name in ("deferred", "rejected_joins", "join_retries", "announce_skips"):
-            fields[f"controller {vid} {name}"] = getattr(ctl, name)
+        fields[f"controller {vid} deferred"] = ctl.deferred
+        fields[f"controller {vid} rejected_joins"] = ctl.rejected_joins
+        fields[f"controller {vid} join_retries"] = sum(
+            before.status.name == "JOINING" and event.name == "WINDOW_START"
+            for before, event, _, _ in ctl.transitions)
+        fields[f"controller {vid} announce_skips"] = ctl.announce_skips
         fields[f"controller {vid} queue length"] = len(ctl.queues)
         fields[f"controller {vid} source.seq"] = ctl.source.seq
+    ended = Counter(tx.sender for tx in txs if tx.end <= cfg.sim_duration_ns)
     for vid, mac in sorted(run.macs.items()):
-        for name in ("deferrals", "frames_submitted", "frames_transmitted"):
-            fields[f"mac {vid} {name}"] = getattr(mac, name)
+        fields[f"mac {vid} deferrals"] = mac.deferrals
+        fields[f"mac {vid} frames_submitted"] = mac.source.seq
+        fields[f"mac {vid} frames_transmitted"] = ended[vid]
     return fields
 
 
