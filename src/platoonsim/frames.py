@@ -66,14 +66,6 @@ class Frame:
     hit: int = 0
 
     @property
-    def receivers_expected(self) -> int:
-        return self.receivers.bit_count()
-
-    @property
-    def receivers_collided(self) -> int:
-        return (self.hit & self.receivers).bit_count()
-
-    @property
     def collided(self) -> bool:
         return self.hit & self.receivers != 0
 

@@ -19,14 +19,17 @@ sense) scan it backwards from its end and stop at the first frame that
 started too early to matter; the medium keeps no index over start times.
 Each frame's interferer mask is filled at broadcast, once per overlapping
 pair, and is final once the clock reaches its end, since nothing that starts
-later overlaps it. The allocation flag handed to frame handlers, the announces and
+later overlaps it. Every reader of who heard a frame clean reads that one
+mask, against the receivers mask: a delivery at arrival, the announces and
 liveness that protocols read back from the log (`clean_receptions`,
-`last_clean_arrival`), each receiver's flag (`outcomes`) and the collided
-count and flag of a frame all read that one mask, against the receivers
-mask. A read of the log at time t counts the clean receptions that
-arrived before t; the order in which events were scheduled plays no part.
-Only allocation frames, which act at once, raise an event per reception;
-every other reception raises none.
+`last_clean_arrival`) and the frame's collided flag. A read of the log at
+time t counts the clean receptions that arrived before t; the order in which
+events were scheduled plays no part.
+
+The medium knows no protocol: a broadcast raises no event. A protocol that
+acts on a frame at once, as the slot controller does on an allocation, asks
+the medium to `deliver` it: that raises one event per receiver with a
+handler, and hands the frame over only where it arrived clean.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator
 
-from .frames import CONTROL_ALLOCATION, Frame, FrameKind
+from .frames import Frame, FrameKind
 from .kernel import FRAME_DELIVERY, Kernel, SEC
 
 
@@ -101,27 +104,27 @@ class Medium:
     air, read from the tail of the log back to the first one that started
     more than the longest airtime ago, and ORs each sender's range mask into
     the other's interferer mask (`Frame.hit`), so who collides where is
-    recorded once per overlapping pair. The mask is final once the clock reaches the
-    frame's end, and every reader reads it then or later: the allocation
-    flag at arrival, `clean_receptions` and `last_clean_arrival` for
-    arrivals before now, and `outcomes` and the frame's own count and flag
-    after the run. A listener heard a frame clean iff its bit is in the
-    receivers mask and not in the interferer mask, and the frame arrived
-    before now: an arrival at now is not yet heard. The log is also the only
-    count of a sender's frames: a CSMA MAC's frames sent are its frames
-    there, and those that ended by the run end are its frames transmitted.
+    recorded once per overlapping pair. The mask is final once the clock
+    reaches the frame's end, and every reader reads it then or later: a
+    delivery at arrival, `clean_receptions` and `last_clean_arrival` for
+    arrivals before now, and the frame's collided flag after the run. A
+    listener heard a frame clean iff its bit is in the receivers mask and not
+    in the interferer mask, and the frame arrived before now: an arrival at
+    now is not yet heard. The log is also the only count of a sender's
+    frames: a CSMA MAC's frames sent are its frames there, and those that
+    ended by the run end are its frames transmitted.
 
-    A `handler(frame, collided)` registered per vehicle gets each of its
-    allocation receptions at the arrival time; collided frames are delivered
-    with the flag set so the handler can discard them (no partial decode).
-    Other frames are never handed to handlers.
+    A `handler(frame)` registered per vehicle gets, at the arrival time, each
+    frame that `deliver` was asked for and that reached the vehicle clean; a
+    collided reception raises its event but is not handed over (no partial
+    decode). The medium hands handlers nothing else.
     """
 
     def __init__(self, kernel: Kernel, cfg: RadioConfig):
         self.kernel = kernel
         self.cfg = cfg
         self.positions: dict[int, Position] = {}
-        self.handlers: dict[int, Callable[[Frame, bool], None]] = {}
+        self.handlers: dict[int, Callable[[Frame], None]] = {}
         self.log: list[Frame] = []                  # every broadcast frame, by start
         self._sent: dict[int, list[Frame]] = {}     # per sender, by start
         # vid -> {vid in range: propagation delay ns}, in registration order;
@@ -151,7 +154,7 @@ class Medium:
         return dur
 
     def register(self, vid: int, pos: Position,
-                 handler: Callable[[Frame, bool], None] | None = None) -> None:
+                 handler: Callable[[Frame], None] | None = None) -> None:
         if vid in self.positions:
             raise ValueError(f"vehicle {vid} already registered")
         bit = 1 << len(self.positions)
@@ -211,27 +214,25 @@ class Medium:
         sent.append(frame)
         if dur > self._max_dur:
             self._max_dur = dur
-
-        if frame.kind is CONTROL_ALLOCATION:
-            # an allocation acts at once (it arms slots), so it is delivered
-            for vid, delay in islice(self._hears[sender].items(), 1, None):
-                if vid in self.handlers:
-                    self.kernel.at(end + delay, vid, FRAME_DELIVERY,
-                                   self._deliver, (frame, vid))
         return frame
+
+    def deliver(self, frame: Frame) -> None:
+        """Hand a frame broadcast now to its receivers' handlers at their arrival times.
+
+        One event per receiver that has a handler, in registration order; at
+        the arrival the handler gets the frame iff it arrived clean there.
+        Called in the event that broadcast the frame, so the vehicles its
+        sender hears are its receivers.
+        """
+        end, handlers = frame.end, self.handlers
+        for vid, delay in islice(self._hears[frame.sender].items(), 1, None):
+            if vid in handlers:
+                self.kernel.at(end + delay, vid, FRAME_DELIVERY, self._deliver, (frame, vid))
 
     def _deliver(self, payload: tuple[Frame, int]) -> None:
         frame, vid = payload
-        self.handlers[vid](frame, bool(frame.hit & self._bit[vid]))
-
-    def outcomes(self, frame: Frame) -> dict[int, bool]:
-        """Collided flag per receiver of a broadcast frame, in registration order.
-
-        The receivers are the vehicles in range at broadcast. The flags are
-        final once the kernel clock reaches frame.end.
-        """
-        return {vid: bool(frame.hit & bit) for vid, bit in self._bit.items()
-                if frame.receivers & bit}
+        if not frame.hit & self._bit[vid]:
+            self.handlers[vid](frame)
 
     # -- reading receptions from the log ---------------------------------------
 

@@ -62,6 +62,11 @@ class ScenarioConfig:
                 raise ValueError(f"seed must be >= 0, got {self.seed}")
             if not 0 <= self.area_length_m < math.inf:
                 raise ValueError(f"area_length_m must be finite and >= 0, got {self.area_length_m}")
+            if self.per_receiver_counting and not self.count_control_frames:
+                raise ValueError(
+                    "count_control_frames = false contradicts per_receiver_counting = true: "
+                    "per-reception accounting counts the receptions of control frames too"
+                )
             self.csma.validate()
             self.radio.validate()
             self.window.validate()

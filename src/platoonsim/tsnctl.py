@@ -29,16 +29,16 @@ data-slot burst sends its first frame from the slot trigger once it fits,
 settles each further step when the previous frame starts, and raises an
 event only for a step that transmits; only a slot-1 burst senses the medium.
 
-The medium hands a controller only allocation frames, which act at once.
-Everything else is read back from the medium's log when it is needed: the
-election and the master's admission read the clean announces heard since the
-window started, and a slave learns that its master is alive from the master's
-latest clean arrival at it. The clock orders the window's announces by
-election key once; a vehicle announces at most once per window, so a
-listener's first clean one is its best heard candidate, and a listener that
-loses reads no further. The election weighs at most that announce, the
-listener itself and its master, and reads the master's liveness only when the
-master could win.
+An allocation acts at once, so its master asks the medium to deliver it, and
+a controller takes it only where it arrived clean. Everything else is read
+back from the medium's log when it is needed: the election and the master's
+admission read the clean announces heard since the window started, and a
+slave learns that its master is alive from the master's latest clean arrival
+at it. The clock orders the window's announces by election key once; a
+vehicle announces at most once per window, so a listener's first clean one is
+its best heard candidate, and a listener that loses reads no further. The
+election weighs at most that announce, the listener itself and its master,
+and reads the master's liveness only when the master could win.
 
 A controller keeps no flag for what its other state already says. A master's
 allocation went out iff it holds a schedule: it takes the schedule when the
@@ -532,6 +532,7 @@ class TsnCtl:
         if self.medium.idle_from(self.vid, self.kernel.now) > self.kernel.now:
             return  # contended control slot: retry next window
         tx = self.medium.broadcast(make_allocation(self.vid, self.created_at, sched))
+        self.medium.deliver(tx)     # before the burst step at tx.end, which an arrival may share
         self.schedule = sched
         if self.state.status is IN_PLATOON:   # a refresh
             self._start_slot1_burst(w, start=tx.end)
@@ -548,13 +549,12 @@ class TsnCtl:
 
     # -- allocation reception ---------------------------------------------------------
 
-    def on_frame_delivery(self, frame: Frame, collided: bool) -> None:
-        """The medium's handler: it delivers allocations only, and drops collided ones.
+    def on_frame_delivery(self, frame: Frame) -> None:
+        """The medium's handler: an allocation that arrived clean.
 
         It decides the outcome, steps the FSM once, then applies the effects."""
-        if collided:
-            return
-        key = (frame.generated_at, frame.sender)
+        key = election_key(frame.generated_at, frame.sender)
+        master = election_key(self.master_ts, self.master_id)
         listed = self.vid in frame.allocations
         st = self.state
         if st.status is INIT:   # no edge leaves INIT on a frame: note the master
@@ -564,11 +564,10 @@ class TsnCtl:
             if frame.sender == self.master_id:
                 outcome = "refresh" if listed else "superseded"
             else:
-                outcome = "superseded" if key < (self.master_ts, self.master_id) else "ignored"
+                outcome = "superseded" if key < master else "ignored"
         elif st.role is MASTER:
-            outcome = "superseded" if key < (self.created_at, self.vid) else "ignored"
-        elif (self.master_id is None or key <= (self.master_ts, self.master_id)
-                or frame.sender == self.master_id):
+            outcome = "superseded" if key < election_key(self.created_at, self.vid) else "ignored"
+        elif self.master_id is None or key <= master or frame.sender == self.master_id:
             outcome = "listed" if listed else "unlisted"
         else:
             outcome = "ignored"

@@ -1,6 +1,6 @@
 """Shared test helpers: scripted randomness, a scripted message source,
-hand-assembled platoon scenarios, a reference election and the counts a run
-keeps no counter for.
+hand-assembled platoon scenarios, a reference election, the counts a run
+keeps no counter for and the reception outcomes of a frame, read from its masks.
 
 Every MAC and controller reads its messages from a source, as in a run. A
 test that does not build a `scenario.ItsService` scripts the messages it
@@ -114,3 +114,23 @@ def join_retries(ctl: TsnCtl) -> int:
     """A controller's window starts taken while JOINING, read from its FSM record."""
     return sum(before.status is JOINING and event is WINDOW_START
                for before, event, _, _ in ctl.transitions)
+
+
+def outcomes(medium: Medium, frame: Frame) -> dict[int, bool]:
+    """Collided flag per receiver of a broadcast frame, in registration order.
+
+    Vehicle k in `medium.positions` holds bit k of the frame's two masks. The
+    flags are final once the kernel clock reaches frame.end.
+    """
+    return {vid: bool(frame.hit >> k & 1) for k, vid in enumerate(medium.positions)
+            if frame.receivers >> k & 1}
+
+
+def receivers_expected(frame: Frame) -> int:
+    """The receivers of a broadcast frame: the vehicles in range at broadcast."""
+    return frame.receivers.bit_count()
+
+
+def receivers_collided(frame: Frame) -> int:
+    """The receivers of a broadcast frame at which it collided."""
+    return (frame.hit & frame.receivers).bit_count()

@@ -8,7 +8,7 @@ seeded repetitions per scenario.
 import itertools
 
 import numpy as np
-from _util import ScriptedSource, assemble_platoon
+from _util import ScriptedSource, assemble_platoon, receivers_collided
 
 from platoonsim.frames import Frame, FrameKind
 from platoonsim.kernel import MS, SEC, US
@@ -255,7 +255,7 @@ def test_steady_state_platoon_invariants():
     data = [tx for tx in run.medium.log if tx.kind is FrameKind.DATA]
     assert data
     for tx in data:
-        assert tx.receivers_collided == 0
+        assert receivers_collided(tx) == 0
         idx = (tx.start % window) // slot
         allowed = {ctls[tx.sender].my_slot}
         if tx.sender == masters[0]:

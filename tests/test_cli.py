@@ -268,39 +268,58 @@ cw_slots = 16
 backoff_slot_ns = 13000
 
 [metrics]
-count_control_frames = false
-per_receiver_counting = true
 """
+
+# The two [metrics] keys cannot both leave their defaults in one valid config
+# (see test_contradictory_counting_options_exit_2), so each takes a run of its own.
+METRICS_KEYS = {"count_control_frames = false": {"count_control_frames": False},
+                "per_receiver_counting = true": {"per_receiver_counting": True}}
 
 
 def test_all_module_sections_parse(tmp_path):
-    cfg = _write(tmp_path, ALL_KEYS_CONFIG)
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-
-    parsed = load_config(cfg)
-    assert parsed == ScenarioConfig(
-        vehicle_count=4, spawn_interval_ns=2 * MS, area_length_m=150.0,
-        message_interval_ns=50 * MS, payload_size_b=700, max_payload_b=900,
-        mode="baseline", sim_duration_ns=SEC, seed=7, repetitions=2,
-        window=WindowConfig(window_ns=60 * MS, slot_len_ns=3 * MS),
-        radio=RadioConfig(range_m=250.0, data_rate_bps=12_000_000,
-                          propagation_mps=299_792_458.0, preamble_ns=40_000,
-                          cca_detect_ns=8_000),
-        csma=CsmaConfig(cw_slots=16, backoff_slot_ns=13_000),
-        count_control_frames=False, per_receiver_counting=True,
-    )
-    # each of the 21 keys landed off its default, parsed to the default's type
     default = ScenarioConfig()
-    landed = 0
-    for obj, ref in [(parsed, default)] + [(getattr(parsed, n), getattr(default, n))
-                                           for n in ("window", "radio", "csma")]:
-        for f in fields(ref):
-            value, dflt = getattr(obj, f.name), getattr(ref, f.name)
-            if not is_dataclass(dflt):
-                assert value != dflt and type(value) is type(dflt), f.name
-                landed += 1
-    assert landed == 21
+    landed = set()
+    for i, (line, metrics_fields) in enumerate(METRICS_KEYS.items()):
+        cfg = _write(tmp_path, ALL_KEYS_CONFIG + line + "\n")
+        out = tmp_path / f"out{i}"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+
+        parsed = load_config(cfg)
+        assert parsed == ScenarioConfig(
+            vehicle_count=4, spawn_interval_ns=2 * MS, area_length_m=150.0,
+            message_interval_ns=50 * MS, payload_size_b=700, max_payload_b=900,
+            mode="baseline", sim_duration_ns=SEC, seed=7, repetitions=2,
+            window=WindowConfig(window_ns=60 * MS, slot_len_ns=3 * MS),
+            radio=RadioConfig(range_m=250.0, data_rate_bps=12_000_000,
+                              propagation_mps=299_792_458.0, preamble_ns=40_000,
+                              cca_detect_ns=8_000),
+            csma=CsmaConfig(cw_slots=16, backoff_slot_ns=13_000),
+            **metrics_fields,
+        )
+        # every key parsed to the default's type, and off its default but
+        # for the other [metrics] key
+        other = next(key for key in METRICS_KEYS if key != line).split()[0]
+        for obj, ref in [(parsed, default)] + [(getattr(parsed, n), getattr(default, n))
+                                               for n in ("window", "radio", "csma")]:
+            for f in fields(ref):
+                value, dflt = getattr(obj, f.name), getattr(ref, f.name)
+                if not is_dataclass(dflt):
+                    assert type(value) is type(dflt), f.name
+                    if f.name != other:
+                        assert value != dflt, f.name
+                        landed.add(f.name)
+    # each of the 21 keys landed off its default in a config that validates
+    assert len(landed) == 21
+
+
+def test_contradictory_counting_options_exit_2(tmp_path, capsys):
+    # per-reception accounting counts control receptions, which
+    # count_control_frames = false excludes
+    text = ALL_KEYS_CONFIG + "".join(line + "\n" for line in METRICS_KEYS)
+    assert main(["run", "--config", str(_write(tmp_path, text))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: count_control_frames = false contradicts "
+                          "per_receiver_counting = true"), err
 
 
 @pytest.mark.parametrize("line", ["count_control_frames = false", "slot_len_ns = 1000000"])

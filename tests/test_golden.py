@@ -27,7 +27,7 @@ wins, so the log pins which candidates the election weighs.
 Each point has three keys: `rec0` hashes the accounting line alone (the
 receiver count twice, which keeps the fixture's layout, then the collided
 count), `rec1` appends to each line its per-receiver outcomes, as
-`Medium.outcomes` rebuilds them from the log, and `counters` hashes what the
+`_util.outcomes` reads them from the frame's two masks, and `counters` hashes what the
 log does not show: each controller's FSM record (`transitions`), its
 `deferred`, `rejected_joins`, join retries and `announce_skips`, its queue
 length and messages taken at the run end, and each CSMA MAC's `deferrals`,
@@ -52,7 +52,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from _util import frames_transmitted, join_retries
+from _util import (frames_transmitted, join_retries, outcomes, receivers_collided,
+                   receivers_expected)
 
 from platoonsim.kernel import MS
 from platoonsim.metrics import write_transmission_log
@@ -142,18 +143,18 @@ def digests(mode: str, slot_ms: int, seed: int, duration: int, extra: dict,
     log_sha256 = hashlib.sha256(log.read_bytes()).hexdigest()
     accounting = [hashlib.sha256(), hashlib.sha256()]
     for tx in run.medium.log:
-        line = f"{tx.receivers_expected} {tx.receivers_expected} {tx.receivers_collided}"
-        outcomes = sorted(run.medium.outcomes(tx).items())
+        line = f"{receivers_expected(tx)} {receivers_expected(tx)} {receivers_collided(tx)}"
+        flags = sorted(outcomes(run.medium, tx).items())
         accounting[0].update(line.encode() + b"\n")
-        line += " " + " ".join(f"{r}:{int(c)}" for r, c in outcomes)
+        line += " " + " ".join(f"{r}:{int(c)}" for r, c in flags)
         accounting[1].update(line.encode() + b"\n")
     txs = run.medium.log
     counts = {
         "tx": len(txs),
         "collided": sum(tx.collided for tx in txs),
-        "receptions": sum(tx.receivers_expected for tx in txs),
-        "receptions_done": sum(tx.receivers_expected for tx in txs),
-        "receptions_collided": sum(tx.receivers_collided for tx in txs),
+        "receptions": sum(receivers_expected(tx) for tx in txs),
+        "receptions_done": sum(receivers_expected(tx) for tx in txs),
+        "receptions_collided": sum(receivers_collided(tx) for tx in txs),
     }
     return [*({"log_sha256": log_sha256, "accounting_sha256": h.hexdigest(), **counts}
               for h in accounting), counter_digest(run)]

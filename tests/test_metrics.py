@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from _util import receivers_collided, receivers_expected
 
 from platoonsim.frames import Frame, FrameKind
 from platoonsim.kernel import Kernel, MS, SEC, US
@@ -61,7 +62,7 @@ def test_clean_transmission_counts_as_sent_not_collided():
 def test_collided_transmission_counts_once_even_with_many_collided_receivers():
     m = _two_sender_medium()
     tx = m.log[0]
-    assert tx.receivers_collided == 2
+    assert receivers_collided(tx) == 2
     assert tx.collided is True
     assert [t.collided for t in m.log] == [True, True]
     s = _stats(m)
@@ -76,7 +77,7 @@ def test_stats_exclude_transmissions_nobody_could_receive():
     m.register(1, Position(500.0, 0.0))
     tx = m.broadcast(_data(0))
     k.run_until(5 * MS)
-    assert tx.receivers == 0 and tx.receivers_expected == 0
+    assert tx.receivers == 0 and receivers_expected(tx) == 0
     assert _stats(m) == CollisionStats()
 
 

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from _util import outcomes, receivers_collided, receivers_expected
 
 from platoonsim.frames import Frame, FrameKind, make_allocation
 from platoonsim.kernel import EventKind, Kernel, MS, US
@@ -41,14 +42,30 @@ def test_tx_duration_rejects_negative_size():
 
 
 class _Sink:
-    """A frame handler that records (delivery time, frame, collided)."""
+    """A frame handler that records (delivery time, frame)."""
 
     def __init__(self, kernel):
         self.kernel = kernel
         self.got = []
 
-    def __call__(self, frame, collided):
-        self.got.append((self.kernel.now, frame, collided))
+    def __call__(self, frame):
+        self.got.append((self.kernel.now, frame))
+
+
+_KINDS = list(FrameKind)
+
+
+def _of_kind(kind, sender):
+    return (make_allocation(sender, 0, {}) if kind is FrameKind.CONTROL_ALLOCATION
+            else Frame(kind, sender, 100, 0))
+
+
+def _send(m, frame):
+    """Broadcast a frame; an allocation is delivered too, as a slot controller asks."""
+    m.broadcast(frame)
+    if frame.kind is FrameKind.CONTROL_ALLOCATION:
+        m.deliver(frame)
+    return frame
 
 
 def test_broadcast_delivery_time_and_clean_flag():
@@ -57,26 +74,60 @@ def test_broadcast_delivery_time_and_clean_flag():
     sink = _Sink(k)
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(50.0, 0.0), handler=sink)
-    m.broadcast(make_allocation(0, 0, {1: (2, 1)}))     # 108 B
+    tx = m.broadcast(make_allocation(0, 0, {1: (2, 1)}))     # 108 B
+    m.deliver(tx)
     k.run_until(5 * MS)
-    assert len(sink.got) == 1
-    delivered_at, _, collided = sink.got[0]
-    assert delivered_at == 144_000 + 167
-    assert collided is False
+    # delivered clean, at the arrival time
+    assert sink.got == [(144_000 + 167, tx)]
 
 
-def test_only_allocations_reach_handlers():
+@pytest.mark.parametrize("kind", _KINDS, ids=lambda kind: kind.name)
+def test_broadcast_schedules_no_event(kind):
+    k = Kernel(trace=True)
+    m = Medium(k, _cfg())
+    m.register(0, Position(0.0, 0.0))
+    m.register(1, Position(50.0, 0.0), handler=_Sink(k))
+    m.broadcast(_of_kind(kind, 0))
+    assert k.reserve() == 0         # no event took a seq
+    k.run_until(5 * MS)
+    assert k.trace == []
+
+
+def test_only_delivered_frames_reach_handlers():
     k = Kernel(trace=True)
     m = Medium(k, _cfg())
     sink = _Sink(k)
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(50.0, 0.0), handler=sink)
-    for frame in (_data(0), Frame(FrameKind.CONTROL_ANNOUNCE, 0, 100, 0),
-                  make_allocation(0, 0, {})):
-        m.broadcast(frame)
+    for kind in _KINDS:
+        _send(m, _of_kind(kind, 0))
         k.run_until(k.now + 5 * MS)
-    assert [frame.kind for _, frame, _ in sink.got] == [FrameKind.CONTROL_ALLOCATION]
+    assert [frame.kind for _, frame in sink.got] == [FrameKind.CONTROL_ALLOCATION]
     assert [kind for *_, kind in k.trace] == ["FRAME_DELIVERY"]
+
+
+@pytest.mark.parametrize("kind", _KINDS, ids=lambda kind: kind.name)
+def test_deliver_raises_an_event_per_receiver_with_a_handler_and_hands_over_clean_ones(kind):
+    """One event per in-range receiver with a handler; only clean arrivals reach it.
+
+    1 and 2 hear the sender 0 at 50 m, 3 hears it without a handler, 5 is out
+    of its range, and 4 interferes at 2 alone.
+    """
+    k = Kernel(trace=True)
+    m = Medium(k, _cfg())
+    sinks = {vid: _Sink(k) for vid in (1, 2, 5)}
+    for vid, x in ((0, 0.0), (1, -50.0), (2, 50.0), (3, 20.0), (4, 140.0), (5, -150.0)):
+        m.register(vid, Position(x, 0.0), handler=sinks.get(vid))
+    tx = m.broadcast(_of_kind(kind, 0))
+    m.deliver(tx)
+    k.run_until(20 * US)
+    m.broadcast(_data(4))                                   # on air at 2 during tx
+    k.run_until(5 * MS)
+    assert outcomes(m, tx) == {1: False, 2: True, 3: False}
+    arrival = tx.end + m.cfg.prop_delay(50.0)
+    assert [(at, target) for at, _, target, name in k.trace if name == "FRAME_DELIVERY"] == \
+        [(arrival, 1), (arrival, 2)]
+    assert {vid: sink.got for vid, sink in sinks.items()} == {1: [(arrival, tx)], 2: [], 5: []}
 
 
 def test_out_of_range_receiver_gets_nothing():
@@ -86,9 +137,10 @@ def test_out_of_range_receiver_gets_nothing():
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(150.0, 0.0), handler=sink)
     tx = m.broadcast(_data(0))
+    m.deliver(tx)
     k.run_until(5 * MS)
     assert sink.got == []
-    assert tx.receivers_expected == 0
+    assert receivers_expected(tx) == 0
 
 
 def test_sender_never_receives_own_frame():
@@ -96,27 +148,29 @@ def test_sender_never_receives_own_frame():
     m = Medium(k, _cfg())
     sink = _Sink(k)
     m.register(0, Position(0.0, 0.0), handler=sink)
-    m.broadcast(_data(0))
+    m.deliver(m.broadcast(_data(0)))
     k.run_until(5 * MS)
     assert sink.got == []
 
 
 def test_overlapping_transmissions_collide_at_common_receiver():
-    k = Kernel()
+    k = Kernel(trace=True)
     m = Medium(k, _cfg())
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(10.0, 0.0))
     sink = _Sink(k)
     m.register(2, Position(5.0, 0.0), handler=sink)
     tx_a = m.broadcast(make_allocation(0, 0, {2: (2, 1)}))
+    m.deliver(tx_a)
     k.run_until(50 * US)            # second transmission starts mid-frame
     tx_b = m.broadcast(_data(1))
     k.run_until(10 * MS)
     # symmetry: both directions of the overlap are ruined at receiver 2
-    assert m.outcomes(tx_a)[2] is True
-    assert m.outcomes(tx_b)[2] is True
-    # and the allocation reaches its handler flagged
-    assert [collided for *_, collided in sink.got] == [True]
+    assert outcomes(m, tx_a)[2] is True
+    assert outcomes(m, tx_b)[2] is True
+    # and the allocation's delivery event at 2 hands its handler nothing
+    assert [(target, kind) for *_, target, kind in k.trace] == [(2, "FRAME_DELIVERY")]
+    assert sink.got == []
 
 
 def test_half_duplex_receiver_marks_reception_collided():
@@ -128,7 +182,7 @@ def test_half_duplex_receiver_marks_reception_collided():
     k.run_until(500 * US)
     m.broadcast(_data(1, size=100))   # receiver 1 transmits during reception
     k.run_until(10 * MS)
-    assert m.outcomes(tx_a)[1] is True
+    assert outcomes(m, tx_a)[1] is True
 
 
 def test_concurrent_transmit_by_same_sender_is_a_hard_fault():
@@ -217,9 +271,9 @@ def test_masks_hold_the_overlap_of_frames_still_on_air():
     tx_b = m.broadcast(_data(1))
     # stop while both frames are on air: the masks already hold the overlap;
     # receiver 1 is transmitting (half-duplex) and 2 hears both senders
-    assert (tx_a.receivers_expected, tx_a.receivers_collided) == (2, 2)
+    assert (receivers_expected(tx_a), receivers_collided(tx_a)) == (2, 2)
     assert tx_a.collided and tx_b.collided
-    assert m.outcomes(tx_a)[2] is True and m.outcomes(tx_b)[2] is True
+    assert outcomes(m, tx_a)[2] is True and outcomes(m, tx_b)[2] is True
 
 
 def test_online_flags_match_brute_force_on_a_braided_sequence():
@@ -237,11 +291,11 @@ def test_online_flags_match_brute_force_on_a_braided_sequence():
     records = [(tx.sender, tx.start, tx.end) for tx in m.log]
     want = brute_force_outcomes(records, positions, 100.0)
     for tx, expected in zip(m.log, want):
-        assert m.outcomes(tx) == expected
+        assert outcomes(m, tx) == expected
 
 
 def _accounting(tx):
-    return tx.receivers_expected, tx.receivers_collided
+    return receivers_expected(tx), receivers_collided(tx)
 
 
 def _frame(sender, handled):
@@ -258,15 +312,15 @@ def test_masks_count_receptions_still_in_flight(handled):
     sinks = {vid: _Sink(k) for vid in range(4)}
     for vid, x in enumerate((0.0, 1.0, 290.0, 500.0)):
         m.register(vid, Position(x, 0.0), handler=sinks[vid] if handled else None)
-    tx = m.broadcast(_frame(0, handled))
+    tx = _send(m, _frame(0, handled))
     k.run_until(100 * US)
-    m.broadcast(_frame(3, handled))
+    _send(m, _frame(3, handled))
     k.run_until(tx.end + 100)
     assert _accounting(tx) == (2, 1)
-    assert m.outcomes(tx) == {1: False, 2: True}
+    assert outcomes(m, tx) == {1: False, 2: True}
     # the count reads the masks; no frame is handed to a handler for it
-    assert [[c for *_, c in sinks[vid].got] for vid in (1, 2)] == \
-        ([[False], []] if handled else [[], []])
+    assert [[frame for _, frame in sinks[vid].got] for vid in (1, 2)] == \
+        ([[tx], []] if handled else [[], []])
 
 
 @pytest.mark.parametrize("handled", [False, True])
@@ -276,12 +330,12 @@ def test_receivers_mask_ignores_vehicles_registered_after_the_broadcast(handled)
     sinks = {vid: _Sink(k) for vid in range(3)}
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(10.0, 0.0), handler=sinks[1] if handled else None)
-    tx = m.broadcast(_frame(0, handled))
+    tx = _send(m, _frame(0, handled))
     k.run_until(100 * US)
     m.register(2, Position(20.0, 0.0),      # in range, but arrived too late
                handler=sinks[2] if handled else None)
     assert _accounting(tx) == (1, 0)
-    assert set(m.outcomes(tx)) == {1}
+    assert set(outcomes(m, tx)) == {1}
     assert sinks[2].got == []
 
 
@@ -309,12 +363,12 @@ def test_masks_settle_a_run_cut_mid_delivery_like_the_oracle(xs, starts, which, 
     records = [(tx.sender, tx.start, tx.end) for tx in m.log]
     want = brute_force_outcomes(records, positions, m.cfg.range_m)
     assert [_accounting(tx) for tx in m.log] == [(len(w), sum(w.values())) for w in want]
-    assert [m.outcomes(tx) for tx in m.log] == want
+    assert [outcomes(m, tx) for tx in m.log] == want
 
 
 # -- receptions read from the log ------------------------------------------------
 #
-# Receptions of anything but allocations raise no event at the listener;
+# Receptions that nobody asked the medium to deliver raise no event at the listener;
 # `last_clean_arrival` and `clean_receptions` read them back from the log. On a
 # coarse clock (1 us per byte, 1 us per 10 m) arrivals, reads, starts and ends
 # coincide often.
@@ -328,12 +382,12 @@ def _coarse_run(cells, joins, sends, reads):
     `sends` holds (vid, at_us, size, kind) and `reads` holds (at_us, query);
     each read returns query(m), in the order of `reads`. Returns the medium,
     the oracle's per-receiver flags, the propagation delay between two
-    vehicles, the reads and the (receiver, frame, collided) deliveries of
-    allocations, in delivery order.
+    vehicles, the reads and the (receiver, frame) clean deliveries of
+    allocations, which are delivered, in delivery order.
     """
     n = len(cells)
     cfg = _cfg(**_COARSE)
-    k = Kernel()
+    k = Kernel(trace=True)
     m = Medium(k, cfg)
     positions = {vid: Position(10.0 * c, 0.0) for vid, c in enumerate(cells)}
     join_at = {vid: joins[vid] * US for vid in range(n)}
@@ -343,8 +397,7 @@ def _coarse_run(cells, joins, sends, reads):
     for vid, at in join_at.items():
         k.at(at, vid, EventKind.SPAWN, lambda vid: m.register(
             vid, positions[vid],
-            handler=lambda frame, collided, vid=vid:
-                delivered.append((vid, frame, collided))), vid)
+            handler=lambda frame, vid=vid: delivered.append((vid, frame))), vid)
     busy: dict[int, int] = {}
     for vid, at, size, kind in sorted(sends, key=lambda s: s[1]):
         vid %= n
@@ -353,7 +406,7 @@ def _coarse_run(cells, joins, sends, reads):
             continue
         busy[vid] = at + tx_duration(size, cfg)
         k.at(at, vid, EventKind.TIMER, lambda vid, size=size, kind=kind:
-             m.broadcast(Frame(kind, vid, size, 0)), vid)
+             _send(m, Frame(kind, vid, size, 0)), vid)
     got = {}
     for i, (at, query) in enumerate(reads):
         def fn(_, i=i, query=query):
@@ -395,20 +448,23 @@ _D, _A = FrameKind.DATA, FrameKind.CONTROL_ALLOCATION
 # vehicle 1 registers inside vehicle 0's frame and transmits into it
 @example(cells=[0, 1], joins=[0, 1] + [0] * 6, sends=[(0, 0, 3, _D), (1, 2, 1, _D)])
 def test_interferer_masks_match_brute_force(cells, joins, sends):
-    """Outcomes, counts and allocation flags all read the mask filled at broadcast.
+    """Outcomes, counts and allocation deliveries all read the mask filled at broadcast.
 
     Frames of 0-3 bytes take 0-3 us, so zero-length frames, equal starts and
     touching endpoints are common; joins at 0-6 us put registrations between
     and inside broadcasts.
     """
     m, flags, _delay, _got, delivered = _coarse_run(cells, joins, sends, [])
-    assert [m.outcomes(tx) for tx in m.log] == flags
-    assert [(tx.receivers_expected, tx.receivers_collided) for tx in m.log] == \
+    assert [outcomes(m, tx) for tx in m.log] == flags
+    assert [(receivers_expected(tx), receivers_collided(tx)) for tx in m.log] == \
         [(len(f), sum(f.values())) for f in flags]
+    # an event per reception of an allocation; only the clean ones reach the handler
+    events = [target for *_, target, kind in m.kernel.trace if kind == "FRAME_DELIVERY"]
+    assert len(events) == sum(len(f) for tx, f in zip(m.log, flags) if tx.kind is _A)
     index = {id(tx): i for i, tx in enumerate(m.log)}
-    assert sorted((index[id(frame)], vid, c) for vid, frame, c in delivered) == \
-        [(i, vid, c) for i, (tx, f) in enumerate(zip(m.log, flags))
-         if tx.kind is _A for vid, c in sorted(f.items())]
+    assert sorted((index[id(frame)], vid) for vid, frame in delivered) == \
+        [(i, vid) for i, (tx, f) in enumerate(zip(m.log, flags))
+         if tx.kind is _A for vid, c in sorted(f.items()) if not c]
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,7 +1,7 @@
 import gc
 
 import pytest
-from _util import ScriptedSource, assemble_platoon, frames_transmitted
+from _util import ScriptedSource, assemble_platoon, frames_transmitted, receivers_expected
 
 from platoonsim.config import ConfigError
 from platoonsim.csma import CsmaConfig, CsmaMac, MessageClock
@@ -279,7 +279,7 @@ def test_tsnctl_delivery_events_one_per_allocation_reception():
         delays = {vid: medium.cfg.prop_delay(pos.distance(other))
                   for vid, other in medium.positions.items()
                   if vid != tx.sender and pos.distance(other) <= cfg.radio.range_m}
-        assert len(delays) == tx.receivers_expected     # everyone spawned before
+        assert len(delays) == receivers_expected(tx)     # everyone spawned before
         if tx.kind is FrameKind.CONTROL_ALLOCATION:
             expected += sum(tx.end + d <= end for vid, d in delays.items()
                             if vid in medium.handlers)

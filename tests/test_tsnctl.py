@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from _util import (ConstRng, ScriptedRng, ScriptedSource, assemble_platoon, elect_master,
-                   join_retries)
+                   join_retries, outcomes)
 
 from platoonsim.frames import (
     ANNOUNCE_SIZE,
@@ -185,7 +185,7 @@ def test_listener_whose_earliest_announce_collided_follows_the_next_one():
     kernel.run_until(100 * MS + W2.slot_len_ns + listener.guard)   # the end of slot 0
     announces = medium.transmissions(FrameKind.CONTROL_ANNOUNCE, 100 * MS)
     earliest = min(announces, key=lambda tx: (tx.generated_at, tx.sender))
-    assert earliest.sender == 0 and medium.outcomes(earliest)[3] is True
+    assert earliest.sender == 0 and outcomes(medium, earliest)[3] is True
     assert [f.sender for f in medium.clean_receptions(3, announces)] == [1]
     assert listener.transitions[-1][1:3] == (FsmEvent.SLOT0_END, "lost")
     assert (listener.master_id, listener.master_ts) == (1, 1 * MS)
@@ -213,7 +213,8 @@ def _follower_of_an_unheard_master():
     kernel.at(150 * MS, 6, EventKind.SPAWN, spawn, 6)
     kernel.run_until(100 * MS + 2 * MS + clock.guard + 1)
     medium.register(99, Position(20.0, 0.0))
-    medium.broadcast(make_allocation(sender=99, generated_at=0, allocations={99: 2}))
+    medium.deliver(medium.broadcast(make_allocation(sender=99, generated_at=0,
+                                                    allocations={99: 2})))
     kernel.run_until(110 * MS)
     assert ctls[5].state == FsmState(Status.JOINING, Role.SLAVE)
     assert (ctls[5].master_id, ctls[5].master_ts) == (99, 0)
@@ -644,7 +645,8 @@ def test_master_loss_reverts_slave_to_init_and_rejoin():
     medium.register(99, Position(10.0, 0.0))
     alloc = make_allocation(sender=99, generated_at=0,     # earlier than spawn at 10 ms
                             allocations={99: 2, 5: 3})
-    arrival = medium.broadcast(alloc).end + medium.cfg.prop_delay(10.0)
+    medium.deliver(medium.broadcast(alloc))
+    arrival = alloc.end + medium.cfg.prop_delay(10.0)
     kernel.run_until(120 * MS)
     assert ctl.state == FsmState(Status.IN_PLATOON, Role.SLAVE)
     assert ctl.master_id == 99
@@ -661,14 +663,23 @@ def test_master_loss_reverts_slave_to_init_and_rejoin():
 
 
 def test_collided_control_frames_are_ignored():
-    kernel = Kernel()
+    """A collided allocation raises its delivery event but never reaches the controller."""
+    kernel = Kernel(trace=True)
     medium = Medium(kernel, RadioConfig())
     ctl = TsnCtl(5, WindowClock(kernel, medium, W2), ConstRng(0),
                  source=ScriptedSource(end=101 * MS))
     medium.register(5, Position(0.0, 0.0), handler=ctl.on_frame_delivery)
+    medium.register(98, Position(-10.0, 0.0))
+    medium.register(99, Position(10.0, 0.0))
     kernel.run_until(100 * MS + 1 * MS)
     alloc = make_allocation(sender=99, generated_at=0, allocations={5: 2})
-    ctl.on_frame_delivery(alloc, True)
+    medium.deliver(medium.broadcast(alloc))
+    medium.broadcast(Frame(FrameKind.DATA, 98, 100, 0))     # overlaps it at 5
+    kernel.run_until(101 * MS + 500 * US)
+    assert alloc.end < 101 * MS + 500 * US and outcomes(medium, alloc)[5] is True
+    assert [(target, kind) for *_, target, kind in kernel.trace
+            if kind == "FRAME_DELIVERY"] == [(5, "FRAME_DELIVERY")]
+    assert FsmEvent.ALLOCATION_RECEIVED not in [t[1] for t in ctl.transitions]
     assert ctl.master_id != 99
     assert ctl.my_slot is None
 
@@ -680,7 +691,7 @@ def test_earlier_timestamp_allocation_supersedes_master():
     assert master.state == FsmState(Status.IN_PLATOON, Role.MASTER)
     alloc = make_allocation(sender=42, generated_at=0,    # earlier than spawn 10ms
                             allocations={42: 2})
-    master.on_frame_delivery(alloc, False)
+    master.on_frame_delivery(alloc)
     assert master.state == FsmState(Status.JOINING, Role.SLAVE)
     assert master.master_id == 42
 
@@ -780,8 +791,8 @@ def test_vehicles_superseded_in_slot_one_take_no_slot1_end_that_window():
     assert [c.state.status for c in ctls.values()] == [Status.IN_PLATOON] * 2
     kernel.run_until(302 * MS + 500 * US)               # inside slot 1 of the window at 300 ms
     medium.register(99, Position(10.0, 0.0))
-    medium.broadcast(make_allocation(sender=99, generated_at=0,   # earlier than both
-                                         allocations={99: 2, 1: 3}))
+    medium.deliver(medium.broadcast(make_allocation(sender=99, generated_at=0,  # earlier than both
+                                                    allocations={99: 2, 1: 3})))
     kernel.run_until(399 * MS)
     for ctl in ctls.values():
         events = [t[1] for t in ctl.transitions]
