@@ -23,7 +23,6 @@ from .tsnctl import (
     announce_offset,
     check_schedule,
     slot_count,
-    step_fsm,
 )
 
 __version__ = "0.1.0"
@@ -35,6 +34,6 @@ __all__ = [
     "MODE_BASELINE", "MODE_TSNCTL", "ScenarioConfig", "VehicleSpec",
     "build_vehicles", "run_scenario",
     "FsmEvent", "FsmState", "Role", "Status", "TsnCtl", "WindowConfig",
-    "admit", "announce_offset", "check_schedule", "slot_count", "step_fsm",
+    "admit", "announce_offset", "check_schedule", "slot_count",
     "__version__",
 ]

@@ -107,7 +107,6 @@ class CsmaMac:
     """
 
     def __init__(self, vid: int, clock: MessageClock, cfg: CsmaConfig, rng: Pcg64, *, source):
-        cfg.validate()
         self.vid = vid
         self.clock = clock
         self.kernel = clock.kernel

@@ -236,7 +236,6 @@ class ExperimentResult:
 
 
 def run_experiment(cfg: ScenarioConfig) -> ExperimentResult:
-    cfg.validate()
     return ExperimentResult.from_stats(cfg, [
         collect_stats(run_scenario(cfg, cfg.seed + k)) for k in range(cfg.repetitions)
     ])

@@ -256,16 +256,17 @@ class Medium:
         """
         hears = self._hears.get(listener, {})
         bit, now = self._bit.get(listener, 0), self.kernel.now
-        return (f for f in frames if f.sender in hears and f.receivers & bit
-                and not f.hit & bit and f.end + hears[f.sender] < now)
+        return (f for f in frames if f.receivers & bit and not f.hit & bit
+                and f.end + hears[f.sender] < now)
 
     def last_clean_arrival(self, listener: int, sender: int, after: int) -> int | None:
         """Latest arrival in (after, now) of a clean reception of sender's frames.
 
-        None if there is no such reception.
+        None if there is no such reception, as for the sender itself: its bit
+        is never in its own receivers mask.
         """
         delay = self._hears.get(sender, {}).get(listener)
-        if delay is None or listener == sender:
+        if delay is None:
             return None
         bit, now = self._bit[listener], self.kernel.now
         for tx in reversed(self._sent[sender]):

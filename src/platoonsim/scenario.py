@@ -6,10 +6,10 @@ import math
 from dataclasses import dataclass, field
 
 from .csma import CsmaConfig, CsmaMac, MessageClock
-from .frames import ANNOUNCE_SIZE, DATA, Frame, PRIO_SAFETY, allocation_size
+from .frames import DATA, Frame, PRIO_SAFETY
 from .kernel import Kernel, MS, Pcg64, RngStreams, SEC, SPAWN
-from .radio import Medium, Position, RadioConfig, tx_duration
-from .tsnctl import TsnCtl, WindowClock, WindowConfig
+from .radio import Medium, Position, RadioConfig
+from .tsnctl import TsnCtl, WindowClock, WindowConfig, check_slot_geometry
 
 MODE_BASELINE = "baseline"
 MODE_TSNCTL = "tsnctl"
@@ -71,27 +71,7 @@ class ScenarioConfig:
             self.radio.validate()
             self.window.validate()
             if self.mode == MODE_TSNCTL:
-                announce = tx_duration(ANNOUNCE_SIZE, self.radio)
-                if announce > self.window.slot_len_ns:
-                    raise ValueError(
-                        f"an announce ({announce} ns on air) does not fit one "
-                        f"{self.window.slot_len_ns} ns slot"
-                    )
-                beacon = tx_duration(self.payload_size_b, self.radio)
-                if beacon > self.window.window_ns:
-                    raise ValueError(
-                        f"a payload_size_b={self.payload_size_b} beacon ({beacon} ns on air) "
-                        f"outlasts the window_ns={self.window.window_ns} window"
-                    )
-                # slot 1 must hold the smallest allocation between two guards
-                guard = self.radio.max_delay
-                alloc = tx_duration(allocation_size(2), self.radio)
-                if 2 * guard + alloc > self.window.slot_len_ns:
-                    raise ValueError(
-                        f"slot_len_ns={self.window.slot_len_ns} cannot hold a two-member "
-                        f"allocation ({alloc} ns on air) between two {guard} ns guards, "
-                        f"the propagation delay over range_m={self.radio.range_m}"
-                    )
+                check_slot_geometry(self.window, self.radio, self.payload_size_b)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 

@@ -8,9 +8,9 @@ assigned slots. Election picks the vehicle whose announce carries the earliest
 creation timestamp (ties to the lowest id). All windows lie on one grid: one
 `WindowClock` per run raises one kernel event at each window start, end of
 slot 0 and end of slot 1. It calls every controller at the window start, and
-at the slot ends only the controllers that act there, as their window start
-returned: the vehicles in the window's formation round, and at the end of
-slot 0 the platoon masters too.
+at the slot ends only the controllers that act there: the window's formation
+round, the vehicles that its start left JOINING, and at the end of slot 0 the
+platoon masters too.
 
 The master admits members by one rule, `admit`, both at formation and at each
 refresh that hears newcomers; a member holds one data slot, which never moves.
@@ -61,7 +61,7 @@ from .frames import (
     make_announce,
 )
 from .kernel import Kernel, MS, Pcg64, TIMER
-from .radio import Medium
+from .radio import Medium, RadioConfig, tx_duration
 
 # A slave that hears no clean frame of its master for this many windows
 # falls back to INIT and rejoins.
@@ -108,10 +108,6 @@ SLAVE, MASTER = Role
  NO_NEIGHBORS, MASTER_LOST) = FsmEvent
 
 
-def _s(status: Status, role: Role) -> FsmState:
-    return FsmState(status, role)
-
-
 # (status, role, event, outcome) -> next state. Outcomes qualify
 # data-dependent events: election results, whether an allocation listed us,
 # whether it came from a better master, whether slot 1 produced/delivered an
@@ -119,44 +115,44 @@ def _s(status: Status, role: Role) -> FsmState:
 # commented. Edges marked "recovery" cover master failure and master conflict,
 # which the base protocol leaves open.
 LEGAL_EDGES: dict[tuple[Status, Role, FsmEvent, str | None], FsmState] = {
-    (INIT, SLAVE, WINDOW_START, None): _s(JOINING, SLAVE),
+    (INIT, SLAVE, WINDOW_START, None): FsmState(JOINING, SLAVE),
     # joining vehicles re-announce every window until admitted (step 3 restart,
     # step 4 lone-master retry)
-    (JOINING, SLAVE, WINDOW_START, None): _s(JOINING, SLAVE),
-    (JOINING, MASTER, WINDOW_START, None): _s(JOINING, MASTER),
+    (JOINING, SLAVE, WINDOW_START, None): FsmState(JOINING, SLAVE),
+    (JOINING, MASTER, WINDOW_START, None): FsmState(JOINING, MASTER),
     # election at the end of slot 0: steps 1 and 2; step 5 demotes a
     # persisting master when a newer round elects someone earlier
-    (JOINING, SLAVE, SLOT0_END, "won"): _s(JOINING, MASTER),
-    (JOINING, SLAVE, SLOT0_END, "lost"): _s(JOINING, SLAVE),
-    (JOINING, MASTER, SLOT0_END, "won"): _s(JOINING, MASTER),
-    (JOINING, MASTER, SLOT0_END, "lost"): _s(JOINING, SLAVE),
+    (JOINING, SLAVE, SLOT0_END, "won"): FsmState(JOINING, MASTER),
+    (JOINING, SLAVE, SLOT0_END, "lost"): FsmState(JOINING, SLAVE),
+    (JOINING, MASTER, SLOT0_END, "won"): FsmState(JOINING, MASTER),
+    (JOINING, MASTER, SLOT0_END, "lost"): FsmState(JOINING, SLAVE),
     # step 4: a master heard nobody and restarts next window
-    (JOINING, MASTER, NO_NEIGHBORS, None): _s(JOINING, MASTER),
+    (JOINING, MASTER, NO_NEIGHBORS, None): FsmState(JOINING, MASTER),
     # step 7: master dispatched its allocation and owns a platoon
-    (JOINING, MASTER, SLOT1_END, "allocated"): _s(IN_PLATOON, MASTER),
-    (JOINING, MASTER, SLOT1_END, "missed"): _s(JOINING, MASTER),
+    (JOINING, MASTER, SLOT1_END, "allocated"): FsmState(IN_PLATOON, MASTER),
+    (JOINING, MASTER, SLOT1_END, "missed"): FsmState(JOINING, MASTER),
     # slaves: allocation handling and step 6 confirmation at the slot trigger
-    (JOINING, SLAVE, ALLOCATION_RECEIVED, "listed"): _s(JOINING, SLAVE),
-    (JOINING, SLAVE, ALLOCATION_RECEIVED, "unlisted"): _s(JOINING, SLAVE),
-    (JOINING, SLAVE, ALLOCATION_RECEIVED, "ignored"): _s(JOINING, SLAVE),
+    (JOINING, SLAVE, ALLOCATION_RECEIVED, "listed"): FsmState(JOINING, SLAVE),
+    (JOINING, SLAVE, ALLOCATION_RECEIVED, "unlisted"): FsmState(JOINING, SLAVE),
+    (JOINING, SLAVE, ALLOCATION_RECEIVED, "ignored"): FsmState(JOINING, SLAVE),
     (JOINING, MASTER, ALLOCATION_RECEIVED, "superseded"):
-        _s(JOINING, SLAVE),  # recovery: earlier master exists
-    (JOINING, MASTER, ALLOCATION_RECEIVED, "ignored"): _s(JOINING, MASTER),
-    (JOINING, SLAVE, OWN_SLOT_TRIGGER, None): _s(IN_PLATOON, SLAVE),
-    (JOINING, SLAVE, SLOT1_END, "allocated"): _s(JOINING, SLAVE),
-    (JOINING, SLAVE, SLOT1_END, "missed"): _s(JOINING, SLAVE),  # step 3
+        FsmState(JOINING, SLAVE),  # recovery: earlier master exists
+    (JOINING, MASTER, ALLOCATION_RECEIVED, "ignored"): FsmState(JOINING, MASTER),
+    (JOINING, SLAVE, OWN_SLOT_TRIGGER, None): FsmState(IN_PLATOON, SLAVE),
+    (JOINING, SLAVE, SLOT1_END, "allocated"): FsmState(JOINING, SLAVE),
+    (JOINING, SLAVE, SLOT1_END, "missed"): FsmState(JOINING, SLAVE),  # step 3
     # steady state
-    (IN_PLATOON, SLAVE, WINDOW_START, None): _s(IN_PLATOON, SLAVE),
-    (IN_PLATOON, MASTER, WINDOW_START, None): _s(IN_PLATOON, MASTER),
-    (IN_PLATOON, SLAVE, OWN_SLOT_TRIGGER, None): _s(IN_PLATOON, SLAVE),
-    (IN_PLATOON, MASTER, OWN_SLOT_TRIGGER, None): _s(IN_PLATOON, MASTER),
-    (IN_PLATOON, SLAVE, ALLOCATION_RECEIVED, "refresh"): _s(IN_PLATOON, SLAVE),
-    (IN_PLATOON, SLAVE, ALLOCATION_RECEIVED, "ignored"): _s(IN_PLATOON, SLAVE),
-    (IN_PLATOON, MASTER, ALLOCATION_RECEIVED, "ignored"): _s(IN_PLATOON, MASTER),
+    (IN_PLATOON, SLAVE, WINDOW_START, None): FsmState(IN_PLATOON, SLAVE),
+    (IN_PLATOON, MASTER, WINDOW_START, None): FsmState(IN_PLATOON, MASTER),
+    (IN_PLATOON, SLAVE, OWN_SLOT_TRIGGER, None): FsmState(IN_PLATOON, SLAVE),
+    (IN_PLATOON, MASTER, OWN_SLOT_TRIGGER, None): FsmState(IN_PLATOON, MASTER),
+    (IN_PLATOON, SLAVE, ALLOCATION_RECEIVED, "refresh"): FsmState(IN_PLATOON, SLAVE),
+    (IN_PLATOON, SLAVE, ALLOCATION_RECEIVED, "ignored"): FsmState(IN_PLATOON, SLAVE),
+    (IN_PLATOON, MASTER, ALLOCATION_RECEIVED, "ignored"): FsmState(IN_PLATOON, MASTER),
     # recovery: silent master, or a competing platoon with an earlier master
-    (IN_PLATOON, SLAVE, MASTER_LOST, None): _s(INIT, SLAVE),
-    (IN_PLATOON, SLAVE, ALLOCATION_RECEIVED, "superseded"): _s(JOINING, SLAVE),
-    (IN_PLATOON, MASTER, ALLOCATION_RECEIVED, "superseded"): _s(JOINING, SLAVE),
+    (IN_PLATOON, SLAVE, MASTER_LOST, None): FsmState(INIT, SLAVE),
+    (IN_PLATOON, SLAVE, ALLOCATION_RECEIVED, "superseded"): FsmState(JOINING, SLAVE),
+    (IN_PLATOON, MASTER, ALLOCATION_RECEIVED, "superseded"): FsmState(JOINING, SLAVE),
 }
 
 
@@ -164,17 +160,6 @@ LEGAL_EDGES: dict[tuple[Status, Role, FsmEvent, str | None], FsmState] = {
 # every step along an edge appends the same tuple to `TsnCtl.transitions`.
 _RECORDS = {(status, role, event, outcome): (FsmState(status, role), event, outcome, nxt)
             for (status, role, event, outcome), nxt in LEGAL_EDGES.items()}
-
-
-def step_fsm(state: FsmState, event: FsmEvent, outcome: str | None = None) -> FsmState:
-    key = (state.status, state.role, event, outcome)
-    try:
-        return LEGAL_EDGES[key]
-    except KeyError:
-        raise ProtocolError(
-            f"illegal FSM event {event.name} (outcome={outcome!r}) in state "
-            f"{state.status.name}/{state.role.name}"
-        ) from None
 
 
 # -- window geometry ---------------------------------------------------------
@@ -201,12 +186,41 @@ def slot_count(cfg: WindowConfig) -> int:
 
 
 def announce_offset(rng: Pcg64, cfg: WindowConfig, tx_dur: int) -> int:
-    """Random start offset inside slot 0 such that the frame fits the slot."""
-    if tx_dur > cfg.slot_len_ns:
-        raise ValueError(
-            f"announce duration {tx_dur} ns exceeds slot length {cfg.slot_len_ns} ns"
-        )
+    """Random start offset inside slot 0 such that the frame fits the slot,
+    which `check_slot_geometry` makes possible for an announce."""
     return rng.integers(0, cfg.slot_len_ns - tx_dur, endpoint=True)
+
+
+def slot1_bounds(w: int, cfg: WindowConfig, guard: int, tx_dur: int) -> tuple[int, int]:
+    """Earliest and latest start in window w's slot 1 of a frame that keeps
+    one guard from either slot end; it cannot fit when the latest is earlier."""
+    slot = cfg.slot_len_ns
+    return w + slot + guard, w + 2 * slot - tx_dur - guard
+
+
+def check_slot_geometry(cfg: WindowConfig, radio: RadioConfig, payload_size_b: int) -> None:
+    """Reject slots the controller cannot run on: an announce must fit slot 0,
+    a beacon the window, and a two-member allocation slot 1 between two guards."""
+    announce = tx_duration(ANNOUNCE_SIZE, radio)
+    if announce > cfg.slot_len_ns:
+        raise ValueError(
+            f"an announce ({announce} ns on air) does not fit one {cfg.slot_len_ns} ns slot"
+        )
+    beacon = tx_duration(payload_size_b, radio)
+    if beacon > cfg.window_ns:
+        raise ValueError(
+            f"a payload_size_b={payload_size_b} beacon ({beacon} ns on air) "
+            f"outlasts the window_ns={cfg.window_ns} window"
+        )
+    guard = radio.max_delay
+    alloc = tx_duration(allocation_size(2), radio)
+    lo, hi = slot1_bounds(0, cfg, guard, alloc)
+    if hi < lo:
+        raise ValueError(
+            f"slot_len_ns={cfg.slot_len_ns} cannot hold a two-member "
+            f"allocation ({alloc} ns on air) between two {guard} ns guards, "
+            f"the propagation delay over range_m={radio.range_m}"
+        )
 
 
 # -- slot schedule -----------------------------------------------------------
@@ -294,9 +308,10 @@ class WindowClock:
     event there goes to the head of the order, any other to the tail.
 
     At the window start it calls every member; at the two slot ends it calls,
-    in the same order, only the members that act there, as their window start
-    said: the end of slot 0 goes to the members in the formation round and to
-    the platoon masters, the end of slot 1 to the members in the round alone.
+    in the same order, only the members that act there: the end of slot 0 goes
+    to those whose window start returned true, the members in the formation
+    round and the platoon masters; the end of slot 1 goes to the round alone,
+    the members that the window start left JOINING.
     That is exact, since a member joins the round only at a window start, a
     master leads only from the end of a slot 1, and a member created after the
     window start takes its first one a window later.
@@ -307,7 +322,6 @@ class WindowClock:
     TARGET = -1     # the kernel target of the clock's events; vehicle ids are >= 0
 
     def __init__(self, kernel: Kernel, medium: Medium, wcfg: WindowConfig):
-        wcfg.validate()
         self.kernel = kernel
         self.medium = medium
         self.wcfg = wcfg
@@ -322,7 +336,7 @@ class WindowClock:
 
     def _on_window_start(self, w: int) -> None:
         acting = [ctl for ctl in self.members if ctl._on_window_start(w)]
-        in_round = [ctl for ctl in acting if ctl._in_round]
+        in_round = [ctl for ctl in acting if ctl.state.status is JOINING]
         self.members[:0], self._early = self._early, []
         self._next = w + self.wcfg.window_ns
         at, slot = self.kernel.at, self.wcfg.slot_len_ns
@@ -381,7 +395,6 @@ class TsnCtl:
         self.my_slot: int | None = None
         self.master_id: int | None = None
         self.master_ts: int | None = None
-        self._in_round = False      # joined this window's formation round at its start
         self._slot_gen = 0          # invalidates armed slot triggers on membership change
         # the latest clean arrival `_master_silent` read, and whose frame it was
         self._heard_from: int | None = None
@@ -407,7 +420,10 @@ class TsnCtl:
         state = self.state
         record = _RECORDS.get((state.status, state.role, event, outcome))
         if record is None:
-            step_fsm(state, event, outcome)     # raises the ProtocolError
+            raise ProtocolError(
+                f"illegal FSM event {event.name} (outcome={outcome!r}) in state "
+                f"{state.status.name}/{state.role.name}"
+            )
         self.transitions.append(record)
         self.state = record[3]
 
@@ -419,8 +435,8 @@ class TsnCtl:
     def _on_window_start(self, w: int) -> bool:
         """Start window w; return whether we act at its end of slot 0.
 
-        We do if we join its formation round (`_in_round`, set only here) or
-        lead a platoon; only a member of the round acts at its end of slot 1.
+        We do if we join its formation round, which leaves us JOINING, or lead
+        a platoon; only a member of the round acts at its end of slot 1.
         """
         self.epoch = w
         state = self.state
@@ -428,11 +444,9 @@ class TsnCtl:
             if state.role is MASTER or not self._master_silent():
                 self._step(WINDOW_START)
                 self._arm_slot(w)
-                self._in_round = False
                 return state.role is MASTER
             self._step(MASTER_LOST)
             self._reset_membership()
-        self._in_round = True
         self._step(WINDOW_START)
         self._schedule_announce(w)
         return True
@@ -517,8 +531,7 @@ class TsnCtl:
         sched, rejected = admit(base, requesters, self.wcfg)
         self.rejected_joins += len(rejected)
         dur = self.medium.airtime(allocation_size(len(sched)))
-        lo = w + self.wcfg.slot_len_ns + self.guard
-        hi = w + 2 * self.wcfg.slot_len_ns - dur - self.guard
+        lo, hi = slot1_bounds(w, self.wcfg, self.guard, dur)
         if hi < lo:
             return  # allocation cannot fit slot 1 for this member count
         self._timer(self.rng.integers(lo, hi, endpoint=True), self._try_alloc, (w, sched))

@@ -474,6 +474,9 @@ def test_interferer_masks_match_brute_force(cells, joins, sends):
        reads=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 26),
                                 st.integers(1, 12)),
                       min_size=1, max_size=8))
+# vehicle 1 reads before it registers, and vehicle 0 reads its own frames
+@example(cells=[0, 1], joins=[0, 6, 0, 0, 0, 0, 0, 0], sends=[(0, 0, 3), (0, 8, 3)],
+         reads=[(1, 0, 4, 4), (0, 0, 20, 12), (1, 0, 20, 12)])
 def test_last_clean_arrival_matches_brute_force(cells, joins, sends, reads):
     """The latest clean arrival before a read equals the oracle's.
 
@@ -505,6 +508,10 @@ def test_last_clean_arrival_matches_brute_force(cells, joins, sends, reads):
        reads=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 13), st.integers(0, 4),
                                 st.integers(0, 12)),
                       min_size=1, max_size=8))
+# vehicle 1 reads before it registers, and each vehicle reads after its own announce
+@example(cells=[0, 1], joins=[0, 6, 0, 0, 0, 0, 0, 0],
+         sends=[(0, 0, 3, FrameKind.CONTROL_ANNOUNCE), (1, 8, 3, FrameKind.CONTROL_ANNOUNCE)],
+         reads=[(1, 0, 1, 4), (0, 0, 1, 4), (1, 1, 4, 12), (0, 1, 4, 12)])
 def test_clean_receptions_match_brute_force(cells, joins, sends, reads):
     """A read lists the announces since its window start that the oracle has clean.
 

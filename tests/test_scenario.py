@@ -222,8 +222,36 @@ def test_window_with_fewer_than_three_slots_is_a_config_error():
 
 
 def test_announce_must_fit_one_slot():
-    with pytest.raises(ConfigError):
-        ScenarioConfig(window=WindowConfig(window_ns=800 * US, slot_len_ns=100 * US)).validate()
+    # a 100 B announce takes 133,334 ns at 6 Mb/s, and 2,666,667 ns at 300 kb/s
+    for window, radio, announce, slot in (
+            (WindowConfig(window_ns=800 * US, slot_len_ns=100 * US), RadioConfig(),
+             133_334, 100_000),
+            (WindowConfig(), RadioConfig(data_rate_bps=300_000), 2_666_667, 2_000_000)):
+        with pytest.raises(ConfigError, match=rf"^an announce \({announce} ns on air\) "
+                                              rf"does not fit one {slot} ns slot$"):
+            ScenarioConfig(window=window, radio=radio).validate()
+        # the baseline has no slots
+        ScenarioConfig(mode=MODE_BASELINE, window=window, radio=radio).validate()
+
+
+def test_two_member_allocation_fills_slot_1_between_its_guards():
+    # a two-member allocation (116 B) takes 154,667 ns, and the guard over
+    # 300 m is 1,000 ns: the shortest slot 1 that holds it between two guards
+    slot, guard = 2 * 1_000 + 154_667, 1_000
+    cfg = ScenarioConfig(vehicle_count=2, sim_duration_ns=2 * SEC,
+                         window=WindowConfig(slot_len_ns=slot))
+    cfg.validate()
+    allocations = [tx for tx in run_scenario(cfg, 1).medium.log
+                   if tx.kind is FrameKind.CONTROL_ALLOCATION]
+    assert allocations
+    window = cfg.window.window_ns
+    # no room to draw in: each starts at the earliest start slot 1 allows
+    assert all(tx.start == tx.start // window * window + slot + guard for tx in allocations)
+    short = ScenarioConfig(vehicle_count=2, window=WindowConfig(slot_len_ns=slot - 1))
+    with pytest.raises(ConfigError, match=rf"^slot_len_ns={slot - 1} cannot hold a two-member "
+                                          r"allocation \(154667 ns on air\) between two "
+                                          r"1000 ns guards"):
+        short.validate()
 
 
 def test_zero_vehicles_rejected():

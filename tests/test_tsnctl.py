@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import pytest
@@ -31,7 +32,6 @@ from platoonsim.tsnctl import (
     announce_offset,
     check_schedule,
     slot_count,
-    step_fsm,
 )
 
 W10 = WindowConfig(window_ns=100 * MS, slot_len_ns=10 * MS)
@@ -145,7 +145,7 @@ def test_round_winner_is_elect_master_over_all_clean_announces_and_a_live_master
         elect = ctl._on_slot0_end
 
         def checked(w, announces):
-            if not ctl._in_round:
+            if ctl.state.status is not Status.JOINING:    # a platoon master
                 return elect(w, announces)
             candidates = {vid: ctl.created_at}
             for frame in list(medium.clean_receptions(vid, announces)):
@@ -368,25 +368,38 @@ def test_schedule_wire_roundtrip():
 
 
 def test_window_start_moves_init_to_joining_with_announce():
-    state = step_fsm(FsmState(Status.INIT, Role.SLAVE), FsmEvent.WINDOW_START)
+    state = LEGAL_EDGES[(Status.INIT, Role.SLAVE, FsmEvent.WINDOW_START, None)]
     assert state == FsmState(Status.JOINING, Role.SLAVE)
 
 
 def test_lone_master_restarts_on_no_neighbors():
-    state = step_fsm(FsmState(Status.JOINING, Role.MASTER), FsmEvent.NO_NEIGHBORS)
+    state = LEGAL_EDGES[(Status.JOINING, Role.MASTER, FsmEvent.NO_NEIGHBORS, None)]
     assert state == FsmState(Status.JOINING, Role.MASTER)
 
 
 def test_slave_confirms_at_own_slot_trigger():
-    state = step_fsm(FsmState(Status.JOINING, Role.SLAVE), FsmEvent.OWN_SLOT_TRIGGER)
+    state = LEGAL_EDGES[(Status.JOINING, Role.SLAVE, FsmEvent.OWN_SLOT_TRIGGER, None)]
     assert state == FsmState(Status.IN_PLATOON, Role.SLAVE)
 
 
 def test_illegal_event_is_a_hard_fault():
-    with pytest.raises(ProtocolError):
-        step_fsm(FsmState(Status.INIT, Role.SLAVE), FsmEvent.OWN_SLOT_TRIGGER)
-    with pytest.raises(ProtocolError):
-        step_fsm(FsmState(Status.IN_PLATOON, Role.MASTER), FsmEvent.MASTER_LOST)
+    """A step with no edge raises, naming the event, its outcome and the state,
+    and leaves the controller as it was."""
+    for state, event, outcome, message in [
+        (FsmState(Status.INIT, Role.SLAVE), FsmEvent.OWN_SLOT_TRIGGER, None,
+         "illegal FSM event OWN_SLOT_TRIGGER (outcome=None) in state INIT/SLAVE"),
+        (FsmState(Status.IN_PLATOON, Role.MASTER), FsmEvent.MASTER_LOST, None,
+         "illegal FSM event MASTER_LOST (outcome=None) in state IN_PLATOON/MASTER"),
+        (FsmState(Status.IN_PLATOON, Role.MASTER), FsmEvent.ALLOCATION_RECEIVED, "refresh",
+         "illegal FSM event ALLOCATION_RECEIVED (outcome='refresh') in state IN_PLATOON/MASTER"),
+    ]:
+        kernel = Kernel()
+        ctl = TsnCtl(0, WindowClock(kernel, Medium(kernel, RadioConfig()), W2), ConstRng(0),
+                     source=ScriptedSource(end=0))
+        ctl.state = state
+        with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
+            ctl._step(event, outcome)
+        assert ctl.state == state and ctl.transitions == []
 
 
 def test_slot_trigger_reaching_a_controller_in_init_is_a_hard_fault():
