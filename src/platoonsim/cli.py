@@ -7,17 +7,8 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config
-from .metrics import (
-    SWEEP_AXES,
-    ExperimentResult,
-    collect_stats,
-    emit_csv,
-    emit_sweep_csv,
-    sweep,
-    verify_log,
-    write_transmission_log,
-)
-from .scenario import MODE_BASELINE, run_scenario
+from .metrics import SWEEP_AXES, emit_csv, emit_sweep_csv, run_experiment, sweep, verify_log
+from .scenario import MODE_BASELINE
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -59,18 +50,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg.validate()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    per_rep = []
-    for k in range(cfg.repetitions):
-        run = run_scenario(cfg, cfg.seed + k)
-        per_rep.append(collect_stats(run))
-        write_transmission_log(run, out / f"transmissions_rep{k}.log")
-        # A run's object graph is cyclic (kernel heap -> pending bound method
-        # -> MAC or controller -> kernel; Medium.handlers -> controller ->
-        # medium), so dropping it frees nothing at once: it leaves the run to
-        # the collector's next pass, which `Kernel.run_until` holds off while
-        # it dispatches.
-        del run
-    result = ExperimentResult.from_stats(cfg, per_rep)
+    result = run_experiment(cfg, out)
     emit_csv(result, out / "results.csv")
     slot = "-" if cfg.mode == MODE_BASELINE else f"{cfg.window.slot_len_ns} ns"
     print(f"{cfg.mode}: {cfg.vehicle_count} vehicles, "

@@ -17,56 +17,45 @@ from .scenario import MODE_BASELINE, MODE_TSNCTL, RunResult, ScenarioConfig, run
 
 @dataclass(slots=True)
 class CollisionStats:
+    """A run's counts under its config's rule; per-reception counting counts receptions."""
     frames_sent: int = 0
     frames_collided: int = 0
-    data_frames_sent: int = 0
-    data_frames_collided: int = 0
-    receptions: int = 0
-    receptions_collided: int = 0
     deferred_frames: int = 0
     rejected_joins: int = 0
 
-    def counts(self, count_control: bool = True, per_receiver: bool = False) -> tuple[int, int]:
-        """(sent, collided) under a counting rule: receptions, all frames or data frames."""
-        if per_receiver:
-            return self.receptions, self.receptions_collided
-        if count_control:
-            return self.frames_sent, self.frames_collided
-        return self.data_frames_sent, self.data_frames_collided
-
-    def rate(self, count_control: bool = True, per_receiver: bool = False) -> float:
+    def rate(self) -> float:
         """Collided share in percent; nan when nothing was counted (undefined)."""
-        sent, collided = self.counts(count_control, per_receiver)
-        if sent == 0:
+        if self.frames_sent == 0:
             return math.nan
-        return 100.0 * collided / sent
+        return 100.0 * self.frames_collided / self.frames_sent
 
 
 def collect_stats(run: RunResult) -> CollisionStats:
-    """Collision counts of a run, read off each transmission's two masks.
+    """Collision counts of a run under its config's rule, read off each transmission's two masks.
 
-    A frame counts once, collided iff it collided at one or more receivers; a
-    frame that nobody was in range to receive is left out of every count.
+    A frame counts once, collided iff it collided at one or more receivers;
+    `count_control_frames = false` counts data frames only, and
+    `per_receiver_counting = true` counts each reception instead. A frame
+    that nobody was in range to receive is left out of every count.
     """
-    sent = collided = data_sent = data_collided = receptions = receptions_collided = 0
+    data_only = not run.cfg.count_control_frames
+    per_receiver = run.cfg.per_receiver_counting
+    sent = collided = 0
     for tx in run.medium.log:
         receivers = tx.receivers
-        if not receivers:
+        if not receivers or (data_only and tx.kind is not DATA):
             continue
         hit = tx.hit & receivers
-        sent += 1
-        receptions += receivers.bit_count()
-        if hit:
-            collided += 1
-            receptions_collided += hit.bit_count()
-        if tx.kind is DATA:
-            data_sent += 1
-            data_collided += hit != 0
+        if per_receiver:
+            sent += receivers.bit_count()
+            collided += hit.bit_count()
+        else:
+            sent += 1
+            collided += hit != 0
     deferred = (sum(mac.deferrals for mac in run.macs.values())
                 + sum(ctl.deferred for ctl in run.controllers.values()))
     rejected = sum(ctl.rejected_joins for ctl in run.controllers.values())
-    return CollisionStats(sent, collided, data_sent, data_collided, receptions,
-                          receptions_collided, deferred, rejected)
+    return CollisionStats(sent, collided, deferred, rejected)
 
 
 # -- independent oracle --------------------------------------------------------
@@ -215,12 +204,11 @@ class ExperimentResult:
     @classmethod
     def from_stats(cls, cfg: ScenarioConfig,
                    per_repetition: list[CollisionStats]) -> ExperimentResult:
-        """Rates under the config's counting rules, and their mean and spread.
+        """Rates of the repetitions, and their mean and spread.
 
         One undefined (nan) rate makes the mean and the spread undefined too.
         """
-        rates = [s.rate(cfg.count_control_frames, cfg.per_receiver_counting)
-                 for s in per_repetition]
+        rates = [s.rate() for s in per_repetition]
         mean = statistics.fmean(rates)
         if math.isnan(mean):
             std = math.nan          # statistics.stdev raises on nan
@@ -228,17 +216,28 @@ class ExperimentResult:
             std = statistics.stdev(rates) if len(rates) > 1 else 0.0
         return cls(cfg, per_repetition, rates, mean, std)
 
-    @property
-    def counts(self) -> list[tuple[int, int]]:
-        """(sent, collided) per repetition under the config's counting rules."""
-        return [s.counts(self.cfg.count_control_frames, self.cfg.per_receiver_counting)
-                for s in self.per_repetition]
 
+def run_experiment(cfg: ScenarioConfig, log_dir: str | Path | None = None) -> ExperimentResult:
+    """Run the config's repetitions on seeds seed, seed+1, ..., one at a time.
 
-def run_experiment(cfg: ScenarioConfig) -> ExperimentResult:
-    return ExperimentResult.from_stats(cfg, [
-        collect_stats(run_scenario(cfg, cfg.seed + k)) for k in range(cfg.repetitions)
-    ])
+    With `log_dir`, each repetition's transmission log is written there as
+    `transmissions_rep<k>.log`.
+    """
+    if cfg.repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {cfg.repetitions}")
+    per_repetition = []
+    for k in range(cfg.repetitions):
+        run = run_scenario(cfg, cfg.seed + k)
+        per_repetition.append(collect_stats(run))
+        if log_dir is not None:
+            write_transmission_log(run, Path(log_dir) / f"transmissions_rep{k}.log")
+        # A run's object graph is cyclic (kernel heap -> pending bound method
+        # -> MAC or controller -> kernel; Medium.handlers -> controller ->
+        # medium), so dropping it frees nothing at once: it leaves the run to
+        # the collector's next pass, which `Kernel.run_until` holds off while
+        # it dispatches.
+        del run
+    return ExperimentResult.from_stats(cfg, per_repetition)
 
 
 CSV_HEADER = ("mode,vehicles,slot_len_ns,window_ns,payload_B,spawn_interval_ns,"
@@ -250,16 +249,14 @@ def emit_csv(result: ExperimentResult, path: str | Path) -> None:
     lines = [CSV_HEADER]
     prefix = (f"{cfg.mode},{cfg.vehicle_count},{cfg.window.slot_len_ns},"
               f"{cfg.window.window_ns},{cfg.payload_size_b},{cfg.spawn_interval_ns}")
-    counts = result.counts
-    for k, (stats, (sent, collided)) in enumerate(zip(result.per_repetition, counts)):
+    for k, s in enumerate(result.per_repetition):
         lines.append(
-            f"{prefix},{cfg.seed + k},{sent},{collided},"
-            f"{result.rates[k]:.2f},{stats.deferred_frames},{stats.rejected_joins}"
+            f"{prefix},{cfg.seed + k},{s.frames_sent},{s.frames_collided},"
+            f"{result.rates[k]:.2f},{s.deferred_frames},{s.rejected_joins}"
         )
-    mean_sent = statistics.fmean(sent for sent, _ in counts)
-    mean_coll = statistics.fmean(collided for _, collided in counts)
-    mean_def = statistics.fmean(s.deferred_frames for s in result.per_repetition)
-    mean_rej = statistics.fmean(s.rejected_joins for s in result.per_repetition)
+    mean_sent, mean_coll, mean_def, mean_rej = (
+        statistics.fmean(getattr(s, name) for s in result.per_repetition)
+        for name in CollisionStats.__slots__)
     lines.append(
         f"{prefix},{cfg.seed},{mean_sent:.2f},{mean_coll:.2f},"
         f"{result.mean_rate:.2f},{mean_def:.2f},{mean_rej:.2f}"
@@ -323,10 +320,10 @@ def emit_sweep_csv(axis: str, rows: list[tuple[int, str, int | None, ExperimentR
     lines = [SWEEP_HEADER]
     for value, mode, slot_len, result in rows:
         slot = "" if slot_len is None else slot_len
-        for k, (sent, collided) in enumerate(result.counts):
+        for k, s in enumerate(result.per_repetition):
             lines.append(
                 f"{axis},{value},{mode},{slot},{k},{result.cfg.seed + k},"
-                f"{sent},{collided},{result.rates[k]:.2f},"
+                f"{s.frames_sent},{s.frames_collided},{result.rates[k]:.2f},"
                 f"{result.mean_rate:.2f},{result.std_rate:.2f}"
             )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

@@ -1,6 +1,7 @@
 """Shared test helpers: scripted randomness, a scripted message source,
 hand-assembled platoon scenarios, a reference election, the counts a run
-keeps no counter for and the reception outcomes of a frame, read from its masks.
+keeps no counter for, the collision counts under each counting rule and the
+reception outcomes of a frame, read from its masks.
 
 Every MAC and controller reads its messages from a source, as in a run. A
 test that does not build a `scenario.ItsService` scripts the messages it
@@ -11,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 
 from platoonsim.csma import CsmaMac
-from platoonsim.frames import Frame
+from platoonsim.frames import Frame, FrameKind
 from platoonsim.kernel import EventKind, Kernel, MS
 from platoonsim.radio import Medium, Position, RadioConfig
 from platoonsim.tsnctl import (JOINING, WINDOW_START, TsnCtl, WindowClock, WindowConfig,
@@ -134,3 +135,21 @@ def receivers_expected(frame: Frame) -> int:
 def receivers_collided(frame: Frame) -> int:
     """The receivers of a broadcast frame at which it collided."""
     return (frame.hit & frame.receivers).bit_count()
+
+
+# the [metrics] switches of each counting rule
+COUNTING_RULES = {"frames": {}, "data frames": {"count_control_frames": False},
+                  "receptions": {"per_receiver_counting": True}}
+
+
+def recount(log: list[Frame], rule: str) -> tuple[int, int]:
+    """(sent, collided) under a counting rule of COUNTING_RULES, from each frame's two masks.
+
+    A frame that nobody was in range to receive is left out.
+    """
+    heard = [tx for tx in log if tx.receivers]
+    if rule == "receptions":
+        return sum(map(receivers_expected, heard)), sum(map(receivers_collided, heard))
+    if rule == "data frames":
+        heard = [tx for tx in heard if tx.kind is FrameKind.DATA]
+    return len(heard), sum(receivers_collided(tx) > 0 for tx in heard)

@@ -5,8 +5,9 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
+from _util import COUNTING_RULES, recount
 
-from platoonsim import cli, metrics
+from platoonsim import metrics
 from platoonsim.cli import main
 from platoonsim.config import load_config
 from platoonsim.csma import CsmaConfig
@@ -93,13 +94,19 @@ def test_degenerate_window_exits_2(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 2
 
 
-def test_negative_seed_exits_2_naming_the_key(tmp_path, capsys):
+@pytest.mark.parametrize("key, value, message", [("seed", "-1", "seed must be >= 0"),
+                                                 ("repetitions", "0", "repetitions must be >= 1")])
+def test_out_of_range_seed_or_repetitions_exits_2_naming_the_key(tmp_path, capsys,
+                                                                 key, value, message):
+    out = tmp_path / "out"
     cfg = _write(tmp_path, GOOD_CONFIG)
-    assert main(["run", "--config", str(cfg), "--seed", "-1"]) == 2
-    assert "config error: seed must be >= 0" in capsys.readouterr().err
-    cfg = _write(tmp_path, GOOD_CONFIG.replace("seed = 7", "seed = -1"))
-    assert main(["run", "--config", str(cfg)]) == 2
-    assert "config error: seed must be >= 0" in capsys.readouterr().err
+    assert main(["run", "--config", str(cfg), f"--{key}", value, "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    default = next(line for line in GOOD_CONFIG.splitlines() if line.startswith(f"{key} ="))
+    cfg = _write(tmp_path, GOOD_CONFIG.replace(default, f"{key} = {value}"))
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()         # rejected before anything is written
 
 
 # nan and inf in each key, and finite radio values whose propagation delay
@@ -182,7 +189,6 @@ def test_run_simulates_each_repetition_once(tmp_path, monkeypatch):
         seeds.append(seed)
         return run_scenario(cfg, seed, **kwargs)
 
-    monkeypatch.setattr(cli, "run_scenario", counting_run_scenario)
     monkeypatch.setattr(metrics, "run_scenario", counting_run_scenario)
     cfg_path = _write(tmp_path, GOOD_CONFIG)
     out = tmp_path / "out"
@@ -200,6 +206,37 @@ def test_run_simulates_each_repetition_once(tmp_path, monkeypatch):
     assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in ref.iterdir())
     for p in ref.iterdir():
         assert (out / p.name).read_bytes() == p.read_bytes()
+
+
+def _csv_rows(path: Path, mode_col: int) -> dict[str, list[list[str]]]:
+    """The repetition rows of a results or sweep CSV, by mode."""
+    rows: dict[str, list[list[str]]] = {}
+    for line in path.read_text().splitlines()[1:]:
+        row = line.split(",")
+        rows.setdefault(row[mode_col], []).append(row)
+    return rows
+
+
+@pytest.mark.parametrize("rule", COUNTING_RULES)
+@pytest.mark.parametrize("mode", ["baseline", "tsnctl"])
+def test_run_and_sweep_count_alike_under_each_rule(tmp_path, mode, rule):
+    switches = "".join(f"{key} = {str(value).lower()}\n"
+                       for key, value in COUNTING_RULES[rule].items())
+    text = GOOD_CONFIG.replace("mode = baseline", f"mode = {mode}") + "\n[metrics]\n" + switches
+    cfg_path = _write(tmp_path, text)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+    assert main(["sweep", "--axis", "slot_len", "--values", "2000000",
+                 "--config", str(cfg_path), "--out", str(tmp_path / "sweep")]) == 0
+    # results.csv ends with its summary row; a slot_len sweep holds one row per
+    # mode and repetition
+    ran = _csv_rows(tmp_path / "run" / "results.csv", 0)[mode][:-1]
+    swept = _csv_rows(tmp_path / "sweep" / "sweep_slot_len.csv", 2)[mode]
+    cfg = load_config(cfg_path)
+    assert len(ran) == len(swept) == cfg.repetitions
+    for k, (r, s) in enumerate(zip(ran, swept)):
+        sent, collided = recount(run_scenario(cfg, cfg.seed + k).medium.log, rule)
+        rate = f"{100.0 * collided / sent:.2f}" if sent else "nan"
+        assert r[7:10] == s[6:9] == [str(sent), str(collided), rate], (k, r, s)
 
 
 def test_verify_names_each_disagreeing_transmission(tmp_path, capsys):

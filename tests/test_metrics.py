@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from _util import receivers_collided, receivers_expected
+from _util import COUNTING_RULES, receivers_collided, receivers_expected, recount
 
 from platoonsim.frames import Frame, FrameKind
 from platoonsim.kernel import Kernel, MS, SEC, US
@@ -46,9 +46,9 @@ def _two_sender_medium(second_start_us=500):
     return m
 
 
-def _stats(m):
-    """collect_stats over a bare medium, with no MAC or controller."""
-    return collect_stats(RunResult(ScenarioConfig(), 0, m, [], {}, {}, {}))
+def _stats(m, **switches):
+    """collect_stats over a bare medium, with no MAC or controller, under a counting rule."""
+    return collect_stats(RunResult(ScenarioConfig(**switches), 0, m, [], {}, {}, {}))
 
 
 def test_clean_transmission_counts_as_sent_not_collided():
@@ -67,7 +67,8 @@ def test_collided_transmission_counts_once_even_with_many_collided_receivers():
     assert [t.collided for t in m.log] == [True, True]
     s = _stats(m)
     assert (s.frames_sent, s.frames_collided) == (2, 2)
-    assert (s.receptions, s.receptions_collided) == (4, 4)
+    rx = _stats(m, per_receiver_counting=True)
+    assert (rx.frames_sent, rx.frames_collided) == (4, 4)
 
 
 def test_stats_exclude_transmissions_nobody_could_receive():
@@ -81,23 +82,7 @@ def test_stats_exclude_transmissions_nobody_could_receive():
     assert _stats(m) == CollisionStats()
 
 
-def _recount(run):
-    """CollisionStats recounted from each transmission's receivers and hit masks."""
-    txs = [tx for tx in run.medium.log if tx.receivers != 0]
-    data = [tx for tx in txs if tx.kind is FrameKind.DATA]
-    return CollisionStats(
-        frames_sent=len(txs),
-        frames_collided=sum(1 for tx in txs if tx.hit & tx.receivers),
-        data_frames_sent=len(data),
-        data_frames_collided=sum(1 for tx in data if tx.hit & tx.receivers),
-        receptions=sum(bin(tx.receivers).count("1") for tx in txs),
-        receptions_collided=sum(bin(tx.hit & tx.receivers).count("1") for tx in txs),
-        deferred_frames=(sum(mac.deferrals for mac in run.macs.values())
-                         + sum(ctl.deferred for ctl in run.controllers.values())),
-        rejected_joins=sum(ctl.rejected_joins for ctl in run.controllers.values()),
-    )
-
-
+@pytest.mark.parametrize("rule", COUNTING_RULES)
 @pytest.mark.parametrize("name, cfg", [
     ("baseline", ScenarioConfig(vehicle_count=20, mode=MODE_BASELINE, sim_duration_ns=1 * SEC)),
     ("tsnctl", ScenarioConfig(vehicle_count=20, mode=MODE_TSNCTL, sim_duration_ns=1 * SEC,
@@ -105,8 +90,8 @@ def _recount(run):
     ("unheard", ScenarioConfig(vehicle_count=4, mode=MODE_BASELINE, area_length_m=1_000.0,
                                sim_duration_ns=1 * SEC, radio=RadioConfig(range_m=20.0))),
 ])
-def test_collect_stats_equals_a_recount_from_the_masks(name, cfg):
-    run = run_scenario(cfg, 5)
+def test_collect_stats_equals_a_recount_from_the_masks(name, cfg, rule):
+    run = run_scenario(replace(cfg, **COUNTING_RULES[rule]), 5)
     log = run.medium.log
     if name == "tsnctl":
         assert {FrameKind.CONTROL_ANNOUNCE, FrameKind.CONTROL_ALLOCATION} <= {
@@ -115,7 +100,10 @@ def test_collect_stats_equals_a_recount_from_the_masks(name, cfg):
     if name == "unheard":
         assert any(tx.receivers == 0 for tx in log)
     stats = collect_stats(run)
-    assert stats == _recount(run)
+    assert (stats.frames_sent, stats.frames_collided) == recount(log, rule)
+    assert stats.deferred_frames == (sum(mac.deferrals for mac in run.macs.values())
+                                     + sum(ctl.deferred for ctl in run.controllers.values()))
+    assert stats.rejected_joins == sum(ctl.rejected_joins for ctl in run.controllers.values())
     assert stats.frames_collided > 0 or name == "unheard"
     assert all(type(getattr(stats, f)) is int for f in stats.__slots__)
 
@@ -242,6 +230,11 @@ def test_run_experiment_is_deterministic():
     b = run_experiment(cfg)
     assert a.rates == b.rates
     assert a.mean_rate == b.mean_rate
+
+
+def test_run_experiment_rejects_an_empty_batch():
+    with pytest.raises(ValueError, match="repetitions must be >= 1, got 0"):
+        run_experiment(ScenarioConfig(repetitions=0))
 
 
 def test_emit_csv_shape_and_format(tmp_path):
@@ -412,14 +405,12 @@ def test_transmission_log_rerun_byte_identical(tmp_path):
 def test_rate_respects_counting_switches():
     cfg = ScenarioConfig(vehicle_count=4, mode=MODE_TSNCTL, sim_duration_ns=1 * SEC)
     run = run_scenario(cfg, 13)
-    stats = collect_stats(run)
-    assert stats.frames_sent > stats.data_frames_sent       # control frames were sent
-    incl = stats.rate(count_control=True)
-    excl = stats.rate(count_control=False)
-    if stats.frames_collided == stats.data_frames_collided:
-        assert excl >= incl                          # denominator shrinks
-    per_rx = stats.rate(per_receiver=True)
-    assert per_rx >= 0.0
+    incl, excl, per_rx = (collect_stats(replace(run, cfg=replace(cfg, **switches)))
+                          for switches in COUNTING_RULES.values())
+    assert incl.frames_sent > excl.frames_sent              # control frames were sent
+    if incl.frames_collided == excl.frames_collided:
+        assert excl.rate() >= incl.rate()                   # denominator shrinks
+    assert per_rx.rate() >= 0.0
 
 
 def test_rate_zero_frames_flagged_undefined():

@@ -13,10 +13,11 @@ cut at any ns from 50 ms to 1.5 s. Each side runs every config in its own
 subprocess, and the two run side by side.
 
 Per run it compares the sha256 of the transmission log, each record's
-receivers and hit masks, the collision counts, every controller's
-`transitions`, `deferred`, `rejected_joins`, `join_retries`,
-`announce_skips`, queue length and `source.seq`, and every MAC's
-`deferrals`, `frames_submitted` and `frames_transmitted`. It also runs
+receivers and hit masks, the sha256 of a one-repetition `results.csv` under
+each of the three counting rules (all frames, data frames, receptions),
+every controller's `transitions`, `deferred`, `rejected_joins`,
+`join_retries`, `announce_skips`, queue length and `source.seq`, and every
+MAC's `deferrals`, `frames_submitted` and `frames_transmitted`. It also runs
 `oracle_check_run` on both sides, which must find nothing. Three of these
 fields are computed from the run's records, as `tests/test_golden.py`
 computes them, so both sides give them alike whether or not a tree keeps a
@@ -52,10 +53,14 @@ import sys
 import tempfile
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 MS = 1_000_000
 MODES = ("tsnctl", "baseline")
+# the [metrics] switches of each counting rule that results.csv is compared under
+COUNTING_RULES = {"frames": {}, "data frames": {"count_control_frames": False},
+                  "receptions": {"per_receiver_counting": True}}
 
 
 def draw_configs(mode: str, count: int, seed: int) -> list[dict]:
@@ -109,7 +114,8 @@ def _state(state) -> str:
 def digest(config: dict, scratch: Path) -> dict:
     """Every compared field of one run, in a fixed order."""
     from platoonsim.csma import CsmaConfig
-    from platoonsim.metrics import collect_stats, oracle_check_run, write_transmission_log
+    from platoonsim.metrics import (
+        ExperimentResult, collect_stats, emit_csv, oracle_check_run, write_transmission_log)
     from platoonsim.radio import RadioConfig
     from platoonsim.scenario import ScenarioConfig, run_scenario
     from platoonsim.tsnctl import WindowConfig
@@ -130,9 +136,13 @@ def digest(config: dict, scratch: Path) -> dict:
         "transmissions": len(txs),
         "collided": sum(tx.collided for tx in txs),
         "masks": _sha(f"{tx.receivers} {tx.hit}" for tx in txs),
-        "collision_stats": repr(collect_stats(run)),
-        "oracle": oracle_check_run(run),
     }
+    results = scratch / "results.csv"
+    for rule, switches in COUNTING_RULES.items():
+        rc = replace(cfg, **switches)
+        emit_csv(ExperimentResult.from_stats(rc, [collect_stats(replace(run, cfg=rc))]), results)
+        fields[f"results.csv by {rule}"] = hashlib.sha256(results.read_bytes()).hexdigest()
+    fields["oracle"] = oracle_check_run(run)
     for vid, ctl in sorted(run.controllers.items()):
         fields[f"controller {vid} transitions"] = _sha(
             f"{_state(before)} {event.name} {outcome} {_state(after)}"
