@@ -12,7 +12,8 @@ from typing import NamedTuple
 
 from .frames import DATA, KIND_BY_LABEL, KIND_LABELS
 from .radio import Position, RadioConfig
-from .scenario import MODE_BASELINE, MODE_TSNCTL, RunResult, ScenarioConfig, run_scenario
+from .scenario import (COUNTING_RULES, MODE_BASELINE, MODE_TSNCTL, RunResult, ScenarioConfig,
+                       run_scenario)
 
 
 @dataclass(slots=True)
@@ -33,13 +34,12 @@ class CollisionStats:
 def collect_stats(run: RunResult) -> CollisionStats:
     """Collision counts of a run under its config's rule, read off each transmission's two masks.
 
-    A frame counts once, collided iff it collided at one or more receivers;
-    `count_control_frames = false` counts data frames only, and
-    `per_receiver_counting = true` counts each reception instead. A frame
-    that nobody was in range to receive is left out of every count.
+    Under `frames` a frame counts once, collided iff it collided at one or
+    more receivers; `data_frames` counts data frames alone that way, and
+    `receptions` counts each reception of every frame instead. A frame that
+    nobody was in range to receive is left out of every count.
     """
-    data_only = not run.cfg.count_control_frames
-    per_receiver = run.cfg.per_receiver_counting
+    data_only, per_receiver = (run.cfg.counting == rule for rule in COUNTING_RULES[1:])
     sent = collided = 0
     for tx in run.medium.log:
         receivers = tx.receivers
@@ -265,7 +265,7 @@ def emit_csv(result: ExperimentResult, path: str | Path) -> None:
 
 
 SWEEP_AXES = ("platoon_size", "packet_size", "slot_len")
-DEFAULT_SLOT_SWEEP_NS = (1_000_000, 2_000_000, 3_000_000)
+SLOT_SWEEP_NS = (1_000_000, 2_000_000, 3_000_000)
 
 
 def _cfg_for(base: ScenarioConfig, axis: str, value: int, mode: str,
@@ -283,10 +283,9 @@ def _cfg_for(base: ScenarioConfig, axis: str, value: int, mode: str,
     return cfg
 
 
-def sweep(axis: str, values: list[int], base: ScenarioConfig,
-          slot_lens_ns: tuple[int, ...] = DEFAULT_SLOT_SWEEP_NS
-          ) -> list[tuple[int, str, int | None, ExperimentResult]]:
-    """Run baseline plus the controller at each slot length for every axis value.
+def sweep(axis: str, values: list[int],
+          base: ScenarioConfig) -> list[tuple[int, str, int | None, ExperimentResult]]:
+    """Run baseline plus the controller at each SLOT_SWEEP_NS slot length for every axis value.
 
     Returns rows of (axis value, mode, slot_len_ns, result), ordered by
     (value, mode, slot length) for deterministic output. Baseline rows have
@@ -303,7 +302,7 @@ def sweep(axis: str, values: list[int], base: ScenarioConfig,
         if baseline is None or axis != "slot_len":
             baseline = run_experiment(_cfg_for(base, axis, value, MODE_BASELINE, None))
         out.append((value, MODE_BASELINE, None, baseline))
-        tsn_slots = (None,) if axis == "slot_len" else slot_lens_ns
+        tsn_slots = (None,) if axis == "slot_len" else SLOT_SWEEP_NS
         for slot in tsn_slots:
             cfg_t = _cfg_for(base, axis, value, MODE_TSNCTL, slot)
             out.append((value, MODE_TSNCTL, cfg_t.window.slot_len_ns, run_experiment(cfg_t)))
@@ -382,6 +381,8 @@ def load_transmission_log(path: str | Path) -> LoadedLog:
                 if parts[:1] == ["radio"]:
                     duplicate = radio is not None
                     kv = dict(p.split("=", 1) for p in parts[1:])
+                    if len(parts) != 5 or len(kv) != 4:     # the four keys written, once each
+                        raise ValueError
                     radio = RadioConfig(
                         range_m=float(kv["range_m"]),
                         data_rate_bps=int(kv["data_rate_bps"]),
@@ -390,13 +391,12 @@ def load_transmission_log(path: str | Path) -> LoadedLog:
                     )
                     radio.validate()
                 elif parts[:1] == ["vehicle"]:
-                    vid = int(parts[1])
+                    _, vid, x, y, at = parts
+                    vid, x, y, at = int(vid), float(x), float(y), int(at)
                     duplicate = vid in positions
-                    x, y = float(parts[2]), float(parts[3])
-                    spawn[vid] = int(parts[4]) if len(parts) > 4 else 0
-                    if not (math.isfinite(x) and math.isfinite(y)) or spawn[vid] < 0:
+                    if not (math.isfinite(x) and math.isfinite(y)) or at < 0:
                         raise ValueError
-                    positions[vid] = Position(x, y)
+                    positions[vid], spawn[vid] = Position(x, y), at
             except (IndexError, KeyError, ValueError):
                 raise ValueError(
                     f"line {lineno}: malformed {parts[0]} header {line!r}") from None
@@ -405,9 +405,10 @@ def load_transmission_log(path: str | Path) -> LoadedLog:
             continue
         fields = line.split()
         try:
-            if len(fields) != 6 or fields[4] not in KIND_BY_LABEL or fields[5] not in ("0", "1"):
+            sender, start, end, size = map(int, fields[:4])
+            if size < 0 or len(fields) != 6 or fields[4] not in KIND_BY_LABEL \
+                    or fields[5] not in ("0", "1"):
                 raise ValueError
-            sender, start, end, _size = map(int, fields[:4])
         except ValueError:
             raise ValueError(f"line {lineno}: malformed record {line!r}") from None
         if end < start:

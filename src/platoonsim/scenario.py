@@ -18,6 +18,10 @@ MODE_TSNCTL = "tsnctl"
 SPAWNER_STREAM = 0
 VEHICLE_STREAM_BASE = 1000
 
+# [metrics] counting: every sent frame, data frames only, or every reception
+COUNTING_RULES = ("frames", "data_frames", "receptions")
+MAX_PAYLOAD_B = 800
+
 
 @dataclass(slots=True)
 class ScenarioConfig:
@@ -26,7 +30,6 @@ class ScenarioConfig:
     area_length_m: float = 100.0
     message_interval_ns: int = 100 * MS
     payload_size_b: int = 800
-    max_payload_b: int = 800
     mode: str = MODE_TSNCTL
     sim_duration_ns: int = 10 * SEC
     seed: int = 1
@@ -34,8 +37,7 @@ class ScenarioConfig:
     window: WindowConfig = field(default_factory=WindowConfig)
     radio: RadioConfig = field(default_factory=RadioConfig)
     csma: CsmaConfig = field(default_factory=CsmaConfig)
-    count_control_frames: bool = field(default=True, metadata={"section": "metrics"})
-    per_receiver_counting: bool = field(default=False, metadata={"section": "metrics"})
+    counting: str = field(default=COUNTING_RULES[0], metadata={"section": "metrics"})
 
     def validate(self) -> None:
         from .config import ConfigError
@@ -49,11 +51,9 @@ class ScenarioConfig:
                 raise ValueError("sim_duration_ns must be positive")
             if self.payload_size_b < 1:
                 raise ValueError("payload_size_b must be >= 1")
-            if self.payload_size_b > self.max_payload_b:
-                raise ValueError(
-                    f"payload_size_b={self.payload_size_b} exceeds the "
-                    f"{self.max_payload_b} B ceiling"
-                )
+            if self.payload_size_b > MAX_PAYLOAD_B:
+                raise ValueError(f"payload_size_b={self.payload_size_b} exceeds the "
+                                 f"{MAX_PAYLOAD_B} B ceiling")
             if self.mode not in (MODE_BASELINE, MODE_TSNCTL):
                 raise ValueError(f"unknown mode {self.mode!r}")
             if self.repetitions < 1:
@@ -62,11 +62,8 @@ class ScenarioConfig:
                 raise ValueError(f"seed must be >= 0, got {self.seed}")
             if not 0 <= self.area_length_m < math.inf:
                 raise ValueError(f"area_length_m must be finite and >= 0, got {self.area_length_m}")
-            if self.per_receiver_counting and not self.count_control_frames:
-                raise ValueError(
-                    "count_control_frames = false contradicts per_receiver_counting = true: "
-                    "per-reception accounting counts the receptions of control frames too"
-                )
+            if self.counting not in COUNTING_RULES:
+                raise ValueError(f"counting must be one of {', '.join(COUNTING_RULES)}")
             self.csma.validate()
             self.radio.validate()
             self.window.validate()

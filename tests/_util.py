@@ -1,5 +1,5 @@
-"""Shared test helpers: scripted randomness, a scripted message source,
-hand-assembled platoon scenarios, a reference election, the counts a run
+"""Shared test helpers: a data frame, scripted randomness, a scripted message
+source, hand-assembled platoon scenarios, a reference election, the counts a run
 keeps no counter for, the collision counts under each counting rule and the
 reception outcomes of a frame, read from its masks.
 
@@ -17,6 +17,11 @@ from platoonsim.kernel import EventKind, Kernel, MS
 from platoonsim.radio import Medium, Position, RadioConfig
 from platoonsim.tsnctl import (JOINING, WINDOW_START, TsnCtl, WindowClock, WindowConfig,
                                election_key)
+
+
+def data_frame(sender: int, size: int = 800, seq: int = 0) -> Frame:
+    """A data frame of `size` bytes generated at time zero."""
+    return Frame(kind=FrameKind.DATA, sender=sender, size=size, generated_at=0, seq=seq)
 
 
 def elect_master(candidates: dict[int, int]) -> int:
@@ -137,19 +142,14 @@ def receivers_collided(frame: Frame) -> int:
     return (frame.hit & frame.receivers).bit_count()
 
 
-# the [metrics] switches of each counting rule
-COUNTING_RULES = {"frames": {}, "data frames": {"count_control_frames": False},
-                  "receptions": {"per_receiver_counting": True}}
-
-
 def recount(log: list[Frame], rule: str) -> tuple[int, int]:
-    """(sent, collided) under a counting rule of COUNTING_RULES, from each frame's two masks.
+    """(sent, collided) under a rule of `scenario.COUNTING_RULES`, from each frame's two masks.
 
     A frame that nobody was in range to receive is left out.
     """
     heard = [tx for tx in log if tx.receivers]
     if rule == "receptions":
         return sum(map(receivers_expected, heard)), sum(map(receivers_collided, heard))
-    if rule == "data frames":
+    if rule == "data_frames":
         heard = [tx for tx in heard if tx.kind is FrameKind.DATA]
     return len(heard), sum(receivers_collided(tx) > 0 for tx in heard)

@@ -5,7 +5,7 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
-from _util import COUNTING_RULES, recount
+from _util import recount
 
 from platoonsim import metrics
 from platoonsim.cli import main
@@ -14,7 +14,7 @@ from platoonsim.csma import CsmaConfig
 from platoonsim.kernel import MS, SEC
 from platoonsim.metrics import emit_csv, emit_sweep_csv, run_experiment, write_transmission_log
 from platoonsim.radio import RadioConfig
-from platoonsim.scenario import ScenarioConfig, run_scenario
+from platoonsim.scenario import COUNTING_RULES, ScenarioConfig, run_scenario
 from platoonsim.tsnctl import WindowConfig
 
 GOOD_CONFIG = """\
@@ -220,9 +220,8 @@ def _csv_rows(path: Path, mode_col: int) -> dict[str, list[list[str]]]:
 @pytest.mark.parametrize("rule", COUNTING_RULES)
 @pytest.mark.parametrize("mode", ["baseline", "tsnctl"])
 def test_run_and_sweep_count_alike_under_each_rule(tmp_path, mode, rule):
-    switches = "".join(f"{key} = {str(value).lower()}\n"
-                       for key, value in COUNTING_RULES[rule].items())
-    text = GOOD_CONFIG.replace("mode = baseline", f"mode = {mode}") + "\n[metrics]\n" + switches
+    text = (GOOD_CONFIG.replace("mode = baseline", f"mode = {mode}")
+            + f"\n[metrics]\ncounting = {rule}\n")
     cfg_path = _write(tmp_path, text)
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
     assert main(["sweep", "--axis", "slot_len", "--values", "2000000",
@@ -283,7 +282,6 @@ spawn_interval_ns = 2000000
 area_length_m = 150.0
 message_interval_ns = 50000000
 payload_size_b = 700
-max_payload_b = 900
 mode = baseline
 sim_duration_ns = 1000000000
 seed = 7
@@ -305,61 +303,53 @@ cw_slots = 16
 backoff_slot_ns = 13000
 
 [metrics]
+counting = receptions
 """
-
-# The two [metrics] keys cannot both leave their defaults in one valid config
-# (see test_contradictory_counting_options_exit_2), so each takes a run of its own.
-METRICS_KEYS = {"count_control_frames = false": {"count_control_frames": False},
-                "per_receiver_counting = true": {"per_receiver_counting": True}}
 
 
 def test_all_module_sections_parse(tmp_path):
+    cfg = _write(tmp_path, ALL_KEYS_CONFIG)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+    parsed = load_config(cfg)
+    assert parsed == ScenarioConfig(
+        vehicle_count=4, spawn_interval_ns=2 * MS, area_length_m=150.0,
+        message_interval_ns=50 * MS, payload_size_b=700,
+        mode="baseline", sim_duration_ns=SEC, seed=7, repetitions=2,
+        window=WindowConfig(window_ns=60 * MS, slot_len_ns=3 * MS),
+        radio=RadioConfig(range_m=250.0, data_rate_bps=12_000_000,
+                          propagation_mps=299_792_458.0, preamble_ns=40_000,
+                          cca_detect_ns=8_000),
+        csma=CsmaConfig(cw_slots=16, backoff_slot_ns=13_000),
+        counting="receptions",
+    )
+    # every key parsed to the default's type, and off its default
     default = ScenarioConfig()
     landed = set()
-    for i, (line, metrics_fields) in enumerate(METRICS_KEYS.items()):
-        cfg = _write(tmp_path, ALL_KEYS_CONFIG + line + "\n")
-        out = tmp_path / f"out{i}"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-
-        parsed = load_config(cfg)
-        assert parsed == ScenarioConfig(
-            vehicle_count=4, spawn_interval_ns=2 * MS, area_length_m=150.0,
-            message_interval_ns=50 * MS, payload_size_b=700, max_payload_b=900,
-            mode="baseline", sim_duration_ns=SEC, seed=7, repetitions=2,
-            window=WindowConfig(window_ns=60 * MS, slot_len_ns=3 * MS),
-            radio=RadioConfig(range_m=250.0, data_rate_bps=12_000_000,
-                              propagation_mps=299_792_458.0, preamble_ns=40_000,
-                              cca_detect_ns=8_000),
-            csma=CsmaConfig(cw_slots=16, backoff_slot_ns=13_000),
-            **metrics_fields,
-        )
-        # every key parsed to the default's type, and off its default but
-        # for the other [metrics] key
-        other = next(key for key in METRICS_KEYS if key != line).split()[0]
-        for obj, ref in [(parsed, default)] + [(getattr(parsed, n), getattr(default, n))
-                                               for n in ("window", "radio", "csma")]:
-            for f in fields(ref):
-                value, dflt = getattr(obj, f.name), getattr(ref, f.name)
-                if not is_dataclass(dflt):
-                    assert type(value) is type(dflt), f.name
-                    if f.name != other:
-                        assert value != dflt, f.name
-                        landed.add(f.name)
-    # each of the 21 keys landed off its default in a config that validates
-    assert len(landed) == 21
+    for obj, ref in [(parsed, default)] + [(getattr(parsed, n), getattr(default, n))
+                                           for n in ("window", "radio", "csma")]:
+        for f in fields(ref):
+            value, dflt = getattr(obj, f.name), getattr(ref, f.name)
+            if not is_dataclass(dflt):
+                assert type(value) is type(dflt), f.name
+                assert value != dflt, f.name
+                landed.add(f.name)
+    # each of the 19 keys landed off its default in a config that validates
+    assert len(landed) == 19
 
 
-def test_contradictory_counting_options_exit_2(tmp_path, capsys):
-    # per-reception accounting counts control receptions, which
-    # count_control_frames = false excludes
-    text = ALL_KEYS_CONFIG + "".join(line + "\n" for line in METRICS_KEYS)
+@pytest.mark.parametrize("line, message", [
+    ("counting = bogus", "counting must be one of frames, data_frames, receptions"),
+    ("count_control_frames = false", "unknown key 'count_control_frames' in section [metrics]"),
+])
+def test_bad_counting_key_exits_2(tmp_path, capsys, line, message):
+    text = GOOD_CONFIG + f"\n[metrics]\n{line}\n"
     assert main(["run", "--config", str(_write(tmp_path, text))]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: count_control_frames = false contradicts "
-                          "per_receiver_counting = true"), err
+    assert err.startswith(f"config error: {message}"), err
 
 
-@pytest.mark.parametrize("line", ["count_control_frames = false", "slot_len_ns = 1000000"])
+@pytest.mark.parametrize("line", ["counting = receptions", "slot_len_ns = 1000000"])
 def test_key_of_another_section_under_scenario_exits_2(tmp_path, capsys, line):
     cfg = _write(tmp_path, GOOD_CONFIG.replace("seed = 7", f"seed = 7\n{line}"))
     assert main(["run", "--config", str(cfg)]) == 2

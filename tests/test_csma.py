@@ -1,10 +1,9 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from _util import ScriptedRng, ScriptedSource, frames_transmitted, outcomes
+from _util import ScriptedRng, ScriptedSource, data_frame, frames_transmitted, outcomes
 
 from platoonsim.csma import CsmaConfig, CsmaMac, MessageClock
-from platoonsim.frames import Frame, FrameKind
 from platoonsim.kernel import EventKind, Kernel, MS, SEC, US, RngStreams
 from platoonsim.metrics import brute_force_outcomes
 from platoonsim.radio import Medium, Position, RadioConfig, tx_duration
@@ -12,12 +11,8 @@ from platoonsim.scenario import (MODE_BASELINE, ItsService, ScenarioConfig, Vehi
                                  run_scenario)
 
 
-def _data(sender, size=800, seq=0):
-    return Frame(kind=FrameKind.DATA, sender=sender, size=size, generated_at=0, seq=seq)
-
-
 RADIO = RadioConfig(range_m=300.0)
-AIRTIME = tx_duration(800, RADIO)       # of `_data` frames
+AIRTIME = tx_duration(800, RADIO)       # of `data_frame` frames
 
 
 def _setup(dues, n=2, cw=4, backoff_us=100, gap_m=30.0, trace=False):
@@ -31,7 +26,7 @@ def _setup(dues, n=2, cw=4, backoff_us=100, gap_m=30.0, trace=False):
     macs = {}
     for vid in range(n):
         medium.register(vid, Position(vid * gap_m, 0.0))
-        script = [(at, _data(vid, seq=seq)) for seq, at in enumerate(dues.get(vid, ()))]
+        script = [(at, data_frame(vid, seq=seq)) for seq, at in enumerate(dues.get(vid, ()))]
         macs[vid] = CsmaMac(vid, clock, cfg, RngStreams(77).stream(vid),
                             source=ScriptedSource(script, end=200 * MS))
     return kernel, medium, macs
@@ -169,7 +164,7 @@ def test_zero_backoff_lets_a_same_instant_event_act_first():
     # a MAC arms a message event when it takes the one before, which would put
     # 0's at t1 ahead of 1's idle edge; so 0's second frame goes on air from an
     # event armed after it
-    kernel.at(t1, 0, EventKind.APP_TICK, lambda _: medium.broadcast(_data(0, seq=1)))
+    kernel.at(t1, 0, EventKind.APP_TICK, lambda _: medium.broadcast(data_frame(0, seq=1)))
     kernel.run_until(20 * MS)
     assert [(tx.sender, tx.start) for tx in medium.log] == [(0, 0), (0, t1), (1, t1)]
 
@@ -215,7 +210,7 @@ def _spawned_macs(make_clock, spawns, scripts, end=30 * MS):
 
     def spawn(vid):
         medium.register(vid, Position(vid * 30.0, 0.0))
-        script = [(at, _data(vid, seq=seq)) for seq, at in enumerate(scripts[vid])]
+        script = [(at, data_frame(vid, seq=seq)) for seq, at in enumerate(scripts[vid])]
         CsmaMac(vid, clock, cfg, RngStreams(5).stream(vid), source=ScriptedSource(script, end=end))
 
     for vid, at in spawns.items():
@@ -280,7 +275,7 @@ def test_a_backlogged_pair_keeps_its_kernel_trace():
     # scheduled as its own kernel event.
     cfg = ScenarioConfig(vehicle_count=2, mode=MODE_BASELINE, area_length_m=0.0,
                          spawn_interval_ns=250 * US, message_interval_ns=500 * US,
-                         payload_size_b=750, max_payload_b=750, sim_duration_ns=5 * MS)
+                         payload_size_b=750, sim_duration_ns=5 * MS)
     run = run_scenario(cfg, 1, trace=True)
     assert run.medium.kernel.trace == [
         (0, 0, 0, 'SPAWN'), (0, 2, 0, 'APP_TICK'), (250000, 1, 1, 'SPAWN'),

@@ -4,9 +4,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from _util import COUNTING_RULES, receivers_collided, receivers_expected, recount
+from _util import data_frame, receivers_collided, receivers_expected, recount
 
-from platoonsim.frames import Frame, FrameKind
+from platoonsim.frames import FrameKind
 from platoonsim.kernel import Kernel, MS, SEC, US
 from platoonsim.metrics import (
     CollisionStats,
@@ -26,11 +26,8 @@ from platoonsim.metrics import (
     write_transmission_log,
 )
 from platoonsim.radio import Medium, Position, RadioConfig
-from platoonsim.scenario import MODE_BASELINE, MODE_TSNCTL, RunResult, ScenarioConfig, run_scenario
-
-
-def _data(sender, size=800):
-    return Frame(kind=FrameKind.DATA, sender=sender, size=size, generated_at=0)
+from platoonsim.scenario import (COUNTING_RULES, MODE_BASELINE, MODE_TSNCTL, RunResult,
+                                 ScenarioConfig, run_scenario)
 
 
 def _two_sender_medium(second_start_us=500):
@@ -39,16 +36,16 @@ def _two_sender_medium(second_start_us=500):
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(20.0, 0.0))
     m.register(2, Position(40.0, 0.0))
-    m.broadcast(_data(0))
+    m.broadcast(data_frame(0))
     k.run_until(second_start_us * US)
-    m.broadcast(_data(1))
+    m.broadcast(data_frame(1))
     k.run_until(20 * MS)
     return m
 
 
-def _stats(m, **switches):
+def _stats(m, counting="frames"):
     """collect_stats over a bare medium, with no MAC or controller, under a counting rule."""
-    return collect_stats(RunResult(ScenarioConfig(**switches), 0, m, [], {}, {}, {}))
+    return collect_stats(RunResult(ScenarioConfig(counting=counting), 0, m, [], {}, {}, {}))
 
 
 def test_clean_transmission_counts_as_sent_not_collided():
@@ -67,7 +64,7 @@ def test_collided_transmission_counts_once_even_with_many_collided_receivers():
     assert [t.collided for t in m.log] == [True, True]
     s = _stats(m)
     assert (s.frames_sent, s.frames_collided) == (2, 2)
-    rx = _stats(m, per_receiver_counting=True)
+    rx = _stats(m, "receptions")
     assert (rx.frames_sent, rx.frames_collided) == (4, 4)
 
 
@@ -76,7 +73,7 @@ def test_stats_exclude_transmissions_nobody_could_receive():
     m = Medium(k, RadioConfig(range_m=10.0))
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(500.0, 0.0))
-    tx = m.broadcast(_data(0))
+    tx = m.broadcast(data_frame(0))
     k.run_until(5 * MS)
     assert tx.receivers == 0 and receivers_expected(tx) == 0
     assert _stats(m) == CollisionStats()
@@ -91,7 +88,7 @@ def test_stats_exclude_transmissions_nobody_could_receive():
                                sim_duration_ns=1 * SEC, radio=RadioConfig(range_m=20.0))),
 ])
 def test_collect_stats_equals_a_recount_from_the_masks(name, cfg, rule):
-    run = run_scenario(replace(cfg, **COUNTING_RULES[rule]), 5)
+    run = run_scenario(replace(cfg, counting=rule), 5)
     log = run.medium.log
     if name == "tsnctl":
         assert {FrameKind.CONTROL_ANNOUNCE, FrameKind.CONTROL_ALLOCATION} <= {
@@ -267,9 +264,10 @@ def test_emit_csv_reruns_byte_identical(tmp_path):
 def test_sweep_singleton_matches_run_experiment():
     base = ScenarioConfig(vehicle_count=4, sim_duration_ns=1 * SEC,
                           repetitions=2, seed=2)
-    rows = sweep("platoon_size", [4], base, slot_lens_ns=(2 * MS,))
+    rows = sweep("platoon_size", [4], base)
     assert [(v, m, slot) for v, m, slot, _ in rows] == \
-        [(4, MODE_BASELINE, None), (4, MODE_TSNCTL, 2 * MS)]
+        [(4, MODE_BASELINE, None), (4, MODE_TSNCTL, 1 * MS), (4, MODE_TSNCTL, 2 * MS),
+         (4, MODE_TSNCTL, 3 * MS)]
     direct = run_experiment(replace(base, mode=MODE_BASELINE))
     assert rows[0][3].rates == direct.rates
 
@@ -285,7 +283,7 @@ def test_sweep_rejects_unknown_axis_and_empty_values():
 def test_sweep_csv_is_long_format(tmp_path):
     base = ScenarioConfig(vehicle_count=3, sim_duration_ns=500 * MS,
                           repetitions=2, seed=2)
-    rows = sweep("packet_size", [200, 400], base, slot_lens_ns=(2 * MS,))
+    rows = sweep("packet_size", [200, 400], base)
     out = tmp_path / "s.csv"
     emit_sweep_csv("packet_size", rows, out)
     lines = out.read_text().splitlines()
@@ -293,7 +291,8 @@ def test_sweep_csv_is_long_format(tmp_path):
     assert len(lines) == 1 + len(rows) * 2          # two repetitions per row
     # baseline rows carry no slot length
     assert {tuple(line.split(",")[2:4]) for line in lines[1:]} == \
-        {("baseline", ""), ("tsnctl", str(2 * MS))}
+        {("baseline", ""), ("tsnctl", str(1 * MS)), ("tsnctl", str(2 * MS)),
+         ("tsnctl", str(3 * MS))}
 
 
 def test_transmission_log_roundtrip_and_verify(tmp_path):
@@ -379,6 +378,16 @@ def _radio_header(**fields):
                  "line 6: malformed vehicle header", id="vehicle-y-inf"),
     pytest.param(_edit_header("# vehicle 3 ", "# vehicle 3 10.0 0.0 -1"),
                  "line 6: malformed vehicle header", id="vehicle-spawn-negative"),
+    pytest.param(_edit_header("# vehicle 3 ", "# vehicle 3 10.0 0.0"),
+                 "line 6: malformed vehicle header", id="vehicle-spawn-missing"),
+    pytest.param(_edit_header("# vehicle 3 ", "# vehicle 3 10.0 0.0 300000 junk"),
+                 "line 6: malformed vehicle header", id="vehicle-trailing-field"),
+    pytest.param(_edit_header("# radio", _radio_header(foo="1")),
+                 "line 2: malformed radio header", id="radio-unknown-key"),
+    pytest.param(_edit_header("# radio", _radio_header() + " range_m=300.0"),
+                 "line 2: malformed radio header", id="radio-repeated-key"),
+    pytest.param(_edit_first_record(3, "-5"), "line 9: malformed record",
+                 id="record-size-negative"),
     (_insert_before_records("# vehicle 0 5000.0 0.0 0"), "line 8: duplicate vehicle header"),
     (_insert_before_records("# radio range_m=10.0 data_rate_bps=6000000 "
                             "propagation_mps=300000000.0 preamble_ns=0"),
@@ -402,11 +411,11 @@ def test_transmission_log_rerun_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_rate_respects_counting_switches():
+def test_rate_respects_counting_rules():
     cfg = ScenarioConfig(vehicle_count=4, mode=MODE_TSNCTL, sim_duration_ns=1 * SEC)
     run = run_scenario(cfg, 13)
-    incl, excl, per_rx = (collect_stats(replace(run, cfg=replace(cfg, **switches)))
-                          for switches in COUNTING_RULES.values())
+    incl, excl, per_rx = (collect_stats(replace(run, cfg=replace(cfg, counting=rule)))
+                          for rule in COUNTING_RULES)
     assert incl.frames_sent > excl.frames_sent              # control frames were sent
     if incl.frames_collided == excl.frames_collided:
         assert excl.rate() >= incl.rate()                   # denominator shrinks

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from _util import outcomes, receivers_collided, receivers_expected
+from _util import data_frame, outcomes, receivers_collided, receivers_expected
 
 from platoonsim.frames import Frame, FrameKind, make_allocation
 from platoonsim.kernel import EventKind, Kernel, MS, US
@@ -14,10 +14,6 @@ def _cfg(**kw):
                 preamble_ns=0, cca_detect_ns=4_000)
     base.update(kw)
     return RadioConfig(**base)
-
-
-def _data(sender, size=800):
-    return Frame(kind=FrameKind.DATA, sender=sender, size=size, generated_at=0)
 
 
 def test_tx_duration_800B_at_6mbps():
@@ -121,7 +117,7 @@ def test_deliver_raises_an_event_per_receiver_with_a_handler_and_hands_over_clea
     tx = m.broadcast(_of_kind(kind, 0))
     m.deliver(tx)
     k.run_until(20 * US)
-    m.broadcast(_data(4))                                   # on air at 2 during tx
+    m.broadcast(data_frame(4))                                   # on air at 2 during tx
     k.run_until(5 * MS)
     assert outcomes(m, tx) == {1: False, 2: True, 3: False}
     arrival = tx.end + m.cfg.prop_delay(50.0)
@@ -136,7 +132,7 @@ def test_out_of_range_receiver_gets_nothing():
     sink = _Sink(k)
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(150.0, 0.0), handler=sink)
-    tx = m.broadcast(_data(0))
+    tx = m.broadcast(data_frame(0))
     m.deliver(tx)
     k.run_until(5 * MS)
     assert sink.got == []
@@ -148,7 +144,7 @@ def test_sender_never_receives_own_frame():
     m = Medium(k, _cfg())
     sink = _Sink(k)
     m.register(0, Position(0.0, 0.0), handler=sink)
-    m.deliver(m.broadcast(_data(0)))
+    m.deliver(m.broadcast(data_frame(0)))
     k.run_until(5 * MS)
     assert sink.got == []
 
@@ -163,7 +159,7 @@ def test_overlapping_transmissions_collide_at_common_receiver():
     tx_a = m.broadcast(make_allocation(0, 0, {2: (2, 1)}))
     m.deliver(tx_a)
     k.run_until(50 * US)            # second transmission starts mid-frame
-    tx_b = m.broadcast(_data(1))
+    tx_b = m.broadcast(data_frame(1))
     k.run_until(10 * MS)
     # symmetry: both directions of the overlap are ruined at receiver 2
     assert outcomes(m, tx_a)[2] is True
@@ -178,9 +174,9 @@ def test_half_duplex_receiver_marks_reception_collided():
     m = Medium(k, _cfg())
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(10.0, 0.0))
-    tx_a = m.broadcast(_data(0))
+    tx_a = m.broadcast(data_frame(0))
     k.run_until(500 * US)
-    m.broadcast(_data(1, size=100))   # receiver 1 transmits during reception
+    m.broadcast(data_frame(1, size=100))   # receiver 1 transmits during reception
     k.run_until(10 * MS)
     assert outcomes(m, tx_a)[1] is True
 
@@ -189,9 +185,9 @@ def test_concurrent_transmit_by_same_sender_is_a_hard_fault():
     k = Kernel()
     m = Medium(k, _cfg())
     m.register(0, Position(0.0, 0.0))
-    m.broadcast(_data(0))
+    m.broadcast(data_frame(0))
     with pytest.raises(RuntimeError):
-        m.broadcast(_data(0))
+        m.broadcast(data_frame(0))
 
 
 def test_a_frame_is_broadcast_once():
@@ -199,7 +195,7 @@ def test_a_frame_is_broadcast_once():
     m = Medium(k, _cfg())
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(10.0, 0.0))
-    frame = _data(0)
+    frame = data_frame(0)
     assert m.broadcast(frame) is frame and m.log == [frame]
     stamped = (frame.start, frame.end, frame.receivers, frame.hit)
     assert stamped == (0, tx_duration(800, m.cfg), 0b10, 0)
@@ -221,7 +217,7 @@ def test_idle_from_spanning_transmission():
     m = Medium(k, _cfg())
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(50.0, 0.0))
-    tx = m.broadcast(_data(0))
+    tx = m.broadcast(data_frame(0))
     k.run_until(500 * US)
     assert m.idle_from(1, k.now) == tx.end + m.cfg.prop_delay(50.0) > k.now
 
@@ -231,7 +227,7 @@ def test_idle_from_hidden_terminal_out_of_range():
     m = Medium(k, _cfg())
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(250.0, 0.0))    # beyond 100 m range of vehicle 0
-    m.broadcast(_data(0))
+    m.broadcast(data_frame(0))
     k.run_until(500 * US)
     assert m.idle_from(1, k.now) == k.now
 
@@ -241,7 +237,7 @@ def test_carrier_sense_blind_until_detection_latency():
     m = Medium(k, _cfg())
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(30.0, 0.0))
-    m.broadcast(_data(0))
+    m.broadcast(data_frame(0))
     prop = m.cfg.prop_delay(30.0)
     assert m.idle_from(1, prop + 3_999) == prop + 3_999      # still integrating
     assert m.idle_from(1, prop + 4_000) > prop + 4_000       # detected
@@ -252,7 +248,7 @@ def test_busy_iff_idle_edge_lies_ahead_at_the_detection_edge():
     m = Medium(k, _cfg())
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(30.0, 0.0))
-    tx = m.broadcast(_data(0))
+    tx = m.broadcast(data_frame(0))
     prop = m.cfg.prop_delay(30.0)
     assert m.idle_from(1, prop + 3_999) == prop + 3_999      # not yet sensed
     assert m.idle_from(1, prop + 4_000) == tx.end + prop     # sensed until it ends
@@ -266,9 +262,9 @@ def test_masks_hold_the_overlap_of_frames_still_on_air():
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(10.0, 0.0))
     m.register(2, Position(20.0, 0.0))
-    tx_a = m.broadcast(_data(0))
+    tx_a = m.broadcast(data_frame(0))
     k.run_until(200 * US)
-    tx_b = m.broadcast(_data(1))
+    tx_b = m.broadcast(data_frame(1))
     # stop while both frames are on air: the masks already hold the overlap;
     # receiver 1 is transmitting (half-duplex) and 2 hears both senders
     assert (receivers_expected(tx_a), receivers_collided(tx_a)) == (2, 2)
@@ -286,7 +282,7 @@ def test_online_flags_match_brute_force_on_a_braided_sequence():
     plan = [(0, 0), (1, 400 * US), (2, 1_500 * US), (3, 1_600 * US), (0, 3_000 * US)]
     for sender, at in plan:
         k.run_until(at)
-        m.broadcast(_data(sender))
+        m.broadcast(data_frame(sender))
     k.run_until(20 * MS)
     records = [(tx.sender, tx.start, tx.end) for tx in m.log]
     want = brute_force_outcomes(records, positions, 100.0)
@@ -300,7 +296,7 @@ def _accounting(tx):
 
 def _frame(sender, handled):
     """A frame handed to receiver handlers (allocation) or read from the log (data)."""
-    return make_allocation(sender, 0, {}) if handled else _data(sender)
+    return make_allocation(sender, 0, {}) if handled else data_frame(sender)
 
 
 @pytest.mark.parametrize("handled", [False, True])
@@ -356,7 +352,7 @@ def test_masks_settle_a_run_cut_mid_delivery_like_the_oracle(xs, starts, which, 
         if at < busy.get(vid, 0):
             continue
         k.run_until(at)
-        busy[vid] = m.broadcast(_data(vid)).end
+        busy[vid] = m.broadcast(data_frame(vid)).end
     # at most the 1,000 ns delay across the 300 m range after some frame ends
     cut = m.log[which % len(m.log)].end + late
     k.run_until(max(cut, k.now))
@@ -665,10 +661,10 @@ def test_last_clean_arrival_skips_collided_and_stale_frames():
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(50.0, 0.0))
     m.register(2, Position(90.0, 0.0))
-    clean = m.broadcast(_data(0))
+    clean = m.broadcast(data_frame(0))
     k.run_until(10 * MS)
-    m.broadcast(_data(0))
-    m.broadcast(_data(2))            # in range of 1: ruins the second frame there
+    m.broadcast(data_frame(0))
+    m.broadcast(data_frame(2))            # in range of 1: ruins the second frame there
     k.run_until(20 * MS)
     first = clean.end + m.cfg.prop_delay(50.0)
     assert m.last_clean_arrival(1, 0, 0) == first
@@ -714,7 +710,7 @@ def test_tail_scan_sees_a_long_frame_logged_before_short_ones():
     live = {}
     for sender, at, size in plan:
         k.at(at * US, sender, EventKind.TIMER,
-             lambda _, sender=sender, size=size: m.broadcast(_data(sender, size)))
+             lambda _, sender=sender, size=size: m.broadcast(data_frame(sender, size)))
     for at in reads:
         k.at(at, 0, EventKind.TIMER,
              lambda _: live.update({(vid, k.now): m.idle_from(vid, k.now) for vid in positions}))
@@ -767,14 +763,14 @@ def test_idle_from_at_a_past_time_passes_over_later_frames():
     m.register(1, Position(30.0, 0.0))
     m.register(2, Position(90.0, 0.0))
     prop = m.cfg.prop_delay(30.0)
-    first = m.broadcast(_data(0))
+    first = m.broadcast(data_frame(0))
     reads = [prop + 3_999, prop + 4_000, 500 * US, first.end + prop - 1,
              first.end + prop, 2 * MS, 5 * MS + 100 * US]
     live = {}
     for at in reads:
         k.at(at, 1, EventKind.TIMER, lambda _: live.update({k.now: m.idle_from(1, k.now)}))
     for sender, at in [(2, 3 * MS), (0, 5 * MS), (2, 5 * MS + 50 * US), (1, 8 * MS)]:
-        k.at(at, sender, EventKind.TIMER, lambda _, sender=sender: m.broadcast(_data(sender)))
+        k.at(at, sender, EventKind.TIMER, lambda _, sender=sender: m.broadcast(data_frame(sender)))
     k.run_until(20 * MS)
 
     assert len(m.log) == 5 and m.log[-1].start == 8 * MS

@@ -212,7 +212,7 @@ def test_invalid_mode_is_a_config_error():
 
 
 def test_payload_over_ceiling_is_a_config_error():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^payload_size_b=801 exceeds the 800 B ceiling$"):
         ScenarioConfig(payload_size_b=801).validate()
 
 

@@ -4,8 +4,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from _util import (ConstRng, ScriptedRng, ScriptedSource, assemble_platoon, elect_master,
-                   join_retries, outcomes)
+from _util import (ConstRng, ScriptedRng, ScriptedSource, assemble_platoon, data_frame,
+                   elect_master, join_retries, outcomes)
 
 from platoonsim.frames import (
     ANNOUNCE_SIZE,
@@ -454,11 +454,6 @@ def test_priority_queue_unknown_class_is_a_hard_fault():
 # -- controller integration ------------------------------------------------------------------
 
 
-def _data(sender, size=800, priority=0, seq=0):
-    return Frame(kind=FrameKind.DATA, sender=sender, size=size, generated_at=0,
-                 priority=priority, seq=seq)
-
-
 def _due_at(at, frames, end):
     """A source whose frames all fall due at `at`."""
     return ScriptedSource([(at, frame) for frame in frames], end=end)
@@ -477,7 +472,7 @@ def test_two_vehicles_form_a_platoon():
 def test_data_frames_start_at_their_slot_origin():
     # slots 2, 3 and 4 of the window at 300 ms open at 304, 306 and 308 ms; the
     # master's first frame goes out in slot 1, after the evaluation guard
-    frames = {0: [_data(0, seq=0), _data(0, seq=1)], 1: [_data(1)], 2: [_data(2)]}
+    frames = {0: [data_frame(0, seq=0), data_frame(0, seq=1)], 1: [data_frame(1)], 2: [data_frame(2)]}
     kernel, medium, ctls = assemble_platoon(
         {0: 0, 1: 1 * MS, 2: 2 * MS}, {0: 0, 1: 300 * US, 2: 600 * US}, run_ms=250,
         sources={vid: _due_at(250 * MS, frames[vid], 400 * MS) for vid in frames})
@@ -519,7 +514,7 @@ def test_lone_vehicle_keeps_restarting():
 
 
 def test_burst_sends_one_800B_frame_in_2ms_slot_and_defers_second():
-    frames = [_data(1, seq=0), _data(1, seq=1)]
+    frames = [data_frame(1, seq=0), data_frame(1, seq=1)]
     kernel, medium, ctls = assemble_platoon({0: 0, 1: 1 * MS}, {0: 0, 1: 300 * US},
                                             run_ms=250,
                                             sources={1: _due_at(250 * MS, frames, 510 * MS)})
@@ -540,7 +535,7 @@ def test_burst_sends_one_800B_frame_in_2ms_slot_and_defers_second():
 def test_oversized_frame_overruns_from_slot_origin():
     kernel, medium, ctls = assemble_platoon(
         {0: 0, 1: 1 * MS}, {0: 0, 1: 300 * US}, slot_ms=1, run_ms=250,
-        sources={1: _due_at(250 * MS, [_data(1)], 400 * MS)})   # 1.067 ms > 1 ms slot
+        sources={1: _due_at(250 * MS, [data_frame(1)], 400 * MS)})   # 1.067 ms > 1 ms slot
     slave = ctls[1]
     kernel.run_until(400 * MS)
     tx = next(tx for tx in medium.log if tx.sender == 1
@@ -555,8 +550,8 @@ def test_burst_ending_at_or_after_the_next_window_start_counts_no_deferral(size)
     # a 4 ms window of 1 ms slots: the master owns slot 2, the slave slot 3,
     # the last; a 750 B frame is on air for exactly 1 ms
     # the slave hears its master's frames clean: they end as its own start
-    frames = {0: [_data(0, size=750, seq=seq) for seq in range(6)],
-              1: [_data(1, size=size, seq=seq) for seq in range(6)]}
+    frames = {0: [data_frame(0, size=750, seq=seq) for seq in range(6)],
+              1: [data_frame(1, size=size, seq=seq) for seq in range(6)]}
     kernel, medium, ctls = assemble_platoon(
         {0: 0, 1: 1 * MS}, {0: 0, 1: 300 * US}, slot_ms=1, window_ms=4, run_ms=8,
         sources={vid: _due_at(8 * MS, frames[vid], 30 * MS) for vid in frames})

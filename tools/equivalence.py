@@ -14,7 +14,7 @@ subprocess, and the two run side by side.
 
 Per run it compares the sha256 of the transmission log, each record's
 receivers and hit masks, the sha256 of a one-repetition `results.csv` under
-each of the three counting rules (all frames, data frames, receptions),
+each of the three counting rules (`frames`, `data_frames`, `receptions`),
 every controller's `transitions`, `deferred`, `rejected_joins`,
 `join_retries`, `announce_skips`, queue length and `source.seq`, and every
 MAC's `deferrals`, `frames_submitted` and `frames_transmitted`. It also runs
@@ -24,7 +24,10 @@ computes them, so both sides give them alike whether or not a tree keeps a
 counter: `join_retries` counts the controller's `(JOINING, *, WINDOW_START)`
 records in `transitions`, `frames_submitted` is the MAC's `source.seq`, and
 `frames_transmitted` counts the MAC's frames in the log that ended by the
-run end.
+run end. A tree whose `ScenarioConfig` has a `counting` field is given each
+rule by name; an older tree is given the `[metrics]` switches that stood for
+it (`count_control_frames = false`, `per_receiver_counting = true`), so a
+sweep against a base from before that field still compares all three rules.
 
 It prints a JSON summary on stdout: how many configs differ, the first
 field that differs, and the transmission and collided totals of each side
@@ -58,8 +61,9 @@ from pathlib import Path
 
 MS = 1_000_000
 MODES = ("tsnctl", "baseline")
-# the [metrics] switches of each counting rule that results.csv is compared under
-COUNTING_RULES = {"frames": {}, "data frames": {"count_control_frames": False},
+# the counting rules that results.csv is compared under, each with the [metrics]
+# switches that stood for it in a tree whose ScenarioConfig has no `counting`
+COUNTING_RULES = {"frames": {}, "data_frames": {"count_control_frames": False},
                   "receptions": {"per_receiver_counting": True}}
 
 
@@ -139,7 +143,7 @@ def digest(config: dict, scratch: Path) -> dict:
     }
     results = scratch / "results.csv"
     for rule, switches in COUNTING_RULES.items():
-        rc = replace(cfg, **switches)
+        rc = replace(cfg, **({"counting": rule} if hasattr(cfg, "counting") else switches))
         emit_csv(ExperimentResult.from_stats(rc, [collect_stats(replace(run, cfg=rc))]), results)
         fields[f"results.csv by {rule}"] = hashlib.sha256(results.read_bytes()).hexdigest()
     fields["oracle"] = oracle_check_run(run)
