@@ -16,16 +16,7 @@ class ConfigError(Exception):
     """Invalid scenario configuration; the CLI maps this to exit code 2."""
 
 
-def _to_bool(raw: str) -> bool:
-    v = raw.strip().lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
-_PARSERS = {"int": int, "float": float, "str": str, "bool": _to_bool}
+_PARSERS = {"int": int, "float": float, "str": str}
 
 
 def _key_table(cfg) -> dict[str, dict[str, tuple[object, object]]]:
@@ -45,7 +36,9 @@ def load_config(path: str | Path):
     """Parse a config file into a validated ScenarioConfig. Unknown keys are errors."""
     from .scenario import ScenarioConfig
 
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header names the empty section, so [DEFAULT] is an ordinary section,
+    # rejected as unknown, rather than defaults leaking into every section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:

@@ -121,7 +121,6 @@ class ItsService:
 @dataclass(slots=True)
 class RunResult:
     cfg: ScenarioConfig
-    seed: int
     medium: Medium
     specs: list[VehicleSpec]
     services: dict[int, ItsService]
@@ -162,4 +161,4 @@ def run_scenario(cfg: ScenarioConfig, seed: int, *, trace: bool = False) -> RunR
     kernel.run_until(cfg.sim_duration_ns)
     for ctl in controllers.values():
         ctl.pull(cfg.sim_duration_ns)      # what fell due since its last burst
-    return RunResult(cfg, seed, medium, specs, services, macs, controllers)
+    return RunResult(cfg, medium, specs, services, macs, controllers)

@@ -24,10 +24,11 @@ overruns into the neighbour slot rather than being dropped, so undersized
 slot configurations degrade instead of silently discarding traffic.
 
 A controller takes the application messages due by now from its source each
-time a burst reads its queues, so a message generated at t is queued at t. A
-data-slot burst sends its first frame from the slot trigger once it fits,
-settles each further step when the previous frame starts, and raises an
-event only for a step that transmits; only a slot-1 burst senses the medium.
+time a burst reads its queues, so a message generated at t is queued at t.
+One step runs every burst, in slot 1 and in the data slots, on a context that
+one slot builder gives. A slot-1 step checks its head and senses the medium
+when it fires. A data-slot step was settled when the frame before it started
+(the first by the slot trigger), so it raises an event only to transmit.
 
 An allocation acts at once, so its master asks the medium to deliver it, and
 a controller takes it only where it arrived clean. Everything else is read
@@ -429,9 +430,6 @@ class TsnCtl:
 
     # -- window machinery -------------------------------------------------------
 
-    def _timer(self, at: int, fn, payload=None) -> None:
-        self.kernel.at(at, self.vid, TIMER, fn, payload)
-
     def _on_window_start(self, w: int) -> bool:
         """Start window w; return whether we act at its end of slot 0.
 
@@ -448,7 +446,8 @@ class TsnCtl:
             self._step(MASTER_LOST)
             self._reset_membership()
         self._step(WINDOW_START)
-        self._schedule_announce(w)
+        off = announce_offset(self.rng, self.wcfg, self.medium.airtime(ANNOUNCE_SIZE))
+        self.kernel.at(w + off, self.vid, TIMER, self._try_announce, None)
         return True
 
     def _master_silent(self) -> bool:
@@ -476,11 +475,6 @@ class TsnCtl:
 
     # -- slot 0: announce -------------------------------------------------------
 
-    def _schedule_announce(self, w: int) -> None:
-        dur = self.medium.airtime(ANNOUNCE_SIZE)
-        off = announce_offset(self.rng, self.wcfg, dur)
-        self._timer(w + off, self._try_announce)
-
     def _try_announce(self, _payload) -> None:
         # armed in slot 0 of a window whose start put us in JOINING; every
         # edge out of JOINING fires in slot 1 or later
@@ -500,7 +494,7 @@ class TsnCtl:
             if best is not None:
                 self._schedule_alloc_tx(w, self.schedule, [best.sender] + [a.sender for a in heard])
             else:
-                self._start_slot1_burst(w, start=self.kernel.now)
+                self._send(self._slot(w, 1))
             return
         key = election_key(self.created_at, self.vid)
         if best is not None:
@@ -534,7 +528,8 @@ class TsnCtl:
         lo, hi = slot1_bounds(w, self.wcfg, self.guard, dur)
         if hi < lo:
             return  # allocation cannot fit slot 1 for this member count
-        self._timer(self.rng.integers(lo, hi, endpoint=True), self._try_alloc, (w, sched))
+        at = self.rng.integers(lo, hi, endpoint=True)
+        self.kernel.at(at, self.vid, TIMER, self._try_alloc, (w, sched))
 
     def _try_alloc(self, payload: tuple[int, dict[int, int]]) -> None:
         w, sched = payload
@@ -548,7 +543,7 @@ class TsnCtl:
         self.medium.deliver(tx)     # before the burst step at tx.end, which an arrival may share
         self.schedule = sched
         if self.state.status is IN_PLATOON:   # a refresh
-            self._start_slot1_burst(w, start=tx.end)
+            self.kernel.at(tx.end, self.vid, TIMER, self._send, self._slot(w, 1))
 
     def _on_slot1_end(self, w: int) -> None:
         """Close the formation round we joined at window start."""
@@ -600,39 +595,36 @@ class TsnCtl:
                 self._slot_gen += 1
                 self._arm_slot(self.epoch)
 
-    # -- data slots --------------------------------------------------------------------
-
-    def _arm_slot(self, w: int) -> None:
-        at = w + self.my_slot * self.wcfg.slot_len_ns
-        if at >= self.kernel.now:
-            self.kernel.at(at, self.vid, TIMER, self._on_slot_open, self._slot_gen)
-
-    def _on_slot_open(self, gen: int) -> None:
-        """A live trigger confirms a joining slave (step 6), then opens our burst.
-
-        Our data slot is exclusive, so its first frame goes out once it fits.
-        """
-        if gen != self._slot_gen:
-            return
-        self._step(OWN_SLOT_TRIGGER)
-        w, idx, slot = self.epoch, self.my_slot, self.wcfg.slot_len_ns
-        origin = w + idx * slot
-        if self._head_fits(self.kernel.now, idx, origin, origin + slot):
-            self._send((w, idx, origin, origin + slot, gen))
-
-    # The burst walks the priority queues and transmits back-to-back until the
+    # -- bursts: slot 1 and the data slots ---------------------------------------------
+    #
+    # A burst walks the priority queues and transmits back-to-back until the
     # next frame would cross the slot boundary. A frame that cannot fit any
     # slot transmits once per window, from the member's slot origin, and overruns.
     # Slot-1 bursts (master only) carrier-sense each frame because that slot
     # is shared control airtime; owned data slots are exclusive and do not.
+    # One step, `_send`, runs every burst on the context `_slot` builds.
 
-    def _start_slot1_burst(self, w: int, start: int) -> None:
-        origin = w + self.wcfg.slot_len_ns
-        ctx = (w, 1, origin, origin + self.wcfg.slot_len_ns, self._slot_gen)
-        if start <= self.kernel.now:
-            self._burst(ctx)
-        else:
-            self._timer(start, self._burst, ctx)
+    def _slot(self, w: int, idx: int) -> tuple[int, int, int, int, int]:
+        """Slot idx of window w as its burst reads it: (w, idx, origin, end, generation)."""
+        origin = w + idx * self.wcfg.slot_len_ns
+        return w, idx, origin, origin + self.wcfg.slot_len_ns, self._slot_gen
+
+    def _arm_slot(self, w: int) -> None:
+        ctx = self._slot(w, self.my_slot)
+        if ctx[2] >= self.kernel.now:
+            self.kernel.at(ctx[2], self.vid, TIMER, self._on_slot_open, ctx)
+
+    def _on_slot_open(self, ctx) -> None:
+        """A live trigger confirms a joining slave (step 6), then opens our burst.
+
+        Our data slot is exclusive, so its first frame goes out once it fits.
+        """
+        _, idx, origin, end, gen = ctx
+        if gen != self._slot_gen:
+            return
+        self._step(OWN_SLOT_TRIGGER)
+        if self._head_fits(self.kernel.now, idx, origin, end):
+            self._send(ctx)
 
     def _head_fits(self, now: int, idx: int, origin: int, end: int) -> bool:
         """Whether the head of the queues, as they stand at now, may start at now.
@@ -652,35 +644,29 @@ class TsnCtl:
                 return False
         return False
 
-    def _burst(self, ctx) -> None:
-        """A slot-1 step at now: send the head of the queues if it fits and the medium is idle."""
-        w, idx, origin, end, gen = ctx
-        if gen != self._slot_gen:
-            return
-        now = self.kernel.now
-        if not self._head_fits(now, idx, origin, end):
-            return
-        if self.medium.idle_from(self.vid, now) > now:
-            self.deferred += len(self.queues)
-            return
-        self._send(ctx)
-
     def _send(self, ctx) -> None:
-        """Send the head of the queues, which may start now, and arm the next step.
+        """A burst step at now: send the head of the queues, then arm the next step.
 
-        The master senses slot 1, and an allocation can supersede it there, so
-        each slot-1 step is an event that checks afresh. Nothing changes a
-        data-slot burst before the next window start, so its next step is
-        settled now, when the frame starts, and raises an event only to send
-        a frame it has already found fitting. A step at or after the next
-        window start, or after the run end, would not act.
+        A slot-1 step is an event that checks afresh whether its head fits and
+        the medium is idle, since an allocation can supersede the master there.
+        A data-slot step was settled when the frame before it started, or by
+        the slot trigger, so it sends at once and settles its own successor
+        now: only the burst reads the queues before the next window start,
+        and a step at or after that start, or after the run end, would not
+        act. It still checks the generation: an allocation that arrives exactly
+        as slot 1 ends can supersede a member whose slot-2 burst has begun.
         """
         w, idx, origin, end, gen = ctx
         if gen != self._slot_gen:
             return
-        at = self.medium.broadcast(self.queues.pop()).end
+        now = self.kernel.now
         if idx == 1:
-            self.kernel.at(at, self.vid, TIMER, self._burst, ctx)
-        elif (at < w + self.wcfg.window_ns and at <= self.source.end
-                and self._head_fits(at, idx, origin, end)):
+            if not self._head_fits(now, idx, origin, end):
+                return
+            if self.medium.idle_from(self.vid, now) > now:
+                self.deferred += len(self.queues)
+                return
+        at = self.medium.broadcast(self.queues.pop()).end
+        if idx == 1 or (at < w + self.wcfg.window_ns and at <= self.source.end
+                        and self._head_fits(at, idx, origin, end)):
             self.kernel.at(at, self.vid, TIMER, self._send, ctx)

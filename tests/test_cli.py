@@ -83,6 +83,37 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, section", [
+    ("[warp]\nfactor = 9\n", "warp"),
+    # [DEFAULT] is no section of ours: alone it would run on the defaults,
+    # and beside another its keys would land in that section
+    ("[DEFAULT]\nvehicle_count = 3\n", "DEFAULT"),
+    ("[DEFAULT]\nvehicle_count = 3\n[scenario]\nmode = tsnctl\n", "DEFAULT"),
+    ("[DEFAULT]\n", "DEFAULT"),
+], ids=["unknown", "default-alone", "default-beside-scenario", "empty-default"])
+def test_unknown_section_exits_2_naming_it(tmp_path, capsys, text, section):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_write(tmp_path, text)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: unknown config section [{section}]\n"
+    assert not out.exists()
+
+
+def test_unparsable_value_exits_2_naming_the_key(tmp_path, capsys):
+    cfg = _write(tmp_path, GOOD_CONFIG.replace("vehicle_count = 4", "vehicle_count = abc"))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: bad value for [scenario] vehicle_count = 'abc': ")
+
+
+def test_runtime_failure_exits_1(tmp_path, capsys):
+    # the output directory cannot be made under a regular file
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = _write(tmp_path, GOOD_CONFIG)
+    assert main(["run", "--config", str(cfg), "--out", str(blocker / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_bad_mode_exits_2(tmp_path):
     cfg = _write(tmp_path, GOOD_CONFIG.replace("mode = baseline", "mode = aloha"))
     assert main(["run", "--config", str(cfg)]) == 2
@@ -158,10 +189,15 @@ def test_sweep_writes_long_csv(tmp_path, capsys):
     assert "platoon_size=3 tsnctl slot=2000000:" in printed
 
 
-def test_sweep_bad_values_exit_2(tmp_path):
+def test_sweep_bad_values_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, GOOD_CONFIG)
-    assert main(["sweep", "--axis", "platoon_size", "--values", "3,x",
-                 "--config", str(cfg)]) == 2
+    out = tmp_path / "out"
+    for values, message in [("3,x", "bad --values list: "), ("1.5", "bad --values list: "),
+                            (",", "--values must name at least one value")]:
+        assert main(["sweep", "--axis", "platoon_size", "--values", values,
+                     "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}"), values
+    assert not out.exists()
 
 
 def test_verify_accepts_generated_log_and_rejects_tampered(tmp_path, capsys):

@@ -45,7 +45,7 @@ def _two_sender_medium(second_start_us=500):
 
 def _stats(m, counting="frames"):
     """collect_stats over a bare medium, with no MAC or controller, under a counting rule."""
-    return collect_stats(RunResult(ScenarioConfig(counting=counting), 0, m, [], {}, {}, {}))
+    return collect_stats(RunResult(ScenarioConfig(counting=counting), m, [], {}, {}, {}))
 
 
 def test_clean_transmission_counts_as_sent_not_collided():

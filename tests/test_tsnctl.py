@@ -409,10 +409,11 @@ def test_slot_trigger_reaching_a_controller_in_init_is_a_hard_fault():
     medium = Medium(kernel, RadioConfig())
     ctl = TsnCtl(0, WindowClock(kernel, medium, W2), ConstRng(0), source=ScriptedSource(end=0))
     assert ctl.state == FsmState(Status.INIT, Role.SLAVE)
-    ctl._on_slot_open(ctl._slot_gen - 1)         # a stale trigger does nothing
+    live = ctl._slot(0, 2)
+    ctl._on_slot_open(live[:4] + (live[4] - 1,))  # a stale trigger does nothing
     assert ctl.transitions == []
     with pytest.raises(ProtocolError):
-        ctl._on_slot_open(ctl._slot_gen)
+        ctl._on_slot_open(live)
     assert ctl.transitions == [] and ctl.state.status is Status.INIT
 
 
@@ -580,6 +581,42 @@ def test_burst_cut_by_the_run_end_counts_no_deferral():
         assert cut.medium.log[-1].start == tx.start
         deferred[end] = cut.controllers[1].deferred
     assert deferred[tx.start] == deferred[tx.end - 1] < deferred[tx.end]
+
+
+def test_slot1_step_that_senses_a_busy_medium_defers_its_queue(monkeypatch):
+    # on a 1 km road, masters 0, 1 and 8 each start a slot-1 frame at 702.001 ms;
+    # their second steps, as those frames end at 702.534 ms, sense the others'
+    # frames still arriving, and so again one and two windows later
+    cfg = ScenarioConfig(vehicle_count=29, area_length_m=1000.0, payload_size_b=400,
+                         message_interval_ns=20 * MS, sim_duration_ns=1 * SEC,
+                         repetitions=1, window=W2)
+    senses, busy = [], []
+    idle_from, send = Medium.idle_from, TsnCtl._send
+
+    def sensing(medium, listener, at):
+        horizon = idle_from(medium, listener, at)
+        senses.append(horizon > at)
+        return horizon
+
+    def step(ctl, ctx):
+        senses.clear()
+        deferred, logged = ctl.deferred, len(ctl.medium.log)
+        send(ctl, ctx)
+        if senses == [True]:
+            assert ctx[1] == 1 and len(ctl.medium.log) == logged
+            busy.append((ctl.vid, ctl.kernel.now, ctl.deferred - deferred, len(ctl.queues)))
+
+    monkeypatch.setattr(Medium, "idle_from", sensing)
+    monkeypatch.setattr(TsnCtl, "_send", step)
+    run = run_scenario(cfg, 1)
+    assert len(busy) == 9
+    assert all(added == queued > 0 for _, _, added, queued in busy)
+    assert [(vid, now) for vid, now, _, _ in busy[:3]] == [
+        (0, 702_534_334), (1, 702_534_334), (8, 702_534_334)]
+    for vid in (0, 1, 8):
+        sent = [tx.start for tx in run.medium.log
+                if tx.sender == vid and 702 * MS <= tx.start < 704 * MS]
+        assert sent == [702_001_000]
 
 
 def test_message_due_at_a_slot_origin_goes_out_in_that_slot():

@@ -24,10 +24,7 @@ computes them, so both sides give them alike whether or not a tree keeps a
 counter: `join_retries` counts the controller's `(JOINING, *, WINDOW_START)`
 records in `transitions`, `frames_submitted` is the MAC's `source.seq`, and
 `frames_transmitted` counts the MAC's frames in the log that ended by the
-run end. A tree whose `ScenarioConfig` has a `counting` field is given each
-rule by name; an older tree is given the `[metrics]` switches that stood for
-it (`count_control_frames = false`, `per_receiver_counting = true`), so a
-sweep against a base from before that field still compares all three rules.
+run end.
 
 It prints a JSON summary on stdout: how many configs differ, the first
 field that differs, and the transmission and collided totals of each side
@@ -61,10 +58,7 @@ from pathlib import Path
 
 MS = 1_000_000
 MODES = ("tsnctl", "baseline")
-# the counting rules that results.csv is compared under, each with the [metrics]
-# switches that stood for it in a tree whose ScenarioConfig has no `counting`
-COUNTING_RULES = {"frames": {}, "data_frames": {"count_control_frames": False},
-                  "receptions": {"per_receiver_counting": True}}
+COUNTING_RULES = ("frames", "data_frames", "receptions")    # results.csv is compared under each
 
 
 def draw_configs(mode: str, count: int, seed: int) -> list[dict]:
@@ -142,8 +136,8 @@ def digest(config: dict, scratch: Path) -> dict:
         "masks": _sha(f"{tx.receivers} {tx.hit}" for tx in txs),
     }
     results = scratch / "results.csv"
-    for rule, switches in COUNTING_RULES.items():
-        rc = replace(cfg, **({"counting": rule} if hasattr(cfg, "counting") else switches))
+    for rule in COUNTING_RULES:
+        rc = replace(cfg, counting=rule)
         emit_csv(ExperimentResult.from_stats(rc, [collect_stats(replace(run, cfg=rc))]), results)
         fields[f"results.csv by {rule}"] = hashlib.sha256(results.read_bytes()).hexdigest()
     fields["oracle"] = oracle_check_run(run)
