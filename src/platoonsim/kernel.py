@@ -51,7 +51,16 @@ class Kernel:
     restores the state it found, also when a handler raises. That rests on
     one invariant: handlers make no cyclic garbage. What a handler drops is
     freed by reference counting, so a collector pass inside the loop frees
-    nothing and only re-walks the growing set of live objects.
+    nothing and only re-walks the growing set of live objects. Before it
+    turns a paused collector back on, it promotes every tracked object to the
+    oldest generation (`gc.freeze()` then `gc.unfreeze()`, both O(1)), so no
+    young-generation pass after the loop re-walks the run either; a caller's
+    young garbage cycles then wait for the next full collection. It skips the
+    promotion when the caller has frozen objects of its own, since the
+    unfreeze would release them too. A collector that was off stays untouched.
+
+    `drop_pending` forgets the events still pending: a run that will not be
+    resumed drops them, and with them the handlers they hold.
     """
 
     def __init__(self, trace: bool = False):
@@ -109,9 +118,16 @@ class Kernel:
                 fn(payload)
         finally:
             if paused:
+                if not gc.get_freeze_count():
+                    gc.freeze()
+                    gc.unfreeze()
                 gc.enable()
         self.now = end
         return end
+
+    def drop_pending(self) -> None:
+        """Forget every pending event."""
+        self._heap.clear()
 
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1

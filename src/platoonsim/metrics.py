@@ -218,7 +218,8 @@ class ExperimentResult:
 
 
 def run_experiment(cfg: ScenarioConfig, log_dir: str | Path | None = None) -> ExperimentResult:
-    """Run the config's repetitions on seeds seed, seed+1, ..., one at a time.
+    """Run the config's repetitions on seeds seed, seed+1, ..., one at a time:
+    each run is freed, by reference counting, before the next starts.
 
     With `log_dir`, each repetition's transmission log is written there as
     `transmissions_rep<k>.log`.
@@ -231,11 +232,6 @@ def run_experiment(cfg: ScenarioConfig, log_dir: str | Path | None = None) -> Ex
         per_repetition.append(collect_stats(run))
         if log_dir is not None:
             write_transmission_log(run, Path(log_dir) / f"transmissions_rep{k}.log")
-        # A run's object graph is cyclic (kernel heap -> pending bound method
-        # -> MAC or controller -> kernel; Medium.handlers -> controller ->
-        # medium), so dropping it frees nothing at once: it leaves the run to
-        # the collector's next pass, which `Kernel.run_until` holds off while
-        # it dispatches.
         del run
     return ExperimentResult.from_stats(cfg, per_repetition)
 

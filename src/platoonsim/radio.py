@@ -35,9 +35,10 @@ handler, and hands the frame over only where it arrived clean.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from .frames import Frame, FrameKind
 from .kernel import FRAME_DELIVERY, Kernel, SEC
@@ -117,14 +118,20 @@ class Medium:
     A `handler(frame)` registered per vehicle gets, at the arrival time, each
     frame that `deliver` was asked for and that reached the vehicle clean; a
     collided reception raises its event but is not handed over (no partial
-    decode). The medium hands handlers nothing else.
+    decode). The medium hands handlers nothing else. A handler is a bound
+    method, and the medium holds its object weakly (a `weakref.ref` beside the
+    method's function), so it keeps no controller alive and a controller's
+    reference to the medium makes no cycle; whoever registers the handler
+    keeps its object alive while frames can reach it. `handlers` keeps one
+    key per vehicle registered with a handler.
     """
 
     def __init__(self, kernel: Kernel, cfg: RadioConfig):
         self.kernel = kernel
         self.cfg = cfg
         self.positions: dict[int, Position] = {}
-        self.handlers: dict[int, Callable[[Frame], None]] = {}
+        # vid -> (weak reference to the handler's object, its function)
+        self.handlers: dict[int, tuple[weakref.ref, Callable[[Any, Frame], None]]] = {}
         self.log: list[Frame] = []                  # every broadcast frame, by start
         self._sent: dict[int, list[Frame]] = {}     # per sender, by start
         # vid -> {vid in range: propagation delay ns}, in registration order;
@@ -174,7 +181,7 @@ class Medium:
         self._sent[vid] = []
         self.positions[vid] = pos
         if handler is not None:
-            self.handlers[vid] = handler
+            self.handlers[vid] = (weakref.ref(handler.__self__), handler.__func__)
 
     # -- transmission ------------------------------------------------------
 
@@ -232,7 +239,8 @@ class Medium:
     def _deliver(self, payload: tuple[Frame, int]) -> None:
         frame, vid = payload
         if not frame.hit & self._bit[vid]:
-            self.handlers[vid](frame)
+            owner, fn = self.handlers[vid]
+            fn(owner(), frame)
 
     # -- reading receptions from the log ---------------------------------------
 

@@ -159,6 +159,10 @@ def run_scenario(cfg: ScenarioConfig, seed: int, *, trace: bool = False) -> RunR
              else MessageClock(kernel, medium))
 
     kernel.run_until(cfg.sim_duration_ns)
+    # nothing dispatches the events pending past the end, and their bound
+    # methods would tie the run's objects into cycles: dropped, a finished
+    # run is freed by reference counting
+    kernel.drop_pending()
     for ctl in controllers.values():
         ctl.pull(cfg.sim_duration_ns)      # what fell due since its last burst
     return RunResult(cfg, medium, specs, services, macs, controllers)

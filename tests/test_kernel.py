@@ -122,12 +122,21 @@ def test_quiet_at_reads_the_head_of_the_queue():
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
 def test_run_until_pauses_the_collector_and_restores_its_state(enabled, raises):
-    """The loop dispatches with the collector off and leaves it as it found it."""
+    """The loop dispatches with the collector off and leaves it as it found it.
+
+    A collector that it paused comes back with the loop's objects promoted to
+    the oldest generation: the young generation is nearly empty, though the
+    handler allocated more than its threshold. One that was off is left as
+    it was, its young generation holding all that the handler allocated.
+    """
     k = Kernel()
     seen = []
+    young = gc.get_threshold()[0] + 100
+    kept = []
 
     def handler(_):
         seen.append(gc.isenabled())
+        kept.extend([] for _ in range(young))
         if raises:
             raise RuntimeError("handler failed")
 
@@ -140,10 +149,34 @@ def test_run_until_pauses_the_collector_and_restores_its_state(enabled, raises):
                 k.run_until(5)
         else:
             k.run_until(5)
+        count = gc.get_count()[0]
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
     assert seen == [False]
+    assert len(kept) == young
+    if enabled:
+        assert count < gc.get_threshold()[0]
+    else:
+        assert count >= young
+
+
+def test_run_until_leaves_a_callers_frozen_objects_frozen():
+    """An unfreeze would release what the caller froze, so while the caller
+    holds frozen objects the loop promotes nothing."""
+    k = Kernel()
+    _timer(k, 3, lambda _: None)
+    was = gc.isenabled()
+    gc.enable()
+    gc.freeze()
+    try:
+        k.run_until(5)
+        assert gc.isenabled()
+        assert gc.get_freeze_count() > 0       # a promotion would leave none
+    finally:
+        gc.unfreeze()
+        (gc.enable if was else gc.disable)()
+
 
 def test_integers_endpoint_degenerate_interval():
     rng = RngStreams(7).stream(1)

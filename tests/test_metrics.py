@@ -1,3 +1,4 @@
+import gc
 import math
 from dataclasses import replace
 
@@ -227,6 +228,22 @@ def test_run_experiment_is_deterministic():
     b = run_experiment(cfg)
     assert a.rates == b.rates
     assert a.mean_rate == b.mean_rate
+
+
+@pytest.mark.parametrize("mode", [MODE_TSNCTL, MODE_BASELINE])
+def test_run_experiment_leaves_nothing_for_the_collector(tmp_path, mode):
+    """Each repetition is freed by reference counting when the loop drops it."""
+    cfg = ScenarioConfig(vehicle_count=5, mode=mode, sim_duration_ns=1 * SEC, repetitions=3)
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_experiment(cfg, tmp_path)
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
+    assert len(result.per_repetition) == 3
 
 
 def test_run_experiment_rejects_an_empty_batch():

@@ -1,3 +1,5 @@
+import weakref
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -38,13 +40,13 @@ def test_tx_duration_rejects_negative_size():
 
 
 class _Sink:
-    """A frame handler that records (delivery time, frame)."""
+    """A handler's object: `on_frame` records (delivery time, frame) in `got`."""
 
     def __init__(self, kernel):
         self.kernel = kernel
         self.got = []
 
-    def __call__(self, frame):
+    def on_frame(self, frame):
         self.got.append((self.kernel.now, frame))
 
 
@@ -69,7 +71,7 @@ def test_broadcast_delivery_time_and_clean_flag():
     m = Medium(k, _cfg())
     sink = _Sink(k)
     m.register(0, Position(0.0, 0.0))
-    m.register(1, Position(50.0, 0.0), handler=sink)
+    m.register(1, Position(50.0, 0.0), handler=sink.on_frame)
     tx = m.broadcast(make_allocation(0, 0, {1: (2, 1)}))     # 108 B
     m.deliver(tx)
     k.run_until(5 * MS)
@@ -82,7 +84,8 @@ def test_broadcast_schedules_no_event(kind):
     k = Kernel(trace=True)
     m = Medium(k, _cfg())
     m.register(0, Position(0.0, 0.0))
-    m.register(1, Position(50.0, 0.0), handler=_Sink(k))
+    sink = _Sink(k)
+    m.register(1, Position(50.0, 0.0), handler=sink.on_frame)
     m.broadcast(_of_kind(kind, 0))
     assert k.reserve() == 0         # no event took a seq
     k.run_until(5 * MS)
@@ -94,7 +97,7 @@ def test_only_delivered_frames_reach_handlers():
     m = Medium(k, _cfg())
     sink = _Sink(k)
     m.register(0, Position(0.0, 0.0))
-    m.register(1, Position(50.0, 0.0), handler=sink)
+    m.register(1, Position(50.0, 0.0), handler=sink.on_frame)
     for kind in _KINDS:
         _send(m, _of_kind(kind, 0))
         k.run_until(k.now + 5 * MS)
@@ -113,7 +116,7 @@ def test_deliver_raises_an_event_per_receiver_with_a_handler_and_hands_over_clea
     m = Medium(k, _cfg())
     sinks = {vid: _Sink(k) for vid in (1, 2, 5)}
     for vid, x in ((0, 0.0), (1, -50.0), (2, 50.0), (3, 20.0), (4, 140.0), (5, -150.0)):
-        m.register(vid, Position(x, 0.0), handler=sinks.get(vid))
+        m.register(vid, Position(x, 0.0), handler=sinks[vid].on_frame if vid in sinks else None)
     tx = m.broadcast(_of_kind(kind, 0))
     m.deliver(tx)
     k.run_until(20 * US)
@@ -126,12 +129,29 @@ def test_deliver_raises_an_event_per_receiver_with_a_handler_and_hands_over_clea
     assert {vid: sink.got for vid, sink in sinks.items()} == {1: [(arrival, tx)], 2: [], 5: []}
 
 
+def test_the_medium_keeps_no_handler_object_alive():
+    """It holds a handler's object weakly: once dropped, the object is freed at
+    once, by reference counting, and the vehicle keeps its handler key."""
+    k = Kernel()
+    m = Medium(k, _cfg())
+    m.register(0, Position(0.0, 0.0))
+    sink = _Sink(k)
+    m.register(1, Position(50.0, 0.0), handler=sink.on_frame)
+    tx = _send(m, _of_kind(FrameKind.CONTROL_ALLOCATION, 0))
+    k.run_until(5 * MS)
+    assert [frame for _, frame in sink.got] == [tx]
+    owner = weakref.ref(sink)
+    del sink
+    assert owner() is None
+    assert list(m.handlers) == [1]
+
+
 def test_out_of_range_receiver_gets_nothing():
     k = Kernel()
     m = Medium(k, _cfg())
     sink = _Sink(k)
     m.register(0, Position(0.0, 0.0))
-    m.register(1, Position(150.0, 0.0), handler=sink)
+    m.register(1, Position(150.0, 0.0), handler=sink.on_frame)
     tx = m.broadcast(data_frame(0))
     m.deliver(tx)
     k.run_until(5 * MS)
@@ -143,7 +163,7 @@ def test_sender_never_receives_own_frame():
     k = Kernel()
     m = Medium(k, _cfg())
     sink = _Sink(k)
-    m.register(0, Position(0.0, 0.0), handler=sink)
+    m.register(0, Position(0.0, 0.0), handler=sink.on_frame)
     m.deliver(m.broadcast(data_frame(0)))
     k.run_until(5 * MS)
     assert sink.got == []
@@ -155,7 +175,7 @@ def test_overlapping_transmissions_collide_at_common_receiver():
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(10.0, 0.0))
     sink = _Sink(k)
-    m.register(2, Position(5.0, 0.0), handler=sink)
+    m.register(2, Position(5.0, 0.0), handler=sink.on_frame)
     tx_a = m.broadcast(make_allocation(0, 0, {2: (2, 1)}))
     m.deliver(tx_a)
     k.run_until(50 * US)            # second transmission starts mid-frame
@@ -307,7 +327,7 @@ def test_masks_count_receptions_still_in_flight(handled):
     m = Medium(k, RadioConfig())
     sinks = {vid: _Sink(k) for vid in range(4)}
     for vid, x in enumerate((0.0, 1.0, 290.0, 500.0)):
-        m.register(vid, Position(x, 0.0), handler=sinks[vid] if handled else None)
+        m.register(vid, Position(x, 0.0), handler=sinks[vid].on_frame if handled else None)
     tx = _send(m, _frame(0, handled))
     k.run_until(100 * US)
     _send(m, _frame(3, handled))
@@ -325,11 +345,11 @@ def test_receivers_mask_ignores_vehicles_registered_after_the_broadcast(handled)
     m = Medium(k, _cfg())
     sinks = {vid: _Sink(k) for vid in range(3)}
     m.register(0, Position(0.0, 0.0))
-    m.register(1, Position(10.0, 0.0), handler=sinks[1] if handled else None)
+    m.register(1, Position(10.0, 0.0), handler=sinks[1].on_frame if handled else None)
     tx = _send(m, _frame(0, handled))
     k.run_until(100 * US)
     m.register(2, Position(20.0, 0.0),      # in range, but arrived too late
-               handler=sinks[2] if handled else None)
+               handler=sinks[2].on_frame if handled else None)
     assert _accounting(tx) == (1, 0)
     assert set(outcomes(m, tx)) == {1}
     assert sinks[2].got == []
@@ -379,7 +399,7 @@ def _coarse_run(cells, joins, sends, reads):
     each read returns query(m), in the order of `reads`. Returns the medium,
     the oracle's per-receiver flags, the propagation delay between two
     vehicles, the reads and the (receiver, frame) clean deliveries of
-    allocations, which are delivered, in delivery order.
+    allocations, which are delivered, by receiver.
     """
     n = len(cells)
     cfg = _cfg(**_COARSE)
@@ -389,11 +409,10 @@ def _coarse_run(cells, joins, sends, reads):
     join_at = {vid: joins[vid] * US for vid in range(n)}
     # registrations first, then broadcasts, then reads: at equal times events
     # run in that order
-    delivered = []
+    sinks = {vid: _Sink(k) for vid in range(n)}
     for vid, at in join_at.items():
         k.at(at, vid, EventKind.SPAWN, lambda vid: m.register(
-            vid, positions[vid],
-            handler=lambda frame, vid=vid: delivered.append((vid, frame))), vid)
+            vid, positions[vid], handler=sinks[vid].on_frame), vid)
     busy: dict[int, int] = {}
     for vid, at, size, kind in sorted(sends, key=lambda s: s[1]):
         vid %= n
@@ -415,6 +434,7 @@ def _coarse_run(cells, joins, sends, reads):
 
     def delay(a, b):
         return cfg.prop_delay(positions[a].distance(positions[b]))
+    delivered = [(vid, frame) for vid, sink in sinks.items() for _, frame in sink.got]
     return m, flags, delay, [got[i] for i in range(len(reads))], delivered
 
 

@@ -328,7 +328,9 @@ def test_tsnctl_delivery_events_one_per_allocation_reception():
 ], ids=["tsnctl-contested", "baseline-backlogged"])
 def test_a_run_makes_no_cyclic_garbage(cfg):
     """What `Kernel.run_until`'s collector pause rests on: with the collector
-    off all run long, a collection while the run is held finds nothing."""
+    off all run long, a collection while the run is held finds nothing. A
+    dropped run is freed by reference counting: the run drops its pending
+    events and the medium holds no controller, so no cycle is left either."""
     was = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -336,6 +338,8 @@ def test_a_run_makes_no_cyclic_garbage(cfg):
         run = run_scenario(cfg, 1)
         assert gc.collect() == 0
         assert run.medium.log
+        del run
+        assert gc.collect() == 0
     finally:
         if was:
             gc.enable()
