@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -15,7 +16,9 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: its object graph is cyclic."""
     parser = argparse.ArgumentParser(
         prog="platoonsim",
         description="Slot-scheduled V2V platooning simulator and CSMA/CA baseline",

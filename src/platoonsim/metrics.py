@@ -5,7 +5,6 @@ from __future__ import annotations
 import copy
 import math
 import statistics
-from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -67,10 +66,13 @@ def collect_stats(run: RunResult) -> CollisionStats:
 #
 # The brute-force checker enumerates every transmission pair and applies the
 # range rule per receiver. It is quadratic and serves tests as the reference.
-# The sweep checker, used by `verify` and `oracle_check_run`, walks interval
-# endpoints in time order, pairs each start with the transmissions on air, and
-# applies the range rule as bitmasks over vehicles: O(T log T + overlapping
-# pairs + T*N) for T transmissions among N vehicles.
+# The sweep checker, used by `verify` and `oracle_check_run`, sorts the
+# transmissions by start itself (it never trusts the log's order), scans
+# forward from each one to the first that starts at or after its end, and
+# applies the range rule as bitmasks over vehicles: O(T log T + pairs scanned
+# + N^2) for T transmissions among N vehicles. The pairs scanned are the
+# overlapping pairs, plus any zero-length frame paired with a frame that
+# starts at the same instant.
 
 
 def brute_force_outcomes(records: list[tuple[int, int, int]],
@@ -123,7 +125,7 @@ def _sweep_masks(records: list[tuple[int, int, int]],
                  spawn: dict[int, int]) -> list[tuple[int, int]]:
     """(receivers, collided receivers) per record, as bitmasks over `positions` order.
 
-    Same rule as brute_force_outcomes; records must satisfy start <= end.
+    Same rule as brute_force_outcomes, for records in any order.
     """
     bit = {vid: 1 << k for k, vid in enumerate(positions)}
     # heard_by[v]: the vehicles within range of v, v itself included, so an
@@ -131,46 +133,34 @@ def _sweep_masks(records: list[tuple[int, int, int]],
     heard_by = {a: sum(bit[b] for b, pos_b in positions.items()
                        if pos_a.distance(pos_b) <= range_m)
                 for a, pos_a in positions.items()}
-    # spawned[k]: the first k vehicles to spawn; a receiver must have spawned
-    # at or before the start of a transmission
     arrival = {vid: spawn.get(vid, 0) for vid in positions}
     by_spawn = sorted(positions, key=arrival.__getitem__)
-    spawn_times = [arrival[vid] for vid in by_spawn]
-    spawned = [0]
-    for vid in by_spawn:
-        spawned.append(spawned[-1] | bit[vid])
 
-    # Intervals are half-open, so at equal times ends come first (rank 0). A
-    # zero-length frame [t, t) overlaps exactly the frames on air across t that
-    # started before t, and nothing that starts later: it meets the active set
-    # before the starts at t (rank 1) and never joins it.
-    events = []
-    for i, (_sender, start, end) in enumerate(records):
-        if end > start:
-            events.append((start, 2, i))
-            events.append((end, 0, i))
-        else:
-            events.append((start, 1, i))
-    events.sort()
-    interferers = [0] * len(records)    # vehicles in range of an overlapping sender
-    on_air: dict[int, int] = {}         # index -> heard_by of its sender
-    for _at, rank, i in events:
-        if rank == 0:
-            del on_air[i]
-            continue
-        mask = heard_by[records[i][0]]
-        for j, other in on_air.items():
-            interferers[i] |= other
-            interferers[j] |= mask
-        if rank == 2:
-            on_air[i] = mask
-
-    out = []
-    for i, (sender, start, _end) in enumerate(records):
-        present = spawned[bisect_right(spawn_times, start)]
-        receivers = heard_by[sender] & present & ~bit[sender]
-        out.append((receivers, receivers & interferers[i]))
-    return out
+    # Record i pairs with each record j after it in start order that starts
+    # before i ends (start_i <= start_j < end_i); the pair overlaps iff j also
+    # ends after i starts, which leaves out a zero-length j at start_i.
+    n, vehicles = len(records), len(by_spawn)
+    order = sorted(range(n), key=[start for _, start, _ in records].__getitem__)
+    interferers = [0] * n               # vehicles in range of an overlapping sender
+    receivers = [0] * n
+    present = k = 0                     # the k vehicles spawned by the current start
+    for after, i in enumerate(order, 1):
+        sender, start, end = records[i]
+        while k < vehicles and arrival[by_spawn[k]] <= start:
+            present |= bit[by_spawn[k]]
+            k += 1
+        mask, hit = heard_by[sender], 0
+        receivers[i] = mask & present & ~bit[sender]
+        for q in range(after, n):
+            j = order[q]
+            other, start_j, end_j = records[j]
+            if start_j >= end:
+                break
+            if end_j > start:
+                hit |= heard_by[other]
+                interferers[j] |= mask
+        interferers[i] |= hit
+    return [(r, r & hit) for r, hit in zip(receivers, interferers)]
 
 
 def oracle_check_run(run: RunResult) -> list[int]:

@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -216,6 +217,23 @@ def test_verify_accepts_generated_log_and_rejects_tampered(tmp_path, capsys):
     lines[idx] = " ".join(fields)
     log.write_text("\n".join(lines) + "\n")
     assert main(["verify", "--log", str(log)]) == 1
+
+
+def test_verify_leaves_nothing_for_the_collector(tmp_path, capsys):
+    """The parser is built once per process, so a later call makes no cyclic garbage."""
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_write(tmp_path, GOOD_CONFIG)), "--out", str(out)]) == 0
+    argv = ["verify", "--log", str(out / "transmissions_rep0.log")]
+    assert main(argv) == 0
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
 
 
 def test_run_simulates_each_repetition_once(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -338,6 +339,14 @@ def test_verify_flags_tampered_log(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     tx = run.medium.log[0]
     assert verify_log(path) == [FlagMismatch(0, tx.sender, tx.start, not tx.collided)]
+
+    # the oracle orders the records itself: reversed or shuffled after the
+    # header lines, only the tampered record's index changes
+    tampered, records = lines[idx], lines[idx:]
+    for shuffled in (records[::-1], random.Random(5).sample(records, len(records))):
+        path.write_text("\n".join(lines[:idx] + shuffled) + "\n")
+        assert verify_log(path) == [FlagMismatch(shuffled.index(tampered), tx.sender,
+                                                 tx.start, not tx.collided)]
 
 
 def _edit_first_record(field: int, value: str):

@@ -599,16 +599,6 @@ def test_idle_from_matches_brute_force(cells, joins, sends, cca_detect_ns, reads
     def delay(a, b):
         return cfg.prop_delay(positions[a].distance(positions[b]))
 
-    def hears(listener, sender):
-        return positions[sender].distance(positions[listener]) <= cfg.range_m
-
-    def brute_force(listener, at):
-        return max((end + delay(sender, listener) for sender, start, end in frames
-                    if hears(listener, sender)
-                    and start + delay(sender, listener) + cca_detect_ns
-                    <= at < end + delay(sender, listener)),
-                   default=at)
-
     points = []
     for listener, anchor, at_start, offset in reads:
         listener %= n
@@ -627,7 +617,7 @@ def test_idle_from_matches_brute_force(cells, joins, sends, cca_detect_ns, reads
     k.run_until(100 * US)
 
     assert [(tx.sender, tx.start, tx.end) for tx in m.log] == frames
-    want = [brute_force(listener, at) for listener, at in points]
+    want = [_brute_idle_from(m, listener, at) for listener, at in points]
     assert [live[i] for i in range(len(points))] == want
     assert [m.idle_from(listener, at) for listener, at in points] == want
 
