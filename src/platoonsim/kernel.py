@@ -15,8 +15,8 @@ depends on no third-party release.
 from __future__ import annotations
 
 import gc
-import heapq
 from enum import Enum, auto
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 # Time units, expressed in integer nanoseconds.  All simulated time in this
@@ -77,7 +77,7 @@ class Kernel:
             raise ValueError(f"cannot schedule event at {fire_at} ns before now={self.now} ns")
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._heap, (fire_at, seq, fn, payload, target, kind))
+        heappush(self._heap, (fire_at, seq, fn, payload, target, kind))
 
     def reserve(self) -> int:
         """Hand out the seq that `at` would give an event scheduled now."""
@@ -94,7 +94,7 @@ class Kernel:
         """
         if fire_at < self.now:
             raise ValueError(f"cannot schedule event at {fire_at} ns before now={self.now} ns")
-        heapq.heappush(self._heap, (fire_at, seq, fn, payload, target, kind))
+        heappush(self._heap, (fire_at, seq, fn, payload, target, kind))
 
     def quiet_at(self, t: int) -> bool:
         """Whether no pending event fires at or before t."""
@@ -104,14 +104,14 @@ class Kernel:
     def run_until(self, end: int) -> int:
         if end < self.now:
             raise ValueError(f"cannot run until {end} ns before now={self.now} ns")
-        heap, pop = self._heap, heapq.heappop
+        heap = self._heap
         trace = self.trace if self.trace_enabled else None
         paused = gc.isenabled()
         if paused:
             gc.disable()
         try:
             while heap and heap[0][0] <= end:
-                fire_at, seq, fn, payload, target, kind = pop(heap)
+                fire_at, seq, fn, payload, target, kind = heappop(heap)
                 self.now = fire_at
                 if trace is not None:
                     trace.append((fire_at, seq, target, kind.name))

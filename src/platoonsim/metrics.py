@@ -324,6 +324,12 @@ LOG_VERSION = "platoonsim transmission log v1"
 
 
 def write_transmission_log(run: RunResult, path: str | Path) -> None:
+    """Write the run's header lines, then one record per frame of the medium's log.
+
+    A record's collided flag is read off the frame's two masks, as
+    `collect_stats` and `oracle_check_run` read them: set iff its interferer
+    mask meets its receivers mask.
+    """
     r = run.cfg.radio
     lines = [
         f"# {LOG_VERSION}",
@@ -334,9 +340,9 @@ def write_transmission_log(run: RunResult, path: str | Path) -> None:
         lines.append(f"# vehicle {spec.vid} {spec.position.x!r} {spec.position.y!r} "
                      f"{spec.spawn_at}")
     lines.append("# sender start_ns end_ns size_B kind collided")
-    for tx in run.medium.log:
-        lines.append(f"{tx.sender} {tx.start} {tx.end} {tx.size} "
-                     f"{KIND_LABELS[tx.kind]} {int(tx.collided)}")
+    labels = KIND_LABELS
+    lines += [f"{tx.sender} {tx.start} {tx.end} {tx.size} {labels[tx.kind]} "
+              f"{1 if tx.hit & tx.receivers else 0}" for tx in run.medium.log]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -389,18 +395,17 @@ def load_transmission_log(path: str | Path) -> LoadedLog:
             if duplicate:
                 raise ValueError(f"line {lineno}: duplicate {parts[0]} header {line!r}")
             continue
-        fields = line.split()
         try:
-            sender, start, end, size = map(int, fields[:4])
-            if size < 0 or len(fields) != 6 or fields[4] not in KIND_BY_LABEL \
-                    or fields[5] not in ("0", "1"):
+            sender, start, end, size, kind, flag = line.split()
+            sender, start, end = int(sender), int(start), int(end)
+            if int(size) < 0 or kind not in KIND_BY_LABEL or flag not in ("0", "1"):
                 raise ValueError
         except ValueError:
             raise ValueError(f"line {lineno}: malformed record {line!r}") from None
         if end < start:
             raise ValueError(f"line {lineno}: transmission ends before it starts")
         records.append((sender, start, end))
-        collided.append(fields[5] == "1")
+        collided.append(flag == "1")
     if radio is None:
         raise ValueError("log has no '# radio' header")
     unknown = sorted({sender for sender, _, _ in records} - positions.keys())

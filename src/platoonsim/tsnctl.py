@@ -629,16 +629,22 @@ class TsnCtl:
     def _head_fits(self, now: int, idx: int, origin: int, end: int) -> bool:
         """Whether the head of the queues, as they stand at now, may start at now.
 
-        When a frame is queued but may not, the queued frames count as deferred.
+        It reads the source only when `source.next_due` falls by now, and
+        the overrun rule only when the head does not fit the slot: a data
+        slot's first frame that is too long for any slot still goes out.
+        When a frame is queued but may not start, the queued frames count as
+        deferred.
         """
-        self.pull(now)
+        due = self.source.next_due
+        if due is not None and due <= now:
+            self.pull(now)
         queues = self.queues.queues
         for queue in queues:
             if queue:
                 size = queue[0].size
                 dur = self.medium.airtimes.get(size) or self.medium.airtime(size)
-                overrun = idx != 1 and dur > self.wcfg.slot_len_ns and now == origin
-                if now + dur <= end or overrun:
+                if now + dur <= end or (idx != 1 and now == origin
+                                        and dur > self.wcfg.slot_len_ns):
                     return True
                 self.deferred += sum(map(len, queues))
                 return False

@@ -1,11 +1,11 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from _util import ScriptedRng, ScriptedSource, data_frame, frames_transmitted, outcomes
 
 from platoonsim.csma import CsmaConfig, CsmaMac, MessageClock
 from platoonsim.kernel import EventKind, Kernel, MS, SEC, US, RngStreams
-from platoonsim.metrics import brute_force_outcomes
+from platoonsim.metrics import brute_force_outcomes, collect_stats
 from platoonsim.radio import Medium, Position, RadioConfig, tx_duration
 from platoonsim.scenario import (MODE_BASELINE, ItsService, ScenarioConfig, VehicleSpec,
                                  run_scenario)
@@ -291,3 +291,69 @@ def test_a_backlogged_pair_keeps_its_kernel_trace():
         (4500000, 31, 0, 'APP_TICK'), (4750000, 32, 1, 'APP_TICK'), (5000000, 29, 0, 'TIMER'),
         (5000000, 30, 1, 'TIMER'),
     ]
+
+
+# -- phase locking ---------------------------------------------------------------
+#
+# Each vehicle's messages fall due every message interval from its spawn, so
+# the spawn grid fixes the phase of every vehicle for the whole run. When the
+# due times of all vehicles lie further apart than a frame's airtime plus the
+# longest propagation delay, every message finds the channel idle and goes out
+# as it falls due, and no two frames meet, whatever the load or the backoff.
+
+
+def _overlapping_neighbours(log) -> int:
+    return sum(b.start < a.end for a, b in zip(log, log[1:]))
+
+
+@st.composite
+def _unlocked_grids(draw):
+    """A baseline config whose due times, over all vehicles, lie further apart
+    than a frame's airtime plus the longest propagation delay.
+
+    The spawn interval is longer than that, and so is the gap from the last
+    vehicle's message to the first vehicle's next one: every vehicle's first
+    message falls due within one message interval, with that gap to spare.
+    """
+    radio = RadioConfig(range_m=draw(st.floats(0.0, 1_000.0)),
+                        preamble_ns=draw(st.integers(0, 50_000)),
+                        cca_detect_ns=draw(st.integers(0, 50_000)))
+    payload = draw(st.integers(1, 800))
+    clear = tx_duration(payload, radio) + radio.max_delay
+    n = draw(st.integers(1, 20))
+    spawn = clear + draw(st.integers(1, 500 * US))
+    interval = (n - 1) * spawn + clear + draw(st.integers(1, 50 * MS))
+    cfg = ScenarioConfig(vehicle_count=n, mode=MODE_BASELINE, spawn_interval_ns=spawn,
+                         message_interval_ns=interval, payload_size_b=payload,
+                         area_length_m=draw(st.floats(0.0, 600.0)), radio=radio,
+                         csma=CsmaConfig(cw_slots=draw(st.integers(1, 16)),
+                                         backoff_slot_ns=draw(st.integers(1, 1_000_000))),
+                         sim_duration_ns=draw(st.integers(100, 1_000)) * MS)
+    return cfg, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=_unlocked_grids())
+@example(drawn=(ScenarioConfig(mode=MODE_BASELINE, spawn_interval_ns=1_068 * US,
+                               sim_duration_ns=5 * SEC), 1))
+@example(drawn=(ScenarioConfig(mode=MODE_BASELINE, spawn_interval_ns=1_100 * US,
+                               sim_duration_ns=5 * SEC), 2))
+def test_frames_never_meet_when_due_times_lie_an_airtime_apart(drawn):
+    cfg, seed = drawn
+    run = run_scenario(cfg, seed)
+    log = run.medium.log
+    assert all(tx.start == tx.generated_at for tx in log)   # none waited
+    assert _overlapping_neighbours(log) == 0
+    assert collect_stats(run).frames_collided == 0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_frames_meet_on_the_phase_locked_1ms_spawn_grid(seed):
+    """With 1 ms spawns, an 800 B frame (1.07 ms on air) is still on air when
+    the next vehicle's message falls due, every message interval: the messages
+    that waited for it meet at its idle edge and draw from a two-slot window."""
+    cfg = ScenarioConfig(mode=MODE_BASELINE, spawn_interval_ns=1 * MS, sim_duration_ns=5 * SEC)
+    run = run_scenario(cfg, seed)
+    assert tx_duration(cfg.payload_size_b, cfg.radio) > cfg.spawn_interval_ns
+    assert _overlapping_neighbours(run.medium.log) > 150
+    assert collect_stats(run).rate() > 30.0

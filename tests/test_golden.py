@@ -37,6 +37,10 @@ the controller's `(JOINING, *, WINDOW_START)` records in `transitions`, a
 MAC's messages taken are its source's `seq`, and its frames transmitted are
 its frames in the log that ended by the run end.
 
+The same runs also go through the carrier-sense oracle (`_carrier_sense`):
+no frame that its protocol sensed before sending started while its sender
+sensed another frame.
+
 A change that alters output on purpose regenerates the fixture with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -52,13 +56,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from _carrier_sense import run_sensed_busy
 from _util import (frames_transmitted, join_retries, outcomes, receivers_collided,
                    receivers_expected)
 
 from platoonsim.kernel import MS
 from platoonsim.metrics import write_transmission_log
 from platoonsim.radio import RadioConfig
-from platoonsim.scenario import MODE_BASELINE, MODE_TSNCTL, ScenarioConfig, run_scenario
+from platoonsim.scenario import (MODE_BASELINE, MODE_TSNCTL, RunResult, ScenarioConfig,
+                                 run_scenario)
 from platoonsim.tsnctl import WindowConfig
 
 FIXTURE = Path(__file__).with_name("golden_digests.json")
@@ -127,9 +133,8 @@ def counter_digest(run) -> dict:
     }
 
 
-def digests(mode: str, slot_ms: int, seed: int, duration: int, extra: dict,
-            tmp: Path) -> list[dict]:
-    """The rec0, rec1 and counters digests of one grid point, from a single run.
+def run_point(mode: str, slot_ms: int, seed: int, duration: int, extra: dict) -> RunResult:
+    """The single run of one grid point.
 
     `extra` holds the point's ScenarioConfig fields beyond the common ones,
     and may override the 20 vehicles.
@@ -137,7 +142,11 @@ def digests(mode: str, slot_ms: int, seed: int, duration: int, extra: dict,
     cfg = ScenarioConfig(**{"vehicle_count": 20, **extra}, mode=mode,
                          sim_duration_ns=duration, seed=seed, repetitions=1,
                          window=WindowConfig(slot_len_ns=slot_ms * MS))
-    run = run_scenario(cfg, seed)
+    return run_scenario(cfg, seed)
+
+
+def digests(run: RunResult, tmp: Path) -> list[dict]:
+    """The rec0, rec1 and counters digests of one grid point's run."""
     log = tmp / "transmissions.log"
     write_transmission_log(run, log)
     log_sha256 = hashlib.sha256(log.read_bytes()).hexdigest()
@@ -160,13 +169,18 @@ def digests(mode: str, slot_ms: int, seed: int, duration: int, extra: dict,
               for h in accounting), counter_digest(run)]
 
 
-def table(tmp: Path) -> dict[str, dict]:
+def table(runs: dict[str, RunResult], tmp: Path) -> dict[str, dict]:
     """Every grid point's digests, keyed as in the fixture."""
     out = {}
-    for key, *point in _grid():
-        for record, digest in zip(RECORDS, digests(*point, tmp)):
+    for key, run in runs.items():
+        for record, digest in zip(RECORDS, digests(run, tmp)):
             out[f"{key}-{record}"] = digest
     return out
+
+
+def grid_runs() -> dict[str, RunResult]:
+    """The run of every grid point, keyed by the point."""
+    return {key: run_point(*point) for key, *point in _grid()}
 
 
 @pytest.fixture(scope="module")
@@ -175,8 +189,13 @@ def golden() -> dict:
 
 
 @pytest.fixture(scope="module")
-def computed(tmp_path_factory) -> dict:
-    return table(tmp_path_factory.mktemp("golden"))
+def runs() -> dict[str, RunResult]:
+    return grid_runs()
+
+
+@pytest.fixture(scope="module")
+def computed(runs, tmp_path_factory) -> dict:
+    return table(runs, tmp_path_factory.mktemp("golden"))
 
 
 def test_fixture_covers_the_grid(golden):
@@ -188,10 +207,16 @@ def test_output_matches_golden_digest(golden, computed, key):
     assert computed[key] == golden[key]
 
 
+@pytest.mark.parametrize("point", [point[0] for point in _grid()])
+def test_sensed_frames_start_on_an_idle_channel(runs, point):
+    """The carrier-sense oracle finds no sensed frame that started on a busy channel."""
+    assert run_sensed_busy(runs[point]) == []
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as d:
-        fixture = table(Path(d))
+        fixture = table(grid_runs(), Path(d))
     FIXTURE.write_text(json.dumps(fixture, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(fixture)} digests to {FIXTURE}", file=sys.stderr)

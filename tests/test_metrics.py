@@ -30,6 +30,7 @@ from platoonsim.metrics import (
 from platoonsim.radio import Medium, Position, RadioConfig
 from platoonsim.scenario import (COUNTING_RULES, MODE_BASELINE, MODE_TSNCTL, RunResult,
                                  ScenarioConfig, run_scenario)
+from platoonsim.tsnctl import WindowConfig
 
 
 def _two_sender_medium(second_start_us=500):
@@ -358,6 +359,15 @@ def _edit_first_record(field: int, value: str):
     return edit
 
 
+def _first_record_fields(count: int):
+    """The first record cut, or padded with "0", to `count` fields."""
+    def edit(lines):
+        idx = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+        fields = (lines[idx].split() + ["0"] * count)[:count]
+        return lines[:idx] + [" ".join(fields)] + lines[idx + 1:]
+    return edit
+
+
 def _edit_header(prefix: str, replacement: str):
     def edit(lines):
         return [replacement if l.startswith(prefix) else l for l in lines]
@@ -414,6 +424,8 @@ def _radio_header(**fields):
                  "line 2: malformed radio header", id="radio-repeated-key"),
     pytest.param(_edit_first_record(3, "-5"), "line 9: malformed record",
                  id="record-size-negative"),
+    pytest.param(_first_record_fields(5), "line 9: malformed record", id="record-five-fields"),
+    pytest.param(_first_record_fields(7), "line 9: malformed record", id="record-seven-fields"),
     (_insert_before_records("# vehicle 0 5000.0 0.0 0"), "line 8: duplicate vehicle header"),
     (_insert_before_records("# radio range_m=10.0 data_rate_bps=6000000 "
                             "propagation_mps=300000000.0 preamble_ns=0"),
@@ -427,6 +439,26 @@ def test_load_rejects_malformed_logs(tmp_path, edit, message):
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     with pytest.raises(ValueError, match=message):
         load_transmission_log(path)
+
+
+@pytest.mark.parametrize("mode, extra", [
+    (MODE_BASELINE, {}),
+    (MODE_TSNCTL, {"window": WindowConfig(slot_len_ns=1 * MS)}),
+    # cut while frames are on air
+    (MODE_BASELINE, {"area_length_m": 0.0, "message_interval_ns": 2 * MS,
+                     "sim_duration_ns": 910_543_210}),
+], ids=["baseline", "tsnctl", "cut-on-air"])
+def test_logged_flags_are_the_collided_property(tmp_path, mode, extra):
+    cfg = ScenarioConfig(**{"sim_duration_ns": 2 * SEC, **extra}, mode=mode)
+    run = run_scenario(cfg, 5)
+    if "sim_duration_ns" in extra:
+        assert any(tx.end > cfg.sim_duration_ns for tx in run.medium.log)
+    path = tmp_path / "t.log"
+    write_transmission_log(run, path)
+    flags = [int(line.split()[5]) for line in path.read_text().splitlines()
+             if not line.startswith("#")]
+    assert flags == [int(tx.collided) for tx in run.medium.log]
+    assert 0 < sum(flags) < len(flags)
 
 
 def test_transmission_log_rerun_byte_identical(tmp_path):
