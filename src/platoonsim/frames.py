@@ -65,10 +65,6 @@ class Frame:
     # exactly there. Filled at broadcast, pair by pair; final at end.
     hit: int = 0
 
-    @property
-    def collided(self) -> bool:
-        return self.hit & self.receivers != 0
-
 
 def make_announce(sender: int, generated_at: int) -> Frame:
     return Frame(

@@ -22,7 +22,7 @@ pair, and is final once the clock reaches its end, since nothing that starts
 later overlaps it. Every reader of who heard a frame clean reads that one
 mask, against the receivers mask: a delivery at arrival, the announces and
 liveness that protocols read back from the log (`clean_receptions`,
-`last_clean_arrival`) and the frame's collided flag. A read of the log at
+`last_clean_arrival`) and the transmission log's collided flag. A read of the log at
 time t counts the clean receptions that arrived before t; the order in which
 events were scheduled plays no part.
 
@@ -108,7 +108,7 @@ class Medium:
     recorded once per overlapping pair. The mask is final once the clock
     reaches the frame's end, and every reader reads it then or later: a
     delivery at arrival, `clean_receptions` and `last_clean_arrival` for
-    arrivals before now, and the frame's collided flag after the run. A
+    arrivals before now, and the logged collided flag after the run. A
     listener heard a frame clean iff its bit is in the receivers mask and not
     in the interferer mask, and the frame arrived before now: an arrival at
     now is not yet heard. The log is also the only count of a sender's

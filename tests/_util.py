@@ -1,7 +1,8 @@
 """Shared test helpers: a data frame, scripted randomness, a scripted message
-source, hand-assembled platoon scenarios, a reference election, the counts a run
-keeps no counter for, the collision counts under each counting rule and the
-reception outcomes of a frame, read from its masks.
+source, hand-assembled platoon scenarios, a reference election, and the one
+copy, which `tools/equivalence.py` reads too, of the facts a run keeps no
+counter for: join retries, frames transmitted, an FSM record's line, and a
+frame's collision counts and reception outcomes, read from its two masks.
 
 Every MAC and controller reads its messages from a source, as in a run. A
 test that does not build a `scenario.ItsService` scripts the messages it
@@ -120,6 +121,13 @@ def join_retries(ctl: TsnCtl) -> int:
     """A controller's window starts taken while JOINING, read from its FSM record."""
     return sum(before.status is JOINING and event is WINDOW_START
                for before, event, _, _ in ctl.transitions)
+
+
+def fsm_record_line(record: tuple) -> str:
+    """One (before, event, outcome, after) FSM record as the golden digest hashes it."""
+    before, event, outcome, after = record
+    return (f"{before.status.name}/{before.role.name} {event.name} {outcome} "
+            f"{after.status.name}/{after.role.name}")
 
 
 def outcomes(medium: Medium, frame: Frame) -> dict[int, bool]:

@@ -1,7 +1,7 @@
 """The equivalence sweep finds no difference between a tree and itself, and
 names the first field where a changed copy differs; with `--expect-diff` it
-reports what moved and fails only on an oracle fault or an error that the
-sides do not share."""
+reports what moved and fails only on a fault of the overlap or carrier-sense
+oracle or an error that the sides do not share."""
 
 import importlib.util
 import json
@@ -21,6 +21,7 @@ def test_a_tree_matches_itself():
     assert fault is None
     assert summary["differences"] == 0 and summary["first_difference"] is None
     assert summary["oracle_faults"] == {"base": 0, "head": 0}
+    assert summary["carrier_sense_faults"] == {"base": 0, "head": 0}
     assert summary["transmissions"]["head"] > 0
 
 
@@ -72,6 +73,22 @@ def test_expect_diff_still_fails_on_an_oracle_fault(tmp_path, capsys):
     assert code == 1
     assert summary["oracle_faults"]["base"] == 0 < summary["oracle_faults"]["head"]
     assert "first fault at 'oracle'" in out.err
+
+
+def test_expect_diff_still_fails_on_a_carrier_sense_fault(tmp_path, capsys):
+    # a listener senses a frame only until it ends at the sender, not until
+    # its trailing edge arrives
+    head = _changed_copy(tmp_path, "radio.py", "edge = tx.end + delay\n", "edge = tx.end\n")
+    code = equivalence.main(["--base", str(SRC), "--head", str(head), "--mode", "baseline",
+                             "--configs", "2", "--seed", "1", "--expect-diff"])
+    out = capsys.readouterr()
+    summary = json.loads(out.out)
+    assert code == 1
+    assert summary["carrier_sense_faults"] == {"base": 0, "head": 1}
+    assert summary["oracle_faults"] == {"base": 0, "head": 0}
+    assert "first fault at 'carrier_sense'" in out.err
+    # config 0 flags 18 of its 232 frames on the head side
+    assert len(json.loads(out.err.rsplit("head ", 1)[1])) == 18
 
 
 def test_expect_diff_matches_an_error_both_sides_raise(tmp_path, capsys):

@@ -32,10 +32,10 @@ log does not show: each controller's FSM record (`transitions`), its
 `deferred`, `rejected_joins`, join retries and `announce_skips`, its queue
 length and messages taken at the run end, and each CSMA MAC's `deferrals`,
 messages taken and frames transmitted. The run keeps no counter for three of
-these, and the digest computes them as the fixture was made: join retries are
-the controller's `(JOINING, *, WINDOW_START)` records in `transitions`, a
-MAC's messages taken are its source's `seq`, and its frames transmitted are
-its frames in the log that ended by the run end.
+these, and `_util` computes them as the fixture was made, for this digest and
+`tools/equivalence.py` alike: join retries, messages taken (the source's
+`seq`) and frames transmitted, with each FSM record hashed as the line
+`_util.fsm_record_line` writes.
 
 The same runs also go through the carrier-sense oracle (`_carrier_sense`):
 no frame that its protocol sensed before sending started while its sender
@@ -57,8 +57,8 @@ from pathlib import Path
 
 import pytest
 from _carrier_sense import run_sensed_busy
-from _util import (frames_transmitted, join_retries, outcomes, receivers_collided,
-                   receivers_expected)
+from _util import (frames_transmitted, fsm_record_line, join_retries, outcomes,
+                   receivers_collided, receivers_expected)
 
 from platoonsim.kernel import MS
 from platoonsim.metrics import write_transmission_log
@@ -109,18 +109,14 @@ def _keys() -> list[str]:
     return [f"{point[0]}-{record}" for point in _grid() for record in RECORDS]
 
 
-def _state(state) -> str:
-    return f"{state.status.name}/{state.role.name}"
-
-
 def counter_digest(run) -> dict:
     """The sha256 of every controller's and MAC's counters, in vehicle id order."""
     h = hashlib.sha256()
     for vid, ctl in sorted(run.controllers.items()):
         h.update(f"ctl {vid} {ctl.deferred} {ctl.rejected_joins} {join_retries(ctl)} "
                  f"{ctl.announce_skips} {len(ctl.queues)} {ctl.source.seq}\n".encode())
-        for before, event, outcome, after in ctl.transitions:
-            h.update(f"{_state(before)} {event.name} {outcome} {_state(after)}\n".encode())
+        for record in ctl.transitions:
+            h.update(f"{fsm_record_line(record)}\n".encode())
     for vid, mac in sorted(run.macs.items()):
         h.update(f"mac {vid} {mac.deferrals} {mac.source.seq} "
                  f"{frames_transmitted(mac)}\n".encode())
@@ -160,7 +156,7 @@ def digests(run: RunResult, tmp: Path) -> list[dict]:
     txs = run.medium.log
     counts = {
         "tx": len(txs),
-        "collided": sum(tx.collided for tx in txs),
+        "collided": sum(receivers_collided(tx) > 0 for tx in txs),
         "receptions": sum(receivers_expected(tx) for tx in txs),
         "receptions_done": sum(receivers_expected(tx) for tx in txs),
         "receptions_collided": sum(receivers_collided(tx) for tx in txs),

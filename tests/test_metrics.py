@@ -54,7 +54,7 @@ def _stats(m, counting="frames"):
 def test_clean_transmission_counts_as_sent_not_collided():
     m = _two_sender_medium(second_start_us=2000)   # no overlap
     tx = m.log[0]
-    assert tx.receivers and tx.collided is False
+    assert tx.receivers and receivers_collided(tx) == 0
     s = _stats(m)
     assert (s.frames_sent, s.frames_collided) == (2, 0)
 
@@ -62,9 +62,7 @@ def test_clean_transmission_counts_as_sent_not_collided():
 def test_collided_transmission_counts_once_even_with_many_collided_receivers():
     m = _two_sender_medium()
     tx = m.log[0]
-    assert receivers_collided(tx) == 2
-    assert tx.collided is True
-    assert [t.collided for t in m.log] == [True, True]
+    assert [receivers_collided(t) for t in m.log] == [2, 2]
     s = _stats(m)
     assert (s.frames_sent, s.frames_collided) == (2, 2)
     rx = _stats(m, "receptions")
@@ -96,7 +94,7 @@ def test_collect_stats_equals_a_recount_from_the_masks(name, cfg, rule):
     if name == "tsnctl":
         assert {FrameKind.CONTROL_ANNOUNCE, FrameKind.CONTROL_ALLOCATION} <= {
             tx.kind for tx in log}
-        assert any(tx.collided for tx in log if tx.kind is not FrameKind.DATA)
+        assert any(receivers_collided(tx) for tx in log if tx.kind is not FrameKind.DATA)
     if name == "unheard":
         assert any(tx.receivers == 0 for tx in log)
     stats = collect_stats(run)
@@ -169,7 +167,7 @@ def test_oracle_check_run_on_collision_heavy_runs(mode, vehicles, slot_ms):
     cfg = ScenarioConfig(vehicle_count=vehicles, mode=mode, sim_duration_ns=2 * SEC)
     cfg.window.slot_len_ns = slot_ms * MS
     run = run_scenario(cfg, 3)
-    assert sum(tx.collided for tx in run.medium.log) > 200
+    assert sum(receivers_collided(tx) > 0 for tx in run.medium.log) > 200
     assert oracle_check_run(run) == []
 
 
@@ -339,7 +337,7 @@ def test_verify_flags_tampered_log(tmp_path):
     lines[idx] = " ".join(fields)
     path.write_text("\n".join(lines) + "\n")
     tx = run.medium.log[0]
-    assert verify_log(path) == [FlagMismatch(0, tx.sender, tx.start, not tx.collided)]
+    assert verify_log(path) == [FlagMismatch(0, tx.sender, tx.start, not receivers_collided(tx))]
 
     # the oracle orders the records itself: reversed or shuffled after the
     # header lines, only the tampered record's index changes
@@ -347,7 +345,7 @@ def test_verify_flags_tampered_log(tmp_path):
     for shuffled in (records[::-1], random.Random(5).sample(records, len(records))):
         path.write_text("\n".join(lines[:idx] + shuffled) + "\n")
         assert verify_log(path) == [FlagMismatch(shuffled.index(tampered), tx.sender,
-                                                 tx.start, not tx.collided)]
+                                                 tx.start, not receivers_collided(tx))]
 
 
 def _edit_first_record(field: int, value: str):
@@ -448,7 +446,7 @@ def test_load_rejects_malformed_logs(tmp_path, edit, message):
     (MODE_BASELINE, {"area_length_m": 0.0, "message_interval_ns": 2 * MS,
                      "sim_duration_ns": 910_543_210}),
 ], ids=["baseline", "tsnctl", "cut-on-air"])
-def test_logged_flags_are_the_collided_property(tmp_path, mode, extra):
+def test_logged_flags_are_set_where_the_masks_meet(tmp_path, mode, extra):
     cfg = ScenarioConfig(**{"sim_duration_ns": 2 * SEC, **extra}, mode=mode)
     run = run_scenario(cfg, 5)
     if "sim_duration_ns" in extra:
@@ -457,7 +455,7 @@ def test_logged_flags_are_the_collided_property(tmp_path, mode, extra):
     write_transmission_log(run, path)
     flags = [int(line.split()[5]) for line in path.read_text().splitlines()
              if not line.startswith("#")]
-    assert flags == [int(tx.collided) for tx in run.medium.log]
+    assert flags == [int(receivers_collided(tx) > 0) for tx in run.medium.log]
     assert 0 < sum(flags) < len(flags)
 
 

@@ -288,7 +288,7 @@ def test_masks_hold_the_overlap_of_frames_still_on_air():
     # stop while both frames are on air: the masks already hold the overlap;
     # receiver 1 is transmitting (half-duplex) and 2 hears both senders
     assert (receivers_expected(tx_a), receivers_collided(tx_a)) == (2, 2)
-    assert tx_a.collided and tx_b.collided
+    assert receivers_collided(tx_b) > 0
     assert outcomes(m, tx_a)[2] is True and outcomes(m, tx_b)[2] is True
 
 

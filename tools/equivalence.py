@@ -17,21 +17,19 @@ receivers and hit masks, the sha256 of a one-repetition `results.csv` under
 each of the three counting rules (`frames`, `data_frames`, `receptions`),
 every controller's `transitions`, `deferred`, `rejected_joins`,
 `join_retries`, `announce_skips`, queue length and `source.seq`, and every
-MAC's `deferrals`, `frames_submitted` and `frames_transmitted`. It also runs
-`oracle_check_run` on both sides, which must find nothing. Three of these
-fields are computed from the run's records, as `tests/test_golden.py`
-computes them, so both sides give them alike whether or not a tree keeps a
-counter: `join_retries` counts the controller's `(JOINING, *, WINDOW_START)`
-records in `transitions`, `frames_submitted` is the MAC's `source.seq`, and
-`frames_transmitted` counts the MAC's frames in the log that ended by the
-run end.
+MAC's `deferrals`, `frames_submitted` and `frames_transmitted`. The facts a
+run keeps no counter for (the collided flag, join retries, frames
+transmitted, each FSM record's line) come from tier-1's helpers in
+`tests/_util.py`, the one copy that the golden digests read too. Both sides
+also run the overlap oracle (`oracle_check_run`) and tier-1's carrier-sense
+oracle (`tests/_carrier_sense.py`), which must find nothing.
 
 It prints a JSON summary on stdout: how many configs differ, the first
 field that differs, and the transmission and collided totals of each side
 with the mean change in collided share (head minus base, over the configs
-where both sides sent a frame). The exit status is 0 when every run matches
-and both oracles are clean; otherwise it is 1, and stderr names the first
-config and field that differ.
+where both sides sent a frame), and each oracle's faults per side. The exit
+status is 0 when every run matches and every oracle is clean; otherwise it
+is 1, and stderr names the first config and field that differ.
 
 `--expect-diff` is for a change that alters output on purpose: the summary
 then says what moved, and the exit status is 0 unless an oracle finds a
@@ -52,13 +50,16 @@ import subprocess
 import sys
 import tempfile
 import time
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 MS = 1_000_000
+# tier-1's helpers, the one copy of each fact a run keeps no counter for
+TESTS = Path(__file__).resolve().parents[1] / "tests"
 MODES = ("tsnctl", "baseline")
 COUNTING_RULES = ("frames", "data_frames", "receptions")    # results.csv is compared under each
+# each oracle's field in a run's digest, and its fault count in the summary
+ORACLES = {"oracle": "oracle_faults", "carrier_sense": "carrier_sense_faults"}
 
 
 def draw_configs(mode: str, count: int, seed: int) -> list[dict]:
@@ -105,12 +106,11 @@ def _sha(lines) -> str:
     return h.hexdigest()
 
 
-def _state(state) -> str:
-    return f"{state.status.name}/{state.role.name}"
-
-
 def digest(config: dict, scratch: Path) -> dict:
     """Every compared field of one run, in a fixed order."""
+    from _carrier_sense import run_sensed_busy
+    from _util import frames_transmitted, fsm_record_line, join_retries, receivers_collided
+
     from platoonsim.csma import CsmaConfig
     from platoonsim.metrics import (
         ExperimentResult, collect_stats, emit_csv, oracle_check_run, write_transmission_log)
@@ -132,7 +132,7 @@ def digest(config: dict, scratch: Path) -> dict:
     fields = {
         "log_sha256": hashlib.sha256(log.read_bytes()).hexdigest(),
         "transmissions": len(txs),
-        "collided": sum(tx.collided for tx in txs),
+        "collided": sum(receivers_collided(tx) > 0 for tx in txs),
         "masks": _sha(f"{tx.receivers} {tx.hit}" for tx in txs),
     }
     results = scratch / "results.csv"
@@ -141,29 +141,25 @@ def digest(config: dict, scratch: Path) -> dict:
         emit_csv(ExperimentResult.from_stats(rc, [collect_stats(replace(run, cfg=rc))]), results)
         fields[f"results.csv by {rule}"] = hashlib.sha256(results.read_bytes()).hexdigest()
     fields["oracle"] = oracle_check_run(run)
+    fields["carrier_sense"] = run_sensed_busy(run)
     for vid, ctl in sorted(run.controllers.items()):
-        fields[f"controller {vid} transitions"] = _sha(
-            f"{_state(before)} {event.name} {outcome} {_state(after)}"
-            for before, event, outcome, after in ctl.transitions)
+        fields[f"controller {vid} transitions"] = _sha(map(fsm_record_line, ctl.transitions))
         fields[f"controller {vid} deferred"] = ctl.deferred
         fields[f"controller {vid} rejected_joins"] = ctl.rejected_joins
-        fields[f"controller {vid} join_retries"] = sum(
-            before.status.name == "JOINING" and event.name == "WINDOW_START"
-            for before, event, _, _ in ctl.transitions)
+        fields[f"controller {vid} join_retries"] = join_retries(ctl)
         fields[f"controller {vid} announce_skips"] = ctl.announce_skips
         fields[f"controller {vid} queue length"] = len(ctl.queues)
         fields[f"controller {vid} source.seq"] = ctl.source.seq
-    ended = Counter(tx.sender for tx in txs if tx.end <= cfg.sim_duration_ns)
     for vid, mac in sorted(run.macs.items()):
         fields[f"mac {vid} deferrals"] = mac.deferrals
         fields[f"mac {vid} frames_submitted"] = mac.source.seq
-        fields[f"mac {vid} frames_transmitted"] = ended[vid]
+        fields[f"mac {vid} frames_transmitted"] = frames_transmitted(mac)
     return fields
 
 
 def worker(src: Path, configs_path: Path, out_path: Path) -> None:
     """Run every config against the package under src; one JSON line per run."""
-    sys.path.insert(0, str(src))
+    sys.path[:0] = [str(src), str(TESTS)]      # the helpers in tests/ read that package
     import platoonsim
 
     where = Path(platoonsim.__file__).resolve()
@@ -225,18 +221,22 @@ def sweep(base_src: Path, head_src: Path, mode: str, count: int, seed: int,
                           (tmp / f"{side}.jsonl").read_text(encoding="utf-8").splitlines()]
                    for side in procs}
 
-    differences, oracle_faults, first, first_fault = 0, {"base": 0, "head": 0}, None, None
+    faults = {key: {"base": 0, "head": 0} for key in ORACLES.values()}
+    differences, first, first_fault = 0, None, None
     for k, (b, h) in enumerate(zip(results["base"], results["head"])):
-        faulty = [side for side, fields in (("base", b), ("head", h)) if fields.get("oracle")]
-        for side in faulty:
-            oracle_faults[side] += 1
+        hit = None          # the first oracle that found a fault on either side
+        for oracle, key in ORACLES.items():
+            for side, fields in (("base", b), ("head", h)):
+                if fields.get(oracle):
+                    faults[key][side] += 1
+                    hit = hit or oracle
         field = first_difference(b, h)
         differences += field is not None
-        if first is None and (field is not None or faulty):
-            first = (k, field or "oracle")
+        if first is None and (field is not None or hit):
+            first = (k, field or hit)
         raised = ("error" in b or "error" in h) and b.get("error") != h.get("error")
-        if first_fault is None and (faulty or raised):
-            first_fault = (k, "oracle" if faulty else "error")
+        if first_fault is None and (hit or raised):
+            first_fault = (k, hit or "error")
     summary = {
         "mode": mode,
         "configs": count,
@@ -244,7 +244,7 @@ def sweep(base_src: Path, head_src: Path, mode: str, count: int, seed: int,
         "base": str(base_src),
         "head": str(head_src),
         "differences": differences,
-        "oracle_faults": oracle_faults,
+        **faults,
         "errors": {side: sum("error" in r for r in results[side]) for side in results},
         "transmissions": {side: sum(r.get("transmissions", 0) for r in results[side])
                           for side in results},
