@@ -1,4 +1,4 @@
-"""Flat key=value experiment configuration files (INI sections per module).
+"""Config files, flat key=value INI sections, parsed into a validated `ScenarioConfig`.
 
 The keys are the fields of the config dataclasses: `ScenarioConfig`'s plain
 fields under [scenario] (or the section their metadata names), and each
@@ -11,10 +11,7 @@ import configparser
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
-
-class ConfigError(Exception):
-    """Invalid scenario configuration; the CLI maps this to exit code 2."""
-
+from .scenario import ConfigError, ScenarioConfig
 
 _PARSERS = {"int": int, "float": float, "str": str}
 
@@ -32,10 +29,8 @@ def _key_table(cfg) -> dict[str, dict[str, tuple[object, object]]]:
     return table
 
 
-def load_config(path: str | Path):
+def load_config(path: str | Path) -> ScenarioConfig:
     """Parse a config file into a validated ScenarioConfig. Unknown keys are errors."""
-    from .scenario import ScenarioConfig
-
     # no header names the empty section, so [DEFAULT] is an ordinary section,
     # rejected as unknown, rather than defaults leaking into every section
     parser = configparser.ConfigParser(interpolation=None, default_section="")

@@ -214,8 +214,7 @@ def run_experiment(cfg: ScenarioConfig, log_dir: str | Path | None = None) -> Ex
     With `log_dir`, each repetition's transmission log is written there as
     `transmissions_rep<k>.log`.
     """
-    if cfg.repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {cfg.repetitions}")
+    cfg.validate()
     per_repetition = []
     for k in range(cfg.repetitions):
         run = run_scenario(cfg, cfg.seed + k)

@@ -23,6 +23,11 @@ COUNTING_RULES = ("frames", "data_frames", "receptions")
 MAX_PAYLOAD_B = 800
 
 
+class ConfigError(ValueError):
+    """Invalid scenario configuration, found by `ScenarioConfig.validate` or in a
+    config file; the CLI maps this to exit code 2."""
+
+
 @dataclass(slots=True)
 class ScenarioConfig:
     vehicle_count: int = 20
@@ -40,8 +45,6 @@ class ScenarioConfig:
     counting: str = field(default=COUNTING_RULES[0], metadata={"section": "metrics"})
 
     def validate(self) -> None:
-        from .config import ConfigError
-
         try:
             if self.vehicle_count < 1:
                 raise ValueError("vehicle_count must be >= 1")
@@ -57,7 +60,7 @@ class ScenarioConfig:
             if self.mode not in (MODE_BASELINE, MODE_TSNCTL):
                 raise ValueError(f"unknown mode {self.mode!r}")
             if self.repetitions < 1:
-                raise ValueError("repetitions must be >= 1")
+                raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
             if self.seed < 0:
                 raise ValueError(f"seed must be >= 0, got {self.seed}")
             if not 0 <= self.area_length_m < math.inf:

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 from _util import recount
 
+import platoonsim.config
+import platoonsim.scenario
 from platoonsim import metrics
 from platoonsim.cli import main
 from platoonsim.config import load_config
@@ -459,3 +461,31 @@ def test_run_needs_no_numpy(tmp_path, config):
     assert done.returncode == 0, done.stderr
     for name in ("results.csv", "transmissions_rep0.log"):
         assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a new interpreter that imports platoonsim from this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(_REPO / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_package_root_loads_no_submodule():
+    done = _fresh_python("import sys, platoonsim\n"
+                         "print(sorted(m for m in sys.modules if m.startswith('platoonsim.')))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_config_module_imports_alone():
+    path = _REPO / "configs" / "platoon.cfg"
+    done = _fresh_python("import platoonsim.config\n"
+                         f"print(platoonsim.config.load_config({str(path)!r}).mode)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "tsnctl"
+
+
+def test_config_error_is_the_scenario_value_error():
+    assert platoonsim.config.ConfigError is platoonsim.scenario.ConfigError
+    assert issubclass(platoonsim.scenario.ConfigError, ValueError)

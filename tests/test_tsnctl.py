@@ -720,6 +720,51 @@ def test_master_loss_reverts_slave_to_init_and_rejoin():
     assert ctl.state.status is Status.JOINING   # rejoining as announcer
 
 
+def test_member_superseded_as_its_slot_opens_sends_no_further_burst_step():
+    """An allocation that supersedes a member arrives exactly at its slot origin.
+
+    Member 5 holds slot 2 under the unheard master 99 and has three 200 B
+    frames queued, which fit the 2 ms slot together. 7 sits at the radio's
+    range from 5, so its allocation, which carries a better election key
+    than 99's, takes exactly the guard to arrive and arrives as slot 2 opens
+    at 204 ms. The slot trigger, armed at the window start, fires first and
+    sends frame 1; the delivery then supersedes 5, and the burst step armed
+    at frame 1's end must send nothing.
+    """
+    kernel = Kernel()
+    medium = Medium(kernel, RadioConfig())
+    clock = WindowClock(kernel, medium, W2)
+    frames = [data_frame(5, size=200, seq=seq) for seq in range(3)]
+    ctls = {}
+
+    def spawn(_):
+        ctls[5] = TsnCtl(5, clock, ConstRng(0), source=_due_at(150 * MS, frames, 300 * MS))
+        medium.register(5, Position(0.0, 0.0), handler=ctls[5].on_frame_delivery)
+
+    kernel.at(10 * MS, 5, EventKind.SPAWN, spawn, None)
+    kernel.run_until(100 * MS + 2 * MS + clock.guard + 1)   # joining, election done
+    member = ctls[5]
+    medium.register(99, Position(10.0, 0.0))
+    medium.deliver(medium.broadcast(make_allocation(sender=99, generated_at=0,
+                                                    allocations={99: 3, 5: 2})))
+    kernel.run_until(200 * MS)
+    assert member.state == FsmState(Status.IN_PLATOON, Role.SLAVE)
+    assert (member.master_id, member.my_slot) == (99, 2)
+
+    slot2 = 200 * MS + 2 * W2.slot_len_ns
+    alloc = make_allocation(sender=7, generated_at=0, allocations={7: 2})
+    medium.register(7, Position(RadioConfig().range_m, 0.0))
+    assert medium.cfg.prop_delay(RadioConfig().range_m) == clock.guard
+    kernel.run_until(slot2 - medium.airtime(alloc.size) - clock.guard)
+    medium.deliver(medium.broadcast(alloc))
+    kernel.run_until(300 * MS - 1)
+    sent = [tx for tx in medium.log if tx.sender == 5 and tx.kind is FrameKind.DATA]
+    assert [(tx.seq, tx.start) for tx in sent] == [(0, slot2)]
+    assert len(member.queues) == 2
+    assert member.transitions[-1][1:3] == (FsmEvent.ALLOCATION_RECEIVED, "superseded")
+    assert member.master_id == 7 and member.my_slot is None
+
+
 def test_collided_control_frames_are_ignored():
     """A collided allocation raises its delivery event but never reaches the controller."""
     kernel = Kernel(trace=True)

@@ -14,7 +14,7 @@ subprocess, and the two run side by side.
 
 Per run it compares the sha256 of the transmission log, each record's
 receivers and hit masks, the sha256 of a one-repetition `results.csv` under
-each of the three counting rules (`frames`, `data_frames`, `receptions`),
+each counting rule that the side's `platoonsim.scenario.COUNTING_RULES` names,
 every controller's `transitions`, `deferred`, `rejected_joins`,
 `join_retries`, `announce_skips`, queue length and `source.seq`, and every
 MAC's `deferrals`, `frames_submitted` and `frames_transmitted`. The facts a
@@ -57,7 +57,6 @@ MS = 1_000_000
 # tier-1's helpers, the one copy of each fact a run keeps no counter for
 TESTS = Path(__file__).resolve().parents[1] / "tests"
 MODES = ("tsnctl", "baseline")
-COUNTING_RULES = ("frames", "data_frames", "receptions")    # results.csv is compared under each
 # each oracle's field in a run's digest, and its fault count in the summary
 ORACLES = {"oracle": "oracle_faults", "carrier_sense": "carrier_sense_faults"}
 
@@ -115,7 +114,7 @@ def digest(config: dict, scratch: Path) -> dict:
     from platoonsim.metrics import (
         ExperimentResult, collect_stats, emit_csv, oracle_check_run, write_transmission_log)
     from platoonsim.radio import RadioConfig
-    from platoonsim.scenario import ScenarioConfig, run_scenario
+    from platoonsim.scenario import COUNTING_RULES, ScenarioConfig, run_scenario
     from platoonsim.tsnctl import WindowConfig
 
     cfg = ScenarioConfig(**config["scenario"], seed=config["seed"],
