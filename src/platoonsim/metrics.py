@@ -123,14 +123,13 @@ def _sweep_masks(records: list[tuple[int, int, int]],
                  positions: dict[int, Position],
                  range_m: float,
                  spawn: dict[int, int]) -> list[tuple[int, int]]:
-    """(receivers, collided receivers) per record, as bitmasks over `positions` order.
+    """(receivers, collided receivers) per record, as bitmasks in which vehicle v is bit v.
 
     Same rule as brute_force_outcomes, for records in any order.
     """
-    bit = {vid: 1 << k for k, vid in enumerate(positions)}
     # heard_by[v]: the vehicles within range of v, v itself included, so an
     # overlapping transmission also ruins its own sender's reception
-    heard_by = {a: sum(bit[b] for b, pos_b in positions.items()
+    heard_by = {a: sum(1 << b for b, pos_b in positions.items()
                        if pos_a.distance(pos_b) <= range_m)
                 for a, pos_a in positions.items()}
     arrival = {vid: spawn.get(vid, 0) for vid in positions}
@@ -147,10 +146,10 @@ def _sweep_masks(records: list[tuple[int, int, int]],
     for after, i in enumerate(order, 1):
         sender, start, end = records[i]
         while k < vehicles and arrival[by_spawn[k]] <= start:
-            present |= bit[by_spawn[k]]
+            present |= 1 << by_spawn[k]
             k += 1
         mask, hit = heard_by[sender], 0
-        receivers[i] = mask & present & ~bit[sender]
+        receivers[i] = mask & present & ~(1 << sender)
         for q in range(after, n):
             j = order[q]
             other, start_j, end_j = records[j]
@@ -164,17 +163,11 @@ def _sweep_masks(records: list[tuple[int, int, int]],
 
 
 def oracle_check_run(run: RunResult) -> list[int]:
-    """Indices of transmissions whose receivers or collided receivers disagree with the oracle.
-
-    The medium numbers vehicle bits in registration order, so the oracle's
-    positions are put in that order, with vehicles never registered last.
-    """
+    """Indices of transmissions whose receivers or collided receivers disagree with the oracle."""
     medium = run.medium
-    rank = {vid: k for k, vid in enumerate(medium.positions)}
-    specs = sorted(run.specs, key=lambda spec: rank.get(spec.vid, len(rank)))
     records = [(tx.sender, tx.start, tx.end) for tx in medium.log]
-    positions = {spec.vid: spec.position for spec in specs}
-    spawn = {spec.vid: spec.spawn_at for spec in specs}
+    positions = {spec.vid: spec.position for spec in run.specs}
+    spawn = {spec.vid: spec.spawn_at for spec in run.specs}
     expected = _sweep_masks(records, positions, run.cfg.radio.range_m, spawn)
     return [i for i, (tx, want) in enumerate(zip(medium.log, expected))
             if (tx.receivers, tx.hit & tx.receivers) != want]
@@ -320,6 +313,8 @@ def emit_sweep_csv(axis: str, rows: list[tuple[int, str, int | None, ExperimentR
 # self-contained for oracle replay.
 
 LOG_VERSION = "platoonsim transmission log v1"
+# the radio header's keys, in the order written, each with its parser
+LOG_RADIO = {"range_m": float, "data_rate_bps": int, "propagation_mps": float, "preamble_ns": int}
 
 
 def write_transmission_log(run: RunResult, path: str | Path) -> None:
@@ -329,12 +324,9 @@ def write_transmission_log(run: RunResult, path: str | Path) -> None:
     `collect_stats` and `oracle_check_run` read them: set iff its interferer
     mask meets its receivers mask.
     """
-    r = run.cfg.radio
-    lines = [
-        f"# {LOG_VERSION}",
-        f"# radio range_m={r.range_m!r} data_rate_bps={r.data_rate_bps} "
-        f"propagation_mps={r.propagation_mps!r} preamble_ns={r.preamble_ns}",
-    ]
+    radio = run.cfg.radio
+    lines = [f"# {LOG_VERSION}",
+             "# radio " + " ".join(f"{key}={getattr(radio, key)!r}" for key in LOG_RADIO)]
     for spec in run.specs:
         lines.append(f"# vehicle {spec.vid} {spec.position.x!r} {spec.position.y!r} "
                      f"{spec.spawn_at}")
@@ -372,14 +364,10 @@ def load_transmission_log(path: str | Path) -> LoadedLog:
                 if parts[:1] == ["radio"]:
                     duplicate = radio is not None
                     kv = dict(p.split("=", 1) for p in parts[1:])
-                    if len(parts) != 5 or len(kv) != 4:     # the four keys written, once each
+                    # the keys written, once each
+                    if len(parts) != len(LOG_RADIO) + 1 or kv.keys() != LOG_RADIO.keys():
                         raise ValueError
-                    radio = RadioConfig(
-                        range_m=float(kv["range_m"]),
-                        data_rate_bps=int(kv["data_rate_bps"]),
-                        propagation_mps=float(kv["propagation_mps"]),
-                        preamble_ns=int(kv["preamble_ns"]),
-                    )
+                    radio = RadioConfig(**{key: read(kv[key]) for key, read in LOG_RADIO.items()})
                     radio.validate()
                 elif parts[:1] == ["vehicle"]:
                     _, vid, x, y, at = parts
@@ -410,6 +398,12 @@ def load_transmission_log(path: str | Path) -> LoadedLog:
     unknown = sorted({sender for sender, _, _ in records} - positions.keys())
     if unknown:
         raise ValueError(f"no '# vehicle' line for sender(s) {unknown}")
+    # vehicle v is bit v of the oracle's masks, so an id bounds their width;
+    # a run numbers its n vehicles 0 to n - 1
+    stray = sorted(positions.keys() - range(len(positions)))
+    if stray:
+        raise ValueError(f"vehicle ids must be 0 to {len(positions) - 1}, one per "
+                         f"'# vehicle' line; got {stray}")
     return LoadedLog(radio, positions, spawn, records, collided)
 
 

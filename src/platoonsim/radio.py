@@ -97,9 +97,11 @@ def tx_duration(size_bytes: int, cfg: RadioConfig) -> int:
 class Medium:
     """Broadcast channel shared by all registered vehicles.
 
-    Each vehicle gets a bit, in registration order, and one mask of the
-    other vehicles it hears: the receivers mask of its broadcasts. Its range
-    mask, the same with its own bit, is ORed together where it is read.
+    Vehicle v is bit v of every mask, so a mask names its vehicles without
+    the registration order. Ids must be >= 0; a run numbers its vehicles from
+    0, so no mask is wider than the vehicle count. Each vehicle has one mask
+    of the other vehicles it hears: the receivers mask of its broadcasts. Its
+    range mask, the same with its own bit, is ORed together where it is read.
     `broadcast` stamps a frame with its time on air and its two masks and
     logs the frame itself. It pairs the new frame with every frame still on
     air, read from the tail of the log back to the first one that started
@@ -137,7 +139,6 @@ class Medium:
         # vid -> {vid in range: propagation delay ns}, in registration order;
         # every vehicle hears itself first, with delay 0
         self._hears: dict[int, dict[int, int]] = {}
-        self._bit: dict[int, int] = {}              # vid -> 1 << registration index
         # vid -> mask of the other vehicles it hears, the receivers of its
         # broadcasts; every frame a sender broadcasts between two
         # registrations shares one int
@@ -164,7 +165,9 @@ class Medium:
                  handler: Callable[[Frame], None] | None = None) -> None:
         if vid in self.positions:
             raise ValueError(f"vehicle {vid} already registered")
-        bit = 1 << len(self.positions)
+        if vid < 0:
+            raise ValueError(f"vehicle id must be >= 0, got {vid}")
+        bit = 1 << vid
         hears = {vid: 0}
         receivers = 0
         cfg = self.cfg
@@ -173,10 +176,9 @@ class Medium:
             dist = pos.distance(other_pos)
             if dist <= range_m:
                 hears[other] = self._hears[other][vid] = cfg.prop_delay(dist)
-                receivers |= self._bit[other]
+                receivers |= 1 << other
                 self._receivers[other] |= bit
         self._hears[vid] = hears
-        self._bit[vid] = bit
         self._receivers[vid] = receivers
         self._sent[vid] = []
         self.positions[vid] = pos
@@ -200,9 +202,9 @@ class Medium:
             )
         dur = self.airtimes.get(frame.size) or self.airtime(frame.size)
         end = start + dur
-        log, receivers, bits = self.log, self._receivers, self._bit
+        log, receivers = self.log, self._receivers
         # the sender's range mask: a sender hears itself (half-duplex)
-        mask, hit = receivers[sender] | bits[sender], 0
+        mask, hit = receivers[sender] | 1 << sender, 0
         # Every logged frame started at or before `start`, so the half-open
         # intervals overlap iff it ends after `start` and starts before `end`;
         # a zero-length frame overlaps nothing that starts with it. A frame
@@ -213,7 +215,7 @@ class Medium:
             if other.start < floor:
                 break
             if other.end > start and other.start < end:
-                hit |= receivers[other.sender] | bits[other.sender]
+                hit |= receivers[other.sender] | 1 << other.sender
                 other.hit |= mask
         frame.start, frame.end = start, end
         frame.receivers, frame.hit = receivers[sender], hit
@@ -238,7 +240,7 @@ class Medium:
 
     def _deliver(self, payload: tuple[Frame, int]) -> None:
         frame, vid = payload
-        if not frame.hit & self._bit[vid]:
+        if not frame.hit >> vid & 1:
             owner, fn = self.handlers[vid]
             fn(owner(), frame)
 
@@ -263,7 +265,7 @@ class Medium:
         the call. A vehicle never receives its own frames.
         """
         hears = self._hears.get(listener, {})
-        bit, now = self._bit.get(listener, 0), self.kernel.now
+        bit, now = 1 << listener, self.kernel.now
         return (f for f in frames if f.receivers & bit and not f.hit & bit
                 and f.end + hears[f.sender] < now)
 
@@ -276,7 +278,7 @@ class Medium:
         delay = self._hears.get(sender, {}).get(listener)
         if delay is None:
             return None
-        bit, now = self._bit[listener], self.kernel.now
+        bit, now = 1 << listener, self.kernel.now
         for tx in reversed(self._sent[sender]):
             arrival = tx.end + delay
             if arrival <= after:

@@ -391,7 +391,6 @@ class TsnCtl:
         # the application's message source, a `scenario.ItsService` in a run,
         # read by `pull`; no burst step acts after its run end (`source.end`)
         self.source = source
-        self.epoch = -1
         self.schedule: dict[int, int] | None = None   # a master's own schedule
         self.my_slot: int | None = None
         self.master_id: int | None = None
@@ -436,7 +435,6 @@ class TsnCtl:
         We do if we join its formation round, which leaves us JOINING, or lead
         a platoon; only a member of the round acts at its end of slot 1.
         """
-        self.epoch = w
         state = self.state
         if state.status is IN_PLATOON:
             if state.role is MASTER or not self._master_silent():
@@ -591,9 +589,12 @@ class TsnCtl:
             self.my_slot = frame.allocations[self.vid]
             if outcome != "refresh":
                 # fresh membership: arm this window's trigger; a refresh keeps
-                # the one armed at window start (our own slot never moves)
+                # the one armed at window start (our own slot never moves).
+                # Windows lie on one grid, and an allocation arrives inside
+                # its own, by the end of slot 1.
+                now = self.kernel.now
                 self._slot_gen += 1
-                self._arm_slot(self.epoch)
+                self._arm_slot(now - now % self.wcfg.window_ns)
 
     # -- bursts: slot 1 and the data slots ---------------------------------------------
     #

@@ -130,14 +130,15 @@ def fsm_record_line(record: tuple) -> str:
             f"{after.status.name}/{after.role.name}")
 
 
-def outcomes(medium: Medium, frame: Frame) -> dict[int, bool]:
-    """Collided flag per receiver of a broadcast frame, in registration order.
+def outcomes(frame: Frame) -> dict[int, bool]:
+    """Collided flag per receiver of a broadcast frame, by vehicle id.
 
-    Vehicle k in `medium.positions` holds bit k of the frame's two masks. The
-    flags are final once the kernel clock reaches frame.end.
+    Vehicle v is bit v of the frame's two masks. The flags are final once the
+    kernel clock reaches frame.end.
     """
-    return {vid: bool(frame.hit >> k & 1) for k, vid in enumerate(medium.positions)
-            if frame.receivers >> k & 1}
+    receivers, hit = frame.receivers, frame.hit
+    return {vid: bool(hit >> vid & 1) for vid in range(receivers.bit_length())
+            if receivers >> vid & 1}
 
 
 def receivers_expected(frame: Frame) -> int:

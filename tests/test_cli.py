@@ -238,6 +238,28 @@ def test_verify_leaves_nothing_for_the_collector(tmp_path, capsys):
             gc.enable()
 
 
+def test_run_leaves_only_the_config_parsers_garbage(tmp_path, capsys):
+    """`configparser.ConfigParser` is cyclic (each section proxy holds converter
+    partials that point back to it), so every `load_config` leaves its parser
+    for the next full collection: 47 objects on CPython 3.11. `run` leaves
+    exactly as many, so it adds no cyclic garbage of its own."""
+    cfg = _write(tmp_path, GOOD_CONFIG)
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    load_config(cfg)
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        after_run = gc.collect()
+        load_config(cfg)
+        assert gc.collect() == after_run
+    finally:
+        if was:
+            gc.enable()
+
+
 def test_run_simulates_each_repetition_once(tmp_path, monkeypatch):
     seeds = []
 

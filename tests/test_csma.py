@@ -109,7 +109,7 @@ def test_simultaneous_messages_both_transmit_and_collide():
     positions = {0: Position(0.0, 0.0), 1: Position(30.0, 0.0), 2: Position(60.0, 0.0)}
     want = brute_force_outcomes(records, positions, 300.0)
     for tx, expected in zip(medium.log, want):
-        assert outcomes(medium, tx) == expected  # in particular both collided at vehicle 2
+        assert outcomes(tx) == expected  # in particular both collided at vehicle 2
         assert expected[2] is True
 
 

@@ -149,7 +149,7 @@ def digests(run: RunResult, tmp: Path) -> list[dict]:
     accounting = [hashlib.sha256(), hashlib.sha256()]
     for tx in run.medium.log:
         line = f"{receivers_expected(tx)} {receivers_expected(tx)} {receivers_collided(tx)}"
-        flags = sorted(outcomes(run.medium, tx).items())
+        flags = sorted(outcomes(tx).items())
         accounting[0].update(line.encode() + b"\n")
         line += " " + " ".join(f"{r}:{int(c)}" for r, c in flags)
         accounting[1].update(line.encode() + b"\n")

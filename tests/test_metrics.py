@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from _util import data_frame, receivers_collided, receivers_expected, recount
 
 from platoonsim.frames import FrameKind
-from platoonsim.kernel import Kernel, MS, SEC, US
+from platoonsim.kernel import EventKind, Kernel, MS, SEC, US
 from platoonsim.metrics import (
     CollisionStats,
     ExperimentResult,
@@ -29,7 +30,7 @@ from platoonsim.metrics import (
 )
 from platoonsim.radio import Medium, Position, RadioConfig
 from platoonsim.scenario import (COUNTING_RULES, MODE_BASELINE, MODE_TSNCTL, RunResult,
-                                 ScenarioConfig, run_scenario)
+                                 ScenarioConfig, VehicleSpec, run_scenario)
 from platoonsim.tsnctl import WindowConfig
 
 
@@ -152,11 +153,10 @@ def _overlap_logs(draw):
     60.0, {0: 0, 1: 0, 2: 12, 3: 5}))
 def test_sweep_oracle_matches_brute_force(log):
     records, positions, range_m, spawn = log
-    vids = list(positions)
     # the sweep takes a spawn map; an empty one has every vehicle present from
     # 0, before every start, as the reference has without one
     masks = _sweep_masks(records, positions, range_m, {} if spawn is None else spawn)
-    outcomes = [{vid: bool(collided >> k & 1) for k, vid in enumerate(vids) if receivers >> k & 1}
+    outcomes = [{vid: bool(collided >> vid & 1) for vid in positions if receivers >> vid & 1}
                 for receivers, collided in masks]
     assert outcomes == brute_force_outcomes(records, positions, range_m, spawn)
 
@@ -177,6 +177,32 @@ def test_online_flags_agree_with_oracle_on_mixed_runs():
                              spawn_interval_ns=100 * US)
         run = run_scenario(cfg, 11)
         assert oracle_check_run(run) == []
+
+
+def test_masks_name_vehicles_by_id_whatever_the_registration_order():
+    """Vehicles 7, 2 and 5 register in that order. Each receivers mask is the
+    OR of 1 << v over the registered vehicles in range of the sender, and the
+    oracle, which reads only the specs, agrees with the specs in any order."""
+    kernel = Kernel()
+    cfg = ScenarioConfig(mode=MODE_BASELINE, radio=RadioConfig(range_m=100.0))
+    medium = Medium(kernel, cfg.radio)
+    # 2 hears 7 and 5, which are 120 m apart and do not hear each other
+    specs = [VehicleSpec(7, Position(0.0, 0.0), 0), VehicleSpec(2, Position(50.0, 0.0), 100 * US),
+             VehicleSpec(5, Position(120.0, 0.0), 200 * US)]
+    for spec in specs:
+        kernel.at(spec.spawn_at, spec.vid, EventKind.SPAWN,
+                  lambda spec: medium.register(spec.vid, spec.position), spec)
+    # 67 us frames: alone; heard by 7 only; 7 and 5 overlapping at 2; heard by both
+    for sender, at in [(7, 50 * US), (2, 150 * US), (7, 400 * US), (5, 420 * US), (2, 1 * MS)]:
+        kernel.at(at, sender, EventKind.TIMER,
+                  lambda sender: medium.broadcast(data_frame(sender, 50)), sender)
+    kernel.run_until(5 * MS)
+
+    assert list(medium.positions) == [7, 2, 5]
+    assert [tx.receivers for tx in medium.log] == [0, 1 << 7, 1 << 2, 1 << 2, 1 << 7 | 1 << 5]
+    assert [receivers_collided(tx) for tx in medium.log] == [0, 0, 1, 1, 0]
+    for order in itertools.permutations(specs):
+        assert oracle_check_run(RunResult(cfg, medium, list(order), {}, {}, {})) == []
 
 
 @st.composite
@@ -214,7 +240,7 @@ def test_oracle_check_run_agrees_on_small_random_runs(small):
 @pytest.mark.parametrize("mode", [MODE_BASELINE, MODE_TSNCTL])
 def test_oracle_check_run_reports_a_tampered_transmission(mode):
     run = run_scenario(ScenarioConfig(vehicle_count=6, mode=mode, sim_duration_ns=SEC), 1)
-    # the oracle's bits follow registration order, whatever the order of the specs
+    # vehicle v is bit v of the oracle's masks, whatever the order of the specs
     assert oracle_check_run(replace(run, specs=run.specs[::-1])) == []
     i, tx = next((i, tx) for i, tx in enumerate(run.medium.log) if tx.receivers)
     tx.hit ^= tx.receivers & -tx.receivers          # flip one receiver's bit
@@ -425,6 +451,13 @@ def _radio_header(**fields):
     pytest.param(_first_record_fields(5), "line 9: malformed record", id="record-five-fields"),
     pytest.param(_first_record_fields(7), "line 9: malformed record", id="record-seven-fields"),
     (_insert_before_records("# vehicle 0 5000.0 0.0 0"), "line 8: duplicate vehicle header"),
+    # vehicle v is bit v of the oracle's masks, so ids are bounded by the vehicle count
+    pytest.param(_insert_before_records("# vehicle -1 5000.0 0.0 0"),
+                 r"^vehicle ids must be 0 to 5, one per '# vehicle' line; got \[-1\]$",
+                 id="vehicle-id-negative"),
+    pytest.param(_insert_before_records("# vehicle 10000000 5000.0 0.0 0"),
+                 r"^vehicle ids must be 0 to 5, one per '# vehicle' line; got \[10000000\]$",
+                 id="vehicle-id-past-the-count"),
     (_insert_before_records("# radio range_m=10.0 data_rate_bps=6000000 "
                             "propagation_mps=300000000.0 preamble_ns=0"),
      "line 8: duplicate radio header"),
@@ -437,6 +470,20 @@ def test_load_rejects_malformed_logs(tmp_path, edit, message):
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     with pytest.raises(ValueError, match=message):
         load_transmission_log(path)
+
+
+@pytest.mark.parametrize("where", [1, 5, -1], ids=["in-the-header", "before-a-vehicle",
+                                                  "between-records"])
+def test_load_skips_blank_lines(tmp_path, where):
+    cfg = ScenarioConfig(vehicle_count=5, mode=MODE_BASELINE,
+                         sim_duration_ns=1 * SEC, spawn_interval_ns=100 * US)
+    path = tmp_path / "t.log"
+    write_transmission_log(run_scenario(cfg, 22), path)
+    lines = path.read_text().splitlines()
+    assert lines[5].startswith("# vehicle") and not lines[-2].startswith("#")
+    written = load_transmission_log(path)
+    path.write_text("\n".join(lines[:where] + ["", "  "] + lines[where:]) + "\n")
+    assert load_transmission_log(path) == written
 
 
 @pytest.mark.parametrize("mode, extra", [

@@ -39,6 +39,19 @@ def test_tx_duration_rejects_negative_size():
         tx_duration(-1, _cfg())
 
 
+@pytest.mark.parametrize("act, message", [
+    (lambda m: m.register(0, Position(5.0, 0.0)), "vehicle 0 already registered"),
+    (lambda m: m.register(-1, Position(5.0, 0.0)), "vehicle id must be >= 0, got -1"),
+    (lambda m: m.broadcast(data_frame(3)), "sender 3 not registered"),
+], ids=["duplicate-id", "negative-id", "unregistered-sender"])
+def test_medium_rejects_a_bad_vehicle(act, message):
+    m = Medium(Kernel(), _cfg())
+    m.register(0, Position(0.0, 0.0))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        act(m)
+    assert list(m.positions) == [0] and m.log == []
+
+
 class _Sink:
     """A handler's object: `on_frame` records (delivery time, frame) in `got`."""
 
@@ -122,7 +135,7 @@ def test_deliver_raises_an_event_per_receiver_with_a_handler_and_hands_over_clea
     k.run_until(20 * US)
     m.broadcast(data_frame(4))                                   # on air at 2 during tx
     k.run_until(5 * MS)
-    assert outcomes(m, tx) == {1: False, 2: True, 3: False}
+    assert outcomes(tx) == {1: False, 2: True, 3: False}
     arrival = tx.end + m.cfg.prop_delay(50.0)
     assert [(at, target) for at, _, target, name in k.trace if name == "FRAME_DELIVERY"] == \
         [(arrival, 1), (arrival, 2)]
@@ -182,8 +195,8 @@ def test_overlapping_transmissions_collide_at_common_receiver():
     tx_b = m.broadcast(data_frame(1))
     k.run_until(10 * MS)
     # symmetry: both directions of the overlap are ruined at receiver 2
-    assert outcomes(m, tx_a)[2] is True
-    assert outcomes(m, tx_b)[2] is True
+    assert outcomes(tx_a)[2] is True
+    assert outcomes(tx_b)[2] is True
     # and the allocation's delivery event at 2 hands its handler nothing
     assert [(target, kind) for *_, target, kind in k.trace] == [(2, "FRAME_DELIVERY")]
     assert sink.got == []
@@ -198,7 +211,7 @@ def test_half_duplex_receiver_marks_reception_collided():
     k.run_until(500 * US)
     m.broadcast(data_frame(1, size=100))   # receiver 1 transmits during reception
     k.run_until(10 * MS)
-    assert outcomes(m, tx_a)[1] is True
+    assert outcomes(tx_a)[1] is True
 
 
 def test_concurrent_transmit_by_same_sender_is_a_hard_fault():
@@ -289,7 +302,7 @@ def test_masks_hold_the_overlap_of_frames_still_on_air():
     # receiver 1 is transmitting (half-duplex) and 2 hears both senders
     assert (receivers_expected(tx_a), receivers_collided(tx_a)) == (2, 2)
     assert receivers_collided(tx_b) > 0
-    assert outcomes(m, tx_a)[2] is True and outcomes(m, tx_b)[2] is True
+    assert outcomes(tx_a)[2] is True and outcomes(tx_b)[2] is True
 
 
 def test_online_flags_match_brute_force_on_a_braided_sequence():
@@ -307,7 +320,7 @@ def test_online_flags_match_brute_force_on_a_braided_sequence():
     records = [(tx.sender, tx.start, tx.end) for tx in m.log]
     want = brute_force_outcomes(records, positions, 100.0)
     for tx, expected in zip(m.log, want):
-        assert outcomes(m, tx) == expected
+        assert outcomes(tx) == expected
 
 
 def _accounting(tx):
@@ -333,7 +346,7 @@ def test_masks_count_receptions_still_in_flight(handled):
     _send(m, _frame(3, handled))
     k.run_until(tx.end + 100)
     assert _accounting(tx) == (2, 1)
-    assert outcomes(m, tx) == {1: False, 2: True}
+    assert outcomes(tx) == {1: False, 2: True}
     # the count reads the masks; no frame is handed to a handler for it
     assert [[frame for _, frame in sinks[vid].got] for vid in (1, 2)] == \
         ([[tx], []] if handled else [[], []])
@@ -351,7 +364,7 @@ def test_receivers_mask_ignores_vehicles_registered_after_the_broadcast(handled)
     m.register(2, Position(20.0, 0.0),      # in range, but arrived too late
                handler=sinks[2].on_frame if handled else None)
     assert _accounting(tx) == (1, 0)
-    assert set(outcomes(m, tx)) == {1}
+    assert set(outcomes(tx)) == {1}
     assert sinks[2].got == []
 
 
@@ -379,7 +392,7 @@ def test_masks_settle_a_run_cut_mid_delivery_like_the_oracle(xs, starts, which, 
     records = [(tx.sender, tx.start, tx.end) for tx in m.log]
     want = brute_force_outcomes(records, positions, m.cfg.range_m)
     assert [_accounting(tx) for tx in m.log] == [(len(w), sum(w.values())) for w in want]
-    assert [outcomes(m, tx) for tx in m.log] == want
+    assert [outcomes(tx) for tx in m.log] == want
 
 
 # -- receptions read from the log ------------------------------------------------
@@ -471,7 +484,7 @@ def test_interferer_masks_match_brute_force(cells, joins, sends):
     and inside broadcasts.
     """
     m, flags, _delay, _got, delivered = _coarse_run(cells, joins, sends, [])
-    assert [outcomes(m, tx) for tx in m.log] == flags
+    assert [outcomes(tx) for tx in m.log] == flags
     assert [(receivers_expected(tx), receivers_collided(tx)) for tx in m.log] == \
         [(len(f), sum(f.values())) for f in flags]
     # an event per reception of an allocation; only the clean ones reach the handler
@@ -730,8 +743,8 @@ def test_tail_scan_sees_a_long_frame_logged_before_short_ones():
     # a bound taken from the short frames' airtime would stop before the long frame
     assert late_tx.start - long_tx.start > tx_duration(10, m.cfg) + m.cfg.max_delay
     assert late_tx.start == 1_100 * US < long_tx.end
-    assert late_tx.hit & m._bit[2] and long_tx.hit & m._bit[0]
-    assert not m.log[8].hit & m._bit[2]     # starts after the long frame ended
+    assert late_tx.hit >> 2 & 1 and long_tx.hit >> 0 & 1
+    assert not m.log[8].hit >> 2 & 1        # starts after the long frame ended
     records = [(tx.sender, tx.start, tx.end) for tx in m.log]
     assert [(tx.receivers, tx.receivers & tx.hit) for tx in m.log] == \
         _sweep_masks(records, positions, m.cfg.range_m, {})      # all present from 0

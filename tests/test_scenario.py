@@ -216,6 +216,17 @@ def test_payload_over_ceiling_is_a_config_error():
         ScenarioConfig(payload_size_b=801).validate()
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"spawn_interval_ns": 0}, "spawn and message intervals must be positive"),
+    ({"message_interval_ns": -1}, "spawn and message intervals must be positive"),
+    ({"sim_duration_ns": 0}, "sim_duration_ns must be positive"),
+    ({"payload_size_b": 0}, "payload_size_b must be >= 1"),
+], ids=["spawn-interval", "message-interval", "duration", "payload"])
+def test_validate_names_the_bad_field(fields, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        ScenarioConfig(**fields).validate()
+
+
 def test_window_with_fewer_than_three_slots_is_a_config_error():
     with pytest.raises(ConfigError):
         ScenarioConfig(window=WindowConfig(window_ns=2 * MS, slot_len_ns=2 * MS)).validate()

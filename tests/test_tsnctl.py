@@ -185,7 +185,7 @@ def test_listener_whose_earliest_announce_collided_follows_the_next_one():
     kernel.run_until(100 * MS + W2.slot_len_ns + listener.guard)   # the end of slot 0
     announces = medium.transmissions(FrameKind.CONTROL_ANNOUNCE, 100 * MS)
     earliest = min(announces, key=lambda tx: (tx.generated_at, tx.sender))
-    assert earliest.sender == 0 and outcomes(medium, earliest)[3] is True
+    assert earliest.sender == 0 and outcomes(earliest)[3] is True
     assert [f.sender for f in medium.clean_receptions(3, announces)] == [1]
     assert listener.transitions[-1][1:3] == (FsmEvent.SLOT0_END, "lost")
     assert (listener.master_id, listener.master_ts) == (1, 1 * MS)
@@ -450,6 +450,19 @@ def test_priority_queue_unknown_class_is_a_hard_fault():
     q = PriorityQueueSet(2)
     with pytest.raises(ValueError):
         q.push(Frame(FrameKind.DATA, 0, 100, 0, priority=2))
+
+
+@pytest.mark.parametrize("act, error, message", [
+    (lambda: WindowConfig(window_ns=0).validate(), ValueError,
+     "window and slot length must be positive"),
+    (lambda: WindowConfig(slot_len_ns=-1).validate(), ValueError,
+     "window and slot length must be positive"),
+    (lambda: PriorityQueueSet(0), ValueError, "need at least one priority level"),
+    (lambda: PriorityQueueSet().pop(), IndexError, "pop from empty queue set"),
+], ids=["window-zero", "slot-negative", "no-levels", "pop-empty"])
+def test_window_and_queue_faults_are_named(act, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        act()
 
 
 # -- controller integration ------------------------------------------------------------------
@@ -779,7 +792,7 @@ def test_collided_control_frames_are_ignored():
     medium.deliver(medium.broadcast(alloc))
     medium.broadcast(Frame(FrameKind.DATA, 98, 100, 0))     # overlaps it at 5
     kernel.run_until(101 * MS + 500 * US)
-    assert alloc.end < 101 * MS + 500 * US and outcomes(medium, alloc)[5] is True
+    assert alloc.end < 101 * MS + 500 * US and outcomes(alloc)[5] is True
     assert [(target, kind) for *_, target, kind in kernel.trace
             if kind == "FRAME_DELIVERY"] == [(5, "FRAME_DELIVERY")]
     assert FsmEvent.ALLOCATION_RECEIVED not in [t[1] for t in ctl.transitions]
@@ -876,13 +889,15 @@ def test_controller_created_on_a_boundary_first_acts_a_window_later(spawn_first)
     clock = WindowClock(kernel, medium, W2)
     if not spawn_first:
         kernel.at(window, 1, EventKind.SPAWN, spawn, 1)
-    kernel.run_until(2 * window - 1)
+    kernel.run_until(window - 1)
+    assert ctls[0].transitions == []
+    kernel.run_until(window)
     first, late = ctls
     assert late.created_at == window
-    assert first.epoch == window
-    assert late.epoch == -1 and late.transitions == []
+    assert first.transitions[0][1] is FsmEvent.WINDOW_START
+    kernel.run_until(2 * window - 1)
+    assert late.transitions == []
     kernel.run_until(2 * window)
-    assert late.epoch == 2 * window
     assert late.transitions[0][1] is FsmEvent.WINDOW_START
     assert clock.members == ([late, first] if spawn_first else [first, late])
 
