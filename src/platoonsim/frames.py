@@ -15,14 +15,6 @@ class FrameKind(IntEnum):
 # The members, bound once for the per-frame paths (see `kernel.EventKind`).
 CONTROL_ANNOUNCE, CONTROL_ALLOCATION, DATA = FrameKind
 
-# The label of each kind in the transmission log.
-KIND_LABELS = {
-    CONTROL_ANNOUNCE: "control-announce",
-    CONTROL_ALLOCATION: "control-allocation",
-    DATA: "data",
-}
-KIND_BY_LABEL = {v: k for k, v in KIND_LABELS.items()}
-
 
 # Priority classes; index 0 is the highest (safety traffic).
 PRIO_SAFETY = 0

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .frames import DATA, KIND_BY_LABEL, KIND_LABELS
+from .frames import CONTROL_ALLOCATION, CONTROL_ANNOUNCE, DATA
 from .radio import Position, RadioConfig
 from .scenario import (COUNTING_RULES, MODE_BASELINE, MODE_TSNCTL, RunResult, ScenarioConfig,
                        run_scenario)
@@ -315,6 +315,9 @@ def emit_sweep_csv(axis: str, rows: list[tuple[int, str, int | None, ExperimentR
 LOG_VERSION = "platoonsim transmission log v1"
 # the radio header's keys, in the order written, each with its parser
 LOG_RADIO = {"range_m": float, "data_rate_bps": int, "propagation_mps": float, "preamble_ns": int}
+# the label of each frame kind in a record
+KIND_LABELS = {CONTROL_ANNOUNCE: "control-announce", CONTROL_ALLOCATION: "control-allocation",
+               DATA: "data"}
 
 
 def write_transmission_log(run: RunResult, path: str | Path) -> None:
@@ -385,7 +388,7 @@ def load_transmission_log(path: str | Path) -> LoadedLog:
         try:
             sender, start, end, size, kind, flag = line.split()
             sender, start, end = int(sender), int(start), int(end)
-            if int(size) < 0 or kind not in KIND_BY_LABEL or flag not in ("0", "1"):
+            if int(size) < 0 or kind not in KIND_LABELS.values() or flag not in ("0", "1"):
                 raise ValueError
         except ValueError:
             raise ValueError(f"line {lineno}: malformed record {line!r}") from None

@@ -26,10 +26,10 @@ liveness that protocols read back from the log (`clean_receptions`,
 time t counts the clean receptions that arrived before t; the order in which
 events were scheduled plays no part.
 
-The medium knows no protocol: a broadcast raises no event. A protocol that
-acts on a frame at once, as the slot controller does on an allocation, asks
-the medium to `deliver` it: that raises one event per receiver with a
-handler, and hands the frame over only where it arrived clean.
+The medium knows no protocol and no frame kind: a broadcast raises no
+event. A protocol that acts on a frame at once, as the slot controller does
+on an allocation, asks the medium to `deliver` it: that raises one event per
+receiver with a handler, and hands the frame over only where it arrived clean.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Callable, Iterator
 
-from .frames import Frame, FrameKind
+from .frames import Frame
 from .kernel import FRAME_DELIVERY, Kernel, SEC
 
 
@@ -245,17 +245,6 @@ class Medium:
             fn(owner(), frame)
 
     # -- reading receptions from the log ---------------------------------------
-
-    def transmissions(self, kind: FrameKind, since: int) -> list[Frame]:
-        """The logged frames of `kind` that started at or after `since`, by start."""
-        frames = []
-        for frame in reversed(self.log):
-            if frame.start < since:
-                break
-            if frame.kind is kind:
-                frames.append(frame)
-        frames.reverse()
-        return frames
 
     def clean_receptions(self, listener: int, frames: list[Frame]) -> Iterator[Frame]:
         """The logged `frames` that listener heard clean before now, in their order.

@@ -35,11 +35,13 @@ a controller takes it only where it arrived clean. Everything else is read
 back from the medium's log when it is needed: the election and the master's
 admission read the clean announces heard since the window started, and a
 slave learns that its master is alive from the master's latest clean arrival
-at it. The clock orders the window's announces by election key once; a
-vehicle announces at most once per window, so a listener's first clean one is
-its best heard candidate, and a listener that loses reads no further. The
-election weighs at most that announce, the listener itself and its master,
-and reads the master's liveness only when the master could win.
+at it. The clock takes the window's announces from where the window opened in
+the log and orders them by election key once; a vehicle announces at most once
+per window, so a listener's first clean one is its best heard candidate, and a
+listener that loses reads no further. A controller follows its master's
+election key, which each frame of the master carries, as its creation time.
+The election weighs at most that announce, the listener itself and its
+master, and reads the master's liveness only when the master could win.
 
 A controller keeps no flag for what its other state already says. A master's
 allocation went out iff it holds a schedule: it takes the schedule when the
@@ -55,7 +57,6 @@ from enum import IntEnum, auto
 
 from .frames import (
     ANNOUNCE_SIZE,
-    CONTROL_ANNOUNCE,
     Frame,
     allocation_size,
     make_allocation,
@@ -318,7 +319,9 @@ class WindowClock:
     window start takes its first one a window later.
 
     The guard is the propagation delay over the radio range: every frame sent
-    in a slot has arrived everywhere by its end plus the guard."""
+    in a slot has arrived everywhere by its end plus the guard. Only announces
+    start from a window start to its end of slot 0: slot-1 frames are armed
+    there or later, and no burst step runs past its window."""
 
     TARGET = -1     # the kernel target of the clock's events; vehicle ids are >= 0
 
@@ -336,18 +339,19 @@ class WindowClock:
         (self._early if self.kernel.now == self._next else self.members).append(ctl)
 
     def _on_window_start(self, w: int) -> None:
+        opened = len(self.medium.log)
         acting = [ctl for ctl in self.members if ctl._on_window_start(w)]
         in_round = [ctl for ctl in acting if ctl.state.status is JOINING]
         self.members[:0], self._early = self._early, []
         self._next = w + self.wcfg.window_ns
         at, slot = self.kernel.at, self.wcfg.slot_len_ns
-        at(w + slot + self.guard, self.TARGET, TIMER, self._on_slot0_end, (w, acting))
+        at(w + slot + self.guard, self.TARGET, TIMER, self._on_slot0_end, (w, opened, acting))
         at(w + 2 * slot, self.TARGET, TIMER, self._on_slot1_end, (w, in_round))
         at(self._next, self.TARGET, TIMER, self._on_window_start, self._next)
 
-    def _on_slot0_end(self, payload: tuple[int, list[TsnCtl]]) -> None:
-        w, acting = payload
-        announces = self.medium.transmissions(CONTROL_ANNOUNCE, w)
+    def _on_slot0_end(self, payload: tuple[int, int, list[TsnCtl]]) -> None:
+        w, opened, acting = payload
+        announces = self.medium.log[opened:]
         announces.sort(key=lambda f: election_key(f.generated_at, f.sender))
         for ctl in acting:
             ctl._on_slot0_end(w, announces)
@@ -362,7 +366,8 @@ class TsnCtl:
     """One vehicle's controller instance, driven by its clock and kernel events.
 
     It stores no derived fact: a master's allocation went out iff it holds a
-    `schedule`, and a slave was admitted iff it holds `my_slot`.
+    `schedule`, and a slave was admitted iff it holds `my_slot`. `master` is
+    its master's election key: a vehicle's frames all carry its `created_at`.
 
     `transitions` holds one record per FSM step, and every step along one
     edge appends the same tuple, built once at import from `LEGAL_EDGES`.
@@ -393,8 +398,7 @@ class TsnCtl:
         self.source = source
         self.schedule: dict[int, int] | None = None   # a master's own schedule
         self.my_slot: int | None = None
-        self.master_id: int | None = None
-        self.master_ts: int | None = None
+        self.master: tuple[int, int] | None = None    # (timestamp, id) of the master we follow
         self._slot_gen = 0          # invalidates armed slot triggers on membership change
         # the latest clean arrival `_master_silent` read, and whose frame it was
         self._heard_from: int | None = None
@@ -452,9 +456,9 @@ class TsnCtl:
         """No clean frame of the master for the timeout, counted from creation.
 
         The log is read only past the deadline of the arrival last read."""
-        master = self.master_id
-        if master is None:
+        if self.master is None:
             return True
+        master = self.master[1]
         since = self.kernel.now - MASTER_TIMEOUT_WINDOWS * self.wcfg.window_ns
         if self.created_at > since or (master == self._heard_from and self._heard_at > since):
             return False
@@ -467,8 +471,7 @@ class TsnCtl:
     def _reset_membership(self) -> None:
         self.schedule = None
         self.my_slot = None
-        self.master_id = None
-        self.master_ts = None
+        self.master = None
         self._slot_gen += 1
 
     # -- slot 0: announce -------------------------------------------------------
@@ -497,17 +500,15 @@ class TsnCtl:
         key = election_key(self.created_at, self.vid)
         if best is not None:
             key = min(key, election_key(best.generated_at, best.sender))
-        # the master weighs its created_at, as its frames carry, so only an
-        # unheard one can beat the rest; its liveness is read only then
-        master = self.master_id
-        if (master is not None and election_key(self.master_ts, master) < key
-                and not self._master_silent()):
-            key = election_key(self.master_ts, master)
+        # only a master unheard this window can beat the rest; its liveness is read only then
+        master = self.master
+        if master is not None and master < key and not self._master_silent():
+            key = master
         ts, winner = key
 
         if winner != self.vid:
             self._step(SLOT0_END, "lost")
-            self.master_id, self.master_ts = winner, ts
+            self.master = key
             return
 
         self._step(SLOT0_END, "won")
@@ -550,7 +551,7 @@ class TsnCtl:
         self._step(SLOT1_END, "missed" if held is None else "allocated")
         if master and held is not None:
             self.my_slot = held[self.vid]
-            self.master_id, self.master_ts = self.vid, self.created_at
+            self.master = election_key(self.created_at, self.vid)
             self._arm_slot(w)
 
     # -- allocation reception ---------------------------------------------------------
@@ -560,20 +561,20 @@ class TsnCtl:
 
         It decides the outcome, steps the FSM once, then applies the effects."""
         key = election_key(frame.generated_at, frame.sender)
-        master = election_key(self.master_ts, self.master_id)
+        master = self.master
         listed = self.vid in frame.allocations
         st = self.state
         if st.status is INIT:   # no edge leaves INIT on a frame: note the master
-            self.master_id, self.master_ts = frame.sender, frame.generated_at
+            self.master = key
             return
         if st.status is IN_PLATOON:
-            if frame.sender == self.master_id:
+            if key == master:
                 outcome = "refresh" if listed else "superseded"
             else:
                 outcome = "superseded" if key < master else "ignored"
         elif st.role is MASTER:
             outcome = "superseded" if key < election_key(self.created_at, self.vid) else "ignored"
-        elif self.master_id is None or key <= master or frame.sender == self.master_id:
+        elif master is None or key <= master:
             outcome = "listed" if listed else "unlisted"
         else:
             outcome = "ignored"
@@ -583,7 +584,7 @@ class TsnCtl:
             return
         if outcome == "superseded":
             self._reset_membership()
-        self.master_id, self.master_ts = frame.sender, frame.generated_at
+        self.master = key
         if listed:
             # a slave reads only its own slot; the master checked the schedule
             self.my_slot = frame.allocations[self.vid]

@@ -1,9 +1,6 @@
 from platoonsim.frames import (
     ALLOCATION_BASE_SIZE,
     ANNOUNCE_SIZE,
-    KIND_BY_LABEL,
-    KIND_LABELS,
-    FrameKind,
     allocation_size,
     make_allocation,
     make_announce,
@@ -15,12 +12,3 @@ def test_control_frame_sizes():
     frame = make_allocation(sender=3, generated_at=42,
                             allocations={3: 2, 5: 3, 9: 4})
     assert frame.size == allocation_size(3) == ALLOCATION_BASE_SIZE + 24
-
-
-def test_kind_labels_round_trip():
-    assert KIND_LABELS == {
-        FrameKind.DATA: "data",
-        FrameKind.CONTROL_ANNOUNCE: "control-announce",
-        FrameKind.CONTROL_ALLOCATION: "control-allocation",
-    }
-    assert {KIND_BY_LABEL[label]: label for label in KIND_LABELS.values()} == KIND_LABELS

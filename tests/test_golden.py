@@ -39,7 +39,12 @@ these, and `_util` computes them as the fixture was made, for this digest and
 
 The same runs also go through the carrier-sense oracle (`_carrier_sense`):
 no frame that its protocol sensed before sending started while its sender
-sensed another frame.
+sensed another frame. On the tsnctl runs they pin two facts that the slot
+controller relies on. Only announces start between a window start and the
+end of its slot 0, and each fits slot 0, so the window clock can take a
+window's announces from where the window opened in the log. Every announce
+and allocation carries its sender's creation time, so a controller can tell
+its master's frames by election key alone.
 
 A change that alters output on purpose regenerates the fixture with
 
@@ -60,6 +65,7 @@ from _carrier_sense import run_sensed_busy
 from _util import (frames_transmitted, fsm_record_line, join_retries, outcomes,
                    receivers_collided, receivers_expected)
 
+from platoonsim.frames import CONTROL_ALLOCATION, CONTROL_ANNOUNCE
 from platoonsim.kernel import MS
 from platoonsim.metrics import write_transmission_log
 from platoonsim.radio import RadioConfig
@@ -207,6 +213,33 @@ def test_output_matches_golden_digest(golden, computed, key):
 def test_sensed_frames_start_on_an_idle_channel(runs, point):
     """The carrier-sense oracle finds no sensed frame that started on a busy channel."""
     assert run_sensed_busy(runs[point]) == []
+
+
+TSNCTL_POINTS = [point[0] for point in _grid() if point[1] == MODE_TSNCTL]
+
+
+@pytest.mark.parametrize("point", TSNCTL_POINTS)
+def test_only_announces_start_before_the_end_of_slot_0(runs, point):
+    """A frame that starts in [w, w + slot + max_delay) of a window w is an
+    announce, and every announce starts in [w, w + slot - its airtime]."""
+    run = runs[point]
+    window, slot = run.cfg.window.window_ns, run.cfg.window.slot_len_ns
+    slot0_end = slot + run.cfg.radio.max_delay
+    for tx in run.medium.log:
+        offset = tx.start % window
+        if tx.kind is CONTROL_ANNOUNCE:
+            assert offset <= slot - (tx.end - tx.start), tx
+        else:
+            assert offset >= slot0_end, tx
+
+
+@pytest.mark.parametrize("point", TSNCTL_POINTS)
+def test_control_frames_carry_their_senders_creation_time(runs, point):
+    run = runs[point]
+    control = [tx for tx in run.medium.log if tx.kind in (CONTROL_ANNOUNCE, CONTROL_ALLOCATION)]
+    assert control
+    for tx in control:
+        assert tx.generated_at == run.controllers[tx.sender].created_at, tx
 
 
 if __name__ == "__main__":

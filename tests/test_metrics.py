@@ -14,6 +14,7 @@ from platoonsim.kernel import EventKind, Kernel, MS, SEC, US
 from platoonsim.metrics import (
     CollisionStats,
     ExperimentResult,
+    KIND_LABELS,
     FlagMismatch,
     _sweep_masks,
     brute_force_flags,
@@ -336,6 +337,14 @@ def test_sweep_csv_is_long_format(tmp_path):
     assert {tuple(line.split(",")[2:4]) for line in lines[1:]} == \
         {("baseline", ""), ("tsnctl", str(1 * MS)), ("tsnctl", str(2 * MS)),
          ("tsnctl", str(3 * MS))}
+
+
+def test_kind_labels():
+    assert KIND_LABELS == {
+        FrameKind.DATA: "data",
+        FrameKind.CONTROL_ANNOUNCE: "control-announce",
+        FrameKind.CONTROL_ALLOCATION: "control-allocation",
+    }
 
 
 def test_transmission_log_roundtrip_and_verify(tmp_path):

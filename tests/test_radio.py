@@ -557,7 +557,8 @@ def test_clean_receptions_match_brute_force(cells, joins, sends, reads):
     m, flags, delay, got, _ = _coarse_run(
         cells, joins, sends,
         [(at, lambda m, listener=listener, since=since:
-          list(m.clean_receptions(listener, m.transmissions(FrameKind.CONTROL_ANNOUNCE, since))))
+          list(m.clean_receptions(listener, [tx for tx in m.log if tx.start >= since
+                                             and tx.kind is FrameKind.CONTROL_ANNOUNCE])))
          for listener, at, since in reads])
     want = [[tx for tx, f in zip(m.log, flags)
              if tx.kind is FrameKind.CONTROL_ANNOUNCE and tx.start >= since
@@ -648,7 +649,8 @@ def _one_frame_read(arrival_offset: int, read_first: bool):
 
     def reads(_):
         got.append((m.last_clean_arrival(1, 0, read_at - 300 * MS),
-                    list(m.clean_receptions(1, m.transmissions(FrameKind.CONTROL_ANNOUNCE, 0)))))
+                    list(m.clean_receptions(1, [tx for tx in m.log
+                                                if tx.kind is FrameKind.CONTROL_ANNOUNCE]))))
 
     def read():
         k.at(read_at, 1, EventKind.TIMER, reads)
@@ -752,30 +754,6 @@ def test_tail_scan_sees_a_long_frame_logged_before_short_ones():
     assert live == want
     assert any(edge > at for (vid, at), edge in want.items() if at > 1_100 * US)
     assert {(vid, at): m.idle_from(vid, at) for vid, at in want} == want
-
-
-def test_transmissions_walks_back_to_since():
-    """`since` at a start shared with a zero-length frame, past the last start, and 0."""
-    k = Kernel()
-    m = Medium(k, _cfg())
-    for vid in range(5):
-        m.register(vid, Position(10.0 * vid, 0.0))
-    ann = FrameKind.CONTROL_ANNOUNCE
-    plan = [(0, 5, ann, 100), (1, 5, FrameKind.DATA, 10), (2, 10, ann, 0),
-            (3, 10, ann, 100), (4, 10, FrameKind.DATA, 10), (1, 20, ann, 100)]
-    for sender, at, kind, size in plan:
-        k.run_until(at * US)
-        m.broadcast(Frame(kind, sender, size, 0))
-    k.run_until(MS)
-    log = m.log
-    assert log[2].start == log[2].end == 10 * US
-    assert m.transmissions(ann, 10 * US) == [log[2], log[3], log[5]]
-    assert m.transmissions(FrameKind.DATA, 10 * US) == [log[4]]
-    assert m.transmissions(ann, 10 * US + 1) == [log[5]]
-    assert m.transmissions(ann, 20 * US + 1) == []
-    assert m.transmissions(FrameKind.DATA, 20 * US + 1) == []
-    assert m.transmissions(ann, 0) == [log[0], log[2], log[3], log[5]]
-    assert m.transmissions(FrameKind.DATA, 0) == [log[1], log[4]]
 
 
 def test_idle_from_at_a_past_time_passes_over_later_frames():

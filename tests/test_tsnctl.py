@@ -150,17 +150,18 @@ def test_round_winner_is_elect_master_over_all_clean_announces_and_a_live_master
             candidates = {vid: ctl.created_at}
             for frame in list(medium.clean_receptions(vid, announces)):
                 candidates[frame.sender] = frame.generated_at
-            if ctl.master_id is not None and not ctl._master_silent():
-                candidates.setdefault(ctl.master_id, ctl.master_ts)
+            if ctl.master is not None and not ctl._master_silent():
+                ts, master = ctl.master
+                candidates.setdefault(master, ts)
             want = elect_master(candidates)
             steps = len(ctl.transitions)
             elect(w, announces)
             _, event, outcome, _ = ctl.transitions[steps]
             assert event is FsmEvent.SLOT0_END
-            got = vid if outcome == "won" else ctl.master_id
+            got = vid if outcome == "won" else ctl.master[1]
             assert got == want
             if outcome == "lost":
-                assert ctl.master_ts == candidates[want]
+                assert ctl.master == (candidates[want], want)
             rounds.append(w)
 
         ctl._on_slot0_end = checked
@@ -183,12 +184,13 @@ def test_listener_whose_earliest_announce_collided_follows_the_next_one():
         run_ms=100, positions={vid: Position(x[vid], 0.0) for vid in x})
     listener = ctls[3]
     kernel.run_until(100 * MS + W2.slot_len_ns + listener.guard)   # the end of slot 0
-    announces = medium.transmissions(FrameKind.CONTROL_ANNOUNCE, 100 * MS)
+    announces = [tx for tx in medium.log
+                 if tx.start >= 100 * MS and tx.kind is FrameKind.CONTROL_ANNOUNCE]
     earliest = min(announces, key=lambda tx: (tx.generated_at, tx.sender))
     assert earliest.sender == 0 and outcomes(earliest)[3] is True
     assert [f.sender for f in medium.clean_receptions(3, announces)] == [1]
     assert listener.transitions[-1][1:3] == (FsmEvent.SLOT0_END, "lost")
-    assert (listener.master_id, listener.master_ts) == (1, 1 * MS)
+    assert listener.master == (1 * MS, 1)
 
 
 def _follower_of_an_unheard_master():
@@ -217,7 +219,7 @@ def _follower_of_an_unheard_master():
                                                     allocations={99: 2})))
     kernel.run_until(110 * MS)
     assert ctls[5].state == FsmState(Status.JOINING, Role.SLAVE)
-    assert (ctls[5].master_id, ctls[5].master_ts) == (99, 0)
+    assert ctls[5].master == (0, 99)
     return kernel, medium, ctls[5]
 
 
@@ -228,11 +230,12 @@ def _round_outcomes(ctl):
 def test_live_unheard_master_wins_the_round():
     kernel, medium, ctl = _follower_of_an_unheard_master()
     kernel.run_until(200 * MS + W2.slot_len_ns + ctl.guard)        # the end of slot 0
-    announces = medium.transmissions(FrameKind.CONTROL_ANNOUNCE, 200 * MS)
+    announces = [tx for tx in medium.log
+                 if tx.start >= 200 * MS and tx.kind is FrameKind.CONTROL_ANNOUNCE]
     assert [f.sender for f in medium.clean_receptions(5, announces)] == [6]
     assert elect_master({5: ctl.created_at, 6: 150 * MS}) == 5     # 5 would win without 99
     assert _round_outcomes(ctl) == ["won", "lost"]
-    assert (ctl.master_id, ctl.master_ts) == (99, 0)
+    assert ctl.master == (0, 99)
 
 
 def test_silent_master_does_not_win_the_round():
@@ -256,8 +259,8 @@ def test_remembered_master_arrival_answers_as_a_fresh_log_read(monkeypatch):
     def checked(ctl):
         got = silent(ctl)
         since = ctl.kernel.now - MASTER_TIMEOUT_WINDOWS * ctl.wcfg.window_ns
-        fresh = ctl.master_id is None or (ctl.created_at <= since and ctl.medium.last_clean_arrival(
-            ctl.vid, ctl.master_id, since) is None)
+        fresh = ctl.master is None or (ctl.created_at <= since and ctl.medium.last_clean_arrival(
+            ctl.vid, ctl.master[1], since) is None)
         assert got == fresh
         answers.append(got)
         return got
@@ -480,7 +483,7 @@ def test_two_vehicles_form_a_platoon():
     assert ctls[1].state == FsmState(Status.IN_PLATOON, Role.SLAVE)
     assert ctls[0].my_slot == 2
     assert ctls[1].my_slot == 3
-    assert ctls[1].master_id == 0
+    assert ctls[1].master == (0, 0)
 
 
 def test_data_frames_start_at_their_slot_origin():
@@ -720,7 +723,7 @@ def test_master_loss_reverts_slave_to_init_and_rejoin():
     arrival = alloc.end + medium.cfg.prop_delay(10.0)
     kernel.run_until(120 * MS)
     assert ctl.state == FsmState(Status.IN_PLATOON, Role.SLAVE)
-    assert ctl.master_id == 99
+    assert ctl.master == (0, 99)
     # the window at 400 ms is less than three windows after the last clean
     # frame; the one at 500 ms is not, so the slave falls back to init and
     # restarts the joining procedure there
@@ -762,7 +765,7 @@ def test_member_superseded_as_its_slot_opens_sends_no_further_burst_step():
                                                     allocations={99: 3, 5: 2})))
     kernel.run_until(200 * MS)
     assert member.state == FsmState(Status.IN_PLATOON, Role.SLAVE)
-    assert (member.master_id, member.my_slot) == (99, 2)
+    assert (member.master, member.my_slot) == ((0, 99), 2)
 
     slot2 = 200 * MS + 2 * W2.slot_len_ns
     alloc = make_allocation(sender=7, generated_at=0, allocations={7: 2})
@@ -775,7 +778,7 @@ def test_member_superseded_as_its_slot_opens_sends_no_further_burst_step():
     assert [(tx.seq, tx.start) for tx in sent] == [(0, slot2)]
     assert len(member.queues) == 2
     assert member.transitions[-1][1:3] == (FsmEvent.ALLOCATION_RECEIVED, "superseded")
-    assert member.master_id == 7 and member.my_slot is None
+    assert member.master == (0, 7) and member.my_slot is None
 
 
 def test_collided_control_frames_are_ignored():
@@ -796,7 +799,7 @@ def test_collided_control_frames_are_ignored():
     assert [(target, kind) for *_, target, kind in kernel.trace
             if kind == "FRAME_DELIVERY"] == [(5, "FRAME_DELIVERY")]
     assert FsmEvent.ALLOCATION_RECEIVED not in [t[1] for t in ctl.transitions]
-    assert ctl.master_id != 99
+    assert ctl.master is None
     assert ctl.my_slot is None
 
 
@@ -809,7 +812,29 @@ def test_earlier_timestamp_allocation_supersedes_master():
                             allocations={42: 2})
     master.on_frame_delivery(alloc)
     assert master.state == FsmState(Status.JOINING, Role.SLAVE)
-    assert master.master_id == 42
+    assert master.master == (0, 42)
+
+
+@pytest.mark.parametrize("sender, outcome, state, master", [
+    (1, "superseded", FsmState(Status.JOINING, Role.SLAVE), (10 * MS, 1)),
+    (3, "refresh", FsmState(Status.IN_PLATOON, Role.SLAVE), (10 * MS, 3)),
+    (5, "ignored", FsmState(Status.IN_PLATOON, Role.SLAVE), (10 * MS, 3)),
+], ids=["lower-id", "same-key", "higher-id"])
+def test_allocation_with_the_masters_timestamp_is_weighed_by_sender_id(sender, outcome,
+                                                                         state, master):
+    """A slave of master 3 hears an allocation that carries 3's timestamp.
+
+    From a lower id it supersedes; from 3's own key it refreshes; from a
+    higher id it is ignored. Every allocation lists the slave.
+    """
+    _, _, ctls = assemble_platoon({3: 10 * MS, 4: 11 * MS}, {3: 0, 4: 300 * US}, run_ms=250)
+    slave = ctls[4]
+    assert slave.state == FsmState(Status.IN_PLATOON, Role.SLAVE)
+    assert slave.master == (10 * MS, 3)
+    slave.on_frame_delivery(make_allocation(sender=sender, generated_at=10 * MS,
+                                            allocations={sender: 2, 4: 3}))
+    assert slave.transitions[-1][1:] == (FsmEvent.ALLOCATION_RECEIVED, outcome, state)
+    assert slave.master == master
 
 
 def test_forming_master_superseded_in_slot_one_drops_its_schedule():
@@ -839,12 +864,12 @@ def test_forming_master_superseded_in_slot_one_drops_its_schedule():
     assert late.transitions[-1][1:] == (FsmEvent.ALLOCATION_RECEIVED, "superseded",
                                         FsmState(Status.JOINING, Role.SLAVE))
     assert late.schedule is None
-    assert (late.master_id, late.my_slot) == (0, 3)
+    assert (late.master, late.my_slot) == ((0, 0), 3)
     kernel.run_until(110 * MS)
     assert early.state == FsmState(Status.IN_PLATOON, Role.MASTER)
     assert early.schedule == {0: 2, 1: 3, 3: 4}
     assert late.state == FsmState(Status.IN_PLATOON, Role.SLAVE) and late.schedule is None
-    assert ctls[3].my_slot == 4 and ctls[2].master_id == 1
+    assert ctls[3].my_slot == 4 and ctls[2].master == (0, 1)
 
 
 # -- window clock ------------------------------------------------------------------
@@ -916,6 +941,6 @@ def test_vehicles_superseded_in_slot_one_take_no_slot1_end_that_window():
         events = [t[1] for t in ctl.transitions]
         superseded = max(i for i, t in enumerate(ctl.transitions) if t[2] == "superseded")
         assert FsmEvent.SLOT1_END not in events[superseded:]
-        assert ctl.master_id == 99
+        assert ctl.master == (0, 99)
     assert ctls[0].state == FsmState(Status.JOINING, Role.SLAVE)     # unlisted
     assert ctls[1].state == FsmState(Status.IN_PLATOON, Role.SLAVE)  # listed, slot 3
