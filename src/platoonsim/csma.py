@@ -7,14 +7,13 @@ number of backoff slots, re-senses, and transmits. The window never grows
 and every frame is transmitted exactly once.
 
 Each message arrives by its own event at its due time. The arrivals come
-from the run's `MessageClock`, which keeps them in one stream under the keys
-that scheduling them one by one would have given them, and puts only the
-earliest in the kernel's heap. Beyond that a MAC raises an event only where
-it has something to decide: at a sensed idle edge, at the expiry of a
+from the run's `MessageClock`, which keeps them in one stream and puts only
+the earliest in the kernel's heap. Beyond that a MAC raises an event only
+where it has something to decide: at a sensed idle edge, at the expiry of a
 non-zero backoff, and at the end of its own transmission only when a frame
-will wait behind it. A zero backoff drawn while no other event shares the
-instant transmits at once, since the re-sense would read the same log at the
-same instant.
+will wait behind it. A zero backoff transmits at once: a re-sense at the
+same instant would read what the first sense read, since no frame is sensed
+at the instant it starts.
 """
 
 from __future__ import annotations
@@ -49,15 +48,13 @@ class MessageClock:
     """The run's stream of message arrivals, one `APP_TICK` event each.
 
     A MAC arms its next message here (`arm`) where it would otherwise have
-    scheduled the event itself. The clock takes the kernel's next seq at that
-    moment and files the arrival in (due, seq) order, so each one fires with
-    the key the kernel would have given it: the dispatch order is the same.
-    Only the earliest arrivals are kernel events. The kernel holds at least
-    the earliest pending arrival and never one later than an arrival the
-    clock still holds, and when the last arrival it holds fires, the clock
-    hands it the next one before the MAC acts. A re-arm is due one message
-    interval on, which no pending arrival passes, so it lands at the tail;
-    a MAC's first arrival can land anywhere.
+    scheduled the event itself. Only the earliest arrivals are kernel events:
+    the kernel holds at least the earliest pending arrival and never one
+    later than an arrival the clock still holds, and when the last arrival it
+    holds fires, the clock hands it the next one before the MAC acts. The
+    clock files the others in (due, vehicle id) order. A re-arm is due one
+    message interval on, which no pending arrival passes, so it lands at the
+    tail; a MAC's first arrival can land anywhere.
     """
 
     def __init__(self, kernel: Kernel, medium: Medium):
@@ -69,24 +66,24 @@ class MessageClock:
 
     def arm(self, mac: CsmaMac, due: int) -> None:
         """File mac's next message arrival at due."""
-        seq = self.kernel.reserve()
         if not self._queued or due < self._last_due:
-            # before the latest arrival in the kernel (its seq is the newest,
-            # so at an equal due it sorts after): a kernel event too
-            self.kernel.at_reserved(due, seq, mac.vid, APP_TICK, self._on_arrival, mac)
+            self.kernel.at(due, mac.vid, APP_TICK, self._on_arrival, mac)
             if not self._queued:
                 self._last_due = due
             self._queued += 1
-        elif not self._stream or due >= self._stream[-1][0]:
-            self._stream.append((due, seq, mac))
+            return
+        # a MAC has one arrival armed at a time, so no two keys are equal
+        entry = (due, mac.vid, mac)
+        if not self._stream or entry > self._stream[-1]:
+            self._stream.append(entry)
         else:
-            insort(self._stream, (due, seq, mac))
+            insort(self._stream, entry)
 
     def _on_arrival(self, mac: CsmaMac) -> None:
         self._queued -= 1
         if not self._queued and self._stream:
-            due, seq, nxt = self._stream.popleft()
-            self.kernel.at_reserved(due, seq, nxt.vid, APP_TICK, self._on_arrival, nxt)
+            due, vid, nxt = self._stream.popleft()
+            self.kernel.at(due, vid, APP_TICK, self._on_arrival, nxt)
             self._queued, self._last_due = 1, due
         mac._on_message()
 
@@ -149,19 +146,17 @@ class CsmaMac:
             self.kernel.at(idle, self.vid, TIMER, self._on_idle_edge)
             return
         backoff = self.rng.integers(0, self._cw_max, endpoint=True) * self._slot_ns
-        if not backoff and self.kernel.quiet_at(now):
-            # nothing else acts at this instant, so a re-sense would find it idle
+        if backoff:
+            # at expiry the frame is sensed like a fresh one: if busy again,
+            # wait for the new idle edge and draw a fresh backoff there
+            self.kernel.at(now + backoff, self.vid, TIMER, self._sense)
+        else:
             self._transmit()
-            return
-        # at expiry the frame is sensed like a fresh one: if busy again, wait
-        # for the new idle edge and draw a fresh backoff there
-        self.kernel.at(now + backoff, self.vid, TIMER, self._sense)
 
     def _transmit(self) -> None:
         end = self.medium.broadcast(self.queue.popleft()).end
         source = self.source
         if self.queue or source.next_due is not None and source.next_due <= end:
-            # armed at broadcast, so the end keeps its place among same-instant events
             self._tx_done_pending = True
             self.kernel.at(end, self.vid, TIMER, self._on_tx_done)
 

@@ -2,10 +2,10 @@
 
 An event is the plain heap tuple (fire_at, seq, fn, payload, target, kind);
 dispatching it sets the clock and calls fn(payload). `at` gives each event
-the next seq. `reserve` hands that seq out now, for an event that
-`at_reserved` puts in the heap later under it: a source of events that keeps
-its pending ones out of the heap (the CSMA baseline's message clock) gives
-each the key, and the dispatch order, that `at` would have given it.
+the next seq, so events at one instant run in scheduling order. A run's
+outcome does not rest on that order beyond its spawns, which `run_scenario`
+schedules first: no frame is sensed at the instant it starts, so what one
+event at t broadcasts, another at t does not see.
 
 The seeded streams are the package's own PCG64, bit-identical to numpy's
 `Generator(PCG64(SeedSequence(seed, spawn_key=(entity,))))`, so the output
@@ -78,28 +78,6 @@ class Kernel:
         seq = self._seq
         self._seq = seq + 1
         heappush(self._heap, (fire_at, seq, fn, payload, target, kind))
-
-    def reserve(self) -> int:
-        """Hand out the seq that `at` would give an event scheduled now."""
-        seq = self._seq
-        self._seq = seq + 1
-        return seq
-
-    def at_reserved(self, fire_at: int, seq: int, target: int, kind: EventKind,
-                    fn: Callable[[Any], None], payload: Any = None) -> None:
-        """Schedule fn(payload) at fire_at under a seq from `reserve`.
-
-        The event takes the place among same-instant events that `at` would
-        have given it when the seq was handed out.
-        """
-        if fire_at < self.now:
-            raise ValueError(f"cannot schedule event at {fire_at} ns before now={self.now} ns")
-        heappush(self._heap, (fire_at, seq, fn, payload, target, kind))
-
-    def quiet_at(self, t: int) -> bool:
-        """Whether no pending event fires at or before t."""
-        heap = self._heap
-        return not heap or heap[0][0] > t
 
     def run_until(self, end: int) -> int:
         if end < self.now:

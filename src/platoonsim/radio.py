@@ -4,8 +4,9 @@ The channel is idealized: no attenuation, no fading, no capture. A reception
 collides iff another transmission whose sender is in range of the receiver
 overlaps it on air, or the receiver itself was transmitting (half-duplex).
 Carrier sensing sees a transmission only once its signal has propagated to
-the listener, so two nodes that start within one propagation delay of each
-other are mutually blind and will overlap.
+the listener, and never at the instant it starts, so two nodes that start
+within one propagation delay of each other, or at one instant, are mutually
+blind and will overlap.
 
 Vehicles never move after they register, so who hears whom, and after what
 propagation delay, is computed once per pair at registration, together with
@@ -285,7 +286,10 @@ class Medium:
 
         The listener senses the frames of every vehicle it hears, its own
         included, over [start + delay + cca_detect_ns, end + delay), so two
-        nodes committing within one detection latency will overlap. The log
+        nodes committing within one detection latency will overlap. A frame
+        is never sensed at the instant it starts, even with no delay and no
+        detection latency: two decisions at one instant cannot see each
+        other, whichever of them the kernel dispatches first. The log
         is read backwards from its end and the scan stops at the first entry
         that started more than the longest airtime and delay before `at`:
         everything logged before it ended, at every listener, by `at`. During
@@ -300,9 +304,9 @@ class Medium:
             if start < floor:
                 break
             delay = hears.get(tx.sender)
-            # sensed iff detected by `at` (so started by `at`) and not yet
+            # sensed iff started before `at`, detected by `at` and not yet
             # ended there; an edge at or before the horizon moves nothing
-            if delay is not None and start + delay + detect <= at:
+            if delay is not None and start < at and start + delay + detect <= at:
                 edge = tx.end + delay
                 if edge > horizon:
                     horizon = edge

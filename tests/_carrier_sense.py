@@ -6,12 +6,13 @@ frame, and in slot-controller mode every announce, every allocation and
 every frame that starts in slot 1 (a master's slot-1 burst); data frames in
 the members' own slots do not sense.
 
-The rule: no frame logged before a sensed frame may be sensed at that
-frame's sender at its start. The log's order is the broadcast order, so a
-frame broadcast later at the same instant is left out. A frame g is sensed
-at vehicle v at time t iff g's sender is v or lies within `range_m` of v,
-and g.start + delay + cca_detect_ns <= t < g.end + delay, with delay the
-propagation delay over their distance (0 for v's own frames).
+The rule: no frame may be sensed at a sensed frame's sender at its start.
+A frame g is sensed at vehicle v at time t iff g's sender is v or lies
+within `range_m` of v, g started before t, and
+g.start + delay + cca_detect_ns <= t < g.end + delay, with delay the
+propagation delay over their distance (0 for v's own frames). A frame that
+starts at t is not sensed at t, so the order of the log's same-instant
+records plays no part.
 
 Like the overlap oracle, it works from (kind, sender, start, end) records,
 the vehicle positions and the `RadioConfig` alone, never from the medium's
@@ -57,7 +58,7 @@ def sensed_busy(records: list[tuple], positions: dict[int, Position], radio: Rad
             if dist > radio.range_m:
                 continue
             delay = radio.prop_delay(dist)
-            if start + delay + radio.cca_detect_ns <= t < end + delay:
+            if start < t and start + delay + radio.cca_detect_ns <= t < end + delay:
                 flagged.append(i)
                 break
     return flagged

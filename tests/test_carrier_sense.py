@@ -45,12 +45,15 @@ def test_a_sender_senses_its_own_frame():
     assert sensed_busy(records, POSITIONS, RADIO) == [1]
 
 
-def test_only_frames_logged_before_count_at_the_same_instant():
-    """With no detection latency, vehicles at one spot sense a frame as it starts."""
+def test_a_frame_is_sensed_from_the_instant_after_it_starts():
+    """With no detection latency, vehicles at one spot sense a frame 1 ns
+    after it starts, and at its start in neither log order."""
     radio = RadioConfig(range_m=100.0, cca_detect_ns=0)
     spot = {0: Position(0.0, 0.0), 1: Position(0.0, 0.0)}
-    records = [(DATA, 1, 0, 1 * MS), (DATA, 0, 0, 1 * MS)]
-    assert sensed_busy(records, spot, radio) == [1]
+    for first, second in ((0, 1), (1, 0)):
+        records = [(DATA, first, 0, 1 * MS), (DATA, second, 0, 1 * MS)]
+        assert sensed_busy(records, spot, radio) == []
+    assert sensed_busy([(DATA, 1, 0, 1 * MS), (DATA, 0, 1, 1 * MS)], spot, radio) == [1]
 
 
 def test_slot_controller_data_frames_sense_only_in_slot_1():

@@ -145,28 +145,29 @@ def test_message_due_while_on_air_goes_out_once_at_the_end(early_ns):
     assert frames_transmitted(mac) == (2 if early_ns == 0 else 1)
 
 
-def test_zero_backoff_on_a_quiet_instant_transmits_at_the_idle_edge():
+@pytest.mark.parametrize("armed", ["before", "after"])
+def test_zero_backoff_transmits_at_once_beside_a_same_instant_broadcast(armed):
+    """Vehicle 1's idle edge and a broadcast of vehicle 0 fall on one instant:
+    with a zero backoff vehicle 1 transmits at its idle edge, raising no other
+    event, and does not sense the frame that starts with its own, whether the
+    broadcast's event was armed before its idle edge or after."""
     kernel, medium, macs = _setup({0: [0], 1: [200 * US]}, trace=True)
     macs[1].rng = ScriptedRng([0])
+    t1 = AIRTIME + RADIO.prop_delay(30.0)           # 1's idle edge
+
+    def arm_second_frame():
+        kernel.at(t1, 0, EventKind.TIMER, lambda _: medium.broadcast(data_frame(0, seq=1)))
+
+    if armed == "before":
+        arm_second_frame()
+    kernel.run_until(200 * US)                      # 1's idle edge is armed
+    if armed == "after":
+        arm_second_frame()
     kernel.run_until(20 * MS)
-    t1 = medium.log[0].end + medium.cfg.prop_delay(30.0)
-    assert medium.log[1].start == t1
-    # the idle edge is vehicle 1's only event there: no zero-delay re-sense
+    assert sorted((tx.sender, tx.start) for tx in medium.log) == [(0, 0), (0, t1), (1, t1)]
+    assert macs[1].deferrals == 1
     assert [kind for at, _seq, target, kind in kernel.trace
             if target == 1 and at == t1] == ["TIMER"]
-
-
-def test_zero_backoff_lets_a_same_instant_event_act_first():
-    kernel, medium, macs = _setup({0: [0], 1: [200 * US]})
-    macs[1].rng = ScriptedRng([0])
-    kernel.run_until(200 * US)                   # 1's idle edge is armed
-    t1 = medium.log[0].end + medium.cfg.prop_delay(30.0)
-    # a MAC arms a message event when it takes the one before, which would put
-    # 0's at t1 ahead of 1's idle edge; so 0's second frame goes on air from an
-    # event armed after it
-    kernel.at(t1, 0, EventKind.APP_TICK, lambda _: medium.broadcast(data_frame(0, seq=1)))
-    kernel.run_until(20 * MS)
-    assert [(tx.sender, tx.start) for tx in medium.log] == [(0, 0), (0, t1), (1, t1)]
 
 
 def test_default_baseline_raises_no_event_at_its_own_frame_ends():
@@ -223,6 +224,12 @@ def _ticks(trace):
     return [(at, target) for at, _seq, target, kind in trace if kind == "APP_TICK"]
 
 
+def _order_free(trace, log):
+    """The events as (time, vehicle, kind) and the frames, each sorted: what
+    a run shows whatever the order of its same-instant events."""
+    return sorted((at, target, kind) for at, _seq, target, kind in trace), sorted(log)
+
+
 def test_a_later_spawn_lands_before_the_tail_of_the_stream():
     # at 2 ms vehicles 0 and 1 have armed arrivals at 2.5 ms (in the heap) and
     # 4 ms (the tail); vehicle 2 spawns then with its first message due at
@@ -232,47 +239,42 @@ def test_a_later_spawn_lands_before_the_tail_of_the_stream():
     trace, log = _spawned_macs(MessageClock, spawns, scripts)
     assert _ticks(trace) == [(0, 0), (1 * MS, 1), (2500 * US, 0), (3 * MS, 2),
                              (4 * MS, 1), (4 * MS, 2)]
-    assert (trace, log) == _spawned_macs(_EventPerArrival, spawns, scripts)
+    assert _order_free(trace, log) == \
+        _order_free(*_spawned_macs(_EventPerArrival, spawns, scripts))
 
 
-def test_arrivals_due_together_fire_in_the_order_they_were_armed():
-    spawns = {1: 0, 0: 1 * MS, 2: 1 * MS}
+def test_arrivals_due_together_leave_the_stream_in_vehicle_order():
+    # vehicle 1's arrival is the kernel's; vehicle 2 arms its arrival at the
+    # same due before vehicle 0 does, and the stream hands vehicle 0's first
+    spawns = {1: 0, 2: 1 * MS, 0: 1 * MS}
     scripts = {0: [5 * MS], 1: [5 * MS], 2: [5 * MS]}
     trace, log = _spawned_macs(MessageClock, spawns, scripts)
     assert _ticks(trace) == [(5 * MS, 1), (5 * MS, 0), (5 * MS, 2)]
-    assert (trace, log) == _spawned_macs(_EventPerArrival, spawns, scripts)
+    reference = _spawned_macs(_EventPerArrival, spawns, scripts)
+    assert _ticks(reference[0]) == [(5 * MS, 1), (5 * MS, 2), (5 * MS, 0)]
+    assert _order_free(trace, log) == _order_free(*reference)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 12), st.lists(st.integers(0, 12), max_size=6)),
                 min_size=1, max_size=4))
-def test_message_clock_gives_each_arrival_the_key_of_its_own_event(vehicles):
+def test_message_clock_raises_the_events_and_frames_of_one_event_per_arrival(vehicles):
     """Spawns and dues on a 500 us grid, so arrivals meet each other, spawns,
     idle edges, backoff expiries and frame ends (an airtime is about 2 grid
-    steps) at one instant; the trace and the log equal the reference's."""
+    steps) at one instant; the events and the frames, each sorted, equal the
+    reference's."""
     spawns = {vid: at * 500 * US for vid, (at, _) in enumerate(vehicles)}
     scripts = {vid: sorted(spawns[vid] + d * 500 * US for d in dues)
                for vid, (_, dues) in enumerate(vehicles)}
-    assert _spawned_macs(MessageClock, spawns, scripts) == \
-        _spawned_macs(_EventPerArrival, spawns, scripts)
-
-
-def test_quiet_at_sees_the_earliest_arrival():
-    kernel, medium, _ = _setup({0: [5 * MS], 1: [3 * MS]}, n=2)
-    # vehicle 1's arrival, armed second, is the earliest
-    assert kernel.quiet_at(3 * MS - 1) and not kernel.quiet_at(3 * MS)
-    kernel.run_until(3 * MS)
-    # it handed vehicle 0's arrival to the kernel when it fired
-    assert kernel.quiet_at(5 * MS - 1) and not kernel.quiet_at(5 * MS)
-    kernel.run_until(5 * MS)
-    assert [tx.start for tx in medium.log] == [3 * MS, 5 * MS]
+    assert _order_free(*_spawned_macs(MessageClock, spawns, scripts)) == \
+        _order_free(*_spawned_macs(_EventPerArrival, spawns, scripts))
 
 
 def test_a_backlogged_pair_keeps_its_kernel_trace():
     # two vehicles at one spot; a message every 500 us into 750 B frames that
     # take 1 ms on air, so message arrivals, frame ends and idle edges meet
-    # at every whole millisecond. The trace was taken with every arrival
-    # scheduled as its own kernel event.
+    # at every whole millisecond. Vehicle 1's idle edge at 1 ms draws a zero
+    # backoff and transmits at once, raising no second event there.
     cfg = ScenarioConfig(vehicle_count=2, mode=MODE_BASELINE, area_length_m=0.0,
                          spawn_interval_ns=250 * US, message_interval_ns=500 * US,
                          payload_size_b=750, sim_duration_ns=5 * MS)
@@ -281,15 +283,14 @@ def test_a_backlogged_pair_keeps_its_kernel_trace():
         (0, 0, 0, 'SPAWN'), (0, 2, 0, 'APP_TICK'), (250000, 1, 1, 'SPAWN'),
         (250000, 5, 1, 'APP_TICK'), (500000, 4, 0, 'APP_TICK'), (750000, 7, 1, 'APP_TICK'),
         (1000000, 3, 0, 'TIMER'), (1000000, 6, 1, 'TIMER'), (1000000, 8, 0, 'APP_TICK'),
-        (1000000, 11, 1, 'TIMER'), (1250000, 9, 1, 'APP_TICK'), (1500000, 12, 0, 'APP_TICK'),
-        (1750000, 14, 1, 'APP_TICK'), (2000000, 10, 0, 'TIMER'), (2000000, 13, 1, 'TIMER'),
-        (2000000, 15, 0, 'APP_TICK'), (2250000, 16, 1, 'APP_TICK'),
-        (2500000, 19, 0, 'APP_TICK'), (2750000, 20, 1, 'APP_TICK'), (3000000, 17, 0, 'TIMER'),
-        (3000000, 18, 1, 'TIMER'), (3000000, 21, 0, 'APP_TICK'), (3250000, 22, 1, 'APP_TICK'),
-        (3500000, 25, 0, 'APP_TICK'), (3750000, 26, 1, 'APP_TICK'), (4000000, 23, 0, 'TIMER'),
-        (4000000, 24, 1, 'TIMER'), (4000000, 27, 0, 'APP_TICK'), (4250000, 28, 1, 'APP_TICK'),
-        (4500000, 31, 0, 'APP_TICK'), (4750000, 32, 1, 'APP_TICK'), (5000000, 29, 0, 'TIMER'),
-        (5000000, 30, 1, 'TIMER'),
+        (1250000, 11, 1, 'APP_TICK'), (1500000, 12, 0, 'APP_TICK'), (1750000, 13, 1, 'APP_TICK'),
+        (2000000, 9, 0, 'TIMER'), (2000000, 10, 1, 'TIMER'), (2000000, 14, 0, 'APP_TICK'),
+        (2250000, 17, 1, 'APP_TICK'), (2500000, 18, 0, 'APP_TICK'), (2750000, 19, 1, 'APP_TICK'),
+        (3000000, 15, 0, 'TIMER'), (3000000, 16, 1, 'TIMER'), (3000000, 20, 0, 'APP_TICK'),
+        (3250000, 23, 1, 'APP_TICK'), (3500000, 24, 0, 'APP_TICK'), (3750000, 25, 1, 'APP_TICK'),
+        (4000000, 21, 0, 'TIMER'), (4000000, 22, 1, 'TIMER'), (4000000, 26, 0, 'APP_TICK'),
+        (4250000, 29, 1, 'APP_TICK'), (4500000, 30, 0, 'APP_TICK'), (4750000, 31, 1, 'APP_TICK'),
+        (5000000, 27, 0, 'TIMER'), (5000000, 28, 1, 'TIMER'),
     ]
 
 

@@ -1,7 +1,8 @@
 """The equivalence sweep finds no difference between a tree and itself, and
 names the first field where a changed copy differs; with `--expect-diff` it
 reports what moved and fails only on a fault of the overlap or carrier-sense
-oracle or an error that the sides do not share."""
+oracle or of the head side's kernel shuffle, or an error that the sides do
+not share."""
 
 import importlib.util
 import json
@@ -22,6 +23,7 @@ def test_a_tree_matches_itself():
     assert summary["differences"] == 0 and summary["first_difference"] is None
     assert summary["oracle_faults"] == {"base": 0, "head": 0}
     assert summary["carrier_sense_faults"] == {"base": 0, "head": 0}
+    assert summary["order_faults"] == {"base": 0, "head": 0}
     assert summary["transmissions"]["head"] > 0
 
 
@@ -106,3 +108,21 @@ def test_expect_diff_matches_an_error_both_sides_raise(tmp_path, capsys):
                              "--configs", "2", "--seed", "1", "--expect-diff"])
     assert code == 1
     assert "first fault at 'error'" in capsys.readouterr().err
+
+
+def test_a_head_whose_outcome_rests_on_same_instant_order_fails_in_both_modes(tmp_path, capsys):
+    # a listener senses a frame at the instant it starts, so two co-located
+    # MACs with no detection latency that decide at one instant race; both
+    # configs of seed 3 put every vehicle at one spot with cca_detect_ns = 0
+    tree = _changed_copy(tmp_path, "radio.py", "delay is not None and start < at and ",
+                         "delay is not None and ")
+    for flags in ([], ["--expect-diff"]):
+        code = equivalence.main(["--base", str(tree), "--head", str(tree), "--mode", "baseline",
+                                 "--configs", "2", "--seed", "3", *flags])
+        out = capsys.readouterr()
+        summary = json.loads(out.out)
+        assert code == 1
+        assert summary["differences"] == 0
+        assert summary["order_faults"] == {"base": 0, "head": 2}
+        assert summary["oracle_faults"] == summary["carrier_sense_faults"] == {"base": 0, "head": 0}
+        assert "first fault at 'order_free'" in out.err

@@ -18,7 +18,9 @@ Two baseline points, at both durations, put all 20 vehicles at one spot with
 a message every 2 ms, shorter than an 800 B frame's airtime: every MAC keeps
 a backlog, many frames wait behind their sender's frame on air, and backoff
 expiries, idle edges and frame ends of different vehicles fall on one
-instant, so the log pins the order of same-instant events in the CSMA MAC.
+instant. No frame is sensed at the instant it starts, so what the MACs
+decide there does not rest on the order of those events; the log pins the
+order of its same-instant records, which follows the dispatch order.
 A last tsnctl point, at both durations, puts 60 vehicles on a 400 m road with
 150 m of range and 1 ms slots. Hidden terminals make listeners hear different
 subsets of a window's announces: the earliest announce of a window often
@@ -39,12 +41,16 @@ these, and `_util` computes them as the fixture was made, for this digest and
 
 The same runs also go through the carrier-sense oracle (`_carrier_sense`):
 no frame that its protocol sensed before sending started while its sender
-sensed another frame. On the tsnctl runs they pin two facts that the slot
-controller relies on. Only announces start between a window start and the
-end of its slot 0, and each fits slot 0, so the window clock can take a
-window's announces from where the window opened in the log. Every announce
-and allocation carries its sender's creation time, so a controller can tell
-its master's frames by election key alone.
+sensed another frame. Each is rerun under the kernel shuffle (`_shuffle`)
+with three salts, and must log the same frames and keep the same FSM records
+and counters; its kernel trace shows that every spawn ran before the other
+events of its instant, the one same-instant order that the outcome rests
+on. On the tsnctl runs they pin two facts that the slot controller relies
+on. Only announces start between a window start and the end of its slot 0,
+and each fits slot 0, so the window clock can take a window's announces from
+where the window opened in the log. Every announce and allocation carries
+its sender's creation time, so a controller can tell its master's frames by
+election key alone.
 
 A change that alters output on purpose regenerates the fixture with
 
@@ -62,6 +68,7 @@ from pathlib import Path
 
 import pytest
 from _carrier_sense import run_sensed_busy
+from _shuffle import late_spawns, order_faults
 from _util import (frames_transmitted, fsm_record_line, join_retries, outcomes,
                    receivers_collided, receivers_expected)
 
@@ -136,7 +143,7 @@ def counter_digest(run) -> dict:
 
 
 def run_point(mode: str, slot_ms: int, seed: int, duration: int, extra: dict) -> RunResult:
-    """The single run of one grid point.
+    """The single run of one grid point, with its kernel trace.
 
     `extra` holds the point's ScenarioConfig fields beyond the common ones,
     and may override the 20 vehicles.
@@ -144,7 +151,7 @@ def run_point(mode: str, slot_ms: int, seed: int, duration: int, extra: dict) ->
     cfg = ScenarioConfig(**{"vehicle_count": 20, **extra}, mode=mode,
                          sim_duration_ns=duration, seed=seed, repetitions=1,
                          window=WindowConfig(slot_len_ns=slot_ms * MS))
-    return run_scenario(cfg, seed)
+    return run_scenario(cfg, seed, trace=True)
 
 
 def digests(run: RunResult, tmp: Path) -> list[dict]:
@@ -213,6 +220,29 @@ def test_output_matches_golden_digest(golden, computed, key):
 def test_sensed_frames_start_on_an_idle_channel(runs, point):
     """The carrier-sense oracle finds no sensed frame that started on a busy channel."""
     assert run_sensed_busy(runs[point]) == []
+
+
+def test_spawns_run_first_at_their_instant(runs):
+    """A spawn at t is dispatched before every other event at t, the one
+    same-instant order that a run's outcome rests on. Window-clock events
+    and first message arrivals share instants with spawns on the grid."""
+    shared = 0
+    for point, run in runs.items():
+        trace = run.medium.kernel.trace
+        assert late_spawns(trace) == [], point
+        spawned_at = {at for at, _seq, _target, kind in trace if kind == "SPAWN"}
+        shared += sum(at in spawned_at and kind != "SPAWN" for at, _seq, _target, kind in trace)
+    assert shared > 0
+
+
+SALTS = (1, 2, 3)
+
+
+@pytest.mark.parametrize("point", [point[0] for point in _grid()])
+def test_same_instant_order_leaves_the_outcome_unchanged(runs, point):
+    """Rerun with same-instant events in a shuffled order, spawns first, the
+    point logs the same frames and keeps the same FSM records and counters."""
+    assert order_faults(runs[point], SALTS) == []
 
 
 TSNCTL_POINTS = [point[0] for point in _grid() if point[1] == MODE_TSNCTL]

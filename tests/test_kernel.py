@@ -61,18 +61,6 @@ def test_scheduling_in_the_past_is_rejected():
         _timer(k, 99, lambda _: None)
 
 
-def test_a_reserved_seq_keeps_the_place_it_was_handed_out_at():
-    k = Kernel(trace=True)
-    _timer(k, 5, lambda _: None, target=1)
-    seq = k.reserve()
-    _timer(k, 5, lambda _: None, target=3)
-    k.at_reserved(5, seq, 2, EventKind.APP_TICK, lambda _: None)
-    k.run_until(5)
-    assert k.trace == [(5, 0, 1, "TIMER"), (5, 1, 2, "APP_TICK"), (5, 2, 3, "TIMER")]
-    with pytest.raises(ValueError):
-        k.at_reserved(4, k.reserve(), 2, EventKind.APP_TICK, lambda _: None)
-
-
 def test_run_until_before_now_is_rejected():
     # rewinding the clock would accept events that fire after later ones
     k = Kernel()
@@ -104,19 +92,6 @@ def test_dispatch_hands_payload_time_and_seq_and_traces_each_event():
     # seqs number the events in scheduling order and break the ties at 5 and 7
     assert k.trace == [(5, 1, 4, "SPAWN"), (5, 3, 6, "FRAME_DELIVERY"),
                        (7, 0, 3, "TIMER"), (7, 2, 5, "APP_TICK")]
-
-
-def test_quiet_at_reads_the_head_of_the_queue():
-    k = Kernel()
-    assert k.quiet_at(0)
-    _timer(k, 9, lambda _: None)
-    _timer(k, 5, lambda _: None)
-    assert k.quiet_at(4)
-    assert not k.quiet_at(5)
-    assert not k.quiet_at(6)
-    k.run_until(5)
-    assert k.quiet_at(8) and not k.quiet_at(9)
-
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])

@@ -481,6 +481,20 @@ def test_load_rejects_malformed_logs(tmp_path, edit, message):
         load_transmission_log(path)
 
 
+def test_load_accepts_a_record_of_size_0_and_one_of_zero_length(tmp_path):
+    cfg = ScenarioConfig(vehicle_count=5, mode=MODE_BASELINE,
+                         sim_duration_ns=1 * SEC, spawn_interval_ns=100 * US)
+    path = tmp_path / "t.log"
+    write_transmission_log(run_scenario(cfg, 22), path)
+    lines = path.read_text().splitlines()
+    idx = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+    sender, start, _end, _size, kind, flag = lines[idx].split()
+    lines[idx] = f"{sender} {start} {start} 0 {kind} {flag}"
+    path.write_text("\n".join(lines) + "\n")
+    log = load_transmission_log(path)
+    assert log.records[0] == (int(sender), int(start), int(start))
+
+
 @pytest.mark.parametrize("where", [1, 5, -1], ids=["in-the-header", "before-a-vehicle",
                                                   "between-records"])
 def test_load_skips_blank_lines(tmp_path, where):

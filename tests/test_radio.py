@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from _util import data_frame, outcomes, receivers_collided, receivers_expected
 
 from platoonsim.frames import Frame, FrameKind, make_allocation
-from platoonsim.kernel import EventKind, Kernel, MS, US
+from platoonsim.kernel import EventKind, Kernel, MS, SEC, US
 from platoonsim.metrics import _sweep_masks, brute_force_outcomes
 from platoonsim.radio import Medium, Position, RadioConfig, tx_duration
 
@@ -100,8 +100,7 @@ def test_broadcast_schedules_no_event(kind):
     sink = _Sink(k)
     m.register(1, Position(50.0, 0.0), handler=sink.on_frame)
     m.broadcast(_of_kind(kind, 0))
-    assert k.reserve() == 0         # no event took a seq
-    k.run_until(5 * MS)
+    k.run_until(1 * SEC)
     assert k.trace == []
 
 
@@ -587,7 +586,8 @@ def test_idle_from_matches_brute_force(cells, joins, sends, cca_detect_ns, reads
     """The sensed idle edge is the latest end of a frame sensed at the read; the read if none.
 
     A listener senses the frames of every sender it hears, itself included
-    with no delay, from start + delay + cca_detect_ns until end + delay. Each
+    with no delay, from start + delay + cca_detect_ns until end + delay, and
+    never at the instant a frame starts. Each
     read lands 1 ns before, at or 1 ns after one of those edges of some
     frame, and is taken both at that time in the run and after the run.
     """
@@ -711,7 +711,7 @@ def _brute_idle_from(m, listener, at):
     edges = [tx.end + d for tx in m.log
              if here.distance(m.positions[tx.sender]) <= cfg.range_m
              for d in [cfg.prop_delay(here.distance(m.positions[tx.sender]))]
-             if tx.start + d + cfg.cca_detect_ns <= at < tx.end + d]
+             if tx.start < at and tx.start + d + cfg.cca_detect_ns <= at < tx.end + d]
     return max(edges, default=at)
 
 

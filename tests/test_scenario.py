@@ -245,6 +245,26 @@ def test_announce_must_fit_one_slot():
         ScenarioConfig(mode=MODE_BASELINE, window=window, radio=radio).validate()
 
 
+def test_an_announce_one_slot_long_and_a_beacon_one_window_long_fit():
+    # at 6.4 Mb/s a byte takes 1,250 ns: a 100 B announce 125,000 ns, an 800 B
+    # beacon 1 ms and a two-member allocation (116 B) 145,000 ns; with no
+    # range there is no guard, so the allocation fits a 250 us slot 1
+    radio = RadioConfig(data_rate_bps=6_400_000, range_m=0.0)
+    ScenarioConfig(window=WindowConfig(window_ns=1 * MS, slot_len_ns=250 * US),
+                   radio=radio).validate()
+    with pytest.raises(ConfigError, match=r"^a payload_size_b=800 beacon \(1000000 ns on air\) "
+                                          r"outlasts the window_ns=999999 window$"):
+        ScenarioConfig(window=WindowConfig(window_ns=1 * MS - 1, slot_len_ns=250 * US),
+                       radio=radio).validate()
+    # a slot as long as an announce passes the announce check; slot 1 is then
+    # too short for the allocation, which is what refuses it
+    for slot, message in ((125_000, "cannot hold a two-member allocation"),
+                          (124_999, "does not fit one 124999 ns slot")):
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig(window=WindowConfig(window_ns=1 * MS, slot_len_ns=slot),
+                           radio=radio).validate()
+
+
 def test_two_member_allocation_fills_slot_1_between_its_guards():
     # a two-member allocation (116 B) takes 154,667 ns, and the guard over
     # 300 m is 1,000 ns: the shortest slot 1 that holds it between two guards

@@ -449,6 +449,14 @@ def test_priority_queues_strict_order():
     assert q.pop() is low
 
 
+def test_priority_queue_set_of_one_level():
+    q = PriorityQueueSet(1)
+    frame = Frame(FrameKind.DATA, 0, 100, 0, priority=0)
+    q.push(frame)
+    assert len(q.queues) == len(q) == 1
+    assert q.pop() is frame
+
+
 def test_priority_queue_unknown_class_is_a_hard_fault():
     q = PriorityQueueSet(2)
     with pytest.raises(ValueError):
@@ -460,9 +468,11 @@ def test_priority_queue_unknown_class_is_a_hard_fault():
      "window and slot length must be positive"),
     (lambda: WindowConfig(slot_len_ns=-1).validate(), ValueError,
      "window and slot length must be positive"),
+    (lambda: WindowConfig(slot_len_ns=0).validate(), ValueError,
+     "window and slot length must be positive"),
     (lambda: PriorityQueueSet(0), ValueError, "need at least one priority level"),
     (lambda: PriorityQueueSet().pop(), IndexError, "pop from empty queue set"),
-], ids=["window-zero", "slot-negative", "no-levels", "pop-empty"])
+], ids=["window-zero", "slot-negative", "slot-zero", "no-levels", "pop-empty"])
 def test_window_and_queue_faults_are_named(act, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         act()

@@ -22,21 +22,25 @@ run keeps no counter for (the collided flag, join retries, frames
 transmitted, each FSM record's line) come from tier-1's helpers in
 `tests/_util.py`, the one copy that the golden digests read too. Both sides
 also run the overlap oracle (`oracle_check_run`) and tier-1's carrier-sense
-oracle (`tests/_carrier_sense.py`), which must find nothing.
+oracle (`tests/_carrier_sense.py`), which must find nothing. The head side
+also reruns each config under tier-1's kernel shuffle (`tests/_shuffle.py`),
+salted with the config's seed: its field `order_free` names what the order
+of same-instant events changed, and must be empty.
 
 It prints a JSON summary on stdout: how many configs differ, the first
 field that differs, and the transmission and collided totals of each side
 with the mean change in collided share (head minus base, over the configs
-where both sides sent a frame), and each oracle's faults per side. The exit
+where both sides sent a frame), and each oracle's faults per side (the
+shuffle's under `order_faults`, on the head side alone). The exit
 status is 0 when every run matches and every oracle is clean; otherwise it
 is 1, and stderr names the first config and field that differ.
 
 `--expect-diff` is for a change that alters output on purpose: the summary
-then says what moved, and the exit status is 0 unless an oracle finds a
-fault or a side errors (its process fails, or a run raises where the other
-side's run does not raise the same error). A config that raises the same
-error on both sides is a match in both modes: it is outside what either
-tree accepts, not a fault of the change.
+then says what moved, and the exit status is 0 unless an oracle or the
+shuffle finds a fault or a side errors (its process fails, or a run raises
+where the other side's run does not raise the same error). A config that
+raises the same error on both sides is a match in both modes: it is outside
+what either tree accepts, not a fault of the change.
 """
 
 from __future__ import annotations
@@ -58,7 +62,10 @@ MS = 1_000_000
 TESTS = Path(__file__).resolve().parents[1] / "tests"
 MODES = ("tsnctl", "baseline")
 # each oracle's field in a run's digest, and its fault count in the summary
-ORACLES = {"oracle": "oracle_faults", "carrier_sense": "carrier_sense_faults"}
+ORACLES = {"oracle": "oracle_faults", "carrier_sense": "carrier_sense_faults",
+           "order_free": "order_faults"}
+# the field that only the head side's digest has
+HEAD_ONLY = "order_free"
 
 
 def draw_configs(mode: str, count: int, seed: int) -> list[dict]:
@@ -105,9 +112,11 @@ def _sha(lines) -> str:
     return h.hexdigest()
 
 
-def digest(config: dict, scratch: Path) -> dict:
-    """Every compared field of one run, in a fixed order."""
+def digest(config: dict, scratch: Path, shuffle: bool) -> dict:
+    """Every compared field of one run, in a fixed order; with `shuffle`,
+    what a shuffled rerun changes too."""
     from _carrier_sense import run_sensed_busy
+    from _shuffle import order_faults
     from _util import frames_transmitted, fsm_record_line, join_retries, receivers_collided
 
     from platoonsim.csma import CsmaConfig
@@ -141,6 +150,8 @@ def digest(config: dict, scratch: Path) -> dict:
         fields[f"results.csv by {rule}"] = hashlib.sha256(results.read_bytes()).hexdigest()
     fields["oracle"] = oracle_check_run(run)
     fields["carrier_sense"] = run_sensed_busy(run)
+    if shuffle:
+        fields[HEAD_ONLY] = order_faults(run, [config["seed"]])
     for vid, ctl in sorted(run.controllers.items()):
         fields[f"controller {vid} transitions"] = _sha(map(fsm_record_line, ctl.transitions))
         fields[f"controller {vid} deferred"] = ctl.deferred
@@ -156,8 +167,10 @@ def digest(config: dict, scratch: Path) -> dict:
     return fields
 
 
-def worker(src: Path, configs_path: Path, out_path: Path) -> None:
-    """Run every config against the package under src; one JSON line per run."""
+def worker(src: Path, configs_path: Path, out_path: Path, shuffle: bool) -> None:
+    """Run every config against the package under src; one JSON line per run.
+
+    With `shuffle` each run is also rerun under the kernel shuffle."""
     sys.path[:0] = [str(src), str(TESTS)]      # the helpers in tests/ read that package
     import platoonsim
 
@@ -167,16 +180,17 @@ def worker(src: Path, configs_path: Path, out_path: Path) -> None:
     configs = json.loads(configs_path.read_text(encoding="utf-8"))
     with tempfile.TemporaryDirectory() as scratch, out_path.open("w", encoding="utf-8") as out:
         for config in configs:
-            out.write(json.dumps(digest(config, Path(scratch))) + "\n")
+            out.write(json.dumps(digest(config, Path(scratch), shuffle)) + "\n")
 
 
 # -- the driver ------------------------------------------------------------------
 
 
 def first_difference(base: dict, head: dict) -> str | None:
-    """The first field, in the order the runs report them, whose values differ."""
+    """The first field, in the order the runs report them, whose values
+    differ; the head side's shuffle field is not compared."""
     for field in [*base, *(f for f in head if f not in base)]:
-        if base.get(field) != head.get(field):
+        if field != HEAD_ONLY and base.get(field) != head.get(field):
             return field
     return None
 
@@ -196,9 +210,10 @@ def sweep(base_src: Path, head_src: Path, mode: str, count: int, seed: int,
           expect_diff: bool = False) -> tuple[dict, str | None]:
     """Run both sides; return the summary and the line naming the first fault.
 
-    Without `expect_diff` a fault is a difference, an oracle fault or a side
-    whose process fails; with it, an oracle fault, a side whose process fails
-    or a run that raises where the other side does not raise the same error.
+    Without `expect_diff` a fault is a difference, an oracle or shuffle fault
+    or a side whose process fails; with it, an oracle or shuffle fault, a side
+    whose process fails or a run that raises where the other side does not
+    raise the same error.
     """
     configs = draw_configs(mode, count, seed)
     with tempfile.TemporaryDirectory() as tmp:
@@ -208,7 +223,8 @@ def sweep(base_src: Path, head_src: Path, mode: str, count: int, seed: int,
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         started = time.perf_counter()
         procs = {side: subprocess.Popen([sys.executable, __file__, "--worker", str(src),
-                                         str(configs_path), str(tmp / f"{side}.jsonl")], env=env)
+                                         str(configs_path), str(tmp / f"{side}.jsonl"),
+                                         *(["--shuffle"] if side == "head" else [])], env=env)
                  for side, src in (("base", base_src), ("head", head_src))}
         codes = {side: proc.wait() for side, proc in procs.items()}
         seconds = round(time.perf_counter() - started, 1)
@@ -266,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--worker"]:
         src, configs_path, out_path = map(Path, argv[1:4])
-        worker(src, configs_path, out_path)
+        worker(src, configs_path, out_path, argv[4:] == ["--shuffle"])
         return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, type=Path, help="src dir of the base side")
@@ -275,7 +291,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--configs", type=int, default=100, help="configs to draw")
     parser.add_argument("--seed", type=int, default=1, help="seed of the config draw")
     parser.add_argument("--expect-diff", action="store_true",
-                        help="report what changed; fail only on an oracle fault or an error")
+                        help="report what changed; fail only on an oracle or shuffle "
+                             "fault or an error")
     args = parser.parse_args(argv)
     for src in (args.base, args.head):
         if not (src / "platoonsim" / "__init__.py").is_file():
