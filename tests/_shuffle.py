@@ -8,10 +8,11 @@ broadcast. `shuffled(salt)` replaces `Kernel.at` so that the events of one
 instant run in an order drawn from the salt (a blake2b hash of the salt and
 the event's seq), spawns first among them in their own order.
 `late_spawns` reads the spawn rule from a kernel trace, and
-`order_faults` runs a config under each salt and names what differs from
-the run in scheduling order: the set of logged frames, a controller's FSM
-record or counters, or a MAC's counters. The order of the log's
-same-instant records may change; it is not compared.
+`order_faults` runs a config under each salt and names each field of its
+`_util.run_digest` that differs from the run in scheduling order: the
+logged frames with the messages they carry, a `results.csv`, or a
+controller's or MAC's record. Every field is compared but the log's sha256:
+the order of the log's same-instant records follows the dispatch order.
 
 `tools/equivalence.py` reads this module too, for its `order_free` field.
 """
@@ -22,7 +23,7 @@ from contextlib import contextmanager
 from hashlib import blake2b
 from heapq import heappush
 
-from _util import fsm_record_line
+from _util import run_digest
 
 from platoonsim.kernel import SPAWN, Kernel
 from platoonsim.scenario import run_scenario
@@ -58,29 +59,14 @@ def late_spawns(trace: list[tuple]) -> list[tuple]:
             if before[0] == after[0] and before[3] != "SPAWN" and after[3] == "SPAWN"]
 
 
-def outcome(run) -> dict:
-    """What a run decided, with no trace of its same-instant order.
-
-    The logged frames as a sorted list, and each controller's FSM record
-    and counters and each MAC's counters, by vehicle.
-    """
-    parts = {"frames": sorted((tx.sender, tx.start, tx.end, tx.size, tx.kind.name, tx.seq,
-                               tx.generated_at, tx.receivers, tx.hit) for tx in run.medium.log)}
-    for vid, ctl in sorted(run.controllers.items()):
-        parts[f"controller {vid}"] = (
-            [fsm_record_line(record) for record in ctl.transitions], ctl.deferred,
-            ctl.rejected_joins, ctl.announce_skips, len(ctl.queues), ctl.source.seq)
-    for vid, mac in sorted(run.macs.items()):
-        parts[f"mac {vid}"] = (mac.deferrals, mac.source.seq, len(mac.queue))
-    return parts
-
-
-def order_faults(run, salts) -> list[str]:
-    """`salt: part` for each salt and each part of `outcome` that a shuffled
-    rerun of run's config, under the config's seed, changes; empty if none does."""
-    want, faults = outcome(run), []
+def order_faults(cfg, want: dict, salts) -> list[str]:
+    """`salt: field` for each salt and each field of `_util.run_digest` but
+    the log's sha256 that a shuffled rerun of cfg, under cfg's seed, changes
+    from `want`, the digest of the run in scheduling order; empty if none does."""
+    faults = []
     for salt in salts:
         with shuffled(salt):
-            got = outcome(run_scenario(run.cfg, run.cfg.seed))
-        faults += [f"{salt}: {part}" for part in {**want, **got} if want.get(part) != got.get(part)]
+            got = run_digest(run_scenario(cfg, cfg.seed))
+        faults += [f"{salt}: {field}" for field in {**want, **got}
+                   if field != "log_sha256" and want.get(field) != got.get(field)]
     return faults

@@ -1,8 +1,15 @@
 """Shared test helpers: a data frame, scripted randomness, a scripted message
-source, hand-assembled platoon scenarios, a reference election, and the one
-copy, which `tools/equivalence.py` reads too, of the facts a run keeps no
-counter for: join retries, frames transmitted, an FSM record's line, and a
-frame's collision counts and reception outcomes, read from its two masks.
+source, hand-assembled platoon scenarios, a reference election, a frame's
+collision counts and reception outcomes read from its two masks, and
+`run_digest`, the one digest of what a run decided.
+
+`run_digest` is what the golden grid (`test_golden.py`) pins, what the kernel
+shuffle (`_shuffle.py`) compares across dispatch orders and what
+`tools/equivalence.py` compares across two source trees: the written log,
+every logged frame with the message it carries, a one-repetition
+`results.csv` under each counting rule, and each controller's and MAC's
+counters, including the facts a run keeps no counter for (join retries,
+frames transmitted, each FSM record's line).
 
 Every MAC and controller reads its messages from a source, as in a run. A
 test that does not build a `scenario.ItsService` scripts the messages it
@@ -10,12 +17,18 @@ needs, down to none, in a `ScriptedSource`."""
 
 from __future__ import annotations
 
-from collections import deque
+import hashlib
+import tempfile
+from collections import Counter, deque
+from dataclasses import replace
+from pathlib import Path
 
 from platoonsim.csma import CsmaMac
 from platoonsim.frames import Frame, FrameKind
 from platoonsim.kernel import EventKind, Kernel, MS
+from platoonsim.metrics import ExperimentResult, collect_stats, emit_csv, write_transmission_log
 from platoonsim.radio import Medium, Position, RadioConfig
+from platoonsim.scenario import COUNTING_RULES
 from platoonsim.tsnctl import (JOINING, WINDOW_START, TsnCtl, WindowClock, WindowConfig,
                                election_key)
 
@@ -124,7 +137,7 @@ def join_retries(ctl: TsnCtl) -> int:
 
 
 def fsm_record_line(record: tuple) -> str:
-    """One (before, event, outcome, after) FSM record as the golden digest hashes it."""
+    """One (before, event, outcome, after) FSM record as `run_digest` hashes it."""
     before, event, outcome, after = record
     return (f"{before.status.name}/{before.role.name} {event.name} {outcome} "
             f"{after.status.name}/{after.role.name}")
@@ -162,3 +175,62 @@ def recount(log: list[Frame], rule: str) -> tuple[int, int]:
     if rule == "data_frames":
         heard = [tx for tx in heard if tx.kind is FrameKind.DATA]
     return len(heard), sum(receivers_collided(tx) > 0 for tx in heard)
+
+
+def _sha256(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(f"{line}\n".encode())
+    return h.hexdigest()
+
+
+def _record(**counts) -> str:
+    return " ".join(f"{name}={value}" for name, value in counts.items())
+
+
+def run_digest(run) -> dict:
+    """Every output field of a run, in a fixed order.
+
+    - `log_sha256`: the sha256 of the written transmission log, whose
+      same-instant records follow the dispatch order of same-instant events;
+    - `transmissions` and `collided`: the logged frames, and those that
+      collided at a receiver;
+    - `frames`: one sha256 over the logged frames in sorted order, each with
+      its sender, start, end, size, kind, the `seq` and `generated_at` of the
+      message it carries, and its receivers and hit masks;
+    - `results.csv by <rule>`: the sha256 of a one-repetition `results.csv`
+      under each rule of `scenario.COUNTING_RULES`;
+    - `controller <vid>` and `mac <vid>`: one record of each one's counters,
+      messages taken (its source's `seq`), frames transmitted (its frames
+      that ended by the run end), frames queued at the end and, for a
+      controller, join retries and the sha256 of its FSM record lines.
+    """
+    log, end = run.medium.log, run.cfg.sim_duration_ns
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out"
+        write_transmission_log(run, path)
+        fields = {
+            "log_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+            "transmissions": len(log),
+            "collided": sum(receivers_collided(tx) > 0 for tx in log),
+            "frames": _sha256(sorted(
+                f"{tx.sender} {tx.start} {tx.end} {tx.size} {tx.kind.name} {tx.seq} "
+                f"{tx.generated_at} {tx.receivers} {tx.hit}" for tx in log)),
+        }
+        for rule in COUNTING_RULES:
+            cfg = replace(run.cfg, counting=rule)
+            emit_csv(ExperimentResult.from_stats(cfg, [collect_stats(replace(run, cfg=cfg))]),
+                     path)
+            fields[f"results.csv by {rule}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    transmitted = Counter(tx.sender for tx in log if tx.end <= end)
+    for vid, ctl in sorted(run.controllers.items()):
+        fields[f"controller {vid}"] = _record(
+            deferred=ctl.deferred, rejected_joins=ctl.rejected_joins,
+            join_retries=join_retries(ctl), announce_skips=ctl.announce_skips,
+            taken=ctl.source.seq, transmitted=transmitted[vid], queued=len(ctl.queues),
+            fsm=_sha256(map(fsm_record_line, ctl.transitions)))
+    for vid, mac in sorted(run.macs.items()):
+        fields[f"mac {vid}"] = _record(
+            deferrals=mac.deferrals, taken=mac.source.seq, transmitted=transmitted[vid],
+            queued=len(mac.queue))
+    return fields

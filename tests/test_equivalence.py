@@ -1,13 +1,15 @@
 """The equivalence sweep finds no difference between a tree and itself, and
-names the first field where a changed copy differs; with `--expect-diff` it
-reports what moved and fails only on a fault of the overlap or carrier-sense
-oracle or of the head side's kernel shuffle, or an error that the sides do
-not share."""
+names the first field where a changed copy differs, a queue that sends its
+messages out of order among them; with `--expect-diff` it reports what moved
+and fails only on a fault of the overlap or carrier-sense oracle or of the
+head side's kernel shuffle, or an error that the sides do not share."""
 
 import importlib.util
 import json
 import shutil
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -45,6 +47,22 @@ def test_a_changed_copy_is_named_at_its_first_differing_field(tmp_path):
     assert summary["first_difference"]["config"] == 0
     assert summary["first_difference"]["field"] == "log_sha256"
     assert fault.startswith("config 0 ") and "'log_sha256'" in fault
+
+
+@pytest.mark.parametrize("mode, module, old, new, seed, differences", [
+    ("baseline", "csma.py", "self.queue.popleft()", "self.queue.pop()", 3, 1),
+    ("tsnctl", "tsnctl.py", "return q.popleft()", "return q.pop()", 1, 2),
+], ids=["baseline", "tsnctl"])
+def test_a_queue_that_sends_its_newest_message_first_differs_at_its_frames(
+        tmp_path, mode, module, old, new, seed, differences):
+    # the log shows neither a frame's seq nor its generated_at, so it stays
+    # byte-identical; the configs of the draw seed keep queues backlogged
+    head = _changed_copy(tmp_path, module, old, new)
+    summary, fault = equivalence.sweep(SRC, head, mode, 2, seed)
+    assert summary["differences"] == differences
+    assert summary["first_difference"]["field"] == "frames"
+    assert "first fault at 'frames'" in fault
+    assert summary["transmissions"]["base"] == summary["transmissions"]["head"] > 0
 
 
 def test_expect_diff_reports_what_moved_and_exits_0(tmp_path, capsys):

@@ -1,56 +1,60 @@
 """Golden digests: refactors of the simulator must not change one byte of output.
 
-Each grid point runs one seeded scenario, once, and compares the sha256 of its
-transmission log, the sha256 of its per-transmission reception accounting and
-a few counts against `golden_digests.json`. The grid covers both modes, 1/2/3 ms
-slots, two seeds, a 2 s run and a run cut off mid-window (frames in flight),
-plus two tsnctl points whose vehicles spawn every 50 ms, so every other one is
-created on a window boundary, where it joins the window clock ahead of that
-boundary's event. On the second, a 1 km road holds several platoons, whose
-members' data slots coincide, so the order in which the clock calls its
-members shows in the order of same-instant transmissions. A last tsnctl point,
-at both durations, has 1 ms slots, 100 B frames (seven fit a slot) and a
-message every 20 ms: each burst sends the messages that fell due since the
-last one, among them those due at the instant the burst starts, so the log
-pins when a due message joins the queue. (With 800 B frames every burst is
-one overrunning frame, whatever the queue holds.)
-Two baseline points, at both durations, put all 20 vehicles at one spot with
-a message every 2 ms, shorter than an 800 B frame's airtime: every MAC keeps
-a backlog, many frames wait behind their sender's frame on air, and backoff
-expiries, idle edges and frame ends of different vehicles fall on one
-instant. No frame is sensed at the instant it starts, so what the MACs
-decide there does not rest on the order of those events; the log pins the
-order of its same-instant records, which follows the dispatch order.
-A last tsnctl point, at both durations, puts 60 vehicles on a 400 m road with
-150 m of range and 1 ms slots. Hidden terminals make listeners hear different
-subsets of a window's announces: the earliest announce of a window often
-collided at a listener, or a master the listener did not hear this window
-wins, so the log pins which candidates the election weighs.
-Each point has three keys: `rec0` hashes the accounting line alone (the
-receiver count twice, which keeps the fixture's layout, then the collided
-count), `rec1` appends to each line its per-receiver outcomes, as
-`_util.outcomes` reads them from the frame's two masks, and `counters` hashes what the
-log does not show: each controller's FSM record (`transitions`), its
-`deferred`, `rejected_joins`, join retries and `announce_skips`, its queue
-length and messages taken at the run end, and each CSMA MAC's `deferrals`,
-messages taken and frames transmitted. The run keeps no counter for three of
-these, and `_util` computes them as the fixture was made, for this digest and
-`tools/equivalence.py` alike: join retries, messages taken (the source's
-`seq`) and frames transmitted, with each FSM record hashed as the line
-`_util.fsm_record_line` writes.
+Each of the 26 grid points runs one seeded scenario, once, and compares its
+digest (`_util.run_digest`) with the point's entry in `golden_digests.json`:
+the sha256 of the transmission log, the counts of logged and of collided
+frames, one sha256 over the logged frames with the `seq` and `generated_at`
+of the message each carries and its two masks, the sha256 of a
+one-repetition `results.csv` under each counting rule, and one record per
+controller and per MAC: its counters, join retries, messages taken, frames
+transmitted and frames queued at the run end, and for a controller the
+sha256 of its FSM record lines. The log does not show which message a frame
+carries, so only the frames field sees a queue that sends its messages out
+of order.
+
+The grid covers both modes, 1/2/3 ms slots, two seeds, a 2 s run and a run
+cut off mid-window (frames in flight). Beyond that:
+- two tsnctl points whose vehicles spawn every 50 ms, so every other one is
+  created on a window boundary, where it joins the window clock ahead of
+  that boundary's event. On the second, a 1 km road holds several platoons,
+  whose members' data slots coincide, so the order in which the clock calls
+  its members shows in the order of same-instant transmissions;
+- a tsnctl point, at both durations, with 1 ms slots, 100 B frames (seven
+  fit a slot) and a message every 20 ms: each burst sends the messages that
+  fell due since the last one, among them those due at the instant the
+  burst starts, so the log pins when a due message joins the queue (with
+  800 B frames every burst is one overrunning frame, whatever the queue
+  holds);
+- a baseline point, at both durations, with all 20 vehicles at one spot and
+  a message every 2 ms, shorter than an 800 B frame's airtime: every MAC
+  keeps a backlog, many frames wait behind their sender's frame on air, and
+  backoff expiries, idle edges and frame ends of different vehicles fall on
+  one instant. No frame is sensed at the instant it starts, so what the
+  MACs decide there does not rest on the order of those events; the log
+  pins the order of its same-instant records, which follows the dispatch
+  order;
+- a baseline point, at both durations, with the 20 vehicles at one spot, no
+  detection latency (`cca_detect_ns = 0`) and a message every 100 ms: a
+  frame is sensed from the instant after it starts, so co-located MACs that
+  decide at one instant do not see each other's frames and collide;
+- a tsnctl point, at both durations, with 60 vehicles on a 400 m road, 150 m
+  of range and 1 ms slots. Hidden terminals make listeners hear different
+  subsets of a window's announces: the earliest announce of a window often
+  collided at a listener, or a master the listener did not hear this window
+  wins, so the log pins which candidates the election weighs.
 
 The same runs also go through the carrier-sense oracle (`_carrier_sense`):
 no frame that its protocol sensed before sending started while its sender
 sensed another frame. Each is rerun under the kernel shuffle (`_shuffle`)
-with three salts, and must log the same frames and keep the same FSM records
-and counters; its kernel trace shows that every spawn ran before the other
-events of its instant, the one same-instant order that the outcome rests
-on. On the tsnctl runs they pin two facts that the slot controller relies
-on. Only announces start between a window start and the end of its slot 0,
-and each fits slot 0, so the window clock can take a window's announces from
-where the window opened in the log. Every announce and allocation carries
-its sender's creation time, so a controller can tell its master's frames by
-election key alone.
+with three salts, and must keep every field of its digest but the log's
+sha256, which follows the dispatch order; its kernel trace shows that every
+spawn ran before the other events of its instant, the one same-instant
+order that the outcome rests on. On the tsnctl runs they pin two facts that
+the slot controller relies on. Only announces start between a window start
+and the end of its slot 0, and each fits slot 0, so the window clock can
+take a window's announces from where the window opened in the log. Every
+announce and allocation carries its sender's creation time, so a controller
+can tell its master's frames by election key alone.
 
 A change that alters output on purpose regenerates the fixture with
 
@@ -61,7 +65,6 @@ and says why in CHANGES.md.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -69,12 +72,10 @@ from pathlib import Path
 import pytest
 from _carrier_sense import run_sensed_busy
 from _shuffle import late_spawns, order_faults
-from _util import (frames_transmitted, fsm_record_line, join_retries, outcomes,
-                   receivers_collided, receivers_expected)
+from _util import run_digest
 
 from platoonsim.frames import CONTROL_ALLOCATION, CONTROL_ANNOUNCE
 from platoonsim.kernel import MS
-from platoonsim.metrics import write_transmission_log
 from platoonsim.radio import RadioConfig
 from platoonsim.scenario import (MODE_BASELINE, MODE_TSNCTL, RunResult, ScenarioConfig,
                                  run_scenario)
@@ -108,38 +109,16 @@ def _grid() -> list[tuple[str, str, int, int, int, dict]]:
                        MODE_BASELINE, 2, 1, duration,
                        {"area_length_m": 0.0, "message_interval_ns": 2 * MS}))
     for duration in DURATIONS:
+        points.append((f"{MODE_BASELINE}-2ms-seed1-{duration}ns-area0m-cca0ns",
+                       MODE_BASELINE, 2, 1, duration,
+                       {"area_length_m": 0.0, "message_interval_ns": 100 * MS,
+                        "radio": RadioConfig(cca_detect_ns=0)}))
+    for duration in DURATIONS:
         points.append((f"{MODE_TSNCTL}-1ms-seed1-{duration}ns-n60-area400m-range150m",
                        MODE_TSNCTL, 1, 1, duration,
                        {"vehicle_count": 60, "area_length_m": 400.0,
                         "radio": RadioConfig(range_m=150.0)}))
     return points
-
-
-RECORDS = ("rec0", "rec1", "counters")
-
-
-def _keys() -> list[str]:
-    return [f"{point[0]}-{record}" for point in _grid() for record in RECORDS]
-
-
-def counter_digest(run) -> dict:
-    """The sha256 of every controller's and MAC's counters, in vehicle id order."""
-    h = hashlib.sha256()
-    for vid, ctl in sorted(run.controllers.items()):
-        h.update(f"ctl {vid} {ctl.deferred} {ctl.rejected_joins} {join_retries(ctl)} "
-                 f"{ctl.announce_skips} {len(ctl.queues)} {ctl.source.seq}\n".encode())
-        for record in ctl.transitions:
-            h.update(f"{fsm_record_line(record)}\n".encode())
-    for vid, mac in sorted(run.macs.items()):
-        h.update(f"mac {vid} {mac.deferrals} {mac.source.seq} "
-                 f"{frames_transmitted(mac)}\n".encode())
-    ctls, macs = run.controllers.values(), run.macs.values()
-    return {
-        "counters_sha256": h.hexdigest(),
-        "fsm_steps": sum(len(ctl.transitions) for ctl in ctls),
-        "deferred": sum(ctl.deferred for ctl in ctls),
-        "deferrals": sum(mac.deferrals for mac in macs),
-    }
 
 
 def run_point(mode: str, slot_ms: int, seed: int, duration: int, extra: dict) -> RunResult:
@@ -154,37 +133,9 @@ def run_point(mode: str, slot_ms: int, seed: int, duration: int, extra: dict) ->
     return run_scenario(cfg, seed, trace=True)
 
 
-def digests(run: RunResult, tmp: Path) -> list[dict]:
-    """The rec0, rec1 and counters digests of one grid point's run."""
-    log = tmp / "transmissions.log"
-    write_transmission_log(run, log)
-    log_sha256 = hashlib.sha256(log.read_bytes()).hexdigest()
-    accounting = [hashlib.sha256(), hashlib.sha256()]
-    for tx in run.medium.log:
-        line = f"{receivers_expected(tx)} {receivers_expected(tx)} {receivers_collided(tx)}"
-        flags = sorted(outcomes(tx).items())
-        accounting[0].update(line.encode() + b"\n")
-        line += " " + " ".join(f"{r}:{int(c)}" for r, c in flags)
-        accounting[1].update(line.encode() + b"\n")
-    txs = run.medium.log
-    counts = {
-        "tx": len(txs),
-        "collided": sum(receivers_collided(tx) > 0 for tx in txs),
-        "receptions": sum(receivers_expected(tx) for tx in txs),
-        "receptions_done": sum(receivers_expected(tx) for tx in txs),
-        "receptions_collided": sum(receivers_collided(tx) for tx in txs),
-    }
-    return [*({"log_sha256": log_sha256, "accounting_sha256": h.hexdigest(), **counts}
-              for h in accounting), counter_digest(run)]
-
-
-def table(runs: dict[str, RunResult], tmp: Path) -> dict[str, dict]:
-    """Every grid point's digests, keyed as in the fixture."""
-    out = {}
-    for key, run in runs.items():
-        for record, digest in zip(RECORDS, digests(run, tmp)):
-            out[f"{key}-{record}"] = digest
-    return out
+def table(runs: dict[str, RunResult]) -> dict[str, dict]:
+    """Every grid point's digest, keyed by the point."""
+    return {key: run_digest(run) for key, run in sorted(runs.items())}
 
 
 def grid_runs() -> dict[str, RunResult]:
@@ -203,20 +154,36 @@ def runs() -> dict[str, RunResult]:
 
 
 @pytest.fixture(scope="module")
-def computed(runs, tmp_path_factory) -> dict:
-    return table(runs, tmp_path_factory.mktemp("golden"))
+def computed(runs) -> dict:
+    return table(runs)
+
+
+POINTS = [point[0] for point in _grid()]
+# each point's digest compared part by part, a part being the first word of
+# a field's name: `results.csv` holds the three counting rules, and
+# `controller` or `mac` every vehicle's record
+PARTS = [(key, part) for key, mode, *_ in _grid()
+         for part in ("log_sha256", "transmissions", "collided", "frames", "results.csv",
+                      "controller" if mode == MODE_TSNCTL else "mac")]
+
+
+def _part(digest: dict, part: str) -> dict:
+    return {field: value for field, value in digest.items() if field.split(" ")[0] == part}
 
 
 def test_fixture_covers_the_grid(golden):
-    assert sorted(golden) == sorted(_keys())
+    assert sorted(golden) == sorted(POINTS)
+    for key, digest in golden.items():
+        assert {field.split(" ")[0] for field in digest} == \
+            {part for point, part in PARTS if point == key}
 
 
-@pytest.mark.parametrize("key", _keys(), ids=_keys())
-def test_output_matches_golden_digest(golden, computed, key):
-    assert computed[key] == golden[key]
+@pytest.mark.parametrize("point, part", PARTS, ids=[f"{point}-{part}" for point, part in PARTS])
+def test_output_matches_golden_digest(golden, computed, point, part):
+    assert _part(computed[point], part) == _part(golden[point], part)
 
 
-@pytest.mark.parametrize("point", [point[0] for point in _grid()])
+@pytest.mark.parametrize("point", POINTS)
 def test_sensed_frames_start_on_an_idle_channel(runs, point):
     """The carrier-sense oracle finds no sensed frame that started on a busy channel."""
     assert run_sensed_busy(runs[point]) == []
@@ -238,11 +205,11 @@ def test_spawns_run_first_at_their_instant(runs):
 SALTS = (1, 2, 3)
 
 
-@pytest.mark.parametrize("point", [point[0] for point in _grid()])
-def test_same_instant_order_leaves_the_outcome_unchanged(runs, point):
+@pytest.mark.parametrize("point", POINTS)
+def test_same_instant_order_leaves_the_outcome_unchanged(computed, runs, point):
     """Rerun with same-instant events in a shuffled order, spawns first, the
-    point logs the same frames and keeps the same FSM records and counters."""
-    assert order_faults(runs[point], SALTS) == []
+    point keeps every field of its digest but the log's sha256."""
+    assert order_faults(runs[point].cfg, computed[point], SALTS) == []
 
 
 TSNCTL_POINTS = [point[0] for point in _grid() if point[1] == MODE_TSNCTL]
@@ -273,9 +240,6 @@ def test_control_frames_carry_their_senders_creation_time(runs, point):
 
 
 if __name__ == "__main__":
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as d:
-        fixture = table(grid_runs(), Path(d))
-    FIXTURE.write_text(json.dumps(fixture, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    fixture = table(grid_runs())
+    FIXTURE.write_text(json.dumps(fixture, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(fixture)} digests to {FIXTURE}", file=sys.stderr)

@@ -1,15 +1,18 @@
 """A run's outcome does not depend on the order of same-instant events.
 
 Rerun under a kernel shuffle (`_shuffle`), which dispatches the events of one
-instant in a seeded random order with spawns first, a run logs the same
-frames and keeps the same FSM records and counters. The golden grid's runs
-go through it in `test_golden.py`; here it runs on random configs of both
-modes, co-located and zero-latency ones among them.
+instant in a seeded random order with spawns first, a run keeps every field
+of its digest (`_util.run_digest`) but the log's sha256: the frames with
+the messages they carry, the `results.csv` under each counting rule, and
+every controller's and MAC's record. The golden grid's runs go through it
+in `test_golden.py`; here it runs on random configs of both modes,
+co-located and zero-latency ones among them.
 """
 
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from _shuffle import late_spawns, order_faults, shuffled
+from _util import run_digest
 
 from platoonsim.config import ConfigError
 from platoonsim.csma import CsmaConfig
@@ -75,4 +78,4 @@ def _configs(draw):
 @given(cfg=_configs())
 @example(cfg=RACE)
 def test_same_instant_order_leaves_random_runs_unchanged(cfg):
-    assert order_faults(run_scenario(cfg, cfg.seed), SALTS) == []
+    assert order_faults(cfg, run_digest(run_scenario(cfg, cfg.seed)), SALTS) == []

@@ -12,20 +12,22 @@ preambles, 1/2/16 contention slots of 13/800 us, 1-800 B payloads,
 cut at any ns from 50 ms to 1.5 s. Each side runs every config in its own
 subprocess, and the two run side by side.
 
-Per run it compares the sha256 of the transmission log, each record's
-receivers and hit masks, the sha256 of a one-repetition `results.csv` under
-each counting rule that the side's `platoonsim.scenario.COUNTING_RULES` names,
-every controller's `transitions`, `deferred`, `rejected_joins`,
-`join_retries`, `announce_skips`, queue length and `source.seq`, and every
-MAC's `deferrals`, `frames_submitted` and `frames_transmitted`. The facts a
-run keeps no counter for (the collided flag, join retries, frames
-transmitted, each FSM record's line) come from tier-1's helpers in
-`tests/_util.py`, the one copy that the golden digests read too. Both sides
-also run the overlap oracle (`oracle_check_run`) and tier-1's carrier-sense
-oracle (`tests/_carrier_sense.py`), which must find nothing. The head side
-also reruns each config under tier-1's kernel shuffle (`tests/_shuffle.py`),
-salted with the config's seed: its field `order_free` names what the order
-of same-instant events changed, and must be empty.
+Per run it compares every field of tier-1's `run_digest` (`tests/_util.py`),
+the one digest that the golden grid and the kernel shuffle read too: the
+sha256 of the transmission log, the logged and collided frame counts, one
+sha256 over the logged frames with the `seq` and `generated_at` of the
+message each carries and its receivers and hit masks, the sha256 of a
+one-repetition `results.csv` under each counting rule that the side's
+`platoonsim.scenario.COUNTING_RULES` names, and one record per controller
+(counters, join retries, messages taken, frames transmitted and queued, the
+sha256 of its FSM record lines) and per MAC (deferrals, messages taken,
+frames transmitted and queued). Three oracle fields follow. Both sides run
+the overlap oracle (`oracle`) and tier-1's carrier-sense oracle
+(`carrier_sense`, `tests/_carrier_sense.py`), which must find nothing. The
+head side also reruns each config under tier-1's kernel shuffle
+(`tests/_shuffle.py`), salted with the config's seed: its field
+`order_free` names each digest field but the log's sha256 that the order of
+same-instant events changed, and must be empty.
 
 It prints a JSON summary on stdout: how many configs differ, the first
 field that differs, and the transmission and collided totals of each side
@@ -46,7 +48,6 @@ what either tree accepts, not a fault of the change.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import random
@@ -54,11 +55,10 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 
 MS = 1_000_000
-# tier-1's helpers, the one copy of each fact a run keeps no counter for
+# tier-1's helpers: the run digest, the carrier-sense oracle and the kernel shuffle
 TESTS = Path(__file__).resolve().parents[1] / "tests"
 MODES = ("tsnctl", "baseline")
 # each oracle's field in a run's digest, and its fault count in the summary
@@ -105,25 +105,17 @@ def draw_configs(mode: str, count: int, seed: int) -> list[dict]:
 # -- one side: runs in a subprocess with its src dir first on sys.path ----------
 
 
-def _sha(lines) -> str:
-    h = hashlib.sha256()
-    for line in lines:
-        h.update(line.encode() + b"\n")
-    return h.hexdigest()
-
-
-def digest(config: dict, scratch: Path, shuffle: bool) -> dict:
-    """Every compared field of one run, in a fixed order; with `shuffle`,
-    what a shuffled rerun changes too."""
+def digest(config: dict, shuffle: bool) -> dict:
+    """One run's `run_digest` and its oracle fields; with `shuffle`, what a
+    shuffled rerun changes too."""
     from _carrier_sense import run_sensed_busy
     from _shuffle import order_faults
-    from _util import frames_transmitted, fsm_record_line, join_retries, receivers_collided
+    from _util import run_digest
 
     from platoonsim.csma import CsmaConfig
-    from platoonsim.metrics import (
-        ExperimentResult, collect_stats, emit_csv, oracle_check_run, write_transmission_log)
+    from platoonsim.metrics import oracle_check_run
     from platoonsim.radio import RadioConfig
-    from platoonsim.scenario import COUNTING_RULES, ScenarioConfig, run_scenario
+    from platoonsim.scenario import ScenarioConfig, run_scenario
     from platoonsim.tsnctl import WindowConfig
 
     cfg = ScenarioConfig(**config["scenario"], seed=config["seed"],
@@ -134,37 +126,11 @@ def digest(config: dict, scratch: Path, shuffle: bool) -> dict:
         run = run_scenario(cfg, config["seed"])
     except Exception as exc:        # both sides must fail alike
         return {"error": f"{type(exc).__name__}: {exc}"}
-    log = scratch / "transmissions.log"
-    write_transmission_log(run, log)
-    txs = run.medium.log
-    fields = {
-        "log_sha256": hashlib.sha256(log.read_bytes()).hexdigest(),
-        "transmissions": len(txs),
-        "collided": sum(receivers_collided(tx) > 0 for tx in txs),
-        "masks": _sha(f"{tx.receivers} {tx.hit}" for tx in txs),
-    }
-    results = scratch / "results.csv"
-    for rule in COUNTING_RULES:
-        rc = replace(cfg, counting=rule)
-        emit_csv(ExperimentResult.from_stats(rc, [collect_stats(replace(run, cfg=rc))]), results)
-        fields[f"results.csv by {rule}"] = hashlib.sha256(results.read_bytes()).hexdigest()
-    fields["oracle"] = oracle_check_run(run)
-    fields["carrier_sense"] = run_sensed_busy(run)
+    fields = run_digest(run)
+    oracles = {"oracle": oracle_check_run(run), "carrier_sense": run_sensed_busy(run)}
     if shuffle:
-        fields[HEAD_ONLY] = order_faults(run, [config["seed"]])
-    for vid, ctl in sorted(run.controllers.items()):
-        fields[f"controller {vid} transitions"] = _sha(map(fsm_record_line, ctl.transitions))
-        fields[f"controller {vid} deferred"] = ctl.deferred
-        fields[f"controller {vid} rejected_joins"] = ctl.rejected_joins
-        fields[f"controller {vid} join_retries"] = join_retries(ctl)
-        fields[f"controller {vid} announce_skips"] = ctl.announce_skips
-        fields[f"controller {vid} queue length"] = len(ctl.queues)
-        fields[f"controller {vid} source.seq"] = ctl.source.seq
-    for vid, mac in sorted(run.macs.items()):
-        fields[f"mac {vid} deferrals"] = mac.deferrals
-        fields[f"mac {vid} frames_submitted"] = mac.source.seq
-        fields[f"mac {vid} frames_transmitted"] = frames_transmitted(mac)
-    return fields
+        oracles[HEAD_ONLY] = order_faults(cfg, fields, [config["seed"]])
+    return {**fields, **oracles}
 
 
 def worker(src: Path, configs_path: Path, out_path: Path, shuffle: bool) -> None:
@@ -178,9 +144,9 @@ def worker(src: Path, configs_path: Path, out_path: Path, shuffle: bool) -> None
     if src.resolve() not in where.parents:
         sys.exit(f"imported platoonsim from {where}, not from {src}")
     configs = json.loads(configs_path.read_text(encoding="utf-8"))
-    with tempfile.TemporaryDirectory() as scratch, out_path.open("w", encoding="utf-8") as out:
+    with out_path.open("w", encoding="utf-8") as out:
         for config in configs:
-            out.write(json.dumps(digest(config, Path(scratch), shuffle)) + "\n")
+            out.write(json.dumps(digest(config, shuffle)) + "\n")
 
 
 # -- the driver ------------------------------------------------------------------
