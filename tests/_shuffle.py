@@ -14,7 +14,7 @@ logged frames with the messages they carry, a `results.csv`, or a
 controller's or MAC's record. Every field is compared but the log's sha256:
 the order of the log's same-instant records follows the dispatch order.
 
-`tools/equivalence.py` reads this module too, for its `order_free` field.
+`order_faults` is the run check `order_free` of `_checks.CHECKS`.
 """
 
 from __future__ import annotations
@@ -25,8 +25,16 @@ from heapq import heappush
 
 from _util import run_digest
 
-from platoonsim.kernel import SPAWN, Kernel
-from platoonsim.scenario import run_scenario
+from platoonsim.kernel import MS, SPAWN, Kernel
+from platoonsim.radio import RadioConfig
+from platoonsim.scenario import MODE_BASELINE, ScenarioConfig, run_scenario
+
+# every vehicle at one spot with no detection latency: under a rule that
+# senses a frame at the instant it starts, two MACs that decide at one
+# instant race, and the one dispatched first is sensed by the other
+RACE = ScenarioConfig(vehicle_count=3, mode=MODE_BASELINE, area_length_m=0.0,
+                      message_interval_ns=2 * MS, sim_duration_ns=200 * MS, seed=1,
+                      radio=RadioConfig(cca_detect_ns=0))
 
 
 @contextmanager

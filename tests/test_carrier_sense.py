@@ -1,18 +1,11 @@
 """The carrier-sense oracle (`_carrier_sense`): its rule on hand-made records,
-its verdict on random runs, and that it sees a wrong sensing rule.
-
-The golden grid's runs go through it in `test_golden.py`.
-"""
+and that it sees a wrong sensing rule."""
 
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, reject, settings
-from hypothesis import strategies as st
 from _carrier_sense import log_records, run_sensed_busy, sensed_busy
 
-from platoonsim.config import ConfigError
-from platoonsim.csma import CsmaConfig
 from platoonsim.frames import CONTROL_ANNOUNCE, DATA
 from platoonsim.kernel import MS, SEC, US
 from platoonsim.radio import Position, RadioConfig
@@ -71,38 +64,6 @@ def test_slot_controller_data_frames_sense_only_in_slot_1():
 def test_records_out_of_start_order_are_refused():
     with pytest.raises(ValueError, match="start order"):
         sensed_busy([(DATA, 1, 5, 10), ON_AIR], POSITIONS, RADIO)
-
-
-@st.composite
-def _sensing_runs(draw):
-    """A small valid run of either mode, drawn over the sensing and backoff parameters."""
-    cfg = ScenarioConfig(
-        vehicle_count=draw(st.integers(2, 12)),
-        mode=draw(st.sampled_from((MODE_BASELINE, MODE_TSNCTL))),
-        spawn_interval_ns=draw(st.integers(1, 2_000)) * US,
-        area_length_m=draw(st.floats(0.0, 600.0)),
-        message_interval_ns=draw(st.integers(2, 100)) * MS,
-        payload_size_b=draw(st.integers(1, 800)),
-        sim_duration_ns=draw(st.integers(50, 400)) * MS,
-        csma=CsmaConfig(cw_slots=draw(st.integers(1, 16)),
-                        backoff_slot_ns=draw(st.integers(1, 1_000_000))),
-        radio=RadioConfig(range_m=draw(st.floats(0.0, 1_000.0)),
-                          cca_detect_ns=draw(st.integers(0, 50_000)),
-                          preamble_ns=draw(st.integers(0, 100_000))),
-        window=WindowConfig(slot_len_ns=draw(st.integers(5, 30)) * 100 * US),
-    )
-    try:
-        cfg.validate()
-    except ConfigError:
-        reject()
-    return cfg, draw(st.integers(0, 2**32))
-
-
-@settings(max_examples=60, deadline=None)
-@given(drawn=_sensing_runs())
-def test_sensed_frames_start_on_an_idle_channel_in_random_runs(drawn):
-    cfg, seed = drawn
-    assert run_sensed_busy(run_scenario(cfg, seed)) == []
 
 
 def test_the_oracle_sees_a_wrong_sensing_rule():

@@ -1,8 +1,8 @@
 """The equivalence sweep finds no difference between a tree and itself, and
 names the first field where a changed copy differs, a queue that sends its
 messages out of order among them; with `--expect-diff` it reports what moved
-and fails only on a fault of the overlap or carrier-sense oracle or of the
-head side's kernel shuffle, or an error that the sides do not share."""
+and fails only on a run check's fault or an error that the sides do not
+share. Each run check has a broken tree that fails the sweep in both modes."""
 
 import importlib.util
 import json
@@ -10,6 +10,7 @@ import shutil
 from pathlib import Path
 
 import pytest
+from _checks import CHECKS
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -23,9 +24,8 @@ def test_a_tree_matches_itself():
     summary, fault = equivalence.sweep(SRC, SRC, "baseline", 2, 1)
     assert fault is None
     assert summary["differences"] == 0 and summary["first_difference"] is None
-    assert summary["oracle_faults"] == {"base": 0, "head": 0}
-    assert summary["carrier_sense_faults"] == {"base": 0, "head": 0}
-    assert summary["order_faults"] == {"base": 0, "head": 0}
+    for check in CHECKS:
+        assert summary[f"{check}_faults"] == {"base": 0, "head": 0}
     assert summary["transmissions"]["head"] > 0
 
 
@@ -82,35 +82,6 @@ def test_expect_diff_reports_what_moved_and_exits_0(tmp_path, capsys):
                              "--configs", "2", "--seed", "1"]) == 1
 
 
-def test_expect_diff_still_fails_on_an_oracle_fault(tmp_path, capsys):
-    # every sender counts itself among the receivers of its frames
-    head = _changed_copy(tmp_path, "radio.py", "frame.hit = receivers[sender], hit\n",
-                         "frame.hit = mask, hit\n")
-    code = equivalence.main(["--base", str(SRC), "--head", str(head), "--mode", "baseline",
-                             "--configs", "2", "--seed", "1", "--expect-diff"])
-    out = capsys.readouterr()
-    summary = json.loads(out.out)
-    assert code == 1
-    assert summary["oracle_faults"]["base"] == 0 < summary["oracle_faults"]["head"]
-    assert "first fault at 'oracle'" in out.err
-
-
-def test_expect_diff_still_fails_on_a_carrier_sense_fault(tmp_path, capsys):
-    # a listener senses a frame only until it ends at the sender, not until
-    # its trailing edge arrives
-    head = _changed_copy(tmp_path, "radio.py", "edge = tx.end + delay\n", "edge = tx.end\n")
-    code = equivalence.main(["--base", str(SRC), "--head", str(head), "--mode", "baseline",
-                             "--configs", "2", "--seed", "1", "--expect-diff"])
-    out = capsys.readouterr()
-    summary = json.loads(out.out)
-    assert code == 1
-    assert summary["carrier_sense_faults"] == {"base": 0, "head": 1}
-    assert summary["oracle_faults"] == {"base": 0, "head": 0}
-    assert "first fault at 'carrier_sense'" in out.err
-    # config 0 flags 18 of its 232 frames on the head side
-    assert len(json.loads(out.err.rsplit("head ", 1)[1])) == 18
-
-
 def test_expect_diff_matches_an_error_both_sides_raise(tmp_path, capsys):
     # every run raises, as for a config that neither tree accepts
     both = _changed_copy(tmp_path, "scenario.py", "    cfg.validate()\n    kernel = Kernel(",
@@ -128,19 +99,45 @@ def test_expect_diff_matches_an_error_both_sides_raise(tmp_path, capsys):
     assert "first fault at 'error'" in capsys.readouterr().err
 
 
-def test_a_head_whose_outcome_rests_on_same_instant_order_fails_in_both_modes(tmp_path, capsys):
+# for each run check, a source edit that breaks it, and the mode and draw
+# seed of a sweep whose configs reach the break
+BROKEN = {
+    # every sender counts itself among the receivers of its frames
+    "oracle": ("baseline", 1, "radio.py", "frame.hit = receivers[sender], hit\n",
+               "frame.hit = mask, hit\n"),
+    # a listener senses a frame only until it ends at the sender, not until
+    # its trailing edge arrives
+    "carrier_sense": ("baseline", 1, "radio.py", "edge = tx.end + delay\n", "edge = tx.end\n"),
+    # an announce may start anywhere in slot 0, so it can overrun it
+    "window_clock": ("tsnctl", 1, "tsnctl.py", "cfg.slot_len_ns - tx_dur, endpoint=True",
+                     "cfg.slot_len_ns, endpoint=True"),
     # a listener senses a frame at the instant it starts, so two co-located
     # MACs with no detection latency that decide at one instant race; both
     # configs of seed 3 put every vehicle at one spot with cca_detect_ns = 0
-    tree = _changed_copy(tmp_path, "radio.py", "delay is not None and start < at and ",
-                         "delay is not None and ")
+    "order_free": ("baseline", 3, "radio.py", "delay is not None and start < at and ",
+                   "delay is not None and "),
+}
+
+
+def test_every_run_check_has_a_broken_tree():
+    assert list(BROKEN) == list(CHECKS)
+
+
+@pytest.mark.parametrize("check", BROKEN)
+def test_a_tree_that_breaks_a_check_fails_the_sweep_in_both_modes(tmp_path, capsys, check):
+    """The broken tree on both sides: no difference, and the check's fault
+    fails the sweep, on both sides but for `order_free`, which only the head
+    side's shuffle reruns."""
+    mode, seed, module, old, new = BROKEN[check]
+    tree = _changed_copy(tmp_path, module, old, new)
     for flags in ([], ["--expect-diff"]):
-        code = equivalence.main(["--base", str(tree), "--head", str(tree), "--mode", "baseline",
-                                 "--configs", "2", "--seed", "3", *flags])
+        code = equivalence.main(["--base", str(tree), "--head", str(tree), "--mode", mode,
+                                 "--configs", "2", "--seed", str(seed), *flags])
         out = capsys.readouterr()
         summary = json.loads(out.out)
         assert code == 1
         assert summary["differences"] == 0
-        assert summary["order_faults"] == {"base": 0, "head": 2}
-        assert summary["oracle_faults"] == summary["carrier_sense_faults"] == {"base": 0, "head": 0}
-        assert "first fault at 'order_free'" in out.err
+        found = summary[f"{check}_faults"]
+        assert found["head"] > 0
+        assert found["base"] == (0 if check == "order_free" else found["head"])
+        assert f"first fault at '{check}'" in out.err

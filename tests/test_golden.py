@@ -43,24 +43,20 @@ cut off mid-window (frames in flight). Beyond that:
   collided at a listener, or a master the listener did not hear this window
   wins, so the log pins which candidates the election weighs.
 
-The same runs also go through the carrier-sense oracle (`_carrier_sense`):
-no frame that its protocol sensed before sending started while its sender
-sensed another frame. Each is rerun under the kernel shuffle (`_shuffle`)
-with three salts, and must keep every field of its digest but the log's
-sha256, which follows the dispatch order; its kernel trace shows that every
-spawn ran before the other events of its instant, the one same-instant
-order that the outcome rests on. On the tsnctl runs they pin two facts that
-the slot controller relies on. Only announces start between a window start
-and the end of its slot 0, and each fits slot 0, so the window clock can
-take a window's announces from where the window opened in the log. Every
-announce and allocation carries its sender's creation time, so a controller
-can tell its master's frames by election key alone.
+Every run check (`_checks.CHECKS`) runs on every point: the overlap oracle,
+the carrier-sense oracle, the window clock's two facts and the kernel
+shuffle. Each run's kernel trace also shows that every spawn ran before the
+other events of its instant, the one same-instant order that the outcome
+rests on.
 
-A change that alters output on purpose regenerates the fixture with
+A change that alters output on purpose shows it here: it regenerates the
+fixture with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says why in CHANGES.md.
+adding a point first if no point's output moves, and says why in
+CHANGES.md. CI's sweep against the merge base reads a changed fixture as
+the sign that output changed on purpose.
 """
 
 from __future__ import annotations
@@ -70,11 +66,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from _carrier_sense import run_sensed_busy
-from _shuffle import late_spawns, order_faults
+from _checks import CHECKS, SALTS
+from _shuffle import late_spawns
 from _util import run_digest
 
-from platoonsim.frames import CONTROL_ALLOCATION, CONTROL_ANNOUNCE
 from platoonsim.kernel import MS
 from platoonsim.radio import RadioConfig
 from platoonsim.scenario import (MODE_BASELINE, MODE_TSNCTL, RunResult, ScenarioConfig,
@@ -183,12 +178,6 @@ def test_output_matches_golden_digest(golden, computed, point, part):
     assert _part(computed[point], part) == _part(golden[point], part)
 
 
-@pytest.mark.parametrize("point", POINTS)
-def test_sensed_frames_start_on_an_idle_channel(runs, point):
-    """The carrier-sense oracle finds no sensed frame that started on a busy channel."""
-    assert run_sensed_busy(runs[point]) == []
-
-
 def test_spawns_run_first_at_their_instant(runs):
     """A spawn at t is dispatched before every other event at t, the one
     same-instant order that a run's outcome rests on. Window-clock events
@@ -202,41 +191,10 @@ def test_spawns_run_first_at_their_instant(runs):
     assert shared > 0
 
 
-SALTS = (1, 2, 3)
-
-
+@pytest.mark.parametrize("check", CHECKS)
 @pytest.mark.parametrize("point", POINTS)
-def test_same_instant_order_leaves_the_outcome_unchanged(computed, runs, point):
-    """Rerun with same-instant events in a shuffled order, spawns first, the
-    point keeps every field of its digest but the log's sha256."""
-    assert order_faults(runs[point].cfg, computed[point], SALTS) == []
-
-
-TSNCTL_POINTS = [point[0] for point in _grid() if point[1] == MODE_TSNCTL]
-
-
-@pytest.mark.parametrize("point", TSNCTL_POINTS)
-def test_only_announces_start_before_the_end_of_slot_0(runs, point):
-    """A frame that starts in [w, w + slot + max_delay) of a window w is an
-    announce, and every announce starts in [w, w + slot - its airtime]."""
-    run = runs[point]
-    window, slot = run.cfg.window.window_ns, run.cfg.window.slot_len_ns
-    slot0_end = slot + run.cfg.radio.max_delay
-    for tx in run.medium.log:
-        offset = tx.start % window
-        if tx.kind is CONTROL_ANNOUNCE:
-            assert offset <= slot - (tx.end - tx.start), tx
-        else:
-            assert offset >= slot0_end, tx
-
-
-@pytest.mark.parametrize("point", TSNCTL_POINTS)
-def test_control_frames_carry_their_senders_creation_time(runs, point):
-    run = runs[point]
-    control = [tx for tx in run.medium.log if tx.kind in (CONTROL_ANNOUNCE, CONTROL_ALLOCATION)]
-    assert control
-    for tx in control:
-        assert tx.generated_at == run.controllers[tx.sender].created_at, tx
+def test_every_check_passes(computed, runs, point, check):
+    assert CHECKS[check](runs[point], computed[point], SALTS) == []
 
 
 if __name__ == "__main__":

@@ -13,36 +13,25 @@ cut at any ns from 50 ms to 1.5 s. Each side runs every config in its own
 subprocess, and the two run side by side.
 
 Per run it compares every field of tier-1's `run_digest` (`tests/_util.py`),
-the one digest that the golden grid and the kernel shuffle read too: the
-sha256 of the transmission log, the logged and collided frame counts, one
-sha256 over the logged frames with the `seq` and `generated_at` of the
-message each carries and its receivers and hit masks, the sha256 of a
-one-repetition `results.csv` under each counting rule that the side's
-`platoonsim.scenario.COUNTING_RULES` names, and one record per controller
-(counters, join retries, messages taken, frames transmitted and queued, the
-sha256 of its FSM record lines) and per MAC (deferrals, messages taken,
-frames transmitted and queued). Three oracle fields follow. Both sides run
-the overlap oracle (`oracle`) and tier-1's carrier-sense oracle
-(`carrier_sense`, `tests/_carrier_sense.py`), which must find nothing. The
-head side also reruns each config under tier-1's kernel shuffle
-(`tests/_shuffle.py`), salted with the config's seed: its field
-`order_free` names each digest field but the log's sha256 that the order of
-same-instant events changed, and must be empty.
+the one digest that the golden grid and the kernel shuffle read too, and runs
+every check of tier-1's list of run checks (`tests/_checks.py`) on both
+sides. The head side runs `order_free` salted with the config's seed; the
+base side passes it no salt, so it reruns nothing there.
 
 It prints a JSON summary on stdout: how many configs differ, the first
 field that differs, and the transmission and collided totals of each side
 with the mean change in collided share (head minus base, over the configs
-where both sides sent a frame), and each oracle's faults per side (the
-shuffle's under `order_faults`, on the head side alone). The exit
-status is 0 when every run matches and every oracle is clean; otherwise it
-is 1, and stderr names the first config and field that differ.
+where both sides sent a frame), and, under `<check>_faults`, the configs
+where each check found a fault, per side. The exit status is 0 when every
+run matches and every check is clean; otherwise it is 1, and stderr names
+the first config and field that differ or check that found a fault.
 
 `--expect-diff` is for a change that alters output on purpose: the summary
-then says what moved, and the exit status is 0 unless an oracle or the
-shuffle finds a fault or a side errors (its process fails, or a run raises
-where the other side's run does not raise the same error). A config that
-raises the same error on both sides is a match in both modes: it is outside
-what either tree accepts, not a fault of the change.
+then says what moved, and the exit status is 0 unless a check finds a
+fault or a side errors (its process fails, or a run raises where the other
+side's run does not raise the same error). A config that raises the same
+error on both sides is a match in both modes: it is outside what either
+tree accepts, not a fault of the change.
 """
 
 from __future__ import annotations
@@ -58,14 +47,9 @@ import time
 from pathlib import Path
 
 MS = 1_000_000
-# tier-1's helpers: the run digest, the carrier-sense oracle and the kernel shuffle
+# tier-1's helpers: the run digest and the run checks
 TESTS = Path(__file__).resolve().parents[1] / "tests"
 MODES = ("tsnctl", "baseline")
-# each oracle's field in a run's digest, and its fault count in the summary
-ORACLES = {"oracle": "oracle_faults", "carrier_sense": "carrier_sense_faults",
-           "order_free": "order_faults"}
-# the field that only the head side's digest has
-HEAD_ONLY = "order_free"
 
 
 def draw_configs(mode: str, count: int, seed: int) -> list[dict]:
@@ -106,14 +90,12 @@ def draw_configs(mode: str, count: int, seed: int) -> list[dict]:
 
 
 def digest(config: dict, shuffle: bool) -> dict:
-    """One run's `run_digest` and its oracle fields; with `shuffle`, what a
-    shuffled rerun changes too."""
-    from _carrier_sense import run_sensed_busy
-    from _shuffle import order_faults
+    """One run's `run_digest`, with each run check's faults by check name under
+    `faults`; with `shuffle`, `order_free` reruns the config salted with its seed."""
+    from _checks import run_faults
     from _util import run_digest
 
     from platoonsim.csma import CsmaConfig
-    from platoonsim.metrics import oracle_check_run
     from platoonsim.radio import RadioConfig
     from platoonsim.scenario import ScenarioConfig, run_scenario
     from platoonsim.tsnctl import WindowConfig
@@ -127,10 +109,7 @@ def digest(config: dict, shuffle: bool) -> dict:
     except Exception as exc:        # both sides must fail alike
         return {"error": f"{type(exc).__name__}: {exc}"}
     fields = run_digest(run)
-    oracles = {"oracle": oracle_check_run(run), "carrier_sense": run_sensed_busy(run)}
-    if shuffle:
-        oracles[HEAD_ONLY] = order_faults(cfg, fields, [config["seed"]])
-    return {**fields, **oracles}
+    return {**fields, "faults": run_faults(run, [config["seed"]] if shuffle else [], fields)}
 
 
 def worker(src: Path, configs_path: Path, out_path: Path, shuffle: bool) -> None:
@@ -154,9 +133,9 @@ def worker(src: Path, configs_path: Path, out_path: Path, shuffle: bool) -> None
 
 def first_difference(base: dict, head: dict) -> str | None:
     """The first field, in the order the runs report them, whose values
-    differ; the head side's shuffle field is not compared."""
+    differ; the checks' faults are not compared."""
     for field in [*base, *(f for f in head if f not in base)]:
-        if field != HEAD_ONLY and base.get(field) != head.get(field):
+        if field != "faults" and base.get(field) != head.get(field):
             return field
     return None
 
@@ -176,10 +155,9 @@ def sweep(base_src: Path, head_src: Path, mode: str, count: int, seed: int,
           expect_diff: bool = False) -> tuple[dict, str | None]:
     """Run both sides; return the summary and the line naming the first fault.
 
-    Without `expect_diff` a fault is a difference, an oracle or shuffle fault
-    or a side whose process fails; with it, an oracle or shuffle fault, a side
-    whose process fails or a run that raises where the other side does not
-    raise the same error.
+    Without `expect_diff` a fault is a difference, a check's fault or a side
+    whose process fails; with it, a check's fault, a side whose process fails
+    or a run that raises where the other side does not raise the same error.
     """
     configs = draw_configs(mode, count, seed)
     with tempfile.TemporaryDirectory() as tmp:
@@ -202,15 +180,17 @@ def sweep(base_src: Path, head_src: Path, mode: str, count: int, seed: int,
                           (tmp / f"{side}.jsonl").read_text(encoding="utf-8").splitlines()]
                    for side in procs}
 
-    faults = {key: {"base": 0, "head": 0} for key in ORACLES.values()}
+    # both sides run this checkout's checks; a run that raised ran none
+    checks = dict.fromkeys(c for r in results["head"] for c in r.get("faults", ()))
+    faults = {f"{check}_faults": {"base": 0, "head": 0} for check in checks}
     differences, first, first_fault = 0, None, None
     for k, (b, h) in enumerate(zip(results["base"], results["head"])):
-        hit = None          # the first oracle that found a fault on either side
-        for oracle, key in ORACLES.items():
+        hit = None          # the first check that found a fault on either side
+        for check in checks:
             for side, fields in (("base", b), ("head", h)):
-                if fields.get(oracle):
-                    faults[key][side] += 1
-                    hit = hit or oracle
+                if fields.get("faults", {}).get(check):
+                    faults[f"{check}_faults"][side] += 1
+                    hit = hit or check
         field = first_difference(b, h)
         differences += field is not None
         if first is None and (field is not None or hit):
@@ -239,8 +219,10 @@ def sweep(base_src: Path, head_src: Path, mode: str, count: int, seed: int,
     fault, at = None, first_fault if expect_diff else first
     if at is not None:
         k, field = at
+        base, head = (results[side][k].get("faults", {}) if field in checks
+                      else results[side][k] for side in ("base", "head"))
         fault = (f"config {k} (run seed {configs[k]['seed']}) first fault at {field!r}: "
-                 f"base {results['base'][k].get(field)!r}, head {results['head'][k].get(field)!r}")
+                 f"base {base.get(field)!r}, head {head.get(field)!r}")
     return summary, fault
 
 
@@ -257,8 +239,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--configs", type=int, default=100, help="configs to draw")
     parser.add_argument("--seed", type=int, default=1, help="seed of the config draw")
     parser.add_argument("--expect-diff", action="store_true",
-                        help="report what changed; fail only on an oracle or shuffle "
-                             "fault or an error")
+                        help="report what changed; fail only on a check's fault or "
+                             "an error")
     args = parser.parse_args(argv)
     for src in (args.base, args.head):
         if not (src / "platoonsim" / "__init__.py").is_file():
