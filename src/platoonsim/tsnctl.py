@@ -12,8 +12,8 @@ at the slot ends only the controllers that act there: the window's formation
 round, the vehicles that its start left JOINING, and at the end of slot 0 the
 platoon masters too.
 
-The master admits members by one rule, `admit`, both at formation and at each
-refresh that hears newcomers; a member holds one data slot, which never moves.
+The master admits by one rule, `admit`, at formation and at each refresh: each
+member holds one data slot, never moved, shared, reserved or past the window.
 
 Control transmissions in slots 0/1 listen before talk and skip to the next
 window when the medium is already busy; that keeps the contended formation
@@ -231,20 +231,6 @@ def check_slot_geometry(cfg: WindowConfig, radio: RadioConfig, payload_size_b: i
 # payload and a slave's own slot are the same indices, unconverted.
 
 
-def check_schedule(assignments: dict[int, int], cfg: WindowConfig) -> None:
-    """Reject a reserved slot (0 or 1), a slot past the window, or a shared slot."""
-    n = slot_count(cfg)
-    seen: set[int] = set()
-    for vid, idx in assignments.items():
-        if idx in (0, 1):
-            raise ValueError(f"vehicle {vid} assigned reserved slot {idx}")
-        if idx >= n:
-            raise ValueError(f"vehicle {vid} assigned slot {idx} >= {n}")
-        if idx in seen:
-            raise ValueError(f"slot {idx} assigned twice")
-        seen.add(idx)
-
-
 def election_key(ts: int, vid: int) -> tuple[int, int]:
     """The election order: the earlier announce timestamp wins, ties to lowest id."""
     return ts, vid
@@ -254,8 +240,11 @@ def admit(assignments: dict[int, int], requesters: list[int],
           cfg: WindowConfig) -> tuple[dict[int, int], list[int]]:
     """Give each newcomer, in id order, the lowest free data slot.
 
-    A requester that already holds a slot keeps it. A newcomer that finds no
-    free slot is rejected and returned in the second element.
+    A requester that already holds a slot keeps it, and a newcomer takes only
+    an index of range(2, slot_count(cfg)) that no member holds. So the result
+    has no reserved, out-of-window or shared slot when `assignments` has none,
+    as {} and every earlier result have. A newcomer that finds no free slot is
+    rejected and returned in the second element.
     """
     used = set(assignments.values())
     free = (idx for idx in range(2, slot_count(cfg)) if idx not in used)
@@ -269,7 +258,6 @@ def admit(assignments: dict[int, int], requesters: list[int],
             rejected.append(vid)
         else:
             admitted[vid] = idx
-    check_schedule(admitted, cfg)
     return admitted, rejected
 
 
@@ -586,7 +574,7 @@ class TsnCtl:
             self._reset_membership()
         self.master = key
         if listed:
-            # a slave reads only its own slot; the master checked the schedule
+            # a slave reads only its own slot, which `admit` gave it alone
             self.my_slot = frame.allocations[self.vid]
             if outcome != "refresh":
                 # fresh membership: arm this window's trigger; a refresh keeps

@@ -7,9 +7,10 @@ every frame that starts in slot 1 (a master's slot-1 burst); data frames in
 the members' own slots do not sense.
 
 The rule: no frame may be sensed at a sensed frame's sender at its start.
-A frame g is sensed at vehicle v at time t iff g's sender is v or lies
-within `range_m` of v, g started before t, and
-g.start + delay + cca_detect_ns <= t < g.end + delay, with delay the
+What a listener senses is one function, `sensed_until`, which the tests of
+the medium's own sensing scan read too. A frame g is sensed at vehicle v at
+time t iff g's sender is v or lies within `range_m` of v, g started before
+t, and g.start + delay + cca_detect_ns <= t < g.end + delay, with delay the
 propagation delay over their distance (0 for v's own frames). A frame that
 starts at t is not sensed at t, so the order of the log's same-instant
 records plays no part.
@@ -30,6 +31,17 @@ from platoonsim.tsnctl import WindowConfig
 def log_records(run) -> list[tuple]:
     """A run's (kind, sender, start, end) records, in log order."""
     return [(tx.kind, tx.sender, tx.start, tx.end) for tx in run.medium.log]
+
+
+def sensed_until(start: int, end: int, dist: float, radio: RadioConfig, t: int) -> int | None:
+    """When a listener `dist` metres from the sender of a frame on air over
+    [start, end) stops sensing it, if it senses the frame at t; else None."""
+    if dist > radio.range_m:
+        return None
+    delay = radio.prop_delay(dist)
+    if start < t and start + delay + radio.cca_detect_ns <= t < end + delay:
+        return end + delay
+    return None
 
 
 def sensed_busy(records: list[tuple], positions: dict[int, Position], radio: RadioConfig,
@@ -54,11 +66,7 @@ def sensed_busy(records: list[tuple], positions: dict[int, Position], radio: Rad
             first += 1
         here = positions[sender]
         for _, other, start, end in records[first:i]:
-            dist = here.distance(positions[other])
-            if dist > radio.range_m:
-                continue
-            delay = radio.prop_delay(dist)
-            if start < t and start + delay + radio.cca_detect_ns <= t < end + delay:
+            if sensed_until(start, end, here.distance(positions[other]), radio, t) is not None:
                 flagged.append(i)
                 break
     return flagged

@@ -4,9 +4,13 @@ collision-heavy runs, and the window-clock check on a tampered run.
 Each draw takes every field either from a coarse grid, so that events of
 different vehicles meet at one instant, or from the widest range that the
 checks' own draws once used, and may rerun its config cut while a frame is
-on air."""
+on air. It varies every config field that the equivalence sweep's draw
+(`tools/equivalence.py::draw_configs`) varies, and a test says so."""
 
-from dataclasses import replace
+import importlib.util
+from collections import defaultdict
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, reject, settings
@@ -24,6 +28,11 @@ from platoonsim.scenario import MODE_BASELINE, MODE_TSNCTL, ScenarioConfig, run_
 from platoonsim.tsnctl import WindowConfig
 
 CLEAN = {name: [] for name in CHECKS}
+
+_spec = importlib.util.spec_from_file_location(
+    "equivalence", Path(__file__).resolve().parents[1] / "tools" / "equivalence.py")
+equivalence = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(equivalence)
 
 
 def _scaled(lo: int, hi: int, unit: int):
@@ -53,7 +62,8 @@ def _runs(draw):
         radio=RadioConfig(range_m=field((150.0, 300.0), st.floats(0.0, 1_000.0)),
                           cca_detect_ns=field((0, 4_000), st.integers(0, 50_000)),
                           preamble_ns=field((0, 40_000), st.integers(0, 100_000))),
-        window=WindowConfig(slot_len_ns=field((1 * MS, 2 * MS, 3 * MS), _scaled(2, 30, 100 * US))),
+        window=WindowConfig(window_ns=draw(st.sampled_from((20 * MS, 50 * MS, 100 * MS))),
+                            slot_len_ns=field((1 * MS, 2 * MS, 3 * MS), _scaled(2, 30, 100 * US))),
     )
     try:
         cfg.validate()
@@ -131,3 +141,33 @@ def test_the_window_clock_check_sees_a_tampered_run():
         tx.end += shift
     allocation.generated_at += 1
     assert window_clock_faults(run) == sorted(picked)
+
+
+def _varied(configs) -> set[str]:
+    """The fields, a nested config's as `<name>.<field>`, that differ between configs."""
+    values = defaultdict(set)
+    for cfg in configs:
+        for name, value in asdict(cfg).items():
+            if isinstance(value, dict):
+                for field, v in value.items():
+                    values[f"{name}.{field}"].add(v)
+            else:
+                values[name].add(value)
+    return {field for field, seen in values.items() if len(seen) > 1}
+
+
+def test_the_draw_varies_every_field_that_the_equivalence_sweep_varies():
+    """A field that the sweep draws and this draw holds fixed leaves the
+    branches that it alone reaches to the sweep: `window.window_ns` was one."""
+    drawn = []
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(case=_runs())
+    def draw(case):
+        drawn.append(case[0])
+
+    draw()
+    swept = [ScenarioConfig(**c["scenario"], seed=c["seed"], radio=RadioConfig(**c["radio"]),
+                            csma=CsmaConfig(**c["csma"]), window=WindowConfig(**c["window"]))
+             for mode in equivalence.MODES for c in equivalence.draw_configs(mode, 50, 1)]
+    assert _varied(swept) - _varied(drawn) == set()

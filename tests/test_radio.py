@@ -3,6 +3,7 @@ import weakref
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from _carrier_sense import sensed_until
 from _util import data_frame, outcomes, receivers_collided, receivers_expected
 
 from platoonsim.frames import Frame, FrameKind, make_allocation
@@ -85,7 +86,7 @@ def test_broadcast_delivery_time_and_clean_flag():
     sink = _Sink(k)
     m.register(0, Position(0.0, 0.0))
     m.register(1, Position(50.0, 0.0), handler=sink.on_frame)
-    tx = m.broadcast(make_allocation(0, 0, {1: (2, 1)}))     # 108 B
+    tx = m.broadcast(make_allocation(0, 0, {1: 2}))     # 108 B
     m.deliver(tx)
     k.run_until(5 * MS)
     # delivered clean, at the arrival time
@@ -188,7 +189,7 @@ def test_overlapping_transmissions_collide_at_common_receiver():
     m.register(1, Position(10.0, 0.0))
     sink = _Sink(k)
     m.register(2, Position(5.0, 0.0), handler=sink.on_frame)
-    tx_a = m.broadcast(make_allocation(0, 0, {2: (2, 1)}))
+    tx_a = m.broadcast(make_allocation(0, 0, {2: 2}))
     m.deliver(tx_a)
     k.run_until(50 * US)            # second transmission starts mid-frame
     tx_b = m.broadcast(data_frame(1))
@@ -701,18 +702,16 @@ def test_last_clean_arrival_skips_collided_and_stale_frames():
 #
 # Pairing at broadcast and carrier sense read the log backwards from its end and
 # stop at the first frame that started more than the longest airtime (plus, for
-# sensing, the longest delay) before their time; `transmissions` walks back to
-# `since`. These directed cases put that stop where it is easiest to get wrong.
+# sensing, the longest delay) before their time. These directed cases put that
+# stop where it is easiest to get wrong.
 
 
 def _brute_idle_from(m, listener, at):
     """The sensed idle edge of `listener` at `at`, from every logged frame."""
-    cfg, here = m.cfg, m.positions[listener]
-    edges = [tx.end + d for tx in m.log
-             if here.distance(m.positions[tx.sender]) <= cfg.range_m
-             for d in [cfg.prop_delay(here.distance(m.positions[tx.sender]))]
-             if tx.start < at and tx.start + d + cfg.cca_detect_ns <= at < tx.end + d]
-    return max(edges, default=at)
+    here = m.positions[listener]
+    edges = [sensed_until(tx.start, tx.end, here.distance(m.positions[tx.sender]), m.cfg, at)
+             for tx in m.log]
+    return max((edge for edge in edges if edge is not None), default=at)
 
 
 def test_tail_scan_sees_a_long_frame_logged_before_short_ones():
