@@ -143,13 +143,14 @@ def test_out_of_range_seed_or_repetitions_exits_2_naming_the_key(tmp_path, capsy
     assert not out.exists()         # rejected before anything is written
 
 
-# nan and inf in each key, and finite radio values whose propagation delay
-# across the range overflows
+# nan and inf in each key, finite radio values whose propagation delay across
+# the range overflows, and a propagation speed of zero
 NON_FINITE = [(section, key, value)
               for section, key in [("scenario", "area_length_m"), ("radio", "range_m"),
                                    ("radio", "propagation_mps")]
               for value in ("nan", "inf")] + [("radio", "range_m", "1e300"),
-                                              ("radio", "propagation_mps", "1e-300")]
+                                              ("radio", "propagation_mps", "1e-300"),
+                                              ("radio", "propagation_mps", "0")]
 
 
 @pytest.mark.parametrize("mode", ["baseline", "tsnctl"])
@@ -161,6 +162,8 @@ def test_non_finite_float_exits_2_naming_the_key(tmp_path, capsys, section, key,
     err = capsys.readouterr().err
     if value in ("nan", "inf"):
         assert f"config error: {key} must be finite" in err
+    elif value == "0":
+        assert f"config error: {key} must be finite and > 0, got 0.0" in err
     else:       # both keys are named
         assert "config error: range_m=" in err
         assert "at propagation_mps=" in err and "gives a non-finite propagation delay" in err

@@ -198,15 +198,6 @@ def test_oracle_check_run_reports_a_tampered_transmission(mode):
     assert oracle_check_run(run) == [i]
 
 
-def test_run_experiment_is_deterministic():
-    cfg = ScenarioConfig(vehicle_count=5, mode=MODE_BASELINE,
-                         sim_duration_ns=1 * SEC, repetitions=3, seed=7)
-    a = run_experiment(cfg)
-    b = run_experiment(cfg)
-    assert a.rates == b.rates
-    assert a.mean_rate == b.mean_rate
-
-
 @pytest.mark.parametrize("mode", [MODE_TSNCTL, MODE_BASELINE])
 def test_run_experiment_leaves_nothing_for_the_collector(tmp_path, mode):
     """Each repetition is freed by reference counting when the loop drops it."""
@@ -244,15 +235,6 @@ def test_emit_csv_shape_and_format(tmp_path):
     summary_rate = float(lines[6].split(",")[9])
     rep_rates = [float(r.split(",")[9]) for r in lines[1:6]]
     assert abs(summary_rate - sum(rep_rates) / 5) < 0.01
-
-
-def test_emit_csv_reruns_byte_identical(tmp_path):
-    cfg = ScenarioConfig(vehicle_count=4, mode=MODE_TSNCTL,
-                         sim_duration_ns=1 * SEC, repetitions=2, seed=5)
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_csv(run_experiment(cfg), a)
-    emit_csv(run_experiment(cfg), b)
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_sweep_singleton_matches_run_experiment():
@@ -477,14 +459,6 @@ def test_logged_flags_are_set_where_the_masks_meet(tmp_path, mode, extra):
              if not line.startswith("#")]
     assert flags == [int(receivers_collided(tx) > 0) for tx in run.medium.log]
     assert 0 < sum(flags) < len(flags)
-
-
-def test_transmission_log_rerun_byte_identical(tmp_path):
-    cfg = ScenarioConfig(vehicle_count=6, mode=MODE_TSNCTL, sim_duration_ns=1 * SEC)
-    a, b = tmp_path / "a.log", tmp_path / "b.log"
-    write_transmission_log(run_scenario(cfg, 9), a)
-    write_transmission_log(run_scenario(cfg, 9), b)
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_rate_respects_counting_rules():

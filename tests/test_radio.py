@@ -80,19 +80,6 @@ def _send(m, frame):
     return frame
 
 
-def test_broadcast_delivery_time_and_clean_flag():
-    k = Kernel()
-    m = Medium(k, _cfg())
-    sink = _Sink(k)
-    m.register(0, Position(0.0, 0.0))
-    m.register(1, Position(50.0, 0.0), handler=sink.on_frame)
-    tx = m.broadcast(make_allocation(0, 0, {1: 2}))     # 108 B
-    m.deliver(tx)
-    k.run_until(5 * MS)
-    # delivered clean, at the arrival time
-    assert sink.got == [(144_000 + 167, tx)]
-
-
 @pytest.mark.parametrize("kind", _KINDS, ids=lambda kind: kind.name)
 def test_broadcast_schedules_no_event(kind):
     k = Kernel(trace=True)
@@ -103,19 +90,6 @@ def test_broadcast_schedules_no_event(kind):
     m.broadcast(_of_kind(kind, 0))
     k.run_until(1 * SEC)
     assert k.trace == []
-
-
-def test_only_delivered_frames_reach_handlers():
-    k = Kernel(trace=True)
-    m = Medium(k, _cfg())
-    sink = _Sink(k)
-    m.register(0, Position(0.0, 0.0))
-    m.register(1, Position(50.0, 0.0), handler=sink.on_frame)
-    for kind in _KINDS:
-        _send(m, _of_kind(kind, 0))
-        k.run_until(k.now + 5 * MS)
-    assert [frame.kind for _, frame in sink.got] == [FrameKind.CONTROL_ALLOCATION]
-    assert [kind for *_, kind in k.trace] == ["FRAME_DELIVERY"]
 
 
 @pytest.mark.parametrize("kind", _KINDS, ids=lambda kind: kind.name)
@@ -159,61 +133,6 @@ def test_the_medium_keeps_no_handler_object_alive():
     assert list(m.handlers) == [1]
 
 
-def test_out_of_range_receiver_gets_nothing():
-    k = Kernel()
-    m = Medium(k, _cfg())
-    sink = _Sink(k)
-    m.register(0, Position(0.0, 0.0))
-    m.register(1, Position(150.0, 0.0), handler=sink.on_frame)
-    tx = m.broadcast(data_frame(0))
-    m.deliver(tx)
-    k.run_until(5 * MS)
-    assert sink.got == []
-    assert receivers_expected(tx) == 0
-
-
-def test_sender_never_receives_own_frame():
-    k = Kernel()
-    m = Medium(k, _cfg())
-    sink = _Sink(k)
-    m.register(0, Position(0.0, 0.0), handler=sink.on_frame)
-    m.deliver(m.broadcast(data_frame(0)))
-    k.run_until(5 * MS)
-    assert sink.got == []
-
-
-def test_overlapping_transmissions_collide_at_common_receiver():
-    k = Kernel(trace=True)
-    m = Medium(k, _cfg())
-    m.register(0, Position(0.0, 0.0))
-    m.register(1, Position(10.0, 0.0))
-    sink = _Sink(k)
-    m.register(2, Position(5.0, 0.0), handler=sink.on_frame)
-    tx_a = m.broadcast(make_allocation(0, 0, {2: 2}))
-    m.deliver(tx_a)
-    k.run_until(50 * US)            # second transmission starts mid-frame
-    tx_b = m.broadcast(data_frame(1))
-    k.run_until(10 * MS)
-    # symmetry: both directions of the overlap are ruined at receiver 2
-    assert outcomes(tx_a)[2] is True
-    assert outcomes(tx_b)[2] is True
-    # and the allocation's delivery event at 2 hands its handler nothing
-    assert [(target, kind) for *_, target, kind in k.trace] == [(2, "FRAME_DELIVERY")]
-    assert sink.got == []
-
-
-def test_half_duplex_receiver_marks_reception_collided():
-    k = Kernel()
-    m = Medium(k, _cfg())
-    m.register(0, Position(0.0, 0.0))
-    m.register(1, Position(10.0, 0.0))
-    tx_a = m.broadcast(data_frame(0))
-    k.run_until(500 * US)
-    m.broadcast(data_frame(1, size=100))   # receiver 1 transmits during reception
-    k.run_until(10 * MS)
-    assert outcomes(tx_a)[1] is True
-
-
 def test_concurrent_transmit_by_same_sender_is_a_hard_fault():
     k = Kernel()
     m = Medium(k, _cfg())
@@ -238,142 +157,15 @@ def test_a_frame_is_broadcast_once():
     assert m.log == [frame] and (frame.start, frame.end, frame.receivers, frame.hit) == stamped
 
 
-def test_idle_from_idle_medium():
-    k = Kernel()
-    m = Medium(k, _cfg())
-    m.register(0, Position(0.0, 0.0))
-    assert m.idle_from(0, 0) == 0
-
-
-def test_idle_from_spanning_transmission():
-    k = Kernel()
-    m = Medium(k, _cfg())
-    m.register(0, Position(0.0, 0.0))
-    m.register(1, Position(50.0, 0.0))
-    tx = m.broadcast(data_frame(0))
-    k.run_until(500 * US)
-    assert m.idle_from(1, k.now) == tx.end + m.cfg.prop_delay(50.0) > k.now
-
-
-def test_idle_from_hidden_terminal_out_of_range():
-    k = Kernel()
-    m = Medium(k, _cfg())
-    m.register(0, Position(0.0, 0.0))
-    m.register(1, Position(250.0, 0.0))    # beyond 100 m range of vehicle 0
-    m.broadcast(data_frame(0))
-    k.run_until(500 * US)
-    assert m.idle_from(1, k.now) == k.now
-
-
-def test_carrier_sense_blind_until_detection_latency():
-    k = Kernel()
-    m = Medium(k, _cfg())
-    m.register(0, Position(0.0, 0.0))
-    m.register(1, Position(30.0, 0.0))
-    m.broadcast(data_frame(0))
-    prop = m.cfg.prop_delay(30.0)
-    assert m.idle_from(1, prop + 3_999) == prop + 3_999      # still integrating
-    assert m.idle_from(1, prop + 4_000) > prop + 4_000       # detected
-
-
-def test_busy_iff_idle_edge_lies_ahead_at_the_detection_edge():
-    k = Kernel()
-    m = Medium(k, _cfg())
-    m.register(0, Position(0.0, 0.0))
-    m.register(1, Position(30.0, 0.0))
-    tx = m.broadcast(data_frame(0))
-    prop = m.cfg.prop_delay(30.0)
-    assert m.idle_from(1, prop + 3_999) == prop + 3_999      # not yet sensed
-    assert m.idle_from(1, prop + 4_000) == tx.end + prop     # sensed until it ends
-    assert m.idle_from(1, tx.end + prop - 1) == tx.end + prop
-    assert m.idle_from(1, tx.end + prop) == tx.end + prop     # idle from the end on
-
-
-def test_masks_hold_the_overlap_of_frames_still_on_air():
-    k = Kernel()
-    m = Medium(k, _cfg())
-    m.register(0, Position(0.0, 0.0))
-    m.register(1, Position(10.0, 0.0))
-    m.register(2, Position(20.0, 0.0))
-    tx_a = m.broadcast(data_frame(0))
-    k.run_until(200 * US)
-    tx_b = m.broadcast(data_frame(1))
-    # stop while both frames are on air: the masks already hold the overlap;
-    # receiver 1 is transmitting (half-duplex) and 2 hears both senders
-    assert (receivers_expected(tx_a), receivers_collided(tx_a)) == (2, 2)
-    assert receivers_collided(tx_b) > 0
-    assert outcomes(tx_a)[2] is True and outcomes(tx_b)[2] is True
-
-
-def test_online_flags_match_brute_force_on_a_braided_sequence():
-    k = Kernel()
-    m = Medium(k, _cfg())
-    positions = {0: Position(0.0, 0.0), 1: Position(40.0, 0.0),
-                 2: Position(80.0, 0.0), 3: Position(130.0, 0.0)}
-    for vid, pos in positions.items():
-        m.register(vid, pos)
-    plan = [(0, 0), (1, 400 * US), (2, 1_500 * US), (3, 1_600 * US), (0, 3_000 * US)]
-    for sender, at in plan:
-        k.run_until(at)
-        m.broadcast(data_frame(sender))
-    k.run_until(20 * MS)
-    records = [(tx.sender, tx.start, tx.end) for tx in m.log]
-    want = brute_force_outcomes(records, positions, 100.0)
-    for tx, expected in zip(m.log, want):
-        assert outcomes(tx) == expected
-
-
-def _accounting(tx):
-    return receivers_expected(tx), receivers_collided(tx)
-
-
-def _frame(sender, handled):
-    """A frame handed to receiver handlers (allocation) or read from the log (data)."""
-    return make_allocation(sender, 0, {}) if handled else data_frame(sender)
-
-
-@pytest.mark.parametrize("handled", [False, True])
-def test_masks_count_receptions_still_in_flight(handled):
-    # the interferer at 500 m reaches only the far receiver, whose delivery
-    # (967 ns after tx end) is still in flight when the run stops
-    k = Kernel()
-    m = Medium(k, RadioConfig())
-    sinks = {vid: _Sink(k) for vid in range(4)}
-    for vid, x in enumerate((0.0, 1.0, 290.0, 500.0)):
-        m.register(vid, Position(x, 0.0), handler=sinks[vid].on_frame if handled else None)
-    tx = _send(m, _frame(0, handled))
-    k.run_until(100 * US)
-    _send(m, _frame(3, handled))
-    k.run_until(tx.end + 100)
-    assert _accounting(tx) == (2, 1)
-    assert outcomes(tx) == {1: False, 2: True}
-    # the count reads the masks; no frame is handed to a handler for it
-    assert [[frame for _, frame in sinks[vid].got] for vid in (1, 2)] == \
-        ([[tx], []] if handled else [[], []])
-
-
-@pytest.mark.parametrize("handled", [False, True])
-def test_receivers_mask_ignores_vehicles_registered_after_the_broadcast(handled):
-    k = Kernel()
-    m = Medium(k, _cfg())
-    sinks = {vid: _Sink(k) for vid in range(3)}
-    m.register(0, Position(0.0, 0.0))
-    m.register(1, Position(10.0, 0.0), handler=sinks[1].on_frame if handled else None)
-    tx = _send(m, _frame(0, handled))
-    k.run_until(100 * US)
-    m.register(2, Position(20.0, 0.0),      # in range, but arrived too late
-               handler=sinks[2].on_frame if handled else None)
-    assert _accounting(tx) == (1, 0)
-    assert set(outcomes(tx)) == {1}
-    assert sinks[2].got == []
-
-
 @settings(max_examples=60, deadline=None)
 @given(xs=st.lists(st.floats(0.0, 600.0), min_size=2, max_size=6),
        starts=st.lists(st.integers(0, 2_000 * US), min_size=1, max_size=6),
        which=st.integers(0, 5), late=st.integers(0, 1_000))
-def test_masks_settle_a_run_cut_mid_delivery_like_the_oracle(xs, starts, which, late):
-    """Cut the run inside a delivery window; the masks must settle it as the oracle."""
+# the interferer at 500 m reaches only the receiver at 290 m, whose reception
+# (967 ns after the first frame ends) is still arriving at the cut
+@example(xs=[0.0, 500.0, 1.0, 290.0], starts=[0, 100 * US], which=0, late=100)
+def test_masks_of_a_run_cut_mid_delivery_match_the_oracle(xs, starts, which, late):
+    """Cut the run inside a delivery window; the masks give each outcome as the oracle does."""
     plan = sorted((at, vid % len(xs)) for vid, at in enumerate(starts))
     k = Kernel()
     m = Medium(k, RadioConfig())
@@ -391,7 +183,8 @@ def test_masks_settle_a_run_cut_mid_delivery_like_the_oracle(xs, starts, which, 
     k.run_until(max(cut, k.now))
     records = [(tx.sender, tx.start, tx.end) for tx in m.log]
     want = brute_force_outcomes(records, positions, m.cfg.range_m)
-    assert [_accounting(tx) for tx in m.log] == [(len(w), sum(w.values())) for w in want]
+    assert [(receivers_expected(tx), receivers_collided(tx)) for tx in m.log] == \
+        [(len(w), sum(w.values())) for w in want]
     assert [outcomes(tx) for tx in m.log] == want
 
 
@@ -409,10 +202,11 @@ def _coarse_run(cells, joins, sends, reads):
     """Registrations, broadcasts and reads on the coarse clock, with the oracle.
 
     `sends` holds (vid, at_us, size, kind) and `reads` holds (at_us, query);
-    each read returns query(m), in the order of `reads`. Returns the medium,
-    the oracle's per-receiver flags, the propagation delay between two
-    vehicles, the reads and the (receiver, frame) clean deliveries of
-    allocations, which are delivered, by receiver.
+    each read returns query(m), in the order of `reads`. Every vehicle has a
+    handler, and each allocation is also delivered, as a slot controller asks.
+    Returns the medium, the oracle's per-receiver flags, the propagation delay
+    between two vehicles, the reads, and the (receiver, time, frame) of each
+    frame a handler got, by receiver.
     """
     n = len(cells)
     cfg = _cfg(**_COARSE)
@@ -447,7 +241,7 @@ def _coarse_run(cells, joins, sends, reads):
 
     def delay(a, b):
         return cfg.prop_delay(positions[a].distance(positions[b]))
-    delivered = [(vid, frame) for vid, sink in sinks.items() for _, frame in sink.got]
+    delivered = [(vid, at, frame) for vid, sink in sinks.items() for at, frame in sink.got]
     return m, flags, delay, [got[i] for i in range(len(reads))], delivered
 
 
@@ -465,7 +259,7 @@ _D, _A = FrameKind.DATA, FrameKind.CONTROL_ALLOCATION
 @settings(max_examples=200, deadline=None)
 @given(cells=_CELLS, joins=_JOINS,
        sends=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 12), st.integers(0, 3),
-                                st.sampled_from((_D, _A))),
+                                st.sampled_from(_KINDS)),
                       min_size=1, max_size=14))
 # a zero-length frame and a frame starting with it, in both orders
 @example(cells=[0, 1, 2], joins=[0] * 8, sends=[(0, 5, 2, _D), (1, 5, 0, _D)])
@@ -481,18 +275,19 @@ def test_interferer_masks_match_brute_force(cells, joins, sends):
 
     Frames of 0-3 bytes take 0-3 us, so zero-length frames, equal starts and
     touching endpoints are common; joins at 0-6 us put registrations between
-    and inside broadcasts.
+    and inside broadcasts. Data frames and announces are only broadcast.
     """
-    m, flags, _delay, _got, delivered = _coarse_run(cells, joins, sends, [])
+    m, flags, delay, _got, delivered = _coarse_run(cells, joins, sends, [])
     assert [outcomes(tx) for tx in m.log] == flags
     assert [(receivers_expected(tx), receivers_collided(tx)) for tx in m.log] == \
         [(len(f), sum(f.values())) for f in flags]
-    # an event per reception of an allocation; only the clean ones reach the handler
+    # an event per reception of an allocation; only the clean ones reach the
+    # handler, at the frame's end plus the delay
     events = [target for *_, target, kind in m.kernel.trace if kind == "FRAME_DELIVERY"]
     assert len(events) == sum(len(f) for tx, f in zip(m.log, flags) if tx.kind is _A)
     index = {id(tx): i for i, tx in enumerate(m.log)}
-    assert sorted((index[id(frame)], vid) for vid, frame in delivered) == \
-        [(i, vid) for i, (tx, f) in enumerate(zip(m.log, flags))
+    assert sorted((index[id(frame)], vid, at) for vid, at, frame in delivered) == \
+        [(i, vid, tx.end + delay(tx.sender, vid)) for i, (tx, f) in enumerate(zip(m.log, flags))
          if tx.kind is _A for vid, c in sorted(f.items()) if not c]
 
 
@@ -506,6 +301,10 @@ def test_interferer_masks_match_brute_force(cells, joins, sends):
 # vehicle 1 reads before it registers, and vehicle 0 reads its own frames
 @example(cells=[0, 1], joins=[0, 6, 0, 0, 0, 0, 0, 0], sends=[(0, 0, 3), (0, 8, 3)],
          reads=[(1, 0, 4, 4), (0, 0, 20, 12), (1, 0, 20, 12)])
+# vehicle 0's second frame collides at 1 with vehicle 2's, and arrives before
+# every read; the second read's window opens at the first frame's arrival
+@example(cells=[0, 1, 2], joins=[0] * 8, sends=[(0, 0, 3), (0, 8, 3), (2, 8, 3)],
+         reads=[(1, 0, 14, 12), (1, 0, 14, 10), (0, 0, 14, 12)])
 def test_last_clean_arrival_matches_brute_force(cells, joins, sends, reads):
     """The latest clean arrival before a read equals the oracle's.
 
@@ -681,28 +480,11 @@ def test_read_scheduled_after_the_broadcast_ignores_an_arrival_at_its_time():
     assert announces == []
 
 
-def test_last_clean_arrival_skips_collided_and_stale_frames():
-    k = Kernel()
-    m = Medium(k, _cfg())
-    m.register(0, Position(0.0, 0.0))
-    m.register(1, Position(50.0, 0.0))
-    m.register(2, Position(90.0, 0.0))
-    clean = m.broadcast(data_frame(0))
-    k.run_until(10 * MS)
-    m.broadcast(data_frame(0))
-    m.broadcast(data_frame(2))            # in range of 1: ruins the second frame there
-    k.run_until(20 * MS)
-    first = clean.end + m.cfg.prop_delay(50.0)
-    assert m.last_clean_arrival(1, 0, 0) == first
-    assert m.last_clean_arrival(1, 0, first) is None
-    assert m.last_clean_arrival(0, 0, 0) is None      # never its own
-
-
 # -- the tail scan ---------------------------------------------------------------
 #
 # Pairing at broadcast and carrier sense read the log backwards from its end and
 # stop at the first frame that started more than the longest airtime (plus, for
-# sensing, the longest delay) before their time. These directed cases put that
+# sensing, the longest delay) before their time. This directed case puts that
 # stop where it is easiest to get wrong.
 
 
@@ -753,31 +535,3 @@ def test_tail_scan_sees_a_long_frame_logged_before_short_ones():
     assert live == want
     assert any(edge > at for (vid, at), edge in want.items() if at > 1_100 * US)
     assert {(vid, at): m.idle_from(vid, at) for vid, at in want} == want
-
-
-def test_idle_from_at_a_past_time_passes_over_later_frames():
-    """A read after the run at a past `at` equals the read taken then, with later frames logged."""
-    k = Kernel()
-    m = Medium(k, _cfg())
-    m.register(0, Position(0.0, 0.0))
-    m.register(1, Position(30.0, 0.0))
-    m.register(2, Position(90.0, 0.0))
-    prop = m.cfg.prop_delay(30.0)
-    first = m.broadcast(data_frame(0))
-    reads = [prop + 3_999, prop + 4_000, 500 * US, first.end + prop - 1,
-             first.end + prop, 2 * MS, 5 * MS + 100 * US]
-    live = {}
-    for at in reads:
-        k.at(at, 1, EventKind.TIMER, lambda _: live.update({k.now: m.idle_from(1, k.now)}))
-    for sender, at in [(2, 3 * MS), (0, 5 * MS), (2, 5 * MS + 50 * US), (1, 8 * MS)]:
-        k.at(at, sender, EventKind.TIMER, lambda _, sender=sender: m.broadcast(data_frame(sender)))
-    k.run_until(20 * MS)
-
-    assert len(m.log) == 5 and m.log[-1].start == 8 * MS
-    assert live[prop + 3_999] == prop + 3_999
-    assert live[prop + 4_000] == live[500 * US] == first.end + prop
-    assert live[first.end + prop] == first.end + prop
-    assert live[2 * MS] == 2 * MS
-    assert live[5 * MS + 100 * US] == max(m.log[2].end + prop, m.log[3].end + m.cfg.prop_delay(60.0))
-    assert {at: m.idle_from(1, at) for at in reads} == live
-    assert live == {at: _brute_idle_from(m, 1, at) for at in reads}
