@@ -1,7 +1,7 @@
 import weakref
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from _carrier_sense import sensed_until
 from _util import data_frame, outcomes, receivers_collided, receivers_expected
@@ -19,20 +19,12 @@ def _cfg(**kw):
     return RadioConfig(**base)
 
 
-def test_tx_duration_800B_at_6mbps():
-    assert tx_duration(800, _cfg()) == 1_066_667
-
-
-def test_tx_duration_empty_frame():
-    assert tx_duration(0, _cfg()) == 0
-
-
-def test_tx_duration_650B_at_6mbps():
-    assert tx_duration(650, _cfg()) == 866_667
-
-
-def test_tx_duration_includes_preamble():
-    assert tx_duration(800, _cfg(preamble_ns=40_000)) == 1_106_667
+@pytest.mark.parametrize("size, kw, ns", [
+    (800, {}, 1_066_667), (0, {}, 0), (650, {}, 866_667),
+    (800, dict(preamble_ns=40_000), 1_106_667),
+], ids=["800B_at_6mbps", "empty_frame", "650B_at_6mbps", "includes_preamble"])
+def test_tx_duration(size, kw, ns):
+    assert tx_duration(size, _cfg(**kw)) == ns
 
 
 def test_tx_duration_rejects_negative_size():
@@ -161,9 +153,6 @@ def test_a_frame_is_broadcast_once():
 @given(xs=st.lists(st.floats(0.0, 600.0), min_size=2, max_size=6),
        starts=st.lists(st.integers(0, 2_000 * US), min_size=1, max_size=6),
        which=st.integers(0, 5), late=st.integers(0, 1_000))
-# the interferer at 500 m reaches only the receiver at 290 m, whose reception
-# (967 ns after the first frame ends) is still arriving at the cut
-@example(xs=[0.0, 500.0, 1.0, 290.0], starts=[0, 100 * US], which=0, late=100)
 def test_masks_of_a_run_cut_mid_delivery_match_the_oracle(xs, starts, which, late):
     """Cut the run inside a delivery window; the masks give each outcome as the oracle does."""
     plan = sorted((at, vid % len(xs)) for vid, at in enumerate(starts))
@@ -261,15 +250,6 @@ _D, _A = FrameKind.DATA, FrameKind.CONTROL_ALLOCATION
        sends=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 12), st.integers(0, 3),
                                 st.sampled_from(_KINDS)),
                       min_size=1, max_size=14))
-# a zero-length frame and a frame starting with it, in both orders
-@example(cells=[0, 1, 2], joins=[0] * 8, sends=[(0, 5, 2, _D), (1, 5, 0, _D)])
-@example(cells=[0, 1, 2], joins=[0] * 8, sends=[(1, 5, 0, _D), (0, 5, 2, _D)])
-# touching endpoints
-@example(cells=[0, 1, 2], joins=[0] * 8, sends=[(0, 0, 2, _D), (1, 2, 2, _D)])
-# an overlap seen from both sides, one side an allocation
-@example(cells=[0, 1, 2], joins=[0] * 8, sends=[(0, 0, 3, _D), (1, 1, 3, _A)])
-# vehicle 1 registers inside vehicle 0's frame and transmits into it
-@example(cells=[0, 1], joins=[0, 1] + [0] * 6, sends=[(0, 0, 3, _D), (1, 2, 1, _D)])
 def test_interferer_masks_match_brute_force(cells, joins, sends):
     """Outcomes, counts and allocation deliveries all read the mask filled at broadcast.
 
@@ -298,13 +278,6 @@ def test_interferer_masks_match_brute_force(cells, joins, sends):
        reads=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 26),
                                 st.integers(1, 12)),
                       min_size=1, max_size=8))
-# vehicle 1 reads before it registers, and vehicle 0 reads its own frames
-@example(cells=[0, 1], joins=[0, 6, 0, 0, 0, 0, 0, 0], sends=[(0, 0, 3), (0, 8, 3)],
-         reads=[(1, 0, 4, 4), (0, 0, 20, 12), (1, 0, 20, 12)])
-# vehicle 0's second frame collides at 1 with vehicle 2's, and arrives before
-# every read; the second read's window opens at the first frame's arrival
-@example(cells=[0, 1, 2], joins=[0] * 8, sends=[(0, 0, 3), (0, 8, 3), (2, 8, 3)],
-         reads=[(1, 0, 14, 12), (1, 0, 14, 10), (0, 0, 14, 12)])
 def test_last_clean_arrival_matches_brute_force(cells, joins, sends, reads):
     """The latest clean arrival before a read equals the oracle's.
 
@@ -336,10 +309,6 @@ def test_last_clean_arrival_matches_brute_force(cells, joins, sends, reads):
        reads=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 13), st.integers(0, 4),
                                 st.integers(0, 12)),
                       min_size=1, max_size=8))
-# vehicle 1 reads before it registers, and each vehicle reads after its own announce
-@example(cells=[0, 1], joins=[0, 6, 0, 0, 0, 0, 0, 0],
-         sends=[(0, 0, 3, FrameKind.CONTROL_ANNOUNCE), (1, 8, 3, FrameKind.CONTROL_ANNOUNCE)],
-         reads=[(1, 0, 1, 4), (0, 0, 1, 4), (1, 1, 4, 12), (0, 1, 4, 12)])
 def test_clean_receptions_match_brute_force(cells, joins, sends, reads):
     """A read lists the announces since its window start that the oracle has clean.
 
@@ -375,13 +344,6 @@ def test_clean_receptions_match_brute_force(cells, joins, sends, reads):
        reads=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 13), st.booleans(),
                                 st.integers(-1, 1)),
                       min_size=1, max_size=10))
-# a zero-length frame and a frame starting with it, read at the shared edge
-@example(cells=[0, 1, 2], joins=[0] * 8, sends=[(0, 5, 0), (1, 5, 2)],
-         cca_detect_ns=0, reads=[(2, 0, True, 0), (2, 1, True, 0), (0, 0, False, 0)])
-# a read 1 ns before, at and after the detection edge and the end
-@example(cells=[0, 1], joins=[0] * 8, sends=[(0, 2, 3)], cca_detect_ns=4 * US,
-         reads=[(1, 0, True, -1), (1, 0, True, 0), (1, 0, True, 1),
-                (1, 0, False, -1), (1, 0, False, 0), (1, 0, False, 1)])
 def test_idle_from_matches_brute_force(cells, joins, sends, cca_detect_ns, reads):
     """The sensed idle edge is the latest end of a frame sensed at the read; the read if none.
 
@@ -434,6 +396,81 @@ def test_idle_from_matches_brute_force(cells, joins, sends, cca_detect_ns, reads
     want = [_brute_idle_from(m, listener, at) for listener, at in points]
     assert [live[i] for i in range(len(points))] == want
     assert [m.idle_from(listener, at) for listener, at in points] == want
+
+
+# -- hand-placed cases -------------------------------------------------------------
+#
+# Edges a draw may miss, each run through the body of its rule's property
+# (`.hypothesis.inner_test`, the test without its draws).
+
+_N = FrameKind.CONTROL_ANNOUNCE
+_RULES = {"masks": test_interferer_masks_match_brute_force,
+          "cut": test_masks_of_a_run_cut_mid_delivery_match_the_oracle,
+          "last-clean-arrival": test_last_clean_arrival_matches_brute_force,
+          "clean-receptions": test_clean_receptions_match_brute_force,
+          "idle-from": test_idle_from_matches_brute_force}
+
+
+def _case(rule, name, **case):
+    """A case of `rule`; on the coarse clock, everyone joins at 0 unless `joins` says."""
+    if rule != "cut":
+        case.setdefault("joins", [0] * 8)
+    return pytest.param(_RULES[rule], case, id=f"{rule}-{name}")
+
+
+@pytest.mark.parametrize("prop, case", [
+    _case("masks", "zero-length-second", cells=[0, 1, 2], sends=[(0, 5, 2, _D), (1, 5, 0, _D)]),
+    _case("masks", "zero-length-first", cells=[0, 1, 2], sends=[(1, 5, 0, _D), (0, 5, 2, _D)]),
+    _case("masks", "touching-endpoints", cells=[0, 1, 2], sends=[(0, 0, 2, _D), (1, 2, 2, _D)]),
+    _case("masks", "half-duplex-allocation", cells=[0, 1, 2], sends=[(0, 0, 3, _D), (1, 1, 3, _A)]),
+    _case("masks", "join-and-transmit-inside-a-frame", cells=[0, 1], joins=[0, 1] + [0] * 6,
+          sends=[(0, 0, 3, _D), (1, 2, 1, _D)]),
+    _case("masks", "one-clean-allocation", cells=[0, 1], sends=[(0, 0, 3, _A)]),
+    _case("masks", "only-allocations-reach-handlers", cells=[0, 1],
+          sends=[(0, 0, 2, _D), (0, 3, 2, _N), (0, 6, 2, _A)]),
+    _case("masks", "out-of-range-receiver", cells=[0, 1, 5], sends=[(0, 0, 2, _A)]),
+    _case("masks", "hidden-terminals", cells=[0, 2, 4], sends=[(0, 0, 3, _A), (2, 1, 3, _A)]),
+    _case("masks", "braid-of-frames-on-air", cells=[0, 1, 2, 3],
+          sends=[(0, 0, 3, _D), (1, 1, 3, _A), (2, 2, 3, _D), (3, 4, 2, _A), (0, 7, 1, _A)]),
+    # the 500 m interferer reaches only the receiver at 290 m, whose reception
+    # (967 ns after the first frame ends) is still arriving at the cut
+    _case("cut", "interferer-in-flight", xs=[0.0, 500.0, 1.0, 290.0], starts=[0, 100 * US],
+          which=0, late=100),
+    _case("cut", "at-the-last-end", xs=[0.0, 50.0, 250.0], starts=[0, 500 * US, 600 * US],
+          which=2, late=0),
+    _case("last-clean-arrival", "read-before-join-and-own-frames", cells=[0, 1],
+          joins=[0, 6] + [0] * 6, sends=[(0, 0, 3), (0, 8, 3)],
+          reads=[(1, 0, 4, 4), (0, 0, 20, 12), (1, 0, 20, 12)]),
+    # vehicle 0's second frame collides at 1 with vehicle 2's, and arrives before
+    # every read; the second read's window opens at the first frame's arrival
+    _case("last-clean-arrival", "collided-second-frame", cells=[0, 1, 2],
+          sends=[(0, 0, 3), (0, 8, 3), (2, 8, 3)],
+          reads=[(1, 0, 14, 12), (1, 0, 14, 10), (0, 0, 14, 12)]),
+    _case("clean-receptions", "read-before-join-and-own-announces", cells=[0, 1],
+          joins=[0, 6] + [0] * 6, sends=[(0, 0, 3, _N), (1, 8, 3, _N)],
+          reads=[(1, 0, 1, 4), (0, 0, 1, 4), (1, 1, 4, 12), (0, 1, 4, 12)]),
+    _case("clean-receptions", "collided-announces", cells=[0, 1, 2],
+          sends=[(0, 0, 3, _N), (2, 1, 3, _N), (1, 9, 2, _N)],
+          reads=[(1, 0, 2, 12), (0, 1, 4, 12), (2, 2, 2, 12)]),
+    _case("idle-from", "zero-length-at-the-shared-edge", cells=[0, 1, 2],
+          sends=[(0, 5, 0), (1, 5, 2)], cca_detect_ns=0,
+          reads=[(2, 0, True, 0), (2, 1, True, 0), (0, 0, False, 0)]),
+    _case("idle-from", "1-ns-around-the-detection-edge-and-the-end", cells=[0, 1],
+          sends=[(0, 2, 3)], cca_detect_ns=4 * US,
+          reads=[(1, 0, True, -1), (1, 0, True, 0), (1, 0, True, 1),
+                 (1, 0, False, -1), (1, 0, False, 0), (1, 0, False, 1)]),
+    _case("idle-from", "an-idle-medium", cells=[0, 1], sends=[], cca_detect_ns=0,
+          reads=[(0, 0, True, 0), (1, 3, False, 1)]),
+    _case("idle-from", "overlapping-frames", cells=[0, 1, 2], sends=[(0, 0, 3), (1, 1, 3)],
+          cca_detect_ns=0, reads=[(2, 0, True, 1), (2, 1, True, 1), (0, 1, False, -1)]),
+    _case("idle-from", "hidden-terminal", cells=[0, 4], sends=[(0, 0, 3)], cca_detect_ns=0,
+          reads=[(1, 0, True, 1), (1, 0, False, -1), (0, 0, True, 1)]),
+    _case("idle-from", "past-read-passes-over-later-frames", cells=[0, 1],
+          sends=[(0, 0, 2), (1, 6, 3)], cca_detect_ns=0,
+          reads=[(1, 0, False, -1), (0, 1, True, 1)]),
+])
+def test_hand_placed_case_matches_brute_force(prop, case):
+    prop.hypothesis.inner_test(**case)
 
 
 def _one_frame_read(arrival_offset: int, read_first: bool):
