@@ -61,12 +61,18 @@ class Kernel:
 
     `drop_pending` forgets the events still pending: a run that will not be
     resumed drops them, and with them the handlers they hold.
+
+    `horizon` tells a handler how far it may act ahead of now without an
+    event: up to the next pending event, and no further than the end of the
+    current `run_until`. The slot controller's window clock sends a window's
+    data-slot frames up to it from one event.
     """
 
     def __init__(self, trace: bool = False):
         self.now: int = 0
         self._heap: list[tuple[int, int, Callable[[Any], None], Any, int, EventKind]] = []
         self._seq = 0
+        self._until = 0         # one past the end of the current (or last) run_until
         self.trace_enabled = trace
         self.trace: list[tuple[int, int, int, str]] = []
 
@@ -83,6 +89,7 @@ class Kernel:
         if end < self.now:
             raise ValueError(f"cannot run until {end} ns before now={self.now} ns")
         heap = self._heap
+        self._until = end + 1
         trace = self.trace if self.trace_enabled else None
         paused = gc.isenabled()
         if paused:
@@ -102,6 +109,13 @@ class Kernel:
                 gc.enable()
         self.now = end
         return end
+
+    def horizon(self) -> int:
+        """The first instant at which another event may act: when the next
+        pending event fires, or one ns past the end of the current `run_until`,
+        whichever comes first. Up to it, exclusive, nothing else happens."""
+        heap, until = self._heap, self._until
+        return min(heap[0][0], until) if heap else until
 
     def drop_pending(self) -> None:
         """Forget every pending event."""

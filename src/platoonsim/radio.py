@@ -188,14 +188,24 @@ class Medium:
 
     # -- transmission ------------------------------------------------------
 
-    def broadcast(self, frame: Frame) -> Frame:
-        """Put frame on air from its sender now; log it and return it."""
-        sender, start = frame.sender, self.kernel.now
+    def broadcast(self, frame: Frame, start: int | None = None) -> Frame:
+        """Put frame on air from its sender at start, now by default; log it and return it.
+
+        A start may lie ahead of now, for a sender that knows nothing else
+        acts before it, but not before now or before the last logged start:
+        the log stays sorted by start.
+        """
+        sender, now, log = frame.sender, self.kernel.now, self.log
+        if start is None:
+            start = now
         sent = self._sent.get(sender)
         if sent is None:
             raise ValueError(f"sender {sender} not registered")
         if frame.end is not None:
             raise ValueError(f"frame already broadcast at {frame.start} ns")
+        if start < now or log and start < log[-1].start:
+            raise ValueError(f"cannot broadcast at {start} ns, before " + (
+                f"now={now} ns" if start < now else f"the last logged start, {log[-1].start} ns"))
         if sent and start < sent[-1].end:
             raise RuntimeError(
                 f"vehicle {sender} is already transmitting at {start} ns; "
@@ -203,7 +213,7 @@ class Medium:
             )
         dur = self.airtimes.get(frame.size) or self.airtime(frame.size)
         end = start + dur
-        log, receivers = self.log, self._receivers
+        receivers = self._receivers
         # the sender's range mask: a sender hears itself (half-duplex)
         mask, hit = receivers[sender] | 1 << sender, 0
         # Every logged frame started at or before `start`, so the half-open

@@ -23,12 +23,12 @@ A frame too large for any slot is transmitted anyway at its slot origin and
 overruns into the neighbour slot rather than being dropped, so undersized
 slot configurations degrade instead of silently discarding traffic.
 
-A controller takes the application messages due by now from its source each
-time a burst reads its queues, so a message generated at t is queued at t.
-One step runs every burst, in slot 1 and in the data slots, on a context that
-one slot builder gives. A slot-1 step checks its head and senses the medium
-when it fires. A data-slot step was settled when the frame before it started
-(the first by the slot trigger), so it raises an event only to transmit.
+A controller takes the application messages due by a burst step's start
+from its source each time the step reads its queues, so a message generated
+at t is queued for every step from t on. A slot-1 burst step is a kernel event that checks its head
+and senses the medium when it fires. The data slots need no event of their
+own: nothing in them senses, so once slot 1 ends the clock sends every
+member's data-slot burst from its own event, frame by frame in start order.
 
 An allocation acts at once, so its master asks the medium to deliver it, and
 a controller takes it only where it arrived clean. Everything else is read
@@ -51,9 +51,11 @@ holds a slot. The end of slot 1 reads its outcome from these two.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum, auto
+from itertools import count
 
 from .frames import (
     ANNOUNCE_SIZE,
@@ -309,7 +311,25 @@ class WindowClock:
     The guard is the propagation delay over the radio range: every frame sent
     in a slot has arrived everywhere by its end plus the guard. Only announces
     start from a window start to its end of slot 0: slot-1 frames are armed
-    there or later, and no burst step runs past its window."""
+    there or later, and no burst step runs past its window.
+
+    The data phase. A member arms the step that opens its data slot as its
+    `_burst`, stamped from the shared `stamps` in arm order. The slot-1-end
+    event closes the round, then runs every armed step and its successors
+    in (start, stamp) order, which interleaves members that hold one slot
+    index under different masters. A data-slot step senses nothing and
+    raises no event, so the clock runs those that start before
+    `Kernel.horizon`; it hands the rest back to their members and arms
+    itself there while the window lasts, so an event inside the window (a
+    spawn, an allocation, the run end) acts before every frame that starts
+    at or after it.
+
+    At T = w + 2 slots, the steps armed before the slot-1-end event go first,
+    then the events pending at T, then the steps armed at T. Per-member
+    triggers ordered one case otherwise, by scheduling sequence: a slave
+    listed for slot 2 during slot 1 against an allocation arriving at it at
+    T. Their outcome there rested on dispatch order already.
+    """
 
     TARGET = -1     # the kernel target of the clock's events; vehicle ids are >= 0
 
@@ -320,6 +340,7 @@ class WindowClock:
         self.guard = medium.cfg.max_delay
         self.members: list[TsnCtl] = []
         self._early: list[TsnCtl] = []      # joined at the pending window start
+        self.stamps = count()               # orders the data-slot steps, shared with members
         self._next = (kernel.now // wcfg.window_ns + 1) * wcfg.window_ns
         kernel.at(self._next, self.TARGET, TIMER, self._on_window_start, self._next)
 
@@ -346,8 +367,41 @@ class WindowClock:
 
     def _on_slot1_end(self, payload: tuple[int, list[TsnCtl]]) -> None:
         w, in_round = payload
+        mark = next(self.stamps)
         for ctl in in_round:
             ctl._on_slot1_end(w)
+        self._data_phase((w, mark))
+
+    def _data_phase(self, payload: tuple[int, int]) -> None:
+        """Run the armed data-slot steps of window w that start before the horizon.
+
+        The steps stamped before `mark` that start now run first, also
+        when another event is pending now: slot 1's end passes its mark.
+        """
+        w, mark = payload
+        kernel = self.kernel
+        now, horizon = kernel.now, kernel.horizon()
+        steps = []
+        for ctl in self.members:
+            if ctl._burst is not None:
+                steps.append((*ctl._burst, ctl))
+                ctl._burst = None
+        steps.sort()
+        stamps = self.stamps
+        i = 0
+        while i < len(steps):
+            at, stamp, opens, ctl = steps[i]
+            if at >= horizon and (at > now or stamp > mark):
+                break
+            i += 1
+            at = ctl._data_step(w, at, opens)
+            if at is not None:
+                # armed now, so after every step already armed at its start
+                insort(steps, (at, next(stamps), False, ctl), i)
+        for at, stamp, opens, ctl in steps[i:]:
+            ctl._burst = at, stamp, opens
+        if horizon < w + self.wcfg.window_ns:
+            kernel.at(horizon, self.TARGET, TIMER, self._data_phase, (w, -1))
 
 
 class TsnCtl:
@@ -387,7 +441,10 @@ class TsnCtl:
         self.schedule: dict[int, int] | None = None   # a master's own schedule
         self.my_slot: int | None = None
         self.master: tuple[int, int] | None = None    # (timestamp, id) of the master we follow
-        self._slot_gen = 0          # invalidates armed slot triggers on membership change
+        # the next step of our data-slot burst that the clock has yet to run,
+        # as (start, stamp, whether it opens the slot); a reset drops it
+        self._burst: tuple[int, int, bool] | None = None
+        self._stamps = clock.stamps
         # the latest clean arrival `_master_silent` read, and whose frame it was
         self._heard_from: int | None = None
         self._heard_at = 0
@@ -460,7 +517,7 @@ class TsnCtl:
         self.schedule = None
         self.my_slot = None
         self.master = None
-        self._slot_gen += 1
+        self._burst = None
 
     # -- slot 0: announce -------------------------------------------------------
 
@@ -483,7 +540,7 @@ class TsnCtl:
             if best is not None:
                 self._schedule_alloc_tx(w, self.schedule, [best.sender] + [a.sender for a in heard])
             else:
-                self._send(self._slot(w, 1))
+                self._send(w)
             return
         key = election_key(self.created_at, self.vid)
         if best is not None:
@@ -530,7 +587,7 @@ class TsnCtl:
         self.medium.deliver(tx)     # before the burst step at tx.end, which an arrival may share
         self.schedule = sched
         if self.state.status is IN_PLATOON:   # a refresh
-            self.kernel.at(tx.end, self.vid, TIMER, self._send, self._slot(w, 1))
+            self.kernel.at(tx.end, self.vid, TIMER, self._send, w)
 
     def _on_slot1_end(self, w: int) -> None:
         """Close the formation round we joined at window start."""
@@ -577,12 +634,11 @@ class TsnCtl:
             # a slave reads only its own slot, which `admit` gave it alone
             self.my_slot = frame.allocations[self.vid]
             if outcome != "refresh":
-                # fresh membership: arm this window's trigger; a refresh keeps
-                # the one armed at window start (our own slot never moves).
-                # Windows lie on one grid, and an allocation arrives inside
-                # its own, by the end of slot 1.
+                # fresh membership: arm this window's slot, in place of any
+                # step armed before; a refresh keeps the one armed at window
+                # start (our own slot never moves). Windows lie on one grid,
+                # and an allocation arrives inside its own, by the end of slot 1.
                 now = self.kernel.now
-                self._slot_gen += 1
                 self._arm_slot(now - now % self.wcfg.window_ns)
 
     # -- bursts: slot 1 and the data slots ---------------------------------------------
@@ -592,38 +648,22 @@ class TsnCtl:
     # slot transmits once per window, from the member's slot origin, and overruns.
     # Slot-1 bursts (master only) carrier-sense each frame because that slot
     # is shared control airtime; owned data slots are exclusive and do not.
-    # One step, `_send`, runs every burst on the context `_slot` builds.
-
-    def _slot(self, w: int, idx: int) -> tuple[int, int, int, int, int]:
-        """Slot idx of window w as its burst reads it: (w, idx, origin, end, generation)."""
-        origin = w + idx * self.wcfg.slot_len_ns
-        return w, idx, origin, origin + self.wcfg.slot_len_ns, self._slot_gen
+    # A slot-1 burst runs as kernel events (`_send`); the window clock runs
+    # every data-slot burst (`_data_step`) from its own events.
 
     def _arm_slot(self, w: int) -> None:
-        ctx = self._slot(w, self.my_slot)
-        if ctx[2] >= self.kernel.now:
-            self.kernel.at(ctx[2], self.vid, TIMER, self._on_slot_open, ctx)
+        """Arm the step that opens our data slot in window w, unless its origin has passed."""
+        origin = w + self.my_slot * self.wcfg.slot_len_ns
+        self._burst = (origin, next(self._stamps), True) if origin >= self.kernel.now else None
 
-    def _on_slot_open(self, ctx) -> None:
-        """A live trigger confirms a joining slave (step 6), then opens our burst.
-
-        Our data slot is exclusive, so its first frame goes out once it fits.
-        """
-        _, idx, origin, end, gen = ctx
-        if gen != self._slot_gen:
-            return
-        self._step(OWN_SLOT_TRIGGER)
-        if self._head_fits(self.kernel.now, idx, origin, end):
-            self._send(ctx)
-
-    def _head_fits(self, now: int, idx: int, origin: int, end: int) -> bool:
+    def _head_fits(self, now: int, end: int, opens: bool) -> bool:
         """Whether the head of the queues, as they stand at now, may start at now.
 
-        It reads the source only when `source.next_due` falls by now, and
-        the overrun rule only when the head does not fit the slot: a data
-        slot's first frame that is too long for any slot still goes out.
-        When a frame is queued but may not start, the queued frames count as
-        deferred.
+        It reads the source only when `source.next_due` falls by now. The
+        step that opens a data slot (`opens`) runs at the slot origin, so its
+        head either ends by the slot end or is too long for any slot and
+        overruns: it always goes out. When a frame is queued but may not
+        start, the queued frames count as deferred.
         """
         due = self.source.next_due
         if due is not None and due <= now:
@@ -631,38 +671,51 @@ class TsnCtl:
         queues = self.queues.queues
         for queue in queues:
             if queue:
+                if opens:
+                    return True
                 size = queue[0].size
-                dur = self.medium.airtimes.get(size) or self.medium.airtime(size)
-                if now + dur <= end or (idx != 1 and now == origin
-                                        and dur > self.wcfg.slot_len_ns):
+                if now + (self.medium.airtimes.get(size) or self.medium.airtime(size)) <= end:
                     return True
                 self.deferred += sum(map(len, queues))
                 return False
         return False
 
-    def _send(self, ctx) -> None:
-        """A burst step at now: send the head of the queues, then arm the next step.
+    def _send(self, w: int) -> None:
+        """A slot-1 burst step at now: send the head of the queues, then arm the next step.
 
-        A slot-1 step is an event that checks afresh whether its head fits and
-        the medium is idle, since an allocation can supersede the master there.
-        A data-slot step was settled when the frame before it started, or by
-        the slot trigger, so it sends at once and settles its own successor
-        now: only the burst reads the queues before the next window start,
-        and a step at or after that start, or after the run end, would not
-        act. It still checks the generation: an allocation that arrives exactly
-        as slot 1 ends can supersede a member whose slot-2 burst has begun.
+        It checks afresh whether its head fits and the medium is idle, since
+        slot 1 is shared. An allocation can supersede the master there, and
+        a superseded master stays a slave until the next end of slot 0, so
+        the step acts only while we are master.
         """
-        w, idx, origin, end, gen = ctx
-        if gen != self._slot_gen:
+        if self.state.role is not MASTER:
             return
         now = self.kernel.now
-        if idx == 1:
-            if not self._head_fits(now, idx, origin, end):
-                return
-            if self.medium.idle_from(self.vid, now) > now:
-                self.deferred += len(self.queues)
-                return
+        if not self._head_fits(now, w + 2 * self.wcfg.slot_len_ns, False):
+            return
+        if self.medium.idle_from(self.vid, now) > now:
+            self.deferred += len(self.queues)
+            return
         at = self.medium.broadcast(self.queues.pop()).end
-        if idx == 1 or (at < w + self.wcfg.window_ns and at <= self.source.end
-                        and self._head_fits(at, idx, origin, end)):
-            self.kernel.at(at, self.vid, TIMER, self._send, ctx)
+        self.kernel.at(at, self.vid, TIMER, self._send, w)
+
+    def _data_step(self, w: int, at: int, opens: bool) -> int | None:
+        """Our data-slot burst step at `at` in window w; return when the next one starts, or None.
+
+        The window clock runs it. The step that opens the slot confirms a
+        joining slave (step 6) and sends the head of the queues, if any; a
+        later step was settled when the frame before it started, so it sends
+        at once. Each step settles its own successor: only the burst reads
+        the queues before the next window start, and a step at or after that
+        start, or after the run end, would not act.
+        """
+        end = w + (self.my_slot + 1) * self.wcfg.slot_len_ns
+        if opens:
+            self._step(OWN_SLOT_TRIGGER)
+            if not self._head_fits(at, end, True):
+                return None
+        at = self.medium.broadcast(self.queues.pop(), at).end
+        if (at < w + self.wcfg.window_ns and at <= self.source.end
+                and self._head_fits(at, end, False)):
+            return at
+        return None

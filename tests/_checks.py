@@ -4,7 +4,7 @@
 (`_util.run_digest`) and the kernel shuffle's salts to the list of its
 faults, empty on a sound run: the overlap oracle
 (`metrics.oracle_check_run`), the carrier-sense oracle (`_carrier_sense`),
-the window clock's two facts (`window_clock_faults`) and the kernel shuffle
+the window clock's facts (`window_clock_faults`) and the kernel shuffle
 (`_shuffle.order_faults`). The golden grid runs every check on each point,
 `test_checks.py` on each random draw, and `tools/equivalence.py` on both
 sides of each sweep config, so a new check is one entry here. The sweep's
@@ -17,31 +17,42 @@ from _carrier_sense import run_sensed_busy
 from _shuffle import order_faults
 from _util import run_digest
 
-from platoonsim.frames import CONTROL_ALLOCATION, CONTROL_ANNOUNCE
+from platoonsim.frames import CONTROL_ALLOCATION, CONTROL_ANNOUNCE, DATA
 from platoonsim.metrics import oracle_check_run
 from platoonsim.scenario import MODE_TSNCTL
+from platoonsim.tsnctl import slot_count
 
 # the kernel shuffle's salts on the golden grid and the random draw
 SALTS = (1, 2, 3)
 
 
 def window_clock_faults(run) -> list[int]:
-    """Indices of the slot-controller frames that break what the window clock rests on.
+    """Indices of the log entries that break what the window clock rests on.
+
+    The log is sorted by start, which the medium's tail scans rest on and
+    the clock's data phase keeps while it logs ahead of now: no entry
+    starts before the entry before it. The rest holds in tsnctl mode; a
+    baseline run has no slot-controller frame.
 
     Only announces start before the end of slot 0 plus the guard
     (`max_delay`), and each announce fits slot 0, so the clock can take a
     window's announces from where the window opened in the log. Every
     announce and allocation carries its sender's `created_at`, so a
-    controller can tell its master's frames by election key alone. A
-    baseline run has none.
+    controller can tell its master's frames by election key alone. Every
+    DATA frame lies in one slot of its window: one that starts in slot 1
+    ends by the end of slot 1, and any other starts in a slot below
+    `slot_count`, at its origin (a frame too long for any slot overruns
+    from there) or later, ending by the slot's end.
     """
+    log = run.medium.log
+    faults = [i for i in range(1, len(log)) if log[i].start < log[i - 1].start]
     cfg = run.cfg
     if cfg.mode != MODE_TSNCTL:
-        return []
+        return faults
     window, slot = cfg.window.window_ns, cfg.window.slot_len_ns
+    slots = slot_count(cfg.window)
     slot0_end = slot + cfg.radio.max_delay
-    faults = []
-    for i, tx in enumerate(run.medium.log):
+    for i, tx in enumerate(log):
         offset = tx.start % window
         if tx.kind is CONTROL_ANNOUNCE:
             sound = offset + tx.end - tx.start <= slot
@@ -49,9 +60,15 @@ def window_clock_faults(run) -> list[int]:
             sound = offset >= slot0_end
         if tx.kind in (CONTROL_ANNOUNCE, CONTROL_ALLOCATION):
             sound = sound and tx.generated_at == run.controllers[tx.sender].created_at
+        elif tx.kind is DATA:
+            idx, origin = offset // slot, tx.start - offset % slot
+            if idx == 1:
+                sound = sound and tx.end <= origin + slot
+            else:
+                sound = sound and idx < slots and (tx.start == origin or tx.end <= origin + slot)
         if not sound:
             faults.append(i)
-    return faults
+    return sorted(set(faults))
 
 
 CHECKS = {

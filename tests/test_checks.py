@@ -126,13 +126,15 @@ def test_every_check_passes_on_collision_heavy_runs(cfg):
 def test_the_window_clock_check_sees_a_tampered_run():
     """An announce that overruns slot 0, a data frame that starts before the
     end of slot 0 plus the guard, and an allocation that does not carry its
-    sender's creation time."""
+    sender's creation time. The announce is the last one before the first
+    allocation, so the log stays sorted by start."""
     run = run_scenario(ScenarioConfig(vehicle_count=6, sim_duration_ns=SEC), 1)
     assert window_clock_faults(run) == []
     window, slot = run.cfg.window.window_ns, run.cfg.window.slot_len_ns
     log = run.medium.log
     picked = [next(i for i, tx in enumerate(log) if tx.kind is kind)
-              for kind in (CONTROL_ANNOUNCE, CONTROL_ALLOCATION, DATA)]
+              for kind in (CONTROL_ALLOCATION, DATA)]
+    picked.insert(0, max(i for i in range(picked[0]) if log[i].kind is CONTROL_ANNOUNCE))
     announce, allocation, data = (log[i] for i in picked)
     for tx, offset in ((announce, slot + 1 - (announce.end - announce.start)),
                        (data, slot + run.cfg.radio.max_delay - 1)):
@@ -141,6 +143,27 @@ def test_the_window_clock_check_sees_a_tampered_run():
         tx.end += shift
     allocation.generated_at += 1
     assert window_clock_faults(run) == sorted(picked)
+
+
+def test_the_window_clock_check_sees_data_frames_out_of_their_slots():
+    """A data-slot frame that starts after its slot origin and ends past the
+    slot end, a slot-1 data frame that ends past the end of slot 1, and a
+    log entry that starts before the one before it."""
+    run = run_scenario(ScenarioConfig(vehicle_count=6, sim_duration_ns=SEC), 1)
+    assert window_clock_faults(run) == []
+    window, slot = run.cfg.window.window_ns, run.cfg.window.slot_len_ns
+    log = run.medium.log
+    data = [i for i, tx in enumerate(log) if tx.kind is DATA]
+    in_slot1 = next(i for i in data if log[i].start % window // slot == 1)
+    late, (swapped, after) = data[-1], next(
+        (i, i + 1) for i in data[:-1] if i + 1 in data and log[i + 1].start % window >= 2 * slot)
+    for i, end in ((late, log[late].start - log[late].start % slot + slot + 1),
+                   (in_slot1, log[in_slot1].start - log[in_slot1].start % window + 2 * slot + 1)):
+        shift = end - log[i].end
+        log[i].start += shift
+        log[i].end += shift
+    log[swapped], log[after] = log[after], log[swapped]
+    assert window_clock_faults(run) == sorted({late, in_slot1, after})
 
 
 def _varied(configs) -> set[str]:

@@ -44,7 +44,7 @@ cut off mid-window (frames in flight). Beyond that:
   wins, so the log pins which candidates the election weighs.
 
 Every run check (`_checks.CHECKS`) runs on every point: the overlap oracle,
-the carrier-sense oracle, the window clock's two facts and the kernel
+the carrier-sense oracle, the window clock's facts and the kernel
 shuffle. Each run's kernel trace also shows that every spawn ran before the
 other events of its instant, the one same-instant order that the outcome
 rests on.

@@ -149,6 +149,36 @@ def test_a_frame_is_broadcast_once():
     assert m.log == [frame] and (frame.start, frame.end, frame.receivers, frame.hit) == stamped
 
 
+def test_a_broadcast_before_now_is_a_hard_fault():
+    k = Kernel()
+    m = Medium(k, _cfg())
+    m.register(0, Position(0.0, 0.0))
+    k.run_until(1 * MS)
+    frame = data_frame(0)
+    with pytest.raises(ValueError, match=f"^cannot broadcast at {1 * MS - 1} ns, before "
+                                         f"now={1 * MS} ns$"):
+        m.broadcast(frame, 1 * MS - 1)
+    assert m.log == [] and frame.end is None
+    assert m.broadcast(frame, 1 * MS) is frame and frame.start == 1 * MS
+
+
+def test_a_broadcast_before_the_last_logged_start_is_a_hard_fault():
+    """A start may lie ahead of now; the log stays sorted by start all the same."""
+    k = Kernel()
+    m = Medium(k, _cfg())
+    m.register(0, Position(0.0, 0.0))
+    m.register(1, Position(10.0, 0.0))
+    ahead = m.broadcast(data_frame(0), 3 * MS)
+    assert (ahead.start, ahead.end) == (3 * MS, 3 * MS + tx_duration(800, m.cfg))
+    frame = data_frame(1)
+    for start in (None, 3 * MS - 1):
+        with pytest.raises(ValueError, match=f"^cannot broadcast at {start or 0} ns, before "
+                                             f"the last logged start, {3 * MS} ns$"):
+            m.broadcast(frame, start)
+    assert m.log == [ahead] and frame.end is None
+    assert m.broadcast(frame, 3 * MS) is frame and m.log == [ahead, frame]
+
+
 @settings(max_examples=60, deadline=None)
 @given(xs=st.lists(st.floats(0.0, 600.0), min_size=2, max_size=6),
        starts=st.lists(st.integers(0, 2_000 * US), min_size=1, max_size=6),

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from _shuffle import shuffled
 from _util import (ConstRng, ScriptedRng, ScriptedSource, assemble_platoon, data_frame,
                    elect_master, join_retries, outcomes)
 
@@ -380,17 +381,25 @@ def test_illegal_event_is_a_hard_fault():
 
 
 def test_slot_trigger_reaching_a_controller_in_init_is_a_hard_fault():
-    # a live trigger always meets a state with an OWN_SLOT_TRIGGER edge; the
-    # FSM table, not the controller, rejects one that does not
+    # a live step that opens a data slot always meets a state with an
+    # OWN_SLOT_TRIGGER edge; the FSM table, not the controller, rejects one
+    # that does not. The clock's data phase runs the steps here, from 0 ns
     kernel = Kernel()
     medium = Medium(kernel, RadioConfig())
-    ctl = TsnCtl(0, WindowClock(kernel, medium, W2), ConstRng(0), source=ScriptedSource(end=0))
+    clock = WindowClock(kernel, medium, W2)
+    ctl = TsnCtl(0, clock, ConstRng(0), source=ScriptedSource(end=0))
+    medium.register(0, Position(0.0, 0.0))
     assert ctl.state == FsmState(Status.INIT, Role.SLAVE)
-    live = ctl._slot(0, 2)
-    ctl._on_slot_open(live[:4] + (live[4] - 1,))  # a stale trigger does nothing
-    assert ctl.transitions == []
+    ctl.my_slot = 2
+    ctl._arm_slot(0)            # opens slot 2 at 4 ms
+    ctl._reset_membership()     # a stale step: the reset drops it, and it does nothing
+    kernel.at(0, WindowClock.TARGET, EventKind.TIMER, clock._data_phase, (0, -1))
+    kernel.run_until(5 * MS)
+    assert ctl.transitions == [] and medium.log == []
+    ctl.my_slot = 3
+    ctl._arm_slot(0)            # opens slot 3 at 6 ms, run by the clock's next event
     with pytest.raises(ProtocolError):
-        ctl._on_slot_open(live)
+        kernel.run_until(7 * MS)
     assert ctl.transitions == [] and ctl.state.status is Status.INIT
 
 
@@ -483,6 +492,30 @@ def test_data_frames_start_at_their_slot_origin():
               if tx.kind is FrameKind.DATA]
     assert starts == [(0, 0, 302 * MS + ctls[0].guard), (0, 1, 304 * MS),
                       (1, 0, 306 * MS), (2, 0, 308 * MS)]
+
+
+def test_burst_frame_ending_exactly_at_its_slot_end_goes_out_in_that_slot():
+    # a 750 B frame is on air for exactly 1 ms, so slave 1's two frames fill
+    # its 2 ms slot 3 of the window at 300 ms, the second ending at its end
+    frames = [data_frame(1, size=750, seq=seq) for seq in range(2)]
+    kernel, medium, ctls = assemble_platoon(
+        {0: 0, 1: 1 * MS}, {0: 0, 1: 300 * US}, run_ms=250,
+        sources={1: _due_at(250 * MS, frames, 400 * MS)})
+    kernel.run_until(400 * MS)
+    sent = [(tx.start, tx.end) for tx in medium.log if tx.sender == 1 and tx.kind is FrameKind.DATA]
+    assert sent == [(306 * MS, 307 * MS), (307 * MS, 308 * MS)] and ctls[1].deferred == 0
+
+
+def test_a_vehicle_spawned_as_a_data_frame_starts_is_among_its_receivers():
+    # slave 1's slot 3 of the window at 300 ms opens at 306 ms, the instant
+    # vehicle 2 spawns; a spawn runs before every other event at its
+    # instant, so the frame that starts then reaches 2 as well
+    kernel, medium, ctls = assemble_platoon(
+        {0: 0, 1: 1 * MS, 2: 306 * MS}, {0: 0, 1: 300 * US, 2: 600 * US}, run_ms=400,
+        sources={1: _due_at(250 * MS, [data_frame(1)], 400 * MS)})
+    assert ctls[1].my_slot == 3
+    tx = next(tx for tx in medium.log if tx.sender == 1 and tx.kind is FrameKind.DATA)
+    assert tx.start == 306 * MS and tx.receivers == 0b101
 
 
 def test_announce_lands_in_slot_zero_at_requested_offset():
@@ -598,12 +631,13 @@ def test_slot1_step_that_senses_a_busy_medium_defers_its_queue(monkeypatch):
         senses.append(horizon > at)
         return horizon
 
-    def step(ctl, ctx):
+    def step(ctl, w):
         senses.clear()
         deferred, logged = ctl.deferred, len(ctl.medium.log)
-        send(ctl, ctx)
+        send(ctl, w)
         if senses == [True]:
-            assert ctx[1] == 1 and len(ctl.medium.log) == logged
+            slot = cfg.window.slot_len_ns
+            assert w + slot < ctl.kernel.now < w + 2 * slot and len(ctl.medium.log) == logged
             busy.append((ctl.vid, ctl.kernel.now, ctl.deferred - deferred, len(ctl.queues)))
 
     monkeypatch.setattr(Medium, "idle_from", sensing)
@@ -759,6 +793,41 @@ def test_member_superseded_as_its_slot_opens_sends_no_further_burst_step():
     assert len(member.queues) == 2
     assert member.transitions[-1][1:3] == (FsmEvent.ALLOCATION_RECEIVED, "superseded")
     assert member.master == (0, 7) and member.my_slot is None
+
+
+@pytest.mark.parametrize("salt", range(1, 25))
+def test_slave_listed_for_slot2_in_slot1_closes_its_round_under_any_dispatch_order(salt):
+    """The end of slot 1 closes a round before its slot 2 opens, at one instant.
+
+    Member 5 wins its round alone in the window at 100 ms, and the unheard
+    master 99 supersedes it during that window's slot 1 and lists it at
+    slot 2. Its round ends and its slot 2 opens at 104 ms. Under any order
+    of the events at one instant, the round closes first (JOINING to
+    JOINING), and the slot's opening then confirms 5 (to IN_PLATOON), which
+    holds slot 2 under 99 from then on.
+    """
+    with shuffled(salt):
+        kernel = Kernel()
+        medium = Medium(kernel, RadioConfig())
+        clock = WindowClock(kernel, medium, W2)
+        frames = [data_frame(5, size=200, seq=seq) for seq in range(3)]
+        ctls = {}
+
+        def spawn(_):
+            ctls[5] = TsnCtl(5, clock, ConstRng(0), source=_due_at(150 * MS, frames, 300 * MS))
+            medium.register(5, Position(0.0, 0.0), handler=ctls[5].on_frame_delivery)
+
+        kernel.at(10 * MS, 5, EventKind.SPAWN, spawn, None)
+        kernel.run_until(100 * MS + 2 * MS + clock.guard + 1)   # joining, election done
+        medium.register(99, Position(10.0, 0.0))
+        _foreign_master(medium, 99, {99: 3, 5: 2})
+        kernel.run_until(200 * MS)
+    member = ctls[5]
+    assert [t[1:3] for t in member.transitions[-4:-1]] == [
+        (FsmEvent.ALLOCATION_RECEIVED, "superseded"), (FsmEvent.SLOT1_END, "allocated"),
+        (FsmEvent.OWN_SLOT_TRIGGER, None)]
+    assert member.state == FsmState(Status.IN_PLATOON, Role.SLAVE)
+    assert (member.master, member.my_slot) == ((0, 99), 2)
 
 
 def test_collided_control_frames_are_ignored():
