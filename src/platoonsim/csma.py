@@ -9,11 +9,20 @@ and every frame is transmitted exactly once.
 Each message arrives by its own event at its due time. The arrivals come
 from the run's `MessageClock`, which keeps them in one stream and puts only
 the earliest in the kernel's heap. Beyond that a MAC raises an event only
-where it has something to decide: at a sensed idle edge, at the expiry of a
-non-zero backoff, and at the end of its own transmission only when a frame
-will wait behind it. A zero backoff transmits at once: a re-sense at the
-same instant would read what the first sense read, since no frame is sensed
-at the instant it starts.
+where it has something to decide: one wake per wait, at the idle edge plus
+the backoff, and at the end of its own transmission only when a frame will
+wait behind it.
+
+A busy sense reads the idle edge (`Medium.idle_from`), draws the backoff at
+once (a MAC has one wait at a time, so it reads its stream in the order a
+draw at the edge would) and arms one wake at edge + backoff. Only a frame
+logged since the read that starts before the edge can have moved the edge;
+then the wake reads the medium again at the edge, and if it is busy there,
+waits again with the same backoff. Otherwise a zero backoff transmits at
+once, since a frame that starts at the edge is not sensed there, and any
+other senses afresh. The wake is armed at the read, so it runs before the
+events of its instant armed later; of the output, only the order of
+same-start log records rests on that.
 """
 
 from __future__ import annotations
@@ -112,6 +121,9 @@ class CsmaMac:
         self._cw_max, self._slot_ns = cfg.cw_slots - 1, cfg.backoff_slot_ns  # backoff draw
         self.queue: deque[Frame] = deque()
         self._tx_done_pending = False
+        # the wait in progress: its idle edge, the log length it was read
+        # at, and the backoff drawn when it began
+        self._edge = self._read = self._backoff = 0
         self.deferrals = 0
         self.source = source
         if source.next_due is not None:
@@ -129,27 +141,34 @@ class CsmaMac:
     # kernel event so concurrent vehicles interleave through simulated time.
     # Each sense is one scan of the medium: busy iff the idle edge lies ahead.
 
-    def _sense(self, _payload=None) -> None:
+    def _sense(self) -> None:
         now = self.kernel.now
-        idle = self.medium.idle_from(self.vid, now)
-        if idle > now:
+        edge = self.medium.idle_from(self.vid, now)
+        if edge > now:
             self.deferrals += 1
-            self.kernel.at(idle, self.vid, TIMER, self._on_idle_edge)
+            self._backoff = self.rng.integers(0, self._cw_max, endpoint=True) * self._slot_ns
+            self._wait(edge)
         else:
             self._transmit()
 
-    def _on_idle_edge(self, _payload) -> None:
-        now = self.kernel.now
-        idle = self.medium.idle_from(self.vid, now)
-        if idle > now:
-            # medium got busy again while waiting: keep waiting for idle
-            self.kernel.at(idle, self.vid, TIMER, self._on_idle_edge)
-            return
-        backoff = self.rng.integers(0, self._cw_max, endpoint=True) * self._slot_ns
-        if backoff:
+    def _wait(self, edge: int) -> None:
+        """Wake at edge + backoff, noting how much of the log the edge was read from."""
+        self._edge, self._read = edge, len(self.medium.log)
+        self.kernel.at(edge + self._backoff, self.vid, TIMER, self._on_wake)
+
+    def _on_wake(self, _payload) -> None:
+        # only a frame logged since the read that starts before the edge can
+        # have moved it, and the log is sorted by start
+        log, read, edge = self.medium.log, self._read, self._edge
+        if len(log) > read and log[read].start < edge:
+            idle = self.medium.idle_from(self.vid, edge)
+            if idle > edge:
+                self._wait(idle)
+                return
+        if self._backoff:
             # at expiry the frame is sensed like a fresh one: if busy again,
-            # wait for the new idle edge and draw a fresh backoff there
-            self.kernel.at(now + backoff, self.vid, TIMER, self._sense)
+            # it draws a fresh backoff
+            self._sense()
         else:
             self._transmit()
 

@@ -290,34 +290,49 @@ class Medium:
     # -- carrier sense -------------------------------------------------------
 
     def idle_from(self, listener: int, at: int) -> int:
-        """When every transmission sensed at `at` has ended; `at` if none is.
+        """The first instant at or after `at` at which the listener senses the
+        channel idle, given the frames logged so far; `at` if it is idle there.
 
-        The channel is busy at the listener iff this lies after `at`.
+        The channel is busy at the listener at `at` iff this lies after `at`.
 
         The listener senses the frames of every vehicle it hears, its own
         included, over [start + delay + cca_detect_ns, end + delay), so two
         nodes committing within one detection latency will overlap. A frame
         is never sensed at the instant it starts, even with no delay and no
         detection latency: two decisions at one instant cannot see each
-        other, whichever of them the kernel dispatches first. The log
-        is read backwards from its end and the scan stops at the first entry
-        that started more than the longest airtime and delay before `at`:
+        other, whichever of them the kernel dispatches first. A busy spell
+        lasts through every logged frame that becomes sensed before the spell
+        ends, one not yet detected at `at` among them, so the answer is the
+        first instant that no sensed interval covers. The log is read
+        backwards from its end and the scan stops at the first entry that
+        started more than the longest airtime and delay before `at`:
         everything logged before it ended, at every listener, by `at`. During
         a run, when `at` is now, that reads only the frames that may still be
-        on air; a read at a past `at` also passes over the later entries.
+        on air; a read at a past `at` also reads the later entries.
         """
         hears, detect = self._hears[listener], self._cca_detect
         floor = at - self._max_dur - self._sense_slack
-        horizon = at
+        # the frames sensed at `at` cover [at, horizon) together; a frame not
+        # yet sensed there waits in `pending` for the spell to reach it
+        horizon, pending = at, []
         for tx in reversed(self.log):
             start = tx.start
             if start < floor:
                 break
             delay = hears.get(tx.sender)
-            # sensed iff started before `at`, detected by `at` and not yet
-            # ended there; an edge at or before the horizon moves nothing
-            if delay is not None and start < at and start + delay + detect <= at:
-                edge = tx.end + delay
-                if edge > horizon:
-                    horizon = edge
+            if delay is not None:
+                until = tx.end + delay
+                if until > horizon:
+                    # sensed from start + delay + detect, never at start itself
+                    since = start + (delay + detect or 1)
+                    if since <= at:
+                        horizon = until
+                    else:
+                        pending.append((since, until))
+        if pending:
+            for since, until in sorted(pending):
+                if since > horizon:
+                    break
+                if until > horizon:
+                    horizon = until
         return horizon

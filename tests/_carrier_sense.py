@@ -7,8 +7,9 @@ every frame that starts in slot 1 (a master's slot-1 burst); data frames in
 the members' own slots do not sense.
 
 The rule: no frame may be sensed at a sensed frame's sender at its start.
-What a listener senses is one function, `sensed_until`, which the tests of
-the medium's own sensing scan read too. A frame g is sensed at vehicle v at
+What a listener senses is one function, `sensed_until`, and when a busy
+spell ends another, `idle_edge`; the tests of the medium's own sensing scan
+and the baseline's replay read them too. A frame g is sensed at vehicle v at
 time t iff g's sender is v or lies within `range_m` of v, g started before
 t, and g.start + delay + cca_detect_ns <= t < g.end + delay, with delay the
 propagation delay over their distance (0 for v's own frames). A frame that
@@ -21,6 +22,8 @@ neighbour table or its sensing scan.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from platoonsim.frames import DATA
 from platoonsim.radio import Position, RadioConfig
@@ -42,6 +45,22 @@ def sensed_until(start: int, end: int, dist: float, radio: RadioConfig, t: int) 
     if start < t and start + delay + radio.cca_detect_ns <= t < end + delay:
         return end + delay
     return None
+
+
+def idle_edge(records: list[tuple], starts: list[int], first: int, span: float, t: int,
+              here: Position, positions: dict[int, Position], radio: RadioConfig) -> int:
+    """The first instant at or after t that no sensed interval of a listener at
+    `here` covers, from (kind, sender, start, end) `records` in start order,
+    `starts` their starts. A record that started `span` or more before a time
+    is not sensed then, nor is any before index `first` at t or later."""
+    while True:
+        first = bisect_left(starts, t - span, first)
+        edges = [sensed_until(start, end, here.distance(positions[sender]), radio, t)
+                 for _, sender, start, end in records[first:bisect_left(starts, t, first)]]
+        edges = [edge for edge in edges if edge is not None]
+        if not edges:
+            return t
+        t = max(edges)
 
 
 def sensed_busy(records: list[tuple], positions: dict[int, Position], radio: RadioConfig,

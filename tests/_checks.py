@@ -4,16 +4,19 @@
 (`_util.run_digest`) and the kernel shuffle's salts to the list of its
 faults, empty on a sound run: the overlap oracle
 (`metrics.oracle_check_run`), the carrier-sense oracle (`_carrier_sense`),
-the window clock's facts (`window_clock_faults`) and the kernel shuffle
-(`_shuffle.order_faults`). The golden grid runs every check on each point,
-`test_checks.py` on each random draw, and `tools/equivalence.py` on both
-sides of each sweep config, so a new check is one entry here. The sweep's
-base side passes no salt, so `order_free` reruns nothing there.
+the window clock's facts (`window_clock_faults`), the kernel shuffle
+(`_shuffle.order_faults`) and the baseline's replay (`_replay`), which
+reads the run's seed from its config. The golden grid runs every check on
+each point, `test_checks.py` on each random draw, and
+`tools/equivalence.py` on both sides of each sweep config, so a new check
+is one entry here. The sweep's base side passes no salt, so `order_free`
+reruns nothing there.
 """
 
 from __future__ import annotations
 
 from _carrier_sense import run_sensed_busy
+from _replay import replay_faults
 from _shuffle import order_faults
 from _util import run_digest
 
@@ -76,6 +79,7 @@ CHECKS = {
     "carrier_sense": lambda run, digest, salts: run_sensed_busy(run),
     "window_clock": lambda run, digest, salts: window_clock_faults(run),
     "order_free": lambda run, digest, salts: order_faults(run.cfg, digest, salts),
+    "replay": lambda run, digest, salts: replay_faults(run),
 }
 
 

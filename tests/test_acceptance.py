@@ -98,9 +98,10 @@ def test_criterion_3_baseline_collision_floor():
 
 
 def test_criterion_4_oracle_equivalence():
-    """Every run check on each run, with no salt, so the kernel shuffle reruns
-    nothing (its reruns take the config's seed, not the run's): the overlap
-    oracle, the carrier-sense oracle and the window clock's facts count."""
+    """Every run check on each run, whose config carries the run's seed for
+    the replay, with no salt, so the kernel shuffle reruns nothing: the
+    overlap oracle, the carrier-sense oracle, the window clock's facts and
+    the replay count."""
     rng = np.random.default_rng(2024)
     faults = dict.fromkeys(CHECKS, 0)
     for i in range(50):
@@ -114,7 +115,8 @@ def test_criterion_4_oracle_equivalence():
             window=WindowConfig(slot_len_ns=int(rng.choice([1, 2, 5])) * MS),
         )
         cfg.radio = RadioConfig(range_m=float(rng.uniform(100.0, 300.0)))
-        run = run_scenario(cfg, seed=int(rng.integers(0, 2**32)))
+        cfg.seed = int(rng.integers(0, 2**32))
+        run = run_scenario(cfg, cfg.seed)
         for name, found in run_faults(run, salts=()).items():
             faults[name] += len(found)
     _verdict(4, "oracle equivalence", not any(faults.values()),

@@ -87,7 +87,8 @@ def _runs(draw):
     csma=CsmaConfig(cw_slots=16, backoff_slot_ns=800 * US),
     window=WindowConfig(window_ns=50 * MS, slot_len_ns=1_684_157)), None))
 # five vehicles within 1 m spawned 1 us apart, with one 1 ns contention
-# slot: a MAC's idle edge finds the channel busy again and waits for the next
+# slot: a frame logged after a MAC's read keeps the channel busy at the edge
+# it read, so its wake waits again
 @example(drawn=(ScenarioConfig(
     vehicle_count=5, mode=MODE_BASELINE, spawn_interval_ns=1 * US, area_length_m=1.0,
     message_interval_ns=2 * MS, payload_size_b=1, sim_duration_ns=1 * MS, seed=0,

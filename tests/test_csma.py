@@ -74,6 +74,59 @@ def test_busy_again_at_expiry_draws_fresh_backoff_without_doubling():
     assert tx1.start == t1 + 1 * 100 * US
 
 
+# -- the wake ------------------------------------------------------------------
+#
+# A busy sense draws its backoff at once and arms one wake at the idle edge
+# plus the backoff, the edge read from the frames logged at the sense.
+# Vehicles 0 and 2 lie 400 m apart and do not hear each other; vehicle 1,
+# between them, hears both.
+
+_HIDDEN_GAP_M = 200.0
+
+
+def _hidden_terminal_wait(due1, k):
+    """Vehicle 0 sends at 0 and vehicle 2, hidden from it, at 500 us; vehicle
+    1's message falls due at `due1` and its backoff draw is k slots. Returns
+    vehicle 1's wait: the end of vehicle 0's frame and of vehicle 2's, each
+    as vehicle 1 senses it, the start of vehicle 1's frame, its deferrals
+    and the times of its timer events."""
+    kernel, medium, macs = _setup({0: [0], 1: [due1], 2: [500 * US]}, n=3,
+                                  gap_m=_HIDDEN_GAP_M, trace=True)
+    macs[1].rng = ScriptedRng([k, 1])
+    kernel.run_until(20 * MS)
+    first, hidden, tx = (next(t for t in medium.log if t.sender == v) for v in (0, 2, 1))
+    d = RADIO.prop_delay(_HIDDEN_GAP_M)
+    assert (first.start, hidden.start) == (0, 500 * US)
+    wakes = [at for at, _seq, target, kind in kernel.trace if target == 1 and kind == "TIMER"]
+    return first.end + d, hidden.end + d, tx.start, macs[1].deferrals, wakes
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_a_frame_logged_after_the_read_that_starts_before_the_edge_makes_the_mac_wait_again(k):
+    """Vehicle 1 reads at 200 us, when only vehicle 0's frame is logged;
+    vehicle 2's frame starts at 500 us and is still sensed at the edge that
+    vehicle 1 read. The wake re-reads the medium at that edge and waits
+    again, with the backoff already drawn, for the end of vehicle 2's frame."""
+    first_edge, edge, start, deferrals, wakes = _hidden_terminal_wait(200 * US, k)
+    assert 500 * US < first_edge < edge
+    assert start == edge + k * 100 * US
+    assert deferrals == 1
+    assert wakes == [first_edge + k * 100 * US, edge + k * 100 * US]
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_a_frame_not_yet_detected_at_the_read_moves_the_edge_with_no_second_wake(k):
+    """Vehicle 1 reads at 502 us, after vehicle 2's frame started and before
+    it detects it (start + delay + cca_detect_ns). That frame becomes sensed
+    while vehicle 0's still is, and outlasts it, so the edge read at 502 us
+    is already its end, and vehicle 1 wakes once."""
+    _first_edge, edge, start, deferrals, wakes = _hidden_terminal_wait(502 * US, k)
+    assert 502 * US < 500 * US + RADIO.prop_delay(_HIDDEN_GAP_M) + RADIO.cca_detect_ns
+    assert start == edge + k * 100 * US
+    assert deferrals == 1
+    assert wakes == [edge + k * 100 * US]
+
+
 def test_fifo_order_preserved():
     kernel, medium, _ = _setup({0: [0] * 3})
     kernel.run_until(50 * MS)
@@ -160,7 +213,7 @@ def test_zero_backoff_transmits_at_once_beside_a_same_instant_broadcast(armed):
 
     if armed == "before":
         arm_second_frame()
-    kernel.run_until(200 * US)                      # 1's idle edge is armed
+    kernel.run_until(200 * US)                      # 1's wake is armed
     if armed == "after":
         arm_second_frame()
     kernel.run_until(20 * MS)
@@ -260,7 +313,7 @@ def test_arrivals_due_together_leave_the_stream_in_vehicle_order():
                 min_size=1, max_size=4))
 def test_message_clock_raises_the_events_and_frames_of_one_event_per_arrival(vehicles):
     """Spawns and dues on a 500 us grid, so arrivals meet each other, spawns,
-    idle edges, backoff expiries and frame ends (an airtime is about 2 grid
+    wakes and frame ends (an airtime is about 2 grid
     steps) at one instant; the events and the frames, each sorted, equal the
     reference's."""
     spawns = {vid: at * 500 * US for vid, (at, _) in enumerate(vehicles)}
@@ -273,8 +326,9 @@ def test_message_clock_raises_the_events_and_frames_of_one_event_per_arrival(veh
 def test_a_backlogged_pair_keeps_its_kernel_trace():
     # two vehicles at one spot; a message every 500 us into 750 B frames that
     # take 1 ms on air, so message arrivals, frame ends and idle edges meet
-    # at every whole millisecond. Vehicle 1's idle edge at 1 ms draws a zero
-    # backoff and transmits at once, raising no second event there.
+    # at every whole millisecond. Vehicle 1's wait drew a zero backoff, so
+    # its wake at the idle edge, 1 ms, transmits at once, raising no second
+    # event there.
     cfg = ScenarioConfig(vehicle_count=2, mode=MODE_BASELINE, area_length_m=0.0,
                          spawn_interval_ns=250 * US, message_interval_ns=500 * US,
                          payload_size_b=750, sim_duration_ns=5 * MS)

@@ -2,7 +2,8 @@
 names the first field where a changed copy differs, a queue that sends its
 messages out of order among them; with `--expect-diff` it reports what moved
 and fails only on a run check's fault or an error that the sides do not
-share. Each run check has a broken tree that fails the sweep in both modes."""
+share. Each run check has a broken tree that fails the sweep in both modes;
+the replay's passes the carrier-sense oracle."""
 
 import importlib.util
 import json
@@ -107,16 +108,24 @@ BROKEN = {
                "frame.hit = mask, hit\n"),
     # a listener senses a frame only until it ends at the sender, not until
     # its trailing edge arrives
-    "carrier_sense": ("baseline", 1, "radio.py", "edge = tx.end + delay\n", "edge = tx.end\n"),
+    "carrier_sense": ("baseline", 1, "radio.py", "until = tx.end + delay\n", "until = tx.end\n"),
     # an announce may start anywhere in slot 0, so it can overrun it
     "window_clock": ("tsnctl", 1, "tsnctl.py", "cfg.slot_len_ns - tx_dur, endpoint=True",
                      "cfg.slot_len_ns, endpoint=True"),
     # a listener senses a frame at the instant it starts, so two co-located
     # MACs with no detection latency that decide at one instant race; both
     # configs of seed 3 put every vehicle at one spot with cca_detect_ns = 0
-    "order_free": ("baseline", 3, "radio.py", "delay is not None and start < at and ",
-                   "delay is not None and "),
+    "order_free": ("baseline", 3, "radio.py", "start + (delay + detect or 1)",
+                   "start + (delay + detect)"),
+    # a listener senses a frame without the detection latency, so a MAC
+    # defers where it should have sent; it sends only on a channel it senses
+    # idle, so the carrier-sense oracle passes it (config 0 of seed 17)
+    "replay": ("baseline", 17, "radio.py", "start + (delay + detect or 1)",
+               "start + (delay or 1)"),
 }
+
+# the checks that a broken tree passes, where that is the point of its row
+PASSED = {"replay": ("carrier_sense",)}
 
 
 def test_every_run_check_has_a_broken_tree():
@@ -141,3 +150,5 @@ def test_a_tree_that_breaks_a_check_fails_the_sweep_in_both_modes(tmp_path, caps
         assert found["head"] > 0
         assert found["base"] == (0 if check == "order_free" else found["head"])
         assert f"first fault at '{check}'" in out.err
+        for passed in PASSED.get(check, ()):
+            assert summary[f"{passed}_faults"] == {"base": 0, "head": 0}

@@ -1,6 +1,6 @@
 """Golden digests: refactors of the simulator must not change one byte of output.
 
-Each of the 26 grid points runs one seeded scenario, once, and compares its
+Each of the 27 grid points runs one seeded scenario, once, and compares its
 digest (`_util.run_digest`) with the point's entry in `golden_digests.json`:
 the sha256 of the transmission log, the counts of logged and of collided
 frames, one sha256 over the logged frames with the `seq` and `generated_at`
@@ -37,6 +37,14 @@ cut off mid-window (frames in flight). Beyond that:
   detection latency (`cca_detect_ns = 0`) and a message every 100 ms: a
   frame is sensed from the instant after it starts, so co-located MACs that
   decide at one instant do not see each other's frames and collide;
+- a baseline point with 26 vehicles at one spot, 595 B messages every
+  4.79 ms and spawns 39 ms apart, cut at 500 ms (config 457 of the
+  equivalence sweep's `draw_configs("baseline", 1500, 5)`, shortened): a
+  waiting MAC arms its wake when it reads the idle edge, so the wake runs
+  before the events of its instant armed between that read and the edge.
+  Its log pins the order of same-start records that follows; when the
+  wake was two events, one at the idle edge and one at the backoff's
+  expiry, that order differed and the frames did not;
 - a tsnctl point, at both durations, with 60 vehicles on a 400 m road, 150 m
   of range and 1 ms slots. Hidden terminals make listeners hear different
   subsets of a window's announces: the earliest announce of a window often
@@ -44,8 +52,8 @@ cut off mid-window (frames in flight). Beyond that:
   wins, so the log pins which candidates the election weighs.
 
 Every run check (`_checks.CHECKS`) runs on every point: the overlap oracle,
-the carrier-sense oracle, the window clock's facts and the kernel
-shuffle. Each run's kernel trace also shows that every spawn ran before the
+the carrier-sense oracle, the window clock's facts, the kernel shuffle
+and the baseline's replay. Each run's kernel trace also shows that every spawn ran before the
 other events of its instant, the one same-instant order that the outcome
 rests on.
 
@@ -108,6 +116,10 @@ def _grid() -> list[tuple[str, str, int, int, int, dict]]:
                        MODE_BASELINE, 2, 1, duration,
                        {"area_length_m": 0.0, "message_interval_ns": 100 * MS,
                         "radio": RadioConfig(cca_detect_ns=0)}))
+    points.append((f"{MODE_BASELINE}-2ms-seed3006093708-500000000ns-n26-area0m-msg4792us",
+                   MODE_BASELINE, 2, 3_006_093_708, 500 * MS,
+                   {"vehicle_count": 26, "spawn_interval_ns": 39_083_986, "area_length_m": 0.0,
+                    "payload_size_b": 595, "message_interval_ns": 4_792_176}))
     for duration in DURATIONS:
         points.append((f"{MODE_TSNCTL}-1ms-seed1-{duration}ns-n60-area400m-range150m",
                        MODE_TSNCTL, 1, 1, duration,

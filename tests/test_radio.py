@@ -1,9 +1,10 @@
+import math
 import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from _carrier_sense import sensed_until
+from _carrier_sense import idle_edge
 from _util import data_frame, outcomes, receivers_collided, receivers_expected
 
 from platoonsim.frames import Frame, FrameKind, make_allocation
@@ -375,13 +376,16 @@ def test_clean_receptions_match_brute_force(cells, joins, sends, reads):
                                 st.integers(-1, 1)),
                       min_size=1, max_size=10))
 def test_idle_from_matches_brute_force(cells, joins, sends, cca_detect_ns, reads):
-    """The sensed idle edge is the latest end of a frame sensed at the read; the read if none.
+    """The sensed idle edge is the first instant at or after the read that no
+    sensed interval covers; the read if none covers it.
 
     A listener senses the frames of every sender it hears, itself included
     with no delay, from start + delay + cca_detect_ns until end + delay, and
     never at the instant a frame starts. Each
     read lands 1 ns before, at or 1 ns after one of those edges of some
-    frame, and is taken both at that time in the run and after the run.
+    frame, and is taken both at that time in the run, from the frames logged
+    by then, and after the run, from every frame: a busy spell then runs on
+    through the frames that start inside it.
     """
     n = len(cells)
     cfg = _cfg(**dict(_COARSE, cca_detect_ns=cca_detect_ns))
@@ -423,9 +427,10 @@ def test_idle_from_matches_brute_force(cells, joins, sends, cca_detect_ns, reads
     k.run_until(100 * US)
 
     assert [(tx.sender, tx.start, tx.end) for tx in m.log] == frames
-    want = [_brute_idle_from(m, listener, at) for listener, at in points]
-    assert [live[i] for i in range(len(points))] == want
-    assert [m.idle_from(listener, at) for listener, at in points] == want
+    assert [live[i] for i in range(len(points))] == \
+        [_brute_idle_from(m, listener, at, _logged_by(m, at)) for listener, at in points]
+    assert [m.idle_from(listener, at) for listener, at in points] == \
+        [_brute_idle_from(m, listener, at) for listener, at in points]
 
 
 # -- hand-placed cases -------------------------------------------------------------
@@ -498,6 +503,17 @@ def _case(rule, name, **case):
     _case("idle-from", "past-read-passes-over-later-frames", cells=[0, 1],
           sends=[(0, 0, 2), (1, 6, 3)], cca_detect_ns=0,
           reads=[(1, 0, False, -1), (0, 1, True, 1)]),
+    # the frame of vehicle 1 started 1 ns under the detection latency before
+    # the read, so it is not sensed there; it is before vehicle 0's frame
+    # ends, and it outlasts it, so the busy spell runs on to its end
+    _case("idle-from", "undetected-frame-outlasting-the-spell", cells=[0, 0, 0],
+          sends=[(0, 0, 8), (1, 3, 7)], cca_detect_ns=4 * US, reads=[(2, 1, True, -1)]),
+    # the run's read 1 ns before vehicle 1's frame starts sees vehicle 0's
+    # frame alone; the same read after the run, and a read at the end of
+    # vehicle 0's frame, also see vehicle 1's, which starts inside the spell
+    _case("idle-from", "a-frame-logged-after-the-read-extends-its-spell", cells=[0, 0, 0],
+          sends=[(0, 0, 8), (1, 6, 4)], cca_detect_ns=0,
+          reads=[(2, 1, True, -1), (2, 0, False, 0)]),
 ])
 def test_hand_placed_case_matches_brute_force(prop, case):
     prop.hypothesis.inner_test(**case)
@@ -555,12 +571,19 @@ def test_read_scheduled_after_the_broadcast_ignores_an_arrival_at_its_time():
 # stop where it is easiest to get wrong.
 
 
-def _brute_idle_from(m, listener, at):
-    """The sensed idle edge of `listener` at `at`, from every logged frame."""
-    here = m.positions[listener]
-    edges = [sensed_until(tx.start, tx.end, here.distance(m.positions[tx.sender]), m.cfg, at)
-             for tx in m.log]
-    return max((edge for edge in edges if edge is not None), default=at)
+def _brute_idle_from(m, listener, at, logged=None):
+    """The first instant at or after `at` that no sensed interval of
+    `listener` covers, from the frames in `logged` (every logged frame by
+    default)."""
+    logged = m.log if logged is None else logged
+    records = [(tx.kind, tx.sender, tx.start, tx.end) for tx in logged]
+    return idle_edge(records, [tx[2] for tx in records], 0, math.inf, at,
+                     m.positions[listener], m.positions, m.cfg)
+
+
+def _logged_by(m, at):
+    """The frames logged by a read at `at` that runs after the broadcasts of its instant."""
+    return [tx for tx in m.log if tx.start <= at]
 
 
 def test_tail_scan_sees_a_long_frame_logged_before_short_ones():
@@ -598,7 +621,8 @@ def test_tail_scan_sees_a_long_frame_logged_before_short_ones():
     records = [(tx.sender, tx.start, tx.end) for tx in m.log]
     assert [(tx.receivers, tx.receivers & tx.hit) for tx in m.log] == \
         _sweep_masks(records, positions, m.cfg.range_m, {})      # all present from 0
+    assert live == {(vid, at): _brute_idle_from(m, vid, at, _logged_by(m, at))
+                    for vid in positions for at in reads}
     want = {(vid, at): _brute_idle_from(m, vid, at) for vid in positions for at in reads}
-    assert live == want
     assert any(edge > at for (vid, at), edge in want.items() if at > 1_100 * US)
     assert {(vid, at): m.idle_from(vid, at) for vid, at in want} == want
